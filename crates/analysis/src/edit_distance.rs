@@ -65,51 +65,65 @@ impl ErrorBreakdown {
 
 /// Computes the edit distance together with a breakdown into the paper's
 /// three error classes (flip / insertion / loss), by backtracking over the
-/// full dynamic-programming matrix.
+/// dynamic-programming cells that an optimal alignment can reach.
 ///
-/// This is `O(|sent| * |received|)` in memory and therefore intended for
-/// frame-sized sequences (hundreds of bits), not whole traces.
+/// Equivalent to `scored_breakdown(sent, received).1`; see
+/// [`scored_breakdown`] for the cost and the tie-break that fixes the
+/// breakdown when several optimal alignments exist.
 pub fn error_breakdown(sent: &[bool], received: &[bool]) -> ErrorBreakdown {
     scored_breakdown(sent, received).1
 }
 
-/// Computes the Wagner–Fischer distance *and* its per-error-type breakdown
-/// from one dynamic-programming matrix: the matrix's corner cell is the
-/// distance, and the backtrack classifies the optimal alignment's edits.
+/// The first pass's minimum band half-width: frames that arrive with at most
+/// this many edits are scored in one pass.
+const FIRST_BAND: usize = 4;
+
+/// The value of a cell outside the band. Half of `u32::MAX`, so adding one
+/// edit cannot wrap.
+const OUTSIDE: u32 = u32::MAX / 2;
+
+/// Computes the Wagner–Fischer distance *and* its per-error-type breakdown:
+/// the corner cell of the dynamic program is the distance, and a backtrack
+/// from it classifies the optimal alignment's edits. Equivalent to calling
+/// [`edit_distance`] and [`error_breakdown`] separately.
 ///
-/// The matrix is a single flat allocation. Equivalent to calling
-/// [`edit_distance`] and [`error_breakdown`] separately (the alignment
-/// scorer's former hot path, which filled the matrix twice per frame).
+/// The program is banded (Ukkonen): with `n = |sent|` and `m = |received|`,
+/// a pass fills only the cells `(i, j)` with `|i - j| <= k`. An alignment of
+/// cost `d` never leaves the band `|i - j| <= d`, so a band with `k >= d`
+/// holds every cell of every optimal alignment at its exact value. The
+/// first pass uses `k = max(|n - m|, 4)`. If its corner `c` is at most `k`,
+/// `c` is the distance. Otherwise `c` is the cost of a real alignment, so the
+/// distance is at most `c`, and one more pass with `k = min(c, max(n, m))`
+/// is exact. A pass costs `O((n + 1) * (2k + 3))` in time and in `u32` cells
+/// of memory, so a frame that arrives with few edits costs one pass over a
+/// few KB instead of the full `(n + 1) * (m + 1)` matrix, and any other
+/// frame at most one more pass.
+///
+/// The backtrack prefers diagonal moves, then losses, then insertions. Every
+/// cell it visits lies on an optimal alignment, hence inside the band, and
+/// the cells outside the band only read larger than their full-matrix
+/// values, so no tie appears that the full matrix lacks: the breakdown is the
+/// one the full matrix gives.
+///
+/// Lengths must fit in a `u32` with room to spare (below 2^31).
 pub fn scored_breakdown(sent: &[bool], received: &[bool]) -> (usize, ErrorBreakdown) {
-    let n = sent.len();
-    let m = received.len();
-    let width = m + 1;
-    let mut dp = vec![0usize; (n + 1) * width];
-    for i in 0..=n {
-        dp[i * width] = i;
+    let (n, m) = (sent.len(), received.len());
+    let longer = n.max(m);
+    let mut band = Band::fill(sent, received, n.abs_diff(m).max(FIRST_BAND).min(longer));
+    let corner = band.at(n, m) as usize;
+    if corner > band.k {
+        band = Band::fill(sent, received, corner.min(longer));
     }
-    for (j, cell) in dp[..width].iter_mut().enumerate() {
-        *cell = j;
-    }
-    for i in 1..=n {
-        let sent_bit = sent[i - 1];
-        let (above, row) = dp.split_at_mut(i * width);
-        let above = &above[(i - 1) * width..];
-        for j in 1..=m {
-            let substitution = usize::from(sent_bit != received[j - 1]);
-            row[j] = (above[j - 1] + substitution)
-                .min(above[j] + 1)
-                .min(row[j - 1] + 1);
-        }
-    }
+    let distance = band.at(n, m);
     // Backtrack, preferring diagonal moves, then deletions, then insertions —
     // the tie-break order that defines the canonical breakdown.
     let mut breakdown = ErrorBreakdown::default();
     let (mut i, mut j) = (n, m);
     while i > 0 || j > 0 {
+        let here = band.at(i, j);
         if i > 0 && j > 0 {
-            let substitution = usize::from(sent[i - 1] != received[j - 1]);
-            if dp[i * width + j] == dp[(i - 1) * width + j - 1] + substitution {
+            let substitution = u32::from(sent[i - 1] != received[j - 1]);
+            if here == band.at(i - 1, j - 1) + substitution {
                 if substitution == 1 {
                     breakdown.flips += 1;
                 }
@@ -118,7 +132,7 @@ pub fn scored_breakdown(sent: &[bool], received: &[bool]) -> (usize, ErrorBreakd
                 continue;
             }
         }
-        if i > 0 && dp[i * width + j] == dp[(i - 1) * width + j] + 1 {
+        if i > 0 && here == band.at(i - 1, j) + 1 {
             // A sent bit that never arrived.
             breakdown.losses += 1;
             i -= 1;
@@ -128,7 +142,68 @@ pub fn scored_breakdown(sent: &[bool], received: &[bool]) -> (usize, ErrorBreakd
             j -= 1;
         }
     }
-    (dp[n * width + m], breakdown)
+    (distance as usize, breakdown)
+}
+
+/// The cells `(i, j)` with `|i - j| <= k` of the edit-distance program, one
+/// row per sent bit. Row `i` holds columns `i - k - 1 ..= i + k + 1` at
+/// offsets `0 ..= 2k + 2`; the two end offsets are guard cells that stay
+/// [`OUTSIDE`], so the fill loop reads its neighbours without bound tests.
+struct Band {
+    k: usize,
+    width: usize,
+    cells: Vec<u32>,
+}
+
+impl Band {
+    /// Fills the band of half-width `k`, which must be at least
+    /// `|sent| - |received|` in magnitude so that the corner lies inside it.
+    fn fill(sent: &[bool], received: &[bool], k: usize) -> Band {
+        let (n, m) = (sent.len(), received.len());
+        let width = 2 * k + 3;
+        let mut cells = vec![OUTSIDE; (n + 1) * width];
+        for (j, cell) in cells[k + 1..].iter_mut().take(m.min(k) + 1).enumerate() {
+            *cell = j as u32;
+        }
+        for i in 1..=n {
+            let sent_bit = sent[i - 1];
+            let (above, row) = cells[(i - 1) * width..(i + 1) * width].split_at_mut(width);
+            if i <= k {
+                row[k + 1 - i] = i as u32;
+            }
+            // Columns `first ..= last` of row `i`, at offsets `start ..` (the
+            // offset of column `j` is `j + k + 1 - i`); received bit `j - 1`
+            // scores column `j`.
+            let first = i.saturating_sub(k).max(1);
+            let last = (i + k).min(m);
+            if first > last {
+                // `received` is empty: row `i` has only column 0.
+                continue;
+            }
+            let start = first + k + 1 - i;
+            let received = &received[first - 1..last];
+            let above = &above[start..=start + received.len()];
+            let (left, row) = row[start - 1..start + received.len()].split_at_mut(1);
+            let mut left = left[0];
+            for ((cell, pair), &received_bit) in row.iter_mut().zip(above.windows(2)).zip(received)
+            {
+                let substitution = u32::from(sent_bit != received_bit);
+                left = (pair[0] + substitution).min(pair[1] + 1).min(left + 1);
+                *cell = left;
+            }
+        }
+        Band { k, width, cells }
+    }
+
+    /// The value of cell `(i, j)`: exact inside the band when the band is
+    /// wide enough, and [`OUTSIDE`] beyond it.
+    fn at(&self, i: usize, j: usize) -> u32 {
+        if i.abs_diff(j) > self.k {
+            OUTSIDE
+        } else {
+            self.cells[i * self.width + j + self.k + 1 - i]
+        }
+    }
 }
 
 /// Converts a byte slice into its bit sequence (MSB first), the format used
@@ -230,10 +305,11 @@ mod tests {
     #[test]
     fn fused_scoring_matches_the_separate_passes() {
         // Deterministic pseudo-random bit pairs covering flips, insertions
-        // and losses at assorted lengths (including empty sides).
-        for seed in 0u64..24 {
-            let n = (seed * 7 % 33) as usize;
-            let m = (seed * 11 % 29) as usize;
+        // and losses at assorted lengths (including empty sides and frames
+        // longer than 128 bits).
+        for seed in 0u64..40 {
+            let n = (seed * 37 % 211) as usize;
+            let m = (seed * 53 % 199) as usize;
             let sent: Vec<bool> = (0..n)
                 .map(|i| (seed + i as u64) * 2_654_435_761 % 5 < 2)
                 .collect();
@@ -243,6 +319,53 @@ mod tests {
             assert_eq!(breakdown, error_breakdown(&sent, &received), "seed {seed}");
             assert_eq!(breakdown.total(), distance, "seed {seed}");
         }
+    }
+
+    fn pseudo_random_bits(len: usize, seed: u64) -> Vec<bool> {
+        (0..len as u64)
+            .map(|i| {
+                let z = ((seed << 32) | i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                (z ^ (z >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 63 == 1
+            })
+            .collect()
+    }
+
+    #[test]
+    fn second_pass_recovers_alignments_outside_the_first_band() {
+        // A received stream shifted by 6 bits against the sent one: the
+        // optimal alignment runs 6 cells off the diagonal, outside the first
+        // band, so the first corner is not the distance.
+        let bits = pseudo_random_bits(46, 3);
+        let (sent, received) = (&bits[..40], &bits[6..]);
+        let (distance, breakdown) = scored_breakdown(sent, received);
+        assert_eq!(distance, edit_distance(sent, received));
+        assert!(distance > FIRST_BAND);
+        assert_eq!(breakdown.total(), distance);
+        let first = Band::fill(sent, received, FIRST_BAND);
+        assert!(
+            first.at(40, 40) as usize > distance,
+            "first pass is inexact"
+        );
+    }
+
+    #[test]
+    fn first_band_widens_to_the_length_difference() {
+        // A received prefix 10 bits short: exactly 10 losses, scored in
+        // one pass whose band is 10 wide.
+        let sent = pseudo_random_bits(40, 5);
+        let received = &sent[..30];
+        let (distance, breakdown) = scored_breakdown(&sent, received);
+        assert_eq!(distance, 10);
+        assert_eq!(
+            breakdown,
+            ErrorBreakdown {
+                flips: 0,
+                insertions: 0,
+                losses: 10
+            }
+        );
+        let (distance, breakdown) = scored_breakdown(received, &sent);
+        assert_eq!((distance, breakdown.insertions), (10, 10));
     }
 
     #[test]

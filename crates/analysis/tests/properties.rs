@@ -1,13 +1,128 @@
 //! Property-based tests for the analysis primitives (edit distance metric
-//! axioms, CDF monotonicity, threshold correctness).
+//! axioms, banded scoring against the full matrix, CDF monotonicity,
+//! threshold correctness).
 
 use analysis::edit_distance::{
-    bit_error_rate, bits_to_bytes, bytes_to_bits, edit_distance, error_breakdown,
+    bit_error_rate, bits_to_bytes, bytes_to_bits, edit_distance, error_breakdown, scored_breakdown,
+    ErrorBreakdown,
 };
 use analysis::histogram::Cdf;
 use analysis::stats::Summary;
 use analysis::threshold::BinaryThreshold;
 use proptest::prelude::*;
+
+/// The full-matrix scorer that the banded [`scored_breakdown`] replaced: it
+/// fills every cell of the `(n + 1) * (m + 1)` dynamic program and
+/// backtracks with the same tie-break (diagonal, then loss, then insertion).
+/// The banded scorer must return exactly what this does.
+fn full_matrix_breakdown(sent: &[bool], received: &[bool]) -> (usize, ErrorBreakdown) {
+    let n = sent.len();
+    let m = received.len();
+    let width = m + 1;
+    let mut dp = vec![0usize; (n + 1) * width];
+    for i in 0..=n {
+        dp[i * width] = i;
+    }
+    for (j, cell) in dp[..width].iter_mut().enumerate() {
+        *cell = j;
+    }
+    for i in 1..=n {
+        for j in 1..=m {
+            let substitution = usize::from(sent[i - 1] != received[j - 1]);
+            dp[i * width + j] = (dp[(i - 1) * width + j - 1] + substitution)
+                .min(dp[(i - 1) * width + j] + 1)
+                .min(dp[i * width + j - 1] + 1);
+        }
+    }
+    let mut breakdown = ErrorBreakdown::default();
+    let (mut i, mut j) = (n, m);
+    while i > 0 || j > 0 {
+        if i > 0 && j > 0 {
+            let substitution = usize::from(sent[i - 1] != received[j - 1]);
+            if dp[i * width + j] == dp[(i - 1) * width + j - 1] + substitution {
+                breakdown.flips += substitution;
+                i -= 1;
+                j -= 1;
+                continue;
+            }
+        }
+        if i > 0 && dp[i * width + j] == dp[(i - 1) * width + j] + 1 {
+            breakdown.losses += 1;
+            i -= 1;
+        } else {
+            breakdown.insertions += 1;
+            j -= 1;
+        }
+    }
+    (dp[n * width + m], breakdown)
+}
+
+/// One channel error applied to a frame: `kind` 0 flips, 1 inserts and 2
+/// drops the bit at `position` (taken modulo the current length).
+fn apply_edits(sent: &[bool], edits: &[(u8, usize, bool)]) -> Vec<bool> {
+    let mut received = sent.to_vec();
+    for &(kind, position, bit) in edits {
+        let at = position % (received.len() + 1);
+        match kind {
+            0 if at < received.len() => received[at] = !received[at],
+            1 => received.insert(at, bit),
+            2 if at < received.len() => {
+                received.remove(at);
+            }
+            _ => {}
+        }
+    }
+    received
+}
+
+/// Frame-sized received streams shifted by `shift` bits against a random
+/// 128-bit frame: an alignment that leaves the first pass's band.
+fn shifted_pair(seed: u64, shift: usize) -> (Vec<bool>, Vec<bool>) {
+    let bits: Vec<bool> = (0..128 + shift as u64)
+        .map(|i| (seed ^ i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 1)
+        .collect();
+    (bits[..128].to_vec(), bits[shift..].to_vec())
+}
+
+#[test]
+fn banded_scoring_reruns_when_the_first_band_is_too_narrow() {
+    // Shifted frames: the optimal alignment runs `shift` cells off the
+    // diagonal, outside the first pass's band, so the first corner
+    // overestimates and the second pass must recover the exact breakdown.
+    for seed in 0..16 {
+        for shift in [5, 8, 17, 40] {
+            let (sent, received) = shifted_pair(seed, shift);
+            let (distance, breakdown) = scored_breakdown(&sent, &received);
+            assert!(distance > 4, "seed {seed} shift {shift}");
+            assert_eq!(
+                (distance, breakdown),
+                full_matrix_breakdown(&sent, &received),
+                "seed {seed} shift {shift}"
+            );
+        }
+    }
+}
+
+#[test]
+fn banded_scoring_handles_lengths_far_apart() {
+    // |n - m| > 4 widens the first band to the length difference.
+    for seed in 0..16 {
+        let (sent, received) = shifted_pair(seed, 9);
+        for cut in [5, 9, 30, 127] {
+            let short = &received[..128 - cut];
+            assert_eq!(
+                scored_breakdown(&sent, short),
+                full_matrix_breakdown(&sent, short),
+                "seed {seed} cut {cut}"
+            );
+            assert_eq!(
+                scored_breakdown(short, &sent),
+                full_matrix_breakdown(short, &sent),
+                "seed {seed} cut {cut}"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -37,6 +152,39 @@ proptest! {
     ) {
         let breakdown = error_breakdown(&a, &b);
         prop_assert_eq!(breakdown.total(), edit_distance(&a, &b));
+    }
+
+    /// The banded scorer equals the full matrix on independent strings of
+    /// any lengths, empty sides and lengths far apart included.
+    #[test]
+    fn banded_scoring_matches_the_full_matrix(
+        sent in proptest::collection::vec(any::<bool>(), 0..161),
+        received in proptest::collection::vec(any::<bool>(), 0..161),
+    ) {
+        prop_assert_eq!(scored_breakdown(&sent, &received), full_matrix_breakdown(&sent, &received));
+    }
+
+    /// The banded scorer equals the full matrix on frame-sized pairs with
+    /// up to 12 flips, insertions and losses — the channel's regimes.
+    #[test]
+    fn banded_scoring_matches_the_full_matrix_on_noisy_frames(
+        sent in proptest::collection::vec(any::<bool>(), 128..129),
+        edits in proptest::collection::vec((0u8..3, 0usize..256, any::<bool>()), 0..13),
+    ) {
+        let received = apply_edits(&sent, &edits);
+        let (distance, breakdown) = scored_breakdown(&sent, &received);
+        prop_assert!(distance <= edits.len());
+        prop_assert_eq!((distance, breakdown), full_matrix_breakdown(&sent, &received));
+    }
+
+    /// The banded scorer equals the full matrix on near-random frame pairs,
+    /// where the second pass runs with a wide band.
+    #[test]
+    fn banded_scoring_matches_the_full_matrix_on_random_frames(
+        sent in proptest::collection::vec(any::<bool>(), 128..129),
+        received in proptest::collection::vec(any::<bool>(), 120..137),
+    ) {
+        prop_assert_eq!(scored_breakdown(&sent, &received), full_matrix_breakdown(&sent, &received));
     }
 
     /// Bit error rate is normalised to the sent length and bounded.

@@ -210,7 +210,9 @@ impl LaneChannelSession {
     ///
     /// # Errors
     ///
-    /// Returns machine-construction errors.
+    /// Returns [`Error::InvalidConfig`] when `bits_per_frame` is shorter than
+    /// the preamble, before any frame is sent, and machine-construction
+    /// errors.
     pub fn evaluate(
         &mut self,
         frames: usize,
@@ -230,7 +232,9 @@ impl LaneChannelSession {
     ///
     /// # Errors
     ///
-    /// Returns machine-construction errors.
+    /// Returns [`Error::InvalidConfig`] when any lane's width is shorter than
+    /// the preamble, before any frame is sent, and machine-construction
+    /// errors.
     pub fn evaluate_lanes(
         &mut self,
         frames: usize,
@@ -241,6 +245,9 @@ impl LaneChannelSession {
             self.lanes.len(),
             "one frame width per lane"
         );
+        for &bits in bits_per_frame {
+            Frame::check_length(bits)?;
+        }
         let mut total_ber = vec![0.0f64; self.lanes.len()];
         let mut max_ber = vec![0.0f64; self.lanes.len()];
         for _ in 0..frames {

@@ -57,6 +57,23 @@ impl Frame {
         Frame::from_payload(&payload)
     }
 
+    /// Checks that frames of `total_bits` bits hold the preamble, so that
+    /// [`Frame::random`] accepts them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] for `bits_per_frame` when
+    /// `total_bits < PREAMBLE_BITS`.
+    pub(crate) fn check_length(total_bits: usize) -> Result<(), Error> {
+        if total_bits < PREAMBLE_BITS {
+            return Err(Error::InvalidConfig {
+                field: "bits_per_frame",
+                reason: format!("frames must be at least {PREAMBLE_BITS} bits, got {total_bits}"),
+            });
+        }
+        Ok(())
+    }
+
     /// All bits of the frame (preamble included).
     pub fn bits(&self) -> &[bool] {
         &self.bits

@@ -359,12 +359,15 @@ impl ChannelSession {
     ///
     /// # Errors
     ///
-    /// Returns machine-construction errors.
+    /// Returns [`Error::InvalidConfig`] when `bits_per_frame` is shorter than
+    /// the preamble, before any frame is sent, and machine-construction
+    /// errors.
     pub fn evaluate(
         &mut self,
         frames: usize,
         bits_per_frame: usize,
     ) -> Result<EvaluationReport, Error> {
+        Frame::check_length(bits_per_frame)?;
         let mut total_ber = 0.0;
         let mut max_ber: f64 = 0.0;
         for _ in 0..frames {
@@ -520,6 +523,7 @@ mod tests {
     use super::*;
     use crate::channel::NoiseConfig;
     use crate::encoding::SymbolEncoding;
+    use crate::protocol::PREAMBLE_BITS;
     use sim_core::sched::InterruptConfig;
     use sim_core::tsc::TscConfig;
 
@@ -685,5 +689,23 @@ mod tests {
         let second = session.sim_usage();
         assert_eq!(second.frames, 2);
         assert!(second.accesses() > first.accesses());
+    }
+
+    #[test]
+    fn evaluate_rejects_frames_shorter_than_the_preamble() {
+        let mut session = ChannelSession::new(config(5)).unwrap();
+        let error = session.evaluate(3, PREAMBLE_BITS - 1).unwrap_err();
+        assert!(
+            matches!(
+                error,
+                Error::InvalidConfig {
+                    field: "bits_per_frame",
+                    ..
+                }
+            ),
+            "{error}"
+        );
+        assert_eq!(session.sim_usage().frames, 0, "no frame was sent");
+        assert!(session.evaluate(1, PREAMBLE_BITS).is_ok());
     }
 }

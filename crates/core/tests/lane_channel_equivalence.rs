@@ -5,8 +5,9 @@
 use wb_channel::channel::{ChannelConfig, NoiseConfig};
 use wb_channel::encoding::SymbolEncoding;
 use wb_channel::lanes::{lane_compatible, LaneChannelSession};
-use wb_channel::protocol::Frame;
+use wb_channel::protocol::{Frame, PREAMBLE_BITS};
 use wb_channel::session::ChannelSession;
+use wb_channel::Error;
 
 fn config(seed: u64, period: u64) -> ChannelConfig {
     ChannelConfig::builder()
@@ -99,6 +100,28 @@ fn batched_evaluate_matches_serial_evaluate() {
             "evaluation diverged on lane {lane}"
         );
     }
+}
+
+/// A frame width shorter than the preamble is an error on any lane, returned
+/// before a frame is sent.
+#[test]
+fn batched_evaluate_rejects_frames_shorter_than_the_preamble() {
+    let configs: Vec<ChannelConfig> = (44..46).map(|seed| config(seed, 5_500)).collect();
+    let mut lanes = LaneChannelSession::new(&configs).unwrap();
+    for widths in [[8, 8], [24, PREAMBLE_BITS - 1]] {
+        let error = lanes.evaluate_lanes(2, &widths).unwrap_err();
+        assert!(
+            matches!(
+                error,
+                Error::InvalidConfig {
+                    field: "bits_per_frame",
+                    ..
+                }
+            ),
+            "{error}"
+        );
+    }
+    assert!(lanes.evaluate(1, 0).is_err());
 }
 
 /// Seed-varied sweep points compile to lane-compatible shapes; changing the
