@@ -26,14 +26,7 @@
 //!   doubles as the zero-overhead-when-disabled evidence;
 //! * **`wb-channel-traced`** — the same transmissions with the telemetry
 //!   sink **enabled** and drained per frame: the telemetry-overhead row,
-//!   showing what span/event recording costs when it is actually on;
-//! * **`wb-channel-lanes`** — the same transmissions batched four at a time
-//!   through [`wb_channel::lanes::LaneChannelSession`], the lane-parallel
-//!   executor `repro run --lanes` uses: per-frame compile/reset cost is
-//!   amortised across the batch, so this row tracks the lane path's
-//!   throughput win over `wb-channel`;
-//! * **`wb-channel-lane1`** — the lane executor at width 1: the parity row
-//!   pinning that the lane path adds no overhead when batching is off.
+//!   showing what span/event recording costs when it is actually on.
 //!
 //! The first three run through the batched
 //! [`sim_cache::hierarchy::CacheHierarchy::run_trace`] API; `wb-channel`
@@ -87,8 +80,6 @@ pub fn run(full: bool) -> Vec<TraceResult> {
         prime_probe(min_seconds),
         wb_channel(min_seconds, false),
         wb_channel(min_seconds, true),
-        wb_channel_lanes(min_seconds, 1),
-        wb_channel_lanes(min_seconds, 4),
     ]
 }
 
@@ -422,89 +413,6 @@ fn wb_channel(min_seconds: f64, traced: bool) -> TraceResult {
         ops_per_iter,
         iters: usage.frames,
         cycles: usage.cycles(),
-        wall_s: started.elapsed().as_secs_f64(),
-        accesses_per_sec: best_per_sec,
-    }
-}
-
-/// Lane-batched WB-channel frame transmissions: `lanes` seed-varied
-/// sessions stepped in lockstep through one
-/// [`wb_channel::lanes::LaneChannelSession`].  Throughput counts the
-/// simulated accesses of *all* lanes, so the win over `wb-channel` is the
-/// per-frame amortisation of compile + machine reset + session dispatch
-/// across the batch; at `lanes == 1` the row is the lane executor's parity
-/// check against the serial path.
-fn wb_channel_lanes(min_seconds: f64, lanes: usize) -> TraceResult {
-    use wb_channel::channel::ChannelConfig;
-    use wb_channel::encoding::SymbolEncoding;
-    use wb_channel::lanes::LaneChannelSession;
-    use wb_channel::protocol::Frame;
-
-    let configs: Vec<ChannelConfig> = (0..lanes as u64)
-        .map(|lane| {
-            ChannelConfig::builder()
-                .encoding(SymbolEncoding::binary(4).expect("d=4 is valid"))
-                .period_cycles(5_500)
-                .calibration_samples(40)
-                .seed(2022 + lane)
-                .build()
-                .expect("static bench configuration is valid")
-        })
-        .collect();
-    let mut session = LaneChannelSession::new(&configs).expect("bench lanes calibrate");
-    let payload: Vec<bool> = (0..112).map(|i| (i * 7) % 3 == 0).collect();
-    let frames: Vec<Frame> = (0..lanes).map(|_| Frame::from_payload(&payload)).collect();
-
-    let accesses = |session: &LaneChannelSession| -> u64 {
-        (0..session.lane_count())
-            .map(|lane| session.sim_usage(lane).summary.accesses())
-            .sum()
-    };
-    let ops = |session: &LaneChannelSession| -> u64 {
-        (0..session.lane_count())
-            .map(|lane| session.sim_usage(lane).summary.ops)
-            .sum()
-    };
-
-    // Warm-up batch (and the per-batch op count for the table).
-    let before = ops(&session);
-    session
-        .transmit_frames(&frames)
-        .expect("bench transmission succeeds");
-    let ops_per_iter = ops(&session) - before;
-
-    let window_seconds = min_seconds / f64::from(WINDOWS);
-    let mut iters = 1u64;
-    let mut best_per_sec = 0.0f64;
-    let started = Instant::now();
-    for _ in 0..WINDOWS {
-        let window_started = Instant::now();
-        let window_before = accesses(&session);
-        loop {
-            session
-                .transmit_frames(&frames)
-                .expect("bench transmission succeeds");
-            iters += 1;
-            if window_started.elapsed().as_secs_f64() >= window_seconds {
-                break;
-            }
-        }
-        let window_accesses = accesses(&session) - window_before;
-        let per_sec = window_accesses as f64 / window_started.elapsed().as_secs_f64();
-        best_per_sec = best_per_sec.max(per_sec);
-    }
-    let cycles: u64 = (0..session.lane_count())
-        .map(|lane| session.sim_usage(lane).cycles())
-        .sum();
-    TraceResult {
-        id: if lanes == 1 {
-            "wb-channel-lane1"
-        } else {
-            "wb-channel-lanes"
-        },
-        ops_per_iter,
-        iters,
-        cycles,
         wall_s: started.elapsed().as_secs_f64(),
         accesses_per_sec: best_per_sec,
     }

@@ -3,9 +3,9 @@
 //! ```text
 //! Usage:
 //!   repro list [--quick|--full]
-//!   repro run <id|glob>... [--quick|--full] [--threads N] [--lanes N]
-//!                          [--out DIR] [--seed SEED] [--no-progress]
-//!                          [--verbose] [--allow-empty]
+//!   repro run <id|glob>... [--quick|--full] [--threads N] [--out DIR]
+//!                          [--seed SEED] [--no-progress] [--verbose]
+//!                          [--allow-empty]
 //!   repro serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR]
 //!               [--workers K] [--seed SEED]
 //! ```
@@ -19,10 +19,8 @@
 //! `serve` keeps the whole registry resident behind the experiment service
 //! (job queue + result cache + metrics; see `crates/service`).
 //!
-//! Results are bit-identical at any `--threads` and `--lanes` value: every
-//! point's seed is derived from `(--seed, scenario id, point index)` before
-//! execution, and lane batches are an execution strategy, never a result
-//! change (`--lanes 0` = auto width, `1` disables batching).
+//! Results are bit-identical at any `--threads` value: every point's seed is
+//! derived from `(--seed, scenario id, point index)` before execution.
 
 use analysis::table::Table;
 use bench::Scale;
@@ -60,8 +58,8 @@ fn emit(text: &dyn std::fmt::Display) {
 }
 
 const USAGE: &str = "usage:\n  repro list [--quick|--full]\n  repro run <id|glob>... \
-    [--quick|--full] [--threads N] [--lanes N] [--out DIR] [--seed SEED]\n           \
-    [--no-progress] [--verbose] [--allow-empty]\n  \
+    [--quick|--full] [--threads N] [--out DIR] [--seed SEED] [--no-progress]\n           \
+    [--verbose] [--allow-empty]\n  \
     repro check [<id|glob>...] [--verbose]\n  \
     repro trace <id|glob>... [--quick|--full] [--out DIR]\n  \
     repro lint [DIR]\n  \
@@ -71,9 +69,6 @@ const USAGE: &str = "usage:\n  repro list [--quick|--full]\n  repro run <id|glob
     \nscenario ids (see `repro list`): table1 table2 table4 table5 table6 table7\n\
     fig4 fig5-7 fig6 fig8 bandwidth defenses sidechannel hierarchy-matrix; globs\n\
     like 'table*' and the keyword `all` also work\n\
-    \n--lanes N batches lane-eligible scenarios' points N at a time onto one\n\
-    lane machine (0 = auto width, 1 = per-point; results are bit-identical\n\
-    at any width). `repro list` marks lane-eligible scenarios\n\
     \ncheck statically verifies every selected scenario's compiled trace programs\n\
     across all hierarchy presets without executing a simulated cycle; --verbose\n\
     prints per-scenario program stats (steps, ops, chases, anchors) and phase\n\
@@ -136,20 +131,13 @@ fn list(registry: &Registry, scale: Scale) {
                     "s"
                 },
             ),
-            &["id", "paper ref", "points", "lanes", "summary"],
+            &["id", "paper ref", "points", "summary"],
         );
         for scenario in group {
             table.push_row([
                 scenario.id.to_owned(),
                 scenario.paper_ref.to_owned(),
                 (scenario.points)(scale).to_string(),
-                // Lane-eligible scenarios batch under `repro run --lanes`.
-                if scenario.run_batch.is_some() {
-                    "yes"
-                } else {
-                    "-"
-                }
-                .to_owned(),
                 scenario.summary.to_owned(),
             ]);
         }
@@ -214,7 +202,6 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7878".to_owned();
     let mut cache_dir: Option<PathBuf> = None;
     let mut workers = 2usize;
-    let mut lanes = 0usize;
     // First run-only / bench-sim-only / serve-only flag seen; the other
     // commands reject these instead of silently ignoring them. Each flag's
     // own match arm records itself here so the rejection list cannot drift
@@ -280,14 +267,6 @@ fn main() -> ExitCode {
                 match value(iter.next()).and_then(|n| n.parse().ok()) {
                     Some(n) if n >= 1 => threads = n,
                     _ => usage(),
-                }
-            }
-            "--lanes" => {
-                record_run_only("--lanes");
-                // 0 keeps the auto width; 1 disables lane batching.
-                match value(iter.next()).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) => lanes = n,
-                    None => usage(),
                 }
             }
             "--addr" => {
@@ -493,7 +472,6 @@ fn main() -> ExitCode {
             let config = RunConfig {
                 scale,
                 threads,
-                lanes,
                 root_seed,
                 progress,
             };
@@ -583,7 +561,7 @@ fn main() -> ExitCode {
                     emit(&format_args!(
                         "check {:<16} {} config{} x hierarchies = {:>2} variants, {:>3} programs; \
                          default machine: steps={} ops={} chases={} anchors={} \
-                         phase coverage={}/{} lane groups={}",
+                         phase coverage={}/{}",
                         check.id,
                         check.configs,
                         if check.configs == 1 { " " } else { "s" },
@@ -595,7 +573,6 @@ fn main() -> ExitCode {
                         check.stats.anchors,
                         check.attributed_steps,
                         check.total_steps,
-                        check.lane_groups,
                     ));
                 }
             }

@@ -19,7 +19,6 @@
 //! let config = RunConfig {
 //!     scale: Scale::Quick,
 //!     threads: 2,
-//!     lanes: 1,
 //!     root_seed: bench::SEED,
 //!     progress: false,
 //! };

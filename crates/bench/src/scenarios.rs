@@ -35,10 +35,9 @@ use wb_channel::capacity::{rate_kbps, PAPER_PERIODS};
 use wb_channel::channel::{ChannelConfig, CovertChannel};
 use wb_channel::encoding::SymbolEncoding;
 use wb_channel::eviction::{table_ii, table_v};
-use wb_channel::protocol::Frame;
 use wb_channel::side_channel::{self, SideChannelConfig};
 use wb_channel::stealth::{sender_profile, table_vii_rows, SenderCompanion};
-use wb_channel::{Error, LaneChannelSession};
+use wb_channel::Error;
 
 /// The master root seed `repro run` defaults to (reproducible runs).
 pub const SEED: u64 = 2022;
@@ -47,89 +46,20 @@ fn err(error: Error) -> String {
     error.to_string()
 }
 
-/// Attaches a session's cumulative simulated-work counters — totals plus
-/// the per-phase cycle attribution feeding the manifest's phase columns —
-/// to a point output (the session-backed scenarios all report them the same
-/// way, serial or lane-batched).
-fn attach_sim_usage(
-    mut output: PointOutput,
-    usage: wb_channel::session::SimUsage,
-    calibration_cycles: u64,
-) -> PointOutput {
+/// Attaches a channel session's cumulative simulated-work counters — totals
+/// plus the per-phase cycle attribution feeding the manifest's phase columns
+/// — to a point output (the session-backed scenarios all report them the
+/// same way).
+fn with_sim_usage(mut output: PointOutput, channel: &CovertChannel) -> PointOutput {
     use sim_core::telemetry::Phase;
+    let usage = channel.sim_usage();
     output.sim_cycles = usage.cycles();
     output.sim_accesses = usage.accesses();
     for (phase, cycles) in usage.phase_cycles.iter() {
         output.phase_cycles[phase.index()] = cycles;
     }
-    output.phase_cycles[Phase::Calibrate.index()] += calibration_cycles;
+    output.phase_cycles[Phase::Calibrate.index()] += channel.calibration_cycles();
     output
-}
-
-/// [`attach_sim_usage`] from a serial channel.
-fn with_sim_usage(output: PointOutput, channel: &CovertChannel) -> PointOutput {
-    attach_sim_usage(output, channel.sim_usage(), channel.calibration_cycles())
-}
-
-/// A lane plan: the point's channel config, frame count and frame width,
-/// derived exactly as the scenario's `run_point` would derive them.
-type LanePlan = Result<(ChannelConfig, usize, usize), String>;
-
-/// Runs an evaluate-style lane batch: `plan` derives each point's channel
-/// config, frame count and frame width exactly as the scenario's
-/// `run_point` would; points with equal frame counts share one
-/// [`LaneChannelSession`]; `row` formats each lane's [`EvaluationReport`]
-/// into the same cells the serial path emits.  Any planning, calibration or
-/// machine error falls back to mapping the serial `fallback` over the whole
-/// batch, so the result is bit-identical to per-point execution even on
-/// error paths.
-fn lane_eval_batch(
-    ctxs: &[PointCtx],
-    fallback: runner::scenario::PointFn,
-    plan: fn(&PointCtx) -> LanePlan,
-    row: fn(&PointCtx, &wb_channel::EvaluationReport) -> PointOutput,
-) -> Vec<Result<PointOutput, String>> {
-    let serial = |ctxs: &[PointCtx]| ctxs.iter().map(fallback).collect::<Vec<_>>();
-    let mut plans = Vec::with_capacity(ctxs.len());
-    for ctx in ctxs {
-        match plan(ctx) {
-            Ok(plan) => plans.push(plan),
-            Err(_) => return serial(ctxs),
-        }
-    }
-    // Group points by frame count, preserving submission order within each
-    // group (lanes of one `evaluate_lanes` call must agree on frame count;
-    // widths and configs are free to differ).
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (index, &(_, frames, _)) in plans.iter().enumerate() {
-        match groups.iter_mut().find(|(f, _)| *f == frames) {
-            Some((_, members)) => members.push(index),
-            None => groups.push((frames, vec![index])),
-        }
-    }
-    let mut results: Vec<Option<Result<PointOutput, String>>> = vec![None; ctxs.len()];
-    for (frames, members) in groups {
-        let configs: Vec<ChannelConfig> = members.iter().map(|&i| plans[i].0.clone()).collect();
-        let widths: Vec<usize> = members.iter().map(|&i| plans[i].2).collect();
-        let Ok(mut lanes) = LaneChannelSession::new(&configs) else {
-            return serial(ctxs);
-        };
-        let Ok(reports) = lanes.evaluate_lanes(frames, &widths) else {
-            return serial(ctxs);
-        };
-        for (slot, &i) in members.iter().enumerate() {
-            let output = attach_sim_usage(
-                row(&ctxs[i], &reports[slot]),
-                lanes.sim_usage(slot),
-                lanes.calibration_cycles(slot),
-            );
-            results[i] = Some(Ok(output));
-        }
-    }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every point belongs to exactly one group"))
-        .collect()
 }
 
 fn assemble_rows(title: &str, headers: &[&str], outputs: &[PointOutput]) -> Table {
@@ -183,7 +113,6 @@ pub const TABLE1: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: one_point,
     run_point: table1_point,
-    run_batch: None,
     assemble: table1_assemble,
 };
 
@@ -233,7 +162,6 @@ pub const TABLE2: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: table2_points,
     run_point: table2_point,
-    run_batch: None,
     assemble: table2_assemble,
 };
 
@@ -286,7 +214,6 @@ pub const TABLE4: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: one_point,
     run_point: table4_point,
-    run_batch: None,
     assemble: table4_assemble,
 };
 
@@ -355,7 +282,6 @@ pub const FIG4: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: fig4_points,
     run_point: fig4_point,
-    run_batch: None,
     assemble: fig4_assemble,
 };
 
@@ -365,10 +291,8 @@ fn traces_points(_: Scale) -> usize {
     4 // binary d = 1/4/8 plus the two-bit configuration
 }
 
-/// The configuration of one fig5-7 point, shared by the serial and lane
-/// paths: `(label, encoding, period, payload bits)`.
-fn traces_plan(ctx: &PointCtx) -> Result<(&'static str, SymbolEncoding, u64, usize), String> {
-    Ok(match ctx.index {
+fn traces_point(ctx: &PointCtx) -> Result<PointOutput, String> {
+    let (label, encoding, period, payload_bits) = match ctx.index {
         0 => (
             "Figure 5, binary d=1 @ Ts=5500",
             SymbolEncoding::binary(1).map_err(err)?,
@@ -393,27 +317,7 @@ fn traces_plan(ctx: &PointCtx) -> Result<(&'static str, SymbolEncoding, u64, usi
             4_000,
             240,
         ),
-    })
-}
-
-/// The payload one fig5-7 point transmits (shared seed derivation).
-fn traces_payload(ctx: &PointCtx, payload_bits: usize) -> Vec<bool> {
-    let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xbeef);
-    (0..payload_bits).map(|_| rng.gen()).collect()
-}
-
-/// The row one fig5-7 transmission produces.
-fn traces_row(label: &str, report: &wb_channel::TransmissionReport) -> PointOutput {
-    PointOutput::row([
-        label.to_owned(),
-        fixed(report.rate_kbps, 0),
-        report.edit_distance.to_string(),
-        percent2(report.bit_error_rate()),
-    ])
-}
-
-fn traces_point(ctx: &PointCtx) -> Result<PointOutput, String> {
-    let (label, encoding, period, payload_bits) = traces_plan(ctx)?;
+    };
     let config = ChannelConfig::builder()
         .encoding(encoding)
         .period_cycles(period)
@@ -421,51 +325,18 @@ fn traces_point(ctx: &PointCtx) -> Result<PointOutput, String> {
         .build()
         .map_err(err)?;
     let mut channel = CovertChannel::new(config).map_err(err)?;
-    let payload = traces_payload(ctx, payload_bits);
+    let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xbeef);
+    let payload: Vec<bool> = (0..payload_bits).map(|_| rng.gen()).collect();
     let report = channel.transmit_bits(&payload).map_err(err)?;
-    Ok(with_sim_usage(traces_row(label, &report), &channel))
-}
-
-/// Lane batch for fig5-7: every point transmits exactly one frame, so the
-/// whole chunk is one `transmit_frames` call on a lane bank.
-fn traces_batch(ctxs: &[PointCtx]) -> Vec<Result<PointOutput, String>> {
-    let serial = |ctxs: &[PointCtx]| ctxs.iter().map(traces_point).collect::<Vec<_>>();
-    let mut labels = Vec::with_capacity(ctxs.len());
-    let mut configs = Vec::with_capacity(ctxs.len());
-    let mut frames = Vec::with_capacity(ctxs.len());
-    for ctx in ctxs {
-        let Ok((label, encoding, period, payload_bits)) = traces_plan(ctx) else {
-            return serial(ctxs);
-        };
-        let config = ChannelConfig::builder()
-            .encoding(encoding)
-            .period_cycles(period)
-            .seed(ctx.seed)
-            .build();
-        let Ok(config) = config else {
-            return serial(ctxs);
-        };
-        labels.push(label);
-        configs.push(config);
-        frames.push(Frame::from_payload(&traces_payload(ctx, payload_bits)));
-    }
-    let Ok(mut lanes) = LaneChannelSession::new(&configs) else {
-        return serial(ctxs);
-    };
-    let Ok(reports) = lanes.transmit_frames(&frames) else {
-        return serial(ctxs);
-    };
-    reports
-        .iter()
-        .enumerate()
-        .map(|(lane, report)| {
-            Ok(attach_sim_usage(
-                traces_row(labels[lane], report),
-                lanes.sim_usage(lane),
-                lanes.calibration_cycles(lane),
-            ))
-        })
-        .collect()
+    Ok(with_sim_usage(
+        PointOutput::row([
+            label.to_owned(),
+            fixed(report.rate_kbps, 0),
+            report.edit_distance.to_string(),
+            percent2(report.bit_error_rate()),
+        ]),
+        &channel,
+    ))
 }
 
 fn traces_assemble(_: Scale, outputs: &[PointOutput]) -> Vec<(String, Table)> {
@@ -493,7 +364,6 @@ pub const FIG5_7: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: traces_points,
     run_point: traces_point,
-    run_batch: Some(traces_batch),
     assemble: traces_assemble,
 };
 
@@ -504,15 +374,13 @@ fn fig6_points(scale: Scale) -> usize {
     (scale.sizes().error_rate_dirty_counts.len() + 1) * PAPER_PERIODS.len()
 }
 
-/// Decodes one Figure 6 grid cell: `(encoding, label, period, frames,
-/// bits per frame)` — shared by the serial and lane paths.
-fn fig6_cell(ctx: &PointCtx) -> Result<(SymbolEncoding, String, u64, usize, usize), String> {
+fn fig6_point(ctx: &PointCtx) -> Result<PointOutput, String> {
     let sizes = ctx.scale.sizes();
     let ds = sizes.error_rate_dirty_counts;
     // Periods are swept slowest-first, as in the paper's Figure 6.
     let period_of = |i: usize| PAPER_PERIODS[PAPER_PERIODS.len() - 1 - i];
     let binary_cells = ds.len() * PAPER_PERIODS.len();
-    Ok(if ctx.index < binary_cells {
+    let (encoding, label, period, frames, frame_bits) = if ctx.index < binary_cells {
         let d = ds[ctx.index / PAPER_PERIODS.len()];
         (
             SymbolEncoding::binary(d).map_err(err)?,
@@ -529,39 +397,24 @@ fn fig6_cell(ctx: &PointCtx) -> Result<(SymbolEncoding, String, u64, usize, usiz
             sizes.frames.max(2) / 2,
             256,
         )
-    })
-}
-
-fn fig6_plan(ctx: &PointCtx) -> Result<(ChannelConfig, usize, usize), String> {
-    let (encoding, _, period, frames, frame_bits) = fig6_cell(ctx)?;
+    };
     let config = ChannelConfig::builder()
         .encoding(encoding)
         .period_cycles(period)
         .seed(ctx.seed)
         .build()
         .map_err(err)?;
-    Ok((config, frames, frame_bits))
-}
-
-fn fig6_row(ctx: &PointCtx, report: &wb_channel::EvaluationReport) -> PointOutput {
-    let (_, label, period, _, _) = fig6_cell(ctx).expect("planned cell decodes");
-    PointOutput::row([
-        label,
-        period.to_string(),
-        fixed(report.rate_kbps, 0),
-        percent2(report.mean_bit_error_rate),
-    ])
-}
-
-fn fig6_point(ctx: &PointCtx) -> Result<PointOutput, String> {
-    let (config, frames, frame_bits) = fig6_plan(ctx)?;
     let mut channel = CovertChannel::new(config).map_err(err)?;
     let report = channel.evaluate(frames, frame_bits).map_err(err)?;
-    Ok(with_sim_usage(fig6_row(ctx, &report), &channel))
-}
-
-fn fig6_batch(ctxs: &[PointCtx]) -> Vec<Result<PointOutput, String>> {
-    lane_eval_batch(ctxs, fig6_point, fig6_plan, fig6_row)
+    Ok(with_sim_usage(
+        PointOutput::row([
+            label,
+            period.to_string(),
+            fixed(report.rate_kbps, 0),
+            percent2(report.mean_bit_error_rate),
+        ]),
+        &channel,
+    ))
 }
 
 fn fig6_assemble(_: Scale, outputs: &[PointOutput]) -> Vec<(String, Table)> {
@@ -584,7 +437,6 @@ pub const FIG6: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: fig6_points,
     run_point: fig6_point,
-    run_batch: Some(fig6_batch),
     assemble: fig6_assemble,
 };
 
@@ -631,7 +483,6 @@ pub const TABLE5: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: table5_points,
     run_point: table5_point,
-    run_batch: None,
     assemble: table5_assemble,
 };
 
@@ -721,7 +572,6 @@ pub const TABLE6: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: table6_points,
     run_point: table6_point,
-    run_batch: None,
     assemble: table6_assemble,
 };
 
@@ -782,7 +632,6 @@ pub const TABLE7: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: table7_points,
     run_point: table7_point,
-    run_batch: None,
     assemble: table7_assemble,
 };
 
@@ -832,7 +681,6 @@ pub const FIG8: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: one_point,
     run_point: fig8_point,
-    run_batch: None,
     assemble: fig8_assemble,
 };
 
@@ -849,56 +697,39 @@ fn bandwidth_points(_: Scale) -> usize {
     BANDWIDTH_POINTS.len()
 }
 
-/// The encoding of one bandwidth headline point (`d == 0` marks the
-/// paper's two-bit alphabet).
-fn bandwidth_encoding(d: usize) -> Result<SymbolEncoding, String> {
-    if d == 0 {
-        Ok(SymbolEncoding::paper_two_bit())
-    } else {
-        SymbolEncoding::binary(d).map_err(err)
-    }
-}
-
-fn bandwidth_plan(ctx: &PointCtx) -> Result<(ChannelConfig, usize, usize), String> {
+fn bandwidth_point(ctx: &PointCtx) -> Result<PointOutput, String> {
     let (d, period) = BANDWIDTH_POINTS[ctx.index];
-    let encoding = bandwidth_encoding(d)?;
+    let encoding = if d == 0 {
+        SymbolEncoding::paper_two_bit()
+    } else {
+        SymbolEncoding::binary(d).map_err(err)?
+    };
     let bits = encoding.bits_per_symbol();
     let config = ChannelConfig::builder()
-        .encoding(encoding)
+        .encoding(encoding.clone())
         .period_cycles(period)
         .seed(ctx.seed)
         .build()
         .map_err(err)?;
-    Ok((config, ctx.scale.sizes().frames, 128 * bits))
-}
-
-fn bandwidth_row(ctx: &PointCtx, report: &wb_channel::EvaluationReport) -> PointOutput {
-    let (d, period) = BANDWIDTH_POINTS[ctx.index];
-    let encoding = bandwidth_encoding(d).expect("planned encoding builds");
-    let bits = encoding.bits_per_symbol();
-    PointOutput::row([
-        encoding.to_string(),
-        period.to_string(),
-        fixed(rate_kbps(bits, period, CLOCK_GHZ), 0),
-        percent2(report.mean_bit_error_rate),
-        if report.mean_bit_error_rate < 0.05 {
-            "yes"
-        } else {
-            "no"
-        }
-        .to_owned(),
-    ])
-}
-
-fn bandwidth_point(ctx: &PointCtx) -> Result<PointOutput, String> {
-    let (config, frames, frame_bits) = bandwidth_plan(ctx)?;
     let mut channel = CovertChannel::new(config).map_err(err)?;
-    let report = channel.evaluate(frames, frame_bits).map_err(err)?;
-    Ok(with_sim_usage(bandwidth_row(ctx, &report), &channel))
-}
-
-fn bandwidth_batch(ctxs: &[PointCtx]) -> Vec<Result<PointOutput, String>> {
-    lane_eval_batch(ctxs, bandwidth_point, bandwidth_plan, bandwidth_row)
+    let report = channel
+        .evaluate(ctx.scale.sizes().frames, 128 * bits)
+        .map_err(err)?;
+    Ok(with_sim_usage(
+        PointOutput::row([
+            encoding.to_string(),
+            period.to_string(),
+            fixed(rate_kbps(bits, period, CLOCK_GHZ), 0),
+            percent2(report.mean_bit_error_rate),
+            if report.mean_bit_error_rate < 0.05 {
+                "yes"
+            } else {
+                "no"
+            }
+            .to_owned(),
+        ]),
+        &channel,
+    ))
 }
 
 fn bandwidth_assemble(_: Scale, outputs: &[PointOutput]) -> Vec<(String, Table)> {
@@ -927,7 +758,6 @@ pub const BANDWIDTH: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: bandwidth_points,
     run_point: bandwidth_point,
-    run_batch: Some(bandwidth_batch),
     assemble: bandwidth_assemble,
 };
 
@@ -985,7 +815,6 @@ pub const DEFENSES: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: defenses_points,
     run_point: defenses_point,
-    run_batch: None,
     assemble: defenses_assemble,
 };
 
@@ -1030,7 +859,6 @@ pub const SIDECHANNEL: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: sidechannel_points,
     run_point: sidechannel_point,
-    run_batch: None,
     assemble: sidechannel_assemble,
 };
 
@@ -1066,7 +894,7 @@ fn hierarchy_matrix_points(_: Scale) -> usize {
     HierarchyPreset::ALL.len() * MATRIX_LLC_ASSOC.len() * MATRIX_POLICIES.len()
 }
 
-fn hierarchy_matrix_plan(ctx: &PointCtx) -> Result<(ChannelConfig, usize, usize), String> {
+fn hierarchy_matrix_point(ctx: &PointCtx) -> Result<PointOutput, String> {
     let (preset, llc_ways, policy) = matrix_axes(ctx.index);
     let hierarchy = preset
         .config(policy, llc_ways, ctx.seed)
@@ -1083,11 +911,10 @@ fn hierarchy_matrix_plan(ctx: &PointCtx) -> Result<(ChannelConfig, usize, usize)
         .seed(ctx.seed)
         .build()
         .map_err(err)?;
-    Ok((config, ctx.scale.sizes().frames, 128))
-}
-
-fn hierarchy_matrix_row(ctx: &PointCtx, report: &wb_channel::EvaluationReport) -> PointOutput {
-    let (preset, llc_ways, policy) = matrix_axes(ctx.index);
+    let mut channel = CovertChannel::new(config).map_err(err)?;
+    let report = channel
+        .evaluate(ctx.scale.sizes().frames, 128)
+        .map_err(err)?;
     let ber = report.mean_bit_error_rate;
     let mut output = PointOutput::row([
         preset.label().to_owned(),
@@ -1099,23 +926,7 @@ fn hierarchy_matrix_row(ctx: &PointCtx, report: &wb_channel::EvaluationReport) -
         if ber == 0.0 { "yes" } else { "no" }.to_owned(),
     ]);
     output.values = vec![ber];
-    output
-}
-
-fn hierarchy_matrix_point(ctx: &PointCtx) -> Result<PointOutput, String> {
-    let (config, frames, frame_bits) = hierarchy_matrix_plan(ctx)?;
-    let mut channel = CovertChannel::new(config).map_err(err)?;
-    let report = channel.evaluate(frames, frame_bits).map_err(err)?;
-    Ok(with_sim_usage(hierarchy_matrix_row(ctx, &report), &channel))
-}
-
-fn hierarchy_matrix_batch(ctxs: &[PointCtx]) -> Vec<Result<PointOutput, String>> {
-    lane_eval_batch(
-        ctxs,
-        hierarchy_matrix_point,
-        hierarchy_matrix_plan,
-        hierarchy_matrix_row,
-    )
+    Ok(with_sim_usage(output, &channel))
 }
 
 fn hierarchy_matrix_assemble(_: Scale, outputs: &[PointOutput]) -> Vec<(String, Table)> {
@@ -1147,7 +958,6 @@ pub const HIERARCHY_MATRIX: Scenario = Scenario {
     seeding: Seeding::Derived,
     points: hierarchy_matrix_points,
     run_point: hierarchy_matrix_point,
-    run_batch: Some(hierarchy_matrix_batch),
     assemble: hierarchy_matrix_assemble,
 };
 

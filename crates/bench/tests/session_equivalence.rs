@@ -81,7 +81,6 @@ fn session_based_scenarios_are_thread_count_invariant_with_sim_counters() {
                 scale: Scale::Quick,
                 threads,
                 root_seed: SEED,
-                lanes: 1,
                 progress: false,
             },
         )

@@ -17,7 +17,6 @@
 //! | [`protocol`] | framing, 16-bit preamble, latency decoding, edit-distance scoring |
 //! | [`channel`] | end-to-end transmissions (Figures 5–7, Section V bandwidths) |
 //! | [`session`] | the compile→execute→decode transmit engine on the batched trace executor |
-//! | [`lanes`] | lane-parallel transmissions: independent sweep points batched on one `LaneMachine` |
 //! | [`calibration`] | Table IV access-latency classes, Figure 4 CDFs, threshold training |
 //! | [`eviction`] | Table II replacement-set sizing, Table V random replacement |
 //! | [`capacity`] | cycle-period ↔ kbps conversions (2.2 GHz clock) |
@@ -65,7 +64,6 @@ pub mod capacity;
 pub mod channel;
 pub mod encoding;
 pub mod eviction;
-pub mod lanes;
 pub mod protocol;
 pub mod receiver;
 pub mod sender;
@@ -78,7 +76,6 @@ mod error;
 pub use channel::{ChannelConfig, CovertChannel, EvaluationReport, TransmissionReport};
 pub use encoding::SymbolEncoding;
 pub use error::Error;
-pub use lanes::LaneChannelSession;
 pub use session::ChannelSession;
 
 /// Convenient glob-import of the most frequently used types.

@@ -162,26 +162,6 @@ pub fn compile_frame(config: &ChannelConfig, payload: &[bool]) -> CompiledFrame 
     }
 }
 
-/// Compiles one frame exactly as [`ChannelSession::transmit_frame_with`]
-/// does on the compiled backend — same party construction and program order
-/// — returning the programs and the cycle budget.  The lane transmit path
-/// ([`crate::lanes::LaneChannelSession`]) uses this to compile every lane's
-/// frame before one batched [`sim_core::lanes::LaneMachine::run_sessions`]
-/// call executes them all.
-pub(crate) fn compile_lane_frame(
-    config: &ChannelConfig,
-    frame: &Frame,
-    seed: u64,
-) -> (Vec<TraceProgram>, u64) {
-    let geometry = config.machine_config(seed).hierarchy.l1d.geometry;
-    let parties = FrameParties::build(config, geometry, frame, seed);
-    let mut programs = vec![parties.sender.compile(), parties.receiver.compile()];
-    if let Some(noise) = &parties.noise {
-        programs.push(noise.compile(parties.limit));
-    }
-    (programs, parties.limit)
-}
-
 /// Which transmit engine executes a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {

@@ -5,13 +5,6 @@
 //! per scenario and assembled **in point order** — so the output is
 //! bit-identical at any thread count, while a wide sweep like Figure 6
 //! saturates every core instead of running its grid serially.
-//!
-//! Scenarios that provide a [`crate::scenario::BatchFn`] additionally have
-//! their points chunked into *lane batches* of [`RunConfig::lanes`]
-//! contiguous points: one task executes the whole chunk on a lane bank,
-//! amortising session dispatch across the batch.  Because `run_batch` is
-//! contractually bit-identical to mapping `run_point`, results are
-//! invariant in the lane width exactly as they are in the thread count.
 
 use crate::pool::run_ordered_catch;
 use crate::scale::Scale;
@@ -29,25 +22,8 @@ pub struct RunConfig {
     pub threads: usize,
     /// Root seed all derived scenario/point seeds descend from.
     pub root_seed: u64,
-    /// Lane width for scenarios that support batched execution
-    /// (`run_batch`): `0` resolves to [`AUTO_LANES`], `1` disables
-    /// batching, `k > 1` groups up to `k` contiguous points per task.
-    pub lanes: usize,
     /// Emit structured progress lines on stderr.
     pub progress: bool,
-}
-
-/// The lane width `RunConfig { lanes: 0, .. }` (auto) resolves to.
-pub const AUTO_LANES: usize = 4;
-
-impl RunConfig {
-    /// The lane width this run actually uses (auto resolved).
-    pub fn effective_lanes(&self) -> usize {
-        match self.lanes {
-            0 => AUTO_LANES,
-            lanes => lanes,
-        }
-    }
 }
 
 /// The outcome of one scenario within a run.
@@ -63,9 +39,6 @@ pub struct ScenarioRun {
     pub seed: u64,
     /// Number of sweep points that ran.
     pub points: usize,
-    /// Lane width the scenario's points were batched at (`1` when the
-    /// scenario has no batch path or batching is disabled).
-    pub lanes: usize,
     /// Wall time from the first point starting to the last point finishing.
     ///
     /// The only non-deterministic field of a run: everything else is a pure
@@ -100,36 +73,17 @@ pub fn execute(scenarios: &[&Scenario], config: &RunConfig) -> Vec<ScenarioRun> 
     let remaining: Vec<AtomicUsize> = point_counts.iter().map(|&n| AtomicUsize::new(n)).collect();
     let announced: Vec<AtomicBool> = scenarios.iter().map(|_| AtomicBool::new(false)).collect();
 
-    // Flatten every (scenario, lane chunk) into one task list, seeds
-    // pre-derived.  Scenarios without a batch path (or at lane width 1) get
-    // one single-point chunk per point, which reproduces the historical
-    // per-point task list exactly.
-    let lane_width = config.effective_lanes();
-    let mut tasks: Vec<Box<dyn FnOnce() -> Vec<PointRun> + Send + '_>> = Vec::new();
-    // Per task: `(scenario index, first point index, chunk length)` — needed
-    // to expand a panicked task back into its per-point error slots.
-    let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
-    let mut scenario_lanes: Vec<usize> = Vec::with_capacity(scenarios.len());
+    // Flatten every (scenario, point) into one task list, seeds pre-derived.
+    let mut tasks: Vec<Box<dyn FnOnce() -> PointRun + Send + '_>> = Vec::new();
     for (si, scenario) in scenarios.iter().enumerate() {
-        let width = if scenario.run_batch.is_some() {
-            lane_width
-        } else {
-            1
-        };
-        scenario_lanes.push(width);
-        let points = point_counts[si];
-        let mut start = 0;
-        while start < points {
-            let chunk_len = width.min(points - start);
-            let ctxs: Vec<PointCtx> = (start..start + chunk_len)
-                .map(|index| PointCtx {
-                    scale: config.scale,
-                    seed: scenario.point_seed(config.root_seed, index),
-                    index,
-                })
-                .collect();
-            chunks.push((si, start, chunk_len));
+        for index in 0..point_counts[si] {
+            let ctx = PointCtx {
+                scale: config.scale,
+                seed: scenario.point_seed(config.root_seed, index),
+                index,
+            };
             let scenario = **scenario;
+            let points = point_counts[si];
             let remaining = &remaining;
             let announced = &announced;
             let root_seed = config.root_seed;
@@ -142,88 +96,56 @@ pub fn execute(scenarios: &[&Scenario], config: &RunConfig) -> Vec<ScenarioRun> 
                     // Operator-facing progress, opt-in via `config.progress`
                     // and never part of results: lint:allow(println-in-lib)
                     eprintln!(
-                        "[repro] run {} ({}) points={} seed={:#018x} scale={}{}",
+                        "[repro] run {} ({}) points={} seed={:#018x} scale={}",
                         scenario.id,
                         scenario.paper_ref,
                         points,
                         scenario.manifest_seed(root_seed),
                         scale.label(),
-                        if width > 1 {
-                            format!(" lanes={width}")
-                        } else {
-                            String::new()
-                        },
                     );
                 }
                 let started_ms = epoch.elapsed().as_secs_f64() * 1e3;
-                let mut outputs: Vec<Result<PointOutput, String>> = match scenario.run_batch {
-                    // One-point chunks always take the serial path, so a
-                    // `--lanes 1` run never enters a scenario's batch code.
-                    Some(run_batch) if ctxs.len() > 1 => run_batch(&ctxs),
-                    _ => ctxs.iter().map(|ctx| (scenario.run_point)(ctx)).collect(),
-                };
-                if outputs.len() != ctxs.len() {
-                    let message = format!(
-                        "run_batch returned {} outputs for {} points",
-                        outputs.len(),
-                        ctxs.len()
-                    );
-                    outputs = ctxs.iter().map(|_| Err(message.clone())).collect();
-                }
+                let output = (scenario.run_point)(&ctx);
                 let finished_ms = epoch.elapsed().as_secs_f64() * 1e3;
-                let chunk_len = ctxs.len();
-                if remaining[si].fetch_sub(chunk_len, Ordering::AcqRel) == chunk_len && progress {
+                if remaining[si].fetch_sub(1, Ordering::AcqRel) == 1 && progress {
                     // lint:allow(println-in-lib) opt-in progress line
                     eprintln!("[repro] done {}", scenario.id);
                 }
-                outputs
-                    .into_iter()
-                    .map(|output| PointRun {
-                        started_ms,
-                        finished_ms,
-                        output,
-                    })
-                    .collect()
+                PointRun {
+                    started_ms,
+                    finished_ms,
+                    output,
+                }
             }));
-            start += chunk_len;
         }
     }
 
     // One panic mechanism for the whole stack: the pool catches a panicking
-    // chunk (`run_ordered_catch`), counts it in `PoolStats::tasks_panicked`,
+    // point (`run_ordered_catch`), counts it in `PoolStats::tasks_panicked`,
     // keeps draining, and hands back the message as the slot's `Err` — here
-    // it becomes every chunk point's error. (A panicked chunk skips its
-    // progress accounting above, so a scenario whose last chunk panics may
-    // not print its "done" line; the manifest still records the error.)
-    let mut results = run_ordered_catch(config.threads, tasks)
-        .into_iter()
-        .zip(chunks);
+    // it becomes the point's error. (A panicked point skips its progress
+    // accounting above, so a scenario whose last point panics may not print
+    // its "done" line; the manifest still records the error.)
+    let mut results = run_ordered_catch(config.threads, tasks).into_iter();
 
     // Group the flat results back per scenario (submission order is grouped
-    // by scenario, so each scenario owns a contiguous chunk run) and
-    // assemble.
+    // by scenario, so each scenario owns a contiguous run) and assemble.
     let mut runs = Vec::with_capacity(scenarios.len());
     for (si, scenario) in scenarios.iter().enumerate() {
-        let mut group: Vec<PointRun> = Vec::with_capacity(point_counts[si]);
-        while group.len() < point_counts[si] {
-            let (slot, (chunk_si, chunk_start, chunk_len)) =
-                results.next().expect("one task result per submitted chunk");
-            debug_assert_eq!(chunk_si, si, "chunk results arrive in submission order");
-            match slot {
-                Ok(points) => group.extend(points),
-                Err(message) => {
-                    group.extend(
-                        (chunk_start..chunk_start + chunk_len).map(|index| PointRun {
-                            // Neutral elements of the min/max wall-time folds: a
-                            // panicked point contributes no timing.
-                            started_ms: f64::MAX,
-                            finished_ms: 0.0,
-                            output: Err(format!("point {index} panicked: {message}")),
-                        }),
-                    )
-                }
-            }
-        }
+        let group: Vec<PointRun> = results
+            .by_ref()
+            .take(point_counts[si])
+            .enumerate()
+            .map(|(index, slot)| {
+                slot.unwrap_or_else(|message| PointRun {
+                    // Neutral elements of the min/max wall-time folds: a
+                    // panicked point contributes no timing.
+                    started_ms: f64::MAX,
+                    finished_ms: 0.0,
+                    output: Err(format!("point {index} panicked: {message}")),
+                })
+            })
+            .collect();
         let started = group.iter().map(|p| p.started_ms).fold(f64::MAX, f64::min);
         let finished = group.iter().map(|p| p.finished_ms).fold(0.0, f64::max);
         let wall_ms = if group.is_empty() {
@@ -262,7 +184,6 @@ pub fn execute(scenarios: &[&Scenario], config: &RunConfig) -> Vec<ScenarioRun> 
             scale: config.scale,
             seed: scenario.manifest_seed(config.root_seed),
             points: point_counts[si],
-            lanes: scenario_lanes[si],
             wall_ms,
             tables,
             error,
@@ -310,7 +231,6 @@ mod tests {
             seeding: Seeding::Derived,
             points,
             run_point: run,
-            run_batch: None,
             assemble,
         }
     }
@@ -324,7 +244,6 @@ mod tests {
                 scale: Scale::Quick,
                 threads,
                 root_seed: 2022,
-                lanes: 1,
                 progress: false,
             };
             execute(&scenarios, &config)
@@ -362,14 +281,12 @@ mod tests {
             seeding: Seeding::Derived,
             points: none,
             run_point: run,
-            run_batch: None,
             assemble,
         };
         let config = RunConfig {
             scale: Scale::Quick,
             threads: 2,
             root_seed: 1,
-            lanes: 1,
             progress: false,
         };
         let runs = execute(&[&empty], &config);
@@ -404,7 +321,6 @@ mod tests {
             seeding: Seeding::Derived,
             points: one,
             run_point: explode,
-            run_batch: None,
             assemble,
         };
         let good = seed_echo_scenario();
@@ -413,7 +329,6 @@ mod tests {
                 scale: Scale::Quick,
                 threads,
                 root_seed: 1,
-                lanes: 1,
                 progress: false,
             };
             let pool_before = crate::pool::stats();
@@ -452,7 +367,6 @@ mod tests {
             seeding: Seeding::Derived,
             points: one,
             run_point: fail,
-            run_batch: None,
             assemble,
         };
         let good = seed_echo_scenario();
@@ -460,7 +374,6 @@ mod tests {
             scale: Scale::Quick,
             threads: 2,
             root_seed: 1,
-            lanes: 1,
             progress: false,
         };
         let runs = execute(&[&bad, &good], &config);

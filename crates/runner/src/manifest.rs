@@ -14,9 +14,8 @@ use std::path::{Path, PathBuf};
 ///
 /// The per-phase cycle columns (one per [`crate::scenario::PHASE_LABELS`]
 /// entry) are appended after the original ten so positional consumers —
-/// including [`WALL_MS_COLUMN`] — keep their indices; the lane-width column
-/// ([`LANES_COLUMN`]) is appended after those for the same reason.
-pub const MANIFEST_HEADERS: [&str; 18] = [
+/// including [`WALL_MS_COLUMN`] — keep their indices.
+pub const MANIFEST_HEADERS: [&str; 17] = [
     "id",
     "paper ref",
     "scale",
@@ -34,17 +33,11 @@ pub const MANIFEST_HEADERS: [&str; 18] = [
     "decode cycles",
     "noise cycles",
     "other cycles",
-    "lanes",
 ];
 
 /// Index of the only non-deterministic manifest column (wall time) — the
 /// determinism tests blank it before comparing runs.
 pub const WALL_MS_COLUMN: usize = 7;
-
-/// Index of the lane-width column: the batch width the scenario ran at.
-/// Lane width is an execution strategy, not a result — equivalence checks
-/// comparing runs at different `--lanes` values blank this column too.
-pub const LANES_COLUMN: usize = 17;
 
 /// Builds the manifest table for a set of completed scenario runs.
 pub fn manifest_table(runs: &[ScenarioRun]) -> Table {
@@ -70,7 +63,6 @@ pub fn manifest_table(runs: &[ScenarioRun]) -> Table {
             outputs.join(" "),
         ];
         row.extend(run.phase_cycles.iter().map(u64::to_string));
-        row.push(run.lanes.to_string());
         table.push_row(row);
     }
     table
@@ -104,7 +96,6 @@ mod tests {
             sim_cycles: 0,
             sim_accesses: 0,
             phase_cycles: [1, 2, 3, 4, 5, 6, 7],
-            lanes: 1,
             tables: vec![(id.to_owned(), Table::new("t", &["a"]))],
             error,
         }
@@ -117,9 +108,7 @@ mod tests {
             assert_eq!(MANIFEST_HEADERS[10 + i], format!("{label} cycles"));
         }
         let table = manifest_table(&[run("table2", None)]);
-        assert_eq!(table.rows[0][10..17], ["1", "2", "3", "4", "5", "6", "7"]);
-        assert_eq!(MANIFEST_HEADERS[LANES_COLUMN], "lanes");
-        assert_eq!(table.rows[0][LANES_COLUMN], "1");
+        assert_eq!(table.rows[0][10..], ["1", "2", "3", "4", "5", "6", "7"]);
     }
 
     #[test]

@@ -154,7 +154,6 @@ mod tests {
             seeding: Seeding::Derived,
             points: one,
             run_point: run,
-            run_batch: None,
             assemble,
         }
     }

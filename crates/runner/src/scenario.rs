@@ -107,17 +107,6 @@ impl Seeding {
 /// Runs one sweep point. Errors are strings so the runner stays domain-free.
 pub type PointFn = fn(&PointCtx) -> Result<PointOutput, String>;
 
-/// Runs a whole lane batch of points at once, one output per context in
-/// order.
-///
-/// Contract: `run_batch(ctxs)` must be element-wise bit-identical to
-/// `ctxs.iter().map(run_point)` — the batch is an execution strategy, never
-/// a result change.  Scenarios whose points share a compiled program shape
-/// (see the `lane-shape` verification rule) implement this by batching
-/// their independent machines onto one lane bank; the executor falls back
-/// to [`PointFn`] per point when lane batching is off (`--lanes 1`).
-pub type BatchFn = fn(&[PointCtx]) -> Vec<Result<PointOutput, String>>;
-
 /// Folds all point outputs (in point order) into `(output stem, table)`
 /// pairs. The first pair is the scenario's primary table.
 pub type AssembleFn = fn(Scale, &[PointOutput]) -> Vec<(String, Table)>;
@@ -139,10 +128,6 @@ pub struct Scenario {
     pub points: fn(Scale) -> usize,
     /// Runs one sweep point.
     pub run_point: PointFn,
-    /// Runs a lane batch of points at once (`None` ⇒ always per point).
-    /// Must be bit-identical to mapping [`Scenario::run_point`] over the
-    /// batch; `repro list` marks scenarios carrying one as lane-eligible.
-    pub run_batch: Option<BatchFn>,
     /// Assembles the point outputs into output tables.
     pub assemble: AssembleFn,
 }

@@ -303,7 +303,6 @@ mod tests {
             sim_cycles: 7,
             sim_accesses: 3,
             phase_cycles: [0; runner::scenario::PHASE_COUNT],
-            lanes: 1,
             tables: vec![("table2".to_owned(), table)],
             error: None,
         };

@@ -357,7 +357,6 @@ fn run_job(shared: &Shared, job_id: u64) {
             scale: spec.scale,
             threads: spec.threads,
             root_seed: spec.seed,
-            lanes: 1,
             progress: false,
         };
         let runs = execute(&selected, &config);

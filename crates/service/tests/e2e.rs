@@ -87,7 +87,6 @@ fn scenario(
         seeding: Seeding::Derived,
         points,
         run_point,
-        run_batch: None,
         assemble,
     }
 }

@@ -140,16 +140,6 @@ impl HierarchyConfig {
         config.l1d.write_miss_policy = WriteMissPolicy::NoWriteAllocate;
         config
     }
-
-    /// This configuration with a different replacement seed and everything
-    /// else unchanged.  Lane batching derives per-lane configs this way: a
-    /// sweep point's hierarchy *shape* is fixed while each lane re-rolls the
-    /// random streams.
-    #[must_use]
-    pub fn reseeded(mut self, seed: u64) -> HierarchyConfig {
-        self.seed = seed;
-        self
-    }
 }
 
 /// A named commercial-processor hierarchy shape — the sweep axis of the

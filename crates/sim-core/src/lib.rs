@@ -61,7 +61,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod lanes;
 pub mod machine;
 pub mod memlayout;
 pub mod noise;
@@ -78,7 +77,6 @@ pub mod workload;
 
 /// Convenient glob-import of the most frequently used types.
 pub mod prelude {
-    pub use crate::lanes::{LaneMachine, LaneSession};
     pub use crate::machine::{Machine, MachineConfig, RunSummary};
     pub use crate::memlayout::{ChannelLayout, SetLines};
     pub use crate::perf::{PerfCounters, PerfLevel};
@@ -89,5 +87,5 @@ pub mod prelude {
     pub use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};
     pub use crate::telemetry::{BitDecision, Phase, PhaseCycles, TraceEvent, TraceSink};
     pub use crate::tsc::{TscConfig, TscModel};
-    pub use crate::verify::{lane_compatibility, ProgramDiagnostic, ProgramStats, Severity};
+    pub use crate::verify::{ProgramDiagnostic, ProgramStats, Severity};
 }

@@ -114,27 +114,6 @@ struct SessionThread {
     span: Option<Phase>,
 }
 
-/// Resumable state of one in-flight [`Machine::run_session`]: everything the
-/// executor's outer loop carries between scheduling turns.  Extracted so the
-/// lane executor ([`crate::lanes::LaneMachine`]) can interleave single turns
-/// of many independent machines while `run_session` stays a plain loop over
-/// the same [`Machine::session_start`] / [`Machine::session_turn`] /
-/// [`Machine::session_finish`] calls.
-#[derive(Debug)]
-pub(crate) struct SessionCursor {
-    threads: Vec<SessionThread>,
-    reports: Vec<ProgramReport>,
-    deadline: u64,
-    hit_limit: bool,
-}
-
-impl SessionCursor {
-    /// Whether every thread of the session has finished.
-    pub(crate) fn all_done(&self) -> bool {
-        self.threads.iter().all(|t| t.done)
-    }
-}
-
 /// The simulated machine.
 #[derive(Debug)]
 pub struct Machine {
@@ -558,34 +537,14 @@ impl Machine {
     /// batched [`PerfCounters::record_trace`] path), and consecutive
     /// operations of one program executed back-to-back whenever no other
     /// thread, interrupt or deadline could be scheduled between them.
-    ///
-    /// Internally this is a plain loop over the resumable
-    /// `Machine::session_turn` executor — the same three calls the lane
-    /// executor ([`crate::lanes::LaneMachine`]) interleaves across many
-    /// machines — so the single-machine and lane paths cannot drift apart.
     pub fn run_session(
         &mut self,
         programs: &[TraceProgram],
         extras: &mut [&mut dyn Actor],
         limit: u64,
     ) -> SessionReport {
-        let mut cursor = self.session_start(programs, extras, limit);
-        while self.session_turn(programs, extras, &mut cursor) {}
-        self.session_finish(programs, extras, cursor)
-    }
-
-    /// Builds the resumable state of a session run: per-thread scheduling
-    /// cursors, per-program reports and the cycle deadline.  Pair with
-    /// [`Machine::session_turn`] / [`Machine::session_finish`]; the
-    /// `programs`/`extras` arguments of all three calls must be the same.
-    pub(crate) fn session_start(
-        &mut self,
-        programs: &[TraceProgram],
-        extras: &mut [&mut dyn Actor],
-        limit: u64,
-    ) -> SessionCursor {
         let total = programs.len() + extras.len();
-        let threads: Vec<SessionThread> = (0..total)
+        let mut threads: Vec<SessionThread> = (0..total)
             .map(|_| SessionThread {
                 ready_at: self.now,
                 done: false,
@@ -598,7 +557,7 @@ impl Machine {
                 span: None,
             })
             .collect();
-        let reports: Vec<ProgramReport> = programs
+        let mut reports: Vec<ProgramReport> = programs
             .iter()
             .map(|p| ProgramReport {
                 name: p.name().to_owned(),
@@ -611,6 +570,8 @@ impl Machine {
                 phase_cycles: PhaseCycles::default(),
             })
             .collect();
+        let deadline = self.now + limit;
+        let mut hit_limit = false;
         if self.sink.is_enabled() {
             // Dynamic actors trace at actor granularity, like Machine::run;
             // compiled programs get phase spans from their step annotations.
@@ -623,35 +584,8 @@ impl Machine {
                 );
             }
         }
-        SessionCursor {
-            threads,
-            reports,
-            deadline: self.now + limit,
-            hit_limit: false,
-        }
-    }
 
-    /// Executes exactly one scheduling turn of an in-flight session — the
-    /// body of [`Machine::run_session`]'s outer loop: pick the
-    /// earliest-ready live thread (lowest index on ties), poll its
-    /// interrupts, then run one action, or a back-to-back burst of one
-    /// program's consecutive operations when nothing observable could be
-    /// scheduled between them.  Returns `false` once the session is over
-    /// (every thread done, or the deadline reached).
-    pub(crate) fn session_turn(
-        &mut self,
-        programs: &[TraceProgram],
-        extras: &mut [&mut dyn Actor],
-        cursor: &mut SessionCursor,
-    ) -> bool {
-        let SessionCursor {
-            threads,
-            reports,
-            deadline,
-            hit_limit,
-        } = cursor;
-        let deadline = *deadline;
-        {
+        loop {
             // Pick the runnable thread with the earliest ready time (the
             // first minimum, i.e. the lowest index on ties).
             let next = threads
@@ -661,11 +595,11 @@ impl Machine {
                 .min_by_key(|(_, t)| t.ready_at)
                 .map(|(i, t)| (i, t.ready_at));
             let Some((idx, ready_at)) = next else {
-                return false; // every thread finished
+                break; // every thread finished
             };
             if ready_at >= deadline {
-                *hit_limit = true;
-                return false;
+                hit_limit = true;
+                break;
             }
             self.now = self.now.max(ready_at);
 
@@ -677,7 +611,7 @@ impl Machine {
             {
                 threads[idx].ready_at = self.now + stall;
                 threads[idx].stalled += stall;
-                return true;
+                continue;
             }
 
             if idx >= programs.len() {
@@ -690,12 +624,12 @@ impl Machine {
                 if matches!(action, Action::Done) {
                     threads[idx].done = true;
                     self.sink.end(domain, actor.name().to_owned(), self.now);
-                    return true;
+                    continue;
                 }
                 let completion = self.execute_action(domain, action, started);
                 threads[idx].ready_at = completion.finished_at;
                 actor.on_completion(&completion);
-                return true;
+                continue;
             }
 
             // ---- compiled program turn -------------------------------------
@@ -823,25 +757,7 @@ impl Machine {
                 self.now = next_at;
             }
         }
-        true
-    }
 
-    /// Finalises a session whose [`Machine::session_turn`] returned `false`:
-    /// advances the clock to the session end, folds program aggregates into
-    /// the perf counters, closes telemetry spans and assembles the
-    /// [`SessionReport`].
-    pub(crate) fn session_finish(
-        &mut self,
-        programs: &[TraceProgram],
-        extras: &mut [&mut dyn Actor],
-        cursor: SessionCursor,
-    ) -> SessionReport {
-        let SessionCursor {
-            mut threads,
-            mut reports,
-            deadline,
-            hit_limit,
-        } = cursor;
         // The machine clock ends at the latest point any thread reached (or
         // the deadline when the limit was hit).
         let end = threads

@@ -22,7 +22,6 @@
 //! | `wait-monotone` | error | an absolute wait (`WaitUntil`/`WaitEpoch`) whose target is below the program's lower-bound clock is provably dead for every execution |
 //! | `address-space` | error | every op and chase address must carry one owning address space (ASID bits, [`crate::process::ASID_SHIFT`]) that fits a [`crate::process::ProcessId`] |
 //! | `domain-valid` | error | the program's [`DomainId`] must be nonzero — domain 0 is the unowned-line sentinel of the cache model |
-//! | `lane-shape` | error | every lane of a [`crate::lanes::LaneMachine`] batch must present the same programs *by shape*: equal program counts and, per program, equal step-kind sequences with equal op/chase lengths ([`lane_compatibility`]) |
 //! | `empty-program` | warning | a program with no steps still consumes its Done turn |
 //! | `duplicate-anchor` | warning | consecutive `Anchor` markers latch the same instant; the first is redundant |
 //! | `unreachable-step` | warning | a trailing `Anchor` (no turn-consuming step after it) latches a value no step can read |
@@ -175,115 +174,6 @@ impl TraceProgram {
         }
         stats
     }
-}
-
-/// The shape of one compiled step, as far as lane batching cares: the step
-/// kind plus the number of turns an `Ops`/`Chase` step consumes.  Wait
-/// *targets*, addresses and domains are free to differ across lanes — only
-/// the dispatch sequence must agree for lockstep turns to stay profitable.
-fn step_shape(step: &TraceStep) -> (&'static str, usize) {
-    match *step {
-        TraceStep::Ops { start, end } => ("Ops", end.saturating_sub(start)),
-        TraceStep::Chase { start, end } => ("Chase", end.saturating_sub(start)),
-        TraceStep::WaitUntil { .. } => ("WaitUntil", 0),
-        TraceStep::WaitEpoch { .. } => ("WaitEpoch", 0),
-        TraceStep::WaitAnchor { .. } => ("WaitAnchor", 0),
-        TraceStep::WaitFloor { .. } => ("WaitFloor", 0),
-        TraceStep::WaitRel { .. } => ("WaitRel", 0),
-        TraceStep::Anchor => ("Anchor", 0),
-    }
-}
-
-/// Checks that per-lane program lists can co-execute in one
-/// [`crate::lanes::LaneMachine`] batch (`lane-shape` rule).
-///
-/// Lanes must agree on *shape* against the first lane: the same number of
-/// programs and, per program, the same step-kind sequence with the same
-/// op/chase lengths.  Seeds, addresses, wait targets and machine configs are
-/// free to differ — those are exactly the axes a registry sweep varies.
-/// Shape-divergent lanes still execute *correctly* (each lane is an
-/// independent machine), but they desynchronise the lockstep turn loop and
-/// forfeit the batching win, so `repro check --verbose` surfaces them before
-/// a sweep groups such points into one batch.
-///
-/// Returns one `Error` diagnostic per incompatible lane (empty means the
-/// whole batch is lane-compatible).  `step_index` marks the first divergent
-/// step when the divergence is inside a program.
-pub fn lane_compatibility(lanes: &[&[TraceProgram]]) -> Vec<ProgramDiagnostic> {
-    let mut findings = Vec::new();
-    let Some((reference, rest)) = lanes.split_first() else {
-        return findings;
-    };
-    for (offset, lane) in rest.iter().enumerate() {
-        let lane_index = offset + 1;
-        if lane.len() != reference.len() {
-            findings.push(ProgramDiagnostic {
-                severity: Severity::Error,
-                step_index: None,
-                rule: "lane-shape",
-                message: format!(
-                    "lane {lane_index} runs {} programs but lane 0 runs {}",
-                    lane.len(),
-                    reference.len()
-                ),
-            });
-            continue;
-        }
-        for (slot, (expected, program)) in reference.iter().zip(lane.iter()).enumerate() {
-            if let Some(diag) = program_shape_mismatch(lane_index, slot, expected, program) {
-                findings.push(diag);
-            }
-        }
-    }
-    findings
-}
-
-/// Compares one lane program against the reference lane's program in the
-/// same slot, returning the first shape divergence (if any).
-fn program_shape_mismatch(
-    lane_index: usize,
-    slot: usize,
-    expected: &TraceProgram,
-    program: &TraceProgram,
-) -> Option<ProgramDiagnostic> {
-    let diag = |step_index: Option<usize>, message: String| ProgramDiagnostic {
-        severity: Severity::Error,
-        step_index,
-        rule: "lane-shape",
-        message,
-    };
-    if program.steps().len() != expected.steps().len() {
-        return Some(diag(
-            None,
-            format!(
-                "lane {lane_index} program {slot} (`{}`) has {} steps but lane 0's (`{}`) has {}",
-                program.name(),
-                program.steps().len(),
-                expected.name(),
-                expected.steps().len()
-            ),
-        ));
-    }
-    for (index, (a, b)) in expected
-        .steps()
-        .iter()
-        .zip(program.steps().iter())
-        .enumerate()
-    {
-        let (kind_a, len_a) = step_shape(a);
-        let (kind_b, len_b) = step_shape(b);
-        if (kind_a, len_a) != (kind_b, len_b) {
-            return Some(diag(
-                Some(index),
-                format!(
-                    "lane {lane_index} program {slot} (`{}`) diverges from lane 0 at step {index}: \
-                     {kind_b}×{len_b} vs {kind_a}×{len_a}",
-                    program.name()
-                ),
-            ));
-        }
-    }
-    None
 }
 
 /// The verification pass: a single forward walk over the steps carrying a
@@ -741,89 +631,6 @@ mod tests {
         total.merge(&stats);
         total.merge(&stats);
         assert_eq!(total.ops, 24);
-    }
-
-    /// A sender-shaped program whose address material moves with the seed —
-    /// the shape stays fixed while the content differs, like a sweep point.
-    fn seeded_sender(seed: u64) -> TraceProgram {
-        let mut program = TraceProgram::new("sender", 2);
-        program.wait_epoch(50_000);
-        for symbol in 0..3u64 {
-            if symbol > 0 {
-                program.anchor();
-            }
-            program.ops(
-                (0..4).map(|i| {
-                    TraceOp::write(addr(0x1000 + 0x40 * (8 * symbol + i) + seed * 0x2000))
-                }),
-            );
-            program.wait_anchor(5_500 + seed * 100);
-        }
-        program
-    }
-
-    #[test]
-    fn seed_varied_lanes_are_shape_compatible() {
-        let lanes: Vec<Vec<TraceProgram>> = (0..4).map(|seed| vec![seeded_sender(seed)]).collect();
-        let refs: Vec<&[TraceProgram]> = lanes.iter().map(Vec::as_slice).collect();
-        assert_eq!(lane_compatibility(&refs), Vec::new());
-    }
-
-    #[test]
-    fn empty_and_single_lane_batches_are_trivially_compatible() {
-        assert_eq!(lane_compatibility(&[]), Vec::new());
-        let lane = vec![seeded_sender(0)];
-        assert_eq!(lane_compatibility(&[&lane]), Vec::new());
-    }
-
-    #[test]
-    fn program_count_mismatch_is_rejected() {
-        let wide = vec![seeded_sender(0), seeded_sender(1)];
-        let narrow = vec![seeded_sender(2)];
-        let diags = lane_compatibility(&[&wide, &narrow]);
-        assert_eq!(errors(&diags), vec!["lane-shape"]);
-        assert_eq!(diags[0].step_index, None);
-        assert!(diags[0].message.contains("lane 1 runs 1 programs"));
-    }
-
-    #[test]
-    fn step_kind_divergence_is_rejected_at_the_step() {
-        let reference = vec![seeded_sender(0)];
-        let mut other = seeded_sender(1);
-        other.chase(&[addr(0x40), addr(0x80)]);
-        let divergent = vec![other];
-        let diags = lane_compatibility(&[&reference, &divergent]);
-        // Step counts differ, so the divergence is program-wide.
-        assert_eq!(errors(&diags), vec!["lane-shape"]);
-        assert!(diags[0].message.contains("steps"), "{}", diags[0].message);
-    }
-
-    #[test]
-    fn ops_length_divergence_is_rejected_at_the_step() {
-        let mut short = TraceProgram::new("sender", 2);
-        short.wait_epoch(50_000);
-        short.ops((0..4).map(|i| TraceOp::write(addr(0x1000 + 0x40 * i))));
-        let mut long = TraceProgram::new("sender", 2);
-        long.wait_epoch(50_000);
-        long.ops((0..6).map(|i| TraceOp::write(addr(0x1000 + 0x40 * i))));
-        let a = vec![short];
-        let b = vec![long];
-        let diags = lane_compatibility(&[&a, &b]);
-        assert_eq!(errors(&diags), vec!["lane-shape"]);
-        assert_eq!(diags[0].step_index, Some(1));
-        assert!(
-            diags[0].message.contains("Ops×6 vs Ops×4"),
-            "{}",
-            diags[0].message
-        );
-    }
-
-    #[test]
-    fn every_incompatible_lane_is_reported() {
-        let reference = vec![seeded_sender(0)];
-        let narrow: Vec<TraceProgram> = Vec::new();
-        let diags = lane_compatibility(&[&reference, &narrow, &narrow]);
-        assert_eq!(errors(&diags), vec!["lane-shape", "lane-shape"]);
     }
 
     #[test]
