@@ -6,8 +6,9 @@ use crate::lru_channel::LruChannel;
 use crate::prime_probe::PrimeProbe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wb_channel::channel::{ChannelConfig, CovertChannel, NoiseConfig};
+use wb_channel::channel::{ChannelConfig, NoiseConfig};
 use wb_channel::encoding::SymbolEncoding;
+use wb_channel::session::ChannelSession;
 use wb_channel::Error;
 
 /// One row of the paper's Table I, extended with the requirements the paper
@@ -119,10 +120,10 @@ pub fn noise_robustness_comparison(bits: usize, seed: u64) -> Result<Vec<NoiseRo
         }
         builder.build()
     };
-    let clean = CovertChannel::new(wb_config(false)?)?
+    let clean = ChannelSession::new(wb_config(false)?)?
         .transmit_bits(&payload)?
         .bit_error_rate();
-    let noisy = CovertChannel::new(wb_config(true)?)?
+    let noisy = ChannelSession::new(wb_config(true)?)?
         .transmit_bits(&payload)?
         .bit_error_rate();
     results.push(NoiseRobustness {

@@ -32,9 +32,10 @@ use sim_cache::policy::PolicyKind;
 use sim_core::machine::MachineConfig;
 use wb_channel::calibration::{access_latency_classes, latency_cdfs, CalibrationConfig};
 use wb_channel::capacity::{rate_kbps, PAPER_PERIODS};
-use wb_channel::channel::{ChannelConfig, CovertChannel};
+use wb_channel::channel::ChannelConfig;
 use wb_channel::encoding::SymbolEncoding;
 use wb_channel::eviction::{table_ii, table_v};
+use wb_channel::session::ChannelSession;
 use wb_channel::side_channel::{self, SideChannelConfig};
 use wb_channel::stealth::{sender_profile, table_vii_rows, SenderCompanion};
 use wb_channel::Error;
@@ -50,7 +51,7 @@ fn err(error: Error) -> String {
 /// plus the per-phase cycle attribution feeding the manifest's phase columns
 /// — to a point output (the session-backed scenarios all report them the
 /// same way).
-fn with_sim_usage(mut output: PointOutput, channel: &CovertChannel) -> PointOutput {
+fn with_sim_usage(mut output: PointOutput, channel: &ChannelSession) -> PointOutput {
     use sim_core::telemetry::Phase;
     let usage = channel.sim_usage();
     output.sim_cycles = usage.cycles();
@@ -324,7 +325,7 @@ fn traces_point(ctx: &PointCtx) -> Result<PointOutput, String> {
         .seed(ctx.seed)
         .build()
         .map_err(err)?;
-    let mut channel = CovertChannel::new(config).map_err(err)?;
+    let mut channel = ChannelSession::new(config).map_err(err)?;
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xbeef);
     let payload: Vec<bool> = (0..payload_bits).map(|_| rng.gen()).collect();
     let report = channel.transmit_bits(&payload).map_err(err)?;
@@ -404,7 +405,7 @@ fn fig6_point(ctx: &PointCtx) -> Result<PointOutput, String> {
         .seed(ctx.seed)
         .build()
         .map_err(err)?;
-    let mut channel = CovertChannel::new(config).map_err(err)?;
+    let mut channel = ChannelSession::new(config).map_err(err)?;
     let report = channel.evaluate(frames, frame_bits).map_err(err)?;
     Ok(with_sim_usage(
         PointOutput::row([
@@ -711,7 +712,7 @@ fn bandwidth_point(ctx: &PointCtx) -> Result<PointOutput, String> {
         .seed(ctx.seed)
         .build()
         .map_err(err)?;
-    let mut channel = CovertChannel::new(config).map_err(err)?;
+    let mut channel = ChannelSession::new(config).map_err(err)?;
     let report = channel
         .evaluate(ctx.scale.sizes().frames, 128 * bits)
         .map_err(err)?;
@@ -911,7 +912,7 @@ fn hierarchy_matrix_point(ctx: &PointCtx) -> Result<PointOutput, String> {
         .seed(ctx.seed)
         .build()
         .map_err(err)?;
-    let mut channel = CovertChannel::new(config).map_err(err)?;
+    let mut channel = ChannelSession::new(config).map_err(err)?;
     let report = channel
         .evaluate(ctx.scale.sizes().frames, 128)
         .map_err(err)?;

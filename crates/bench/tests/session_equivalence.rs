@@ -2,19 +2,20 @@
 //!
 //! The session layer (compiled trace programs on
 //! `Machine::run_session`) replaced the per-access actor stepping loop as
-//! the default transmit path.  These tests pin the refactor's contract at
-//! the quick-scale operating points the registry actually runs: for the
-//! exact `(encoding, period, seed)` tuples of the `fig5-7` scenario, both
-//! backends must produce byte-identical transmission reports, and the
-//! session-based scenarios must stay thread-count invariant (including
-//! their new simulated-work counters).
+//! the transmit path.  These tests pin that contract at the quick-scale
+//! operating points the registry actually runs: for the exact
+//! `(encoding, period, seed)` tuples of the `fig5-7` scenario,
+//! `transmit_frame` and its stepped oracle `transmit_frame_stepped` must
+//! produce byte-identical transmission reports, and the session-based
+//! scenarios must stay thread-count invariant (including their
+//! simulated-work counters).
 
 use bench::{registry, Scale, SEED};
 use runner::{execute, RunConfig};
 use wb_channel::channel::ChannelConfig;
 use wb_channel::encoding::SymbolEncoding;
 use wb_channel::protocol::Frame;
-use wb_channel::session::{Backend, ChannelSession};
+use wb_channel::session::ChannelSession;
 
 /// The `fig5-7` registry operating points (encoding, period) with their
 /// derived quick-scale seeds.
@@ -55,12 +56,8 @@ fn stepped_and_compiled_transmissions_are_byte_identical_at_registry_points() {
         let mut stepped = ChannelSession::new(config).unwrap();
         let payload: Vec<bool> = (0..64).map(|i| (i ^ (i >> 2)) % 3 == 1).collect();
         let frame = Frame::from_payload(&payload);
-        let a = compiled
-            .transmit_frame_with(&frame, Backend::Compiled)
-            .unwrap();
-        let b = stepped
-            .transmit_frame_with(&frame, Backend::Stepped)
-            .unwrap();
+        let a = compiled.transmit_frame(&frame).unwrap();
+        let b = stepped.transmit_frame_stepped(&frame).unwrap();
         assert_eq!(
             a, b,
             "transmit backends diverged for {encoding} @ Ts={period} seed={seed:#x}"

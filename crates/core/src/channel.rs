@@ -1,20 +1,18 @@
-//! End-to-end covert-channel orchestration.
+//! Channel configuration and transmission reports.
 //!
-//! [`CovertChannel`] is the classic top-level API around a
-//! [`crate::session::ChannelSession`]: every transmission is *compiled* onto
-//! the batched trace engine (sender, receiver and noise programs interleaved
-//! by [`sim_core::machine::Machine::run_session`]), then decoded with the
-//! calibrated thresholds and scored with the edit distance — the full
-//! pipeline behind the paper's Figures 5–7 and the bandwidth/error-rate
-//! numbers of Section V.  The per-access actor-stepping transmit loop
-//! survives only as the equivalence-reference backend of the session layer
-//! (see [`crate::session::Backend`]).
+//! [`ChannelConfig`] describes one covert channel — symbol encoding, period,
+//! target set, machine noise and an optional noisy neighbour — and
+//! [`crate::session::ChannelSession`] runs it: every transmission is
+//! *compiled* onto the batched trace engine (sender, receiver and noise
+//! programs interleaved by [`sim_core::machine::Machine::run_session`]), then
+//! decoded with the calibrated thresholds and scored with the edit distance.
+//! The session returns a [`TransmissionReport`] per frame and an
+//! [`EvaluationReport`] per multi-frame point — the pipeline behind the
+//! paper's Figures 5–7 and the bandwidth/error-rate numbers of Section V.
 
 use crate::capacity::RatePoint;
 use crate::encoding::SymbolEncoding;
 use crate::error::Error;
-use crate::protocol::{Decoder, Frame};
-use crate::session::{ChannelSession, SimUsage};
 use analysis::edit_distance::ErrorBreakdown;
 use sim_cache::hierarchy::HierarchyConfig;
 use sim_cache::policy::PolicyKind;
@@ -319,82 +317,10 @@ pub struct EvaluationReport {
     pub rate_point: RatePoint,
 }
 
-/// The end-to-end WB covert channel.
-#[derive(Debug)]
-pub struct CovertChannel {
-    session: ChannelSession,
-}
-
-impl CovertChannel {
-    /// Builds the channel and calibrates the receiver's decision thresholds
-    /// on a machine identical to the one the transmission will use.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration or calibration errors.
-    pub fn new(config: ChannelConfig) -> Result<CovertChannel, Error> {
-        Ok(CovertChannel {
-            session: ChannelSession::new(config)?,
-        })
-    }
-
-    /// The channel configuration.
-    pub fn config(&self) -> &ChannelConfig {
-        self.session.config()
-    }
-
-    /// The calibrated decoder.
-    pub fn decoder(&self) -> &Decoder {
-        self.session.decoder()
-    }
-
-    /// Cumulative simulated-work counters of the underlying session.
-    pub fn sim_usage(&self) -> SimUsage {
-        self.session.sim_usage()
-    }
-
-    /// Simulated cycles the decoder calibration consumed.
-    pub fn calibration_cycles(&self) -> u64 {
-        self.session.calibration_cycles()
-    }
-
-    /// Transmits an arbitrary payload (the 16-bit preamble is prepended) and
-    /// reports the outcome scored over the whole frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns machine-construction errors.
-    pub fn transmit_bits(&mut self, payload: &[bool]) -> Result<TransmissionReport, Error> {
-        self.session.transmit_bits(payload)
-    }
-
-    /// Transmits one frame and reports the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Returns machine-construction errors.
-    pub fn transmit_frame(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
-        self.session.transmit_frame(frame)
-    }
-
-    /// Transmits `frames` random frames of `bits_per_frame` bits each and
-    /// aggregates the error statistics (one point of the paper's Figure 6).
-    ///
-    /// # Errors
-    ///
-    /// Returns machine-construction errors.
-    pub fn evaluate(
-        &mut self,
-        frames: usize,
-        bits_per_frame: usize,
-    ) -> Result<EvaluationReport, Error> {
-        self.session.evaluate(frames, bits_per_frame)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ChannelSession;
 
     fn quiet_config(encoding: SymbolEncoding, period: u64) -> ChannelConfig {
         ChannelConfig::builder()
@@ -462,7 +388,7 @@ mod tests {
                 .hierarchy(hierarchy)
                 .build()
                 .unwrap();
-            let mut channel = CovertChannel::new(config).unwrap();
+            let mut channel = ChannelSession::new(config).unwrap();
             let payload: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
             let report = channel.transmit_bits(&payload).unwrap();
             assert_eq!(
@@ -479,7 +405,7 @@ mod tests {
     #[test]
     fn noiseless_binary_transmission_is_error_free() {
         let config = quiet_config(SymbolEncoding::binary(1).unwrap(), 5_500);
-        let mut channel = CovertChannel::new(config).unwrap();
+        let mut channel = ChannelSession::new(config).unwrap();
         let payload: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
         let report = channel.transmit_bits(&payload).unwrap();
         assert_eq!(
@@ -494,7 +420,7 @@ mod tests {
     #[test]
     fn noiseless_multibit_transmission_is_error_free() {
         let config = quiet_config(SymbolEncoding::paper_two_bit(), 4_000);
-        let mut channel = CovertChannel::new(config).unwrap();
+        let mut channel = ChannelSession::new(config).unwrap();
         let payload: Vec<bool> = (0..64).map(|i| (i * 7) % 5 < 2).collect();
         let report = channel.transmit_bits(&payload).unwrap();
         assert_eq!(report.edit_distance, 0, "latencies: {:?}", report.latencies);
@@ -505,8 +431,8 @@ mod tests {
     fn larger_d_raises_received_latencies_for_ones() {
         let config_d1 = quiet_config(SymbolEncoding::binary(1).unwrap(), 5_500);
         let config_d8 = quiet_config(SymbolEncoding::binary(8).unwrap(), 5_500);
-        let mut ch1 = CovertChannel::new(config_d1).unwrap();
-        let mut ch8 = CovertChannel::new(config_d8).unwrap();
+        let mut ch1 = ChannelSession::new(config_d1).unwrap();
+        let mut ch8 = ChannelSession::new(config_d8).unwrap();
         let payload = vec![true; 32];
         let r1 = ch1.transmit_bits(&payload).unwrap();
         let r8 = ch8.transmit_bits(&payload).unwrap();
@@ -528,7 +454,7 @@ mod tests {
             .seed(5)
             .build()
             .unwrap();
-        let mut channel = CovertChannel::new(config).unwrap();
+        let mut channel = ChannelSession::new(config).unwrap();
         let report = channel.evaluate(6, 128).unwrap();
         assert!(
             report.mean_bit_error_rate < 0.08,
@@ -542,7 +468,7 @@ mod tests {
     #[test]
     fn evaluation_report_scales_rate_with_period() {
         let config = quiet_config(SymbolEncoding::binary(2).unwrap(), 1_600);
-        let mut channel = CovertChannel::new(config).unwrap();
+        let mut channel = ChannelSession::new(config).unwrap();
         let report = channel.evaluate(2, 64).unwrap();
         assert!((report.rate_kbps - 1_375.0).abs() < 1e-9);
     }
@@ -560,7 +486,7 @@ mod tests {
             .noise(NoiseConfig::single_clean_line(2_000))
             .seed(3);
         let config = builder.build().unwrap();
-        let mut channel = CovertChannel::new(config).unwrap();
+        let mut channel = ChannelSession::new(config).unwrap();
         let payload: Vec<bool> = (0..64).map(|i| i % 2 == 0).collect();
         let report = channel.transmit_bits(&payload).unwrap();
         assert!(

@@ -15,7 +15,7 @@
 //! | [`sender`] | Algorithm 1 + the sender half of Algorithm 3 |
 //! | [`receiver`] | Algorithm 2 + the receiver half of Algorithm 3 |
 //! | [`protocol`] | framing, 16-bit preamble, latency decoding, edit-distance scoring |
-//! | [`channel`] | end-to-end transmissions (Figures 5–7, Section V bandwidths) |
+//! | [`channel`] | channel configuration and transmission reports (Figures 5–7, Section V bandwidths) |
 //! | [`session`] | the compile→execute→decode transmit engine on the batched trace executor |
 //! | [`calibration`] | Table IV access-latency classes, Figure 4 CDFs, threshold training |
 //! | [`eviction`] | Table II replacement-set sizing, Table V random replacement |
@@ -73,7 +73,7 @@ pub mod stealth;
 
 mod error;
 
-pub use channel::{ChannelConfig, CovertChannel, EvaluationReport, TransmissionReport};
+pub use channel::{ChannelConfig, EvaluationReport, TransmissionReport};
 pub use encoding::SymbolEncoding;
 pub use error::Error;
 pub use session::ChannelSession;
@@ -82,13 +82,12 @@ pub use session::ChannelSession;
 pub mod prelude {
     pub use crate::calibration::CalibrationConfig;
     pub use crate::channel::{
-        ChannelConfig, ChannelConfigBuilder, CovertChannel, EvaluationReport, NoiseConfig,
-        TransmissionReport,
+        ChannelConfig, ChannelConfigBuilder, EvaluationReport, NoiseConfig, TransmissionReport,
     };
     pub use crate::encoding::SymbolEncoding;
     pub use crate::error::Error;
     pub use crate::protocol::{Decoder, Frame};
     pub use crate::receiver::WbReceiver;
     pub use crate::sender::WbSender;
-    pub use crate::session::{Backend, ChannelSession, SimUsage};
+    pub use crate::session::{ChannelSession, SimUsage};
 }

@@ -1,20 +1,20 @@
 //! The channel session: frame transmissions compiled onto the batched trace
 //! engine.
 //!
-//! [`ChannelSession`] is the transmit engine behind [`crate::channel`].  For
-//! every frame it *compiles* the whole transmission — the sender's
+//! [`ChannelSession`] runs a [`crate::channel::ChannelConfig`].  For every
+//! frame it *compiles* the whole transmission — the sender's
 //! per-symbol store bursts, the receiver's initialisation loads, measured
 //! sweeps and period waits, and any noisy-neighbour schedule — into
 //! [`sim_core::session::TraceProgram`]s and executes them through
 //! [`sim_core::machine::Machine::run_session`], the interleaved batched
 //! executor.  The per-access actor stepping loop
 //! ([`sim_core::machine::Machine::run`] over [`crate::sender::WbSender`] /
-//! [`crate::receiver::WbReceiver`]) survives as the *reference backend*
-//! ([`Backend::Stepped`]): the compiled path is required — and tested — to
-//! produce bit-identical [`TransmissionReport`]s, it is just much faster,
-//! because transmitting a frame no longer pays a virtual dispatch, a
-//! `Completion` allocation and per-access perf bookkeeping for every one of
-//! the frame's thousands of memory operations.
+//! [`crate::receiver::WbReceiver`]) survives only as the equivalence tests'
+//! oracle ([`ChannelSession::transmit_frame_stepped`]): the compiled path is
+//! required — and tested — to produce bit-identical [`TransmissionReport`]s,
+//! it is just much faster, because transmitting a frame no longer pays a
+//! virtual dispatch, a `Completion` allocation and per-access perf
+//! bookkeeping for every one of the frame's thousands of memory operations.
 //!
 //! ```text
 //!   compile                 execute                      decode
@@ -49,8 +49,8 @@ pub(crate) const RECEIVER_DOMAIN: u16 = 1;
 pub(crate) const SENDER_DOMAIN: u16 = 2;
 pub(crate) const NOISE_DOMAIN: u16 = 3;
 
-/// The three parties of one frame, built identically by the compiled and
-/// stepped backends (and by [`compile_frame`], which never executes).
+/// The three parties of one frame, built identically by both transmit
+/// methods (and by [`compile_frame`], which never executes).
 struct FrameParties {
     sender: WbSender,
     receiver: WbReceiver,
@@ -162,18 +162,6 @@ pub fn compile_frame(config: &ChannelConfig, payload: &[bool]) -> CompiledFrame 
     }
 }
 
-/// Which transmit engine executes a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Compile the frame into trace programs and run them through
-    /// [`sim_core::machine::Machine::run_session`] — the default.
-    Compiled,
-    /// Step the [`WbSender`] / [`WbReceiver`] actors through
-    /// [`sim_core::machine::Machine::run`] — the reference path the
-    /// equivalence tests compare against.
-    Stepped,
-}
-
 /// Cumulative simulated-work counters of a session, sourced from the
 /// executed programs' [`TraceSummary`]s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -184,7 +172,7 @@ pub struct SimUsage {
     /// (sender, receiver and noise domains combined).
     pub summary: TraceSummary,
     /// Per-protocol-phase attribution of the executed programs' step cycles
-    /// (compiled backend; always maintained, independent of event tracing).
+    /// (always maintained, independent of event tracing).
     pub phase_cycles: PhaseCycles,
 }
 
@@ -304,8 +292,8 @@ impl ChannelSession {
     }
 
     /// Cumulative simulated-work counters over every frame transmitted so
-    /// far (compiled backend only; the stepped reference backend reports the
-    /// same transmissions but is not instrumented).
+    /// far (frames sent through [`ChannelSession::transmit_frame_stepped`]
+    /// are not counted).
     pub fn sim_usage(&self) -> SimUsage {
         self.sim
     }
@@ -325,13 +313,57 @@ impl ChannelSession {
         self.transmit_frame(&frame)
     }
 
-    /// Transmits one frame through the compiled backend.
+    /// Transmits one frame: compiles the parties into trace programs and
+    /// runs them through [`Machine::run_session`].
     ///
     /// # Errors
     ///
     /// Returns machine-construction errors.
     pub fn transmit_frame(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
-        self.transmit_frame_with(frame, Backend::Compiled)
+        self.transmit(frame, |machine, parties, sim| {
+            // The program order (sender, receiver, noise) mirrors the actor
+            // order of the stepped reference, so the machine's RNG stream is
+            // consumed identically.
+            let mut programs = vec![parties.sender.compile(), parties.receiver.compile()];
+            if let Some(noise) = &parties.noise {
+                programs.push(noise.compile(parties.limit));
+            }
+            let report = machine.run_session(&programs, &mut [], parties.limit);
+            sim.frames += 1;
+            sim.summary.merge(&report.total_summary());
+            sim.phase_cycles.merge(&report.phase_cycles());
+            report.programs[1].latencies()
+        })
+    }
+
+    /// Transmits one frame by stepping the [`WbSender`] / [`WbReceiver`]
+    /// actors through [`Machine::run`], access by access.
+    ///
+    /// This is the equivalence tests' oracle, not a production path: it
+    /// draws the same per-frame seed as [`ChannelSession::transmit_frame`],
+    /// so the same frames sent in the same order through either method
+    /// produce identical reports.  It leaves [`ChannelSession::sim_usage`]
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns machine-construction errors.
+    #[doc(hidden)]
+    pub fn transmit_frame_stepped(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
+        self.transmit(frame, |machine, parties, _| {
+            let FrameParties {
+                mut sender,
+                mut receiver,
+                mut noise,
+                limit,
+            } = parties;
+            let mut actors: Vec<&mut dyn Actor> = vec![&mut sender, &mut receiver];
+            if let Some(noise) = noise.as_mut() {
+                actors.push(noise);
+            }
+            machine.run(&mut actors, limit);
+            receiver.latencies()
+        })
     }
 
     /// Transmits `frames` random frames of `bits_per_frame` bits each and
@@ -380,19 +412,14 @@ impl ChannelSession {
         })
     }
 
-    /// Transmits one frame through the chosen backend.
-    ///
-    /// Both backends draw the same per-frame seed from the session's frame
-    /// counter, so transmitting the same frames in the same order through
-    /// either backend produces identical reports.
-    ///
-    /// # Errors
-    ///
-    /// Returns machine-construction errors.
-    pub fn transmit_frame_with(
+    /// The shared body of both transmit methods: derives the frame seed,
+    /// resets the machine, builds the parties, lets `execute` run them and
+    /// return the receiver's latency samples, then decodes, aligns and
+    /// records telemetry.
+    fn transmit(
         &mut self,
         frame: &Frame,
-        backend: Backend,
+        execute: impl FnOnce(&mut Machine, FrameParties, &mut SimUsage) -> Vec<u64>,
     ) -> Result<TransmissionReport, Error> {
         self.frames_sent += 1;
         let seed = self
@@ -415,40 +442,8 @@ impl ChannelSession {
             machine.enable_tracing();
         }
         let geometry = machine.l1_geometry();
-        let FrameParties {
-            sender,
-            receiver,
-            noise,
-            limit,
-        } = FrameParties::build(&self.config, geometry, frame, seed);
-
-        let latencies = match backend {
-            Backend::Compiled => {
-                // Compile every party; the program order (sender, receiver,
-                // noise) mirrors the actor order of the stepped path, so the
-                // machine's RNG stream is consumed identically.
-                let mut programs = vec![sender.compile(), receiver.compile()];
-                if let Some(noise) = &noise {
-                    programs.push(noise.compile(limit));
-                }
-                let report = machine.run_session(&programs, &mut [], limit);
-                self.sim.frames += 1;
-                self.sim.summary.merge(&report.total_summary());
-                self.sim.phase_cycles.merge(&report.phase_cycles());
-                report.programs[1].latencies()
-            }
-            Backend::Stepped => {
-                let mut sender = sender;
-                let mut receiver = receiver;
-                let mut noise = noise;
-                let mut actors: Vec<&mut dyn Actor> = vec![&mut sender, &mut receiver];
-                if let Some(noise) = noise.as_mut() {
-                    actors.push(noise);
-                }
-                machine.run(&mut actors, limit);
-                receiver.latencies()
-            }
-        };
+        let parties = FrameParties::build(&self.config, geometry, frame, seed);
+        let latencies = execute(machine, parties, &mut self.sim);
 
         let decoded = self.decoder.bits(&latencies);
         let max_shift = 4 * self.config.encoding.bits_per_symbol();
@@ -517,8 +512,8 @@ mod tests {
             .unwrap()
     }
 
-    /// The tentpole contract: the compiled transmit path is bit-identical to
-    /// the stepped actor path, frame by frame, across noise models.
+    /// The compiled transmit path is bit-identical to the stepped actor
+    /// path, frame by frame, across noise models.
     #[test]
     fn compiled_and_stepped_backends_are_bit_identical() {
         let mut variants: Vec<ChannelConfig> = Vec::new();
@@ -541,6 +536,17 @@ mod tests {
         let mut multibit = config(10);
         multibit.encoding = SymbolEncoding::paper_two_bit();
         variants.push(multibit);
+        // The benchmark's channel-noisy point: two-bit symbols at the high
+        // rate (Ts = 2200) beside a noisy neighbour on the realistic machine.
+        let mut fast_noisy = config(12);
+        fast_noisy.encoding = SymbolEncoding::paper_two_bit();
+        fast_noisy.period_cycles = 2_200;
+        fast_noisy.noise = Some(NoiseConfig {
+            interval: 1_500,
+            lines: 2,
+            store_fraction: 0.4,
+        });
+        variants.push(fast_noisy);
 
         for config in variants {
             let label = format!("{config:?}");
@@ -549,13 +555,9 @@ mod tests {
             let mut stepped = ChannelSession::new(config).unwrap();
             for _ in 0..2 {
                 let frame = Frame::from_payload(&payload);
-                let a = compiled
-                    .transmit_frame_with(&frame, Backend::Compiled)
-                    .unwrap();
-                let b = stepped
-                    .transmit_frame_with(&frame, Backend::Stepped)
-                    .unwrap();
-                assert_eq!(a, b, "backends diverged for {label}");
+                let a = compiled.transmit_frame(&frame).unwrap();
+                let b = stepped.transmit_frame_stepped(&frame).unwrap();
+                assert_eq!(a, b, "transmit paths diverged for {label}");
             }
         }
     }

@@ -426,39 +426,6 @@ impl CacheHierarchy {
         summary
     }
 
-    /// As [`CacheHierarchy::run_trace`], but additionally captures the
-    /// latency of **every** operation into `latencies` (one appended sample
-    /// per op, in execution order).
-    ///
-    /// This is the timed-read capture of the trace engine: callers that
-    /// decode per-operation timing — a receiver classifying individual
-    /// probe latencies, a latency-distribution experiment — get the same
-    /// batched execution as `run_trace` plus the per-op samples, without
-    /// materialising full [`AccessOutcome`]s.  The samples are exactly the
-    /// `cycles` fields the per-access API would have returned (the property
-    /// tests enforce this for arbitrary op mixes and seeds).
-    pub fn run_trace_timed(
-        &mut self,
-        ops: &[TraceOp],
-        ctx: AccessContext,
-        latencies: &mut Vec<u64>,
-    ) -> TraceSummary {
-        let mut summary = TraceSummary::default();
-        latencies.reserve(ops.len());
-        for op in ops {
-            let outcome = match op.kind {
-                crate::trace::TraceKind::Read => self.demand_access(op.addr, ctx, AccessKind::Read),
-                crate::trace::TraceKind::Write => {
-                    self.demand_access(op.addr, ctx, AccessKind::Write)
-                }
-                crate::trace::TraceKind::Flush => self.flush(op.addr, ctx),
-            };
-            latencies.push(outcome.cycles);
-            summary.absorb(&outcome);
-        }
-        summary
-    }
-
     /// Batched all-reads trace over a plain address slice — the receiver's
     /// pointer-chase shape.  Identical to [`CacheHierarchy::run_trace`] with
     /// every op a read, but consumes the addresses directly so chase callers

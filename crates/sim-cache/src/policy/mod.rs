@@ -15,8 +15,8 @@
 //!   policy the paper measures on the Xeon E5-2650 (Table II): Tree-PLRU with
 //!   occasional mispredicted victims plus an anti-starvation bound that
 //!   guarantees eviction once ten distinct lines have been filled.
-//! * [`Fifo`], [`Nru`] and [`Srrip`] — extensions used by the ablation
-//!   benches.
+//! * [`Fifo`], [`Nru`] and [`Srrip`] — extensions; the hierarchy-matrix
+//!   scenario sweeps [`Nru`] and [`Srrip`], the property tests all three.
 //!
 //! Policies are driven through the object-safe [`ReplacementPolicy`] trait so
 //! a [`crate::cache::Cache`] can hold any of them behind a `Box`.

@@ -178,59 +178,6 @@ proptest! {
         );
     }
 
-    /// The trace engine's timed-read capture is exact: for arbitrary op
-    /// mixes, policies and seeds, `run_trace_timed`'s per-op latency samples
-    /// equal the cycles the per-access API reports op for op, and the
-    /// aggregate summary, statistics and cache state all match.
-    #[test]
-    fn run_trace_timed_samples_match_per_access_calls(
-        policy in arbitrary_policy(),
-        mix in proptest::collection::vec((0u8..3, 0u64..1 << 16), 1..250),
-        seed in 0u64..1000,
-    ) {
-        let ops: Vec<TraceOp> = mix
-            .iter()
-            .map(|&(kind, raw)| {
-                let addr = PhysAddr(raw & !63);
-                match kind {
-                    0 => TraceOp::read(addr),
-                    1 => TraceOp::write(addr),
-                    _ => TraceOp::flush(addr),
-                }
-            })
-            .collect();
-        let ctx = AccessContext::for_domain(3);
-
-        let mut batched = CacheHierarchy::new(HierarchyConfig::xeon_e5_2650(policy, seed)).unwrap();
-        let mut latencies = Vec::new();
-        let summary = batched.run_trace_timed(&ops, ctx, &mut latencies);
-
-        let mut serial = CacheHierarchy::new(HierarchyConfig::xeon_e5_2650(policy, seed)).unwrap();
-        let mut expected = Vec::with_capacity(ops.len());
-        let mut expected_summary = TraceSummary::default();
-        for op in &ops {
-            let outcome = match op.kind {
-                TraceKind::Read => serial.read(op.addr, ctx),
-                TraceKind::Write => serial.write(op.addr, ctx),
-                TraceKind::Flush => serial.flush(op.addr, ctx),
-            };
-            expected.push(outcome.cycles);
-            expected_summary.absorb(&outcome);
-        }
-
-        prop_assert_eq!(&latencies, &expected);
-        prop_assert_eq!(summary, expected_summary);
-        prop_assert_eq!(latencies.iter().sum::<u64>(), summary.cycles);
-        prop_assert_eq!(batched.stats(), serial.stats());
-        // Cache state evolved identically: every line the serial hierarchy
-        // holds is held (with the same dirtiness) by the batched one.
-        for &(_, raw) in &mix {
-            let addr = PhysAddr(raw & !63);
-            prop_assert_eq!(batched.l1().contains(addr), serial.l1().contains(addr));
-            prop_assert_eq!(batched.l1().is_dirty(addr), serial.l1().is_dirty(addr));
-        }
-    }
-
     /// Write-back accounting is conserved across levels: for any trace and
     /// any inclusion × routing combination, the sum of the per-access
     /// [`AccessOutcome::writebacks`] counts equals the hierarchy's per-level

@@ -19,8 +19,9 @@
 //! * [`process`] / [`memlayout`] — separate address spaces (no shared memory)
 //!   and the construction of target-set lines and replacement sets from
 //!   virtual addresses.
-//! * [`pointer_chase`] — the randomly permuted, serialised measurement walk
-//!   of the paper's Figure 3.
+//! * [`memlayout::SetLines::shuffled`] and
+//!   [`machine::Machine::measured_chase`] — the randomly permuted,
+//!   serialised pointer-chasing measurement walk of the paper's Figure 3.
 //! * [`sched`] — OS interruption noise, the source of bit-insertion and
 //!   bit-loss errors.
 //! * [`noise`] / [`workload`] — noisy-cache-line injectors (Figure 8) and the
@@ -65,7 +66,6 @@ pub mod machine;
 pub mod memlayout;
 pub mod noise;
 pub mod perf;
-pub mod pointer_chase;
 pub mod process;
 pub mod program;
 pub mod sched;
@@ -80,7 +80,6 @@ pub mod prelude {
     pub use crate::machine::{Machine, MachineConfig, RunSummary};
     pub use crate::memlayout::{ChannelLayout, SetLines};
     pub use crate::perf::{PerfCounters, PerfLevel};
-    pub use crate::pointer_chase::PointerChase;
     pub use crate::process::{AddressSpace, Process, ProcessId};
     pub use crate::program::{Action, Actor, Completion, ScriptedActor};
     pub use crate::sched::InterruptConfig;

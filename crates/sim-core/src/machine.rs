@@ -282,24 +282,6 @@ impl Machine {
         summary
     }
 
-    /// As [`Machine::run_trace`], but additionally captures every
-    /// operation's latency into `latencies` (the timed-read capture of the
-    /// trace engine; per-op samples identical to what per-access calls
-    /// would have returned).
-    pub fn run_trace_timed(
-        &mut self,
-        domain: DomainId,
-        ops: &[TraceOp],
-        latencies: &mut Vec<u64>,
-    ) -> TraceSummary {
-        let summary =
-            self.hierarchy
-                .run_trace_timed(ops, AccessContext::for_domain(domain), latencies);
-        self.perf.record_trace(domain, &summary);
-        self.now += summary.cycles;
-        summary
-    }
-
     /// Flushes a line for `domain` and advances the clock.
     pub fn flush(&mut self, domain: DomainId, addr: PhysAddr) -> AccessOutcome {
         let outcome = self
@@ -501,13 +483,6 @@ impl Machine {
                 self.perf.record_trace(domain, &summary);
                 completion.latency = summary.cycles;
                 completion.measured = Some(self.tsc.measure(summary.cycles, &mut self.rng));
-            }
-            Action::MeasuredLoad(addr) => {
-                let outcome = self.hierarchy.read(addr, AccessContext::for_domain(domain));
-                self.perf.record(domain, &outcome);
-                completion.latency = outcome.cycles;
-                completion.measured = Some(self.tsc.measure(outcome.cycles, &mut self.rng));
-                completion.outcomes.push(outcome);
             }
             Action::WaitUntil(target) => {
                 completion.latency = target.saturating_sub(started);

@@ -172,6 +172,15 @@ mod tests {
     }
 
     #[test]
+    fn different_seeds_give_different_orders() {
+        let space = AddressSpace::new(ProcessId(1));
+        let lines = SetLines::build(space, geometry(), 7, 10, 0);
+        let a = lines.shuffled(&mut StdRng::seed_from_u64(1));
+        let b = lines.shuffled(&mut StdRng::seed_from_u64(2));
+        assert_ne!(a, b);
+    }
+
+    #[test]
     fn channel_layout_sets_are_disjoint() {
         let space = AddressSpace::new(ProcessId(2));
         let layout = ChannelLayout::build(space, geometry(), 13, 8, 10);

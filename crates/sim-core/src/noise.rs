@@ -4,9 +4,7 @@
 //! into the target set by other code on the core — disturb the LRU channel
 //! but barely affect the WB channel (Figure 8).  [`NoisyNeighbor`] is the
 //! actor that produces exactly that interference: it periodically touches
-//! lines that map to the attacked set.  [`RandomPolluter`] produces broad,
-//! unfocused cache pressure, which is the background noise profile of a busy
-//! core.
+//! lines that map to the attacked set.
 
 use crate::memlayout::SetLines;
 use crate::process::AddressSpace;
@@ -121,70 +119,6 @@ impl Actor for NoisyNeighbor {
     fn on_completion(&mut self, _completion: &Completion) {}
 }
 
-/// An actor that sprays loads and stores over a large working set.
-#[derive(Debug)]
-pub struct RandomPolluter {
-    name: String,
-    domain: DomainId,
-    space: AddressSpace,
-    working_set_bytes: u64,
-    store_fraction: f64,
-    /// Cycles of compute between accesses.
-    think_time: u64,
-    rng: StdRng,
-    issued_memory_op: bool,
-}
-
-impl RandomPolluter {
-    /// Creates a polluter over `working_set_bytes` of its own address space.
-    pub fn new(
-        space: AddressSpace,
-        working_set_bytes: u64,
-        store_fraction: f64,
-        think_time: u64,
-        domain: DomainId,
-        seed: u64,
-    ) -> RandomPolluter {
-        RandomPolluter {
-            name: "polluter".to_owned(),
-            domain,
-            space,
-            working_set_bytes: working_set_bytes.max(64),
-            store_fraction: store_fraction.clamp(0.0, 1.0),
-            think_time,
-            rng: StdRng::seed_from_u64(seed),
-            issued_memory_op: false,
-        }
-    }
-}
-
-impl Actor for RandomPolluter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    fn next_action(&mut self, _now: u64) -> Action {
-        if self.issued_memory_op && self.think_time > 0 {
-            self.issued_memory_op = false;
-            return Action::Compute(self.think_time);
-        }
-        self.issued_memory_op = true;
-        let offset = self.rng.gen_range(0..self.working_set_bytes) & !63;
-        let addr = self.space.translate(0x4000_0000 + offset);
-        if self.rng.gen_bool(self.store_fraction) {
-            Action::Store(addr)
-        } else {
-            Action::Load(addr)
-        }
-    }
-
-    fn on_completion(&mut self, _completion: &Completion) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,23 +163,5 @@ mod tests {
             machine.run(&mut actors, 20_000);
         }
         assert!(machine.hierarchy().l1().dirty_count_in_set(set) > 0);
-    }
-
-    #[test]
-    fn polluter_generates_broad_traffic() {
-        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 2)).unwrap();
-        let mut polluter =
-            RandomPolluter::new(AddressSpace::new(ProcessId(7)), 256 * 1024, 0.3, 10, 7, 44);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut polluter];
-            machine.run(&mut actors, 200_000);
-        }
-        let perf = machine.perf(7);
-        assert!(perf.l1_loads > 100, "polluter must issue many loads");
-        assert!(perf.stores > 10, "polluter must issue stores");
-        // A 256 KiB working set does not fit the 32 KiB L1: misses must occur.
-        assert!(perf.l1_load_misses > 0);
-        assert_eq!(polluter.name(), "polluter");
-        assert_eq!(polluter.domain(), 7);
     }
 }

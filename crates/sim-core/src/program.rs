@@ -11,7 +11,6 @@
 use sim_cache::addr::PhysAddr;
 use sim_cache::line::DomainId;
 use sim_cache::outcome::AccessOutcome;
-use std::fmt;
 
 /// One micro-operation issued by an actor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,8 +26,6 @@ pub enum Action {
     /// addresses (the paper's Figure 3 loop).  The completion carries the
     /// `rdtscp`-measured latency including measurement noise.
     MeasuredChase(Vec<PhysAddr>),
-    /// A measured single load (used by Flush+Reload-style baselines).
-    MeasuredLoad(PhysAddr),
     /// Spin without memory accesses until the time-stamp counter reaches the
     /// given absolute cycle value (the `while TSC < T_last + Ts` loops of
     /// Algorithm 3).
@@ -37,35 +34,6 @@ pub enum Action {
     Compute(u64),
     /// The actor has finished; its thread goes idle permanently.
     Done,
-}
-
-impl Action {
-    /// Whether this action touches memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Action::Load(_)
-                | Action::Store(_)
-                | Action::Flush(_)
-                | Action::MeasuredChase(_)
-                | Action::MeasuredLoad(_)
-        )
-    }
-}
-
-impl fmt::Display for Action {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Action::Load(a) => write!(f, "load {a}"),
-            Action::Store(a) => write!(f, "store {a}"),
-            Action::Flush(a) => write!(f, "flush {a}"),
-            Action::MeasuredChase(v) => write!(f, "measured chase of {} lines", v.len()),
-            Action::MeasuredLoad(a) => write!(f, "measured load {a}"),
-            Action::WaitUntil(t) => write!(f, "wait until cycle {t}"),
-            Action::Compute(c) => write!(f, "compute {c} cycles"),
-            Action::Done => write!(f, "done"),
-        }
-    }
 }
 
 /// The result of an executed action, delivered back to the issuing actor.
@@ -159,28 +127,6 @@ impl Actor for ScriptedActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn action_memory_classification() {
-        assert!(Action::Load(PhysAddr(0)).is_memory());
-        assert!(Action::Store(PhysAddr(0)).is_memory());
-        assert!(Action::Flush(PhysAddr(0)).is_memory());
-        assert!(Action::MeasuredChase(vec![]).is_memory());
-        assert!(Action::MeasuredLoad(PhysAddr(0)).is_memory());
-        assert!(!Action::WaitUntil(10).is_memory());
-        assert!(!Action::Compute(10).is_memory());
-        assert!(!Action::Done.is_memory());
-    }
-
-    #[test]
-    fn display_is_informative() {
-        assert_eq!(Action::Load(PhysAddr(0x40)).to_string(), "load 0x40");
-        assert_eq!(
-            Action::MeasuredChase(vec![PhysAddr(0); 10]).to_string(),
-            "measured chase of 10 lines"
-        );
-        assert_eq!(Action::Done.to_string(), "done");
-    }
 
     #[test]
     fn scripted_actor_replays_script_then_finishes() {

@@ -6,8 +6,6 @@
 //! [`CompilerWorkload`] emulates the cache *footprint* of a compiler front
 //! end: streaming reads over a large source buffer, hash-table-like random
 //! probes into a symbol table, and bursts of stores into an output buffer.
-//! [`StreamingWorkload`] (pure sequential sweep) is provided as a second,
-//! simpler profile used by ablation benches.
 
 use crate::process::AddressSpace;
 use crate::program::{Action, Actor, Completion};
@@ -123,62 +121,6 @@ impl Actor for CompilerWorkload {
     fn on_completion(&mut self, _completion: &Completion) {}
 }
 
-/// A pure streaming sweep over a large buffer (STREAM-like).
-#[derive(Debug)]
-pub struct StreamingWorkload {
-    space: AddressSpace,
-    domain: DomainId,
-    buffer_bytes: u64,
-    cursor: u64,
-    write_every: u64,
-    issued: u64,
-}
-
-impl StreamingWorkload {
-    /// Creates a streaming workload over `buffer_bytes`, issuing one store
-    /// every `write_every` accesses (0 = read-only).
-    pub fn new(
-        space: AddressSpace,
-        domain: DomainId,
-        buffer_bytes: u64,
-        write_every: u64,
-    ) -> StreamingWorkload {
-        StreamingWorkload {
-            space,
-            domain,
-            buffer_bytes: buffer_bytes.max(64),
-            cursor: 0,
-            write_every,
-            issued: 0,
-        }
-    }
-}
-
-impl Actor for StreamingWorkload {
-    fn name(&self) -> &str {
-        "stream"
-    }
-
-    fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    fn next_action(&mut self, _now: u64) -> Action {
-        let addr = self
-            .space
-            .translate(0x5000_0000 + (self.cursor % self.buffer_bytes));
-        self.cursor += 64;
-        self.issued += 1;
-        if self.write_every > 0 && self.issued % self.write_every == 0 {
-            Action::Store(addr)
-        } else {
-            Action::Load(addr)
-        }
-    }
-
-    fn on_completion(&mut self, _completion: &Completion) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,21 +170,5 @@ mod tests {
             .filter(|&s| machine.hierarchy().l1().dirty_count_in_set(s) > 0)
             .count();
         assert!(dirty_sets > 4, "stores should dirty lines in many sets");
-    }
-
-    #[test]
-    fn streaming_workload_alternates_loads_and_stores() {
-        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 2)).unwrap();
-        let mut workload =
-            StreamingWorkload::new(AddressSpace::new(ProcessId(5)), 5, 1024 * 1024, 4);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut workload];
-            machine.run(&mut actors, 100_000);
-        }
-        let perf = machine.perf(5);
-        assert!(perf.stores > 0);
-        assert!(perf.l1_loads > perf.stores, "1 in 4 accesses is a store");
-        assert_eq!(workload.name(), "stream");
-        assert_eq!(workload.domain(), 5);
     }
 }

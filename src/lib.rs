@@ -22,7 +22,7 @@
 //! ## Quickstart
 //!
 //! ```rust
-//! use dirty_cache_repro::wb_channel::{ChannelConfig, CovertChannel, SymbolEncoding};
+//! use dirty_cache_repro::wb_channel::{ChannelConfig, ChannelSession, SymbolEncoding};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = ChannelConfig::builder()
@@ -30,8 +30,8 @@
 //!     .period_cycles(5_500)
 //!     .seed(7)
 //!     .build()?;
-//! let mut channel = CovertChannel::new(config)?;
-//! let report = channel.transmit_bits(&[true, false, true, true])?;
+//! let mut session = ChannelSession::new(config)?;
+//! let report = session.transmit_bits(&[true, false, true, true])?;
 //! assert!(report.bit_error_rate() <= 0.5);
 //! # Ok(())
 //! # }

@@ -7,9 +7,10 @@ use dirty_cache_repro::sim_core::machine::MachineConfig;
 use dirty_cache_repro::sim_core::sched::InterruptConfig;
 use dirty_cache_repro::sim_core::tsc::TscConfig;
 use dirty_cache_repro::wb_channel::calibration::{access_latency_classes, CalibrationConfig};
-use dirty_cache_repro::wb_channel::channel::{ChannelConfig, CovertChannel, NoiseConfig};
+use dirty_cache_repro::wb_channel::channel::{ChannelConfig, NoiseConfig};
 use dirty_cache_repro::wb_channel::encoding::SymbolEncoding;
 use dirty_cache_repro::wb_channel::eviction::{analytic_dirty_eviction_probability, table_ii};
+use dirty_cache_repro::wb_channel::session::ChannelSession;
 
 #[test]
 fn covert_channel_delivers_a_byte_string_exactly_on_a_quiet_machine() {
@@ -22,7 +23,7 @@ fn covert_channel_delivers_a_byte_string_exactly_on_a_quiet_machine() {
         .seed(101)
         .build()
         .unwrap();
-    let mut channel = CovertChannel::new(config).unwrap();
+    let mut channel = ChannelSession::new(config).unwrap();
     let payload = analysis::edit_distance::bytes_to_bits(b"HPCA-2022");
     let report = channel.transmit_bits(&payload).unwrap();
     assert_eq!(report.edit_distance, 0, "latencies: {:?}", report.latencies);
@@ -49,7 +50,7 @@ fn realistic_machine_reaches_paper_bandwidths_with_low_error() {
         .seed(77)
         .build()
         .unwrap();
-    let mut channel = CovertChannel::new(config).unwrap();
+    let mut channel = ChannelSession::new(config).unwrap();
     let report = channel.evaluate(5, 128).unwrap();
     assert!((report.rate_kbps - 1_375.0).abs() < 1.0);
     assert!(
@@ -67,7 +68,7 @@ fn multi_bit_encoding_reaches_4400_kbps() {
         .seed(78)
         .build()
         .unwrap();
-    let mut channel = CovertChannel::new(config).unwrap();
+    let mut channel = ChannelSession::new(config).unwrap();
     let report = channel.evaluate(4, 256).unwrap();
     assert!((report.rate_kbps - 4_400.0).abs() < 1.0);
     assert!(
@@ -85,7 +86,7 @@ fn noisy_cache_lines_do_not_break_the_wb_channel_end_to_end() {
         .period_cycles(5_500)
         .noise(NoiseConfig::single_clean_line(2_000))
         .seed(79);
-    let mut channel = CovertChannel::new(builder.build().unwrap()).unwrap();
+    let mut channel = ChannelSession::new(builder.build().unwrap()).unwrap();
     let report = channel.evaluate(3, 128).unwrap();
     assert!(
         report.mean_bit_error_rate < 0.1,

@@ -7,9 +7,9 @@
 
 use dirty_cache_repro::sim_core::sched::InterruptConfig;
 use dirty_cache_repro::sim_core::tsc::TscConfig;
-use dirty_cache_repro::wb_channel::{ChannelConfig, CovertChannel, SymbolEncoding};
+use dirty_cache_repro::wb_channel::{ChannelConfig, ChannelSession, SymbolEncoding};
 
-fn quiet_channel(seed: u64) -> CovertChannel {
+fn quiet_channel(seed: u64) -> ChannelSession {
     let config = ChannelConfig::builder()
         .encoding(SymbolEncoding::binary(1).expect("binary(1) is a valid encoding"))
         .period_cycles(5_500) // 400 kbps at the paper's 2.2 GHz clock.
@@ -19,7 +19,7 @@ fn quiet_channel(seed: u64) -> CovertChannel {
         .seed(seed)
         .build()
         .expect("quiet-machine config is valid");
-    CovertChannel::new(config).expect("channel construction succeeds")
+    ChannelSession::new(config).expect("session construction succeeds")
 }
 
 #[test]
