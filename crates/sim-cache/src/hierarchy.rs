@@ -522,20 +522,21 @@ impl CacheHierarchy {
     /// Writes a dirty L1 victim back into the L2, propagating any spill chain
     /// (L2 → LLC → memory).  Returns the number of *additional* write-backs
     /// the chain performed beyond the L1 one the caller already counted.
+    ///
+    /// The common case — the victim's line is still in the L2 and only
+    /// turns dirty there — is straight-line code; a spill is a cold call.
     #[inline(always)]
     fn push_writeback_to_l2(&mut self, evicted: EvictedLine) -> u32 {
         self.stats.l1_writebacks += 1;
         let owner_ctx = AccessContext::for_domain(evicted.owner);
         let addr = PhysAddr(evicted.addr.value());
-        let spilled = if self.writeback == WritebackRouting::PointOfCoherency {
-            // The dirty data drains to the point of coherency (memory); the
-            // line stays cached below, but clean.
+        // Under point-of-coherency routing the dirty data drains to memory;
+        // the line stays cached below, but clean.
+        let to_memory = self.writeback == WritebackRouting::PointOfCoherency;
+        if to_memory {
             self.stats.memory_accesses += 1;
-            self.l2.accept_victim(addr, owner_ctx, false)
-        } else {
-            self.l2.accept_writeback(addr, owner_ctx)
-        };
-        match spilled {
+        }
+        match self.l2.accept_victim(addr, owner_ctx, !to_memory) {
             Some(spill) => self.spill_l2_victim(spill),
             None => 0,
         }
@@ -544,6 +545,8 @@ impl CacheHierarchy {
     /// Propagates a line evicted from the L2 according to the inclusion
     /// policy and write-back routing.  Returns the number of write-backs
     /// performed (the L2 victim's own, plus any the chain triggers).
+    #[cold]
+    #[inline(never)]
     fn spill_l2_victim(&mut self, spill: EvictedLine) -> u32 {
         let spill_ctx = AccessContext::for_domain(spill.owner);
         let addr = PhysAddr(spill.addr.value());
@@ -615,6 +618,8 @@ impl CacheHierarchy {
     /// Enforces inclusion after an LLC eviction: removes the victim's L1/L2
     /// copies, writing dirty ones back to memory (the fill they overlap with
     /// absorbs their latency).  Returns the number of write-backs performed.
+    #[cold]
+    #[inline(never)]
     fn back_invalidate(&mut self, victim: PhysAddr) -> u32 {
         let mut writebacks = 0;
         if let Some(dirty) = self.l1d.remove_line(victim) {
@@ -636,7 +641,18 @@ impl CacheHierarchy {
         writebacks
     }
 
-    #[inline]
+    /// The demand path behind [`CacheHierarchy::read`],
+    /// [`CacheHierarchy::write`], [`CacheHierarchy::run_trace`] and
+    /// [`CacheHierarchy::run_read_trace`].
+    ///
+    /// Forced inline into each of those loops with `kind` a constant, so the
+    /// common cases compile to straight-line code there: an L1 hit, and an
+    /// L1 miss served by the L2 that evicts a clean or dirty L1 victim into
+    /// an L2-resident line.  Everything rarer is one out-of-line call: the
+    /// walk beyond the L2, the prefetcher, random fill, write-through and
+    /// no-write-allocate stores, L2 spill chains, exclusive promotion and
+    /// inclusive back-invalidation.
+    #[inline(always)]
     fn demand_access(
         &mut self,
         addr: PhysAddr,
@@ -654,28 +670,29 @@ impl CacheHierarchy {
             self.l1d.lookup_read_at(l1_set, l1_tag).is_some()
         };
         if l1_hit {
-            let mut cycles = self.latency.l1_hit;
-            let mut writebacks = 0u32;
+            let mut outcome = AccessOutcome::l1_hit(kind, self.latency.l1_hit);
             if is_write && self.l1d.config().write_policy == WritePolicy::WriteThrough {
-                // The store must synchronously update the L2 as well.
-                cycles += self.latency.write_through_store;
-                let _ = self.l2.lookup_write(addr, ctx);
-                let fill = self.l2.fill(addr, ctx, true, false);
-                if let Some(evicted) = fill.evicted {
-                    // The outcome counts the spill chain like every other
-                    // path (see `AccessOutcome::writebacks`).
-                    writebacks = self.spill_l2_victim(evicted);
-                }
+                self.write_through_hit(addr, ctx, &mut outcome);
             }
-            self.stats.total_cycles += cycles;
-            self.maybe_prefetch(addr, ctx, true);
-            let mut outcome = AccessOutcome::l1_hit(kind, cycles);
-            outcome.writebacks = writebacks;
+            self.stats.total_cycles += outcome.cycles;
+            if self.prefetcher.is_some() {
+                self.prefetch_after(addr, ctx, true);
+            }
             return outcome;
         }
 
-        // ---- L1 miss: walk the outer levels ------------------------------
-        let (hit, mut cycles, mut writebacks) = self.outer_lookup(addr, ctx, is_write);
+        // ---- L1 miss: the L2, then the outer walk ------------------------
+        let (l2_set, l2_tag) = self.l2.set_and_tag(addr);
+        let l2_hit = if is_write {
+            self.l2.lookup_write_at(l2_set, l2_tag).is_some()
+        } else {
+            self.l2.lookup_read_at(l2_set, l2_tag).is_some()
+        };
+        let (hit, mut cycles, mut writebacks) = if l2_hit {
+            (HitLevel::L2, self.latency.l2_hit, 0)
+        } else {
+            self.fetch_beyond_l2(addr, ctx, is_write, l2_set, l2_tag)
+        };
 
         // ---- Random-fill defense: read misses bypass the L1 fill ----------
         if !is_write && self.random_fill.is_some() {
@@ -685,22 +702,12 @@ impl CacheHierarchy {
         }
 
         // ---- Fill the L1 (write-allocate) or bypass -----------------------
-        let l1_no_allocate =
-            is_write && self.l1d.config().write_miss_policy == WriteMissPolicy::NoWriteAllocate;
         let mut l1_filled = false;
         let mut l1_evicted = None;
         let mut l1_victim_dirty = false;
 
-        if l1_no_allocate {
-            // Store goes directly to the L2 (already looked up above); the L1
-            // is untouched.  Make sure the L2 holds the line dirty.
-            let fill = self.l2.fill(addr, ctx, true, false);
-            if let Some(evicted) = fill.evicted {
-                if evicted.dirty {
-                    cycles += self.latency.deep_dirty_writeback;
-                }
-                writebacks += self.spill_l2_victim(evicted);
-            }
+        if is_write && self.l1d.config().write_miss_policy == WriteMissPolicy::NoWriteAllocate {
+            (cycles, writebacks) = self.store_around_l1(addr, ctx, cycles, writebacks);
         } else {
             let make_dirty = is_write && self.l1d.config().write_policy == WritePolicy::WriteBack;
             // The L1 lookup above missed and the outer walk never fills the
@@ -726,7 +733,9 @@ impl CacheHierarchy {
         }
 
         self.stats.total_cycles += cycles;
-        self.maybe_prefetch(addr, ctx, false);
+        if self.prefetcher.is_some() {
+            self.prefetch_after(addr, ctx, false);
+        }
 
         AccessOutcome {
             kind,
@@ -739,26 +748,20 @@ impl CacheHierarchy {
         }
     }
 
-    /// Looks up the L2, LLC and memory; fills the outer levels as needed and
-    /// returns the serving level, the base latency (excluding any L1 victim
-    /// write-back) and the number of deep write-backs the walk performed.
-    #[inline]
-    fn outer_lookup(
+    /// Serves an access that missed the L1 and the L2 (whose lookup gave
+    /// `(l2_set, l2_tag)`) from the LLC or memory, filling the outer levels
+    /// as needed.  Returns the serving level, the base latency (excluding
+    /// any L1 victim write-back) and the number of deep write-backs the walk
+    /// performed.
+    #[inline(never)]
+    fn fetch_beyond_l2(
         &mut self,
         addr: PhysAddr,
         ctx: AccessContext,
         is_write: bool,
+        l2_set: usize,
+        l2_tag: u64,
     ) -> (HitLevel, u64, u32) {
-        let (l2_set, l2_tag) = self.l2.set_and_tag(addr);
-        let l2_hit = if is_write {
-            self.l2.lookup_write_at(l2_set, l2_tag).is_some()
-        } else {
-            self.l2.lookup_read_at(l2_set, l2_tag).is_some()
-        };
-        if l2_hit {
-            return (HitLevel::L2, self.latency.l2_hit, 0);
-        }
-
         let mut writebacks = 0u32;
         let (llc_set, llc_tag) = self.llc.set_and_tag(addr);
         let llc_hit = if is_write {
@@ -769,10 +772,7 @@ impl CacheHierarchy {
         let mut promote_dirty = false;
         let (level, base) = if llc_hit {
             if self.inclusion == InclusionPolicy::Exclusive {
-                // Single-copy residency: the hit *moves* the line up.  The
-                // LLC copy dies and its dirty bit rides along into the L2
-                // install below.
-                promote_dirty = self.llc.remove_line(addr).unwrap_or(false);
+                promote_dirty = self.promote_from_exclusive_llc(addr);
             }
             (HitLevel::L3, self.latency.l3_hit)
         } else {
@@ -799,9 +799,9 @@ impl CacheHierarchy {
             (HitLevel::Memory, self.latency.memory)
         };
 
-        // Install in the L2 on the way in (the L2 lookup above missed and
-        // nothing filled the L2 since; inclusive back-invalidation can only
-        // have *removed* lines).
+        // Install in the L2 on the way in (the L2 lookup missed and nothing
+        // filled the L2 since; inclusive back-invalidation can only have
+        // *removed* lines).
         let mut extra = 0;
         let fill = self
             .l2
@@ -815,9 +815,64 @@ impl CacheHierarchy {
         (level, base + extra, writebacks)
     }
 
+    /// Exclusive-LLC hit: single-copy residency means the hit *moves* the
+    /// line up.  Removes the LLC copy and returns its dirty bit, which rides
+    /// along into the L2 install.
+    #[cold]
+    #[inline(never)]
+    fn promote_from_exclusive_llc(&mut self, addr: PhysAddr) -> bool {
+        self.llc.remove_line(addr).unwrap_or(false)
+    }
+
+    /// A store hit in a write-through L1: the store must synchronously
+    /// update the L2 as well.  Adds the through-write latency and the spill
+    /// chain's write-backs to `outcome`.
+    #[cold]
+    #[inline(never)]
+    fn write_through_hit(
+        &mut self,
+        addr: PhysAddr,
+        ctx: AccessContext,
+        outcome: &mut AccessOutcome,
+    ) {
+        outcome.cycles += self.latency.write_through_store;
+        let _ = self.l2.lookup_write(addr, ctx);
+        let fill = self.l2.fill(addr, ctx, true, false);
+        if let Some(evicted) = fill.evicted {
+            // The outcome counts the spill chain like every other path (see
+            // `AccessOutcome::writebacks`).
+            outcome.writebacks = self.spill_l2_victim(evicted);
+        }
+    }
+
+    /// A no-write-allocate store miss: the store goes directly to the L2
+    /// (already looked up by the caller) and the L1 is untouched.  Makes
+    /// sure the L2 holds the line dirty and returns the updated
+    /// `(cycles, writebacks)`.
+    #[cold]
+    #[inline(never)]
+    fn store_around_l1(
+        &mut self,
+        addr: PhysAddr,
+        ctx: AccessContext,
+        mut cycles: u64,
+        mut writebacks: u32,
+    ) -> (u64, u32) {
+        let fill = self.l2.fill(addr, ctx, true, false);
+        if let Some(evicted) = fill.evicted {
+            if evicted.dirty {
+                cycles += self.latency.deep_dirty_writeback;
+            }
+            writebacks += self.spill_l2_victim(evicted);
+        }
+        (cycles, writebacks)
+    }
+
     /// Handles an L1 read miss under the random-fill defense: the demanded
     /// line is sent to the core without being installed; a random line from
     /// the configured neighbourhood is filled instead.
+    #[cold]
+    #[inline(never)]
     fn random_fill_read(
         &mut self,
         addr: PhysAddr,
@@ -873,7 +928,11 @@ impl CacheHierarchy {
         }
     }
 
-    fn maybe_prefetch(&mut self, addr: PhysAddr, ctx: AccessContext, was_hit: bool) {
+    /// Runs the next-line prefetcher after a demand access (the caller has
+    /// checked that one is configured).
+    #[cold]
+    #[inline(never)]
+    fn prefetch_after(&mut self, addr: PhysAddr, ctx: AccessContext, was_hit: bool) {
         let Some(prefetcher) = &self.prefetcher else {
             return;
         };

@@ -164,11 +164,13 @@ impl fmt::Display for PolicyKind {
 /// The policy dispatcher a [`crate::cache::Cache`] holds.
 ///
 /// The policies on the WB-channel hot path (Tree-PLRU and its Intel-like
-/// perturbation, true LRU, pseudo-random) get static enum dispatch so the
-/// per-access `on_hit`/`choose_victim` calls inline into the cache's access
-/// path; the ablation-only policies stay behind the object-safe trait.  The
-/// behaviour is identical either way — this is purely a devirtualisation of
-/// the hot calls.
+/// perturbation, true LRU, pseudo-random) get static enum dispatch; the
+/// ablation-only policies stay behind the object-safe trait.  The behaviour
+/// is identical either way — this is purely a devirtualisation of the hot
+/// calls.  `on_hit`, `on_fill` and `choose_victim_and_fill` are forced
+/// inline into the cache's lookup and fill, so a Tree-PLRU hit or eviction
+/// is straight-line code inside the hierarchy's batch loops; victim choice
+/// for the other policies is one out-of-line call.
 #[derive(Debug)]
 pub(crate) enum PolicyDispatch {
     /// Statically dispatched Tree-PLRU.
@@ -214,7 +216,7 @@ impl PolicyDispatch {
     }
 
     /// Records a hit on `way` of `set`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
         match self {
             PolicyDispatch::TreePlru(p) => p.on_hit(set, way),
@@ -226,7 +228,7 @@ impl PolicyDispatch {
     }
 
     /// Records that a new line has just been installed in `way` of `set`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn on_fill(&mut self, set: usize, way: usize) {
         match self {
             PolicyDispatch::TreePlru(p) => p.on_fill(set, way),
@@ -266,15 +268,22 @@ impl PolicyDispatch {
     /// per-set direction word into one read-modify-write; every other policy
     /// runs the two calls back-to-back, so the behaviour is identical for
     /// all variants.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn choose_victim_and_fill(
         &mut self,
         set: usize,
         candidates: WayMask,
     ) -> Option<usize> {
-        if let PolicyDispatch::TreePlru(p) = self {
-            return p.choose_and_touch(set, candidates);
+        match self {
+            PolicyDispatch::TreePlru(p) => p.choose_and_touch(set, candidates),
+            _ => self.choose_victim_then_fill(set, candidates),
         }
+    }
+
+    /// [`PolicyDispatch::choose_victim_and_fill`] for every policy but
+    /// Tree-PLRU, kept out of line so the inlined fill stays small.
+    #[inline(never)]
+    fn choose_victim_then_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
         let way = self.choose_victim(set, candidates)?;
         self.on_fill(set, way);
         Some(way)

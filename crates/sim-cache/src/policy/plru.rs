@@ -77,7 +77,7 @@ impl TreePlru {
     }
 
     /// Flips the path bits so they point away from `way` (way becomes MRU).
-    #[inline]
+    #[inline(always)]
     fn touch(&mut self, set: usize, way: usize) {
         let (clear, point) = self.touch_masks[way];
         let word = &mut self.words[set];
@@ -159,39 +159,46 @@ impl TreePlru {
     /// Exactly equivalent to `choose_victim` followed by `on_fill` on the
     /// returned way — the walk only reads the word, so fusing the two
     /// read-modify-write sequences is unobservable — but it halves the
-    /// dependent word traffic on the eviction hot path.
+    /// dependent word traffic on the eviction hot path.  The unrestricted
+    /// walk (no partitions, no locks) inlines into the fill; a restricted
+    /// candidate mask takes one out-of-line call.
+    #[inline(always)]
     pub(crate) fn choose_and_touch(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let cand = candidates.and(WayMask::all(self.ways)).bits();
-        let all = if self.ways >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.ways) - 1
-        };
-        if cand == all {
-            // Unrestricted fast path: walk and touch on one load/store of
-            // the direction word, with branch-free directions.
-            let word = self.words[set];
-            let levels = self.ways.trailing_zeros();
-            let mut way = 0usize;
-            let mut node = 0usize;
-            for _ in 0..levels {
-                let dir = ((word >> node) & 1) as usize;
-                way = (way << 1) | dir;
-                node = 2 * node + 1 + dir;
-            }
-            let (clear, point) = self.touch_masks[way];
-            self.words[set] = (word & clear) | point;
-            return Some(way);
+        // `ways` is a power of two in 2..=64, so the shift is in range.
+        let all = u64::MAX >> (64 - self.ways);
+        if candidates.bits() & all != all {
+            return self.choose_and_touch_restricted(set, candidates);
         }
-        let way = self.walk(set, WayMask::from_bits(cand))?;
+        // Walk and touch on one load/store of the direction word, with
+        // branch-free directions.
+        let word = self.words[set];
+        let levels = self.ways.trailing_zeros();
+        let mut way = 0usize;
+        let mut node = 0usize;
+        for _ in 0..levels {
+            let dir = ((word >> node) & 1) as usize;
+            way = (way << 1) | dir;
+            node = 2 * node + 1 + dir;
+        }
+        let (clear, point) = self.touch_masks[way];
+        self.words[set] = (word & clear) | point;
+        Some(way)
+    }
+
+    /// [`TreePlru::choose_and_touch`] under a partition or lock mask.
+    #[inline(never)]
+    fn choose_and_touch_restricted(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        let way = self.walk(set, candidates.and(WayMask::all(self.ways)))?;
         self.touch(set, way);
         Some(way)
     }
 
-    /// The way the unrestricted PLRU walk would evict next.
+    /// The way the unrestricted PLRU walk would evict next, without
+    /// touching the tree.
     ///
-    /// Exposed for the Intel-like policy (which perturbs this choice) and for
-    /// tests/baselines that reason about eviction order.
+    /// Exposed for tests that reason about eviction order.  (The Intel-like
+    /// policy perturbs the masked [`ReplacementPolicy::choose_victim`]
+    /// walk, not this.)
     pub fn plru_victim(&self, set: usize) -> usize {
         self.walk(set, WayMask::all(self.ways))
             .expect("full mask is never empty")
@@ -215,10 +222,12 @@ impl ReplacementPolicy for TreePlru {
         "Tree-PLRU"
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize) {
         self.touch(set, way);
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize) {
         self.touch(set, way);
     }

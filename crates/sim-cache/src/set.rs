@@ -55,17 +55,6 @@ impl<'a> SetView<'a> {
             .position(|(way, &t)| t == tag && (self.valid >> way) & 1 == 1)
     }
 
-    /// Returns the first invalid way, if any (fills prefer empty ways before
-    /// running the replacement policy, as real tag pipelines do).
-    pub fn first_invalid_way(&self, allowed: WayMask) -> Option<usize> {
-        let ways_mask = if self.ways() >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.ways()) - 1
-        };
-        WayMask::from_bits(!self.valid & allowed.bits() & ways_mask).first()
-    }
-
     /// The state of one way, materialised as a [`CacheLine`] value.
     ///
     /// # Panics
@@ -184,7 +173,6 @@ mod tests {
         assert_eq!(set.valid_count(), 0);
         assert_eq!(set.dirty_count(), 0);
         assert_eq!(set.find(0), None);
-        assert_eq!(set.first_invalid_way(WayMask::all(8)), Some(0));
     }
 
     #[test]
@@ -205,17 +193,6 @@ mod tests {
         assert_eq!(set.line(2).tag(), 0xaa);
         assert!(set.line(3).is_dirty());
         assert_eq!(set.iter().count(), 4);
-    }
-
-    #[test]
-    fn first_invalid_way_respects_mask() {
-        let mut bed = Bed::new(4);
-        bed.fill(0, 1, false, 0);
-        // Way 1 is invalid but excluded by the mask; way 3 is the answer.
-        let mask = WayMask::EMPTY.with(0).with(3);
-        assert_eq!(bed.view().first_invalid_way(mask), Some(3));
-        bed.fill(3, 2, false, 0);
-        assert_eq!(bed.view().first_invalid_way(mask), None);
     }
 
     #[test]
