@@ -1,7 +1,7 @@
 //! Result tables.
 //!
 //! Every experiment in the `repro` harness produces a [`Table`] which can be
-//! rendered as Markdown (for `EXPERIMENTS.md`), CSV (for plotting) or JSON
+//! rendered as Markdown (for reading), CSV (for plotting) or JSON
 //! (for machine comparison against the paper's numbers).
 
 use std::fmt;

@@ -225,26 +225,6 @@ pub fn latency_cdfs(
         .collect()
 }
 
-/// Per-symbol calibration latency classes for an encoding (training data for
-/// [`Decoder::from_calibration`]).
-///
-/// # Errors
-///
-/// Propagates configuration errors from the underlying measurement loops.
-pub fn calibration_classes(
-    config: &CalibrationConfig,
-    encoding: &SymbolEncoding,
-) -> Result<Vec<Vec<f64>>, Error> {
-    encoding
-        .levels()
-        .iter()
-        .map(|&d| {
-            let samples = replacement_latency_samples(config, d)?;
-            Ok(samples.into_iter().map(|s| s as f64).collect())
-        })
-        .collect()
-}
-
 /// Calibrates a decoder for `encoding` on the configured machine.
 ///
 /// # Errors

@@ -126,6 +126,18 @@ impl FrameParties {
             limit,
         }
     }
+
+    /// The parties' trace programs in execution order: sender, receiver,
+    /// then the noisy neighbour.  The order mirrors the actor order of
+    /// [`ChannelSession::transmit_frame_stepped`], so the machine's RNG
+    /// stream is consumed identically by either transmit method.
+    fn compile(&self) -> Vec<TraceProgram> {
+        let mut programs = vec![self.sender.compile(), self.receiver.compile()];
+        if let Some(noise) = &self.noise {
+            programs.push(noise.compile(self.limit));
+        }
+        programs
+    }
 }
 
 /// One frame's compiled trace programs and cycle budget — the output of
@@ -152,12 +164,8 @@ pub fn compile_frame(config: &ChannelConfig, payload: &[bool]) -> CompiledFrame 
     let seed = config.seed.wrapping_mul(0x9e37_79b9).wrapping_add(1);
     let geometry = config.machine_config(seed).hierarchy.l1d.geometry;
     let parties = FrameParties::build(config, geometry, &frame, seed);
-    let mut programs = vec![parties.sender.compile(), parties.receiver.compile()];
-    if let Some(noise) = &parties.noise {
-        programs.push(noise.compile(parties.limit));
-    }
     CompiledFrame {
-        programs,
+        programs: parties.compile(),
         limit: parties.limit,
     }
 }
@@ -321,13 +329,7 @@ impl ChannelSession {
     /// Returns machine-construction errors.
     pub fn transmit_frame(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
         self.transmit(frame, |machine, parties, sim| {
-            // The program order (sender, receiver, noise) mirrors the actor
-            // order of the stepped reference, so the machine's RNG stream is
-            // consumed identically.
-            let mut programs = vec![parties.sender.compile(), parties.receiver.compile()];
-            if let Some(noise) = &parties.noise {
-                programs.push(noise.compile(parties.limit));
-            }
+            let programs = parties.compile();
             let report = machine.run_session(&programs, &mut [], parties.limit);
             sim.frames += 1;
             sim.summary.merge(&report.total_summary());

@@ -23,7 +23,7 @@ use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::perf::{PerfCounters, PerfLevel};
 use sim_core::process::{AddressSpace, ProcessId};
 use sim_core::program::Actor;
-use sim_core::workload::{CompilerWorkload, CompilerWorkloadConfig};
+use sim_core::workload::CompilerWorkload;
 
 const RECEIVER_DOMAIN: u16 = 1;
 const SENDER_DOMAIN: u16 = 2;
@@ -181,7 +181,6 @@ pub fn sender_profile(
             let mut workload = CompilerWorkload::new(
                 AddressSpace::new(ProcessId(COMPANION_DOMAIN)),
                 COMPANION_DOMAIN,
-                CompilerWorkloadConfig::default(),
                 seed ^ 0xbbbb,
             );
             let mut extras: Vec<&mut dyn Actor> = vec![&mut workload];

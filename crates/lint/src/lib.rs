@@ -19,8 +19,8 @@
 //!
 //! A finding is suppressed by `// lint:allow(<rule>)` on the offending line
 //! or the line directly above it (commas separate multiple rules). Escapes
-//! are expected to carry a justification comment, e.g. the keyed-lookup-only
-//! `HashMap` in `sim-cache`'s prefetcher.
+//! are expected to carry a justification comment, e.g. the opt-in progress
+//! lines the runner's executor prints to stderr.
 //!
 //! ## What is scanned
 //!

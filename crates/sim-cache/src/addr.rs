@@ -206,8 +206,7 @@ impl CacheGeometry {
     ///
     /// The real E5-2650 carries a 20 MiB shared LLC; the WB channel only
     /// exercises the L1/L2 boundary, so the simulator uses a smaller LLC to
-    /// keep experiment run time low.  The substitution is documented in
-    /// `DESIGN.md`.
+    /// keep experiment run time low.
     pub fn scaled_llc() -> CacheGeometry {
         CacheGeometry::new(2 * 1024 * 1024, 16, 64).expect("static geometry is valid")
     }

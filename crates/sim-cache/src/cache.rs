@@ -211,11 +211,6 @@ impl Cache {
         self.stats.reset();
     }
 
-    /// The name of the replacement policy in use.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Restricts `domain` to the given ways for fills and victim selection.
     ///
     /// # Errors
@@ -228,11 +223,6 @@ impl Cache {
         }
         self.partitions.set(domain, mask);
         Ok(())
-    }
-
-    /// Removes all way-partitioning restrictions.
-    pub fn clear_partitions(&mut self) {
-        self.partitions.clear();
     }
 
     /// The way mask `domain` is allowed to use.
@@ -380,8 +370,8 @@ impl Cache {
     /// Installs the line containing `addr`.
     ///
     /// `dirty` marks the freshly installed line as modified (write-allocate
-    /// store miss under write-back).  `prefetch` attributes the fill to the
-    /// prefetcher in the statistics.
+    /// store miss under write-back).  `prefetch` counts the fill as a
+    /// prefetch fill in the statistics.
     ///
     /// Ways are chosen in this order: an invalid allowed way first, then the
     /// replacement policy restricted to the domain's partition minus locked

@@ -13,7 +13,6 @@ use crate::config::{CacheConfig, WriteMissPolicy, WritePolicy};
 use crate::latency::LatencyModel;
 use crate::outcome::{AccessKind, AccessOutcome, HitLevel};
 use crate::policy::PolicyKind;
-use crate::prefetch::{NextLinePrefetcher, PrefetchConfig};
 use crate::seed::stream_seed;
 use crate::stats::HierarchyStats;
 use crate::trace::{TraceOp, TraceSummary};
@@ -96,9 +95,6 @@ pub struct HierarchyConfig {
     pub writeback: WritebackRouting,
     /// Latency model.
     pub latency: LatencyModel,
-    /// Optional L1 next-line prefetcher (disabled by default; the
-    /// Prefetch-guard defense and the measurement-robustness tests enable it).
-    pub l1_prefetch: Option<PrefetchConfig>,
     /// Optional random-fill L1 (Liu & Lee's RF cache, evaluated as a defense
     /// in Sec. VIII): demand-read misses return data to the core without
     /// filling the requested line; instead a random line from a window of
@@ -127,7 +123,6 @@ impl HierarchyConfig {
             inclusion: InclusionPolicy::Inclusive,
             writeback: WritebackRouting::NextLevel,
             latency: LatencyModel::xeon_e5_2650(),
-            l1_prefetch: None,
             l1_random_fill: None,
             seed,
         }
@@ -266,7 +261,6 @@ pub struct CacheHierarchy {
     inclusion: InclusionPolicy,
     writeback: WritebackRouting,
     latency: LatencyModel,
-    prefetcher: Option<NextLinePrefetcher>,
     random_fill: Option<RandomFillConfig>,
     fill_rng_state: u64,
     stats: HierarchyStats,
@@ -286,7 +280,6 @@ impl CacheHierarchy {
             inclusion: config.inclusion,
             writeback: config.writeback,
             latency: config.latency,
-            prefetcher: config.l1_prefetch.map(NextLinePrefetcher::new),
             random_fill: config.l1_random_fill,
             fill_rng_state: fill_seed(config.seed),
             stats: HierarchyStats::default(),
@@ -321,7 +314,6 @@ impl CacheHierarchy {
         self.inclusion = config.inclusion;
         self.writeback = config.writeback;
         self.latency = config.latency;
-        self.prefetcher = config.l1_prefetch.map(NextLinePrefetcher::new);
         self.random_fill = config.l1_random_fill;
         self.fill_rng_state = fill_seed(config.seed);
         self.stats = HierarchyStats::default();
@@ -331,16 +323,6 @@ impl CacheHierarchy {
     /// The latency model in use.
     pub fn latency_model(&self) -> LatencyModel {
         self.latency
-    }
-
-    /// The LLC inclusion policy in use.
-    pub fn inclusion_policy(&self) -> InclusionPolicy {
-        self.inclusion
-    }
-
-    /// The dirty-victim routing in use.
-    pub fn writeback_routing(&self) -> WritebackRouting {
-        self.writeback
     }
 
     /// The L1 data-cache geometry (used to construct eviction sets).
@@ -649,7 +631,7 @@ impl CacheHierarchy {
     /// common cases compile to straight-line code there: an L1 hit, and an
     /// L1 miss served by the L2 that evicts a clean or dirty L1 victim into
     /// an L2-resident line.  Everything rarer is one out-of-line call: the
-    /// walk beyond the L2, the prefetcher, random fill, write-through and
+    /// walk beyond the L2, random fill, write-through and
     /// no-write-allocate stores, L2 spill chains, exclusive promotion and
     /// inclusive back-invalidation.
     #[inline(always)]
@@ -675,9 +657,6 @@ impl CacheHierarchy {
                 self.write_through_hit(addr, ctx, &mut outcome);
             }
             self.stats.total_cycles += outcome.cycles;
-            if self.prefetcher.is_some() {
-                self.prefetch_after(addr, ctx, true);
-            }
             return outcome;
         }
 
@@ -733,9 +712,6 @@ impl CacheHierarchy {
         }
 
         self.stats.total_cycles += cycles;
-        if self.prefetcher.is_some() {
-            self.prefetch_after(addr, ctx, false);
-        }
 
         AccessOutcome {
             kind,
@@ -927,29 +903,6 @@ impl CacheHierarchy {
             writebacks,
         }
     }
-
-    /// Runs the next-line prefetcher after a demand access (the caller has
-    /// checked that one is configured).
-    #[cold]
-    #[inline(never)]
-    fn prefetch_after(&mut self, addr: PhysAddr, ctx: AccessContext, was_hit: bool) {
-        let Some(prefetcher) = &self.prefetcher else {
-            return;
-        };
-        let candidates = prefetcher.candidates(addr, self.l1d.geometry(), was_hit);
-        for candidate in candidates {
-            // Prefetches that would miss in the L2 are dropped (cheap model
-            // of a prefetcher that only promotes from L2 to L1).
-            if self.l2.contains(candidate) || self.llc.contains(candidate) {
-                let fill = self.l1d.fill(candidate, ctx, false, true);
-                if let Some(evicted) = fill.evicted {
-                    if evicted.dirty {
-                        let _ = self.push_writeback_to_l2(evicted);
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1119,35 +1072,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetcher_installs_next_line_when_l2_resident() {
-        let mut config = HierarchyConfig::xeon_e5_2650(PolicyKind::TreePlru, 5);
-        config.l1_prefetch = Some(PrefetchConfig {
-            degree: 1,
-            on_hit: false,
-        });
-        let mut h = CacheHierarchy::new(config).unwrap();
-        let ctx = AccessContext::default();
-        let a = PhysAddr(0x8000);
-        let next = a.offset(64);
-        // Warm both lines into the L2, then evict them from the L1.
-        h.read(a, ctx);
-        h.read(next, ctx);
-        let g = h.l1_geometry();
-        for t in 0..16u64 {
-            h.read(PhysAddr::from_set_and_tag(g.set_index(a), 500 + t, g), ctx);
-            h.read(
-                PhysAddr::from_set_and_tag(g.set_index(next), 500 + t, g),
-                ctx,
-            );
-        }
-        assert!(!h.l1().contains(a));
-        // A demand miss on `a` should prefetch `next` into the L1.
-        h.read(a, ctx);
-        assert!(h.l1().contains(next), "next line should be prefetched");
-        assert!(h.stats().l1d.prefetch_fills >= 1);
-    }
-
-    #[test]
     fn stats_accumulate_and_reset() {
         let mut h = hierarchy(PolicyKind::TreePlru);
         let ctx = AccessContext::default();
@@ -1188,7 +1112,6 @@ mod tests {
             inclusion,
             writeback,
             latency: LatencyModel::xeon_e5_2650(),
-            l1_prefetch: None,
             l1_random_fill: None,
             seed: 0,
         };

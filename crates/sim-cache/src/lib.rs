@@ -15,7 +15,7 @@
 //! * which line becomes the victim is decided by a **replacement policy**
 //!   ([`policy`]): true LRU, Tree-PLRU, pseudo-random (LFSR), an
 //!   "Intel-like" imperfect PLRU that approximates the undocumented
-//!   Xeon E5-2650 behaviour of the paper's Table II, plus FIFO and SRRIP as
+//!   Xeon E5-2650 behaviour of the paper's Table II, plus NRU and SRRIP as
 //!   extensions;
 //! * victim selection can be restricted by **way masks** and **line locks**
 //!   ([`waymask::WayMask`], [`cache::Cache::lock_line`]) which is how the
@@ -57,7 +57,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod addr;
-pub mod bank;
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
@@ -65,7 +64,6 @@ pub mod latency;
 pub mod line;
 pub mod outcome;
 pub mod policy;
-pub mod prefetch;
 pub mod seed;
 pub mod set;
 pub mod stats;

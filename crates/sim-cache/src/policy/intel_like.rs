@@ -22,9 +22,8 @@ use crate::waymask::WayMask;
 /// deterministic, matching the paper's "N = 10 always works" observation on
 /// which the WB channel's replacement-set size is based.
 ///
-/// This is an approximation and is documented as such in `DESIGN.md` and
-/// `EXPERIMENTS.md`; the absolute probabilities depend on the tuning
-/// parameters but the qualitative behaviour (less deterministic than PLRU,
+/// This is an approximation: the absolute probabilities depend on the tuning
+/// parameters, but the qualitative behaviour (less deterministic than PLRU,
 /// guaranteed eviction at N = 10) is what the reproduction relies on.
 #[derive(Debug, Clone)]
 pub struct IntelLike {
@@ -60,13 +59,8 @@ impl IntelLike {
     }
 
     /// Creates the policy with explicit `mispredict` probability and
-    /// `max_staleness` bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::UnsupportedAssociativity`] unless `ways` is a
-    /// power of two.
-    pub fn with_parameters(
+    /// `max_staleness` bound (the unit tests probe other tunings).
+    fn with_parameters(
         num_sets: usize,
         ways: usize,
         seed: u64,

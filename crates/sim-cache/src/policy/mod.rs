@@ -3,8 +3,7 @@
 //! The WB channel works *regardless* of the replacement policy as long as the
 //! receiver's replacement set is large enough to sweep every resident line
 //! out of the target set (Sec. IV-A and VI-A of the paper).  To reproduce the
-//! paper's policy studies (Tables II and V) the simulator therefore provides
-//! the full menagerie:
+//! paper's policy studies (Tables II and V) the simulator therefore provides:
 //!
 //! * [`TrueLru`] — textbook least-recently-used with exact ages.
 //! * [`TreePlru`] — the tree pseudo-LRU approximation gem5 implements and the
@@ -15,13 +14,12 @@
 //!   policy the paper measures on the Xeon E5-2650 (Table II): Tree-PLRU with
 //!   occasional mispredicted victims plus an anti-starvation bound that
 //!   guarantees eviction once ten distinct lines have been filled.
-//! * [`Fifo`], [`Nru`] and [`Srrip`] — extensions; the hierarchy-matrix
-//!   scenario sweeps [`Nru`] and [`Srrip`], the property tests all three.
+//! * [`Nru`] and [`Srrip`] — extensions the hierarchy-matrix scenario sweeps.
 //!
-//! Policies are driven through the object-safe [`ReplacementPolicy`] trait so
-//! a [`crate::cache::Cache`] can hold any of them behind a `Box`.
+//! Every policy implements the [`ReplacementPolicy`] method set; a
+//! [`crate::cache::Cache`] holds one through a statically dispatched enum, so
+//! no policy call goes through a trait object.
 
-mod fifo;
 mod intel_like;
 mod lru;
 mod nru;
@@ -29,7 +27,6 @@ mod plru;
 mod random;
 mod srrip;
 
-pub use fifo::Fifo;
 pub use intel_like::IntelLike;
 pub use lru::TrueLru;
 pub use nru::Nru;
@@ -40,13 +37,13 @@ pub use srrip::Srrip;
 use crate::waymask::WayMask;
 use std::fmt;
 
-/// Object-safe interface every replacement policy implements.
+/// The method set every replacement policy implements.
 ///
 /// A policy instance manages the metadata for *all* sets of one cache level;
 /// the cache passes the set index on every call.  Victim selection receives a
 /// candidate [`WayMask`] so that locked lines and foreign partitions can be
 /// excluded (PLcache / NoMo / DAWG defenses).
-pub trait ReplacementPolicy: fmt::Debug + Send {
+pub trait ReplacementPolicy {
     /// Short, human-readable policy name used in result tables.
     fn name(&self) -> &'static str;
 
@@ -70,7 +67,7 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
 }
 
 /// Enumerates the built-in policies; used in configurations and sweeps.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum PolicyKind {
@@ -82,16 +79,6 @@ pub enum PolicyKind {
     Random,
     /// Approximation of the measured Intel Xeon E5-2650 L1D behaviour.
     IntelLike,
-    /// Intel-like with explicit mispredict probability and staleness bound.
-    IntelLikeTuned {
-        /// Probability that victim selection deviates from the PLRU choice.
-        mispredict: f64,
-        /// Number of consecutive fills a line can survive without being
-        /// touched before it is forcibly evicted.
-        max_staleness: u32,
-    },
-    /// First-in first-out.
-    Fifo,
     /// Not-recently-used (single reference bit per line).
     Nru,
     /// Static re-reference interval prediction with 2-bit RRPVs.
@@ -112,46 +99,10 @@ impl PolicyKind {
             PolicyKind::TrueLru => "LRU",
             PolicyKind::TreePlru => "Tree-PLRU",
             PolicyKind::Random => "Random",
-            PolicyKind::IntelLike | PolicyKind::IntelLikeTuned { .. } => "Intel-like",
-            PolicyKind::Fifo => "FIFO",
+            PolicyKind::IntelLike => "Intel-like",
             PolicyKind::Nru => "NRU",
             PolicyKind::Srrip => "SRRIP",
         }
-    }
-
-    /// Instantiates the policy for a cache with `num_sets` sets of
-    /// `ways` ways.  `seed` drives any internal randomness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::UnsupportedAssociativity`] when the policy
-    /// cannot handle the requested associativity (Tree-PLRU needs a power of
-    /// two number of ways).
-    pub fn build(
-        self,
-        num_sets: usize,
-        ways: usize,
-        seed: u64,
-    ) -> crate::Result<Box<dyn ReplacementPolicy>> {
-        Ok(match self {
-            PolicyKind::TrueLru => Box::new(TrueLru::new(num_sets, ways)),
-            PolicyKind::TreePlru => Box::new(TreePlru::new(num_sets, ways)?),
-            PolicyKind::Random => Box::new(PseudoRandom::new(num_sets, ways, seed)),
-            PolicyKind::IntelLike => Box::new(IntelLike::new(num_sets, ways, seed)?),
-            PolicyKind::IntelLikeTuned {
-                mispredict,
-                max_staleness,
-            } => Box::new(IntelLike::with_parameters(
-                num_sets,
-                ways,
-                seed,
-                mispredict,
-                max_staleness,
-            )?),
-            PolicyKind::Fifo => Box::new(Fifo::new(num_sets, ways)),
-            PolicyKind::Nru => Box::new(Nru::new(num_sets, ways)),
-            PolicyKind::Srrip => Box::new(Srrip::new(num_sets, ways)),
-        })
     }
 }
 
@@ -161,32 +112,46 @@ impl fmt::Display for PolicyKind {
     }
 }
 
-/// The policy dispatcher a [`crate::cache::Cache`] holds.
+/// The replacement policy a [`crate::cache::Cache`] holds: one variant per
+/// [`PolicyKind`], every call statically dispatched.
 ///
-/// The policies on the WB-channel hot path (Tree-PLRU and its Intel-like
-/// perturbation, true LRU, pseudo-random) get static enum dispatch; the
-/// ablation-only policies stay behind the object-safe trait.  The behaviour
-/// is identical either way — this is purely a devirtualisation of the hot
-/// calls.  `on_hit`, `on_fill` and `choose_victim_and_fill` are forced
-/// inline into the cache's lookup and fill, so a Tree-PLRU hit or eviction
-/// is straight-line code inside the hierarchy's batch loops; victim choice
-/// for the other policies is one out-of-line call.
+/// `on_hit`, `on_fill` and `choose_victim_and_fill` are forced inline into
+/// the cache's lookup and fill, so a Tree-PLRU hit or eviction is
+/// straight-line code inside the hierarchy's batch loops; victim choice for
+/// the other policies is one out-of-line call.
 #[derive(Debug)]
 pub(crate) enum PolicyDispatch {
-    /// Statically dispatched Tree-PLRU.
     TreePlru(TreePlru),
-    /// Statically dispatched true LRU.
     TrueLru(TrueLru),
-    /// Statically dispatched pseudo-random (LFSR).
     Random(PseudoRandom),
-    /// Statically dispatched Intel-like imperfect PLRU.
     IntelLike(IntelLike),
-    /// Everything else (FIFO, NRU, SRRIP) through the trait object.
-    Boxed(Box<dyn ReplacementPolicy>),
+    Nru(Nru),
+    Srrip(Srrip),
+}
+
+/// Evaluates `$call` on the policy inside any [`PolicyDispatch`] variant.
+macro_rules! dispatch {
+    ($self:expr, $p:ident => $call:expr) => {
+        match $self {
+            PolicyDispatch::TreePlru($p) => $call,
+            PolicyDispatch::TrueLru($p) => $call,
+            PolicyDispatch::Random($p) => $call,
+            PolicyDispatch::IntelLike($p) => $call,
+            PolicyDispatch::Nru($p) => $call,
+            PolicyDispatch::Srrip($p) => $call,
+        }
+    };
 }
 
 impl PolicyDispatch {
-    /// Instantiates the dispatcher for `kind`.
+    /// Instantiates the policy `kind` for a cache with `num_sets` sets of
+    /// `ways` ways.  `seed` drives any internal randomness.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::Error::UnsupportedAssociativity`] when the policy
+    /// cannot handle the requested associativity (Tree-PLRU and Intel-like
+    /// need a power of two number of ways).
     pub(crate) fn build(
         kind: PolicyKind,
         num_sets: usize,
@@ -200,67 +165,38 @@ impl PolicyDispatch {
             PolicyKind::IntelLike => {
                 PolicyDispatch::IntelLike(IntelLike::new(num_sets, ways, seed)?)
             }
-            other => PolicyDispatch::Boxed(other.build(num_sets, ways, seed)?),
+            PolicyKind::Nru => PolicyDispatch::Nru(Nru::new(num_sets, ways)),
+            PolicyKind::Srrip => PolicyDispatch::Srrip(Srrip::new(num_sets, ways)),
         })
     }
 
     /// Short, human-readable policy name used in result tables.
     pub(crate) fn name(&self) -> &'static str {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.name(),
-            PolicyDispatch::TrueLru(p) => p.name(),
-            PolicyDispatch::Random(p) => p.name(),
-            PolicyDispatch::IntelLike(p) => p.name(),
-            PolicyDispatch::Boxed(p) => p.name(),
-        }
+        dispatch!(self, p => p.name())
     }
 
     /// Records a hit on `way` of `set`.
     #[inline(always)]
     pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.on_hit(set, way),
-            PolicyDispatch::TrueLru(p) => p.on_hit(set, way),
-            PolicyDispatch::Random(p) => p.on_hit(set, way),
-            PolicyDispatch::IntelLike(p) => p.on_hit(set, way),
-            PolicyDispatch::Boxed(p) => p.on_hit(set, way),
-        }
+        dispatch!(self, p => p.on_hit(set, way))
     }
 
     /// Records that a new line has just been installed in `way` of `set`.
     #[inline(always)]
     pub(crate) fn on_fill(&mut self, set: usize, way: usize) {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.on_fill(set, way),
-            PolicyDispatch::TrueLru(p) => p.on_fill(set, way),
-            PolicyDispatch::Random(p) => p.on_fill(set, way),
-            PolicyDispatch::IntelLike(p) => p.on_fill(set, way),
-            PolicyDispatch::Boxed(p) => p.on_fill(set, way),
-        }
+        dispatch!(self, p => p.on_fill(set, way))
     }
 
     /// Records that `way` of `set` was invalidated.
     #[inline]
     pub(crate) fn on_invalidate(&mut self, set: usize, way: usize) {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.on_invalidate(set, way),
-            PolicyDispatch::TrueLru(p) => p.on_invalidate(set, way),
-            PolicyDispatch::Random(p) => p.on_invalidate(set, way),
-            PolicyDispatch::IntelLike(p) => p.on_invalidate(set, way),
-            PolicyDispatch::Boxed(p) => p.on_invalidate(set, way),
-        }
+        dispatch!(self, p => p.on_invalidate(set, way))
     }
 
     /// Chooses a victim way within `set`, restricted to `candidates`.
     #[inline]
     pub(crate) fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.choose_victim(set, candidates),
-            PolicyDispatch::TrueLru(p) => p.choose_victim(set, candidates),
-            PolicyDispatch::Random(p) => p.choose_victim(set, candidates),
-            PolicyDispatch::IntelLike(p) => p.choose_victim(set, candidates),
-            PolicyDispatch::Boxed(p) => p.choose_victim(set, candidates),
-        }
+        dispatch!(self, p => p.choose_victim(set, candidates))
     }
 
     /// `choose_victim` immediately followed by `on_fill` of the chosen way —
@@ -291,13 +227,7 @@ impl PolicyDispatch {
 
     /// Resets all metadata to the post-power-on state.
     pub(crate) fn reset(&mut self) {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.reset(),
-            PolicyDispatch::TrueLru(p) => p.reset(),
-            PolicyDispatch::Random(p) => p.reset(),
-            PolicyDispatch::IntelLike(p) => p.reset(),
-            PolicyDispatch::Boxed(p) => p.reset(),
-        }
+        dispatch!(self, p => p.reset())
     }
 }
 
@@ -350,8 +280,18 @@ impl PolicyRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn exercise(policy: &mut dyn ReplacementPolicy, ways: usize) {
+    const ALL: [PolicyKind; 6] = [
+        PolicyKind::TrueLru,
+        PolicyKind::TreePlru,
+        PolicyKind::Random,
+        PolicyKind::IntelLike,
+        PolicyKind::Nru,
+        PolicyKind::Srrip,
+    ];
+
+    fn exercise(policy: &mut PolicyDispatch, ways: usize) {
         let all = WayMask::all(ways);
         // Fill every way, touch a few, and ensure victims stay in range and
         // respect the candidate mask.
@@ -378,18 +318,34 @@ mod tests {
 
     #[test]
     fn every_policy_respects_the_candidate_mask() {
-        let kinds = [
-            PolicyKind::TrueLru,
-            PolicyKind::TreePlru,
-            PolicyKind::Random,
-            PolicyKind::IntelLike,
-            PolicyKind::Fifo,
-            PolicyKind::Nru,
-            PolicyKind::Srrip,
-        ];
-        for kind in kinds {
-            let mut policy = kind.build(4, 8, 0xfeed).unwrap();
-            exercise(policy.as_mut(), 8);
+        for kind in ALL {
+            let mut policy = PolicyDispatch::build(kind, 4, 8, 0xfeed).unwrap();
+            assert_eq!(policy.name(), kind.label());
+            exercise(&mut policy, 8);
+        }
+    }
+
+    proptest! {
+        /// Replacement policies never return a victim outside the candidate
+        /// mask.
+        #[test]
+        fn victims_respect_candidate_masks(
+            kind in 0..ALL.len(),
+            mask_bits in 1u64..255,
+            fills in proptest::collection::vec(0usize..8, 0..64),
+            seed in 0u64..1000,
+        ) {
+            let mut p = PolicyDispatch::build(ALL[kind], 4, 8, seed).unwrap();
+            for way in fills {
+                p.on_fill(1, way);
+            }
+            let mask = WayMask::from_bits(mask_bits);
+            if let Some(victim) = p.choose_victim(1, mask) {
+                prop_assert!(mask.contains(victim));
+                prop_assert!(victim < 8);
+            } else {
+                prop_assert!(mask.is_empty());
+            }
         }
     }
 
@@ -399,20 +355,14 @@ mod tests {
         assert_eq!(PolicyKind::TreePlru.to_string(), "Tree-PLRU");
         assert_eq!(PolicyKind::Random.label(), "Random");
         assert_eq!(PolicyKind::IntelLike.label(), "Intel-like");
-        assert_eq!(
-            PolicyKind::IntelLikeTuned {
-                mispredict: 0.5,
-                max_staleness: 9
-            }
-            .label(),
-            "Intel-like"
-        );
+        assert_eq!(PolicyKind::Nru.label(), "NRU");
+        assert_eq!(PolicyKind::Srrip.label(), "SRRIP");
     }
 
     #[test]
     fn tree_plru_rejects_non_power_of_two() {
-        assert!(PolicyKind::TreePlru.build(4, 6, 0).is_err());
-        assert!(PolicyKind::IntelLike.build(4, 6, 0).is_err());
+        assert!(PolicyDispatch::build(PolicyKind::TreePlru, 4, 6, 0).is_err());
+        assert!(PolicyDispatch::build(PolicyKind::IntelLike, 4, 6, 0).is_err());
     }
 
     #[test]

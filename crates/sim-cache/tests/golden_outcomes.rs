@@ -2,8 +2,8 @@
 //!
 //! `golden_outcomes.txt` next to this file holds one line per hierarchy
 //! shape, `<preset> <policy> <l1 variant> 0x<FNV-1a digest>`, crossing every
-//! [`HierarchyPreset`], every [`PolicyKind`] (as the L1 policy) and four L1
-//! variants: plain, next-line prefetcher, random fill and write-through. Each
+//! [`HierarchyPreset`], every [`PolicyKind`] (as the L1 policy) and three L1
+//! variants: plain, random fill and write-through. Each
 //! shape runs one fixed trace of colliding reads, writes, flushes and
 //! prefetches, then a batched chase and a batched mixed trace; every
 //! [`AccessOutcome`] field, every [`TraceSummary`] field and the final
@@ -16,24 +16,22 @@
 //! can be pasted over `golden_outcomes.txt` (and explained).
 
 use sim_cache::hierarchy::RandomFillConfig;
-use sim_cache::prefetch::PrefetchConfig;
 use sim_cache::prelude::*;
 
 const GOLDEN: &str = include_str!("golden_outcomes.txt");
 
-const POLICIES: [PolicyKind; 7] = [
+const POLICIES: [PolicyKind; 6] = [
     PolicyKind::TrueLru,
     PolicyKind::TreePlru,
     PolicyKind::Random,
     PolicyKind::IntelLike,
-    PolicyKind::Fifo,
     PolicyKind::Nru,
     PolicyKind::Srrip,
 ];
 
-/// The L1 variants: the plain Table III L1 plus the three mechanisms the
+/// The L1 variants: the plain Table III L1 plus the two L1 mechanisms the
 /// defenses table turns on.
-const VARIANTS: [&str; 4] = ["plain", "prefetch", "random-fill", "write-through"];
+const VARIANTS: [&str; 3] = ["plain", "random-fill", "write-through"];
 
 /// FNV-1a over 64-bit words, byte by byte.
 struct Digest(u64);
@@ -159,12 +157,6 @@ fn config(preset: HierarchyPreset, policy: PolicyKind, variant: &str) -> Hierarc
         .expect("16-way LLC is valid");
     match variant {
         "plain" => {}
-        "prefetch" => {
-            config.l1_prefetch = Some(PrefetchConfig {
-                degree: 1,
-                on_hit: true,
-            });
-        }
         "random-fill" => config.l1_random_fill = Some(RandomFillConfig { window: 4 }),
         "write-through" => {
             config.l1d.write_policy = WritePolicy::WriteThrough;

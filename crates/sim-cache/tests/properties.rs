@@ -9,7 +9,6 @@ fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
         Just(PolicyKind::TreePlru),
         Just(PolicyKind::Random),
         Just(PolicyKind::IntelLike),
-        Just(PolicyKind::Fifo),
         Just(PolicyKind::Nru),
         Just(PolicyKind::Srrip),
     ]
@@ -117,33 +116,9 @@ proptest! {
                 cache.fill(addr, receiver, false, false);
             }
         }
-        let sweep_guaranteed = matches!(
-            policy,
-            PolicyKind::TrueLru | PolicyKind::TreePlru | PolicyKind::Fifo
-        );
+        let sweep_guaranteed = matches!(policy, PolicyKind::TrueLru | PolicyKind::TreePlru);
         if sweep_guaranteed {
             prop_assert_eq!(cache.dirty_count_in_set(set), 0);
-        }
-    }
-
-    /// Replacement policies never return a victim outside the candidate mask.
-    #[test]
-    fn victims_respect_candidate_masks(
-        policy in arbitrary_policy(),
-        mask_bits in 1u64..255,
-        fills in proptest::collection::vec(0usize..8, 0..64),
-        seed in 0u64..1000,
-    ) {
-        let mut p = policy.build(4, 8, seed).unwrap();
-        for way in fills {
-            p.on_fill(1, way);
-        }
-        let mask = WayMask::from_bits(mask_bits);
-        if let Some(victim) = p.choose_victim(1, mask) {
-            prop_assert!(mask.contains(victim));
-            prop_assert!(victim < 8);
-        } else {
-            prop_assert!(mask.is_empty());
         }
     }
 

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::machine::{Machine, MachineConfig, RunSummary};
     pub use crate::memlayout::{ChannelLayout, SetLines};
     pub use crate::perf::{PerfCounters, PerfLevel};
-    pub use crate::process::{AddressSpace, Process, ProcessId};
+    pub use crate::process::{AddressSpace, ProcessId};
     pub use crate::program::{Action, Actor, Completion, ScriptedActor};
     pub use crate::sched::InterruptConfig;
     pub use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};

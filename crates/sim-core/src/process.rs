@@ -9,7 +9,6 @@
 //! two processes never alias the same physical line.
 
 use sim_cache::addr::{CacheGeometry, PhysAddr};
-use sim_cache::line::DomainId;
 use std::fmt;
 
 /// Bit position at which the process identifier is spliced into physical
@@ -75,35 +74,6 @@ impl AddressSpace {
     }
 }
 
-/// Descriptive metadata for a simulated process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Process {
-    /// Process identifier.
-    pub pid: ProcessId,
-    /// Human-readable role ("sender", "receiver", "g++", ...).
-    pub name: String,
-    /// Attribution/protection domain used by the cache and perf model.
-    pub domain: DomainId,
-}
-
-impl Process {
-    /// Creates a process descriptor.  The cache-attribution domain is derived
-    /// from the pid so that per-process perf counters stay separable.
-    pub fn new<S: Into<String>>(pid: ProcessId, name: S) -> Process {
-        Process {
-            pid,
-            name: name.into(),
-            domain: pid.0,
-        }
-    }
-
-    /// The process's address space.
-    pub fn address_space(&self) -> AddressSpace {
-        AddressSpace::new(self.pid)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,10 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn process_descriptor_derives_domain_from_pid() {
-        let p = Process::new(ProcessId(9), "sender");
-        assert_eq!(p.domain, 9);
-        assert_eq!(p.address_space().pid(), ProcessId(9));
+    fn process_ids_display_convert_and_own_their_address_space() {
+        assert_eq!(AddressSpace::new(ProcessId(9)).pid(), ProcessId(9));
         assert_eq!(ProcessId(9).to_string(), "pid9");
         assert_eq!(ProcessId::from(4u16), ProcessId(4));
     }

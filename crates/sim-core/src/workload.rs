@@ -13,41 +13,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::line::DomainId;
 
-/// Parameters of the compiler-like workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct CompilerWorkloadConfig {
-    /// Size of the streaming "source text" region in bytes.
-    pub source_bytes: u64,
-    /// Size of the randomly probed "symbol table" region in bytes.
-    pub symbol_table_bytes: u64,
-    /// Size of the sequentially written "output" region in bytes.
-    pub output_bytes: u64,
-    /// Fraction of accesses that are symbol-table probes.
-    pub probe_fraction: f64,
-    /// Fraction of accesses that are output stores.
-    pub store_fraction: f64,
-    /// Compute cycles between memory accesses (models non-memory work).
-    pub think_time: u64,
-}
-
-impl Default for CompilerWorkloadConfig {
-    fn default() -> Self {
-        CompilerWorkloadConfig {
-            source_bytes: 2 * 1024 * 1024,
-            symbol_table_bytes: 512 * 1024,
-            output_bytes: 1024 * 1024,
-            probe_fraction: 0.35,
-            store_fraction: 0.20,
-            think_time: 6,
-        }
-    }
-}
+/// Size of the streaming "source text" region in bytes.
+const SOURCE_BYTES: u64 = 2 * 1024 * 1024;
+/// Size of the randomly probed "symbol table" region in bytes.
+const SYMBOL_TABLE_BYTES: u64 = 512 * 1024;
+/// Size of the sequentially written "output" region in bytes.
+const OUTPUT_BYTES: u64 = 1024 * 1024;
+/// Fraction of accesses that are symbol-table probes.
+const PROBE_FRACTION: f64 = 0.35;
+/// Fraction of accesses that are output stores.
+const STORE_FRACTION: f64 = 0.20;
+/// Compute cycles between memory accesses (models non-memory work).
+const THINK_TIME: u64 = 6;
 
 /// A `g++`-like benign co-runner.
 #[derive(Debug)]
 pub struct CompilerWorkload {
-    config: CompilerWorkloadConfig,
     space: AddressSpace,
     domain: DomainId,
     rng: StdRng,
@@ -63,14 +44,8 @@ const OUTPUT_BASE: u64 = 0x3000_0000;
 
 impl CompilerWorkload {
     /// Creates the workload in `space`, attributed to `domain`.
-    pub fn new(
-        space: AddressSpace,
-        domain: DomainId,
-        config: CompilerWorkloadConfig,
-        seed: u64,
-    ) -> CompilerWorkload {
+    pub fn new(space: AddressSpace, domain: DomainId, seed: u64) -> CompilerWorkload {
         CompilerWorkload {
-            config,
             space,
             domain,
             rng: StdRng::seed_from_u64(seed),
@@ -91,28 +66,28 @@ impl Actor for CompilerWorkload {
     }
 
     fn next_action(&mut self, _now: u64) -> Action {
-        if self.pending_think && self.config.think_time > 0 {
+        if self.pending_think {
             self.pending_think = false;
-            return Action::Compute(self.config.think_time);
+            return Action::Compute(THINK_TIME);
         }
         self.pending_think = true;
         let roll: f64 = self.rng.gen();
-        if roll < self.config.store_fraction {
+        if roll < STORE_FRACTION {
             // Sequential stores into the output buffer (dirty lines!).
             let addr = self
                 .space
-                .translate(OUTPUT_BASE + (self.output_cursor % self.config.output_bytes));
+                .translate(OUTPUT_BASE + (self.output_cursor % OUTPUT_BYTES));
             self.output_cursor += 64;
             Action::Store(addr)
-        } else if roll < self.config.store_fraction + self.config.probe_fraction {
+        } else if roll < STORE_FRACTION + PROBE_FRACTION {
             // Random probe into the symbol table.
-            let offset = self.rng.gen_range(0..self.config.symbol_table_bytes) & !63;
+            let offset = self.rng.gen_range(0..SYMBOL_TABLE_BYTES) & !63;
             Action::Load(self.space.translate(SYMBOLS_BASE + offset))
         } else {
             // Streaming read of the source text.
             let addr = self
                 .space
-                .translate(SOURCE_BASE + (self.source_cursor % self.config.source_bytes));
+                .translate(SOURCE_BASE + (self.source_cursor % SOURCE_BYTES));
             self.source_cursor += 64;
             Action::Load(addr)
         }
@@ -131,12 +106,7 @@ mod tests {
     #[test]
     fn compiler_workload_touches_all_three_regions() {
         let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
-        let mut workload = CompilerWorkload::new(
-            AddressSpace::new(ProcessId(3)),
-            3,
-            CompilerWorkloadConfig::default(),
-            99,
-        );
+        let mut workload = CompilerWorkload::new(AddressSpace::new(ProcessId(3)), 3, 99);
         {
             let mut actors: Vec<&mut dyn Actor> = vec![&mut workload];
             machine.run(&mut actors, 500_000);
@@ -155,12 +125,7 @@ mod tests {
     #[test]
     fn compiler_workload_creates_dirty_lines_across_sets() {
         let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 1)).unwrap();
-        let mut workload = CompilerWorkload::new(
-            AddressSpace::new(ProcessId(4)),
-            4,
-            CompilerWorkloadConfig::default(),
-            7,
-        );
+        let mut workload = CompilerWorkload::new(AddressSpace::new(ProcessId(4)), 4, 7);
         {
             let mut actors: Vec<&mut dyn Actor> = vec![&mut workload];
             machine.run(&mut actors, 300_000);

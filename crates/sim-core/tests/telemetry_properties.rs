@@ -22,7 +22,6 @@ fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
         Just(PolicyKind::TreePlru),
         Just(PolicyKind::Random),
         Just(PolicyKind::IntelLike),
-        Just(PolicyKind::Fifo),
         Just(PolicyKind::Nru),
         Just(PolicyKind::Srrip),
     ]
