@@ -46,7 +46,6 @@ pub fn bit_error_rate(sent: &[bool], received: &[bool]) -> f64 {
 
 /// A per-error-type breakdown obtained from the optimal alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ErrorBreakdown {
     /// Substitutions (bit flips).
     pub flips: usize,

@@ -6,7 +6,6 @@
 
 /// A fixed-width-bin histogram over `f64` samples.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -105,7 +104,6 @@ impl Histogram {
 
 /// One point of an empirical CDF: `fraction` of the samples are `<= value`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CdfPoint {
     /// The latency value (x axis of the paper's Figure 4).
     pub value: f64,
@@ -115,7 +113,6 @@ pub struct CdfPoint {
 
 /// An empirical cumulative distribution function.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cdf {
     /// The CDF samples in ascending `value` order.
     pub points: Vec<CdfPoint>,

@@ -4,7 +4,6 @@ use std::fmt;
 
 /// Summary statistics of a sample of `f64` observations.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

@@ -11,7 +11,6 @@ use std::path::Path;
 
 /// A simple rectangular results table.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table {
     /// Table title (e.g. `"Table II: probability of line 0 being evicted"`).
     pub title: String,

@@ -15,7 +15,6 @@
 /// A binary latency threshold: values strictly above the threshold are
 /// classified as "1" (dirty line present).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BinaryThreshold {
     threshold: f64,
     /// Mean latency observed for symbol 0 during calibration.
@@ -80,7 +79,6 @@ impl BinaryThreshold {
 /// Level `i` corresponds to the `i`-th calibration class (in the order the
 /// classes were supplied, conventionally increasing dirty-line count).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiLevelThreshold {
     /// Mean latency of each class, ascending.
     means: Vec<f64>,

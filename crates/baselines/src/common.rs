@@ -14,7 +14,6 @@ use wb_channel::Error;
 
 /// How a noisy cache line interferes with a transmission (Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NoiseSpec {
     /// Probability that a noisy line is loaded into the target set between
     /// the sender's encoding step and the receiver's decoding step.
@@ -36,7 +35,6 @@ impl NoiseSpec {
 
 /// Outcome of one baseline transmission.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BaselineReport {
     /// Channel name ("Flush+Reload", "Prime+Probe", ...).
     pub channel: String,

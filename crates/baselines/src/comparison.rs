@@ -14,7 +14,6 @@ use wb_channel::Error;
 /// One row of the paper's Table I, extended with the requirements the paper
 /// discusses in Section VI.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassificationRow {
     /// Channel name.
     pub channel: String,
@@ -63,7 +62,6 @@ pub fn classification_table() -> Vec<ClassificationRow> {
 
 /// Result of the Figure 8 noise-robustness comparison for one channel.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NoiseRobustness {
     /// Channel name.
     pub channel: String,

@@ -28,7 +28,6 @@ const SENDER_DOMAIN: u16 = 2;
 
 /// Configuration of the calibration runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CalibrationConfig {
     /// The machine to calibrate on.
     pub machine: MachineConfig,
@@ -268,7 +267,6 @@ pub fn calibrate_decoder_with_cycles(
 /// The three access-latency classes of the paper's Table IV, measured as true
 /// core latencies (no `rdtscp` overhead).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessLatencyClasses {
     /// Latency of an L1D hit.
     pub l1_hit: Summary,

@@ -33,7 +33,6 @@ pub fn period_for_kbps(bits_per_symbol: usize, kbps: f64, clock_ghz: f64) -> Opt
 
 /// One point of a rate/error sweep (the paper's Figure 6).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RatePoint {
     /// Sender period `Ts` (= receiver period `Tr`) in cycles.
     pub period_cycles: u64,

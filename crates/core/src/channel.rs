@@ -23,7 +23,6 @@ use sim_core::tsc::TscConfig;
 /// Configuration of a noisy-neighbour process running alongside the channel
 /// (Sec. VI / Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NoiseConfig {
     /// Cycles between noise accesses to the target set.
     pub interval: u64,
@@ -47,7 +46,6 @@ impl NoiseConfig {
 
 /// Channel configuration (builder-constructed).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelConfig {
     /// Symbol encoding.
     pub encoding: SymbolEncoding,
@@ -272,7 +270,6 @@ impl Default for ChannelConfigBuilder {
 
 /// Report of one frame transmission.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransmissionReport {
     /// The bits that were transmitted (preamble included).
     pub sent_bits: Vec<bool>,
@@ -301,7 +298,6 @@ impl TransmissionReport {
 
 /// Aggregate report of a multi-frame evaluation (one point of Figure 6).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EvaluationReport {
     /// Number of frames transmitted.
     pub frames: usize,

@@ -16,7 +16,6 @@ use std::fmt;
 
 /// A symbol encoding for the WB channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SymbolEncoding {
     /// One bit per symbol: `0 ↦ 0` dirty lines, `1 ↦ dirty_lines`.
     Binary {

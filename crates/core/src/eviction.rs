@@ -20,7 +20,6 @@ use sim_cache::policy::PolicyKind;
 
 /// One row/cell of the Table II experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EvictionProbability {
     /// Replacement policy evaluated.
     pub policy: PolicyKind,
@@ -103,7 +102,6 @@ pub fn table_ii(
 
 /// One cell of the Table V experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DirtyEvictionProbability {
     /// Number of dirty lines in the target set.
     pub dirty_lines: usize,

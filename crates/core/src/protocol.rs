@@ -28,7 +28,6 @@ pub fn preamble() -> Vec<bool> {
 
 /// A transmission frame: the fixed preamble followed by payload bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     bits: Vec<bool>,
 }
@@ -195,7 +194,6 @@ impl Decoder {
 /// Result of aligning a decoded bit stream against the transmitted frame and
 /// scoring it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AlignmentResult {
     /// Offset (in bits) into the decoded stream where the frame was found.
     pub offset: usize,

@@ -10,33 +10,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_cache::line::DomainId;
+use sim_cache::trace::TraceOp;
 use sim_core::memlayout::ChannelLayout;
-use sim_core::program::{Action, Actor, Completion};
 use sim_core::session::TraceProgram;
+use sim_core::telemetry::Phase;
 
-/// One latency observation made by the receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Sample {
-    /// Cycle at which the measurement completed.
-    pub at: u64,
-    /// The `rdtscp`-measured replacement latency in cycles.
-    pub measured: u64,
-}
-
-/// The receiver state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReceiverState {
-    /// Initialisation phase: fill the target set with clean lines.
-    Init,
-    /// Busy-wait until the next sampling point.
-    Wait,
-    /// Issue the measured pointer-chasing sweep.
-    Decode,
-}
-
-/// The covert-channel receiver, usable as an [`Actor`] on the simulated SMT
-/// core.
+/// The covert-channel receiver: a sampling schedule over its channel layout,
+/// compiled into a [`TraceProgram`] for the simulated SMT core.
 #[derive(Debug)]
 pub struct WbReceiver {
     name: String,
@@ -49,15 +29,8 @@ pub struct WbReceiver {
     /// period start, which is what a careful attacker does.
     phase: u64,
     max_samples: usize,
-    samples: Vec<Sample>,
-    state: ReceiverState,
-    init_idx: usize,
-    decode_count: u64,
-    t_last: u64,
-    /// The seed the shuffle stream derives from (kept so [`WbReceiver::compile`]
-    /// can replay the identical stream from the start).
+    /// The seed the per-sample shuffle stream derives from.
     seed: u64,
-    rng: StdRng,
     /// Cycle at which the sender's first period starts; the first sample is
     /// taken `phase` cycles after this rendezvous point.
     start_at: u64,
@@ -82,13 +55,7 @@ impl WbReceiver {
             period,
             phase: phase.min(period.saturating_sub(1)),
             max_samples,
-            samples: Vec::with_capacity(max_samples),
-            state: ReceiverState::Init,
-            init_idx: 0,
-            decode_count: 0,
-            t_last: 0,
             seed,
-            rng: StdRng::seed_from_u64(seed ^ 0x7265_6376),
             start_at: 0,
         }
     }
@@ -114,46 +81,42 @@ impl WbReceiver {
     }
 
     /// Compiles the receiver's full sampling schedule into a
-    /// [`TraceProgram`] for [`sim_core::machine::Machine::run_session`].
-    ///
-    /// The program issues exactly the action sequence this actor's
-    /// [`Actor::next_action`] state machine would produce from its fresh
-    /// state (call `compile` before driving the actor): the initialisation
-    /// loads (warm both replacement sets, then fill the target set), the
-    /// first-sample alignment wait, and per sample a measured pointer chase
-    /// over the alternating shuffled replacement sets followed by the period
-    /// wait anchored at the chase's issue time.  The shuffle stream is
-    /// replayed from the constructor's seed, so the chase orders match the
-    /// actor's decode-time draws.
+    /// [`TraceProgram`] for [`sim_core::machine::Machine::run_session`]: the
+    /// initialisation loads (warm both replacement sets into the outer cache
+    /// levels, so the first decodes are L2-served, then fill the target set
+    /// with the receiver's own clean lines — the paper's initialisation
+    /// phase), the first-sample alignment wait `phase` cycles into the first
+    /// period, and per sample a measured pointer chase over the alternating
+    /// shuffled replacement sets followed by the period wait anchored at the
+    /// chase's issue time.  The shuffles are drawn from the constructor's
+    /// seed.
     pub fn compile(&self) -> TraceProgram {
         let mut program = TraceProgram::new(self.name.clone(), self.domain);
         if self.max_samples == 0 {
-            // The actor retires immediately without initialising.
+            // Nothing to sample: the receiver does not even initialise.
             return program;
         }
-        program.phase(sim_core::telemetry::Phase::Prime).ops(
+        program.phase(Phase::Prime).ops(
             self.layout
                 .replacement_a
                 .lines()
                 .iter()
                 .chain(self.layout.replacement_b.lines())
                 .chain(self.layout.target_lines.lines())
-                .map(|&addr| sim_cache::trace::TraceOp::read(addr)),
+                .map(|&addr| TraceOp::read(addr)),
         );
         program
-            .phase(sim_core::telemetry::Phase::Wait)
+            .phase(Phase::Wait)
             .wait_floor(self.start_at, self.phase);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7265_6376);
         for sample in 0..self.max_samples {
-            program.phase(sim_core::telemetry::Phase::Decode);
+            program.phase(Phase::Decode);
             program.anchor();
             let replacement = self.layout.replacement_for(sample as u64);
             let order = replacement.shuffled(&mut rng);
             program.chase(&order);
             if sample + 1 < self.max_samples {
-                program
-                    .phase(sim_core::telemetry::Phase::Wait)
-                    .wait_anchor(self.period);
+                program.phase(Phase::Wait).wait_anchor(self.period);
             }
         }
         if cfg!(debug_assertions) {
@@ -161,99 +124,17 @@ impl WbReceiver {
         }
         program
     }
-
-    /// The latency samples collected so far.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// The measured latencies only, in observation order.
-    pub fn latencies(&self) -> Vec<u64> {
-        self.samples.iter().map(|s| s.measured).collect()
-    }
-
-    /// Whether the receiver has collected all requested samples.
-    pub fn is_complete(&self) -> bool {
-        self.samples.len() >= self.max_samples
-    }
-}
-
-impl Actor for WbReceiver {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    fn next_action(&mut self, now: u64) -> Action {
-        if self.is_complete() {
-            return Action::Done;
-        }
-        match self.state {
-            ReceiverState::Init => {
-                // Warm both replacement sets into the outer cache levels
-                // first (so the very first decodes are L2-served, not
-                // memory-served), then fill the target set with the
-                // receiver's own clean lines — the paper's
-                // initialisation phase.
-                let warm_a = self.layout.replacement_a.len();
-                let warm_b = self.layout.replacement_b.len();
-                let total_init = warm_a + warm_b + self.layout.target_lines.len();
-                if self.init_idx < total_init {
-                    let i = self.init_idx;
-                    self.init_idx += 1;
-                    let line = if i < warm_a {
-                        self.layout.replacement_a.line(i)
-                    } else if i < warm_a + warm_b {
-                        self.layout.replacement_b.line(i - warm_a)
-                    } else {
-                        self.layout.target_lines.line(i - warm_a - warm_b)
-                    };
-                    return Action::Load(line);
-                }
-                // Initialisation complete: schedule the first sample at
-                // `phase` cycles into the first period (which begins at
-                // the agreed rendezvous time, if one was set).
-                self.state = ReceiverState::Wait;
-                let anchor = now.max(self.start_at);
-                self.t_last = anchor;
-                Action::WaitUntil(anchor + self.phase)
-            }
-            ReceiverState::Wait => {
-                // The wait completed (this call happens after the wait's
-                // completion); take the measurement now.
-                self.t_last = now;
-                self.state = ReceiverState::Decode;
-                let replacement = self.layout.replacement_for(self.decode_count);
-                self.decode_count += 1;
-                let order = replacement.shuffled(&mut self.rng);
-                Action::MeasuredChase(order)
-            }
-            ReceiverState::Decode => {
-                // Decode completed; wait for the next sampling point.
-                self.state = ReceiverState::Wait;
-                Action::WaitUntil(self.t_last + self.period)
-            }
-        }
-    }
-
-    fn on_completion(&mut self, completion: &Completion) {
-        if let Some(measured) = completion.measured {
-            self.samples.push(Sample {
-                at: completion.finished_at,
-                measured,
-            });
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sim_cache::addr::CacheGeometry;
+    use sim_cache::policy::PolicyKind;
+    use sim_cache::trace::TraceKind;
+    use sim_core::machine::{Machine, MachineConfig};
     use sim_core::process::{AddressSpace, ProcessId};
+    use sim_core::session::TraceStep;
 
     fn layout() -> ChannelLayout {
         ChannelLayout::build(
@@ -265,89 +146,72 @@ mod tests {
         )
     }
 
-    /// Drives the receiver standalone: loads take 10 cycles, chases 120.
-    fn drive(receiver: &mut WbReceiver, start: u64, max_steps: usize) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let mut now = start;
-        for _ in 0..max_steps {
-            let action = receiver.next_action(now);
-            match &action {
-                Action::Done => {
-                    actions.push(action);
-                    break;
-                }
-                Action::WaitUntil(t) => now = (*t).max(now),
-                Action::MeasuredChase(_) => {
-                    now += 120;
-                    receiver.on_completion(&Completion {
-                        finished_at: now,
-                        latency: 120,
-                        measured: Some(120),
-                        outcomes: vec![],
-                    });
-                }
-                _ => now += 10,
-            }
-            actions.push(action);
-        }
-        actions
+    /// The chase orders of the compiled program, one per sample.
+    fn chases(program: &TraceProgram) -> Vec<&[sim_cache::addr::PhysAddr]> {
+        program
+            .steps()
+            .iter()
+            .filter_map(|&step| match step {
+                TraceStep::Chase { start, end } => Some(&program.chase_arena()[start..end]),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
     fn init_phase_warms_replacement_sets_then_fills_the_target_set() {
-        let mut receiver = WbReceiver::with_default_phase(1, layout(), 5_000, 4, 9);
-        let actions = drive(&mut receiver, 0, 200);
-        let init_loads: Vec<&Action> = actions
-            .iter()
-            .take_while(|a| matches!(a, Action::Load(_)))
-            .collect();
+        let receiver = WbReceiver::with_default_phase(1, layout(), 5_000, 4, 9);
+        let program = receiver.compile();
+        // One batch of init loads comes first.
+        let TraceStep::Ops { start, end } = program.steps()[0] else {
+            panic!("the program starts with its init loads");
+        };
+        let init = &program.op_arena()[start..end];
+        assert!(init.iter().all(|op| op.kind == TraceKind::Read));
         // 10 + 10 replacement-set lines warmed, then the 8 target lines.
-        assert_eq!(init_loads.len(), 28);
         let reference = layout();
-        let last_eight: Vec<u64> = init_loads[20..]
-            .iter()
-            .map(|a| match a {
-                Action::Load(addr) => addr.value(),
-                _ => unreachable!(),
-            })
-            .collect();
         let expected: Vec<u64> = reference
-            .target_lines
+            .replacement_a
             .lines()
             .iter()
+            .chain(reference.replacement_b.lines())
+            .chain(reference.target_lines.lines())
             .map(|a| a.value())
             .collect();
-        assert_eq!(last_eight, expected, "target set is initialised last");
+        let loaded: Vec<u64> = init.iter().map(|op| op.addr.value()).collect();
+        assert_eq!(loaded.len(), 28);
+        assert_eq!(loaded, expected, "target set is initialised last");
     }
 
     #[test]
     fn collects_the_requested_number_of_samples_and_stops() {
-        let mut receiver = WbReceiver::with_default_phase(1, layout(), 5_000, 5, 9);
-        let actions = drive(&mut receiver, 0, 500);
-        assert!(receiver.is_complete());
-        assert_eq!(receiver.samples().len(), 5);
-        assert_eq!(receiver.latencies(), vec![120; 5]);
-        assert!(matches!(actions.last(), Some(Action::Done)));
+        let receiver = WbReceiver::with_default_phase(1, layout(), 5_000, 5, 9);
+        let program = receiver.compile();
+        assert_eq!(chases(&program).len(), 5);
+        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
+        let report = machine.run_session(std::slice::from_ref(&program), &mut [], 1_000_000);
+        let receiver = &report.programs[0];
+        assert!(
+            receiver.finished,
+            "the receiver stops after its last sample"
+        );
+        assert_eq!(receiver.measurements.len(), 5);
+        assert_eq!(report.finished_at, receiver.measurements[4].at);
+        // No samples: the program is empty.
+        let idle = WbReceiver::with_default_phase(1, layout(), 5_000, 0, 9).compile();
+        assert!(idle.steps().is_empty());
     }
 
     #[test]
     fn replacement_sets_alternate_between_decodes() {
-        let mut receiver = WbReceiver::with_default_phase(1, layout(), 1_000, 4, 9);
-        let actions = drive(&mut receiver, 0, 500);
-        let chases: Vec<&Action> = actions
-            .iter()
-            .filter(|a| matches!(a, Action::MeasuredChase(_)))
-            .collect();
+        let receiver = WbReceiver::with_default_phase(1, layout(), 1_000, 4, 9);
+        let program = receiver.compile();
+        let chases = chases(&program);
         assert_eq!(chases.len(), 4);
-        let set_of = |a: &Action| -> Vec<u64> {
-            match a {
-                Action::MeasuredChase(addrs) => {
-                    let mut v: Vec<u64> = addrs.iter().map(|p| p.value()).collect();
-                    v.sort_unstable();
-                    v
-                }
-                _ => unreachable!(),
-            }
+        let set_of = |addrs: &[sim_cache::addr::PhysAddr]| -> Vec<u64> {
+            let mut v: Vec<u64> = addrs.iter().map(|p| p.value()).collect();
+            v.sort_unstable();
+            v
         };
         assert_eq!(
             set_of(chases[0]),
@@ -360,24 +224,41 @@ mod tests {
             "decode 1 and 3 use set B"
         );
         assert_ne!(set_of(chases[0]), set_of(chases[1]), "A and B are disjoint");
+        assert_ne!(chases[0], chases[2], "each decode draws a fresh order");
     }
 
     #[test]
     fn sampling_points_are_one_period_apart() {
-        let mut receiver = WbReceiver::new(1, layout(), 2_000, 700, 3, 9);
-        let actions = drive(&mut receiver, 0, 500);
-        let targets: Vec<u64> = actions
+        let receiver = WbReceiver::new(1, layout(), 2_000, 700, 3, 9);
+        let program = receiver.compile();
+        let waits: Vec<TraceStep> = program
+            .steps()
             .iter()
-            .filter_map(|a| match a {
-                Action::WaitUntil(t) => Some(*t),
-                _ => None,
-            })
+            .copied()
+            .filter(|step| !matches!(step, TraceStep::Ops { .. } | TraceStep::Chase { .. }))
             .collect();
-        // Init finishes after 28 loads (280 cycles): first sample at 280 +
-        // 700, then one period after each decode's wait anchor.
-        assert_eq!(targets[0], 980);
-        assert_eq!(targets[1] - targets[0], 2_000);
-        assert_eq!(targets[2] - targets[1], 2_000);
+        // The first sample lands 700 cycles after init (or the epoch, if
+        // later); each later one a period after the previous chase issued.
+        let period = [TraceStep::WaitAnchor { offset: 2_000 }, TraceStep::Anchor];
+        let mut expected = vec![
+            TraceStep::WaitFloor {
+                floor: 0,
+                offset: 700,
+            },
+            TraceStep::Anchor,
+        ];
+        expected.extend(period.repeat(2));
+        assert_eq!(waits, expected);
+        // On a machine, the chases start one period apart exactly.
+        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
+        let report = machine.run_session(std::slice::from_ref(&program), &mut [], 1_000_000);
+        let starts: Vec<u64> = report.programs[0]
+            .measurements
+            .iter()
+            .map(|m| m.at - m.measured)
+            .collect();
+        assert_eq!(starts[1] - starts[0], 2_000);
+        assert_eq!(starts[2] - starts[1], 2_000);
     }
 
     #[test]

@@ -10,22 +10,11 @@ use crate::encoding::SymbolEncoding;
 use sim_cache::line::DomainId;
 use sim_cache::trace::TraceOp;
 use sim_core::memlayout::SetLines;
-use sim_core::program::{Action, Actor, Completion};
 use sim_core::session::TraceProgram;
+use sim_core::telemetry::Phase;
 
-/// The sender state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SenderState {
-    /// Issue the stores for the current symbol.
-    Encode,
-    /// Touch the process's own hot lines (spin-loop footprint).
-    Spin,
-    /// Busy-wait for the rest of the period.
-    Wait,
-}
-
-/// The covert-channel sender, usable as an [`Actor`] on the simulated SMT
-/// core.
+/// The covert-channel sender: a symbol stream and the lines it dirties,
+/// compiled into a [`TraceProgram`] for the simulated SMT core.
 #[derive(Debug)]
 pub struct WbSender {
     name: String,
@@ -39,23 +28,15 @@ pub struct WbSender {
     symbols: Vec<usize>,
     /// Sending period `Ts` in cycles.
     period: u64,
-    state: SenderState,
-    symbol_idx: usize,
-    store_idx: usize,
-    /// `Tlast` of Algorithm 3.
-    t_last: Option<u64>,
-    symbols_sent: usize,
     /// Optional private hot lines touched every period, modelling the
     /// spin-loop/stack footprint of the real sender process.  Used by the
     /// stealthiness experiments (Tables VI and VII); plain channel
     /// transmissions leave this empty.
     spin_lines: Option<SetLines>,
     spin_loads_per_period: usize,
-    spin_idx: usize,
     /// Cycle at which the first symbol period starts (the rendezvous time the
     /// two parties agreed on).  Zero means "start immediately".
     start_at: u64,
-    started: bool,
 }
 
 impl WbSender {
@@ -94,16 +75,9 @@ impl WbSender {
             encoding,
             symbols,
             period: period.max(1),
-            state: SenderState::Encode,
-            symbol_idx: 0,
-            store_idx: 0,
-            t_last: None,
-            symbols_sent: 0,
             spin_lines: None,
             spin_loads_per_period: 0,
-            spin_idx: 0,
             start_at: 0,
-            started: false,
         }
     }
 
@@ -126,14 +100,10 @@ impl WbSender {
     }
 
     /// Compiles the sender's full transmission into a [`TraceProgram`] for
-    /// [`sim_core::machine::Machine::run_session`].
-    ///
-    /// The program issues exactly the action sequence this actor's
-    /// [`Actor::next_action`] state machine would produce from its fresh
-    /// state (call `compile` before driving the actor): the rendezvous wait,
-    /// then per symbol the `d` encoding stores, the optional spin-loop
-    /// loads, and the period wait anchored at the period's first action —
-    /// the `Tlast` discipline of Algorithm 3.
+    /// [`sim_core::machine::Machine::run_session`]: the rendezvous wait, then
+    /// per symbol the `d` encoding stores, the optional spin-loop loads, and
+    /// the period wait anchored at the period's first operation — the
+    /// `Tlast` discipline of Algorithm 3.
     ///
     /// The compiled rendezvous assumes the session starts at a machine time
     /// of at most [`WbSender::with_start_epoch`]'s epoch (a fresh machine
@@ -143,18 +113,16 @@ impl WbSender {
         let mut program = TraceProgram::new(self.name.clone(), self.domain);
         if self.start_at > 0 {
             // `Tlast` is the epoch itself, however late the wait completes.
-            program
-                .phase(sim_core::telemetry::Phase::Wait)
-                .wait_epoch(self.start_at);
+            program.phase(Phase::Wait).wait_epoch(self.start_at);
         } else {
-            // `Tlast` is the time the first action issues.
-            program.phase(sim_core::telemetry::Phase::Encode).anchor();
+            // `Tlast` is the time the first operation issues.
+            program.phase(Phase::Encode).anchor();
         }
         for (index, &symbol) in self.symbols.iter().enumerate() {
-            program.phase(sim_core::telemetry::Phase::Encode);
+            program.phase(Phase::Encode);
             if index > 0 {
-                // Each later period re-reads `Tlast` when its first action
-                // issues (the post-wait `next_action` call of the actor).
+                // Each later period re-reads `Tlast` when its first
+                // operation issues.
                 program.anchor();
             }
             let d = self.encoding.dirty_lines_for(symbol);
@@ -167,19 +135,12 @@ impl WbSender {
                     );
                 }
             }
-            program
-                .phase(sim_core::telemetry::Phase::Wait)
-                .wait_anchor(self.period);
+            program.phase(Phase::Wait).wait_anchor(self.period);
         }
         if cfg!(debug_assertions) {
             program.assert_valid();
         }
         program
-    }
-
-    /// Number of symbols fully transmitted so far.
-    pub fn symbols_sent(&self) -> usize {
-        self.symbols_sent
     }
 
     /// The symbol stream this sender transmits.
@@ -191,84 +152,17 @@ impl WbSender {
     pub fn bits(&self) -> Vec<bool> {
         self.encoding.symbols_to_bits(&self.symbols)
     }
-
-    fn current_dirty_count(&self) -> usize {
-        self.encoding.dirty_lines_for(self.symbols[self.symbol_idx])
-    }
-}
-
-impl Actor for WbSender {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    fn next_action(&mut self, now: u64) -> Action {
-        // Wait for the agreed rendezvous time before the first symbol.
-        if !self.started {
-            self.started = true;
-            if self.start_at > now {
-                self.t_last = Some(self.start_at);
-                return Action::WaitUntil(self.start_at);
-            }
-        }
-        // Algorithm 3: Tlast is (re)read from the TSC.
-        if self.t_last.is_none() {
-            self.t_last = Some(now);
-        }
-        loop {
-            if self.symbol_idx >= self.symbols.len() {
-                return Action::Done;
-            }
-            match self.state {
-                SenderState::Encode => {
-                    let d = self.current_dirty_count();
-                    if self.store_idx < d {
-                        let line = self.target_lines.line(self.store_idx);
-                        self.store_idx += 1;
-                        return Action::Store(line);
-                    }
-                    // Encoding phase complete; touch the spin footprint (if
-                    // any), then sleep until the period ends.
-                    self.state = SenderState::Spin;
-                    self.spin_idx = 0;
-                }
-                SenderState::Spin => {
-                    if let Some(spin) = &self.spin_lines {
-                        if self.spin_idx < self.spin_loads_per_period && !spin.is_empty() {
-                            let line = spin.line(self.spin_idx % spin.len());
-                            self.spin_idx += 1;
-                            return Action::Load(line);
-                        }
-                    }
-                    self.state = SenderState::Wait;
-                    let target = self.t_last.expect("set above") + self.period;
-                    return Action::WaitUntil(target);
-                }
-                SenderState::Wait => {
-                    // The wait has completed (we are called again only after
-                    // the previous action finished): start the next symbol.
-                    self.t_last = Some(now);
-                    self.symbols_sent += 1;
-                    self.symbol_idx += 1;
-                    self.store_idx = 0;
-                    self.state = SenderState::Encode;
-                }
-            }
-        }
-    }
-
-    fn on_completion(&mut self, _completion: &Completion) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sim_cache::addr::CacheGeometry;
+    use sim_cache::policy::PolicyKind;
+    use sim_cache::trace::TraceKind;
+    use sim_core::machine::{Machine, MachineConfig};
     use sim_core::process::{AddressSpace, ProcessId};
+    use sim_core::session::TraceStep;
 
     fn lines() -> SetLines {
         SetLines::build(
@@ -280,71 +174,92 @@ mod tests {
         )
     }
 
-    fn drive(sender: &mut WbSender, start: u64) -> Vec<Action> {
-        // Drives the actor as the machine would, assuming every action takes
-        // 10 cycles except waits, which complete exactly at their target.
-        let mut actions = Vec::new();
-        let mut now = start;
-        loop {
-            let action = sender.next_action(now);
-            match &action {
-                Action::Done => {
-                    actions.push(action);
-                    break;
+    /// `(stores, loads)` the compiled program issues in each period, split
+    /// at the period waits.
+    fn per_period(program: &TraceProgram) -> Vec<(usize, usize)> {
+        let mut periods = Vec::new();
+        let (mut stores, mut loads) = (0, 0);
+        for &step in program.steps() {
+            match step {
+                TraceStep::Ops { start, end } => {
+                    for op in &program.op_arena()[start..end] {
+                        match op.kind {
+                            TraceKind::Write => stores += 1,
+                            TraceKind::Read => loads += 1,
+                            TraceKind::Flush => unreachable!("the sender never flushes"),
+                        }
+                    }
                 }
-                Action::WaitUntil(t) => {
-                    now = (*t).max(now);
+                TraceStep::WaitAnchor { .. } => {
+                    periods.push((stores, loads));
+                    (stores, loads) = (0, 0);
                 }
-                _ => now += 10,
+                _ => {}
             }
-            actions.push(action);
         }
-        actions
+        periods
     }
 
     #[test]
     fn binary_one_stores_d_lines_and_zero_stores_none() {
         let encoding = SymbolEncoding::binary(3).unwrap();
-        let mut sender = WbSender::new(2, lines(), encoding, vec![1, 0, 1], 1_000);
-        let actions = drive(&mut sender, 0);
-        let stores = actions
+        let sender = WbSender::new(2, lines(), encoding, vec![1, 0, 1], 1_000);
+        let program = sender.compile();
+        // One wait per symbol; two '1' symbols at d=3.
+        assert_eq!(per_period(&program), vec![(3, 0), (0, 0), (3, 0)]);
+        let stored: Vec<u64> = program
+            .op_arena()
             .iter()
-            .filter(|a| matches!(a, Action::Store(_)))
-            .count();
-        let waits = actions
-            .iter()
-            .filter(|a| matches!(a, Action::WaitUntil(_)))
-            .count();
-        assert_eq!(stores, 6, "two '1' symbols at d=3");
-        assert_eq!(waits, 3, "one wait per symbol");
-        assert_eq!(sender.symbols_sent(), 3);
+            .map(|op| op.addr.value())
+            .collect();
+        let first_three: Vec<u64> = lines().lines()[..3].iter().map(|a| a.value()).collect();
+        assert_eq!(stored[..3], first_three[..], "a symbol dirties lines 0..d");
+        assert_eq!(stored[3..], first_three[..]);
     }
 
     #[test]
     fn multi_bit_symbols_store_their_level() {
         let encoding = SymbolEncoding::paper_two_bit();
-        let mut sender = WbSender::new(2, lines(), encoding, vec![0, 1, 2, 3], 2_000);
-        let actions = drive(&mut sender, 0);
-        let stores = actions
-            .iter()
-            .filter(|a| matches!(a, Action::Store(_)))
-            .count();
-        assert_eq!(stores, 3 + 5 + 8);
+        let sender = WbSender::new(2, lines(), encoding, vec![0, 1, 2, 3], 2_000);
+        let stores: Vec<usize> = per_period(&sender.compile())
+            .into_iter()
+            .map(|(stores, _)| stores)
+            .collect();
+        assert_eq!(stores, vec![0, 3, 5, 8]);
     }
 
     #[test]
     fn waits_target_consecutive_period_boundaries() {
         let encoding = SymbolEncoding::binary(1).unwrap();
-        let mut sender = WbSender::new(2, lines(), encoding, vec![0, 0, 0], 5_000);
-        let actions = drive(&mut sender, 100);
-        let targets: Vec<u64> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::WaitUntil(t) => Some(*t),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(targets, vec![5_100, 10_100, 15_100]);
+        let sender = WbSender::new(2, lines(), encoding, vec![0, 0, 0], 5_000);
+        let program = sender.compile();
+        // Every period re-anchors at its first operation and waits one
+        // period past it.
+        let expected = [TraceStep::Anchor, TraceStep::WaitAnchor { offset: 5_000 }].repeat(3);
+        assert_eq!(program.steps(), &expected[..]);
+        // Started at cycle 100, the three periods end on 5 100, 10 100 and
+        // 15 100.
+        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
+        machine.advance(100);
+        let report = machine.run_session(std::slice::from_ref(&program), &mut [], 1_000_000);
+        assert_eq!(report.finished_at, 15_100);
+        // With a rendezvous epoch the first period starts at the epoch.
+        let epoch = WbSender::new(
+            2,
+            lines(),
+            SymbolEncoding::binary(1).unwrap(),
+            vec![0],
+            5_000,
+        )
+        .with_start_epoch(20_000)
+        .compile();
+        assert_eq!(
+            epoch.steps(),
+            &[
+                TraceStep::WaitEpoch { target: 20_000 },
+                TraceStep::WaitAnchor { offset: 5_000 }
+            ]
+        );
     }
 
     #[test]
@@ -353,8 +268,9 @@ mod tests {
         let sender = WbSender::new(2, lines(), encoding, vec![1, 0, 1, 1], 100);
         assert_eq!(sender.bits(), vec![true, false, true, true]);
         assert_eq!(sender.symbols(), &[1, 0, 1, 1]);
-        assert_eq!(sender.name(), "wb-sender");
-        assert_eq!(sender.domain(), 2);
+        let program = sender.compile();
+        assert_eq!(program.name(), "wb-sender");
+        assert_eq!(program.domain(), 2);
     }
 
     #[test]
@@ -374,13 +290,9 @@ mod tests {
             500,
         );
         let encoding = SymbolEncoding::binary(1).unwrap();
-        let mut sender =
+        let sender =
             WbSender::new(2, lines(), encoding, vec![0, 1, 0], 1_000).with_spin_footprint(spin, 6);
-        let actions = drive(&mut sender, 0);
-        let loads = actions
-            .iter()
-            .filter(|a| matches!(a, Action::Load(_)))
-            .count();
-        assert_eq!(loads, 18, "6 spin loads per period over 3 symbols");
+        // 6 spin loads per period over 3 symbols, after the period's stores.
+        assert_eq!(per_period(&sender.compile()), vec![(0, 6), (1, 6), (0, 6)]);
     }
 }

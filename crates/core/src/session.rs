@@ -7,14 +7,8 @@
 //! sweeps and period waits, and any noisy-neighbour schedule — into
 //! [`sim_core::session::TraceProgram`]s and executes them through
 //! [`sim_core::machine::Machine::run_session`], the interleaved batched
-//! executor.  The per-access actor stepping loop
-//! ([`sim_core::machine::Machine::run`] over [`crate::sender::WbSender`] /
-//! [`crate::receiver::WbReceiver`]) survives only as the equivalence tests'
-//! oracle ([`ChannelSession::transmit_frame_stepped`]): the compiled path is
-//! required — and tested — to produce bit-identical [`TransmissionReport`]s,
-//! it is just much faster, because transmitting a frame no longer pays a
-//! virtual dispatch, a `Completion` allocation and per-access perf
-//! bookkeeping for every one of the frame's thousands of memory operations.
+//! executor, so a frame's thousands of memory operations pay no per-access
+//! dispatch, allocation or perf bookkeeping.
 //!
 //! ```text
 //!   compile                 execute                      decode
@@ -40,7 +34,6 @@ use sim_core::machine::Machine;
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::noise::NoisyNeighbor;
 use sim_core::process::{AddressSpace, ProcessId};
-use sim_core::program::Actor;
 use sim_core::session::TraceProgram;
 use sim_core::telemetry::{BitDecision, Phase, PhaseCycles, TraceEvent, TraceSink};
 
@@ -49,8 +42,9 @@ pub(crate) const RECEIVER_DOMAIN: u16 = 1;
 pub(crate) const SENDER_DOMAIN: u16 = 2;
 pub(crate) const NOISE_DOMAIN: u16 = 3;
 
-/// The three parties of one frame, built identically by both transmit
-/// methods (and by [`compile_frame`], which never executes).
+/// The three parties of one frame, built identically by
+/// [`ChannelSession::transmit_frame`] and by [`compile_frame`], which never
+/// executes.
 struct FrameParties {
     sender: WbSender,
     receiver: WbReceiver,
@@ -128,9 +122,9 @@ impl FrameParties {
     }
 
     /// The parties' trace programs in execution order: sender, receiver,
-    /// then the noisy neighbour.  The order mirrors the actor order of
-    /// [`ChannelSession::transmit_frame_stepped`], so the machine's RNG
-    /// stream is consumed identically by either transmit method.
+    /// then the noisy neighbour.  The order fixes the hardware-thread
+    /// indices, and with them the scheduler's tie-breaks and the order the
+    /// machine's RNG stream is drawn in.
     fn compile(&self) -> Vec<TraceProgram> {
         let mut programs = vec![self.sender.compile(), self.receiver.compile()];
         if let Some(noise) = &self.noise {
@@ -300,8 +294,7 @@ impl ChannelSession {
     }
 
     /// Cumulative simulated-work counters over every frame transmitted so
-    /// far (frames sent through [`ChannelSession::transmit_frame_stepped`]
-    /// are not counted).
+    /// far.
     pub fn sim_usage(&self) -> SimUsage {
         self.sim
     }
@@ -319,53 +312,6 @@ impl ChannelSession {
     pub fn transmit_bits(&mut self, payload: &[bool]) -> Result<TransmissionReport, Error> {
         let frame = Frame::from_payload(payload);
         self.transmit_frame(&frame)
-    }
-
-    /// Transmits one frame: compiles the parties into trace programs and
-    /// runs them through [`Machine::run_session`].
-    ///
-    /// # Errors
-    ///
-    /// Returns machine-construction errors.
-    pub fn transmit_frame(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
-        self.transmit(frame, |machine, parties, sim| {
-            let programs = parties.compile();
-            let report = machine.run_session(&programs, &mut [], parties.limit);
-            sim.frames += 1;
-            sim.summary.merge(&report.total_summary());
-            sim.phase_cycles.merge(&report.phase_cycles());
-            report.programs[1].latencies()
-        })
-    }
-
-    /// Transmits one frame by stepping the [`WbSender`] / [`WbReceiver`]
-    /// actors through [`Machine::run`], access by access.
-    ///
-    /// This is the equivalence tests' oracle, not a production path: it
-    /// draws the same per-frame seed as [`ChannelSession::transmit_frame`],
-    /// so the same frames sent in the same order through either method
-    /// produce identical reports.  It leaves [`ChannelSession::sim_usage`]
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns machine-construction errors.
-    #[doc(hidden)]
-    pub fn transmit_frame_stepped(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
-        self.transmit(frame, |machine, parties, _| {
-            let FrameParties {
-                mut sender,
-                mut receiver,
-                mut noise,
-                limit,
-            } = parties;
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut sender, &mut receiver];
-            if let Some(noise) = noise.as_mut() {
-                actors.push(noise);
-            }
-            machine.run(&mut actors, limit);
-            receiver.latencies()
-        })
     }
 
     /// Transmits `frames` random frames of `bits_per_frame` bits each and
@@ -414,15 +360,15 @@ impl ChannelSession {
         })
     }
 
-    /// The shared body of both transmit methods: derives the frame seed,
-    /// resets the machine, builds the parties, lets `execute` run them and
-    /// return the receiver's latency samples, then decodes, aligns and
-    /// records telemetry.
-    fn transmit(
-        &mut self,
-        frame: &Frame,
-        execute: impl FnOnce(&mut Machine, FrameParties, &mut SimUsage) -> Vec<u64>,
-    ) -> Result<TransmissionReport, Error> {
+    /// Transmits one frame: derives the frame seed, resets the machine,
+    /// compiles the parties into trace programs and runs them through
+    /// [`Machine::run_session`], then decodes the receiver's latency
+    /// samples, aligns them with the sent bits and records telemetry.
+    ///
+    /// # Errors
+    ///
+    /// Returns machine-construction errors.
+    pub fn transmit_frame(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
         self.frames_sent += 1;
         let seed = self
             .config
@@ -445,7 +391,11 @@ impl ChannelSession {
         }
         let geometry = machine.l1_geometry();
         let parties = FrameParties::build(&self.config, geometry, frame, seed);
-        let latencies = execute(machine, parties, &mut self.sim);
+        let report = machine.run_session(&parties.compile(), &mut [], parties.limit);
+        self.sim.frames += 1;
+        self.sim.summary.merge(&report.total_summary());
+        self.sim.phase_cycles.merge(&report.phase_cycles());
+        let latencies = report.programs[1].latencies();
 
         let decoded = self.decoder.bits(&latencies);
         let max_shift = 4 * self.config.encoding.bits_per_symbol();
@@ -512,56 +462,6 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap()
-    }
-
-    /// The compiled transmit path is bit-identical to the stepped actor
-    /// path, frame by frame, across noise models.
-    #[test]
-    fn compiled_and_stepped_backends_are_bit_identical() {
-        let mut variants: Vec<ChannelConfig> = Vec::new();
-        // Default realistic machine (interrupts + tsc noise).
-        variants.push(config(7));
-        // Idealised machine.
-        let mut ideal = config(8);
-        ideal.interrupts = InterruptConfig::none();
-        ideal.tsc = TscConfig::ideal();
-        variants.push(ideal);
-        // Noisy neighbour present (adds the third program/actor).
-        let mut noisy = config(9);
-        noisy.noise = Some(NoiseConfig {
-            interval: 1_500,
-            lines: 2,
-            store_fraction: 0.4,
-        });
-        variants.push(noisy);
-        // Multi-bit encoding.
-        let mut multibit = config(10);
-        multibit.encoding = SymbolEncoding::paper_two_bit();
-        variants.push(multibit);
-        // The benchmark's channel-noisy point: two-bit symbols at the high
-        // rate (Ts = 2200) beside a noisy neighbour on the realistic machine.
-        let mut fast_noisy = config(12);
-        fast_noisy.encoding = SymbolEncoding::paper_two_bit();
-        fast_noisy.period_cycles = 2_200;
-        fast_noisy.noise = Some(NoiseConfig {
-            interval: 1_500,
-            lines: 2,
-            store_fraction: 0.4,
-        });
-        variants.push(fast_noisy);
-
-        for config in variants {
-            let label = format!("{config:?}");
-            let payload: Vec<bool> = (0..48).map(|i| (i * 5) % 3 == 0).collect();
-            let mut compiled = ChannelSession::new(config.clone()).unwrap();
-            let mut stepped = ChannelSession::new(config).unwrap();
-            for _ in 0..2 {
-                let frame = Frame::from_payload(&payload);
-                let a = compiled.transmit_frame(&frame).unwrap();
-                let b = stepped.transmit_frame_stepped(&frame).unwrap();
-                assert_eq!(a, b, "transmit paths diverged for {label}");
-            }
-        }
     }
 
     /// `compile_frame` must mirror the first transmission of a fresh session

@@ -33,7 +33,6 @@ const VICTIM_DOMAIN: DomainId = 2;
 
 /// The three attack scenarios of Section IX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scenario {
     /// Figure 9(a): secret-dependent *store*; attacker probes set *m*.
     DirtyBranch,
@@ -63,7 +62,6 @@ impl Scenario {
 
 /// Configuration of a side-channel experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SideChannelConfig {
     /// Machine to attack.
     pub machine: MachineConfig,
@@ -94,7 +92,6 @@ impl Default for SideChannelConfig {
 
 /// Result of one side-channel experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SideChannelResult {
     /// Which scenario was run.
     pub scenario: Scenario,

@@ -22,16 +22,18 @@ use sim_core::machine::{Machine, MachineConfig};
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::perf::{PerfCounters, PerfLevel};
 use sim_core::process::{AddressSpace, ProcessId};
-use sim_core::program::Actor;
 use sim_core::workload::CompilerWorkload;
 
 const RECEIVER_DOMAIN: u16 = 1;
 const SENDER_DOMAIN: u16 = 2;
 const COMPANION_DOMAIN: u16 = 4;
+/// The L1 set the sender modulates.
+const TARGET_SET: usize = 21;
+/// The unrelated L1 set holding the sender's spin-loop footprint.
+const SPIN_SET: usize = (TARGET_SET + 17) % 64;
 
 /// Who shares the physical core with the WB sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SenderCompanion {
     /// The WB receiver (the covert channel is running) — the "WB" column.
     WbReceiver,
@@ -43,7 +45,6 @@ pub enum SenderCompanion {
 
 /// Per-level cache load rates (Table VI).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LoadProfile {
     /// L1 data-cache loads per millisecond.
     pub l1_per_ms: f64,
@@ -57,7 +58,6 @@ pub struct LoadProfile {
 
 /// Per-level miss rates of the sender process (Table VII).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MissRateProfile {
     /// L1 data-cache miss rate in `[0, 1]`.
     pub l1d: f64,
@@ -69,7 +69,6 @@ pub struct MissRateProfile {
 
 /// Raw output of one stealth run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StealthRun {
     /// The sender's raw perf counters.
     pub sender_counters: PerfCounters,
@@ -112,7 +111,9 @@ impl StealthRun {
 ///
 /// # Errors
 ///
-/// Propagates machine-configuration errors.
+/// Returns [`Error::InvalidConfig`] when the L1 has too few sets for the
+/// target and spin-loop sets, or too few ways for the encoding's largest
+/// dirty-line count, and propagates machine-configuration errors.
 pub fn sender_profile(
     machine_config: MachineConfig,
     encoding: &SymbolEncoding,
@@ -123,7 +124,25 @@ pub fn sender_profile(
 ) -> Result<StealthRun, Error> {
     let mut machine = Machine::new(machine_config)?;
     let geometry = machine.l1_geometry();
-    let target_set = 21usize;
+    if geometry.num_sets <= SPIN_SET {
+        return Err(Error::InvalidConfig {
+            field: "machine_config",
+            reason: format!(
+                "the stealth run uses L1 sets {TARGET_SET} and {SPIN_SET}, but the L1 has {} sets",
+                geometry.num_sets
+            ),
+        });
+    }
+    let max_level = encoding.levels().into_iter().max().unwrap_or(0);
+    if max_level > geometry.associativity {
+        return Err(Error::InvalidConfig {
+            field: "encoding",
+            reason: format!(
+                "the encoding dirties up to {max_level} lines, but the L1 target set has {} ways",
+                geometry.associativity
+            ),
+        });
+    }
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Sender: a random symbol stream long enough to outlast the window.
@@ -135,14 +154,14 @@ pub fn sender_profile(
     let sender_lines = SetLines::build(
         sender_space,
         geometry,
-        target_set,
+        TARGET_SET,
         geometry.associativity,
         0,
     );
     // The real sender process keeps touching its loop variables and stack
     // while busy-waiting; model that as a small hot footprint in an unrelated
     // set so the perf-counter denominators (Table VII) are meaningful.
-    let spin_lines = SetLines::build(sender_space, geometry, (target_set + 17) % 64, 4, 5_000);
+    let spin_lines = SetLines::build(sender_space, geometry, SPIN_SET, 4, 5_000);
     let sender = WbSender::new(
         SENDER_DOMAIN,
         sender_lines,
@@ -153,9 +172,9 @@ pub fn sender_profile(
     .with_spin_footprint(spin_lines, 24);
 
     // The sender (and the WB receiver, when present) run as compiled trace
-    // programs on the session executor; the compiler-like workload is a
-    // dynamic actor sharing the same scheduler.  Program order mirrors the
-    // actor order of the old stepping loop, so the profiles are unchanged.
+    // programs on the session executor; the compiler-like workload runs
+    // beside them as a co-runner, its unbounded stream refilled chunk by
+    // chunk.  The sender is always the first hardware thread.
     let start = machine.now();
     let mut programs = vec![sender.compile()];
     match companion {
@@ -163,7 +182,7 @@ pub fn sender_profile(
             let layout = ChannelLayout::build(
                 AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
                 geometry,
-                target_set,
+                TARGET_SET,
                 geometry.associativity,
                 10,
             );
@@ -178,13 +197,12 @@ pub fn sender_profile(
             machine.run_session(&programs, &mut [], duration_cycles);
         }
         SenderCompanion::CompilerWorkload => {
-            let mut workload = CompilerWorkload::new(
+            let workload = CompilerWorkload::new(
                 AddressSpace::new(ProcessId(COMPANION_DOMAIN)),
                 COMPANION_DOMAIN,
                 seed ^ 0xbbbb,
             );
-            let mut extras: Vec<&mut dyn Actor> = vec![&mut workload];
-            machine.run_session(&programs, &mut extras, duration_cycles);
+            machine.run_session(&programs, &mut [workload], duration_cycles);
         }
         SenderCompanion::None => {
             machine.run_session(&programs, &mut [], duration_cycles);
@@ -351,6 +369,56 @@ mod tests {
             gpp.l1d < 0.5,
             "the sender remains mostly L1-resident: {}",
             gpp.l1d
+        );
+    }
+
+    #[test]
+    fn rejects_layouts_the_sender_cannot_use() {
+        use sim_cache::config::{CacheConfig, CacheLevel};
+
+        // A 16 KiB 4-way L1 cannot hold binary(8)'s eight dirty lines.
+        let mut small = machine_config();
+        small.hierarchy.l1d = CacheConfig::builder(CacheLevel::L1D)
+            .size_bytes(16 * 1024)
+            .associativity(4)
+            .replacement(PolicyKind::TreePlru)
+            .build()
+            .unwrap();
+        let encoding = SymbolEncoding::binary(8).unwrap();
+        let error =
+            sender_profile(small, &encoding, TS, 100_000, SenderCompanion::None, 1).unwrap_err();
+        assert!(
+            matches!(
+                error,
+                Error::InvalidConfig {
+                    field: "encoding",
+                    ..
+                }
+            ),
+            "{error}"
+        );
+        // binary(4) fits the four ways.
+        let fits = SymbolEncoding::binary(4).unwrap();
+        assert!(sender_profile(small, &fits, TS, 100_000, SenderCompanion::None, 1).is_ok());
+        // An L1 without the spin-loop set is rejected too.
+        let mut few_sets = machine_config();
+        few_sets.hierarchy.l1d = CacheConfig::builder(CacheLevel::L1D)
+            .size_bytes(8 * 1024)
+            .associativity(4)
+            .replacement(PolicyKind::TreePlru)
+            .build()
+            .unwrap();
+        let error =
+            sender_profile(few_sets, &fits, TS, 100_000, SenderCompanion::None, 1).unwrap_err();
+        assert!(
+            matches!(
+                error,
+                Error::InvalidConfig {
+                    field: "machine_config",
+                    ..
+                }
+            ),
+            "{error}"
         );
     }
 }

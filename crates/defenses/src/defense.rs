@@ -20,7 +20,6 @@ pub const SENDER_DOMAIN: u16 = 2;
 
 /// A defense against the WB channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Defense {
     /// No defense (baseline).

@@ -21,7 +21,6 @@ use wb_channel::Error;
 
 /// Result of evaluating one defense.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DefenseEvaluation {
     /// The defense evaluated.
     pub defense: Defense,
@@ -48,7 +47,6 @@ pub const MITIGATION_ACCURACY: f64 = 0.75;
 
 /// Configuration of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EvaluationConfig {
     /// Samples per class (half used for calibration, half for scoring).
     pub samples: usize,

@@ -8,7 +8,6 @@
 
 /// Experiment scale: how many trials/frames/samples to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scale {
     /// Fast smoke-test sizes (seconds).
     Quick,

@@ -18,12 +18,10 @@ use std::fmt;
 
 /// A byte-granular physical address in the simulated machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhysAddr(pub u64);
 
 /// A cache-line-granular address (the low `log2(line_size)` bits are zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LineAddr(pub u64);
 
 impl fmt::Display for PhysAddr {
@@ -114,7 +112,6 @@ impl LineAddr {
 /// it performs the index/tag arithmetic that both the simulator and the
 /// attacker code (in `sim-core::memlayout`) need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: usize,

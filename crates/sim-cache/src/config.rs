@@ -12,7 +12,6 @@ use std::fmt;
 
 /// Which level of the hierarchy a cache occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CacheLevel {
     /// First-level data cache (the level the WB channel targets).
     L1D,
@@ -51,7 +50,6 @@ impl fmt::Display for CacheLevel {
 ///   synchronously, so no dirty bit is needed.  Section VIII of the paper
 ///   discusses this as an (expensive) defense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WritePolicy {
     /// Update the backing store lazily on eviction; keep a dirty bit.
     #[default]
@@ -62,7 +60,6 @@ pub enum WritePolicy {
 
 /// Write-miss policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WriteMissPolicy {
     /// Fetch the line into the cache on a store miss (used with write-back).
     #[default]
@@ -74,7 +71,6 @@ pub enum WriteMissPolicy {
 
 /// Full configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     /// Which level this cache occupies.
     pub level: CacheLevel,

@@ -50,7 +50,6 @@ fn fill_seed(seed: u64) -> u64 {
 /// and the WB channel's signal path differs with them — which is why the
 /// hierarchy-matrix scenario sweeps this axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InclusionPolicy {
     /// Upper levels hold a subset of the LLC: fills install at every level
     /// and an LLC eviction back-invalidates the L1/L2 copies (dirty copies
@@ -68,7 +67,6 @@ pub enum InclusionPolicy {
 
 /// Where a dirty victim's data is written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WritebackRouting {
     /// Dirty victims stop at the next cache level (the Intel/AMD shape).
     NextLevel,
@@ -81,7 +79,6 @@ pub enum WritebackRouting {
 
 /// Configuration of a full hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyConfig {
     /// L1 data cache configuration.
     pub l1d: CacheConfig,
@@ -106,7 +103,6 @@ pub struct HierarchyConfig {
 
 /// Configuration of the random-fill L1 defense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomFillConfig {
     /// Half-width of the fill neighbourhood, in cache lines.
     pub window: u64,
@@ -145,7 +141,6 @@ impl HierarchyConfig {
 /// values so the channel's eviction sets (64 L1 sets, 8 ways) keep working,
 /// and only the LLC associativity varies along the matrix's second axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HierarchyPreset {
     /// Intel server shape: inclusive LLC, Table IV latencies (the default
     /// everywhere outside the matrix — [`HierarchyConfig::xeon_e5_2650`]).

@@ -16,7 +16,6 @@
 
 /// Per-event latencies in core cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyModel {
     /// Latency of an L1D hit.
     pub l1_hit: u64,

@@ -28,7 +28,6 @@ const LOCKED: u8 = 1 << 2;
 
 /// State of one cache line (one way of one set), packed into 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheLine {
     /// Tag of the held line (meaningful only when the valid flag is set).
     tag: u64,

@@ -11,7 +11,6 @@ use std::fmt;
 
 /// The kind of memory operation performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// A demand load.
     Read,
@@ -37,7 +36,6 @@ impl fmt::Display for AccessKind {
 
 /// Where in the hierarchy a demand access was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HitLevel {
     /// Served by the L1 data cache.
     L1D,
@@ -79,7 +77,6 @@ impl fmt::Display for HitLevel {
 
 /// The result of one access to a [`crate::hierarchy::CacheHierarchy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessOutcome {
     /// Operation performed.
     pub kind: AccessKind,

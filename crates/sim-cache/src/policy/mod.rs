@@ -68,7 +68,6 @@ pub trait ReplacementPolicy {
 
 /// Enumerates the built-in policies; used in configurations and sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum PolicyKind {
     /// Exact least-recently-used.
@@ -237,7 +236,6 @@ impl PolicyDispatch {
 /// reproducible from the configured seed, and pulling a heavyweight RNG into
 /// the victim-selection hot path would dominate simulator profiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct PolicyRng {
     state: u64,
 }

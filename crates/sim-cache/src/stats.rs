@@ -11,7 +11,6 @@ use std::ops::{Add, AddAssign};
 
 /// Counters for one cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Loads that hit in this level.
     pub read_hits: u64,
@@ -120,7 +119,6 @@ impl fmt::Display for CacheStats {
 
 /// Statistics for a whole [`crate::hierarchy::CacheHierarchy`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyStats {
     /// L1 data-cache counters.
     pub l1d: CacheStats,

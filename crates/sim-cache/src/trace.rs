@@ -21,7 +21,6 @@ use std::fmt;
 
 /// The kind of one batched trace operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceKind {
     /// A demand load.
     Read,
@@ -33,7 +32,6 @@ pub enum TraceKind {
 
 /// One operation of a batched trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceOp {
     /// What to do.
     pub kind: TraceKind,
@@ -75,7 +73,6 @@ impl TraceOp {
 /// `writebacks` counts dirty write-backs performed at **all** levels, exactly
 /// like [`AccessOutcome::writebacks`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceSummary {
     /// Total operations executed (reads + writes + flushes).
     pub ops: u64,

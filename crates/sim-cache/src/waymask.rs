@@ -21,7 +21,6 @@ use std::fmt;
 /// Supports up to 64 ways, which comfortably covers every cache in the paper
 /// (8-way L1/L2, 20-way LLC).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WayMask(u64);
 
 impl WayMask {
@@ -179,7 +178,6 @@ impl FromIterator<usize> for WayMask {
 /// and one indexed load, where the previous `HashMap<DomainId, WayMask>`
 /// paid a SipHash round per access.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartitionTable {
     /// `masks[domain]` when `domain < masks.len()`; `default` otherwise.
     masks: Vec<WayMask>,

@@ -11,7 +11,8 @@
 //! that matter for the channel are modelled here:
 //!
 //! * [`machine::Machine`] — the core itself: a cycle clock, the cache
-//!   hierarchy, an interleaving executor for concurrent [`program::Actor`]s,
+//!   hierarchy, the interleaving session executor
+//!   ([`machine::Machine::run_session`]) for concurrent hardware threads,
 //!   and per-domain [`perf`] counters (the simulator's version of Linux
 //!   `perf`).
 //! * [`tsc`] — the `rdtscp` measurement model (serialisation overhead,
@@ -28,8 +29,9 @@
 //!   `g++`-like benign co-runner used for the stealthiness baselines
 //!   (Tables VI and VII).
 //! * [`session`] — compiled [`session::TraceProgram`]s and the reports of
-//!   [`machine::Machine::run_session`], the batched executor the covert
-//!   channel's transmit path compiles onto.
+//!   [`machine::Machine::run_session`], the one multi-thread executor: the
+//!   covert channel, the noise processes and the stealth runs all compile
+//!   onto it (the `g++` co-runner as a stream refilled chunk by chunk).
 //! * [`telemetry`] — cycle-domain span/counter tracing: a
 //!   zero-overhead-when-disabled [`telemetry::TraceSink`] recorded by the
 //!   session executor, exported as Chrome trace-event JSON.
@@ -67,7 +69,6 @@ pub mod memlayout;
 pub mod noise;
 pub mod perf;
 pub mod process;
-pub mod program;
 pub mod sched;
 pub mod session;
 pub mod telemetry;
@@ -77,11 +78,10 @@ pub mod workload;
 
 /// Convenient glob-import of the most frequently used types.
 pub mod prelude {
-    pub use crate::machine::{Machine, MachineConfig, RunSummary};
+    pub use crate::machine::{Machine, MachineConfig};
     pub use crate::memlayout::{ChannelLayout, SetLines};
     pub use crate::perf::{PerfCounters, PerfLevel};
     pub use crate::process::{AddressSpace, ProcessId};
-    pub use crate::program::{Action, Actor, Completion, ScriptedActor};
     pub use crate::sched::InterruptConfig;
     pub use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};
     pub use crate::telemetry::{BitDecision, Phase, PhaseCycles, TraceEvent, TraceSink};

@@ -10,18 +10,19 @@
 //!   [`Machine::write`], [`Machine::measured_chase`] etc.; each call advances
 //!   the clock by the access latency.  This is how the single-threaded
 //!   calibration experiments (Table IV, Figure 4) run.
-//! * **as an SMT core** — [`Machine::run`] interleaves a set of [`Actor`]s
-//!   (sender, receiver, noise processes, benign co-runners) on the shared
-//!   hierarchy in event order, which is how the covert-channel transmissions
-//!   and the stealthiness experiments run.  This mirrors the paper's setup of
-//!   two hyper-threads pinned to one physical core with `sched_setaffinity`.
+//! * **as an SMT core** — [`Machine::run_session`] interleaves compiled
+//!   [`TraceProgram`]s (sender, receiver, noise processes) and refilled
+//!   [`CompilerWorkload`] co-runners on the shared hierarchy in event order,
+//!   which is how the covert-channel transmissions and the stealthiness
+//!   experiments run.  This mirrors the paper's setup of two hyper-threads
+//!   pinned to one physical core with `sched_setaffinity`.
 
 use crate::perf::{PerfCounters, PerfStore};
-use crate::program::{Action, Actor, Completion};
 use crate::sched::{InterruptConfig, InterruptModel};
 use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};
 use crate::telemetry::{Phase, PhaseCycles, TraceEvent, TraceSink};
 use crate::tsc::{TscConfig, TscModel};
+use crate::workload::CompilerWorkload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_cache::addr::{CacheGeometry, PhysAddr};
@@ -34,7 +35,6 @@ use sim_cache::trace::{TraceKind, TraceOp, TraceSummary};
 
 /// Configuration of a [`Machine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Cache-hierarchy configuration.
     pub hierarchy: HierarchyConfig,
@@ -80,23 +80,8 @@ impl Default for MachineConfig {
     }
 }
 
-/// Summary of one [`Machine::run`] invocation.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct RunSummary {
-    /// Cycle at which the run stopped.
-    pub finished_at: u64,
-    /// Number of actions executed per actor (same order as passed to `run`).
-    pub actions: Vec<u64>,
-    /// Cycles each actor spent stalled by OS interruptions.
-    pub stalled_cycles: Vec<u64>,
-    /// Whether the run ended because the cycle limit was reached (rather than
-    /// all actors finishing).
-    pub hit_limit: bool,
-}
-
 /// Per-thread scheduling state of an in-flight session run (one compiled
-/// program or dynamic actor).
+/// program or co-runner).
 #[derive(Debug)]
 struct SessionThread {
     ready_at: u64,
@@ -104,13 +89,13 @@ struct SessionThread {
     interrupts: InterruptModel,
     actions: u64,
     stalled: u64,
-    /// Compiled-program cursor: next step index.
+    /// Next step index.
     step: usize,
     /// Offset within the current `Ops` step.
     op_cursor: usize,
     /// The program's anchor register (`Tlast` of Algorithm 3).
     anchor: u64,
-    /// The open telemetry phase span (compiled programs only).
+    /// The open telemetry phase span.
     span: Option<Phase>,
 }
 
@@ -318,208 +303,45 @@ impl Machine {
         (measured, outcome)
     }
 
-    /// Runs a set of actors concurrently (one hardware thread each) until
-    /// every actor is done or `limit` cycles have elapsed.
-    ///
-    /// Actions execute atomically in global time order; each actor's next
-    /// action starts when its previous one finished, so the actors genuinely
-    /// overlap in time on the shared cache hierarchy, as two hyper-threads
-    /// do.  OS interruptions stall individual actors according to the
-    /// machine's [`InterruptConfig`].
-    pub fn run(&mut self, actors: &mut [&mut dyn Actor], limit: u64) -> RunSummary {
-        struct ThreadState {
-            ready_at: u64,
-            done: bool,
-            interrupts: InterruptModel,
-            actions: u64,
-            stalled: u64,
-        }
-
-        let mut threads: Vec<ThreadState> = (0..actors.len())
-            .map(|_| ThreadState {
-                ready_at: self.now,
-                done: false,
-                interrupts: InterruptModel::new(&self.config.interrupts, &mut self.rng),
-                actions: 0,
-                stalled: 0,
-            })
-            .collect();
-        let deadline = self.now + limit;
-        let mut hit_limit = false;
-        if self.sink.is_enabled() {
-            // The stepped executor traces at actor granularity: one span per
-            // hardware thread for the lifetime of its script.
-            for actor in actors.iter() {
-                self.sink.begin(
-                    actor.domain(),
-                    actor.name().to_owned(),
-                    Phase::Other,
-                    self.now,
-                );
-            }
-        }
-
-        loop {
-            // Pick the runnable thread with the earliest ready time.
-            let next = threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !t.done)
-                .min_by_key(|(_, t)| t.ready_at)
-                .map(|(i, t)| (i, t.ready_at));
-            let Some((idx, ready_at)) = next else {
-                break; // every actor finished
-            };
-            if ready_at >= deadline {
-                hit_limit = true;
-                break;
-            }
-            self.now = self.now.max(ready_at);
-
-            // OS interruption?
-            if let Some(stall) =
-                threads[idx]
-                    .interrupts
-                    .poll(self.now, &self.config.interrupts, &mut self.rng)
-            {
-                threads[idx].ready_at = self.now + stall;
-                threads[idx].stalled += stall;
-                continue;
-            }
-
-            let action = actors[idx].next_action(self.now);
-            threads[idx].actions += 1;
-            let domain = actors[idx].domain();
-            let started = self.now;
-
-            if matches!(action, Action::Done) {
-                threads[idx].done = true;
-                self.sink
-                    .end(domain, actors[idx].name().to_owned(), self.now);
-                continue;
-            }
-            let completion = self.execute_action(domain, action, started);
-            threads[idx].ready_at = completion.finished_at;
-            actors[idx].on_completion(&completion);
-        }
-
-        // The machine clock ends at the latest point any actor reached (or
-        // the deadline when the limit was hit).
-        let end = threads
-            .iter()
-            .map(|t| t.ready_at)
-            .max()
-            .unwrap_or(self.now)
-            .min(deadline);
-        self.now = self.now.max(end);
-        if self.sink.is_enabled() {
-            // Close the spans of actors the deadline cut off, and sample
-            // each actor's turn/stall counters at the end clock.
-            for (idx, thread) in threads.iter().enumerate() {
-                let domain = actors[idx].domain();
-                if !thread.done {
-                    self.sink
-                        .end(domain, actors[idx].name().to_owned(), self.now);
-                }
-                self.sink
-                    .counter(domain, "actions", thread.actions, self.now);
-                self.sink
-                    .counter(domain, "stalled_cycles", thread.stalled, self.now);
-            }
-        }
-
-        RunSummary {
-            finished_at: self.now,
-            actions: threads.iter().map(|t| t.actions).collect(),
-            stalled_cycles: threads.iter().map(|t| t.stalled).collect(),
-            hit_limit,
-        }
-    }
-
-    /// Executes one non-`Done` action for `domain` starting at `started` and
-    /// returns its completion — the single implementation behind both
-    /// [`Machine::run`]'s actor turns and the dynamic-actor turns of
-    /// [`Machine::run_session`].
-    fn execute_action(&mut self, domain: DomainId, action: Action, started: u64) -> Completion {
-        let mut completion = Completion {
-            finished_at: started,
-            latency: 0,
-            measured: None,
-            outcomes: Vec::new(),
-        };
-        match action {
-            Action::Done => unreachable!("Done is handled by the scheduler"),
-            Action::Load(addr) => {
-                let outcome = self.hierarchy.read(addr, AccessContext::for_domain(domain));
-                self.perf.record(domain, &outcome);
-                completion.latency = outcome.cycles;
-                completion.outcomes.push(outcome);
-            }
-            Action::Store(addr) => {
-                let outcome = self
-                    .hierarchy
-                    .write(addr, AccessContext::for_domain(domain));
-                self.perf.record(domain, &outcome);
-                completion.latency = outcome.cycles;
-                completion.outcomes.push(outcome);
-            }
-            Action::Flush(addr) => {
-                let outcome = self
-                    .hierarchy
-                    .flush(addr, AccessContext::for_domain(domain));
-                self.perf.record(domain, &outcome);
-                completion.latency = outcome.cycles;
-                completion.outcomes.push(outcome);
-            }
-            Action::MeasuredChase(addrs) => {
-                // The chase is the receiver's bulk decode path: execute
-                // it as one batched trace.  Per-line semantics (ordering,
-                // latency, perf counters) are identical, but no
-                // per-access outcome is materialised — `outcomes` stays
-                // empty for chases (see [`Completion::outcomes`]).
-                let summary = self
-                    .hierarchy
-                    .run_read_trace(&addrs, AccessContext::for_domain(domain));
-                self.perf.record_trace(domain, &summary);
-                completion.latency = summary.cycles;
-                completion.measured = Some(self.tsc.measure(summary.cycles, &mut self.rng));
-            }
-            Action::WaitUntil(target) => {
-                completion.latency = target.saturating_sub(started);
-            }
-            Action::Compute(cycles) => {
-                completion.latency = cycles;
-            }
-        }
-        // Every action costs at least one cycle of issue bandwidth; this
-        // also guarantees forward progress for zero-length waits.
-        completion.finished_at = started + completion.latency.max(1);
-        completion
-    }
-
-    /// Runs a set of compiled [`TraceProgram`]s — optionally alongside
-    /// dynamic [`Actor`]s — until every thread is done or `limit` cycles
+    /// Runs a set of compiled [`TraceProgram`]s and `co_runners` (one
+    /// hardware thread each) until every program is done or `limit` cycles
     /// have elapsed.
     ///
-    /// The scheduling semantics are **identical** to [`Machine::run`] with
-    /// the programs' operations issued as individual actions by actors
-    /// listed before `extras`: one scheduling turn per operation, an
-    /// OS-interrupt poll before every turn, earliest-ready-first order with
-    /// lowest-index tie-breaking, a minimum advance of one cycle per action,
-    /// and the same deadline rule.  What changes is purely mechanical: no
-    /// per-action allocation or virtual dispatch for compiled programs,
-    /// per-program perf accounting folded into one [`TraceSummary`] (the
-    /// batched [`PerfCounters::record_trace`] path), and consecutive
-    /// operations of one program executed back-to-back whenever no other
-    /// thread, interrupt or deadline could be scheduled between them.
+    /// Operations execute atomically in global time order; each thread's
+    /// next operation starts when its previous one finished, so the threads
+    /// genuinely overlap in time on the shared cache hierarchy, as two
+    /// hyper-threads do.  The scheduling rules:
+    ///
+    /// 1. one scheduling turn per operation (each op of an `Ops` step, each
+    ///    chase, each wait, and a final turn when a program runs out);
+    /// 2. an OS-interrupt poll (the machine's [`InterruptConfig`]) before
+    ///    every turn;
+    /// 3. earliest-ready-first order with lowest-index tie-breaking, the
+    ///    programs first and the co-runners after them, in argument order;
+    /// 4. a minimum advance of one cycle per turn, and no turn starts at or
+    ///    past the deadline.
+    ///
+    /// Consecutive operations of one thread run back-to-back whenever no
+    /// other thread, interrupt or deadline could be scheduled between them,
+    /// and each thread's perf accounting is folded into one [`TraceSummary`]
+    /// (the batched [`PerfCounters::record_trace`] path).
+    ///
+    /// A co-runner's open-loop stream runs from a reused chunk arena: when a
+    /// chunk is drained the co-runner refills it in place
+    /// ([`CompilerWorkload::refill`]).  A refill is not a turn — no
+    /// interrupt poll, no action count — so the co-runner behaves exactly
+    /// like one unbounded program and never finishes.  Its report follows
+    /// the programs' in [`SessionReport::programs`].
     pub fn run_session(
         &mut self,
         programs: &[TraceProgram],
-        extras: &mut [&mut dyn Actor],
+        co_runners: &mut [CompilerWorkload],
         limit: u64,
     ) -> SessionReport {
-        let total = programs.len() + extras.len();
-        let mut threads: Vec<SessionThread> = (0..total)
+        let fixed = programs.len();
+        let mut chunks: Vec<TraceProgram> =
+            co_runners.iter().map(CompilerWorkload::chunk).collect();
+        let mut threads: Vec<SessionThread> = (0..fixed + chunks.len())
             .map(|_| SessionThread {
                 ready_at: self.now,
                 done: false,
@@ -534,6 +356,7 @@ impl Machine {
             .collect();
         let mut reports: Vec<ProgramReport> = programs
             .iter()
+            .chain(&chunks)
             .map(|p| ProgramReport {
                 name: p.name().to_owned(),
                 domain: p.domain(),
@@ -547,18 +370,6 @@ impl Machine {
             .collect();
         let deadline = self.now + limit;
         let mut hit_limit = false;
-        if self.sink.is_enabled() {
-            // Dynamic actors trace at actor granularity, like Machine::run;
-            // compiled programs get phase spans from their step annotations.
-            for actor in extras.iter() {
-                self.sink.begin(
-                    actor.domain(),
-                    actor.name().to_owned(),
-                    Phase::Other,
-                    self.now,
-                );
-            }
-        }
 
         loop {
             // Pick the runnable thread with the earliest ready time (the
@@ -589,28 +400,9 @@ impl Machine {
                 continue;
             }
 
-            if idx >= programs.len() {
-                // ---- dynamic actor turn (identical to Machine::run) ------
-                let actor = &mut extras[idx - programs.len()];
-                let action = actor.next_action(self.now);
-                threads[idx].actions += 1;
-                let domain = actor.domain();
-                let started = self.now;
-                if matches!(action, Action::Done) {
-                    threads[idx].done = true;
-                    self.sink.end(domain, actor.name().to_owned(), self.now);
-                    continue;
-                }
-                let completion = self.execute_action(domain, action, started);
-                threads[idx].ready_at = completion.finished_at;
-                actor.on_completion(&completion);
-                continue;
-            }
-
-            // ---- compiled program turn -------------------------------------
-            let program = &programs[idx];
-            let ctx = AccessContext::for_domain(program.domain());
-            // The earliest other live thread bounds how far this program may
+            let domain = reports[idx].domain;
+            let ctx = AccessContext::for_domain(domain);
+            // The earliest other live thread bounds how far this thread may
             // run without rescheduling; a tie goes to the lower index.
             let mut other_min = u64::MAX;
             let mut other_idx = usize::MAX;
@@ -624,6 +416,10 @@ impl Machine {
                 |at: u64| at < other_min || (at == other_min && idx < other_idx);
 
             loop {
+                let program = match idx.checked_sub(fixed) {
+                    None => &programs[idx],
+                    Some(j) => &chunks[j],
+                };
                 let thread = &mut threads[idx];
                 // Anchor markers are free: the anchor is the issue time of
                 // the next real operation (interrupt stalls included).
@@ -632,12 +428,19 @@ impl Machine {
                     thread.step += 1;
                 }
                 let Some(&step) = program.steps().get(thread.step) else {
+                    if let Some(j) = idx.checked_sub(fixed) {
+                        // A drained co-runner chunk: refill it in place and
+                        // carry on with the same turn.
+                        co_runners[j].refill(&mut chunks[j]);
+                        thread.step = 0;
+                        continue;
+                    }
                     // The Done turn.
                     thread.actions += 1;
                     thread.done = true;
                     reports[idx].finished = true;
                     if let Some(prev) = thread.span.take() {
-                        self.sink.end(program.domain(), prev.label(), self.now);
+                        self.sink.end(domain, prev.label(), self.now);
                     }
                     break;
                 };
@@ -705,7 +508,7 @@ impl Machine {
                     // allocation (phase labels are 'static) and a single
                     // enabled check for the end/begin pair.
                     self.sink
-                        .phase_switch(program.domain(), thread.span.take(), phase, started);
+                        .phase_switch(domain, thread.span.take(), phase, started);
                     thread.span = Some(phase);
                 }
                 thread.ready_at = finished_at;
@@ -743,34 +546,22 @@ impl Machine {
             .min(deadline);
         self.now = self.now.max(end);
 
-        // Fold each program's aggregate into the perf counters — the batched
-        // equivalent of the per-access recording the actor path performs.
-        for (program, report) in programs.iter().zip(reports.iter_mut()) {
-            self.perf.record_trace(program.domain(), &report.summary);
-        }
-        for (thread, report) in threads.iter().zip(reports.iter_mut()) {
+        // Fold each thread's aggregate into the perf counters — the batched
+        // equivalent of recording every access as it happens.
+        for (thread, report) in threads.iter_mut().zip(reports.iter_mut()) {
+            self.perf.record_trace(report.domain, &report.summary);
             report.actions = thread.actions;
             report.stalled_cycles = thread.stalled;
-        }
-        if self.sink.is_enabled() {
-            // Close the spans the deadline cut off (program phase spans and
-            // unfinished dynamic actors), then sample per-thread counters.
-            for (idx, thread) in threads.iter_mut().enumerate() {
-                let (domain, name) = if idx < programs.len() {
-                    (programs[idx].domain(), programs[idx].name())
-                } else {
-                    let actor = &extras[idx - programs.len()];
-                    (actor.domain(), actor.name())
-                };
+            if self.sink.is_enabled() {
+                // Close the span the deadline cut off, then sample the
+                // thread's counters.
                 if let Some(prev) = thread.span.take() {
-                    self.sink.end(domain, prev.label(), self.now);
-                } else if idx >= programs.len() && !thread.done {
-                    self.sink.end(domain, name.to_owned(), self.now);
+                    self.sink.end(report.domain, prev.label(), self.now);
                 }
                 self.sink
-                    .counter(domain, "actions", thread.actions, self.now);
+                    .counter(report.domain, "actions", thread.actions, self.now);
                 self.sink
-                    .counter(domain, "stalled_cycles", thread.stalled, self.now);
+                    .counter(report.domain, "stalled_cycles", thread.stalled, self.now);
             }
         }
 
@@ -778,14 +569,6 @@ impl Machine {
             finished_at: self.now,
             hit_limit,
             programs: reports,
-            actor_actions: threads[programs.len()..]
-                .iter()
-                .map(|t| t.actions)
-                .collect(),
-            actor_stalled: threads[programs.len()..]
-                .iter()
-                .map(|t| t.stalled)
-                .collect(),
         }
     }
 }
@@ -795,7 +578,8 @@ mod tests {
     use super::*;
     use crate::memlayout::SetLines;
     use crate::process::{AddressSpace, ProcessId};
-    use crate::program::ScriptedActor;
+    use crate::workload::CHUNK_ACCESSES;
+    use proptest::prelude::*;
     use sim_cache::outcome::HitLevel;
 
     fn ideal_machine() -> Machine {
@@ -894,72 +678,55 @@ mod tests {
         let mut m = ideal_machine();
         let a_addr = PhysAddr(0x10_0000);
         let b_addr = PhysAddr(0x20_0000);
-        let mut a = ScriptedActor::new(
-            "a",
-            1,
-            vec![
-                Action::Load(a_addr),
-                Action::Compute(50),
-                Action::Load(a_addr),
-            ],
-        );
-        let mut b = ScriptedActor::new("b", 2, vec![Action::Compute(10), Action::Load(b_addr)]);
-        let summary = {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut a, &mut b];
-            m.run(&mut actors, 1_000_000)
-        };
-        assert!(!summary.hit_limit);
-        assert_eq!(
-            summary.actions,
-            vec![4, 3],
-            "each actor runs its script plus Done"
-        );
-        assert_eq!(a.completions().len(), 3);
-        assert_eq!(b.completions().len(), 2);
+        let mut a = TraceProgram::new("a", 1);
+        a.load(a_addr).wait_rel(50).load(a_addr);
+        let mut b = TraceProgram::new("b", 2);
+        b.wait_rel(10).load(b_addr);
+        let report = m.run_session(&[a, b], &mut [], 1_000_000);
+        assert!(!report.hit_limit);
+        let actions: Vec<u64> = report.programs.iter().map(|p| p.actions).collect();
+        assert_eq!(actions, vec![4, 3], "each program runs its steps plus Done");
+        assert!(report.programs.iter().all(|p| p.finished));
         // The second load of `a` is an L1 hit because the first one filled it.
-        assert_eq!(a.completions()[2].outcomes[0].hit, HitLevel::L1D);
-        // Completion times are monotone per actor.
-        assert!(a.completions()[0].finished_at < a.completions()[1].finished_at);
+        let a = &report.programs[0].summary;
+        assert_eq!((a.reads, a.l1_hits), (2, 1));
+        // `b`'s miss overlaps `a`'s: the session ends when the slower
+        // thread does, not after the sum of both.
+        let b = &report.programs[1].summary;
+        let a_alone = a.cycles + 50;
+        let b_alone = b.cycles + 10;
+        assert_eq!(report.finished_at, a_alone.max(b_alone));
     }
 
     #[test]
     fn run_honours_the_cycle_limit() {
         let mut m = ideal_machine();
-        // An actor that computes forever.
-        struct Spinner;
-        impl Actor for Spinner {
-            fn name(&self) -> &str {
-                "spinner"
-            }
-            fn domain(&self) -> DomainId {
-                9
-            }
-            fn next_action(&mut self, _now: u64) -> Action {
-                Action::Compute(100)
-            }
-            fn on_completion(&mut self, _completion: &Completion) {}
+        // A program that computes far longer than the limit.
+        let mut spinner = TraceProgram::new("spinner", 9);
+        for _ in 0..1_000 {
+            spinner.wait_rel(100);
         }
-        let mut spinner = Spinner;
-        let summary = {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut spinner];
-            m.run(&mut actors, 10_000)
-        };
-        assert!(summary.hit_limit);
-        assert!(summary.finished_at <= 10_000);
-        assert!(summary.actions[0] >= 90);
+        let report = m.run_session(std::slice::from_ref(&spinner), &mut [], 10_000);
+        assert!(report.hit_limit);
+        assert!(!report.programs[0].finished);
+        assert_eq!(report.finished_at, 10_000);
+        assert_eq!(m.now(), 10_000);
+        assert_eq!(report.programs[0].actions, 100);
     }
 
     #[test]
     fn wait_until_lands_on_the_requested_cycle() {
         let mut m = ideal_machine();
-        let mut actor =
-            ScriptedActor::new("w", 1, vec![Action::WaitUntil(5_000), Action::Compute(1)]);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut actor];
-            m.run(&mut actors, 100_000);
-        }
-        assert_eq!(actor.completions()[0].finished_at, 5_000);
-        assert_eq!(actor.completions()[1].finished_at, 5_001);
+        let mut program = TraceProgram::new("w", 1);
+        program.wait_until(5_000).wait_rel(1);
+        let report = m.run_session(std::slice::from_ref(&program), &mut [], 100_000);
+        // The wait ends exactly at 5 000; the one-cycle step right after.
+        assert_eq!(report.finished_at, 5_001);
+        // A wait for a cycle already passed still costs one cycle.
+        let mut late = TraceProgram::new("late", 1);
+        late.wait_until(100);
+        let report = m.run_session(std::slice::from_ref(&late), &mut [], 100_000);
+        assert_eq!(report.finished_at, 5_002);
     }
 
     #[test]
@@ -972,114 +739,351 @@ mod tests {
             duration_jitter: 0,
         };
         let mut m = Machine::new(config).unwrap();
-        let script = vec![Action::Compute(100); 100];
-        let mut actor = ScriptedActor::new("busy", 1, script);
-        let summary = {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut actor];
-            m.run(&mut actors, 1_000_000)
-        };
+        let mut busy = TraceProgram::new("busy", 1);
+        for _ in 0..100 {
+            busy.wait_rel(100);
+        }
+        let report = m.run_session(std::slice::from_ref(&busy), &mut [], 1_000_000);
+        let busy = &report.programs[0];
         assert!(
-            summary.stalled_cycles[0] > 0,
-            "the actor must have been preempted"
+            busy.stalled_cycles > 0,
+            "the program must have been preempted"
         );
+        assert!(busy.finished);
+        assert_eq!(report.finished_at, 100 * 100 + busy.stalled_cycles);
     }
 
-    /// Builds the same workload twice — scripted actors for [`Machine::run`]
-    /// and compiled programs for [`Machine::run_session`] — and asserts the
-    /// two executors observe identical machines afterwards.
-    fn assert_session_matches_run(config: MachineConfig, limit: u64) {
+    /// What the reference scheduler observed of one program.
+    #[derive(Debug, PartialEq)]
+    struct TurnLog {
+        actions: u64,
+        stalled_cycles: u64,
+        finished: bool,
+        measurements: Vec<Measurement>,
+    }
+
+    /// The per-turn reference scheduler that [`Machine::run_session`] must
+    /// be indistinguishable from: one turn per op, chase, wait and final
+    /// Done; an interrupt poll before every turn; earliest-ready-first with
+    /// lowest-index tie-breaking; every access recorded in the perf counters
+    /// as it happens and every chase walked access by access. It covers the
+    /// `Ops`, `Chase`, `WaitUntil` and `WaitRel` steps. Returns the session's
+    /// end cycle, whether the limit ended it, and one log per program.
+    fn run(m: &mut Machine, programs: &[TraceProgram], limit: u64) -> (u64, bool, Vec<TurnLog>) {
+        struct Thread {
+            ready_at: u64,
+            interrupts: InterruptModel,
+            step: usize,
+            op: usize,
+        }
+        let mut threads: Vec<Thread> = programs
+            .iter()
+            .map(|_| Thread {
+                ready_at: m.now,
+                interrupts: InterruptModel::new(&m.config.interrupts, &mut m.rng),
+                step: 0,
+                op: 0,
+            })
+            .collect();
+        let mut logs: Vec<TurnLog> = programs
+            .iter()
+            .map(|_| TurnLog {
+                actions: 0,
+                stalled_cycles: 0,
+                finished: false,
+                measurements: Vec::new(),
+            })
+            .collect();
+        let deadline = m.now + limit;
+        let mut hit_limit = false;
+        loop {
+            let next = (0..programs.len())
+                .filter(|&i| !logs[i].finished)
+                .min_by_key(|&i| threads[i].ready_at);
+            let Some(idx) = next else { break };
+            let thread = &mut threads[idx];
+            if thread.ready_at >= deadline {
+                hit_limit = true;
+                break;
+            }
+            m.now = m.now.max(thread.ready_at);
+            if let Some(stall) = thread
+                .interrupts
+                .poll(m.now, &m.config.interrupts, &mut m.rng)
+            {
+                thread.ready_at = m.now + stall;
+                logs[idx].stalled_cycles += stall;
+                continue;
+            }
+            logs[idx].actions += 1;
+            let program = &programs[idx];
+            let domain = program.domain();
+            let ctx = AccessContext::for_domain(domain);
+            let Some(&step) = program.steps().get(thread.step) else {
+                logs[idx].finished = true;
+                continue;
+            };
+            let mut access = |kind: TraceKind, addr: PhysAddr| {
+                let outcome = match kind {
+                    TraceKind::Read => m.hierarchy.read(addr, ctx),
+                    TraceKind::Write => m.hierarchy.write(addr, ctx),
+                    TraceKind::Flush => m.hierarchy.flush(addr, ctx),
+                };
+                m.perf.record(domain, &outcome);
+                outcome.cycles
+            };
+            let mut measured = None;
+            let latency = match step {
+                TraceStep::Ops { start, end } => {
+                    let op = program.op_arena()[start + thread.op];
+                    thread.op += 1;
+                    if start + thread.op == end {
+                        (thread.step, thread.op) = (thread.step + 1, 0);
+                    }
+                    access(op.kind, op.addr)
+                }
+                TraceStep::Chase { start, end } => {
+                    thread.step += 1;
+                    let cycles = program.chase_arena()[start..end]
+                        .iter()
+                        .map(|&addr| access(TraceKind::Read, addr))
+                        .sum();
+                    measured = Some(m.tsc.measure(cycles, &mut m.rng));
+                    cycles
+                }
+                TraceStep::WaitUntil { target } => {
+                    thread.step += 1;
+                    target.saturating_sub(m.now)
+                }
+                TraceStep::WaitRel { offset } => {
+                    thread.step += 1;
+                    offset
+                }
+                other => unreachable!("the reference does not model {other:?}"),
+            };
+            thread.ready_at = m.now + latency.max(1);
+            if let Some(measured) = measured {
+                logs[idx].measurements.push(Measurement {
+                    at: thread.ready_at,
+                    measured,
+                });
+            }
+        }
+        let end = threads.iter().map(|t| t.ready_at).max().unwrap_or(m.now);
+        m.now = m.now.max(end.min(deadline));
+        (m.now, hit_limit, logs)
+    }
+
+    /// Runs `programs` through the reference on one machine and through
+    /// [`Machine::run_session`] (with `co_runners` after the programs) on
+    /// another, asserts both observe identical sessions and machines, and
+    /// returns the session's report. `flat` holds the co-runners' streams as
+    /// ordinary programs for the reference, long enough to outlast the limit.
+    fn assert_session_matches_run(
+        config: MachineConfig,
+        programs: &[TraceProgram],
+        co_runners: &mut [CompilerWorkload],
+        flat: &[TraceProgram],
+        limit: u64,
+    ) -> SessionReport {
+        let mut reference = Machine::new(config).unwrap();
+        let everything: Vec<TraceProgram> = programs.iter().chain(flat).cloned().collect();
+        let (finished_at, hit_limit, logs) = run(&mut reference, &everything, limit);
+        let mut session = Machine::new(config).unwrap();
+        let report = session.run_session(programs, co_runners, limit);
+
+        assert_eq!(report.finished_at, finished_at);
+        assert_eq!(report.hit_limit, hit_limit);
+        assert_eq!(session.now(), reference.now());
+        assert_eq!(session.hierarchy().stats(), reference.hierarchy().stats());
+        assert_eq!(report.programs.len(), logs.len());
+        for (program, log) in report.programs.iter().zip(&logs) {
+            assert_eq!(session.perf(program.domain), reference.perf(program.domain));
+            let observed = TurnLog {
+                actions: program.actions,
+                stalled_cycles: program.stalled_cycles,
+                finished: program.finished,
+                measurements: program.measurements.clone(),
+            };
+            assert_eq!(&observed, log, "{}", program.name);
+        }
+        for log in &logs[programs.len()..] {
+            assert!(
+                !log.finished,
+                "a flat co-runner stream ran dry: lengthen it"
+            );
+        }
+        report
+    }
+
+    /// One generated step of a random program.
+    #[derive(Debug, Clone)]
+    enum GenStep {
+        Ops(Vec<(u8, usize, u64)>),
+        Chase(Vec<(usize, u64)>),
+        WaitUntil(u64),
+        WaitRel(u64),
+    }
+
+    fn gen_step() -> impl Strategy<Value = GenStep> {
+        // Three sets and a dozen tags per set, so the threads contend.
+        let line = (0usize..3, 0u64..12);
+        prop_oneof![
+            proptest::collection::vec((0u8..3, 0usize..3, 0u64..12), 1..5).prop_map(GenStep::Ops),
+            proptest::collection::vec(line, 1..10).prop_map(GenStep::Chase),
+            // On a 500-cycle grid, so threads often become ready on the same
+            // cycle as each other and as a periodic interrupt.
+            (0u64..24).prop_map(|k| GenStep::WaitUntil(500 * k)),
+            (0u64..3_000).prop_map(GenStep::WaitRel),
+        ]
+    }
+
+    fn gen_mix() -> impl Strategy<Value = Vec<Vec<GenStep>>> {
+        proptest::collection::vec(proptest::collection::vec(gen_step(), 1..12), 2..4)
+    }
+
+    fn build(mix: &[Vec<GenStep>]) -> Vec<TraceProgram> {
         let g = CacheGeometry::xeon_l1d();
-        let line = |set: usize, tag: u64| PhysAddr::from_set_and_tag(set, tag, g);
-
-        // Thread 0: loads, an absolute wait, a measured chase, stores.
-        let chase: Vec<PhysAddr> = (0..10).map(|t| line(21, 1_000 + t)).collect();
-        let script_a = vec![
-            Action::Load(line(21, 0)),
-            Action::Load(line(21, 1)),
-            Action::WaitUntil(4_000),
-            Action::MeasuredChase(chase.clone()),
-            Action::Store(line(21, 2)),
-            Action::Flush(line(21, 1)),
-        ];
-        // Thread 1: interleaved loads and waits on another set.
-        let script_b = vec![
-            Action::Load(line(7, 0)),
-            Action::WaitUntil(2_500),
-            Action::Store(line(7, 1)),
-            Action::Load(line(7, 0)),
-        ];
-
-        let mut run_machine = Machine::new(config).unwrap();
-        let mut a = ScriptedActor::new("a", 1, script_a);
-        let mut b = ScriptedActor::new("b", 2, script_b.clone());
-        let summary = {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut a, &mut b];
-            run_machine.run(&mut actors, limit)
-        };
-
-        let mut program = TraceProgram::new("a", 1);
-        program
-            .load(line(21, 0))
-            .load(line(21, 1))
-            .wait_until(4_000)
-            .chase(&chase)
-            .store(line(21, 2))
-            .ops([TraceOp::flush(line(21, 1))]);
-        let mut session_machine = Machine::new(config).unwrap();
-        let mut b2 = ScriptedActor::new("b", 2, script_b);
-        let report = {
-            let mut extras: Vec<&mut dyn Actor> = vec![&mut b2];
-            session_machine.run_session(std::slice::from_ref(&program), &mut extras, limit)
-        };
-
-        assert_eq!(report.finished_at, summary.finished_at);
-        assert_eq!(report.hit_limit, summary.hit_limit);
-        assert_eq!(session_machine.now(), run_machine.now());
-        assert_eq!(session_machine.perf(1), run_machine.perf(1));
-        assert_eq!(session_machine.perf(2), run_machine.perf(2));
-        assert_eq!(
-            session_machine.hierarchy().stats(),
-            run_machine.hierarchy().stats()
-        );
-        assert_eq!(report.programs[0].latencies(), a.measurements());
-        assert_eq!(report.programs[0].actions, summary.actions[0]);
-        assert_eq!(report.actor_actions, vec![summary.actions[1]]);
-        assert_eq!(
-            report.programs[0].stalled_cycles + report.actor_stalled[0],
-            summary.stalled_cycles.iter().sum::<u64>()
-        );
+        let line = |set: usize, tag: u64| PhysAddr::from_set_and_tag(7 * set + 3, tag, g);
+        mix.iter()
+            .enumerate()
+            .map(|(i, steps)| {
+                let mut program = TraceProgram::new(format!("p{i}"), i as DomainId + 1);
+                for step in steps {
+                    match step {
+                        GenStep::Ops(ops) => {
+                            program.ops(ops.iter().map(|&(kind, set, tag)| match kind {
+                                0 => TraceOp::read(line(set, tag)),
+                                1 => TraceOp::write(line(set, tag)),
+                                _ => TraceOp::flush(line(set, tag)),
+                            }));
+                        }
+                        GenStep::Chase(lines) => {
+                            let addrs: Vec<PhysAddr> =
+                                lines.iter().map(|&(set, tag)| line(set, tag)).collect();
+                            program.chase(&addrs);
+                        }
+                        GenStep::WaitUntil(target) => {
+                            program.wait_until(*target);
+                        }
+                        GenStep::WaitRel(offset) => {
+                            program.wait_rel(*offset);
+                        }
+                    }
+                }
+                program
+            })
+            .collect()
     }
 
-    #[test]
-    fn run_session_matches_run_on_an_ideal_machine() {
-        assert_session_matches_run(MachineConfig::ideal(PolicyKind::TreePlru, 5), 1_000_000);
+    /// Interrupts every 1 000 cycles, each stalling 500.
+    fn periodic_interrupts() -> InterruptConfig {
+        InterruptConfig {
+            period: 1_000,
+            period_jitter: 0,
+            duration: 500,
+            duration_jitter: 0,
+        }
     }
 
-    #[test]
-    fn run_session_matches_run_with_interrupts_and_tsc_noise() {
-        // The realistic machine draws RNG for interrupt scheduling and for
-        // every rdtscp measurement; identical results prove the executors
-        // consume the stream in the same order.
-        let mut config = MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, 11);
+    /// The realistic machine with jittered interrupts: it draws RNG for
+    /// interrupt scheduling and for every rdtscp measurement, so identical
+    /// results prove the executors consume the stream in the same order.
+    fn noisy_config(seed: u64) -> MachineConfig {
+        let mut config = MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, seed);
         config.interrupts = InterruptConfig {
             period: 3_000,
             period_jitter: 1_000,
             duration: 400,
             duration_jitter: 150,
         };
-        assert_session_matches_run(config, 1_000_000);
+        config
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn run_session_matches_run_on_an_ideal_machine(mix in gen_mix(), seed in 0u64..1_000) {
+            let config = MachineConfig::ideal(PolicyKind::TreePlru, seed);
+            assert_session_matches_run(config, &build(&mix), &mut [], &[], 1_000_000);
+        }
+
+        #[test]
+        fn run_session_matches_run_with_interrupts_and_tsc_noise(
+            mix in gen_mix(),
+            seed in 0u64..1_000,
+        ) {
+            assert_session_matches_run(noisy_config(seed), &build(&mix), &mut [], &[], 1_000_000);
+        }
+
+        #[test]
+        fn run_session_honours_the_deadline_like_run(
+            mix in gen_mix(),
+            seed in 0u64..1_000,
+            limit in 1u64..6_000,
+        ) {
+            let mut config = MachineConfig::ideal(PolicyKind::TreePlru, seed);
+            config.interrupts = periodic_interrupts();
+            assert_session_matches_run(config, &build(&mix), &mut [], &[], limit);
+        }
     }
 
     #[test]
-    fn run_session_honours_the_deadline_like_run() {
-        let mut config = MachineConfig::ideal(PolicyKind::TreePlru, 3);
-        config.interrupts = InterruptConfig {
-            period: 1_000,
-            period_jitter: 0,
-            duration: 500,
-            duration_jitter: 0,
-        };
-        assert_session_matches_run(config, 3_000);
+    fn run_session_refills_a_co_runner_invisibly() {
+        // A g++ co-runner beside two fixed programs, against the same
+        // stream as one flat program: the chunk refills must not show.
+        const LIMIT: u64 = 1_000_000;
+        const CHUNKS: usize = 8;
+        let space = AddressSpace::new(ProcessId(4));
+        let mut flat_source = CompilerWorkload::new(space, 4, 77);
+        let mut chunk = flat_source.chunk();
+        let mut flat = flat_source.chunk();
+        for _ in 0..CHUNKS {
+            flat_source.refill(&mut chunk);
+            for &step in chunk.steps() {
+                match step {
+                    TraceStep::Ops { start, end } => {
+                        flat.ops(chunk.op_arena()[start..end].iter().copied());
+                    }
+                    TraceStep::WaitRel { offset } => {
+                        flat.wait_rel(offset);
+                    }
+                    other => unreachable!("g++ emits accesses and waits, not {other:?}"),
+                }
+            }
+        }
+        let mix = vec![
+            vec![
+                GenStep::Ops(vec![(0, 0, 1), (1, 0, 2), (0, 1, 3)]),
+                GenStep::WaitUntil(40_000),
+                GenStep::Chase((0..10).map(|t| (0, t)).collect()),
+                GenStep::WaitRel(2_000),
+                GenStep::Chase((0..10).map(|t| (1, t)).collect()),
+            ],
+            vec![
+                GenStep::WaitRel(1_500),
+                GenStep::Ops(vec![(1, 0, 4), (1, 1, 5)]),
+                GenStep::WaitUntil(300_000),
+                GenStep::Ops(vec![(0, 0, 4), (2, 1, 5)]),
+            ],
+        ];
+        let report = assert_session_matches_run(
+            noisy_config(21),
+            &build(&mix),
+            &mut [CompilerWorkload::new(space, 4, 77)],
+            std::slice::from_ref(&flat),
+            LIMIT,
+        );
+        // The co-runner really refilled its arena twice: two turns (an
+        // access and a wait) per access of the stream.
+        let gpp = &report.programs[2];
+        assert_eq!(gpp.name, "g++");
+        assert!(
+            gpp.actions > 2 * 2 * CHUNK_ACCESSES as u64,
+            "only {} turns: raise LIMIT",
+            gpp.actions
+        );
     }
 
     #[test]

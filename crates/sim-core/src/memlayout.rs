@@ -14,7 +14,6 @@ use sim_cache::addr::{CacheGeometry, PhysAddr};
 
 /// A family of cache lines that all map to one target set of the L1.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SetLines {
     set: usize,
     lines: Vec<PhysAddr>,
@@ -81,7 +80,6 @@ impl SetLines {
 /// The full memory layout used by one party of the WB channel on one target
 /// set: the "lines 0..N" it can dirty plus two disjoint replacement sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelLayout {
     /// Lines the party can access/modify in the target set (the paper's
     /// `lines 0–N`).

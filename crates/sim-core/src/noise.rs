@@ -2,20 +2,19 @@
 //!
 //! Section VI of the paper analyses how "noisy cache lines" — lines loaded
 //! into the target set by other code on the core — disturb the LRU channel
-//! but barely affect the WB channel (Figure 8).  [`NoisyNeighbor`] is the
-//! actor that produces exactly that interference: it periodically touches
-//! lines that map to the attacked set.
+//! but barely affect the WB channel (Figure 8).  [`NoisyNeighbor`] compiles
+//! the program that produces exactly that interference: it periodically
+//! touches lines that map to the attacked set.
 
 use crate::memlayout::SetLines;
 use crate::process::AddressSpace;
-use crate::program::{Action, Actor, Completion};
 use crate::session::TraceProgram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::addr::CacheGeometry;
 use sim_cache::line::DomainId;
 
-/// An actor that injects "noisy cache lines" into one target set.
+/// A noise process that injects "noisy cache lines" into one target set.
 #[derive(Debug)]
 pub struct NoisyNeighbor {
     name: String,
@@ -28,12 +27,8 @@ pub struct NoisyNeighbor {
     /// store noise is the stronger variant discussed in Sec. VI's closing
     /// caveat.
     store_fraction: f64,
-    /// The construction seed (kept so [`NoisyNeighbor::compile`] can replay
-    /// the identical load/store stream from the start).
+    /// The seed of the load/store decision stream.
     seed: u64,
-    rng: StdRng,
-    next_line: usize,
-    waiting: bool,
 }
 
 impl NoisyNeighbor {
@@ -57,20 +52,18 @@ impl NoisyNeighbor {
             interval: interval.max(1),
             store_fraction: store_fraction.clamp(0.0, 1.0),
             seed,
-            rng: StdRng::seed_from_u64(seed),
-            next_line: 0,
-            waiting: false,
         }
     }
+
     /// Compiles the noise process's schedule up to (at least) `limit` cycles
     /// of session time into a [`TraceProgram`].
     ///
-    /// The actor runs forever; the compiled program covers the whole session
-    /// horizon by over-provisioning iterations (each wait-plus-touch cycle
-    /// consumes more than `interval` cycles, so `limit / interval + 4`
-    /// iterations can never be exhausted before the deadline).  The
-    /// load/store decisions replay the constructor seed's stream, exactly as
-    /// the actor would draw them touch by touch.
+    /// The process runs forever; the compiled program covers the whole
+    /// session horizon by over-provisioning iterations (each wait-plus-touch
+    /// cycle consumes more than `interval` cycles, so `limit / interval + 4`
+    /// iterations can never be exhausted before the deadline).  Each touch
+    /// draws its load/store decision from the constructor seed's stream and
+    /// cycles through the noisy lines in order.
     pub fn compile(&self, limit: u64) -> TraceProgram {
         let mut program = TraceProgram::new(self.name.clone(), self.domain);
         program.phase(crate::telemetry::Phase::Noise);
@@ -92,33 +85,6 @@ impl NoisyNeighbor {
     }
 }
 
-impl Actor for NoisyNeighbor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    fn next_action(&mut self, now: u64) -> Action {
-        if !self.waiting {
-            self.waiting = true;
-            return Action::WaitUntil(now + self.interval);
-        }
-        self.waiting = false;
-        let addr = self.lines.line(self.next_line);
-        self.next_line = (self.next_line + 1) % self.lines.len();
-        if self.rng.gen_bool(self.store_fraction) {
-            Action::Store(addr)
-        } else {
-            Action::Load(addr)
-        }
-    }
-
-    fn on_completion(&mut self, _completion: &Completion) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,12 +97,11 @@ mod tests {
         let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TrueLru, 1)).unwrap();
         let g = machine.l1_geometry();
         let set = 33;
-        let mut noise =
-            NoisyNeighbor::new(AddressSpace::new(ProcessId(5)), g, set, 3, 500, 0.0, 5, 42);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut noise];
-            machine.run(&mut actors, 50_000);
-        }
+        let noise = NoisyNeighbor::new(AddressSpace::new(ProcessId(5)), g, set, 3, 500, 0.0, 5, 42);
+        let program = noise.compile(50_000);
+        assert!(program.name().contains("set33"));
+        assert_eq!(program.stats().ops, 50_000 / 500 + 4);
+        machine.run_session(std::slice::from_ref(&program), &mut [], 50_000);
         // The noise process owns lines only in the target set.
         let owned_in_target = machine.hierarchy().l1().owned_count_in_set(set, 5);
         assert!(
@@ -148,7 +113,7 @@ mod tests {
                 assert_eq!(machine.hierarchy().l1().owned_count_in_set(other, 5), 0);
             }
         }
-        assert!(noise.name().contains("set33"));
+        assert_eq!(machine.perf(5).stores, 0, "load noise never stores");
     }
 
     #[test]
@@ -156,12 +121,14 @@ mod tests {
         let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TrueLru, 1)).unwrap();
         let g = machine.l1_geometry();
         let set = 12;
-        let mut noise =
-            NoisyNeighbor::new(AddressSpace::new(ProcessId(6)), g, set, 2, 200, 1.0, 6, 43);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut noise];
-            machine.run(&mut actors, 20_000);
-        }
+        let noise = NoisyNeighbor::new(AddressSpace::new(ProcessId(6)), g, set, 2, 200, 1.0, 6, 43);
+        let program = noise.compile(20_000);
+        let report = machine.run_session(std::slice::from_ref(&program), &mut [], 20_000);
+        assert!(report.hit_limit, "the schedule outlasts the session");
+        assert_eq!(
+            report.programs[0].summary.reads, 0,
+            "store noise never loads"
+        );
         assert!(machine.hierarchy().l1().dirty_count_in_set(set) > 0);
     }
 }

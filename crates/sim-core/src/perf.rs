@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 /// with `perf` (`L1-dcache-loads`, `L1-dcache-load-misses`, and the L2/LLC
 /// equivalents).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfCounters {
     /// Loads that reached the L1 (i.e. all demand loads).
     pub l1_loads: u64,
@@ -136,7 +135,6 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// Which level a [`PerfCounters::loads_per_ms`] query refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PerfLevel {
     /// L1 data cache.
     L1,
@@ -150,7 +148,6 @@ pub enum PerfLevel {
 
 /// Per-domain performance-counter store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfStore {
     // BTreeMap so `iter()` walks domains in a stable order regardless of
     // process-level hasher seeding.

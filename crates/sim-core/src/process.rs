@@ -17,7 +17,6 @@ pub const ASID_SHIFT: u32 = 40;
 
 /// A process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProcessId(pub u16);
 
 impl fmt::Display for ProcessId {
@@ -35,7 +34,6 @@ impl From<u16> for ProcessId {
 /// An address space: translates process-local virtual addresses into the
 /// simulator's flat physical space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AddressSpace {
     pid: ProcessId,
 }

@@ -16,7 +16,6 @@ use rand::Rng;
 
 /// Configuration of the per-thread interruption process.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InterruptConfig {
     /// Mean cycles between interruptions (0 disables interruptions).
     pub period: u64,
@@ -75,7 +74,6 @@ impl Default for InterruptConfig {
 
 /// Per-thread interruption state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InterruptModel {
     next_at: u64,
 }

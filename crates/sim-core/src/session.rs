@@ -5,19 +5,18 @@
 //! measured sweeps and period waits, a noise process's periodic touches —
 //! expressed as a flat step list over two arenas (batched [`TraceOp`]s and
 //! chase addresses).  [`crate::machine::Machine::run_session`] interleaves
-//! several programs (plus optional dynamic [`crate::program::Actor`]s) on
-//! the shared cache hierarchy with *exactly* the scheduling semantics of
-//! [`crate::machine::Machine::run`]: one scheduling turn per operation,
-//! per-turn OS-interrupt polls, earliest-ready-first with lowest-index
-//! tie-breaking, and a cycle deadline.  The difference is purely mechanical —
-//! no per-action allocation, no virtual dispatch, no per-access perf
-//! bookkeeping — which is what makes full covert-channel frames run at batch
-//! speed (see the `wb-channel` row of `repro bench-sim`).
+//! several programs (plus any [`crate::workload::CompilerWorkload`]
+//! co-runners, whose open-loop streams it refills chunk by chunk) on the
+//! shared cache hierarchy: one scheduling turn per operation, per-turn
+//! OS-interrupt polls, earliest-ready-first with lowest-index tie-breaking,
+//! and a cycle deadline.  Consecutive operations of one program run
+//! back-to-back whenever nothing else could be scheduled between them, with
+//! no per-access perf bookkeeping — which is what makes full covert-channel
+//! frames run at batch speed (see the `wb-channel` row of `repro bench-sim`).
 //!
 //! ## Timing vocabulary
 //!
-//! Programs reference times three ways, mirroring what the hand-written
-//! actors computed on the fly:
+//! Programs reference times three ways:
 //!
 //! * **absolute** — [`TraceStep::WaitUntil`] / [`TraceStep::WaitEpoch`]
 //!   target a fixed cycle (the agreed rendezvous epoch);
@@ -151,13 +150,13 @@ impl TraceProgram {
         (attributed, self.steps.len())
     }
 
-    /// The op arena.
-    pub(crate) fn op_arena(&self) -> &[TraceOp] {
+    /// The op arena that [`TraceStep::Ops`] ranges index.
+    pub fn op_arena(&self) -> &[TraceOp] {
         &self.ops
     }
 
-    /// The chase arena.
-    pub(crate) fn chase_arena(&self) -> &[PhysAddr] {
+    /// The address arena that [`TraceStep::Chase`] ranges index.
+    pub fn chase_arena(&self) -> &[PhysAddr] {
         &self.chase_addrs
     }
 
@@ -258,6 +257,17 @@ impl TraceProgram {
         self
     }
 
+    /// Empties the arenas and steps (keeping their capacity, the name and
+    /// the domain) and resets the phase to [`Phase::Other`] — the reused
+    /// chunk arena of a refilled co-runner stream.
+    pub(crate) fn clear(&mut self) {
+        self.ops.clear();
+        self.chase_addrs.clear();
+        self.steps.clear();
+        self.phases.clear();
+        self.current_phase = Phase::Other;
+    }
+
     /// Appends a raw step without the builder's arena bookkeeping — the
     /// escape hatch [`crate::verify`]'s negative-path tests use to build
     /// ill-formed programs the safe builder cannot express.
@@ -316,12 +326,9 @@ pub struct SessionReport {
     /// Whether the cycle limit ended the session (rather than every thread
     /// finishing).
     pub hit_limit: bool,
-    /// One report per compiled program, in input order.
+    /// One report per compiled program, in input order, followed by one per
+    /// co-runner.
     pub programs: Vec<ProgramReport>,
-    /// Actions executed per dynamic actor, in input order.
-    pub actor_actions: Vec<u64>,
-    /// Cycles each dynamic actor spent stalled by OS interruptions.
-    pub actor_stalled: Vec<u64>,
 }
 
 impl SessionReport {
@@ -341,8 +348,7 @@ impl SessionReport {
         self.programs.iter().find(|p| p.name == name)
     }
 
-    /// Sum of all program summaries (simulated work of the whole session,
-    /// excluding dynamic actors).
+    /// Sum of all program summaries (simulated work of the whole session).
     pub fn total_summary(&self) -> TraceSummary {
         let mut total = TraceSummary::default();
         for program in &self.programs {
@@ -450,8 +456,6 @@ mod tests {
                     phase_cycles: PhaseCycles::default(),
                 },
             ],
-            actor_actions: vec![],
-            actor_stalled: vec![],
         };
         assert_eq!(report.program("receiver").unwrap().latencies(), vec![120]);
         assert!(report.program("nope").is_none());

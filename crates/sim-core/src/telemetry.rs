@@ -161,8 +161,8 @@ pub struct BitDecision {
 ///
 /// Span and counter names are `Cow<'static, str>` so the session executor's
 /// hot loop — whose names are all `'static` phase labels and counter names —
-/// records events without allocating; only dynamically named spans (actor
-/// names) pay for an owned string.
+/// records events without allocating; only dynamically named spans (e.g.
+/// `"frame 3"`) pay for an owned string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A span opens (`ph: "B"` in Chrome trace terms).

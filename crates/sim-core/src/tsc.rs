@@ -18,7 +18,6 @@ use rand::Rng;
 
 /// Configuration of the measurement model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TscConfig {
     /// Fixed overhead added to every measured interval (cycles).
     pub overhead: u64,
@@ -70,7 +69,6 @@ impl Default for TscConfig {
 
 /// The measurement model applied to true elapsed cycle counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TscModel {
     config: TscConfig,
 }

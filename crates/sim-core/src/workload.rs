@@ -8,7 +8,8 @@
 //! probes into a symbol table, and bursts of stores into an output buffer.
 
 use crate::process::AddressSpace;
-use crate::program::{Action, Actor, Completion};
+use crate::session::TraceProgram;
+use crate::telemetry::Phase;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::line::DomainId;
@@ -25,8 +26,16 @@ const PROBE_FRACTION: f64 = 0.35;
 const STORE_FRACTION: f64 = 0.20;
 /// Compute cycles between memory accesses (models non-memory work).
 const THINK_TIME: u64 = 6;
+/// Accesses emitted per [`CompilerWorkload::refill`]: bounds the chunk arena
+/// (the stream itself is unbounded).
+pub const CHUNK_ACCESSES: usize = 1024;
 
 /// A `g++`-like benign co-runner.
+///
+/// The workload is open loop — it draws only from its own RNG and never
+/// reacts to timing — so its unbounded stream is emitted in fixed-size
+/// chunks: [`crate::machine::Machine::run_session`] refills a reused
+/// [`TraceProgram`] whenever the previous chunk is drained.
 #[derive(Debug)]
 pub struct CompilerWorkload {
     space: AddressSpace,
@@ -34,7 +43,6 @@ pub struct CompilerWorkload {
     rng: StdRng,
     source_cursor: u64,
     output_cursor: u64,
-    pending_think: bool,
 }
 
 /// Region base offsets inside the workload's virtual address space.
@@ -51,49 +59,45 @@ impl CompilerWorkload {
             rng: StdRng::seed_from_u64(seed),
             source_cursor: 0,
             output_cursor: 0,
-            pending_think: false,
-        }
-    }
-}
-
-impl Actor for CompilerWorkload {
-    fn name(&self) -> &str {
-        "g++"
-    }
-
-    fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    fn next_action(&mut self, _now: u64) -> Action {
-        if self.pending_think {
-            self.pending_think = false;
-            return Action::Compute(THINK_TIME);
-        }
-        self.pending_think = true;
-        let roll: f64 = self.rng.gen();
-        if roll < STORE_FRACTION {
-            // Sequential stores into the output buffer (dirty lines!).
-            let addr = self
-                .space
-                .translate(OUTPUT_BASE + (self.output_cursor % OUTPUT_BYTES));
-            self.output_cursor += 64;
-            Action::Store(addr)
-        } else if roll < STORE_FRACTION + PROBE_FRACTION {
-            // Random probe into the symbol table.
-            let offset = self.rng.gen_range(0..SYMBOL_TABLE_BYTES) & !63;
-            Action::Load(self.space.translate(SYMBOLS_BASE + offset))
-        } else {
-            // Streaming read of the source text.
-            let addr = self
-                .space
-                .translate(SOURCE_BASE + (self.source_cursor % SOURCE_BYTES));
-            self.source_cursor += 64;
-            Action::Load(addr)
         }
     }
 
-    fn on_completion(&mut self, _completion: &Completion) {}
+    /// An empty chunk arena for [`CompilerWorkload::refill`], named `g++`
+    /// and attributed to the workload's domain.
+    pub fn chunk(&self) -> TraceProgram {
+        TraceProgram::new("g++", self.domain)
+    }
+
+    /// Clears `program` and emits the next [`CHUNK_ACCESSES`] accesses of
+    /// the stream into it, each followed by a relative wait of the think
+    /// time (the compute between two memory accesses).
+    pub fn refill(&mut self, program: &mut TraceProgram) {
+        program.clear();
+        program.phase(Phase::Noise);
+        for _ in 0..CHUNK_ACCESSES {
+            let roll: f64 = self.rng.gen();
+            if roll < STORE_FRACTION {
+                // Sequential stores into the output buffer (dirty lines!).
+                let addr = self
+                    .space
+                    .translate(OUTPUT_BASE + (self.output_cursor % OUTPUT_BYTES));
+                self.output_cursor += 64;
+                program.store(addr);
+            } else if roll < STORE_FRACTION + PROBE_FRACTION {
+                // Random probe into the symbol table.
+                let offset = self.rng.gen_range(0..SYMBOL_TABLE_BYTES) & !63;
+                program.load(self.space.translate(SYMBOLS_BASE + offset));
+            } else {
+                // Streaming read of the source text.
+                let addr = self
+                    .space
+                    .translate(SOURCE_BASE + (self.source_cursor % SOURCE_BYTES));
+                self.source_cursor += 64;
+                program.load(addr);
+            }
+            program.wait_rel(THINK_TIME);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -101,35 +105,67 @@ mod tests {
     use super::*;
     use crate::machine::{Machine, MachineConfig};
     use crate::process::ProcessId;
+    use crate::session::TraceStep;
     use sim_cache::policy::PolicyKind;
+    use sim_cache::trace::TraceKind;
 
     #[test]
     fn compiler_workload_touches_all_three_regions() {
-        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
-        let mut workload = CompilerWorkload::new(AddressSpace::new(ProcessId(3)), 3, 99);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut workload];
-            machine.run(&mut actors, 500_000);
-        }
-        let perf = machine.perf(3);
-        assert!(perf.l1_loads > 1_000, "loads: {}", perf.l1_loads);
-        assert!(perf.stores > 100, "stores: {}", perf.stores);
+        let space = AddressSpace::new(ProcessId(3));
+        let mut workload = CompilerWorkload::new(space, 3, 99);
+        let mut chunk = workload.chunk();
+        workload.refill(&mut chunk);
+        assert_eq!(chunk.name(), "g++");
+        assert_eq!(chunk.domain(), 3);
+        // One access then one think-time wait, CHUNK_ACCESSES times.
+        assert_eq!(chunk.steps().len(), 2 * CHUNK_ACCESSES);
+        assert!(chunk
+            .steps()
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .all(|&s| s == TraceStep::WaitRel { offset: THINK_TIME }));
+        let region = |base: u64, bytes: u64| {
+            let lo = space.translate(base).value();
+            move |addr: u64| (lo..lo + bytes).contains(&addr)
+        };
+        let (source, symbols, output) = (
+            region(SOURCE_BASE, SOURCE_BYTES),
+            region(SYMBOLS_BASE, SYMBOL_TABLE_BYTES),
+            region(OUTPUT_BASE, OUTPUT_BYTES),
+        );
+        let ops = chunk.op_arena();
+        assert_eq!(ops.len(), CHUNK_ACCESSES);
+        let count = |pred: &dyn Fn(&sim_cache::trace::TraceOp) -> bool| {
+            ops.iter().filter(|op| pred(op)).count()
+        };
+        let stores = count(&|op| op.kind == TraceKind::Write && output(op.addr.value()));
+        let probes = count(&|op| op.kind == TraceKind::Read && symbols(op.addr.value()));
+        let streams = count(&|op| op.kind == TraceKind::Read && source(op.addr.value()));
+        assert_eq!(stores + probes + streams, CHUNK_ACCESSES, "no stray access");
+        // Roughly 20% stores, 35% probes and 45% streaming reads.
+        let tenth = CHUNK_ACCESSES / 10;
+        assert!(stores > tenth && probes > 2 * tenth && streams > 3 * tenth);
+
         // The multi-megabyte working set cannot fit in the L1/L2: there must
         // be misses at every level, giving the non-trivial baseline miss
         // rates of Table VII.
+        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
+        machine.run_session(&[], std::slice::from_mut(&mut workload), 500_000);
+        let perf = machine.perf(3);
+        assert!(perf.l1_loads > 1_000, "loads: {}", perf.l1_loads);
+        assert!(perf.stores > 100, "stores: {}", perf.stores);
         assert!(perf.l1_miss_rate() > 0.0);
         assert!(perf.l2_miss_rate() > 0.0);
-        assert_eq!(workload.name(), "g++");
     }
 
     #[test]
     fn compiler_workload_creates_dirty_lines_across_sets() {
         let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 1)).unwrap();
         let mut workload = CompilerWorkload::new(AddressSpace::new(ProcessId(4)), 4, 7);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut workload];
-            machine.run(&mut actors, 300_000);
-        }
+        let report = machine.run_session(&[], std::slice::from_mut(&mut workload), 300_000);
+        assert!(report.hit_limit, "the stream never runs dry");
+        assert!(!report.programs[0].finished);
         let g = machine.l1_geometry();
         let dirty_sets = (0..g.num_sets)
             .filter(|&s| machine.hierarchy().l1().dirty_count_in_set(s) > 0)
