@@ -25,7 +25,7 @@ use defenses::{evaluate_defense_majority, Defense, EvaluationConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use runner::scale::Scale;
-use runner::scenario::{PointCtx, PointOutput, Scenario, Seeding};
+use runner::scenario::{PointCtx, PointOutput, Scenario};
 use runner::Registry;
 use sim_cache::hierarchy::HierarchyPreset;
 use sim_cache::policy::PolicyKind;
@@ -111,7 +111,6 @@ pub const TABLE1: Scenario = Scenario {
     paper_ref: "Table I",
     section: "Sec. II",
     summary: "classification of cache covert channels (baselines comparison)",
-    seeding: Seeding::Derived,
     points: one_point,
     run_point: table1_point,
     assemble: table1_assemble,
@@ -160,7 +159,6 @@ pub const TABLE2: Scenario = Scenario {
     paper_ref: "Table II",
     section: "Sec. IV-B",
     summary: "eviction-set sizing: P(line 0 evicted) per policy and N",
-    seeding: Seeding::Derived,
     points: table2_points,
     run_point: table2_point,
     assemble: table2_assemble,
@@ -212,7 +210,6 @@ pub const TABLE4: Scenario = Scenario {
     paper_ref: "Table IV",
     section: "Sec. IV-C",
     summary: "access-latency classes: L1 hit vs clean vs dirty victim",
-    seeding: Seeding::Derived,
     points: one_point,
     run_point: table4_point,
     assemble: table4_assemble,
@@ -280,7 +277,6 @@ pub const FIG4: Scenario = Scenario {
     paper_ref: "Figure 4",
     section: "Sec. IV-C",
     summary: "latency CDFs of the replacement sweep per dirty-line count",
-    seeding: Seeding::Derived,
     points: fig4_points,
     run_point: fig4_point,
     assemble: fig4_assemble,
@@ -362,7 +358,6 @@ pub const FIG5_7: Scenario = Scenario {
     paper_ref: "Figures 5 & 7",
     section: "Sec. V",
     summary: "example transmissions: binary d=1/4/8 and two-bit symbols",
-    seeding: Seeding::Derived,
     points: traces_points,
     run_point: traces_point,
     assemble: traces_assemble,
@@ -435,7 +430,6 @@ pub const FIG6: Scenario = Scenario {
     paper_ref: "Figure 6",
     section: "Sec. V",
     summary: "bit error rate across the (dirty count x period) rate grid",
-    seeding: Seeding::Derived,
     points: fig6_points,
     run_point: fig6_point,
     assemble: fig6_assemble,
@@ -481,7 +475,6 @@ pub const TABLE5: Scenario = Scenario {
     paper_ref: "Table V",
     section: "Sec. VI-A",
     summary: "dirty-eviction probability under random replacement vs analytic",
-    seeding: Seeding::Derived,
     points: table5_points,
     run_point: table5_point,
     assemble: table5_assemble,
@@ -570,7 +563,6 @@ pub const TABLE6: Scenario = Scenario {
     paper_ref: "Table VI",
     section: "Sec. VII",
     summary: "stealth: sender load footprint, WB channel vs LRU channel",
-    seeding: Seeding::Derived,
     points: table6_points,
     run_point: table6_point,
     assemble: table6_assemble,
@@ -630,7 +622,6 @@ pub const TABLE7: Scenario = Scenario {
     paper_ref: "Table VII",
     section: "Sec. VII",
     summary: "stealth: sender miss rates per encoding and companion",
-    seeding: Seeding::Derived,
     points: table7_points,
     run_point: table7_point,
     assemble: table7_assemble,
@@ -679,7 +670,6 @@ pub const FIG8: Scenario = Scenario {
     paper_ref: "Figure 8",
     section: "Sec. VI",
     summary: "noise robustness: WB channel vs LRU and Prime+Probe baselines",
-    seeding: Seeding::Derived,
     points: one_point,
     run_point: fig8_point,
     assemble: fig8_assemble,
@@ -756,7 +746,6 @@ pub const BANDWIDTH: Scenario = Scenario {
     paper_ref: "Abstract",
     section: "Sec. V",
     summary: "peak-bandwidth summary at the paper's headline rates",
-    seeding: Seeding::Derived,
     points: bandwidth_points,
     run_point: bandwidth_point,
     assemble: bandwidth_assemble,
@@ -813,7 +802,6 @@ pub const DEFENSES: Scenario = Scenario {
     paper_ref: "Sec. VIII",
     section: "Sec. VIII",
     summary: "defense ablations with a derived-seed majority verdict",
-    seeding: Seeding::Derived,
     points: defenses_points,
     run_point: defenses_point,
     assemble: defenses_assemble,
@@ -857,7 +845,6 @@ pub const SIDECHANNEL: Scenario = Scenario {
     paper_ref: "Sec. IX",
     section: "Sec. IX",
     summary: "secret recovery through the three dirty-state gadgets",
-    seeding: Seeding::Derived,
     points: sidechannel_points,
     run_point: sidechannel_point,
     assemble: sidechannel_assemble,
@@ -956,7 +943,6 @@ pub const HIERARCHY_MATRIX: Scenario = Scenario {
     paper_ref: "Table IV",
     section: "Sec. IV",
     summary: "quiet-machine BER grid across inclusion/latency presets and L1 policies",
-    seeding: Seeding::Derived,
     points: hierarchy_matrix_points,
     run_point: hierarchy_matrix_point,
     assemble: hierarchy_matrix_assemble,

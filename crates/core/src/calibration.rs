@@ -188,10 +188,11 @@ pub fn replacement_latency_samples_with_cycles(
     d: usize,
 ) -> Result<(Vec<u64>, u64), Error> {
     let mut bench = Bench::new(config)?;
-    if d > bench.machine.l1_geometry().associativity {
+    let associativity = bench.machine.l1_geometry().associativity;
+    if d > associativity {
         return Err(Error::InvalidConfig {
             field: "d",
-            reason: format!("cannot dirty {d} lines in an 8-way set"),
+            reason: format!("cannot dirty {d} lines: the L1 set has {associativity} ways"),
         });
     }
     bench.warm();
@@ -347,6 +348,7 @@ pub fn access_latency_classes(config: &CalibrationConfig) -> Result<AccessLatenc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_cache::config::{CacheConfig, CacheLevel};
     use sim_core::tsc::TscConfig;
 
     fn quiet_config() -> CalibrationConfig {
@@ -446,5 +448,21 @@ mod tests {
         assert!(replacement_latency_samples(&config, 0).is_err());
         let config = quiet_config();
         assert!(replacement_latency_samples(&config, 9).is_err());
+        // The message names the L1's real associativity.
+        let mut config = quiet_config();
+        config.machine.hierarchy.l1d = CacheConfig::builder(CacheLevel::L1D)
+            .size_bytes(16 * 1024)
+            .associativity(4)
+            .replacement(PolicyKind::TreePlru)
+            .build()
+            .unwrap();
+        assert!(replacement_latency_samples(&config, 4).is_ok());
+        let error = replacement_latency_samples(&config, 5).unwrap_err();
+        assert!(
+            error
+                .to_string()
+                .contains("cannot dirty 5 lines: the L1 set has 4 ways"),
+            "{error}"
+        );
     }
 }

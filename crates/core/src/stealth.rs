@@ -3,7 +3,8 @@
 //! The paper argues the WB channel is hard to detect because the sender's
 //! cache footprint is tiny: each bit is modulated with at most a handful of
 //! stores, and most of the time both parties sit in busy-wait loops.  The
-//! evidence is perf-counter based:
+//! evidence is perf-counter based, and here the counters are the sender
+//! program's [`TraceSummary`] from the session executor:
 //!
 //! * **Table VI** — cache loads per millisecond of the sender process at
 //!   `Ts = 11 000` cycles, compared with the LRU-channel sender (the LRU
@@ -18,9 +19,9 @@ use crate::receiver::WbReceiver;
 use crate::sender::WbSender;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sim_cache::trace::TraceSummary;
 use sim_core::machine::{Machine, MachineConfig};
 use sim_core::memlayout::{ChannelLayout, SetLines};
-use sim_core::perf::{PerfCounters, PerfLevel};
 use sim_core::process::{AddressSpace, ProcessId};
 use sim_core::workload::CompilerWorkload;
 
@@ -70,8 +71,8 @@ pub struct MissRateProfile {
 /// Raw output of one stealth run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StealthRun {
-    /// The sender's raw perf counters.
-    pub sender_counters: PerfCounters,
+    /// The sender program's access counts.
+    pub sender: TraceSummary,
     /// Wall-clock duration of the measurement window, in cycles.
     pub elapsed_cycles: u64,
     /// Core clock in GHz (for per-millisecond conversions).
@@ -79,32 +80,55 @@ pub struct StealthRun {
 }
 
 impl StealthRun {
-    /// The Table VI row for this run.
+    /// References that reached the LLC, i.e. missed the L2.
+    fn llc_references(&self) -> u64 {
+        self.sender.llc_hits + self.sender.memory_accesses
+    }
+
+    /// The Table VI row for this run: L1 loads, L2 references (L1 misses)
+    /// and LLC references per millisecond of the measurement window.
     pub fn load_profile(&self) -> LoadProfile {
-        let per_ms = |level| {
-            self.sender_counters
-                .loads_per_ms(level, self.elapsed_cycles, self.clock_ghz)
+        let per_ms = |loads: u64| {
+            if self.elapsed_cycles == 0 {
+                return 0.0;
+            }
+            loads as f64 / (self.elapsed_cycles as f64 / (self.clock_ghz * 1e6))
         };
+        let (l1, l2, llc) = (
+            self.sender.reads,
+            self.sender.l1_misses(),
+            self.llc_references(),
+        );
         LoadProfile {
-            l1_per_ms: per_ms(PerfLevel::L1),
-            l2_per_ms: per_ms(PerfLevel::L2),
-            llc_per_ms: per_ms(PerfLevel::Llc),
-            total_per_ms: per_ms(PerfLevel::Total),
+            l1_per_ms: per_ms(l1),
+            l2_per_ms: per_ms(l2),
+            llc_per_ms: per_ms(llc),
+            total_per_ms: per_ms(l1 + l2 + llc),
         }
     }
 
     /// The Table VII row for this run.
     pub fn miss_rates(&self) -> MissRateProfile {
+        let llc_references = self.llc_references();
         MissRateProfile {
-            l1d: self.sender_counters.l1_miss_rate(),
-            l2: self.sender_counters.l2_miss_rate(),
-            llc: self.sender_counters.llc_miss_rate(),
+            l1d: ratio(self.sender.l1_misses(), self.sender.accesses()),
+            l2: ratio(llc_references, self.sender.l1_misses()),
+            llc: ratio(self.sender.memory_accesses, llc_references),
         }
     }
 }
 
+/// `num / den`, or 0.0 when nothing was counted.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
 /// Runs the WB sender for `duration_cycles` alongside the chosen companion
-/// and returns its perf-counter profile.
+/// and returns its access counts.
 ///
 /// The sender transmits a random bit stream with the given encoding at one
 /// symbol per `period_cycles`, exactly as in the channel evaluation.
@@ -177,7 +201,7 @@ pub fn sender_profile(
     // chunk.  The sender is always the first hardware thread.
     let start = machine.now();
     let mut programs = vec![sender.compile()];
-    match companion {
+    let report = match companion {
         SenderCompanion::WbReceiver => {
             let layout = ChannelLayout::build(
                 AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
@@ -194,7 +218,7 @@ pub fn sender_profile(
                 seed ^ 0xaaaa,
             );
             programs.push(receiver.compile());
-            machine.run_session(&programs, &mut [], duration_cycles);
+            machine.run_session(&programs, &mut [], duration_cycles)
         }
         SenderCompanion::CompilerWorkload => {
             let workload = CompilerWorkload::new(
@@ -202,15 +226,13 @@ pub fn sender_profile(
                 COMPANION_DOMAIN,
                 seed ^ 0xbbbb,
             );
-            machine.run_session(&programs, &mut [workload], duration_cycles);
+            machine.run_session(&programs, &mut [workload], duration_cycles)
         }
-        SenderCompanion::None => {
-            machine.run_session(&programs, &mut [], duration_cycles);
-        }
-    }
+        SenderCompanion::None => machine.run_session(&programs, &mut [], duration_cycles),
+    };
 
     Ok(StealthRun {
-        sender_counters: machine.perf(SENDER_DOMAIN),
+        sender: report.programs[0].summary,
         elapsed_cycles: machine.now() - start,
         clock_ghz: machine.clock_ghz(),
     })
@@ -274,6 +296,114 @@ mod tests {
 
     const TS: u64 = 11_000;
     const WINDOW: u64 = 4_000_000;
+
+    /// The Table VI and VII numbers of a run over a hand-built sender
+    /// summary, at 2 GHz so that 2e6 cycles are exactly one millisecond:
+    /// `([l1, l2, llc, total] loads/ms, [l1d, l2, llc] miss rates)`.
+    fn profiles(sender: TraceSummary, elapsed_cycles: u64) -> ([f64; 4], [f64; 3]) {
+        let run = StealthRun {
+            sender,
+            elapsed_cycles,
+            clock_ghz: 2.0,
+        };
+        let (l, m) = (run.load_profile(), run.miss_rates());
+        (
+            [l.l1_per_ms, l.l2_per_ms, l.llc_per_ms, l.total_per_ms],
+            [m.l1d, m.l2, m.llc],
+        )
+    }
+
+    #[test]
+    fn l1_hits_reach_no_outer_level() {
+        let hits = TraceSummary {
+            reads: 10,
+            l1_hits: 10,
+            ..TraceSummary::default()
+        };
+        // No L2 or LLC references: those miss rates are 0.0, not NaN.
+        assert_eq!(
+            profiles(hits, 2_000_000),
+            ([10.0, 0.0, 0.0, 10.0], [0.0; 3])
+        );
+    }
+
+    #[test]
+    fn memory_accesses_count_at_every_level() {
+        let miss = TraceSummary {
+            reads: 1,
+            read_misses: 1,
+            memory_accesses: 1,
+            ..TraceSummary::default()
+        };
+        assert_eq!(profiles(miss, 2_000_000), ([1.0, 1.0, 1.0, 3.0], [1.0; 3]));
+    }
+
+    #[test]
+    fn l1_miss_rate_covers_loads_and_stores() {
+        // Two stores, one an L2 hit: no loads, but both count in the L1 miss
+        // rate and the missing one references the L2.
+        let stores = TraceSummary {
+            writes: 2,
+            write_misses: 1,
+            l1_hits: 1,
+            l2_hits: 1,
+            ..TraceSummary::default()
+        };
+        assert_eq!(
+            profiles(stores, 2_000_000),
+            ([0.0, 1.0, 0.0, 1.0], [0.5, 0.0, 0.0])
+        );
+    }
+
+    #[test]
+    fn flushes_and_prefetches_are_not_loads() {
+        use sim_cache::outcome::{AccessKind, AccessOutcome, HitLevel};
+
+        let mut sender = TraceSummary::default();
+        for (kind, hit) in [
+            (AccessKind::Flush, HitLevel::Memory),
+            (AccessKind::Prefetch, HitLevel::L1D),
+        ] {
+            sender.absorb(&AccessOutcome {
+                kind,
+                hit,
+                cycles: 30,
+                l1_filled: false,
+                l1_evicted: None,
+                l1_victim_dirty: false,
+                writebacks: 0,
+            });
+        }
+        assert_eq!(profiles(sender, 2_000_000), ([0.0; 4], [0.0; 3]));
+    }
+
+    #[test]
+    fn loads_per_ms_use_the_whole_window() {
+        // 1 000 loads and 100 stores; 40 L1 misses, of which 20 missed the
+        // L2 and 5 of those the LLC.
+        let sender = TraceSummary {
+            reads: 1_000,
+            writes: 100,
+            read_misses: 30,
+            write_misses: 10,
+            l1_hits: 1_060,
+            l2_hits: 20,
+            llc_hits: 15,
+            memory_accesses: 5,
+            ..TraceSummary::default()
+        };
+        let rates = [40.0 / 1_100.0, 0.5, 0.25];
+        assert_eq!(
+            profiles(sender, 2_000_000),
+            ([1_000.0, 40.0, 20.0, 1_060.0], rates)
+        );
+        // Half the window doubles every load rate; an empty one gives 0.
+        assert_eq!(
+            profiles(sender, 1_000_000),
+            ([2_000.0, 80.0, 40.0, 2_120.0], rates)
+        );
+        assert_eq!(profiles(sender, 0), ([0.0; 4], rates));
+    }
 
     #[test]
     fn sender_footprint_is_small_when_the_channel_runs() {
@@ -345,7 +475,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            m.sender_counters.stores > b.sender_counters.stores,
+            m.sender.writes > b.sender.writes,
             "multi-bit encoding stores more lines"
         );
     }

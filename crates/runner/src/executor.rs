@@ -198,7 +198,6 @@ pub fn execute(scenarios: &[&Scenario], config: &RunConfig) -> Vec<ScenarioRun> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Seeding;
     use analysis::table::Table;
 
     fn seed_echo_scenario() -> Scenario {
@@ -228,7 +227,6 @@ mod tests {
             paper_ref: "Table 0",
             section: "Sec. 0",
             summary: "echoes point seeds",
-            seeding: Seeding::Derived,
             points,
             run_point: run,
             assemble,
@@ -278,7 +276,6 @@ mod tests {
             paper_ref: "-",
             section: "-",
             summary: "zero points",
-            seeding: Seeding::Derived,
             points: none,
             run_point: run,
             assemble,
@@ -318,7 +315,6 @@ mod tests {
             paper_ref: "-",
             section: "-",
             summary: "always panics",
-            seeding: Seeding::Derived,
             points: one,
             run_point: explode,
             assemble,
@@ -364,7 +360,6 @@ mod tests {
             paper_ref: "-",
             section: "-",
             summary: "always fails",
-            seeding: Seeding::Derived,
             points: one,
             run_point: fail,
             assemble,

@@ -54,4 +54,4 @@ pub use executor::{execute, RunConfig, ScenarioRun};
 pub use pool::PoolStats;
 pub use registry::Registry;
 pub use scale::{Scale, Sizes};
-pub use scenario::{PointCtx, PointOutput, Scenario, Seeding};
+pub use scenario::{PointCtx, PointOutput, Scenario};

@@ -134,7 +134,7 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
 mod tests {
     use super::*;
     use crate::scale::Scale;
-    use crate::scenario::{PointCtx, PointOutput, Seeding};
+    use crate::scenario::{PointCtx, PointOutput};
 
     fn dummy(id: &'static str) -> Scenario {
         fn one(_: Scale) -> usize {
@@ -151,7 +151,6 @@ mod tests {
             paper_ref: "Table 0",
             section: "Sec. 0",
             summary: "dummy",
-            seeding: Seeding::Derived,
             points: one,
             run_point: run,
             assemble,

@@ -79,31 +79,6 @@ impl PointOutput {
     }
 }
 
-/// How a scenario's point seeds are derived from the root seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Seeding {
-    /// `seed::point_seed(root, id, index)` — the default.
-    Derived,
-    /// A fixed, calibrated operating-point seed, passed to every point
-    /// unchanged.
-    ///
-    /// Used by scenarios whose pass/fail verdicts were calibrated at a
-    /// documented seed (the Section VIII defense evaluation sits at a
-    /// borderline operating point by design); neither the root seed nor the
-    /// point index moves them.
-    Fixed(u64),
-}
-
-impl Seeding {
-    /// Resolves the seed for one point of scenario `id`.
-    pub fn seed_for(self, root: u64, id: &str, index: usize) -> u64 {
-        match self {
-            Seeding::Derived => crate::seed::point_seed(root, id, index),
-            Seeding::Fixed(base) => base,
-        }
-    }
-}
-
 /// Runs one sweep point. Errors are strings so the runner stays domain-free.
 pub type PointFn = fn(&PointCtx) -> Result<PointOutput, String>;
 
@@ -122,8 +97,6 @@ pub struct Scenario {
     pub section: &'static str,
     /// One-line description for `repro list` and the architecture docs.
     pub summary: &'static str,
-    /// Seed-derivation rule for this scenario's points.
-    pub seeding: Seeding,
     /// Number of sweep points at a given scale.
     pub points: fn(Scale) -> usize,
     /// Runs one sweep point.
@@ -135,15 +108,12 @@ pub struct Scenario {
 impl Scenario {
     /// The seed of point `index` under root seed `root`.
     pub fn point_seed(&self, root: u64, index: usize) -> u64 {
-        self.seeding.seed_for(root, self.id, index)
+        crate::seed::point_seed(root, self.id, index)
     }
 
     /// The scenario-level seed recorded in the manifest.
     pub fn manifest_seed(&self, root: u64) -> u64 {
-        match self.seeding {
-            Seeding::Derived => crate::seed::scenario_seed(root, self.id),
-            Seeding::Fixed(base) => base,
-        }
+        crate::seed::scenario_seed(root, self.id)
     }
 }
 
@@ -156,15 +126,5 @@ mod tests {
         let out = PointOutput::row(["a", "b"]);
         assert_eq!(out.rows, vec![vec!["a".to_owned(), "b".to_owned()]]);
         assert!(out.values.is_empty() && out.aux.is_empty());
-    }
-
-    #[test]
-    fn fixed_seeding_ignores_root_seed_and_index() {
-        let fixed = Seeding::Fixed(29);
-        assert_eq!(fixed.seed_for(1, "x", 0), 29);
-        assert_eq!(fixed.seed_for(999, "x", 7), 29);
-        let derived = Seeding::Derived;
-        assert_ne!(derived.seed_for(1, "x", 0), derived.seed_for(999, "x", 0));
-        assert_ne!(derived.seed_for(1, "x", 0), derived.seed_for(1, "x", 1));
     }
 }

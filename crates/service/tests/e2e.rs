@@ -5,7 +5,7 @@
 //! and a gate-controlled `slow` whose release the test holds), drives it
 //! through the `service::client` module, and shuts it down.
 
-use runner::scenario::{PointCtx, PointOutput, Scenario, Seeding};
+use runner::scenario::{PointCtx, PointOutput, Scenario};
 use runner::{Registry, Scale};
 use service::{client, Server, ServerConfig};
 use std::net::SocketAddr;
@@ -84,7 +84,6 @@ fn scenario(
         paper_ref: "Test",
         section: "Test",
         summary: "synthetic test scenario",
-        seeding: Seeding::Derived,
         points,
         run_point,
         assemble,

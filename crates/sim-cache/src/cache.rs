@@ -26,7 +26,6 @@ use crate::addr::{CacheGeometry, LineAddr, PhysAddr};
 use crate::config::{CacheConfig, WritePolicy};
 use crate::line::DomainId;
 use crate::policy::PolicyDispatch;
-use crate::set::SetView;
 use crate::stats::CacheStats;
 use crate::waymask::{PartitionTable, WayMask};
 use std::fmt;
@@ -34,9 +33,9 @@ use std::fmt;
 /// Per-access context: which protection domain issued the access.
 ///
 /// Domains feed two mechanisms: way partitioning (a domain may only fill
-/// into its allotted ways) and ownership attribution used by the perf model
-/// and the DAWG defense.  The domain's way mask is resolved once per access
-/// through the cache's dense [`PartitionTable`].
+/// into its allotted ways) and line ownership, which the DAWG defense and
+/// [`Cache::owned_count_in_set`] read.  The domain's way mask is resolved
+/// once per access through the cache's dense [`PartitionTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct AccessContext {
     /// The issuing protection/attribution domain.
@@ -283,34 +282,23 @@ impl Cache {
     /// This is the quantity the WB sender controls; exposing it lets tests
     /// and experiments verify the encoding without going through timing.
     pub fn dirty_count_in_set(&self, set: usize) -> usize {
-        self.set(set).dirty_count()
+        self.masks[set].dirty.count_ones() as usize
     }
 
     /// Number of valid lines currently in `set`.
     pub fn valid_count_in_set(&self, set: usize) -> usize {
-        self.set(set).valid_count()
+        self.masks[set].valid.count_ones() as usize
     }
 
     /// Number of valid lines in `set` owned by `domain`.
     pub fn owned_count_in_set(&self, set: usize, domain: DomainId) -> usize {
-        self.set(set).owned_count(domain)
-    }
-
-    /// Shared view of a set (for experiment introspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is out of range.
-    pub fn set(&self, set: usize) -> SetView<'_> {
+        let valid = self.masks[set].valid;
         let base = set * self.ways;
-        let masks = self.masks[set];
-        SetView::new(
-            &self.tags[base..base + self.ways],
-            &self.owners[base..base + self.ways],
-            masks.valid,
-            masks.dirty,
-            masks.locked,
-        )
+        self.owners[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .filter(|&(way, &owner)| valid & Self::bit(way) != 0 && owner == domain)
+            .count()
     }
 
     /// Looks up `addr` for a load.  On a hit the policy is refreshed and the
@@ -807,17 +795,24 @@ mod tests {
     }
 
     #[test]
-    fn set_view_exposes_the_arena_contents() {
+    fn set_counts_read_the_arena_contents() {
         let mut cache = l1(PolicyKind::TrueLru);
         let ctx = AccessContext::for_domain(3);
         cache.fill(addr(6, 40), ctx, true, false);
         cache.fill(addr(6, 41), ctx, false, false);
-        let view = cache.set(6);
-        assert_eq!(view.ways(), 8);
-        assert_eq!(view.valid_count(), 2);
-        assert_eq!(view.dirty_count(), 1);
-        assert_eq!(view.resident_tags(), vec![40, 41]);
-        assert_eq!(view.owned_count(3), 2);
+        cache.fill(addr(6, 42), AccessContext::for_domain(4), false, false);
+        assert_eq!(cache.valid_count_in_set(6), 3);
+        assert_eq!(cache.dirty_count_in_set(6), 1);
+        assert_eq!(cache.owned_count_in_set(6, 3), 2);
+        assert_eq!(cache.owned_count_in_set(6, 4), 1);
+        assert_eq!(cache.owned_count_in_set(6, 5), 0);
+        // Only set 6 was touched.
+        assert_eq!(cache.valid_count_in_set(7), 0);
+        assert_eq!(cache.owned_count_in_set(7, 3), 0);
+        // An invalidated way no longer counts for its former owner.
+        cache.invalidate(addr(6, 41));
+        assert_eq!(cache.valid_count_in_set(6), 2);
+        assert_eq!(cache.owned_count_in_set(6, 3), 1);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! micro-architectural facts, all of which this crate models explicitly:
 //!
 //! * write-back caches keep a **dirty bit** per line and only update the
-//!   backing store when a dirty line is evicted ([`line::CacheLine`]);
+//!   backing store when a dirty line is evicted
+//!   ([`cache::Cache::dirty_count_in_set`]);
 //! * evicting a dirty victim therefore costs a **write-back penalty** on top
 //!   of the fill latency ([`latency::LatencyModel`], calibrated to the
 //!   paper's Table IV);
@@ -65,7 +66,6 @@ pub mod line;
 pub mod outcome;
 pub mod policy;
 pub mod seed;
-pub mod set;
 pub mod stats;
 pub mod trace;
 pub mod waymask;

@@ -3,8 +3,8 @@
 //! The paper's stealthiness analysis (Tables VI and VII) is entirely about
 //! counter values: cache loads per millisecond and per-level miss rates of
 //! the sender process.  [`CacheStats`] is the per-level counter block the
-//! simulator maintains; `sim-core::perf` aggregates these per process to
-//! emulate Linux `perf`.
+//! simulator maintains; the per-process counts those tables read are each
+//! program's [`crate::trace::TraceSummary`].
 
 use std::fmt;
 use std::ops::{Add, AddAssign};

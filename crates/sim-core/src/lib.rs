@@ -2,19 +2,19 @@
 //!
 //! The execution substrate for the reproduction of *Abusing Cache Line Dirty
 //! States to Leak Information in Commercial Processors* (HPCA 2022): a
-//! simulated hyper-threaded core with a time-stamp counter, OS noise,
-//! per-process address spaces and perf counters, sitting on top of the
-//! [`sim_cache`] hierarchy.
+//! simulated hyper-threaded core with a time-stamp counter, OS noise and
+//! per-process address spaces, sitting on top of the [`sim_cache`]
+//! hierarchy.
 //!
 //! The paper's attack environment is two Linux processes pinned to the two
 //! hyper-threads of one Xeon E5-2650 core.  The pieces of that environment
 //! that matter for the channel are modelled here:
 //!
 //! * [`machine::Machine`] — the core itself: a cycle clock, the cache
-//!   hierarchy, the interleaving session executor
-//!   ([`machine::Machine::run_session`]) for concurrent hardware threads,
-//!   and per-domain [`perf`] counters (the simulator's version of Linux
-//!   `perf`).
+//!   hierarchy and the interleaving session executor
+//!   ([`machine::Machine::run_session`]) for concurrent hardware threads.
+//!   Each thread's [`session::ProgramReport`] carries its access counts
+//!   (the simulator's version of Linux `perf`).
 //! * [`tsc`] — the `rdtscp` measurement model (serialisation overhead,
 //!   granularity, jitter) used for all latency measurements.
 //! * [`process`] / [`memlayout`] — separate address spaces (no shared memory)
@@ -67,7 +67,6 @@
 pub mod machine;
 pub mod memlayout;
 pub mod noise;
-pub mod perf;
 pub mod process;
 pub mod sched;
 pub mod session;
@@ -80,7 +79,6 @@ pub mod workload;
 pub mod prelude {
     pub use crate::machine::{Machine, MachineConfig};
     pub use crate::memlayout::{ChannelLayout, SetLines};
-    pub use crate::perf::{PerfCounters, PerfLevel};
     pub use crate::process::{AddressSpace, ProcessId};
     pub use crate::sched::InterruptConfig;
     pub use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};

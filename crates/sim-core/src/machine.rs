@@ -3,8 +3,7 @@
 //!
 //! [`Machine`] owns the [`sim_cache::hierarchy::CacheHierarchy`], a global
 //! cycle counter (the simulated time-stamp counter), the measurement-noise
-//! model, per-domain perf counters and the OS-interrupt noise model.  It can
-//! be driven in two ways:
+//! model and the OS-interrupt noise model.  It can be driven in two ways:
 //!
 //! * **directly** — experiment code calls [`Machine::read`],
 //!   [`Machine::write`], [`Machine::measured_chase`] etc.; each call advances
@@ -17,7 +16,6 @@
 //!   experiments run.  This mirrors the paper's setup of two hyper-threads
 //!   pinned to one physical core with `sched_setaffinity`.
 
-use crate::perf::{PerfCounters, PerfStore};
 use crate::sched::{InterruptConfig, InterruptModel};
 use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};
 use crate::telemetry::{Phase, PhaseCycles, TraceEvent, TraceSink};
@@ -107,7 +105,6 @@ pub struct Machine {
     tsc: TscModel,
     rng: StdRng,
     now: u64,
-    perf: PerfStore,
     /// Telemetry sink (disabled by default). The sink only *observes*
     /// sim-cycle timestamps already computed by the executors — it never
     /// touches the RNG, the TSC or the scheduler, so an enabled sink
@@ -127,7 +124,6 @@ impl Machine {
             tsc: TscModel::new(config.tsc),
             rng: StdRng::seed_from_u64(config.seed ^ 0x6d61_6368),
             now: 0,
-            perf: PerfStore::new(),
             sink: TraceSink::disabled(),
             config,
         })
@@ -157,7 +153,6 @@ impl Machine {
         self.tsc = TscModel::new(config.tsc);
         self.rng = StdRng::seed_from_u64(config.seed ^ 0x6d61_6368);
         self.now = 0;
-        self.perf.reset();
         self.config = config;
         Ok(())
     }
@@ -193,17 +188,6 @@ impl Machine {
         &mut self.hierarchy
     }
 
-    /// Perf counters of `domain`.
-    pub fn perf(&self, domain: DomainId) -> PerfCounters {
-        self.perf.counters(domain)
-    }
-
-    /// Resets all perf counters and hierarchy statistics.
-    pub fn reset_counters(&mut self) {
-        self.perf.reset();
-        self.hierarchy.reset_stats();
-    }
-
     /// Enables telemetry recording (replaces the sink with an active one).
     /// The sink survives [`Machine::reset`]: a session reusing one machine
     /// across frames enables tracing once and drains events per frame with
@@ -235,7 +219,6 @@ impl Machine {
     /// Performs a demand load for `domain` and advances the clock.
     pub fn read(&mut self, domain: DomainId, addr: PhysAddr) -> AccessOutcome {
         let outcome = self.hierarchy.read(addr, AccessContext::for_domain(domain));
-        self.perf.record(domain, &outcome);
         self.now += outcome.cycles;
         outcome
     }
@@ -245,7 +228,6 @@ impl Machine {
         let outcome = self
             .hierarchy
             .write(addr, AccessContext::for_domain(domain));
-        self.perf.record(domain, &outcome);
         self.now += outcome.cycles;
         outcome
     }
@@ -254,15 +236,14 @@ impl Machine {
     ///
     /// Per-op semantics are identical to issuing the operations through
     /// [`Machine::read`] / [`Machine::write`] / [`Machine::flush`] in
-    /// sequence — same cache-state evolution, cycle attribution and perf
-    /// counters — but the per-access [`AccessOutcome`] handling and perf
-    /// bookkeeping are folded into one summary.  The warm-up and refill
-    /// loops of the calibration and defense harnesses run through this.
+    /// sequence — same cache-state evolution and cycle attribution — but
+    /// the per-access [`AccessOutcome`] handling is folded into one summary.
+    /// The warm-up and refill loops of the calibration and defense harnesses
+    /// run through this.
     pub fn run_trace(&mut self, domain: DomainId, ops: &[TraceOp]) -> TraceSummary {
         let summary = self
             .hierarchy
             .run_trace(ops, AccessContext::for_domain(domain));
-        self.perf.record_trace(domain, &summary);
         self.now += summary.cycles;
         summary
     }
@@ -272,7 +253,6 @@ impl Machine {
         let outcome = self
             .hierarchy
             .flush(addr, AccessContext::for_domain(domain));
-        self.perf.record(domain, &outcome);
         self.now += outcome.cycles;
         outcome
     }
@@ -288,7 +268,6 @@ impl Machine {
         let summary = self
             .hierarchy
             .run_read_trace(addrs, AccessContext::for_domain(domain));
-        self.perf.record_trace(domain, &summary);
         self.now += summary.cycles;
         let measured = self.tsc.measure(summary.cycles, &mut self.rng);
         (measured, summary.cycles)
@@ -297,7 +276,6 @@ impl Machine {
     /// Executes a single measured load, returning `(measured, outcome)`.
     pub fn measured_read(&mut self, domain: DomainId, addr: PhysAddr) -> (u64, AccessOutcome) {
         let outcome = self.hierarchy.read(addr, AccessContext::for_domain(domain));
-        self.perf.record(domain, &outcome);
         self.now += outcome.cycles;
         let measured = self.tsc.measure(outcome.cycles, &mut self.rng);
         (measured, outcome)
@@ -323,8 +301,8 @@ impl Machine {
     ///
     /// Consecutive operations of one thread run back-to-back whenever no
     /// other thread, interrupt or deadline could be scheduled between them,
-    /// and each thread's perf accounting is folded into one [`TraceSummary`]
-    /// (the batched [`PerfCounters::record_trace`] path).
+    /// and each thread's accesses are folded into one [`TraceSummary`], its
+    /// [`ProgramReport::summary`].
     ///
     /// A co-runner's open-loop stream runs from a reused chunk arena: when a
     /// chunk is drained the co-runner refills it in place
@@ -546,10 +524,7 @@ impl Machine {
             .min(deadline);
         self.now = self.now.max(end);
 
-        // Fold each thread's aggregate into the perf counters — the batched
-        // equivalent of recording every access as it happens.
         for (thread, report) in threads.iter_mut().zip(reports.iter_mut()) {
-            self.perf.record_trace(report.domain, &report.summary);
             report.actions = thread.actions;
             report.stalled_cycles = thread.stalled;
             if self.sink.is_enabled() {
@@ -592,13 +567,12 @@ mod tests {
         let addr = PhysAddr(0x4000);
         let t0 = m.now();
         let miss = m.read(1, addr);
+        assert_eq!(miss.hit, HitLevel::Memory);
         assert_eq!(m.now() - t0, miss.cycles);
         let t1 = m.now();
         let hit = m.read(1, addr);
         assert_eq!(hit.hit, HitLevel::L1D);
         assert_eq!(m.now() - t1, hit.cycles);
-        assert_eq!(m.perf(1).l1_loads, 2);
-        assert_eq!(m.perf(1).l1_load_misses, 1);
     }
 
     #[test]
@@ -657,7 +631,7 @@ mod tests {
         let summary = batched.run_trace(5, &ops);
 
         let mut serial = ideal_machine();
-        let mut cycles = 0u64;
+        let mut expected = TraceSummary::default();
         for op in &ops {
             use sim_cache::trace::TraceKind;
             let outcome = match op.kind {
@@ -665,11 +639,10 @@ mod tests {
                 TraceKind::Write => serial.write(5, op.addr),
                 TraceKind::Flush => serial.flush(5, op.addr),
             };
-            cycles += outcome.cycles;
+            expected.absorb(&outcome);
         }
-        assert_eq!(summary.cycles, cycles);
+        assert_eq!(summary, expected);
         assert_eq!(batched.now(), serial.now());
-        assert_eq!(batched.perf(5), serial.perf(5));
         assert_eq!(batched.hierarchy().stats(), serial.hierarchy().stats());
     }
 
@@ -756,6 +729,7 @@ mod tests {
     /// What the reference scheduler observed of one program.
     #[derive(Debug, PartialEq)]
     struct TurnLog {
+        summary: TraceSummary,
         actions: u64,
         stalled_cycles: u64,
         finished: bool,
@@ -765,10 +739,11 @@ mod tests {
     /// The per-turn reference scheduler that [`Machine::run_session`] must
     /// be indistinguishable from: one turn per op, chase, wait and final
     /// Done; an interrupt poll before every turn; earliest-ready-first with
-    /// lowest-index tie-breaking; every access recorded in the perf counters
-    /// as it happens and every chase walked access by access. It covers the
-    /// `Ops`, `Chase`, `WaitUntil` and `WaitRel` steps. Returns the session's
-    /// end cycle, whether the limit ended it, and one log per program.
+    /// lowest-index tie-breaking; every access absorbed into its program's
+    /// summary as it happens and every chase walked access by access. It
+    /// covers the `Ops`, `Chase`, `WaitUntil` and `WaitRel` steps. Returns
+    /// the session's end cycle, whether the limit ended it, and one log per
+    /// program.
     fn run(m: &mut Machine, programs: &[TraceProgram], limit: u64) -> (u64, bool, Vec<TurnLog>) {
         struct Thread {
             ready_at: u64,
@@ -788,6 +763,7 @@ mod tests {
         let mut logs: Vec<TurnLog> = programs
             .iter()
             .map(|_| TurnLog {
+                summary: TraceSummary::default(),
                 actions: 0,
                 stalled_cycles: 0,
                 finished: false,
@@ -829,7 +805,7 @@ mod tests {
                     TraceKind::Write => m.hierarchy.write(addr, ctx),
                     TraceKind::Flush => m.hierarchy.flush(addr, ctx),
                 };
-                m.perf.record(domain, &outcome);
+                logs[idx].summary.absorb(&outcome);
                 outcome.cycles
             };
             let mut measured = None;
@@ -898,8 +874,8 @@ mod tests {
         assert_eq!(session.hierarchy().stats(), reference.hierarchy().stats());
         assert_eq!(report.programs.len(), logs.len());
         for (program, log) in report.programs.iter().zip(&logs) {
-            assert_eq!(session.perf(program.domain), reference.perf(program.domain));
             let observed = TurnLog {
+                summary: program.summary,
                 actions: program.actions,
                 stalled_cycles: program.stalled_cycles,
                 finished: program.finished,
@@ -1142,7 +1118,6 @@ mod tests {
         // Bit-identical results: the sink only observes.
         assert_eq!(observed, silent);
         assert_eq!(traced.now(), plain.now());
-        assert_eq!(traced.perf(1), plain.perf(1));
 
         // The recorded spans nest, run monotone and name every phase the
         // program declared.
@@ -1173,7 +1148,7 @@ mod tests {
     fn reset_is_indistinguishable_from_a_fresh_machine() {
         // Dirty a machine thoroughly under one config, reset it to another,
         // and require identical behaviour to a truly fresh machine: same
-        // outcomes, same measured values (RNG stream), same perf and stats.
+        // outcomes, same measured values (RNG stream), same stats.
         let mut reused =
             Machine::new(MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, 1)).unwrap();
         for i in 0..500u64 {
@@ -1188,7 +1163,6 @@ mod tests {
         reused.reset(target).unwrap();
         let mut fresh = Machine::new(target).unwrap();
         assert_eq!(reused.now(), 0);
-        assert_eq!(reused.perf(4), PerfCounters::default());
         for i in 0..400u64 {
             let addr = PhysAddr(((i * 197) % (1 << 16)) & !63);
             let (a, b) = if i % 4 == 0 {
@@ -1202,17 +1176,6 @@ mod tests {
             assert_eq!(ma, mb, "measurement diverged at access {i}");
         }
         assert_eq!(reused.hierarchy().stats(), fresh.hierarchy().stats());
-        assert_eq!(reused.perf(2), fresh.perf(2));
         assert_eq!(reused.now(), fresh.now());
-    }
-
-    #[test]
-    fn reset_counters_clears_perf_and_stats() {
-        let mut m = ideal_machine();
-        m.read(1, PhysAddr(0));
-        assert_eq!(m.perf(1).l1_loads, 1);
-        m.reset_counters();
-        assert_eq!(m.perf(1).l1_loads, 0);
-        assert_eq!(m.hierarchy().stats().l1d.accesses(), 0);
     }
 }

@@ -101,7 +101,7 @@ mod tests {
         let program = noise.compile(50_000);
         assert!(program.name().contains("set33"));
         assert_eq!(program.stats().ops, 50_000 / 500 + 4);
-        machine.run_session(std::slice::from_ref(&program), &mut [], 50_000);
+        let report = machine.run_session(std::slice::from_ref(&program), &mut [], 50_000);
         // The noise process owns lines only in the target set.
         let owned_in_target = machine.hierarchy().l1().owned_count_in_set(set, 5);
         assert!(
@@ -113,7 +113,10 @@ mod tests {
                 assert_eq!(machine.hierarchy().l1().owned_count_in_set(other, 5), 0);
             }
         }
-        assert_eq!(machine.perf(5).stores, 0, "load noise never stores");
+        assert_eq!(
+            report.programs[0].summary.writes, 0,
+            "load noise never stores"
+        );
     }
 
     #[test]

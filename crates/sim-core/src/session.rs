@@ -10,9 +10,9 @@
 //! shared cache hierarchy: one scheduling turn per operation, per-turn
 //! OS-interrupt polls, earliest-ready-first with lowest-index tie-breaking,
 //! and a cycle deadline.  Consecutive operations of one program run
-//! back-to-back whenever nothing else could be scheduled between them, with
-//! no per-access perf bookkeeping — which is what makes full covert-channel
-//! frames run at batch speed (see the `wb-channel` row of `repro bench-sim`).
+//! back-to-back whenever nothing else could be scheduled between them —
+//! which is what makes full covert-channel frames run at batch speed (see
+//! the `wb-channel` row of `repro bench-sim`).
 //!
 //! ## Timing vocabulary
 //!
@@ -126,7 +126,7 @@ impl TraceProgram {
         &self.name
     }
 
-    /// The cache/perf attribution domain this program runs as.
+    /// The cache attribution domain this program runs as.
     pub fn domain(&self) -> DomainId {
         self.domain
     }
@@ -294,8 +294,8 @@ pub struct ProgramReport {
     pub name: String,
     /// The program's domain.
     pub domain: DomainId,
-    /// Aggregate of every memory operation the program executed (the same
-    /// counters `perf` is fed with).
+    /// Aggregate of every memory operation the program executed: the
+    /// program's perf counters (Tables VI and VII read the sender's).
     pub summary: TraceSummary,
     /// The measurements taken by `Chase` steps, in order.
     pub measurements: Vec<Measurement>,

@@ -51,7 +51,7 @@ proptest! {
     /// After arbitrary warm-up traffic under one configuration, a reset
     /// machine replays any trace exactly like a fresh machine built with the
     /// target configuration: same access outcomes, same measured timestamps
-    /// (RNG stream position), same perf counters, stats and clock.
+    /// (RNG stream position), same stats and clock.
     #[test]
     fn reset_machine_replays_any_trace_like_a_fresh_one(
         warm_preset in arbitrary_preset(),
@@ -100,7 +100,6 @@ proptest! {
         }
 
         prop_assert_eq!(recycled.hierarchy().stats(), fresh.hierarchy().stats());
-        prop_assert_eq!(recycled.perf(2), fresh.perf(2));
         prop_assert_eq!(recycled.now(), fresh.now());
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The tracing layer must be a pure observer: enabling the sink on a
 //! machine may never change a single scheduling decision, measured
-//! latency, perf counter or phase attribution. The properties here build
+//! latency, access count or phase attribution. The properties here build
 //! arbitrary multi-threaded trace programs (random op mixes, phase
 //! annotations, hierarchy presets, replacement policies and seeds), run
 //! them twice — once with the null sink, once recording — and require the
