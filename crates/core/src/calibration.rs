@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
-use sim_core::memlayout::{ChannelLayout, SetLines};
+use sim_core::memlayout::{ChannelLayout, SetLines, MAX_REPLACEMENT_SIZE};
 use sim_core::process::{AddressSpace, ProcessId};
 
 /// Domain/process identifiers used by all calibration experiments.
@@ -90,6 +90,14 @@ impl Bench {
                 reason: format!(
                     "replacement sets must contain at least W = {} lines",
                     geometry.associativity
+                ),
+            });
+        }
+        if config.replacement_size > MAX_REPLACEMENT_SIZE {
+            return Err(Error::InvalidConfig {
+                field: "replacement_size",
+                reason: format!(
+                    "replacement sets A and B stay disjoint only up to {MAX_REPLACEMENT_SIZE} lines"
                 ),
             });
         }
@@ -446,6 +454,14 @@ mod tests {
         let mut config = quiet_config();
         config.replacement_size = 4;
         assert!(replacement_latency_samples(&config, 0).is_err());
+        config.replacement_size = MAX_REPLACEMENT_SIZE + 1;
+        assert!(matches!(
+            replacement_latency_samples(&config, 0),
+            Err(Error::InvalidConfig {
+                field: "replacement_size",
+                ..
+            })
+        ));
         let config = quiet_config();
         assert!(replacement_latency_samples(&config, 9).is_err());
         // The message names the L1's real associativity.

@@ -17,6 +17,7 @@ use analysis::edit_distance::ErrorBreakdown;
 use sim_cache::hierarchy::HierarchyConfig;
 use sim_cache::policy::PolicyKind;
 use sim_core::machine::MachineConfig;
+use sim_core::memlayout::MAX_REPLACEMENT_SIZE;
 use sim_core::sched::InterruptConfig;
 use sim_core::tsc::TscConfig;
 
@@ -156,7 +157,8 @@ impl ChannelConfigBuilder {
         self
     }
 
-    /// Sets the replacement-set size.
+    /// Sets the replacement-set size: at least `W` = 8 lines and at most
+    /// [`MAX_REPLACEMENT_SIZE`], beyond which sets A and B would share lines.
     pub fn replacement_size(&mut self, size: usize) -> &mut Self {
         self.replacement_size = size;
         self
@@ -232,6 +234,15 @@ impl ChannelConfigBuilder {
             return Err(Error::InvalidConfig {
                 field: "replacement_size",
                 reason: "replacement sets need at least W = 8 lines".into(),
+            });
+        }
+        if self.replacement_size > MAX_REPLACEMENT_SIZE {
+            return Err(Error::InvalidConfig {
+                field: "replacement_size",
+                reason: format!(
+                    "replacement sets A and B stay disjoint only up to {MAX_REPLACEMENT_SIZE} lines, got {}",
+                    self.replacement_size
+                ),
             });
         }
         if let Some(hierarchy) = self.hierarchy {
@@ -338,6 +349,21 @@ mod tests {
             .replacement_size(4)
             .build()
             .is_err());
+        // Sets A and B stay disjoint up to the layout's bound, no further.
+        let largest = ChannelConfig::builder()
+            .replacement_size(MAX_REPLACEMENT_SIZE)
+            .build()
+            .unwrap();
+        assert_eq!(largest.replacement_size, 1_000);
+        assert!(matches!(
+            ChannelConfig::builder()
+                .replacement_size(MAX_REPLACEMENT_SIZE + 1)
+                .build(),
+            Err(Error::InvalidConfig {
+                field: "replacement_size",
+                ..
+            })
+        ));
         let config = ChannelConfig::default();
         assert_eq!(config.period_cycles, 5_500);
         assert_eq!(config.replacement_size, 10);

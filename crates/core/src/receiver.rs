@@ -92,10 +92,28 @@ impl WbReceiver {
     /// seed.
     pub fn compile(&self) -> TraceProgram {
         let mut program = TraceProgram::new(self.name.clone(), self.domain);
+        self.compile_into(&mut program);
+        program
+    }
+
+    /// [`WbReceiver::compile`] into an existing program: clears it and
+    /// rebuilds the schedule in place, keeping its name, domain and arena
+    /// capacity.  Each sample's shuffle is drawn straight into the chase
+    /// arena.
+    pub fn compile_into(&self, program: &mut TraceProgram) {
+        program.clear();
         if self.max_samples == 0 {
             // Nothing to sample: the receiver does not even initialise.
-            return program;
+            return;
         }
+        // Steps: the prime batch and the floor wait, then per sample an
+        // anchor, a chase and a period wait.
+        let replacement = self.layout.replacement_a.len();
+        program.reserve(
+            2 + 3 * self.max_samples,
+            2 * replacement + self.layout.target_lines.len(),
+            self.max_samples * replacement,
+        );
         program.phase(Phase::Prime).ops(
             self.layout
                 .replacement_a
@@ -113,8 +131,7 @@ impl WbReceiver {
             program.phase(Phase::Decode);
             program.anchor();
             let replacement = self.layout.replacement_for(sample as u64);
-            let order = replacement.shuffled(&mut rng);
-            program.chase(&order);
+            program.chase_shuffled(replacement.lines(), &mut rng);
             if sample + 1 < self.max_samples {
                 program.phase(Phase::Wait).wait_anchor(self.period);
             }
@@ -122,7 +139,6 @@ impl WbReceiver {
         if cfg!(debug_assertions) {
             program.assert_valid();
         }
-        program
     }
 }
 

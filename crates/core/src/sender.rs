@@ -111,6 +111,32 @@ impl WbSender {
     /// machines.
     pub fn compile(&self) -> TraceProgram {
         let mut program = TraceProgram::new(self.name.clone(), self.domain);
+        self.compile_into(&mut program);
+        program
+    }
+
+    /// [`WbSender::compile`] into an existing program: clears it and
+    /// rebuilds the transmission in place, keeping its name, domain and
+    /// arena capacity.
+    pub fn compile_into(&self, program: &mut TraceProgram) {
+        program.clear();
+        let stores: usize = self
+            .symbols
+            .iter()
+            .map(|&symbol| self.encoding.dirty_lines_for(symbol))
+            .sum();
+        let spin = if self.spin_lines.as_ref().is_some_and(|s| !s.is_empty()) {
+            self.spin_loads_per_period
+        } else {
+            0
+        };
+        // Steps: the rendezvous wait or anchor, then per symbol at most an
+        // anchor, the stores, the spin loads and the period wait.
+        program.reserve(
+            1 + 4 * self.symbols.len(),
+            stores + spin * self.symbols.len(),
+            0,
+        );
         if self.start_at > 0 {
             // `Tlast` is the epoch itself, however late the wait completes.
             program.phase(Phase::Wait).wait_epoch(self.start_at);
@@ -140,7 +166,6 @@ impl WbSender {
         if cfg!(debug_assertions) {
             program.assert_valid();
         }
-        program
     }
 
     /// The symbol stream this sender transmits.

@@ -7,8 +7,10 @@
 //! sweeps and period waits, and any noisy-neighbour schedule — into
 //! [`sim_core::session::TraceProgram`]s and executes them through
 //! [`sim_core::machine::Machine::run_session`], the interleaved batched
-//! executor, so a frame's thousands of memory operations pay no per-access
-//! dispatch, allocation or perf bookkeeping.
+//! executor.  The session owns one program per party for its whole life and
+//! compiles every frame into them in place (`compile_into`), and it resets
+//! one machine between frames rather than building a new one, so a
+//! steady-state frame allocates neither programs nor cache arenas.
 //!
 //! ```text
 //!   compile                 execute                      decode
@@ -132,6 +134,22 @@ impl FrameParties {
         }
         programs
     }
+
+    /// [`FrameParties::compile`] into `programs`, rebuilding each program
+    /// in place so its arenas keep their capacity from frame to frame.  The
+    /// programs are created afresh only when the party count changes.
+    fn compile_into(&self, programs: &mut Vec<TraceProgram>) {
+        let parties = 2 + usize::from(self.noise.is_some());
+        if programs.len() != parties {
+            *programs = self.compile();
+            return;
+        }
+        self.sender.compile_into(&mut programs[0]);
+        self.receiver.compile_into(&mut programs[1]);
+        if let Some(noise) = &self.noise {
+            noise.compile_into(self.limit, &mut programs[2]);
+        }
+    }
 }
 
 /// One frame's compiled trace programs and cycle budget — the output of
@@ -154,14 +172,20 @@ pub struct CompiledFrame {
 /// can be handed to [`TraceProgram::verify`] before any simulation runs.
 pub fn compile_frame(config: &ChannelConfig, payload: &[bool]) -> CompiledFrame {
     let frame = Frame::from_payload(payload);
-    // The first transmission of a session: frames_sent == 1.
-    let seed = config.seed.wrapping_mul(0x9e37_79b9).wrapping_add(1);
+    // The first transmission of a session.
+    let seed = frame_seed(config, 1);
     let geometry = config.machine_config(seed).hierarchy.l1d.geometry;
     let parties = FrameParties::build(config, geometry, &frame, seed);
     CompiledFrame {
         programs: parties.compile(),
         limit: parties.limit,
     }
+}
+
+/// The seed of a session's `frame`-th transmission (counted from 1): it
+/// seeds the frame's machine, the receiver's shuffles and the noise process.
+fn frame_seed(config: &ChannelConfig, frame: u64) -> u64 {
+    config.seed.wrapping_mul(0x9e37_79b9).wrapping_add(frame)
 }
 
 /// Cumulative simulated-work counters of a session, sourced from the
@@ -201,6 +225,9 @@ pub struct ChannelSession {
     sim: SimUsage,
     /// The transmit machine, reset (not reallocated) between frames.
     machine: Option<Machine>,
+    /// The frame's compiled programs (sender, receiver, noise), rebuilt in
+    /// place every frame so a steady-state compile allocates nothing.
+    programs: Vec<TraceProgram>,
     /// Session-level telemetry sink; null (zero-overhead) unless
     /// [`ChannelSession::enable_tracing`] is called.
     sink: TraceSink,
@@ -236,6 +263,7 @@ impl ChannelSession {
             frames_sent: 0,
             sim: SimUsage::default(),
             machine: None,
+            programs: Vec::new(),
             sink: TraceSink::disabled(),
             calibration_cycles,
             clock: calibration_cycles,
@@ -361,7 +389,7 @@ impl ChannelSession {
     }
 
     /// Transmits one frame: derives the frame seed, resets the machine,
-    /// compiles the parties into trace programs and runs them through
+    /// compiles the parties into the session's programs and runs them through
     /// [`Machine::run_session`], then decodes the receiver's latency
     /// samples, aligns them with the sent bits and records telemetry.
     ///
@@ -370,11 +398,7 @@ impl ChannelSession {
     /// Returns machine-construction errors.
     pub fn transmit_frame(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
         self.frames_sent += 1;
-        let seed = self
-            .config
-            .seed
-            .wrapping_mul(0x9e37_79b9)
-            .wrapping_add(self.frames_sent);
+        let seed = frame_seed(&self.config, self.frames_sent);
         // Each frame runs on a machine in the exact state `Machine::new`
         // would produce for the frame seed; across frames the arenas are
         // reused via `Machine::reset` instead of reallocated.
@@ -391,7 +415,8 @@ impl ChannelSession {
         }
         let geometry = machine.l1_geometry();
         let parties = FrameParties::build(&self.config, geometry, frame, seed);
-        let report = machine.run_session(&parties.compile(), &mut [], parties.limit);
+        parties.compile_into(&mut self.programs);
+        let report = machine.run_session(&self.programs, &mut [], parties.limit);
         self.sim.frames += 1;
         self.sim.summary.merge(&report.total_summary());
         self.sim.phase_cycles.merge(&report.phase_cycles());
@@ -493,6 +518,46 @@ mod tests {
         let with_noise = compile_frame(&noisy, &payload);
         assert_eq!(with_noise.programs.len(), 3, "sender + receiver + noise");
         assert_eq!(with_noise.programs[2].verify(), Vec::new());
+    }
+
+    /// The programs a session compiles in place every frame must equal a
+    /// fresh compile of the same frame and seed, on a clean and a noisy
+    /// config and across frame-length changes; a shorter frame after a
+    /// longer one reuses the arenas without reallocating them.
+    #[test]
+    fn in_place_compiles_match_fresh_compiles() {
+        let mut noisy = config(9);
+        noisy.noise = Some(NoiseConfig {
+            interval: 1_500,
+            lines: 2,
+            store_fraction: 0.4,
+        });
+        for config in [config(7), noisy] {
+            let mut session = ChannelSession::new(config.clone()).unwrap();
+            let mut arenas = Vec::new();
+            for (index, bits) in [32, 128, 32].into_iter().enumerate() {
+                let payload: Vec<bool> = (0..bits).map(|i| i % 3 != 1).collect();
+                let frame = Frame::from_payload(&payload);
+                session.transmit_frame(&frame).unwrap();
+                let seed = frame_seed(&config, index as u64 + 1);
+                let geometry = config.machine_config(seed).hierarchy.l1d.geometry;
+                let fresh = FrameParties::build(&config, geometry, &frame, seed).compile();
+                // Program equality covers the name, domain, steps, phases
+                // and both arenas.
+                assert_eq!(session.programs, fresh, "frame {index}");
+                arenas.push(
+                    session
+                        .programs
+                        .iter()
+                        .map(|p| (p.op_arena().as_ptr(), p.chase_arena().as_ptr()))
+                        .collect::<Vec<_>>(),
+                );
+            }
+            assert_eq!(
+                arenas[1], arenas[2],
+                "the 32-bit frame fits the 128-bit arenas"
+            );
+        }
     }
 
     /// Tentpole determinism gate: enabling telemetry must not change a single

@@ -20,7 +20,8 @@
 //! * [`process`] / [`memlayout`] — separate address spaces (no shared memory)
 //!   and the construction of target-set lines and replacement sets from
 //!   virtual addresses.
-//! * [`memlayout::SetLines::shuffled`] and
+//! * [`memlayout::SetLines::shuffled`],
+//!   [`session::TraceProgram::chase_shuffled`] and
 //!   [`machine::Machine::measured_chase`] — the randomly permuted,
 //!   serialised pointer-chasing measurement walk of the paper's Figure 3.
 //! * [`sched`] — OS interruption noise, the source of bit-insertion and

@@ -77,6 +77,10 @@ impl SetLines {
     }
 }
 
+/// The largest replacement set a [`ChannelLayout`] can hold while sets A and
+/// B stay disjoint: B's tags start this many tags after A's.
+pub const MAX_REPLACEMENT_SIZE: usize = 1_000;
+
 /// The full memory layout used by one party of the WB channel on one target
 /// set: the "lines 0..N" it can dirty plus two disjoint replacement sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,6 +100,11 @@ impl ChannelLayout {
     /// * `target_count` lines for encoding (8 for the paper's 8-way L1),
     /// * two disjoint replacement sets of `replacement_size` lines each
     ///   (the paper uses 10, per Table II).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replacement_size` exceeds [`MAX_REPLACEMENT_SIZE`]: the
+    /// two sets would share lines.
     pub fn build(
         space: AddressSpace,
         geometry: CacheGeometry,
@@ -103,10 +112,16 @@ impl ChannelLayout {
         target_count: usize,
         replacement_size: usize,
     ) -> ChannelLayout {
+        assert!(
+            replacement_size <= MAX_REPLACEMENT_SIZE,
+            "replacement sets of {replacement_size} lines would overlap (at most {MAX_REPLACEMENT_SIZE})"
+        );
         // Tag ranges are disjoint by construction.
+        let first_a = 1_000;
+        let first_b = first_a + MAX_REPLACEMENT_SIZE as u64;
         let target_lines = SetLines::build(space, geometry, set, target_count, 0);
-        let replacement_a = SetLines::build(space, geometry, set, replacement_size, 1_000);
-        let replacement_b = SetLines::build(space, geometry, set, replacement_size, 2_000);
+        let replacement_a = SetLines::build(space, geometry, set, replacement_size, first_a);
+        let replacement_b = SetLines::build(space, geometry, set, replacement_size, first_b);
         ChannelLayout {
             target_lines,
             replacement_a,
@@ -178,13 +193,8 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    #[test]
-    fn channel_layout_sets_are_disjoint() {
-        let space = AddressSpace::new(ProcessId(2));
-        let layout = ChannelLayout::build(space, geometry(), 13, 8, 10);
-        assert_eq!(layout.target_lines.len(), 8);
-        assert_eq!(layout.replacement_a.len(), 10);
-        assert_eq!(layout.replacement_b.len(), 10);
+    /// Every line of `layout` is distinct.
+    fn assert_disjoint(layout: &ChannelLayout) {
         let mut all: Vec<PhysAddr> = layout
             .target_lines
             .lines()
@@ -197,6 +207,31 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), before, "line families must not overlap");
+    }
+
+    #[test]
+    fn channel_layout_sets_are_disjoint() {
+        let space = AddressSpace::new(ProcessId(2));
+        let layout = ChannelLayout::build(space, geometry(), 13, 8, 10);
+        assert_eq!(layout.target_lines.len(), 8);
+        assert_eq!(layout.replacement_a.len(), 10);
+        assert_eq!(layout.replacement_b.len(), 10);
+        assert_disjoint(&layout);
+    }
+
+    #[test]
+    fn the_largest_replacement_sets_stay_disjoint() {
+        let space = AddressSpace::new(ProcessId(1));
+        let layout = ChannelLayout::build(space, geometry(), 5, 8, MAX_REPLACEMENT_SIZE);
+        assert_eq!(layout.replacement_b.len(), MAX_REPLACEMENT_SIZE);
+        assert_disjoint(&layout);
+    }
+
+    #[test]
+    #[should_panic(expected = "would overlap")]
+    fn oversized_replacement_sets_are_refused() {
+        let space = AddressSpace::new(ProcessId(1));
+        ChannelLayout::build(space, geometry(), 5, 8, MAX_REPLACEMENT_SIZE + 1);
     }
 
     #[test]

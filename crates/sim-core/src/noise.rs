@@ -66,9 +66,19 @@ impl NoisyNeighbor {
     /// cycles through the noisy lines in order.
     pub fn compile(&self, limit: u64) -> TraceProgram {
         let mut program = TraceProgram::new(self.name.clone(), self.domain);
+        self.compile_into(limit, &mut program);
+        program
+    }
+
+    /// [`NoisyNeighbor::compile`] into an existing program: clears it and
+    /// rebuilds the schedule in place, keeping its name, domain and arena
+    /// capacity.
+    pub fn compile_into(&self, limit: u64, program: &mut TraceProgram) {
+        program.clear();
         program.phase(crate::telemetry::Phase::Noise);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let iterations = limit / self.interval + 4;
+        program.reserve(2 * iterations as usize, iterations as usize, 0);
         for k in 0..iterations {
             program.wait_rel(self.interval);
             let addr = self.lines.line((k as usize) % self.lines.len());
@@ -81,7 +91,6 @@ impl NoisyNeighbor {
         if cfg!(debug_assertions) {
             program.assert_valid();
         }
-        program
     }
 }
 

@@ -30,6 +30,8 @@
 //!   step's own issue time (a noise process's touch interval).
 
 use crate::telemetry::{Phase, PhaseCycles};
+use rand::seq::SliceRandom;
+use rand::Rng;
 use sim_cache::addr::PhysAddr;
 use sim_cache::line::DomainId;
 use sim_cache::trace::{TraceOp, TraceSummary};
@@ -182,6 +184,17 @@ impl TraceProgram {
         self
     }
 
+    /// Reserves room for at least `steps` more steps, `ops` more ops and
+    /// `chase` more chase addresses, so a compile that knows its size up
+    /// front grows no arena while it appends.
+    pub fn reserve(&mut self, steps: usize, ops: usize, chase: usize) -> &mut Self {
+        self.steps.reserve(steps);
+        self.phases.reserve(steps);
+        self.ops.reserve(ops);
+        self.chase_addrs.reserve(chase);
+        self
+    }
+
     /// Appends one step, tagging it with the current telemetry phase.
     fn push_step(&mut self, step: TraceStep) {
         self.steps.push(step);
@@ -217,6 +230,22 @@ impl TraceProgram {
             start,
             end: self.chase_addrs.len(),
         });
+        self
+    }
+
+    /// Appends a measured pointer chase over `lines` in a random order: the
+    /// lines are copied into the chase arena and the appended slice is
+    /// shuffled in place with `rng`.  The draws and the resulting order are
+    /// those of [`crate::memlayout::SetLines::shuffled`] over the same lines,
+    /// without the intermediate copy.
+    pub fn chase_shuffled<R: Rng + ?Sized>(
+        &mut self,
+        lines: &[PhysAddr],
+        rng: &mut R,
+    ) -> &mut Self {
+        let start = self.chase_addrs.len();
+        self.chase(lines);
+        self.chase_addrs[start..].shuffle(rng);
         self
     }
 
@@ -258,9 +287,11 @@ impl TraceProgram {
     }
 
     /// Empties the arenas and steps (keeping their capacity, the name and
-    /// the domain) and resets the phase to [`Phase::Other`] — the reused
-    /// chunk arena of a refilled co-runner stream.
-    pub(crate) fn clear(&mut self) {
+    /// the domain) and resets the phase to [`Phase::Other`].  Every
+    /// in-place compile starts here: the reused chunk arena of a refilled
+    /// co-runner stream, and the per-frame programs a channel session keeps
+    /// for its whole life.
+    pub fn clear(&mut self) {
         self.ops.clear();
         self.chase_addrs.clear();
         self.steps.clear();
@@ -294,8 +325,9 @@ pub struct ProgramReport {
     pub name: String,
     /// The program's domain.
     pub domain: DomainId,
-    /// Aggregate of every memory operation the program executed: the
-    /// program's perf counters (Tables VI and VII read the sender's).
+    /// Aggregate of every memory operation the program executed: its
+    /// loads, stores and per-level hits and misses (Tables VI and VII read
+    /// the sender's).
     pub summary: TraceSummary,
     /// The measurements taken by `Chase` steps, in order.
     pub measurements: Vec<Measurement>,
@@ -406,6 +438,55 @@ mod tests {
         let mut bare = TraceProgram::new("bare", 1);
         bare.load(PhysAddr(0x40)).wait_rel(10);
         assert_eq!(bare.phase_coverage(), (0, 2));
+    }
+
+    #[test]
+    fn chase_shuffled_draws_the_order_set_lines_shuffled_returns() {
+        use crate::memlayout::SetLines;
+        use crate::process::{AddressSpace, ProcessId};
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        use sim_cache::addr::CacheGeometry;
+
+        let lines = SetLines::build(
+            AddressSpace::new(ProcessId(1)),
+            CacheGeometry::xeon_l1d(),
+            9,
+            10,
+            1_000,
+        );
+        let mut program = TraceProgram::new("p", 1);
+        // A chase already in the arena: the shuffle touches only the new slice.
+        program.chase(&lines.lines()[..3]);
+        for seed in [0, 7, 2022] {
+            let mut in_place = StdRng::seed_from_u64(seed);
+            let mut copied = StdRng::seed_from_u64(seed);
+            program.chase_shuffled(lines.lines(), &mut in_place);
+            let Some(&TraceStep::Chase { start, end }) = program.steps().last() else {
+                panic!("chase_shuffled appends a Chase step");
+            };
+            assert_eq!(end - start, lines.len());
+            assert_eq!(
+                program.chase_arena()[start..end],
+                lines.shuffled(&mut copied)[..]
+            );
+            assert_eq!(in_place.next_u64(), copied.next_u64(), "same draws");
+        }
+        assert_eq!(program.chase_arena()[..3], lines.lines()[..3]);
+    }
+
+    #[test]
+    fn reserved_arenas_do_not_move_while_the_program_fills_them() {
+        let mut program = TraceProgram::new("p", 1);
+        program.reserve(3, 2, 2);
+        let (ops, chase) = (program.op_arena().as_ptr(), program.chase_arena().as_ptr());
+        program
+            .load(PhysAddr(0x40))
+            .store(PhysAddr(0x80))
+            .chase(&[PhysAddr(0xc0), PhysAddr(0x100)]);
+        assert_eq!(program.steps().len(), 3);
+        assert_eq!(program.op_arena().as_ptr(), ops);
+        assert_eq!(program.chase_arena().as_ptr(), chase);
     }
 
     #[test]
