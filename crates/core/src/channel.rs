@@ -215,9 +215,12 @@ impl ChannelConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for a zero period, an out-of-range
-    /// target set or a replacement set smaller than the associativity.
+    /// Returns [`Error::InvalidEncoding`] for an encoding that
+    /// [`SymbolEncoding::validate`] rejects, and [`Error::InvalidConfig`] for
+    /// a zero period, an out-of-range target set or a replacement set smaller
+    /// than the associativity.
     pub fn build(&self) -> Result<ChannelConfig, Error> {
+        self.encoding.validate()?;
         if self.period_cycles == 0 {
             return Err(Error::InvalidConfig {
                 field: "period_cycles",
@@ -367,6 +370,43 @@ mod tests {
         let config = ChannelConfig::default();
         assert_eq!(config.period_cycles, 5_500);
         assert_eq!(config.replacement_size, 10);
+    }
+
+    #[test]
+    fn hand_built_invalid_encodings_are_rejected_not_panicked_on() {
+        let invalid = [
+            SymbolEncoding::MultiBit {
+                levels: vec![0, 3, 5],
+            },
+            SymbolEncoding::Binary { dirty_lines: 0 },
+            SymbolEncoding::MultiBit {
+                levels: vec![0, 3, 5, 9],
+            },
+        ];
+        for encoding in invalid {
+            assert!(
+                matches!(encoding.validate(), Err(Error::InvalidEncoding { .. })),
+                "{encoding}"
+            );
+            let built = ChannelConfig::builder().encoding(encoding.clone()).build();
+            assert!(
+                matches!(built, Err(Error::InvalidEncoding { .. })),
+                "{encoding}"
+            );
+            // The fields are public, so the session checks a struct-built
+            // configuration too, before any frame is compiled.
+            let config = ChannelConfig {
+                encoding: encoding.clone(),
+                ..ChannelConfig::default()
+            };
+            assert!(
+                matches!(
+                    ChannelSession::new(config),
+                    Err(Error::InvalidEncoding { .. })
+                ),
+                "{encoding}"
+            );
+        }
     }
 
     #[test]

@@ -40,12 +40,9 @@ impl SymbolEncoding {
     ///
     /// Returns [`Error::InvalidEncoding`] unless `1 <= d <= 8`.
     pub fn binary(d: usize) -> Result<SymbolEncoding, Error> {
-        if d == 0 || d > Self::MAX_DIRTY_LINES {
-            return Err(Error::InvalidEncoding {
-                reason: format!("binary d must be in 1..=8, got {d}"),
-            });
-        }
-        Ok(SymbolEncoding::Binary { dirty_lines: d })
+        let encoding = SymbolEncoding::Binary { dirty_lines: d };
+        encoding.validate()?;
+        Ok(encoding)
     }
 
     /// The paper's two-bit encoding: `d ∈ {0, 3, 5, 8}` for symbols
@@ -64,28 +61,54 @@ impl SymbolEncoding {
     /// increasing, start within `0..=8`, and their count is a power of two of
     /// at least 2 (so every symbol carries a whole number of bits).
     pub fn multi_bit(levels: Vec<usize>) -> Result<SymbolEncoding, Error> {
-        if levels.len() < 2 || !levels.len().is_power_of_two() {
-            return Err(Error::InvalidEncoding {
-                reason: format!(
-                    "multi-bit encodings need a power-of-two number of levels >= 2, got {}",
-                    levels.len()
-                ),
-            });
+        let encoding = SymbolEncoding::MultiBit { levels };
+        encoding.validate()?;
+        Ok(encoding)
+    }
+
+    /// Checks the rules [`SymbolEncoding::binary`] and
+    /// [`SymbolEncoding::multi_bit`] enforce, for an encoding built from the
+    /// public variants directly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidEncoding`] for a binary `dirty_lines` outside
+    /// `1..=8`, or for multi-bit levels that are not a power-of-two count of
+    /// at least 2 strictly increasing values up to 8.
+    pub fn validate(&self) -> Result<(), Error> {
+        match self {
+            SymbolEncoding::Binary { dirty_lines: d } => {
+                if *d == 0 || *d > Self::MAX_DIRTY_LINES {
+                    return Err(Error::InvalidEncoding {
+                        reason: format!("binary d must be in 1..=8, got {d}"),
+                    });
+                }
+            }
+            SymbolEncoding::MultiBit { levels } => {
+                if levels.len() < 2 || !levels.len().is_power_of_two() {
+                    return Err(Error::InvalidEncoding {
+                        reason: format!(
+                            "multi-bit encodings need a power-of-two number of levels >= 2, got {}",
+                            levels.len()
+                        ),
+                    });
+                }
+                if levels.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(Error::InvalidEncoding {
+                        reason: "dirty-line levels must be strictly increasing".into(),
+                    });
+                }
+                if levels[levels.len() - 1] > Self::MAX_DIRTY_LINES {
+                    return Err(Error::InvalidEncoding {
+                        reason: format!(
+                            "dirty-line levels must not exceed the associativity ({})",
+                            Self::MAX_DIRTY_LINES
+                        ),
+                    });
+                }
+            }
         }
-        if levels.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(Error::InvalidEncoding {
-                reason: "dirty-line levels must be strictly increasing".into(),
-            });
-        }
-        if *levels.last().expect("non-empty") > Self::MAX_DIRTY_LINES {
-            return Err(Error::InvalidEncoding {
-                reason: format!(
-                    "dirty-line levels must not exceed the associativity ({})",
-                    Self::MAX_DIRTY_LINES
-                ),
-            });
-        }
-        Ok(SymbolEncoding::MultiBit { levels })
+        Ok(())
     }
 
     /// Number of payload bits carried by one symbol.

@@ -45,13 +45,17 @@ pub fn line0_eviction_probability(
     trials: usize,
     seed: u64,
 ) -> Result<EvictionProbability, Error> {
-    let geometry = CacheConfig::xeon_l1d(policy).geometry;
+    let config = CacheConfig::xeon_l1d(policy);
+    let geometry = config.geometry;
     let set = 5usize;
     let ctx = AccessContext::default();
     let mut evicted = 0usize;
+    // One cache per point, reset to each trial's seed (`Cache::reset` is
+    // indistinguishable from `Cache::new`).
+    let mut cache = Cache::new(config, seed)?;
     for trial in 0..trials {
-        let mut cache = Cache::new(
-            CacheConfig::xeon_l1d(policy),
+        cache.reset(
+            config,
             seed.wrapping_add(trial as u64).wrapping_mul(0x9e37_79b9),
         )?;
         // Warm state: the set already holds unrelated lines, touched in a
@@ -153,40 +157,47 @@ pub fn random_replacement_dirty_eviction(
     let set = 9usize;
     let sender = AccessContext::for_domain(2);
     let receiver = AccessContext::for_domain(1);
+    // The clean receiver lines that initialise the target set, the sender's
+    // d dirty lines and the receiver's replacement set of l lines.
+    let lines = |first: u64, count: usize| -> Vec<PhysAddr> {
+        (0..count)
+            .map(|i| PhysAddr::from_set_and_tag(set, first + i as u64, geometry))
+            .collect()
+    };
+    let init = lines(500, geometry.associativity);
+    let dirty_lines = lines(0, d);
+    let replacement = lines(1_000, l);
+    let mut missing = Vec::with_capacity(d);
     let mut hits = 0usize;
+    // One cache per point, reset to each trial's seed (`Cache::reset` is
+    // indistinguishable from `Cache::new`).
+    let mut cache = Cache::new(config, seed)?;
     for trial in 0..trials {
-        let mut cache = Cache::new(config, seed.wrapping_add(trial as u64 * 7919))?;
+        cache.reset(config, seed.wrapping_add(trial as u64 * 7919))?;
         // Fill the set with clean receiver lines first (a freshly initialised
         // target set), then the sender dirties d of its own lines.  The paper
         // accesses the dirty lines "in a loop to ensure they are in the
         // target set".
-        let init: Vec<PhysAddr> = (0..geometry.associativity)
-            .map(|i| PhysAddr::from_set_and_tag(set, 500 + i as u64, geometry))
-            .collect();
         cache.fill_all(&init, receiver, false);
-        let dirty_lines: Vec<PhysAddr> = (0..d)
-            .map(|i| PhysAddr::from_set_and_tag(set, i as u64, geometry))
-            .collect();
         // Under random replacement, installing one dirty line can evict
         // another, so (like the paper) the sender accesses its dirty lines
         // in a loop until all of them are resident simultaneously.
         for _pass in 0..256 {
-            let missing: Vec<PhysAddr> = dirty_lines
-                .iter()
-                .copied()
-                .filter(|&line| !cache.is_dirty(line))
-                .collect();
+            missing.clear();
+            missing.extend(
+                dirty_lines
+                    .iter()
+                    .copied()
+                    .filter(|&line| !cache.is_dirty(line)),
+            );
             if missing.is_empty() {
                 break;
             }
-            for line in missing {
+            for &line in &missing {
                 cache.fill(line, sender, true, false);
             }
         }
         // The receiver accesses its replacement set of l lines.
-        let replacement: Vec<PhysAddr> = (0..l)
-            .map(|i| PhysAddr::from_set_and_tag(set, 1_000 + i as u64, geometry))
-            .collect();
         cache.fill_all(&replacement, receiver, false);
         // At least one dirty line replaced?
         if cache.dirty_count_in_set(set) < d {

@@ -46,7 +46,12 @@ impl WbSender {
     /// # Panics
     ///
     /// Panics if any symbol value is out of range for the encoding, or if the
-    /// encoding needs more dirty lines than `target_lines` provides.
+    /// encoding needs more dirty lines than `target_lines` provides.  Neither
+    /// is reachable through a [`crate::channel::ChannelConfig`] from the
+    /// builder or [`crate::session::ChannelSession::new`]: both validate the
+    /// encoding ([`SymbolEncoding::validate`]), so its levels are at most 8,
+    /// the target set's 8 lines, and a frame packs whole symbols of
+    /// `bits_per_symbol` bits, each below `num_symbols`.
     pub fn new(
         domain: DomainId,
         target_lines: SetLines,

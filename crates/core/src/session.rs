@@ -245,8 +245,11 @@ impl ChannelSession {
     ///
     /// # Errors
     ///
-    /// Returns configuration or calibration errors.
+    /// Returns configuration or calibration errors, including
+    /// [`Error::InvalidEncoding`] for a hand-built encoding that
+    /// [`crate::encoding::SymbolEncoding::validate`] rejects.
     pub fn new(config: ChannelConfig) -> Result<ChannelSession, Error> {
+        config.encoding.validate()?;
         let calibration = CalibrationConfig {
             machine: config.machine_config(config.seed ^ 0xca11),
             target_set: config.target_set,

@@ -32,8 +32,15 @@ pub struct IntelLike {
     ways: usize,
     mispredict: f64,
     max_staleness: u32,
-    /// Fills survived since last touch, per (set, way).
-    staleness: Vec<u32>,
+    /// Fills to each set since the last reset.
+    fills: Vec<u64>,
+    /// Per (set, way), the set's fill count when the way was last filled,
+    /// hit or invalidated.  A way's staleness — the fills it survived since
+    /// that touch — is `fills[set] - stamp`, so a fill updates two words
+    /// instead of ageing every way.  A saturating `u32` counter per way, the
+    /// earlier representation, could differ from this `u64` difference only
+    /// after 2³² fills to one set with a way left untouched throughout.
+    stamp: Vec<u64>,
 }
 
 impl IntelLike {
@@ -79,7 +86,8 @@ impl IntelLike {
             ways,
             mispredict: mispredict.clamp(0.0, 1.0),
             max_staleness: max_staleness.max(1),
-            staleness: vec![0; num_sets * ways],
+            fills: vec![0; num_sets],
+            stamp: vec![0; num_sets * ways],
         })
     }
 
@@ -96,6 +104,12 @@ impl IntelLike {
     fn idx(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
     }
+
+    /// Marks `way` of `set` as touched now: its staleness becomes zero.
+    fn touch(&mut self, set: usize, way: usize) {
+        let idx = self.idx(set, way);
+        self.stamp[idx] = self.fills[set];
+    }
 }
 
 impl ReplacementPolicy for IntelLike {
@@ -105,27 +119,19 @@ impl ReplacementPolicy for IntelLike {
 
     fn on_hit(&mut self, set: usize, way: usize) {
         self.plru.on_hit(set, way);
-        let idx = self.idx(set, way);
-        self.staleness[idx] = 0;
+        self.touch(set, way);
     }
 
     fn on_fill(&mut self, set: usize, way: usize) {
         self.plru.on_fill(set, way);
         // Every other way in the set ages by one fill; the filled way resets.
-        for w in 0..self.ways {
-            let idx = self.idx(set, w);
-            if w == way {
-                self.staleness[idx] = 0;
-            } else {
-                self.staleness[idx] = self.staleness[idx].saturating_add(1);
-            }
-        }
+        self.fills[set] += 1;
+        self.touch(set, way);
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.plru.on_invalidate(set, way);
-        let idx = self.idx(set, way);
-        self.staleness[idx] = 0;
+        self.touch(set, way);
     }
 
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
@@ -136,27 +142,30 @@ impl ReplacementPolicy for IntelLike {
         // Anti-starvation: a way that survived `max_staleness` fills is
         // evicted unconditionally (this is what makes a 10-line replacement
         // set reliable in the paper's measurements).  Among several stale
-        // ways the most stale one goes first.
+        // ways the most stale one goes first, the highest on a tie
+        // (`max_by_key` keeps the last of equal keys).
+        let staleness = |w: usize| self.fills[set] - self.stamp[self.idx(set, w)];
         let most_stale = mask
             .iter()
-            .max_by_key(|&w| self.staleness[self.idx(set, w)])
-            .filter(|&w| self.staleness[self.idx(set, w)] >= self.max_staleness);
+            .max_by_key(|&w| staleness(w))
+            .filter(|&w| staleness(w) >= u64::from(self.max_staleness));
         if let Some(stale) = most_stale {
             return Some(stale);
         }
         let plru_choice = self.plru.choose_victim(set, mask)?;
-        if mask.count() > 1 && self.rng.chance(self.mispredict) {
-            // Deviate: pick uniformly among the other candidates.
-            let others: Vec<usize> = mask.iter().filter(|&w| w != plru_choice).collect();
-            let pick = others[self.rng.below(others.len())];
-            return Some(pick);
+        let count = mask.count();
+        if count > 1 && self.rng.chance(self.mispredict) {
+            // Deviate: pick uniformly among the other candidates, in
+            // ascending way order.
+            return mask.without(plru_choice).nth(self.rng.below(count - 1));
         }
         Some(plru_choice)
     }
 
     fn reset(&mut self) {
         self.plru.reset();
-        self.staleness.fill(0);
+        self.fills.fill(0);
+        self.stamp.fill(0);
     }
 }
 

@@ -19,12 +19,23 @@
 //! Every policy implements the [`ReplacementPolicy`] method set; a
 //! [`crate::cache::Cache`] holds one through a statically dispatched enum, so
 //! no policy call goes through a trait object.
+//!
+//! No policy allocates on the access path: a hit, fill or invalidation
+//! updates O(1) words, and a victim choice scans at most the set's ways.
+//! SRRIP ages its candidates in one step, NRU keeps one reference word per
+//! set, and Intel-like derives each way's staleness from a per-set fill
+//! count instead of ageing every way on a fill.  The test module checks
+//! SRRIP, NRU and Intel-like victim for victim against reference models
+//! written the plain way (`reference.rs`), under random operation mixes and
+//! candidate masks.
 
 mod intel_like;
 mod lru;
 mod nru;
 mod plru;
 mod random;
+#[cfg(test)]
+mod reference;
 mod srrip;
 
 pub use intel_like::IntelLike;
@@ -117,7 +128,8 @@ impl fmt::Display for PolicyKind {
 /// `on_hit`, `on_fill` and `choose_victim_and_fill` are forced inline into
 /// the cache's lookup and fill, so a Tree-PLRU hit or eviction is
 /// straight-line code inside the hierarchy's batch loops; victim choice for
-/// the other policies is one out-of-line call.
+/// the other policies is one out-of-line call that allocates nothing and
+/// touches only the set's own metadata.
 #[derive(Debug)]
 pub(crate) enum PolicyDispatch {
     TreePlru(TreePlru),
@@ -343,6 +355,82 @@ mod tests {
                 prop_assert!(victim < 8);
             } else {
                 prop_assert!(mask.is_empty());
+            }
+        }
+    }
+
+    /// The plain reference model of `kind` (SRRIP, NRU or Intel-like).
+    fn reference_model(
+        kind: PolicyKind,
+        num_sets: usize,
+        ways: usize,
+        seed: u64,
+    ) -> Box<dyn ReplacementPolicy> {
+        match kind {
+            PolicyKind::Srrip => Box::new(reference::SrripModel::new(num_sets, ways)),
+            PolicyKind::Nru => Box::new(reference::NruModel::new(num_sets, ways)),
+            PolicyKind::IntelLike => Box::new(reference::IntelLikeModel::new(num_sets, ways, seed)),
+            _ => unreachable!("no reference model for {kind}"),
+        }
+    }
+
+    proptest! {
+        /// SRRIP, NRU and Intel-like choose the same victim as their
+        /// reference models at every step of a random mix of hits, fills,
+        /// invalidations, victim choices and resets, under candidate masks
+        /// that include locked ways, way partitions and arbitrary subsets.
+        #[test]
+        fn victims_match_reference_models(
+            kind in 0usize..3,
+            ways_log2 in 2u32..5,
+            seed in 0u64..1000,
+            ops in proptest::collection::vec(
+                (0u8..16, 0usize..4, 0usize..16, 0u64..u64::MAX, 0u8..4),
+                1..400,
+            ),
+        ) {
+            let kind = [PolicyKind::Srrip, PolicyKind::Nru, PolicyKind::IntelLike][kind];
+            let ways = 1usize << ways_log2;
+            let mut policy = PolicyDispatch::build(kind, 4, ways, seed).unwrap();
+            let mut model = reference_model(kind, 4, ways, seed);
+            for (step, (op, set, way, bits, mask_kind)) in ops.into_iter().enumerate() {
+                let way = way % ways;
+                match op {
+                    0..=2 => {
+                        policy.on_hit(set, way);
+                        model.on_hit(set, way);
+                    }
+                    3..=5 => {
+                        policy.on_fill(set, way);
+                        model.on_fill(set, way);
+                    }
+                    6 => {
+                        policy.on_invalidate(set, way);
+                        model.on_invalidate(set, way);
+                    }
+                    7..=14 => {
+                        let all = WayMask::all(ways);
+                        let mask = match mask_kind {
+                            0 => all,
+                            // A locked line.
+                            1 => all.without(way),
+                            // A partition: a contiguous run of ways.
+                            2 => WayMask::range(way, way + 1 + bits as usize % (ways - way)),
+                            // Any subset, bits beyond the associativity included.
+                            _ => WayMask::from_bits(bits),
+                        };
+                        let victim = policy.choose_victim_and_fill(set, mask);
+                        let expected = model.choose_victim(set, mask);
+                        if let Some(way) = expected {
+                            model.on_fill(set, way);
+                        }
+                        prop_assert_eq!(victim, expected, "{} step {}: mask {:?}", kind, step, mask);
+                    }
+                    _ => {
+                        policy.reset();
+                        model.reset();
+                    }
+                }
             }
         }
     }

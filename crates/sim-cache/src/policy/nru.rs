@@ -13,20 +13,23 @@ use crate::waymask::WayMask;
 #[derive(Debug, Clone)]
 pub struct Nru {
     ways: usize,
-    referenced: Vec<bool>,
+    /// One reference word per set: bit `w` is way `w`'s reference bit, so a
+    /// victim choice is a mask operation and a trailing-zero count.
+    referenced: Vec<u64>,
 }
 
 impl Nru {
     /// Creates NRU metadata for `num_sets` sets of `ways` ways.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` exceeds 64, the width of a [`WayMask`].
     pub fn new(num_sets: usize, ways: usize) -> Nru {
+        assert!(ways <= 64, "NRU supports at most 64 ways");
         Nru {
             ways,
-            referenced: vec![false; num_sets * ways],
+            referenced: vec![0; num_sets],
         }
-    }
-
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
     }
 }
 
@@ -36,41 +39,32 @@ impl ReplacementPolicy for Nru {
     }
 
     fn on_hit(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.referenced[idx] = true;
+        self.referenced[set] |= 1 << way;
     }
 
     fn on_fill(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.referenced[idx] = true;
+        self.referenced[set] |= 1 << way;
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.referenced[idx] = false;
+        self.referenced[set] &= !(1 << way);
     }
 
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let candidates: Vec<usize> = candidates.iter().filter(|&w| w < self.ways).collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        if let Some(&way) = candidates
-            .iter()
-            .find(|&&w| !self.referenced[set * self.ways + w])
-        {
+        let candidates = candidates.and(WayMask::all(self.ways));
+        let unreferenced = candidates.and(WayMask::from_bits(!self.referenced[set]));
+        if let Some(way) = unreferenced.first() {
             return Some(way);
         }
         // All candidates referenced: clear the whole set's bits (the classic
         // NRU "generation" reset) and pick the first candidate.
-        for w in 0..self.ways {
-            self.referenced[set * self.ways + w] = false;
-        }
-        candidates.first().copied()
+        let way = candidates.first()?;
+        self.referenced[set] = 0;
+        Some(way)
     }
 
     fn reset(&mut self) {
-        self.referenced.fill(false);
+        self.referenced.fill(0);
     }
 }
 

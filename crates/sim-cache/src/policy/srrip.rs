@@ -10,6 +10,9 @@ use crate::waymask::WayMask;
 /// with RRPV = 3 (ageing every candidate when none qualifies).  SRRIP is the
 /// style of policy used in recent Intel LLCs; it is included as an ablation
 /// point showing the WB channel also works when insertion is not MRU.
+///
+/// Victim choice ages the candidates in one step by however much the oldest
+/// one lacks, so it allocates nothing and never loops over ageing rounds.
 #[derive(Debug, Clone)]
 pub struct Srrip {
     ways: usize,
@@ -56,22 +59,25 @@ impl ReplacementPolicy for Srrip {
     }
 
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let candidates: Vec<usize> = candidates.iter().filter(|&w| w < self.ways).collect();
-        if candidates.is_empty() {
-            return None;
+        let candidates = candidates.and(WayMask::all(self.ways));
+        let rrpv = &mut self.rrpv[set * self.ways..(set + 1) * self.ways];
+        // The candidates' highest RRPV, found without a data-dependent
+        // branch.
+        let mut max = 0;
+        for w in candidates.iter() {
+            max = max.max(rrpv[w]);
         }
-        loop {
-            if let Some(&way) = candidates
-                .iter()
-                .find(|&&w| self.rrpv[set * self.ways + w] >= MAX_RRPV)
-            {
-                return Some(way);
-            }
-            for &w in &candidates {
-                let idx = self.idx(set, w);
-                self.rrpv[idx] = (self.rrpv[idx] + 1).min(MAX_RRPV);
+        // Ageing every candidate one step at a time until one reaches
+        // MAX_RRPV is one step of `MAX_RRPV - max`: no candidate saturates
+        // before the oldest gets there.  The victim is then the lowest
+        // candidate at MAX_RRPV, exactly as in the stepwise loop.
+        let age = MAX_RRPV - max;
+        if age > 0 {
+            for w in candidates.iter() {
+                rrpv[w] += age;
             }
         }
+        candidates.iter().find(|&w| rrpv[w] == MAX_RRPV)
     }
 
     fn reset(&mut self) {
