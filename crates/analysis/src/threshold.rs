@@ -66,6 +66,20 @@ impl BinaryThreshold {
         latency > self.threshold
     }
 
+    /// Classifies a value in the direction calibration found: when ones
+    /// were at least as slow as zeros (WB, Prime+Probe, the LRU channel) a
+    /// value strictly above the threshold is a 1; otherwise (a dirty prime
+    /// the victim cleaned, a defense that inverts the classes) a value at or
+    /// below it is.  [`BinaryThreshold::at`] has no class means and always
+    /// takes the second branch; use [`BinaryThreshold::classify`] there.
+    pub fn classify_directed(&self, value: f64) -> bool {
+        if self.mean_one >= self.mean_zero {
+            value > self.threshold
+        } else {
+            value <= self.threshold
+        }
+    }
+
     /// The separation between the calibrated class means, in the same unit as
     /// the samples (cycles).  Larger separation means a more robust channel;
     /// the paper reports roughly 10 cycles per dirty line.
@@ -156,6 +170,25 @@ mod tests {
         assert!(t.classify(151.0));
         assert!(!t.classify(150.0));
         assert_eq!(t.value(), 150.0);
+    }
+
+    #[test]
+    fn classify_bit_follows_the_channel_direction() {
+        // Ones slower (WB / Prime+Probe direction).
+        let slower = BinaryThreshold::calibrate(&[100.0], &[200.0]);
+        assert!(slower.classify_directed(190.0));
+        assert!(!slower.classify_directed(110.0));
+        // Ones faster (a victim's load evicting a dirty prime).
+        let faster = BinaryThreshold::calibrate(&[200.0], &[100.0]);
+        assert!(faster.classify_directed(110.0));
+        assert!(!faster.classify_directed(190.0));
+        // A value on the threshold is a 0 when ones are slower and a 1 when
+        // they are faster; equal means count as slower.
+        assert!(!slower.classify_directed(150.0));
+        assert!(faster.classify_directed(150.0));
+        let equal = BinaryThreshold::calibrate(&[120.0], &[120.0]);
+        assert!(!equal.classify_directed(120.0));
+        assert!(equal.classify_directed(121.0));
     }
 
     #[test]

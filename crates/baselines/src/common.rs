@@ -1,16 +1,32 @@
-//! Shared infrastructure for the baseline cache covert channels.
+//! The one period loop both baseline channels run.
 //!
-//! The baselines are implemented as synchronous period-by-period simulations
-//! driven directly against a [`sim_core::machine::Machine`]: every period the
-//! receiver prepares, the sender encodes one bit, an optional noise process
-//! interferes, and the receiver decodes.  This is sufficient for the
-//! comparisons the paper makes (noise robustness in Figure 8, requirement
-//! matrix in Table I, load counts in Table VI) without duplicating the full
-//! SMT pacing machinery of the WB channel.
+//! The baselines are synchronous period-by-period simulations driven directly
+//! against a [`sim_core::machine::Machine`]: every period the receiver
+//! prepares, the sender encodes one bit, an optional noise process
+//! interferes, and the receiver decodes.  `transmit_periods` runs that loop
+//! for both, after the same known-bit threshold calibration.  This is
+//! sufficient for the comparisons the paper makes (noise robustness in
+//! Figure 8, load counts in Table VI) without duplicating the full SMT pacing
+//! machinery of the WB channel.
 
 use analysis::edit_distance::bit_error_rate;
 use analysis::threshold::BinaryThreshold;
-use wb_channel::Error;
+use rand::rngs::StdRng;
+use rand::Rng;
+use sim_cache::trace::TraceOp;
+use sim_core::machine::Machine;
+use sim_core::memlayout::SetLines;
+use sim_core::process::{AddressSpace, ProcessId};
+
+/// The receiver's domain and process.
+pub(crate) const RECEIVER: u16 = 1;
+/// The sender's domain and process.
+pub(crate) const SENDER: u16 = 2;
+/// The noise process's domain and process.
+pub(crate) const NOISE: u16 = 3;
+
+/// Known-bit periods the receiver observes to place its threshold.
+const CALIBRATION_ROUNDS: usize = 32;
 
 /// How a noisy cache line interferes with a transmission (Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +52,7 @@ impl NoiseSpec {
 /// Outcome of one baseline transmission.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineReport {
-    /// Channel name ("Flush+Reload", "Prime+Probe", ...).
+    /// Channel name ("Prime+Probe", "LRU channel").
     pub channel: String,
     /// Bits given to the sender.
     pub sent: Vec<bool>,
@@ -71,47 +87,76 @@ impl BaselineReport {
     }
 }
 
-/// A covert channel evaluated against the WB channel.
-pub trait BaselineChannel {
-    /// Human-readable channel name.
-    fn name(&self) -> &'static str;
-
-    /// Whether the channel needs memory shared between sender and receiver
-    /// (Table I's reuse-based attacks).
-    fn requires_shared_memory(&self) -> bool;
-
-    /// Whether the channel needs the `clflush` instruction.
-    fn requires_clflush(&self) -> bool;
-
-    /// Transmits `bits` and returns the report.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors from the underlying simulator.
-    fn transmit(&mut self, bits: &[bool]) -> Result<BaselineReport, Error>;
-
-    /// Transmits `bits` while a noisy cache line interferes.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors from the underlying simulator.
-    fn transmit_with_noise(
-        &mut self,
-        bits: &[bool],
-        noise: NoiseSpec,
-    ) -> Result<BaselineReport, Error>;
+/// What [`transmit_periods`] runs: one baseline's warmed machine, its RNG
+/// and the sender's accesses.
+#[derive(Debug)]
+pub(crate) struct Periods {
+    /// Channel name, for the report.
+    pub name: &'static str,
+    /// The machine, every line already warm.
+    pub machine: Machine,
+    /// The channel's RNG: the noise draws, and whatever the receiver's
+    /// prepare and decode steps draw, in period order.
+    pub rng: StdRng,
+    /// The L1 set the channel runs on; the noise lines map to it too.
+    pub target_set: usize,
+    /// The sender's accesses for a `1`; a `0` is silence.
+    pub encode: Vec<TraceOp>,
 }
 
-/// Classifies an observable with a calibrated threshold, honouring the
-/// direction of the channel: for some channels (Flush+Reload) a *lower*
-/// observable means bit 1, for others (Prime+Probe, WB) a *higher* one does.
-pub fn classify_bit(threshold: &BinaryThreshold, value: u64) -> bool {
-    let ones_are_slower = threshold.mean_one >= threshold.mean_zero;
-    if ones_are_slower {
-        threshold.classify(value as f64)
-    } else {
-        !threshold.classify(value as f64)
-    }
+/// Transmits `bits` over a baseline channel: [`CALIBRATION_ROUNDS`]
+/// alternating known bits place the threshold, then each bit takes one
+/// period of `prepare` → the sender's `encode` → an optional noisy access
+/// (`noise`) → `decode`, whose observable is classified in the calibrated
+/// direction.
+pub(crate) fn transmit_periods(
+    periods: Periods,
+    bits: &[bool],
+    noise: Option<NoiseSpec>,
+    mut prepare: impl FnMut(&mut Machine, &mut StdRng),
+    mut decode: impl FnMut(&mut Machine, &mut StdRng) -> u64,
+) -> BaselineReport {
+    let Periods {
+        name,
+        mut machine,
+        mut rng,
+        target_set,
+        encode,
+    } = periods;
+    let noise_lines = SetLines::build(
+        AddressSpace::new(ProcessId(NOISE)),
+        machine.l1_geometry(),
+        target_set,
+        2,
+        9_000,
+    );
+    let mut period = |bit: bool, noise: Option<NoiseSpec>| -> u64 {
+        prepare(&mut machine, &mut rng);
+        if bit {
+            machine.run_trace(SENDER, &encode);
+        }
+        if let Some(noise) = noise {
+            if rng.gen_bool(noise.probability.clamp(0.0, 1.0)) {
+                let line = noise_lines.line(rng.gen_range(0..noise_lines.len()));
+                let op = if noise.dirty {
+                    TraceOp::write(line)
+                } else {
+                    TraceOp::read(line)
+                };
+                machine.run_trace(NOISE, &[op]);
+            }
+        }
+        decode(&mut machine, &mut rng)
+    };
+    let threshold = calibrate_threshold(CALIBRATION_ROUNDS, |bit| period(bit, None));
+    let observations: Vec<u64> = bits.iter().map(|&bit| period(bit, noise)).collect();
+    let received = observations
+        .iter()
+        .map(|&observed| threshold.classify_directed(observed as f64))
+        .collect();
+    let ones = bits.iter().filter(|&&bit| bit).count();
+    let sender_accesses = (ones * encode.len()) as u64;
+    BaselineReport::new(name, bits, received, observations, sender_accesses)
 }
 
 /// Calibrates a binary threshold from alternating known-bit observations.
@@ -163,17 +208,5 @@ mod tests {
         let spec = NoiseSpec::every_period();
         assert_eq!(spec.probability, 1.0);
         assert!(!spec.dirty);
-    }
-
-    #[test]
-    fn classify_bit_follows_the_channel_direction() {
-        // Ones slower (WB / Prime+Probe direction).
-        let slower = BinaryThreshold::calibrate(&[100.0], &[200.0]);
-        assert!(classify_bit(&slower, 190));
-        assert!(!classify_bit(&slower, 110));
-        // Ones faster (Flush+Reload direction).
-        let faster = BinaryThreshold::calibrate(&[200.0], &[100.0]);
-        assert!(classify_bit(&faster, 110));
-        assert!(!classify_bit(&faster, 190));
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-channel comparisons: Table I, Figure 8 and the Table VI load
 //! comparison.
 
-use crate::common::{BaselineChannel, NoiseSpec};
+use crate::common::NoiseSpec;
 use crate::lru_channel::LruChannel;
 use crate::prime_probe::PrimeProbe;
 use rand::rngs::StdRng;
@@ -91,18 +91,18 @@ pub fn noise_robustness_comparison(bits: usize, seed: u64) -> Result<Vec<NoiseRo
     let mut results = Vec::new();
 
     // Baselines.
-    let noise = NoiseSpec::every_period();
-    let mut lru = LruChannel::new(seed);
-    let mut pp = PrimeProbe::new(seed);
+    let noise = Some(NoiseSpec::every_period());
+    let lru = LruChannel::new(seed);
+    let pp = PrimeProbe::new(seed);
     results.push(NoiseRobustness {
         channel: lru.name().to_owned(),
-        ber_clean: LruChannel::new(seed).transmit(&payload)?.bit_error_rate,
-        ber_noisy: lru.transmit_with_noise(&payload, noise)?.bit_error_rate,
+        ber_clean: lru.transmit(&payload, None)?.bit_error_rate,
+        ber_noisy: lru.transmit(&payload, noise)?.bit_error_rate,
     });
     results.push(NoiseRobustness {
         channel: pp.name().to_owned(),
-        ber_clean: PrimeProbe::new(seed).transmit(&payload)?.bit_error_rate,
-        ber_noisy: pp.transmit_with_noise(&payload, noise)?.bit_error_rate,
+        ber_clean: pp.transmit(&payload, None)?.bit_error_rate,
+        ber_noisy: pp.transmit(&payload, noise)?.bit_error_rate,
     });
 
     // WB channel, clean and with a noisy neighbour touching the target set.

@@ -1,27 +1,25 @@
 //! # baselines
 //!
-//! Baseline cache covert channels implemented on the same simulator substrate
-//! as the WB channel, so that the comparisons drawn in the paper — Table I's
-//! classification, Figure 8's noise robustness, Table VI's sender footprint —
-//! can be reproduced head-to-head:
+//! The two baseline cache covert channels the paper runs head-to-head with
+//! the WB channel, on the same simulator substrate — Figure 8's noise
+//! robustness and Table VI's sender footprint:
 //!
-//! * [`reuse::ReuseChannel`] — Flush+Reload, Flush+Flush and Evict+Reload
-//!   (Hit+Miss, reuse-based, require shared memory).
 //! * [`prime_probe::PrimeProbe`] — Prime+Probe (Hit+Miss, contention-based).
 //! * [`lru_channel::LruChannel`] — the LRU-state channel of Xiong & Szefer,
 //!   the closest prior work.
-//! * [`comparison`] — the classification table, the Figure 8 noise-robustness
-//!   experiment and Table VI load estimates.
+//! * [`common`] — the calibrate-then-transmit period loop both run, and
+//!   their report.
+//! * [`comparison`] — the classification table (Table I, whose reuse-based
+//!   rows are static), the Figure 8 noise-robustness experiment and Table VI
+//!   load estimates.
 //!
 //! ## Example
 //!
 //! ```rust
-//! use baselines::common::BaselineChannel;
 //! use baselines::prime_probe::PrimeProbe;
 //!
 //! # fn main() -> Result<(), wb_channel::Error> {
-//! let mut channel = PrimeProbe::new(7);
-//! let report = channel.transmit(&[true, false, true, false])?;
+//! let report = PrimeProbe::new(7).transmit(&[true, false, true, false], None)?;
 //! assert!(report.bit_error_rate <= 1.0);
 //! # Ok(())
 //! # }
@@ -35,10 +33,8 @@ pub mod common;
 pub mod comparison;
 pub mod lru_channel;
 pub mod prime_probe;
-pub mod reuse;
 
-pub use common::{BaselineChannel, BaselineReport, NoiseSpec};
+pub use common::{BaselineReport, NoiseSpec};
 pub use comparison::{classification_table, noise_robustness_comparison};
 pub use lru_channel::LruChannel;
 pub use prime_probe::PrimeProbe;
-pub use reuse::ReuseChannel;

@@ -7,11 +7,9 @@
 //! breaks it, while the WB channel shrugs it off; Section VII additionally
 //! compares the two senders' cache-load footprints (Table VI).
 
-use crate::common::{
-    calibrate_threshold, classify_bit, BaselineChannel, BaselineReport, NoiseSpec,
-};
+use crate::common::{transmit_periods, BaselineReport, NoiseSpec, Periods, RECEIVER, SENDER};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
@@ -19,44 +17,42 @@ use sim_core::memlayout::SetLines;
 use sim_core::process::{AddressSpace, ProcessId};
 use wb_channel::Error;
 
-const RECEIVER: u16 = 1;
-const SENDER: u16 = 2;
-const NOISE: u16 = 3;
+/// How many times the sender re-touches its line while encoding a `1` (the
+/// LRU sender must keep modulating during the whole period, which is what
+/// makes it noisier than the WB sender in Table VI).
+const MODULATIONS_PER_ONE: usize = 4;
 
-/// The LRU covert channel on one L1 set (the no-shared-memory variant).
+/// The LRU covert channel on one L1 set (the no-shared-memory variant), under
+/// true-LRU replacement, its natural setting.
 #[derive(Debug)]
 pub struct LruChannel {
-    policy: PolicyKind,
     seed: u64,
-    /// How many times the sender re-touches its line while encoding a `1`
-    /// (the LRU sender must keep modulating during the whole period, which is
-    /// what makes it noisier than the WB sender in Table VI).
-    pub modulations_per_one: usize,
-    calibration_rounds: usize,
 }
 
 impl LruChannel {
-    /// Creates the channel with true-LRU replacement (its natural setting)
-    /// and the paper's observation of repeated modulation.
+    /// Creates the channel.
     pub fn new(seed: u64) -> LruChannel {
-        LruChannel {
-            policy: PolicyKind::TrueLru,
-            seed,
-            modulations_per_one: 4,
-            calibration_rounds: 32,
-        }
+        LruChannel { seed }
     }
 
-    /// Uses a different replacement policy (e.g. Tree-PLRU, which the paper
-    /// notes already disturbs the LRU channel).
-    #[must_use]
-    pub fn with_policy(mut self, policy: PolicyKind) -> LruChannel {
-        self.policy = policy;
-        self
+    /// Human-readable channel name.
+    pub fn name(&self) -> &'static str {
+        "LRU channel"
     }
 
-    fn run(&mut self, bits: &[bool], noise: Option<NoiseSpec>) -> Result<BaselineReport, Error> {
-        let mut machine = Machine::new(MachineConfig::xeon_e5_2650(self.policy, self.seed))?;
+    /// Transmits `bits`, with one noisy access per period drawn from `noise`
+    /// when given.
+    ///
+    /// # Errors
+    ///
+    /// Returns configuration errors from the underlying simulator.
+    pub fn transmit(
+        &self,
+        bits: &[bool],
+        noise: Option<NoiseSpec>,
+    ) -> Result<BaselineReport, Error> {
+        let mut machine =
+            Machine::new(MachineConfig::xeon_e5_2650(PolicyKind::TrueLru, self.seed))?;
         let geometry = machine.l1_geometry();
         let target_set = 19usize;
         let w = geometry.associativity;
@@ -75,116 +71,49 @@ impl LruChannel {
             1,
             0,
         );
-        let noise_lines = SetLines::build(
-            AddressSpace::new(ProcessId(NOISE)),
-            geometry,
-            target_set,
-            2,
-            9_000,
-        );
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x14c4);
-        let mut sender_accesses = 0u64;
+        let reads = |range: std::ops::Range<usize>| -> Vec<TraceOp> {
+            range
+                .map(|i| TraceOp::read(receiver_lines.line(i)))
+                .collect()
+        };
 
-        // Warm all lines (batched; same order as before).
-        let warm: Vec<TraceOp> = receiver_lines
-            .lines()
-            .iter()
-            .map(|&l| TraceOp::read(l))
-            .collect();
-        machine.run_trace(RECEIVER, &warm);
-        machine.read(SENDER, sender_line.line(0));
+        // Warm all lines.
+        machine.run_trace(RECEIVER, &reads(0..w));
+        machine.run_trace(SENDER, &[TraceOp::read(sender_line.line(0))]);
 
-        let modulations = self.modulations_per_one;
         // Step 1 (Figure 8a): the receiver accesses lines 0-3.
-        let init_trace: Vec<TraceOp> = (0..w / 2)
-            .map(|i| TraceOp::read(receiver_lines.line(i)))
-            .collect();
-        let init = |machine: &mut Machine| {
-            machine.run_trace(RECEIVER, &init_trace);
-        };
-        // Step 2: the sender repeatedly accesses its own line to send a 1.
-        let encode_trace: Vec<TraceOp> = vec![TraceOp::read(sender_line.line(0)); modulations];
-        let encode = |machine: &mut Machine, bit: bool, accesses: &mut u64| {
-            if bit {
-                machine.run_trace(SENDER, &encode_trace);
-                *accesses += encode_trace.len() as u64;
-            }
-        };
+        let first_half = reads(0..w / 2);
         // Step 4: the receiver accesses lines 4-7 and times line 0.
-        let second_half: Vec<TraceOp> = (w / 2..w)
-            .map(|i| TraceOp::read(receiver_lines.line(i)))
-            .collect();
-        let decode = |machine: &mut Machine| -> u64 {
-            machine.run_trace(RECEIVER, &second_half);
-            machine.measured_read(RECEIVER, receiver_lines.line(0)).0
+        let second_half = reads(w / 2..w);
+        let periods = Periods {
+            name: self.name(),
+            machine,
+            rng: StdRng::seed_from_u64(self.seed ^ 0x14c4),
+            target_set,
+            // Step 2: the sender repeatedly accesses its own line to send a 1.
+            encode: vec![TraceOp::read(sender_line.line(0)); MODULATIONS_PER_ONE],
         };
-
-        let threshold = calibrate_threshold(self.calibration_rounds, |bit| {
-            init(&mut machine);
-            let mut scratch = 0;
-            encode(&mut machine, bit, &mut scratch);
-            decode(&mut machine)
-        });
-
-        let mut received = Vec::with_capacity(bits.len());
-        let mut observations = Vec::with_capacity(bits.len());
-        for &bit in bits {
-            init(&mut machine);
-            encode(&mut machine, bit, &mut sender_accesses);
-            if let Some(noise) = noise {
-                if rng.gen_bool(noise.probability.clamp(0.0, 1.0)) {
-                    let line = noise_lines.line(rng.gen_range(0..noise_lines.len()));
-                    if noise.dirty {
-                        machine.write(NOISE, line);
-                    } else {
-                        machine.read(NOISE, line);
-                    }
-                }
-            }
-            let observed = decode(&mut machine);
-            observations.push(observed);
-            received.push(classify_bit(&threshold, observed));
-        }
-
-        Ok(BaselineReport::new(
-            self.name(),
+        Ok(transmit_periods(
+            periods,
             bits,
-            received,
-            observations,
-            sender_accesses,
+            noise,
+            |machine, _| {
+                machine.run_trace(RECEIVER, &first_half);
+            },
+            |machine, _| {
+                machine.run_trace(RECEIVER, &second_half);
+                machine
+                    .measured_chase(RECEIVER, &[receiver_lines.line(0)])
+                    .0
+            },
         ))
-    }
-}
-
-impl BaselineChannel for LruChannel {
-    fn name(&self) -> &'static str {
-        "LRU channel"
-    }
-
-    fn requires_shared_memory(&self) -> bool {
-        false
-    }
-
-    fn requires_clflush(&self) -> bool {
-        false
-    }
-
-    fn transmit(&mut self, bits: &[bool]) -> Result<BaselineReport, Error> {
-        self.run(bits, None)
-    }
-
-    fn transmit_with_noise(
-        &mut self,
-        bits: &[bool],
-        noise: NoiseSpec,
-    ) -> Result<BaselineReport, Error> {
-        self.run(bits, Some(noise))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn payload(seed: u64, len: usize) -> Vec<bool> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -193,16 +122,13 @@ mod tests {
 
     #[test]
     fn lru_channel_transmits_under_true_lru() {
-        let mut channel = LruChannel::new(8);
         let bits = payload(8, 96);
-        let report = channel.transmit(&bits).unwrap();
+        let report = LruChannel::new(8).transmit(&bits, None).unwrap();
         assert!(
             report.bit_error_rate < 0.05,
             "LRU channel BER {}",
             report.bit_error_rate
         );
-        assert!(!channel.requires_shared_memory());
-        assert!(!channel.requires_clflush());
     }
 
     #[test]
@@ -210,9 +136,9 @@ mod tests {
         // Figure 8(a): with one noisy line per period, accessing line 0
         // always misses, so zeros are decoded as ones.
         let bits = payload(9, 96);
-        let clean = LruChannel::new(9).transmit(&bits).unwrap();
+        let clean = LruChannel::new(9).transmit(&bits, None).unwrap();
         let noisy = LruChannel::new(9)
-            .transmit_with_noise(&bits, NoiseSpec::every_period())
+            .transmit(&bits, Some(NoiseSpec::every_period()))
             .unwrap();
         assert!(
             noisy.bit_error_rate > 0.2,
@@ -224,12 +150,8 @@ mod tests {
 
     #[test]
     fn lru_sender_touches_the_cache_more_than_once_per_one_bit() {
-        let mut channel = LruChannel::new(10);
         let bits = vec![true, false, true, true];
-        let report = channel.transmit(&bits).unwrap();
-        assert_eq!(
-            report.sender_accesses,
-            3 * channel.modulations_per_one as u64
-        );
+        let report = LruChannel::new(10).transmit(&bits, None).unwrap();
+        assert_eq!(report.sender_accesses, 3 * MODULATIONS_PER_ONE as u64);
     }
 }

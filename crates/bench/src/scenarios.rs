@@ -16,7 +16,6 @@
 //! cores while keeping every cell bit-identical at any thread count.
 
 use analysis::table::{fixed, percent, percent2, Table};
-use baselines::common::BaselineChannel;
 use baselines::comparison::{
     classification_table, loads_per_ms_estimate, noise_robustness_comparison,
 };
@@ -515,10 +514,11 @@ fn table6_point(ctx: &PointCtx) -> Result<PointOutput, String> {
         // LRU-channel sender: accesses per bit measured from a baseline run,
         // converted to per-ms at the same Ts (plus the same spin footprint
         // the WB sender was given).
-        let mut lru = LruChannel::new(ctx.seed);
         let mut rng = StdRng::seed_from_u64(ctx.seed);
         let bits: Vec<bool> = (0..256).map(|_| rng.gen()).collect();
-        let report = lru.transmit(&bits).map_err(err)?;
+        let report = LruChannel::new(ctx.seed)
+            .transmit(&bits, None)
+            .map_err(err)?;
         let accesses_per_bit = report.sender_accesses as f64 / bits.len() as f64;
         let l1_per_ms = loads_per_ms_estimate(
             accesses_per_bit + LRU_SPIN_PER_BIT,

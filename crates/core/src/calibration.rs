@@ -16,6 +16,7 @@ use analysis::histogram::Cdf;
 use analysis::stats::Summary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sim_cache::addr::CacheGeometry;
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
@@ -71,36 +72,62 @@ struct Bench {
     sweeps: u64,
 }
 
+/// Checks that a receiver on `geometry` can build its layout on
+/// `target_set` with two replacement sets of `replacement_size` lines, and
+/// that a sender can dirty `d` lines of the set.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidConfig`] for a set outside the L1, a replacement
+/// set smaller than the associativity or larger than
+/// [`MAX_REPLACEMENT_SIZE`], or more dirty lines than the set has ways.
+pub fn check_layout(
+    geometry: CacheGeometry,
+    target_set: usize,
+    replacement_size: usize,
+    d: usize,
+) -> Result<(), Error> {
+    if target_set >= geometry.num_sets {
+        return Err(Error::InvalidConfig {
+            field: "target_set",
+            reason: format!(
+                "set {target_set} out of range (L1 has {} sets)",
+                geometry.num_sets
+            ),
+        });
+    }
+    if replacement_size < geometry.associativity {
+        return Err(Error::InvalidConfig {
+            field: "replacement_size",
+            reason: format!(
+                "replacement sets must contain at least W = {} lines",
+                geometry.associativity
+            ),
+        });
+    }
+    if replacement_size > MAX_REPLACEMENT_SIZE {
+        return Err(Error::InvalidConfig {
+            field: "replacement_size",
+            reason: format!(
+                "replacement sets A and B stay disjoint only up to {MAX_REPLACEMENT_SIZE} lines"
+            ),
+        });
+    }
+    let associativity = geometry.associativity;
+    if d > associativity {
+        return Err(Error::InvalidConfig {
+            field: "d",
+            reason: format!("cannot dirty {d} lines: the L1 set has {associativity} ways"),
+        });
+    }
+    Ok(())
+}
+
 impl Bench {
-    fn new(config: &CalibrationConfig) -> Result<Bench, Error> {
+    fn new(config: &CalibrationConfig, d: usize) -> Result<Bench, Error> {
         let machine = Machine::new(config.machine)?;
         let geometry = machine.l1_geometry();
-        if config.target_set >= geometry.num_sets {
-            return Err(Error::InvalidConfig {
-                field: "target_set",
-                reason: format!(
-                    "set {} out of range (L1 has {} sets)",
-                    config.target_set, geometry.num_sets
-                ),
-            });
-        }
-        if config.replacement_size < geometry.associativity {
-            return Err(Error::InvalidConfig {
-                field: "replacement_size",
-                reason: format!(
-                    "replacement sets must contain at least W = {} lines",
-                    geometry.associativity
-                ),
-            });
-        }
-        if config.replacement_size > MAX_REPLACEMENT_SIZE {
-            return Err(Error::InvalidConfig {
-                field: "replacement_size",
-                reason: format!(
-                    "replacement sets A and B stay disjoint only up to {MAX_REPLACEMENT_SIZE} lines"
-                ),
-            });
-        }
+        check_layout(geometry, config.target_set, config.replacement_size, d)?;
         let receiver_layout = ChannelLayout::build(
             AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
             geometry,
@@ -170,7 +197,9 @@ impl Bench {
 }
 
 /// Measures `samples_per_level` replacement latencies with `d` dirty lines in
-/// the target set before every sweep.
+/// the target set before every sweep.  Also reports the simulated cycles the
+/// measurement machine consumed (warm-up, encoding bursts and sweeps
+/// combined) — the cycle-attribution source for calibrate-phase telemetry.
 ///
 /// # Errors
 ///
@@ -179,30 +208,8 @@ impl Bench {
 pub fn replacement_latency_samples(
     config: &CalibrationConfig,
     d: usize,
-) -> Result<Vec<u64>, Error> {
-    replacement_latency_samples_with_cycles(config, d).map(|(samples, _)| samples)
-}
-
-/// As [`replacement_latency_samples`], but also reports the simulated cycles
-/// the measurement machine consumed (warm-up, encoding bursts and sweeps
-/// combined) — the cycle-attribution source for calibrate-phase telemetry.
-///
-/// # Errors
-///
-/// Returns an error if the configuration is invalid or `d` exceeds the
-/// associativity.
-pub fn replacement_latency_samples_with_cycles(
-    config: &CalibrationConfig,
-    d: usize,
 ) -> Result<(Vec<u64>, u64), Error> {
-    let mut bench = Bench::new(config)?;
-    let associativity = bench.machine.l1_geometry().associativity;
-    if d > associativity {
-        return Err(Error::InvalidConfig {
-            field: "d",
-            reason: format!("cannot dirty {d} lines: the L1 set has {associativity} ways"),
-        });
-    }
+    let mut bench = Bench::new(config, d)?;
     bench.warm();
     let encode = bench.encode_trace(d);
     let mut samples = Vec::with_capacity(config.samples_per_level);
@@ -226,14 +233,18 @@ pub fn latency_cdfs(
     dirty_counts
         .iter()
         .map(|&d| {
-            let samples = replacement_latency_samples(config, d)?;
+            let (samples, _) = replacement_latency_samples(config, d)?;
             let as_f64: Vec<f64> = samples.iter().map(|&s| s as f64).collect();
             Ok((d, Cdf::from_samples(&as_f64)))
         })
         .collect()
 }
 
-/// Calibrates a decoder for `encoding` on the configured machine.
+/// Calibrates a decoder for `encoding` on the configured machine.  Also
+/// reports the total simulated cycles the calibration consumed across every
+/// latency class (one fresh measurement machine per class), which
+/// [`crate::session::ChannelSession`] records as the session's
+/// calibrate-phase span.
 ///
 /// # Errors
 ///
@@ -242,29 +253,13 @@ pub fn latency_cdfs(
 pub fn calibrate_decoder(
     config: &CalibrationConfig,
     encoding: &SymbolEncoding,
-) -> Result<Decoder, Error> {
-    calibrate_decoder_with_cycles(config, encoding).map(|(decoder, _)| decoder)
-}
-
-/// As [`calibrate_decoder`], but also reports the total simulated cycles the
-/// calibration consumed across every latency class (one fresh measurement
-/// machine per class).  [`crate::session::ChannelSession`] records this as
-/// the session's calibrate-phase span.
-///
-/// # Errors
-///
-/// Returns calibration errors if the latency classes cannot be separated
-/// (which happens, by design, under some of the defenses).
-pub fn calibrate_decoder_with_cycles(
-    config: &CalibrationConfig,
-    encoding: &SymbolEncoding,
 ) -> Result<(Decoder, u64), Error> {
     let mut cycles = 0u64;
     let classes: Vec<Vec<f64>> = encoding
         .levels()
         .iter()
         .map(|&d| {
-            let (samples, machine_cycles) = replacement_latency_samples_with_cycles(config, d)?;
+            let (samples, machine_cycles) = replacement_latency_samples(config, d)?;
             cycles += machine_cycles;
             Ok(samples.into_iter().map(|s| s as f64).collect())
         })
@@ -319,6 +314,12 @@ pub fn access_latency_classes(config: &CalibrationConfig) -> Result<AccessLatenc
         .chain(std::iter::once(TraceOp::write(clean_probe)))
         .collect();
 
+    // One timed load: its true latency, no `rdtscp` overhead.
+    let load = |machine: &mut Machine, line| {
+        machine
+            .run_trace(RECEIVER_DOMAIN, &[TraceOp::read(line)])
+            .cycles as f64
+    };
     let mut l1_hits = Vec::new();
     let mut l2_clean = Vec::new();
     let mut l2_dirty = Vec::new();
@@ -329,20 +330,16 @@ pub fn access_latency_classes(config: &CalibrationConfig) -> Result<AccessLatenc
         machine.run_trace(RECEIVER_DOMAIN, &clean_refill);
 
         // L1 hit: an immediate re-access of the line filled last.
-        l1_hits.push(
-            machine
-                .read(RECEIVER_DOMAIN, lines.line(sweep_len - 1))
-                .cycles as f64,
-        );
+        l1_hits.push(load(&mut machine, lines.line(sweep_len - 1)));
 
         // L2 hit replacing a clean victim: every resident line is clean, so
         // whichever victim the policy picks, no write-back is needed.
-        l2_clean.push(machine.read(RECEIVER_DOMAIN, clean_probe).cycles as f64);
+        l2_clean.push(load(&mut machine, clean_probe));
 
         // L2 hit replacing a dirty victim: dirty every line that could still
         // be resident, so the victim is necessarily dirty.
         machine.run_trace(RECEIVER_DOMAIN, &dirty_everything);
-        l2_dirty.push(machine.read(RECEIVER_DOMAIN, dirty_probe).cycles as f64);
+        l2_dirty.push(load(&mut machine, dirty_probe));
     }
 
     let summarise = |v: &[f64]| Summary::of(v).expect("sample sets are non-empty");
@@ -369,8 +366,8 @@ mod tests {
     #[test]
     fn clean_and_dirty_sweeps_are_separable() {
         let config = quiet_config();
-        let clean = replacement_latency_samples(&config, 0).unwrap();
-        let dirty = replacement_latency_samples(&config, 8).unwrap();
+        let (clean, _) = replacement_latency_samples(&config, 0).unwrap();
+        let (dirty, _) = replacement_latency_samples(&config, 8).unwrap();
         let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
         let gap = mean(&dirty) - mean(&clean);
         // Eight dirty lines at ~11 cycles each.
@@ -387,7 +384,7 @@ mod tests {
         let config = quiet_config();
         let mut means = Vec::new();
         for d in [0usize, 2, 4, 6, 8] {
-            let samples = replacement_latency_samples(&config, d).unwrap();
+            let (samples, _) = replacement_latency_samples(&config, d).unwrap();
             means.push(samples.iter().sum::<u64>() as f64 / samples.len() as f64);
         }
         for pair in means.windows(2) {
@@ -412,9 +409,9 @@ mod tests {
     fn calibrated_binary_decoder_separates_the_classes() {
         let config = quiet_config();
         let encoding = SymbolEncoding::binary(1).unwrap();
-        let decoder = calibrate_decoder(&config, &encoding).unwrap();
-        let clean = replacement_latency_samples(&config, 0).unwrap();
-        let dirty = replacement_latency_samples(&config, 1).unwrap();
+        let (decoder, _) = calibrate_decoder(&config, &encoding).unwrap();
+        let (clean, _) = replacement_latency_samples(&config, 0).unwrap();
+        let (dirty, _) = replacement_latency_samples(&config, 1).unwrap();
         let errors = clean.iter().filter(|&&l| decoder.classify(l) != 0).count()
             + dirty.iter().filter(|&&l| decoder.classify(l) != 1).count();
         let total = clean.len() + dirty.len();

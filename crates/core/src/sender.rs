@@ -270,7 +270,9 @@ mod tests {
         // Started at cycle 100, the three periods end on 5 100, 10 100 and
         // 15 100.
         let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
-        machine.advance(100);
+        let mut start = TraceProgram::new("start", 2);
+        start.wait_until(100);
+        machine.run_session(std::slice::from_ref(&start), &mut [], 1_000);
         let report = machine.run_session(std::slice::from_ref(&program), &mut [], 1_000_000);
         assert_eq!(report.finished_at, 15_100);
         // With a rendezvous epoch the first period starts at the epoch.

@@ -20,7 +20,7 @@
 //!   noise
 //! ```
 
-use crate::calibration::{calibrate_decoder_with_cycles, CalibrationConfig};
+use crate::calibration::{calibrate_decoder, CalibrationConfig};
 use crate::capacity::{rate_kbps, RatePoint};
 use crate::channel::{ChannelConfig, EvaluationReport, TransmissionReport};
 use crate::error::Error;
@@ -257,8 +257,7 @@ impl ChannelSession {
             samples_per_level: config.calibration_samples,
             seed: config.seed ^ 0xca11,
         };
-        let (decoder, calibration_cycles) =
-            calibrate_decoder_with_cycles(&calibration, &config.encoding)?;
+        let (decoder, calibration_cycles) = calibrate_decoder(&calibration, &config.encoding)?;
         Ok(ChannelSession {
             rng: StdRng::seed_from_u64(config.seed ^ 0xc0de),
             decoder,

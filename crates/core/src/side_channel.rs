@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use sim_cache::line::DomainId;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
-use sim_core::memlayout::SetLines;
+use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::process::{AddressSpace, ProcessId};
 
 const ATTACKER_DOMAIN: DomainId = 1;
@@ -112,8 +112,7 @@ struct Setup {
     clean_prime_trace: Vec<TraceOp>,
     /// Two disjoint probe (replacement) sets for set *m*, used alternately so
     /// consecutive probes never self-hit in the L1 (Algorithm 2's A/B trick).
-    probe_m_a: SetLines,
-    probe_m_b: SetLines,
+    probe_m: ChannelLayout,
     /// Lines the attacker dirties to prime set *m* (scenarios 2 and 3).
     prime_m: SetLines,
     /// Lines the attacker uses to prime set *n* with clean lines.
@@ -157,8 +156,7 @@ impl Setup {
             3_000,
         );
         Ok(Setup {
-            probe_m_a: SetLines::build(attacker, geometry, config.set_m, 10, 1_000),
-            probe_m_b: SetLines::build(attacker, geometry, config.set_m, 10, 2_000),
+            probe_m: ChannelLayout::build(attacker, geometry, config.set_m, 0, 10),
             dirty_prime_trace: prime_m.lines().iter().map(|&l| TraceOp::write(l)).collect(),
             clean_prime_trace: prime_n.lines().iter().map(|&l| TraceOp::read(l)).collect(),
             prime_m,
@@ -177,10 +175,11 @@ impl Setup {
         // The two parties' address spaces are disjoint: one batched trace
         // per domain, same access order as the per-access loops had.
         let attacker_warm: Vec<TraceOp> = self
-            .probe_m_a
+            .probe_m
+            .replacement_a
             .lines()
             .iter()
-            .chain(self.probe_m_b.lines())
+            .chain(self.probe_m.replacement_b.lines())
             .chain(self.prime_m.lines())
             .chain(self.prime_n.lines())
             .map(|&l| TraceOp::read(l))
@@ -199,11 +198,7 @@ impl Setup {
     /// Attacker sweep of set *m* (measured), alternating the two disjoint
     /// probe sets.
     fn probe_m(&mut self) -> u64 {
-        let replacement = if self.sweeps % 2 == 0 {
-            &self.probe_m_a
-        } else {
-            &self.probe_m_b
-        };
+        let replacement = self.probe_m.replacement_for(self.sweeps);
         self.sweeps += 1;
         let order = replacement.shuffled(&mut self.rng);
         let (measured, _) = self.machine.measured_chase(ATTACKER_DOMAIN, &order);
@@ -227,11 +222,12 @@ impl Setup {
     /// The victim of Figure 9(a): store to line 0 when the secret is set,
     /// load line 1 otherwise.
     fn victim_dirty_branch(&mut self, secret: bool) {
-        if secret {
-            self.machine.write(VICTIM_DOMAIN, self.victim_line0.line(0));
+        let op = if secret {
+            TraceOp::write(self.victim_line0.line(0))
         } else {
-            self.machine.read(VICTIM_DOMAIN, self.victim_line1.line(0));
-        }
+            TraceOp::read(self.victim_line1.line(0))
+        };
+        self.machine.run_trace(VICTIM_DOMAIN, &[op]);
     }
 
     /// The victim of Figure 9(b): load line 0 or line 1 depending on the
@@ -301,22 +297,16 @@ pub fn run_scenario(
             zeros.push(observed);
         }
     }
-    let threshold = BinaryThreshold::calibrate(&zeros, &ones);
     // In scenario 2 a secret of 1 *lowers* the latency (a dirty line was
     // already evicted by the victim), so the comparison direction flips.
-    let ones_are_slower = threshold.mean_one >= threshold.mean_zero;
+    let threshold = BinaryThreshold::calibrate(&zeros, &ones);
 
     // Scored trials with random secrets.
     let mut correct = 0usize;
     for _ in 0..config.trials {
         let secret = rng.gen_bool(0.5);
         let observed = observe(&mut setup, secret) as f64;
-        let classified_one = if ones_are_slower {
-            threshold.classify(observed)
-        } else {
-            !threshold.classify(observed)
-        };
-        if classified_one == secret {
+        if threshold.classify_directed(observed) == secret {
             correct += 1;
         }
     }

@@ -241,7 +241,8 @@ mod tests {
 
     #[test]
     fn partitioning_defense_restricts_both_domains() {
-        let mut machine = Machine::xeon_e5_2650(PolicyKind::TreePlru, 2);
+        let mut machine =
+            Machine::new(MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, 2)).unwrap();
         Defense::NoMoPartitioning
             .apply_to_machine(&mut machine)
             .unwrap();

@@ -17,6 +17,7 @@ use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::process::{AddressSpace, ProcessId};
+use wb_channel::calibration::check_layout;
 use wb_channel::Error;
 
 /// Result of evaluating one defense.
@@ -76,7 +77,9 @@ impl Default for EvaluationConfig {
 ///
 /// # Errors
 ///
-/// Propagates machine-configuration errors.
+/// Propagates machine-configuration errors, and returns
+/// [`Error::InvalidConfig`] when the attacker's layout does not fit the L1
+/// (see [`check_layout`]).
 pub fn evaluate_defense(
     defense: Defense,
     config: &EvaluationConfig,
@@ -92,6 +95,12 @@ pub fn evaluate_defense(
     // The attacker adapts the replacement-set size to the defense (the
     // paper's Sec. VI-A counter to pseudo-random replacement).
     let replacement_size = defense.attacker_replacement_size(config.replacement_size);
+    check_layout(
+        geometry,
+        config.target_set,
+        replacement_size,
+        config.dirty_lines,
+    )?;
     let receiver_layout = ChannelLayout::build(
         AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
         geometry,
@@ -143,7 +152,7 @@ pub fn evaluate_defense(
         if defense.locks_protected_lines() {
             for i in 0..d {
                 let line = sender_lines.line(i);
-                machine.write(SENDER_DOMAIN, line);
+                machine.run_trace(SENDER_DOMAIN, &[TraceOp::write(line)]);
                 machine.hierarchy_mut().l1_mut().lock_line(line);
                 locked_lines.push(line);
             }
@@ -190,31 +199,15 @@ pub fn evaluate_defense(
     // Calibrate on the first half, score on the second half.
     let half = per_class / 2;
     let threshold = BinaryThreshold::calibrate(&clean[..half], &dirty[..half]);
-    let ones_are_slower = threshold.mean_one >= threshold.mean_zero;
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    for &value in &clean[half..] {
-        let classified_dirty = if ones_are_slower {
-            threshold.classify(value)
-        } else {
-            !threshold.classify(value)
-        };
-        if !classified_dirty {
-            correct += 1;
-        }
-        total += 1;
-    }
-    for &value in &dirty[half..] {
-        let classified_dirty = if ones_are_slower {
-            threshold.classify(value)
-        } else {
-            !threshold.classify(value)
-        };
-        if classified_dirty {
-            correct += 1;
-        }
-        total += 1;
-    }
+    let correct = clean[half..]
+        .iter()
+        .filter(|&&value| !threshold.classify_directed(value))
+        .count()
+        + dirty[half..]
+            .iter()
+            .filter(|&&value| threshold.classify_directed(value))
+            .count();
+    let total = (per_class - half) * 2;
     let accuracy = correct as f64 / total.max(1) as f64;
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
 
@@ -305,6 +298,37 @@ mod tests {
         assert!(result.accuracy > 0.95, "accuracy {}", result.accuracy);
         assert!(!result.mitigated);
         assert!(result.mean_dirty > result.mean_clean + 20.0);
+    }
+
+    #[test]
+    fn invalid_configurations_are_errors_not_panics() {
+        let bad = [
+            EvaluationConfig {
+                target_set: 64,
+                ..config()
+            },
+            EvaluationConfig {
+                replacement_size: 1_001,
+                ..config()
+            },
+            EvaluationConfig {
+                replacement_size: 4,
+                ..config()
+            },
+            EvaluationConfig {
+                dirty_lines: 9,
+                ..config()
+            },
+        ];
+        for bad in bad {
+            assert!(
+                matches!(
+                    evaluate_defense(Defense::None, &bad),
+                    Err(Error::InvalidConfig { .. })
+                ),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! use sim_core::memlayout::SetLines;
 //! use sim_core::process::{AddressSpace, ProcessId};
 //! use sim_cache::policy::PolicyKind;
+//! use sim_cache::trace::TraceOp;
 //!
 //! # fn main() -> Result<(), sim_cache::Error> {
 //! let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TrueLru, 1))?;
@@ -52,9 +53,8 @@
 //! let replacement = SetLines::build(receiver, geometry, 13, 10, 1_000);
 //!
 //! // Warm the lines, then measure a sweep of the target set.
-//! for &line in replacement.lines() {
-//!     machine.read(1, line);
-//! }
+//! let warm: Vec<TraceOp> = replacement.lines().iter().map(|&l| TraceOp::read(l)).collect();
+//! machine.run_trace(1, &warm);
 //! let (measured, _true_latency) = machine.measured_chase(1, replacement.lines());
 //! assert!(measured > 0);
 //! # Ok(())

@@ -5,10 +5,12 @@
 //! cycle counter (the simulated time-stamp counter), the measurement-noise
 //! model and the OS-interrupt noise model.  It can be driven in two ways:
 //!
-//! * **directly** — experiment code calls [`Machine::read`],
-//!   [`Machine::write`], [`Machine::measured_chase`] etc.; each call advances
-//!   the clock by the access latency.  This is how the single-threaded
-//!   calibration experiments (Table IV, Figure 4) run.
+//! * **directly** — experiment code calls [`Machine::run_trace`] (a batch of
+//!   loads, stores and flushes: a program's `Ops` step) and
+//!   [`Machine::measured_chase`] (a timed pointer chase: a program's `Chase`
+//!   step); each call advances the clock by the latency.  This is how the
+//!   single-threaded calibration experiments (Table IV, Figure 4), the
+//!   defense evaluation, the side channel and the baselines run.
 //! * **as an SMT core** — [`Machine::run_session`] interleaves compiled
 //!   [`TraceProgram`]s (sender, receiver, noise processes) and refilled
 //!   [`CompilerWorkload`] co-runners on the shared hierarchy in event order,
@@ -27,7 +29,6 @@ use sim_cache::addr::{CacheGeometry, PhysAddr};
 use sim_cache::cache::AccessContext;
 use sim_cache::hierarchy::{CacheHierarchy, HierarchyConfig};
 use sim_cache::line::DomainId;
-use sim_cache::outcome::AccessOutcome;
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::{TraceKind, TraceOp, TraceSummary};
 
@@ -129,16 +130,6 @@ impl Machine {
         })
     }
 
-    /// Convenience constructor for the paper's machine.
-    ///
-    /// # Panics
-    ///
-    /// Never panics; the built-in configuration is valid.
-    pub fn xeon_e5_2650(l1_policy: PolicyKind, seed: u64) -> Machine {
-        Machine::new(MachineConfig::xeon_e5_2650(l1_policy, seed))
-            .expect("built-in configuration is valid")
-    }
-
     /// Resets this machine to the state [`Machine::new`] would produce for
     /// `config`, reusing the cache arenas when geometries are unchanged.
     /// Behaviourally indistinguishable from a fresh construction — the
@@ -211,35 +202,11 @@ impl Machine {
         self.sink.take()
     }
 
-    /// Advances the clock without doing anything (models pure compute).
-    pub fn advance(&mut self, cycles: u64) {
-        self.now += cycles;
-    }
-
-    /// Performs a demand load for `domain` and advances the clock.
-    pub fn read(&mut self, domain: DomainId, addr: PhysAddr) -> AccessOutcome {
-        let outcome = self.hierarchy.read(addr, AccessContext::for_domain(domain));
-        self.now += outcome.cycles;
-        outcome
-    }
-
-    /// Performs a demand store for `domain` and advances the clock.
-    pub fn write(&mut self, domain: DomainId, addr: PhysAddr) -> AccessOutcome {
-        let outcome = self
-            .hierarchy
-            .write(addr, AccessContext::for_domain(domain));
-        self.now += outcome.cycles;
-        outcome
-    }
-
     /// Executes a batched trace for `domain` and advances the clock once.
     ///
-    /// Per-op semantics are identical to issuing the operations through
-    /// [`Machine::read`] / [`Machine::write`] / [`Machine::flush`] in
-    /// sequence — same cache-state evolution and cycle attribution — but
-    /// the per-access [`AccessOutcome`] handling is folded into one summary.
-    /// The warm-up and refill loops of the calibration and defense harnesses
-    /// run through this.
+    /// Per-op semantics are those of a session's `Ops` step: one access
+    /// after the other, each outcome folded into the returned summary.  A
+    /// single access is a one-op trace.
     pub fn run_trace(&mut self, domain: DomainId, ops: &[TraceOp]) -> TraceSummary {
         let summary = self
             .hierarchy
@@ -248,22 +215,13 @@ impl Machine {
         summary
     }
 
-    /// Flushes a line for `domain` and advances the clock.
-    pub fn flush(&mut self, domain: DomainId, addr: PhysAddr) -> AccessOutcome {
-        let outcome = self
-            .hierarchy
-            .flush(addr, AccessContext::for_domain(domain));
-        self.now += outcome.cycles;
-        outcome
-    }
-
     /// Executes a serialised pointer-chasing walk and returns
     /// `(measured, true_latency)`: the value the attacker's `rdtscp` pair
     /// reports and the underlying true latency.
     ///
-    /// The walk — the receiver's decode hot loop — runs through the batched
-    /// trace engine: per-line semantics are unchanged but no per-access
-    /// outcome is materialised.
+    /// The walk is a session's `Chase` step: the loads run back to back and
+    /// one `rdtscp` pair times all of them.  A single measured load is a
+    /// one-address chase.
     pub fn measured_chase(&mut self, domain: DomainId, addrs: &[PhysAddr]) -> (u64, u64) {
         let summary = self
             .hierarchy
@@ -271,14 +229,6 @@ impl Machine {
         self.now += summary.cycles;
         let measured = self.tsc.measure(summary.cycles, &mut self.rng);
         (measured, summary.cycles)
-    }
-
-    /// Executes a single measured load, returning `(measured, outcome)`.
-    pub fn measured_read(&mut self, domain: DomainId, addr: PhysAddr) -> (u64, AccessOutcome) {
-        let outcome = self.hierarchy.read(addr, AccessContext::for_domain(domain));
-        self.now += outcome.cycles;
-        let measured = self.tsc.measure(outcome.cycles, &mut self.rng);
-        (measured, outcome)
     }
 
     /// Runs a set of compiled [`TraceProgram`]s and `co_runners` (one
@@ -555,7 +505,6 @@ mod tests {
     use crate::process::{AddressSpace, ProcessId};
     use crate::workload::CHUNK_ACCESSES;
     use proptest::prelude::*;
-    use sim_cache::outcome::HitLevel;
 
     fn ideal_machine() -> Machine {
         Machine::new(MachineConfig::ideal(PolicyKind::TrueLru, 7)).unwrap()
@@ -566,12 +515,12 @@ mod tests {
         let mut m = ideal_machine();
         let addr = PhysAddr(0x4000);
         let t0 = m.now();
-        let miss = m.read(1, addr);
-        assert_eq!(miss.hit, HitLevel::Memory);
+        let miss = m.run_trace(1, &[TraceOp::read(addr)]);
+        assert_eq!(miss.memory_accesses, 1);
         assert_eq!(m.now() - t0, miss.cycles);
         let t1 = m.now();
-        let hit = m.read(1, addr);
-        assert_eq!(hit.hit, HitLevel::L1D);
+        let hit = m.run_trace(1, &[TraceOp::read(addr)]);
+        assert_eq!(hit.l1_hits, 1);
         assert_eq!(m.now() - t1, hit.cycles);
     }
 
@@ -588,25 +537,21 @@ mod tests {
 
         // Warm every line so later accesses are L2 hits, then initialise the
         // target set with the receiver's clean lines.
-        for &a in replacement_a.lines().iter().chain(replacement_b.lines()) {
-            m.read(1, a);
-        }
-        for &a in target.lines() {
-            m.read(2, a);
-        }
+        let reads = |lines: &[PhysAddr]| -> Vec<TraceOp> {
+            lines.iter().map(|&a| TraceOp::read(a)).collect()
+        };
+        m.run_trace(1, &reads(replacement_a.lines()));
+        m.run_trace(1, &reads(replacement_b.lines()));
+        m.run_trace(2, &reads(target.lines()));
         let (clean, _) = m.measured_chase(1, replacement_a.lines());
 
-        // Sender dirties 4 of its lines that are still resident.
-        for &a in target.lines().iter().take(4) {
-            m.read(2, a); // ensure residency
-        }
         // Refill the set with sender lines, then dirty 4 of them.
-        for &a in target.lines() {
-            m.read(2, a);
-        }
-        for &a in target.lines().iter().take(4) {
-            m.write(2, a);
-        }
+        m.run_trace(2, &reads(target.lines()));
+        let stores: Vec<TraceOp> = target.lines()[..4]
+            .iter()
+            .map(|&a| TraceOp::write(a))
+            .collect();
+        m.run_trace(2, &stores);
         let (dirty, _) = m.measured_chase(1, replacement_b.lines());
         let penalty = m.hierarchy().latency_model().per_dirty_line_penalty();
         assert!(
@@ -633,13 +578,7 @@ mod tests {
         let mut serial = ideal_machine();
         let mut expected = TraceSummary::default();
         for op in &ops {
-            use sim_cache::trace::TraceKind;
-            let outcome = match op.kind {
-                TraceKind::Read => serial.read(5, op.addr),
-                TraceKind::Write => serial.write(5, op.addr),
-                TraceKind::Flush => serial.flush(5, op.addr),
-            };
-            expected.absorb(&outcome);
+            expected.merge(&serial.run_trace(5, std::slice::from_ref(op)));
         }
         assert_eq!(summary, expected);
         assert_eq!(batched.now(), serial.now());
@@ -1151,29 +1090,35 @@ mod tests {
         // outcomes, same measured values (RNG stream), same stats.
         let mut reused =
             Machine::new(MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, 1)).unwrap();
-        for i in 0..500u64 {
-            let addr = PhysAddr(((i * 131) % (1 << 18)) & !63);
-            if i % 3 == 0 {
-                reused.write(4, addr);
-            } else {
-                reused.read(4, addr);
-            }
-        }
+        let warm: Vec<TraceOp> = (0..500u64)
+            .map(|i| {
+                let addr = PhysAddr(((i * 131) % (1 << 18)) & !63);
+                if i % 3 == 0 {
+                    TraceOp::write(addr)
+                } else {
+                    TraceOp::read(addr)
+                }
+            })
+            .collect();
+        reused.run_trace(4, &warm);
         let target = MachineConfig::xeon_e5_2650(PolicyKind::IntelLike, 99);
         reused.reset(target).unwrap();
         let mut fresh = Machine::new(target).unwrap();
         assert_eq!(reused.now(), 0);
         for i in 0..400u64 {
             let addr = PhysAddr(((i * 197) % (1 << 16)) & !63);
-            let (a, b) = if i % 4 == 0 {
-                (reused.write(2, addr), fresh.write(2, addr))
+            let op = [if i % 4 == 0 {
+                TraceOp::write(addr)
             } else {
-                (reused.read(2, addr), fresh.read(2, addr))
-            };
+                TraceOp::read(addr)
+            }];
+            let (a, b) = (reused.run_trace(2, &op), fresh.run_trace(2, &op));
             assert_eq!(a, b, "outcome diverged at access {i}");
-            let (ma, _) = reused.measured_read(2, addr);
-            let (mb, _) = fresh.measured_read(2, addr);
-            assert_eq!(ma, mb, "measurement diverged at access {i}");
+            let measured = (
+                reused.measured_chase(2, &[addr]),
+                fresh.measured_chase(2, &[addr]),
+            );
+            assert_eq!(measured.0, measured.1, "measurement diverged at access {i}");
         }
         assert_eq!(reused.hierarchy().stats(), fresh.hierarchy().stats());
         assert_eq!(reused.now(), fresh.now());

@@ -8,7 +8,7 @@
 //! replay against a genuinely fresh machine.
 
 use proptest::prelude::*;
-use sim_cache::prelude::{HierarchyPreset, PhysAddr, PolicyKind};
+use sim_cache::prelude::{HierarchyPreset, PhysAddr, PolicyKind, TraceOp, TraceSummary};
 use sim_core::prelude::{Machine, MachineConfig};
 
 fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
@@ -45,12 +45,30 @@ fn preset_machine_config(preset: HierarchyPreset, policy: PolicyKind, seed: u64)
     config
 }
 
+/// Runs one generated op through the machine's two direct calls: a load,
+/// store or flush as a one-op `run_trace`, anything else as a one-address
+/// `measured_chase`.  Returns the trace summary or the chase's
+/// `(measured, true_latency)`.
+fn drive(machine: &mut Machine, domain: u16, kind: u8, line: u64) -> (TraceSummary, (u64, u64)) {
+    let addr = PhysAddr(line * 64);
+    let op = match kind {
+        0 => TraceOp::read(addr),
+        1 => TraceOp::write(addr),
+        2 => TraceOp::flush(addr),
+        _ => {
+            let chase = machine.measured_chase(domain, &[addr]);
+            return (TraceSummary::default(), chase);
+        }
+    };
+    (machine.run_trace(domain, &[op]), (0, 0))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// After arbitrary warm-up traffic under one configuration, a reset
     /// machine replays any trace exactly like a fresh machine built with the
-    /// target configuration: same access outcomes, same measured timestamps
+    /// target configuration: same trace summaries, same measured timestamps
     /// (RNG stream position), same stats and clock.
     #[test]
     fn reset_machine_replays_any_trace_like_a_fresh_one(
@@ -66,21 +84,7 @@ proptest! {
         let mut recycled =
             Machine::new(preset_machine_config(warm_preset, warm_policy, warm_seed)).unwrap();
         for &(kind, line) in &warmup {
-            let addr = PhysAddr(line * 64);
-            match kind {
-                0 => {
-                    recycled.read(4, addr);
-                }
-                1 => {
-                    recycled.write(4, addr);
-                }
-                2 => {
-                    recycled.flush(4, addr);
-                }
-                _ => {
-                    recycled.measured_read(4, addr);
-                }
-            }
+            drive(&mut recycled, 4, kind, line);
         }
 
         let target = preset_machine_config(preset, policy, seed);
@@ -89,13 +93,7 @@ proptest! {
         prop_assert_eq!(recycled.now(), 0);
 
         for (i, &(kind, line)) in ops.iter().enumerate() {
-            let addr = PhysAddr(line * 64);
-            let matched = match kind {
-                0 => recycled.read(2, addr) == fresh.read(2, addr),
-                1 => recycled.write(2, addr) == fresh.write(2, addr),
-                2 => recycled.flush(2, addr) == fresh.flush(2, addr),
-                _ => recycled.measured_read(2, addr) == fresh.measured_read(2, addr),
-            };
+            let matched = drive(&mut recycled, 2, kind, line) == drive(&mut fresh, 2, kind, line);
             prop_assert!(matched, "replay diverged at op {} ({:?})", i, (kind, line));
         }
 

@@ -11,7 +11,7 @@
 //! * [`sim_core`] — SMT core, TSC, OS-noise and workload substrate.
 //! * [`analysis`] — statistics, thresholds, edit distance, table rendering.
 //! * [`wb_channel`] — the paper's contribution: the WB covert/side channel.
-//! * [`baselines`] — Flush+Reload, Flush+Flush, Prime+Probe, LRU channel.
+//! * [`baselines`] — Prime+Probe and the LRU channel, Table I's classification.
 //! * [`defenses`] — random-fill, partitioning, PLcache, DAWG, prefetch-guard,
 //!   write-through and fuzzy-time defenses, with an evaluation harness.
 //! * [`runner`] — the scenario registry and work-stealing parallel executor
