@@ -15,8 +15,9 @@ use crate::protocol::Decoder;
 use analysis::histogram::Cdf;
 use analysis::stats::Summary;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sim_cache::addr::CacheGeometry;
+use sim_cache::addr::{CacheGeometry, PhysAddr};
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
@@ -61,15 +62,6 @@ impl Default for CalibrationConfig {
     fn default() -> Self {
         CalibrationConfig::new(PolicyKind::TreePlru, 7)
     }
-}
-
-/// The experimental setting shared by the calibration loops.
-struct Bench {
-    machine: Machine,
-    receiver_layout: ChannelLayout,
-    sender_lines: SetLines,
-    rng: StdRng,
-    sweeps: u64,
 }
 
 /// Checks that a receiver on `geometry` can build its layout on
@@ -123,11 +115,28 @@ pub fn check_layout(
     Ok(())
 }
 
-impl Bench {
-    fn new(config: &CalibrationConfig, d: usize) -> Result<Bench, Error> {
-        let machine = Machine::new(config.machine)?;
-        let geometry = machine.l1_geometry();
-        check_layout(geometry, config.target_set, config.replacement_size, d)?;
+/// The experimental setting shared by the calibration loops: the layouts and
+/// traces of one configuration, built once and measured on a borrowed
+/// machine level after level.
+struct Bench<'a> {
+    config: &'a CalibrationConfig,
+    receiver_layout: ChannelLayout,
+    /// The warm-up loads of each party's lines (receiver lines first).
+    receiver_warm: Vec<TraceOp>,
+    sender_warm: Vec<TraceOp>,
+    /// A store to each sender line; a level's encoding burst for `d` dirty
+    /// lines is its first `d` (Algorithm 1).
+    sender_stores: Vec<TraceOp>,
+    rng: StdRng,
+    sweeps: u64,
+    /// The sweep order, shuffled in place for every sweep.
+    order: Vec<PhysAddr>,
+}
+
+impl<'a> Bench<'a> {
+    fn new(config: &'a CalibrationConfig) -> Result<Bench<'a>, Error> {
+        let geometry = config.machine.hierarchy.l1d.geometry;
+        check_layout(geometry, config.target_set, config.replacement_size, 0)?;
         let receiver_layout = ChannelLayout::build(
             AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
             geometry,
@@ -142,86 +151,102 @@ impl Bench {
             geometry.associativity,
             0,
         );
-        Ok(Bench {
-            machine,
-            receiver_layout,
-            sender_lines,
-            rng: StdRng::seed_from_u64(config.seed ^ 0xca1b),
-            sweeps: 0,
-        })
-    }
-
-    /// Warms every line into the outer levels and leaves the target set in a
-    /// clean state.
-    fn warm(&mut self) {
         // The two parties' address spaces are disjoint, so the warm-up is
-        // two batched traces (receiver lines first, as before).
-        let receiver_warm: Vec<TraceOp> = self
-            .receiver_layout
+        // two batched traces.
+        let receiver_warm = receiver_layout
             .replacement_a
             .lines()
             .iter()
-            .chain(self.receiver_layout.replacement_b.lines())
-            .chain(self.receiver_layout.target_lines.lines())
+            .chain(receiver_layout.replacement_b.lines())
+            .chain(receiver_layout.target_lines.lines())
             .map(|&addr| TraceOp::read(addr))
             .collect();
-        let sender_warm: Vec<TraceOp> = self
-            .sender_lines
+        let sender_warm = sender_lines
             .lines()
             .iter()
             .map(|&addr| TraceOp::read(addr))
             .collect();
-        self.machine.run_trace(RECEIVER_DOMAIN, &receiver_warm);
-        self.machine.run_trace(SENDER_DOMAIN, &sender_warm);
-        // One throw-away sweep to initialise the target set with clean lines.
-        self.sweep();
+        let sender_stores = sender_lines
+            .lines()
+            .iter()
+            .map(|&addr| TraceOp::write(addr))
+            .collect();
+        Ok(Bench {
+            config,
+            receiver_layout,
+            receiver_warm,
+            sender_warm,
+            sender_stores,
+            rng: StdRng::seed_from_u64(config.seed ^ 0xca1b),
+            sweeps: 0,
+            order: Vec::with_capacity(config.replacement_size),
+        })
     }
 
-    /// The encoding burst for `d` dirty lines, built once per measurement
-    /// loop and replayed through the batch engine (Algorithm 1).
-    fn encode_trace(&self, d: usize) -> Vec<TraceOp> {
-        (0..d)
-            .map(|i| TraceOp::write(self.sender_lines.line(i)))
-            .collect()
+    /// Measures `samples_per_level` replacement latencies with `d` dirty
+    /// lines in the target set before every sweep, on `machine` as it is —
+    /// fresh, or reset to the configured machine — and reports the machine's
+    /// clock at the end: the simulated cycles the level took.
+    fn level(&mut self, machine: &mut Machine, d: usize) -> Result<(Vec<u64>, u64), Error> {
+        let geometry = self.config.machine.hierarchy.l1d.geometry;
+        check_layout(
+            geometry,
+            self.config.target_set,
+            self.config.replacement_size,
+            d,
+        )?;
+        self.rng = StdRng::seed_from_u64(self.config.seed ^ 0xca1b);
+        self.sweeps = 0;
+        // Warm every line into the outer levels, then one throw-away sweep
+        // initialises the target set with clean lines.
+        machine.run_trace(RECEIVER_DOMAIN, &self.receiver_warm);
+        machine.run_trace(SENDER_DOMAIN, &self.sender_warm);
+        self.sweep(machine);
+        let mut samples = Vec::with_capacity(self.config.samples_per_level);
+        for _ in 0..self.config.samples_per_level {
+            machine.run_trace(SENDER_DOMAIN, &self.sender_stores[..d]);
+            samples.push(self.sweep(machine));
+        }
+        Ok((samples, machine.now()))
     }
 
     /// One measured replacement-set sweep (Algorithm 2's decoding phase),
     /// alternating the two replacement sets.
-    fn sweep(&mut self) -> u64 {
+    fn sweep(&mut self, machine: &mut Machine) -> u64 {
         let replacement = self.receiver_layout.replacement_for(self.sweeps);
         self.sweeps += 1;
-        let order = replacement.shuffled(&mut self.rng);
-        let (measured, _) = self.machine.measured_chase(RECEIVER_DOMAIN, &order);
+        // The same draws as `SetLines::shuffled`, into the reused buffer.
+        self.order.clear();
+        self.order.extend_from_slice(replacement.lines());
+        self.order.shuffle(&mut self.rng);
+        let (measured, _) = machine.measured_chase(RECEIVER_DOMAIN, &self.order);
         measured
     }
 }
 
 /// Measures `samples_per_level` replacement latencies with `d` dirty lines in
-/// the target set before every sweep.  Also reports the simulated cycles the
-/// measurement machine consumed (warm-up, encoding bursts and sweeps
-/// combined) — the cycle-attribution source for calibrate-phase telemetry.
+/// the target set before every sweep, on `machine` after a
+/// [`Machine::reset`] to `config.machine`, so the result is the same
+/// whatever state the machine was in.  Also reports the simulated cycles the
+/// measurement consumed (warm-up, encoding bursts and sweeps combined) — the
+/// cycle-attribution source for calibrate-phase telemetry.
 ///
 /// # Errors
 ///
 /// Returns an error if the configuration is invalid or `d` exceeds the
 /// associativity.
 pub fn replacement_latency_samples(
+    machine: &mut Machine,
     config: &CalibrationConfig,
     d: usize,
 ) -> Result<(Vec<u64>, u64), Error> {
-    let mut bench = Bench::new(config, d)?;
-    bench.warm();
-    let encode = bench.encode_trace(d);
-    let mut samples = Vec::with_capacity(config.samples_per_level);
-    for _ in 0..config.samples_per_level {
-        bench.machine.run_trace(SENDER_DOMAIN, &encode);
-        samples.push(bench.sweep());
-    }
-    Ok((samples, bench.machine.now()))
+    let mut bench = Bench::new(config)?;
+    machine.reset(config.machine)?;
+    bench.level(machine, d)
 }
 
 /// The data behind the paper's Figure 4: one latency CDF per dirty-line
-/// count.
+/// count, all measured on one machine reset between counts.
 ///
 /// # Errors
 ///
@@ -230,36 +255,45 @@ pub fn latency_cdfs(
     config: &CalibrationConfig,
     dirty_counts: &[usize],
 ) -> Result<Vec<(usize, Cdf)>, Error> {
+    let mut machine = Machine::new(config.machine)?;
+    let mut bench = Bench::new(config)?;
     dirty_counts
         .iter()
         .map(|&d| {
-            let (samples, _) = replacement_latency_samples(config, d)?;
+            machine.reset(config.machine)?;
+            let (samples, _) = bench.level(&mut machine, d)?;
             let as_f64: Vec<f64> = samples.iter().map(|&s| s as f64).collect();
             Ok((d, Cdf::from_samples(&as_f64)))
         })
         .collect()
 }
 
-/// Calibrates a decoder for `encoding` on the configured machine.  Also
-/// reports the total simulated cycles the calibration consumed across every
-/// latency class (one fresh measurement machine per class), which
-/// [`crate::session::ChannelSession`] records as the session's
-/// calibrate-phase span.
+/// Calibrates a decoder for `encoding` on `machine`, each latency class
+/// measured after a [`Machine::reset`] to `config.machine`, so the result is
+/// the same whatever state the machine was in.  Also reports the total
+/// simulated cycles the calibration consumed across every latency class,
+/// which [`crate::session::ChannelSession`] records as the session's
+/// calibrate-phase span; a session calibrates on the machine it then keeps
+/// for its frames.
 ///
 /// # Errors
 ///
-/// Returns calibration errors if the latency classes cannot be separated
-/// (which happens, by design, under some of the defenses).
+/// Returns configuration errors, and calibration errors if the latency
+/// classes cannot be separated (which happens, by design, under some of the
+/// defenses).
 pub fn calibrate_decoder(
+    machine: &mut Machine,
     config: &CalibrationConfig,
     encoding: &SymbolEncoding,
 ) -> Result<(Decoder, u64), Error> {
+    let mut bench = Bench::new(config)?;
     let mut cycles = 0u64;
     let classes: Vec<Vec<f64>> = encoding
         .levels()
         .iter()
         .map(|&d| {
-            let (samples, machine_cycles) = replacement_latency_samples(config, d)?;
+            machine.reset(config.machine)?;
+            let (samples, machine_cycles) = bench.level(machine, d)?;
             cycles += machine_cycles;
             Ok(samples.into_iter().map(|s| s as f64).collect())
         })
@@ -354,6 +388,7 @@ pub fn access_latency_classes(config: &CalibrationConfig) -> Result<AccessLatenc
 mod tests {
     use super::*;
     use sim_cache::config::{CacheConfig, CacheLevel};
+    use sim_cache::hierarchy::HierarchyPreset;
     use sim_core::tsc::TscConfig;
 
     fn quiet_config() -> CalibrationConfig {
@@ -363,11 +398,66 @@ mod tests {
         config
     }
 
+    fn fresh(config: &CalibrationConfig) -> Machine {
+        Machine::new(config.machine).unwrap()
+    }
+
+    /// The reference for [`calibrate_decoder`]: every level measured on a
+    /// freshly built machine, never a reset one.
+    fn calibrate_on_fresh_machines(
+        config: &CalibrationConfig,
+        encoding: &SymbolEncoding,
+    ) -> Result<(Decoder, u64), Error> {
+        let mut bench = Bench::new(config)?;
+        let mut cycles = 0u64;
+        let mut classes = Vec::new();
+        for d in encoding.levels() {
+            let (samples, machine_cycles) = bench.level(&mut Machine::new(config.machine)?, d)?;
+            cycles += machine_cycles;
+            classes.push(samples.into_iter().map(|s| s as f64).collect::<Vec<f64>>());
+        }
+        Ok((
+            Decoder::from_calibration(encoding.clone(), &classes)?,
+            cycles,
+        ))
+    }
+
+    /// One machine, reused from calibration to calibration and reset
+    /// between levels, calibrates the same decoder in the same simulated
+    /// cycles as a fresh machine per level: binary d = 1..8 and the paper's
+    /// two-bit code, on the Intel-inclusive preset and on the AMD exclusive
+    /// one with the Intel-like L1, whose reset redraws its trees.
+    #[test]
+    fn a_reused_machine_calibrates_like_fresh_ones() {
+        let encodings: Vec<SymbolEncoding> = (1..=8)
+            .map(|d| SymbolEncoding::binary(d).unwrap())
+            .chain([SymbolEncoding::paper_two_bit()])
+            .collect();
+        let cases = [
+            (HierarchyPreset::IntelInclusive, PolicyKind::TreePlru),
+            (HierarchyPreset::AmdExclusive, PolicyKind::IntelLike),
+        ];
+        for (preset, policy) in cases {
+            let mut config = CalibrationConfig::new(policy, 17);
+            config.machine.hierarchy = preset.config(policy, 16, 17).unwrap();
+            config.samples_per_level = 40;
+            let mut machine = Machine::new(config.machine).unwrap();
+            for encoding in &encodings {
+                assert_eq!(
+                    calibrate_decoder(&mut machine, &config, encoding).unwrap(),
+                    calibrate_on_fresh_machines(&config, encoding).unwrap(),
+                    "{} {policy} {encoding:?}",
+                    preset.label()
+                );
+            }
+        }
+    }
+
     #[test]
     fn clean_and_dirty_sweeps_are_separable() {
         let config = quiet_config();
-        let (clean, _) = replacement_latency_samples(&config, 0).unwrap();
-        let (dirty, _) = replacement_latency_samples(&config, 8).unwrap();
+        let (clean, _) = replacement_latency_samples(&mut fresh(&config), &config, 0).unwrap();
+        let (dirty, _) = replacement_latency_samples(&mut fresh(&config), &config, 8).unwrap();
         let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
         let gap = mean(&dirty) - mean(&clean);
         // Eight dirty lines at ~11 cycles each.
@@ -384,7 +474,8 @@ mod tests {
         let config = quiet_config();
         let mut means = Vec::new();
         for d in [0usize, 2, 4, 6, 8] {
-            let (samples, _) = replacement_latency_samples(&config, d).unwrap();
+            let (samples, _) =
+                replacement_latency_samples(&mut fresh(&config), &config, d).unwrap();
             means.push(samples.iter().sum::<u64>() as f64 / samples.len() as f64);
         }
         for pair in means.windows(2) {
@@ -409,9 +500,9 @@ mod tests {
     fn calibrated_binary_decoder_separates_the_classes() {
         let config = quiet_config();
         let encoding = SymbolEncoding::binary(1).unwrap();
-        let (decoder, _) = calibrate_decoder(&config, &encoding).unwrap();
-        let (clean, _) = replacement_latency_samples(&config, 0).unwrap();
-        let (dirty, _) = replacement_latency_samples(&config, 1).unwrap();
+        let (decoder, _) = calibrate_decoder(&mut fresh(&config), &config, &encoding).unwrap();
+        let (clean, _) = replacement_latency_samples(&mut fresh(&config), &config, 0).unwrap();
+        let (dirty, _) = replacement_latency_samples(&mut fresh(&config), &config, 1).unwrap();
         let errors = clean.iter().filter(|&&l| decoder.classify(l) != 0).count()
             + dirty.iter().filter(|&&l| decoder.classify(l) != 1).count();
         let total = clean.len() + dirty.len();
@@ -447,20 +538,20 @@ mod tests {
     fn invalid_configurations_are_rejected() {
         let mut config = quiet_config();
         config.target_set = 64;
-        assert!(replacement_latency_samples(&config, 0).is_err());
+        assert!(replacement_latency_samples(&mut fresh(&config), &config, 0).is_err());
         let mut config = quiet_config();
         config.replacement_size = 4;
-        assert!(replacement_latency_samples(&config, 0).is_err());
+        assert!(replacement_latency_samples(&mut fresh(&config), &config, 0).is_err());
         config.replacement_size = MAX_REPLACEMENT_SIZE + 1;
         assert!(matches!(
-            replacement_latency_samples(&config, 0),
+            replacement_latency_samples(&mut fresh(&config), &config, 0),
             Err(Error::InvalidConfig {
                 field: "replacement_size",
                 ..
             })
         ));
         let config = quiet_config();
-        assert!(replacement_latency_samples(&config, 9).is_err());
+        assert!(replacement_latency_samples(&mut fresh(&config), &config, 9).is_err());
         // The message names the L1's real associativity.
         let mut config = quiet_config();
         config.machine.hierarchy.l1d = CacheConfig::builder(CacheLevel::L1D)
@@ -469,8 +560,8 @@ mod tests {
             .replacement(PolicyKind::TreePlru)
             .build()
             .unwrap();
-        assert!(replacement_latency_samples(&config, 4).is_ok());
-        let error = replacement_latency_samples(&config, 5).unwrap_err();
+        assert!(replacement_latency_samples(&mut fresh(&config), &config, 4).is_ok());
+        let error = replacement_latency_samples(&mut fresh(&config), &config, 5).unwrap_err();
         assert!(
             error
                 .to_string()

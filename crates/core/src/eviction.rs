@@ -50,9 +50,11 @@ pub fn line0_eviction_probability(
     let set = 5usize;
     let ctx = AccessContext::default();
     let mut evicted = 0usize;
-    // One cache per point, reset to each trial's seed (`Cache::reset` is
-    // indistinguishable from `Cache::new`).
+    // One cache and one trace buffer per point; the cache is reset to each
+    // trial's seed (`Cache::reset` is indistinguishable from `Cache::new`).
     let mut cache = Cache::new(config, seed)?;
+    let line0 = PhysAddr::from_set_and_tag(set, 0, geometry);
+    let mut trace = Vec::with_capacity(geometry.associativity + 1 + n);
     for trial in 0..trials {
         cache.reset(
             config,
@@ -62,15 +64,13 @@ pub fn line0_eviction_probability(
         // trial-dependent order.  Line 0 is accessed next (the access
         // sequence of Sec. IV-A starts with it), then the `n` replacement
         // lines fill — all through the batch fill path.
-        let line0 = PhysAddr::from_set_and_tag(set, 0, geometry);
-        let trace: Vec<PhysAddr> = (0..geometry.associativity)
-            .map(|i| {
-                let tag = 100 + ((i * 5 + trial) % geometry.associativity) as u64;
-                PhysAddr::from_set_and_tag(set, tag, geometry)
-            })
-            .chain(std::iter::once(line0))
-            .chain((0..n).map(|i| PhysAddr::from_set_and_tag(set, 1_000 + i as u64, geometry)))
-            .collect();
+        trace.clear();
+        trace.extend((0..geometry.associativity).map(|i| {
+            let tag = 100 + ((i * 5 + trial) % geometry.associativity) as u64;
+            PhysAddr::from_set_and_tag(set, tag, geometry)
+        }));
+        trace.push(line0);
+        trace.extend((0..n).map(|i| PhysAddr::from_set_and_tag(set, 1_000 + i as u64, geometry)));
         cache.fill_all(&trace, ctx, false);
         if !cache.contains(line0) {
             evicted += 1;

@@ -8,9 +8,11 @@
 //! [`sim_core::session::TraceProgram`]s and executes them through
 //! [`sim_core::machine::Machine::run_session`], the interleaved batched
 //! executor.  The session owns one program per party for its whole life and
-//! compiles every frame into them in place (`compile_into`), and it resets
-//! one machine between frames rather than building a new one, so a
-//! steady-state frame allocates neither programs nor cache arenas.
+//! compiles every frame into them in place (`compile_into`).  It also owns
+//! one machine for its whole life: the calibration measures every symbol
+//! level on it and every frame runs on it, each after a `Machine::reset`,
+//! so a session builds one machine and a steady-state frame allocates
+//! neither programs nor cache arenas.
 //!
 //! ```text
 //!   compile                 execute                      decode
@@ -170,6 +172,17 @@ pub struct CompiledFrame {
 ///
 /// This is the entry point of the `repro check` static gate: every program
 /// can be handed to [`TraceProgram::verify`] before any simulation runs.
+///
+/// # Panics
+///
+/// Never on a config [`crate::channel::ChannelConfigBuilder::build`]
+/// accepted.  `compile_frame` does not validate the layout itself, so a
+/// hand-built [`ChannelConfig`] that skips the builder can make it panic —
+/// with `target_set` outside the L1 ("set 64 out of range") or a
+/// `replacement_size` above [`sim_core::memlayout::MAX_REPLACEMENT_SIZE`]
+/// ("replacement sets of 1001 lines would overlap") — or compile a
+/// replacement set smaller than the associativity without complaint.
+/// [`ChannelSession::new`] rejects all three with [`Error::InvalidConfig`].
 pub fn compile_frame(config: &ChannelConfig, payload: &[bool]) -> CompiledFrame {
     let frame = Frame::from_payload(payload);
     // The first transmission of a session.
@@ -223,8 +236,9 @@ pub struct ChannelSession {
     rng: StdRng,
     frames_sent: u64,
     sim: SimUsage,
-    /// The transmit machine, reset (not reallocated) between frames.
-    machine: Option<Machine>,
+    /// The session's one machine: calibrated on, then reset (not
+    /// reallocated) for every frame.
+    machine: Machine,
     /// The frame's compiled programs (sender, receiver, noise), rebuilt in
     /// place every frame so a steady-state compile allocates nothing.
     programs: Vec<TraceProgram>,
@@ -240,8 +254,9 @@ pub struct ChannelSession {
 }
 
 impl ChannelSession {
-    /// Builds the session and calibrates the receiver's decision thresholds
-    /// on a machine identical to the one the transmissions will use.
+    /// Builds the session's machine and calibrates the receiver's decision
+    /// thresholds on it, each symbol level after a reset to the calibration
+    /// machine; the frames then run on the same machine.
     ///
     /// # Errors
     ///
@@ -257,14 +272,16 @@ impl ChannelSession {
             samples_per_level: config.calibration_samples,
             seed: config.seed ^ 0xca11,
         };
-        let (decoder, calibration_cycles) = calibrate_decoder(&calibration, &config.encoding)?;
+        let mut machine = Machine::new(calibration.machine)?;
+        let (decoder, calibration_cycles) =
+            calibrate_decoder(&mut machine, &calibration, &config.encoding)?;
         Ok(ChannelSession {
             rng: StdRng::seed_from_u64(config.seed ^ 0xc0de),
             decoder,
             config,
             frames_sent: 0,
             sim: SimUsage::default(),
-            machine: None,
+            machine,
             programs: Vec::new(),
             sink: TraceSink::disabled(),
             calibration_cycles,
@@ -288,9 +305,7 @@ impl ChannelSession {
         self.sink = TraceSink::active();
         self.sink.begin(0, "calibrate", Phase::Calibrate, 0);
         self.sink.end(0, "calibrate", self.calibration_cycles);
-        if let Some(machine) = self.machine.as_mut() {
-            machine.enable_tracing();
-        }
+        self.machine.enable_tracing();
     }
 
     /// Whether session telemetry is recording.
@@ -338,7 +353,7 @@ impl ChannelSession {
     ///
     /// # Errors
     ///
-    /// Returns machine-construction errors.
+    /// Returns machine-reset errors.
     pub fn transmit_bits(&mut self, payload: &[bool]) -> Result<TransmissionReport, Error> {
         let frame = Frame::from_payload(payload);
         self.transmit_frame(&frame)
@@ -350,7 +365,7 @@ impl ChannelSession {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when `bits_per_frame` is shorter than
-    /// the preamble, before any frame is sent, and machine-construction
+    /// the preamble, before any frame is sent, and machine-reset
     /// errors.
     pub fn evaluate(
         &mut self,
@@ -397,24 +412,14 @@ impl ChannelSession {
     ///
     /// # Errors
     ///
-    /// Returns machine-construction errors.
+    /// Returns machine-reset errors.
     pub fn transmit_frame(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
         self.frames_sent += 1;
         let seed = frame_seed(&self.config, self.frames_sent);
-        // Each frame runs on a machine in the exact state `Machine::new`
-        // would produce for the frame seed; across frames the arenas are
-        // reused via `Machine::reset` instead of reallocated.
-        let machine_config = self.config.machine_config(seed);
-        let machine = match self.machine.as_mut() {
-            Some(machine) => {
-                machine.reset(machine_config)?;
-                machine
-            }
-            None => self.machine.insert(Machine::new(machine_config)?),
-        };
-        if self.sink.is_enabled() && !machine.tracing_enabled() {
-            machine.enable_tracing();
-        }
+        // Each frame runs on the machine in the exact state `Machine::new`
+        // would produce for the frame seed.
+        let machine = &mut self.machine;
+        machine.reset(self.config.machine_config(seed))?;
         let geometry = machine.l1_geometry();
         let parties = FrameParties::build(&self.config, geometry, frame, seed);
         parties.compile_into(&mut self.programs);
@@ -430,11 +435,9 @@ impl ChannelSession {
 
         if self.sink.is_enabled() {
             let offset = self.clock;
-            let frame_cycles = self.machine.as_ref().map_or(0, Machine::now);
+            let frame_cycles = self.machine.now();
             self.sink.begin(0, "frame", Phase::Other, offset);
-            if let Some(machine) = self.machine.as_mut() {
-                self.sink.absorb(machine.take_trace(), offset);
-            }
+            self.sink.absorb(self.machine.take_trace(), offset);
             let threshold = self.decoder.binary_threshold();
             let end = offset + frame_cycles;
             for (index, &measured) in latencies.iter().enumerate() {
@@ -562,6 +565,54 @@ mod tests {
         }
     }
 
+    /// A session's first frame runs on the machine its calibration used,
+    /// reset to the frame's configuration; it must equal the frame run on a
+    /// freshly built machine, on a clean config, a noisy one and an AMD
+    /// exclusive hierarchy with the Intel-like L1.
+    #[test]
+    fn the_first_frame_matches_one_on_a_fresh_machine() {
+        use sim_cache::hierarchy::HierarchyPreset;
+        use sim_cache::policy::PolicyKind;
+
+        let mut noisy = config(13);
+        noisy.noise = Some(NoiseConfig {
+            interval: 1_500,
+            lines: 2,
+            store_fraction: 0.4,
+        });
+        let amd = ChannelConfig::builder()
+            .encoding(SymbolEncoding::paper_two_bit())
+            .period_cycles(2_200)
+            .hierarchy(
+                HierarchyPreset::AmdExclusive
+                    .config(PolicyKind::IntelLike, 16, 0)
+                    .unwrap(),
+            )
+            .calibration_samples(40)
+            .seed(21)
+            .build()
+            .unwrap();
+        let payload: Vec<bool> = (0..64).map(|i| i % 5 < 2).collect();
+        for config in [config(13), noisy, amd] {
+            let mut session = ChannelSession::new(config.clone()).unwrap();
+            let report = session.transmit_bits(&payload).unwrap();
+
+            let frame = Frame::from_payload(&payload);
+            let seed = frame_seed(&config, 1);
+            let mut machine = Machine::new(config.machine_config(seed)).unwrap();
+            let parties = FrameParties::build(&config, machine.l1_geometry(), &frame, seed);
+            let fresh = machine.run_session(&parties.compile(), &mut [], parties.limit);
+            assert_eq!(report.latencies, fresh.programs[1].latencies());
+            assert_eq!(session.sim_usage().summary, fresh.total_summary());
+            assert_eq!(session.sim_usage().phase_cycles, fresh.phase_cycles());
+            assert_eq!(session.machine.now(), machine.now());
+            assert_eq!(
+                session.machine.hierarchy().stats(),
+                machine.hierarchy().stats()
+            );
+        }
+    }
+
     /// Tentpole determinism gate: enabling telemetry must not change a single
     /// bit of any transmission, and the recorded timeline must be a valid
     /// (properly nested, per-domain monotone) session trace.
@@ -621,6 +672,29 @@ mod tests {
         assert_eq!(drained.len(), event_count);
         assert!(traced.trace_events().is_empty());
         assert!(traced.tracing_enabled());
+    }
+
+    /// Hand-built configs that skip the builder's checks: a set outside the
+    /// L1, a replacement set too large to stay disjoint from its twin and
+    /// one smaller than the associativity.  `ChannelSession::new` returns
+    /// `InvalidConfig` for each, before any frame is compiled.
+    #[test]
+    fn hand_built_configs_with_a_bad_layout_are_rejected() {
+        let cases = [
+            ("target_set", 64, 10),
+            ("replacement_size", 21, 1_001),
+            ("replacement_size", 21, 4),
+        ];
+        for (field, target_set, replacement_size) in cases {
+            let mut hand_built = config(5);
+            hand_built.target_set = target_set;
+            hand_built.replacement_size = replacement_size;
+            let error = ChannelSession::new(hand_built).unwrap_err();
+            assert!(
+                matches!(error, Error::InvalidConfig { field: f, .. } if f == field),
+                "{field}: {error}"
+            );
+        }
     }
 
     #[test]

@@ -2,10 +2,16 @@
 //! capacity invariants.
 
 use proptest::prelude::*;
+use sim_cache::config::{CacheConfig, CacheLevel};
+use sim_cache::hierarchy::{HierarchyConfig, HierarchyPreset};
+use sim_cache::policy::PolicyKind;
+use sim_core::sched::InterruptConfig;
 use wb_channel::capacity::{period_for_kbps, rate_kbps};
+use wb_channel::channel::{ChannelConfig, NoiseConfig};
 use wb_channel::encoding::SymbolEncoding;
 use wb_channel::eviction::analytic_dirty_eviction_probability;
 use wb_channel::protocol::{align_and_score, preamble, Frame, PREAMBLE_BITS};
+use wb_channel::session::{compile_frame, ChannelSession};
 
 fn arbitrary_encoding() -> impl Strategy<Value = SymbolEncoding> {
     prop_oneof![
@@ -99,5 +105,100 @@ proptest! {
         let lost = align_and_score(frame.bits(), &empty, 4);
         prop_assert_eq!(lost.edit_distance, frame.len());
         prop_assert!((lost.bit_error_rate - 1.0).abs() < 1e-12);
+    }
+}
+
+/// An encoding: a valid binary one, the paper's two-bit code, or a
+/// hand-built one, valid or not (binary with any `d`, or up to five
+/// multi-bit levels in any order).
+fn hand_built_encoding() -> impl Strategy<Value = SymbolEncoding> {
+    prop_oneof![
+        (1usize..=8).prop_map(|d| SymbolEncoding::binary(d).unwrap()),
+        Just(SymbolEncoding::paper_two_bit()),
+        (0usize..12).prop_map(|dirty_lines| SymbolEncoding::Binary { dirty_lines }),
+        proptest::collection::vec(0usize..12, 0..5)
+            .prop_map(|levels| SymbolEncoding::MultiBit { levels }),
+    ]
+}
+
+/// An optional hierarchy override: one of the presets, or a 4-way L1 that
+/// the builder must refuse.
+fn hierarchy_override() -> impl Strategy<Value = Option<HierarchyConfig>> {
+    (0usize..6, 0usize..6).prop_map(|(choice, policy)| {
+        let policy = POLICIES[policy];
+        match choice {
+            0..=3 => Some(
+                HierarchyPreset::ALL[choice]
+                    .config(policy, 16, 0)
+                    .expect("preset hierarchies build"),
+            ),
+            4 => {
+                let mut hierarchy = HierarchyConfig::xeon_e5_2650(policy, 0);
+                hierarchy.l1d = CacheConfig::builder(CacheLevel::L1D)
+                    .size_bytes(16 * 1024)
+                    .associativity(4)
+                    .replacement(policy)
+                    .build()
+                    .expect("a 4-way L1 builds");
+                Some(hierarchy)
+            }
+            _ => None,
+        }
+    })
+}
+
+const POLICIES: [PolicyKind; 6] = [
+    PolicyKind::TrueLru,
+    PolicyKind::TreePlru,
+    PolicyKind::Random,
+    PolicyKind::IntelLike,
+    PolicyKind::Nru,
+    PolicyKind::Srrip,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Bad channel configurations are errors, never panics: every config
+    /// `ChannelConfigBuilder::build` accepts compiles, and then either
+    /// builds a session that transmits a frame or returns `Err`.
+    #[test]
+    fn builder_accepted_configs_compile_and_never_panic(
+        encoding in hand_built_encoding(),
+        period in 0u64..6_000,
+        target_set in 0usize..72,
+        replacement_size in 0usize..1_040,
+        policy in 0usize..6,
+        noise in (any::<bool>(), 0u64..3_000, 0usize..5, -0.5f64..1.5),
+        hierarchy in hierarchy_override(),
+        calibration_samples in 0usize..8,
+        seed in 0u64..1_000,
+        payload in proptest::collection::vec(any::<bool>(), 0..48),
+    ) {
+        let mut builder = ChannelConfig::builder();
+        builder
+            .encoding(encoding)
+            .period_cycles(period)
+            .target_set(target_set)
+            .replacement_size(replacement_size)
+            .policy(POLICIES[policy])
+            .interrupts(InterruptConfig::none())
+            .calibration_samples(calibration_samples)
+            .seed(seed);
+        let (with_noise, interval, lines, store_fraction) = noise;
+        if with_noise {
+            builder.noise(NoiseConfig { interval, lines, store_fraction });
+        }
+        if let Some(hierarchy) = hierarchy {
+            builder.hierarchy(hierarchy);
+        }
+        if let Ok(config) = builder.build() {
+            let compiled = compile_frame(&config, &payload);
+            prop_assert!(!compiled.programs.is_empty());
+            if let Ok(mut session) = ChannelSession::new(config) {
+                let report = session.transmit_bits(&payload);
+                prop_assert!(report.is_ok(), "{:?}", report);
+            }
+        }
     }
 }

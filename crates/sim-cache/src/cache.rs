@@ -95,6 +95,50 @@ struct SetMasks {
     locked: u64,
 }
 
+/// The sets filled since the last reset: one bit per set, so its size is
+/// bounded by the geometry however much traffic the cache sees.
+///
+/// A set's masks and policy state can change only once a line is resident
+/// in it, and every set's first fill after a reset lands in an empty set.
+/// So marking a set on that fill-into-an-empty-set path covers every set
+/// whose state a reset has to clear, at one mask test on a path that is
+/// already off the eviction hot loop.
+#[derive(Debug, Clone)]
+struct TouchedSets {
+    words: Box<[u64]>,
+}
+
+impl TouchedSets {
+    fn new(num_sets: usize) -> TouchedSets {
+        TouchedSets {
+            words: vec![0; num_sets.div_ceil(64)].into_boxed_slice(),
+        }
+    }
+
+    #[inline(always)]
+    fn insert(&mut self, set: usize) {
+        self.words[set / 64] |= 1 << (set % 64);
+    }
+
+    /// The marked sets in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(index, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    index * 64 + bit
+                })
+            })
+        })
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+}
+
 /// One level of the cache hierarchy.
 pub struct Cache {
     config: CacheConfig,
@@ -110,6 +154,8 @@ pub struct Cache {
     /// set so a fill's state updates touch one contiguous slot.
     masks: Box<[SetMasks]>,
     policy: PolicyDispatch,
+    /// The sets [`Cache::reset`] has to clear.
+    touched: TouchedSets,
     stats: CacheStats,
     /// Per-domain way restriction (NoMo / DAWG), dense by domain id.
     partitions: PartitionTable,
@@ -152,6 +198,7 @@ impl Cache {
             owners: vec![0; geometry.num_sets * geometry.associativity].into_boxed_slice(),
             masks: vec![SetMasks::default(); geometry.num_sets].into_boxed_slice(),
             policy,
+            touched: TouchedSets::new(geometry.num_sets),
             stats: CacheStats::default(),
             partitions: PartitionTable::new(all_ways),
             all_ways,
@@ -159,34 +206,34 @@ impl Cache {
     }
 
     /// Resets this cache to the state [`Cache::new`] would produce for
-    /// `(config, seed)`, reusing the tag/owner arenas when the geometry is
+    /// `(config, seed)`, in place when the geometry and policy kind are
     /// unchanged.
     ///
-    /// Behaviourally indistinguishable from a fresh construction: the valid
-    /// masks are cleared (stale tags in invalid ways can never match or be
-    /// observed), the replacement policy is rebuilt from the seed, and the
-    /// statistics and partitions are reset.  Experiment loops that build one
-    /// machine per repetition use this to stop paying a multi-hundred-KiB
-    /// allocation per repetition.
+    /// Behaviourally indistinguishable from a fresh construction: the masks
+    /// of every set filled since the last reset are cleared (stale tags in
+    /// invalid ways can never match or be observed), the replacement policy
+    /// returns to its state for the seed in those sets, and the statistics
+    /// and partitions are reset.  The cost is O(sets touched) (plus one tree
+    /// draw per set for Intel-like); a different geometry or policy kind
+    /// rebuilds the whole cache.
     ///
     /// # Errors
     ///
     /// Propagates policy construction errors (as [`Cache::new`] would).
     pub fn reset(&mut self, config: CacheConfig, seed: u64) -> crate::Result<()> {
-        if config.geometry != self.config.geometry {
+        if config.geometry != self.config.geometry || config.replacement != self.config.replacement
+        {
             *self = Cache::new(config, seed)?;
             return Ok(());
         }
-        self.policy = PolicyDispatch::build(
-            config.replacement,
-            config.geometry.num_sets,
-            config.geometry.associativity,
-            seed,
-        )?;
+        self.policy.reset_touched(seed, self.touched.iter());
+        for set in self.touched.iter() {
+            self.masks[set] = SetMasks::default();
+        }
+        self.touched.clear();
         self.config = config;
-        self.masks.fill(SetMasks::default());
         self.stats.reset();
-        self.partitions = PartitionTable::new(self.all_ways);
+        self.partitions.clear();
         Ok(())
     }
 
@@ -425,6 +472,9 @@ impl Cache {
         // choice: nothing reads policy state between the two, and Tree-PLRU
         // fuses them into one direction-word update.
         let way = if invalid != 0 {
+            if state.valid == 0 {
+                self.touched.insert(set);
+            }
             let way = invalid.trailing_zeros() as usize;
             self.policy.on_fill(set, way);
             Some(way)

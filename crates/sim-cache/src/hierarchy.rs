@@ -292,9 +292,10 @@ impl CacheHierarchy {
     }
 
     /// Resets this hierarchy to the state [`CacheHierarchy::new`] would
-    /// produce for `config`, reusing each level's arenas when geometries are
-    /// unchanged (see [`Cache::reset`]).  Behaviourally indistinguishable
-    /// from a fresh construction.
+    /// produce for `config`, each level in place when its geometry and
+    /// policy kind are unchanged, at a cost of O(sets touched since the last
+    /// reset) (see [`Cache::reset`]).  Behaviourally indistinguishable from
+    /// a fresh construction.
     ///
     /// # Errors
     ///

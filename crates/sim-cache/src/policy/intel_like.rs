@@ -74,21 +74,39 @@ impl IntelLike {
         mispredict: f64,
         max_staleness: u32,
     ) -> crate::Result<IntelLike> {
-        let mut plru = TreePlru::new(num_sets, ways)?;
-        let mut rng = PolicyRng::new(seed);
-        // Real hardware never starts from an all-zero tree: randomise.
-        for set in 0..num_sets {
-            plru.set_raw_bits(set, rng.next_u64());
-        }
-        Ok(IntelLike {
-            plru,
-            rng,
+        let mut policy = IntelLike {
+            plru: TreePlru::new(num_sets, ways)?,
+            rng: PolicyRng::new(seed),
             ways,
             mispredict: mispredict.clamp(0.0, 1.0),
             max_staleness: max_staleness.max(1),
             fills: vec![0; num_sets],
             stamp: vec![0; num_sets * ways],
-        })
+        };
+        policy.draw_trees();
+        Ok(policy)
+    }
+
+    /// Real hardware never starts from an all-zero tree: draws every set's
+    /// initial tree from the policy's stream, set by set.
+    fn draw_trees(&mut self) {
+        for set in 0..self.fills.len() {
+            self.plru.set_raw_bits(set, self.rng.next_u64());
+        }
+    }
+
+    /// Returns the policy to its state at construction with `seed`, given
+    /// that only the fill counts and stamps of `touched` changed since then.
+    /// Unlike [`ReplacementPolicy::reset`], which zeroes every tree, this
+    /// restarts the stream from `seed` and redraws every set's tree exactly
+    /// as construction does, so its cost is one draw per set.
+    pub(crate) fn reset_touched(&mut self, seed: u64, touched: impl Iterator<Item = usize>) {
+        for set in touched {
+            self.fills[set] = 0;
+            self.stamp[set * self.ways..(set + 1) * self.ways].fill(0);
+        }
+        self.rng = PolicyRng::new(seed);
+        self.draw_trees();
     }
 
     /// The configured mispredict probability.

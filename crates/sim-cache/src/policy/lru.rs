@@ -42,6 +42,16 @@ impl TrueLru {
         order.sort_by_key(|&way| self.stamps[set * self.ways + way]);
         order
     }
+
+    /// Returns the policy to its state at construction, given that only the
+    /// stamps of `touched` changed since then: those are cleared and the
+    /// clock restarts.
+    pub(crate) fn reset_touched(&mut self, _seed: u64, touched: impl Iterator<Item = usize>) {
+        for set in touched {
+            self.stamps[set * self.ways..(set + 1) * self.ways].fill(0);
+        }
+        self.clock = 0;
+    }
 }
 
 impl ReplacementPolicy for TrueLru {

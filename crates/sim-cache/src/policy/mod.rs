@@ -240,6 +240,16 @@ impl PolicyDispatch {
     pub(crate) fn reset(&mut self) {
         dispatch!(self, p => p.reset())
     }
+
+    /// Returns the policy, in place, to the state [`PolicyDispatch::build`]
+    /// gives for its kind and geometry and `seed`, given that no set outside
+    /// `touched` changed since the last build or reset.  The touched sets'
+    /// state is cleared; state shared by every set is rebuilt: LRU's clock,
+    /// the victim stream of Random and Intel-like, and Intel-like's initial
+    /// trees, which it redraws for every set.
+    pub(crate) fn reset_touched(&mut self, seed: u64, touched: impl Iterator<Item = usize>) {
+        dispatch!(self, p => p.reset_touched(seed, touched))
+    }
 }
 
 /// A tiny deterministic PRNG (xorshift64*) used inside policies.
@@ -432,6 +442,38 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// Resetting in place only the sets a random operation mix touched
+        /// leaves every policy in exactly the state a fresh build with the
+        /// new seed has: its whole `Debug` form (every word, stamp, RRPV,
+        /// tree and the stream state) is equal.
+        #[test]
+        fn reset_touched_matches_a_fresh_build(
+            kind in 0..ALL.len(),
+            seed in 0u64..1000,
+            reseed in 0u64..1000,
+            ops in proptest::collection::vec((0u8..4, 0usize..16, 0usize..8), 0..200),
+        ) {
+            let kind = ALL[kind];
+            let mut policy = PolicyDispatch::build(kind, 16, 8, seed).unwrap();
+            let mut touched = [false; 16];
+            for (op, set, way) in ops {
+                touched[set] = true;
+                match op {
+                    0 => policy.on_hit(set, way),
+                    1 => policy.on_fill(set, way),
+                    2 => policy.on_invalidate(set, way),
+                    _ => {
+                        let _ = policy.choose_victim_and_fill(set, WayMask::all(8).without(way));
+                    }
+                }
+            }
+            policy.reset_touched(reseed, (0..16).filter(|&set| touched[set]));
+            let fresh = PolicyDispatch::build(kind, 16, 8, reseed).unwrap();
+            prop_assert_eq!(format!("{policy:?}"), format!("{fresh:?}"));
         }
     }
 

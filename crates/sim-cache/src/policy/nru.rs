@@ -31,6 +31,14 @@ impl Nru {
             referenced: vec![0; num_sets],
         }
     }
+
+    /// Returns the policy to its state at construction, given that only the
+    /// reference words of `touched` changed since then.
+    pub(crate) fn reset_touched(&mut self, _seed: u64, touched: impl Iterator<Item = usize>) {
+        for set in touched {
+            self.referenced[set] = 0;
+        }
+    }
 }
 
 impl ReplacementPolicy for Nru {

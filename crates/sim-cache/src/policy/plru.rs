@@ -215,6 +215,14 @@ impl TreePlru {
         };
         self.words[set] = raw & mask;
     }
+
+    /// Returns the policy to its state at construction, given that only the
+    /// direction words of `touched` changed since then.
+    pub(crate) fn reset_touched(&mut self, _seed: u64, touched: impl Iterator<Item = usize>) {
+        for set in touched {
+            self.words[set] = 0;
+        }
+    }
 }
 
 impl ReplacementPolicy for TreePlru {

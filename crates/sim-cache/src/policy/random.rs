@@ -26,6 +26,13 @@ impl PseudoRandom {
             rng: PolicyRng::new(seed),
         }
     }
+
+    /// Returns the policy to its state at construction with `seed`: the
+    /// victim stream restarts from the seed.  There is no per-set state, so
+    /// `touched` is not read.
+    pub(crate) fn reset_touched(&mut self, seed: u64, _touched: impl Iterator<Item = usize>) {
+        self.rng = PolicyRng::new(seed);
+    }
 }
 
 impl ReplacementPolicy for PseudoRandom {

@@ -36,6 +36,14 @@ impl Srrip {
     fn idx(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
     }
+
+    /// Returns the policy to its state at construction, given that only the
+    /// RRPVs of `touched` changed since then.
+    pub(crate) fn reset_touched(&mut self, _seed: u64, touched: impl Iterator<Item = usize>) {
+        for set in touched {
+            self.rrpv[set * self.ways..(set + 1) * self.ways].fill(MAX_RRPV);
+        }
+    }
 }
 
 impl ReplacementPolicy for Srrip {

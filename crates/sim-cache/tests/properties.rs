@@ -1,6 +1,7 @@
 //! Property-based tests for the cache simulator's core invariants.
 
 use proptest::prelude::*;
+use sim_cache::cache::FillOutcome;
 use sim_cache::prelude::*;
 
 fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
@@ -12,6 +13,57 @@ fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
         Just(PolicyKind::Nru),
         Just(PolicyKind::Srrip),
     ]
+}
+
+const ALL_POLICIES: [PolicyKind; 6] = [
+    PolicyKind::TrueLru,
+    PolicyKind::TreePlru,
+    PolicyKind::Random,
+    PolicyKind::IntelLike,
+    PolicyKind::Nru,
+    PolicyKind::Srrip,
+];
+
+/// One operation on a single `Cache`: `(kind, set, tag, domain)` over the
+/// first `sets` L1 sets and four domains.
+fn cache_op(sets: usize) -> impl Strategy<Value = (u8, usize, u64, u8)> {
+    (0u8..8, 0..sets, 0u64..24, 0u8..4)
+}
+
+/// Applies a [`cache_op`] and returns everything it observes: the lookup,
+/// the fill outcome, and the result of an invalidation, lock or partition.
+/// Kinds 0–2 read, 3–4 write (filling on a miss, clean or dirty), 5
+/// invalidates, 6 locks the line and 7 confines the domain to a way range
+/// drawn from the tag.
+fn cache_step(
+    cache: &mut Cache,
+    (kind, set, tag, domain): (u8, usize, u64, u8),
+) -> (Option<usize>, Option<FillOutcome>, Option<bool>) {
+    let addr = PhysAddr::from_set_and_tag(set, tag, cache.geometry());
+    let ctx = AccessContext::for_domain(domain.into());
+    match kind {
+        0..=4 => {
+            let dirty = kind >= 3;
+            let hit = if dirty {
+                cache.lookup_write(addr, ctx)
+            } else {
+                cache.lookup_read(addr, ctx)
+            };
+            let fill = hit.is_none().then(|| cache.fill(addr, ctx, dirty, false));
+            (hit, fill, None)
+        }
+        5 => (None, None, cache.invalidate(addr)),
+        6 => (None, None, Some(cache.lock_line(addr))),
+        _ => {
+            let first = tag as usize % 8;
+            let mask = WayMask::range(first, first + 1 + (tag as usize / 8) % (8 - first));
+            (
+                None,
+                None,
+                Some(cache.set_partition(domain.into(), mask).is_ok()),
+            )
+        }
+    }
 }
 
 fn arbitrary_inclusion() -> impl Strategy<Value = InclusionPolicy> {
@@ -301,56 +353,58 @@ proptest! {
         }
     }
 
-    /// `Cache::reset` is indistinguishable from constructing a fresh cache:
-    /// after arbitrary warm-up traffic, a reset cache replays any trace with
-    /// op-for-op identical lookup results, fill outcomes and statistics.
+    /// `Cache::reset` is indistinguishable from constructing a fresh cache,
+    /// for every policy, whether the reset keeps the policy kind (an
+    /// in-place reset of the sets filled since the last one) or switches it
+    /// (a rebuild), and after one reset or two back to back.  Warm-up
+    /// traffic from several domains spreads over the first 48 sets, locks
+    /// lines and partitions ways; the replay after the reset spreads over
+    /// all 64 sets, so some sets are first touched only then.  Every
+    /// operation's result, the statistics and every set's final contents
+    /// must match a fresh cache op for op.
     #[test]
     fn cache_reset_matches_a_fresh_cache(
-        policy in arbitrary_policy(),
-        warmup in proptest::collection::vec((0u8..2, 0u64..40), 0..120),
-        ops in proptest::collection::vec((0u8..2, 0u64..40), 1..120),
+        warmup in proptest::collection::vec(cache_op(48), 0..300),
+        ops in proptest::collection::vec(cache_op(64), 1..300),
+        switch in 1usize..6,
+        double in any::<bool>(),
         seed in 0u64..1000,
+        midseed in 0u64..1000,
         reseed in 0u64..1000,
     ) {
-        let config = CacheConfig::xeon_l1d(policy);
-        let ctx = AccessContext::for_domain(2);
-        let mut recycled = Cache::new(config, seed).unwrap();
-        let g = recycled.geometry();
-        for &(kind, tag) in &warmup {
-            let addr = PhysAddr::from_set_and_tag(9, tag, g);
-            if kind == 0 {
-                if recycled.lookup_read(addr, ctx).is_none() {
-                    recycled.fill(addr, ctx, false, false);
+        for (index, &policy) in ALL_POLICIES.iter().enumerate() {
+            let switched = ALL_POLICIES[(index + switch) % ALL_POLICIES.len()];
+            for before in [policy, switched] {
+                let config = CacheConfig::xeon_l1d(policy);
+                let mut recycled = Cache::new(CacheConfig::xeon_l1d(before), seed).unwrap();
+                for &op in &warmup {
+                    cache_step(&mut recycled, op);
                 }
-            } else if recycled.lookup_write(addr, ctx).is_none() {
-                recycled.fill(addr, ctx, true, false);
-            }
-        }
-        recycled.reset(config, reseed).unwrap();
-        let mut fresh = Cache::new(config, reseed).unwrap();
-        for &(kind, tag) in &ops {
-            let addr = PhysAddr::from_set_and_tag(9, tag, g);
-            if kind == 0 {
-                let hit = recycled.lookup_read(addr, ctx);
-                prop_assert_eq!(hit, fresh.lookup_read(addr, ctx));
-                if hit.is_none() {
+                if double {
+                    recycled.reset(CacheConfig::xeon_l1d(before), midseed).unwrap();
+                }
+                recycled.reset(config, reseed).unwrap();
+                let mut fresh = Cache::new(config, reseed).unwrap();
+                for (step, &op) in ops.iter().enumerate() {
                     prop_assert_eq!(
-                        recycled.fill(addr, ctx, false, false),
-                        fresh.fill(addr, ctx, false, false)
+                        cache_step(&mut recycled, op),
+                        cache_step(&mut fresh, op),
+                        "{} after {}: step {} {:?}", policy, before, step, op
                     );
                 }
-            } else {
-                let hit = recycled.lookup_write(addr, ctx);
-                prop_assert_eq!(hit, fresh.lookup_write(addr, ctx));
-                if hit.is_none() {
-                    prop_assert_eq!(
-                        recycled.fill(addr, ctx, true, false),
-                        fresh.fill(addr, ctx, true, false)
-                    );
+                prop_assert_eq!(recycled.stats(), fresh.stats());
+                for set in 0..64 {
+                    prop_assert_eq!(recycled.valid_count_in_set(set), fresh.valid_count_in_set(set));
+                    prop_assert_eq!(recycled.dirty_count_in_set(set), fresh.dirty_count_in_set(set));
+                    for domain in 0..4 {
+                        prop_assert_eq!(
+                            recycled.owned_count_in_set(set, domain),
+                            fresh.owned_count_in_set(set, domain)
+                        );
+                    }
                 }
             }
         }
-        prop_assert_eq!(recycled.stats(), fresh.stats());
     }
 
     /// `CacheHierarchy::reset` is indistinguishable from fresh construction

@@ -131,10 +131,13 @@ impl Machine {
     }
 
     /// Resets this machine to the state [`Machine::new`] would produce for
-    /// `config`, reusing the cache arenas when geometries are unchanged.
-    /// Behaviourally indistinguishable from a fresh construction — the
-    /// per-frame transmit loop uses this to stop paying the hierarchy
-    /// allocation for every frame.
+    /// `config`, in place when the cache geometries and policy kinds are
+    /// unchanged.
+    /// Behaviourally indistinguishable from a fresh construction, and its
+    /// cost is O(sets touched since the last reset): each cache clears only
+    /// the sets it filled (see [`sim_cache::cache::Cache::reset`]).  A
+    /// channel session calibrates every symbol level and runs every frame on
+    /// one machine reset this way.
     ///
     /// # Errors
     ///
