@@ -1,14 +1,16 @@
-//! A minimal JSON reader for job-submission bodies.
+//! The workspace's one JSON reader.
 //!
-//! The service's only JSON *input* is the `POST /jobs` spec: a flat object
-//! of strings, unsigned integers, booleans and arrays of strings. This
-//! parser covers exactly that value grammar (objects, arrays, strings with
-//! the standard escapes, unsigned decimal integers, `true`/`false`/`null`)
-//! and rejects everything else with a positioned error. Output encoding
-//! reuses [`analysis::table::json_string`] — the service never needs a
-//! general-purpose emitter.
+//! Two inputs arrive as JSON: the experiment service's `POST /jobs` spec (a
+//! flat object of strings, unsigned integers, booleans and arrays of
+//! strings) and result tables written by [`crate::table::Table::to_json`]
+//! (manifests, `BENCH_*.json` baselines), which
+//! [`crate::table::Table::from_json`] reads back through this parser. It
+//! covers exactly that value grammar (objects, arrays, strings with the
+//! standard escapes, unsigned decimal integers, `true`/`false`/`null`) and
+//! rejects everything else with a positioned error. Output encoding is
+//! [`crate::table::json_string`] — nothing needs a general-purpose emitter.
 
-/// A parsed JSON value (the subset the service accepts).
+/// A parsed JSON value (the subset this reader accepts).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -81,10 +83,11 @@ impl Json {
     }
 }
 
-/// Deepest accepted container nesting. A job spec needs two levels; the cap
-/// exists because the parser recurses per `[`/`{`, and an adversarial body
-/// of 100k brackets (well under the request-size limit) would otherwise
-/// overflow the handler thread's stack and abort the whole resident server.
+/// Deepest accepted container nesting. A job spec needs two levels and a
+/// table three; the cap exists because the parser recurses per `[`/`{`, and
+/// an adversarial body of 100k brackets (well under the request-size limit)
+/// would otherwise overflow the handler thread's stack and abort the whole
+/// resident server.
 const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {

@@ -15,6 +15,9 @@
 //!   single-bit symbols and a k-level quantiser for multi-bit symbols.
 //! * [`table`] — small Markdown/CSV/JSON table renderer used by the `repro`
 //!   harness to emit every table and figure of the paper.
+//! * [`json`] — the workspace's one JSON reader: result tables read back
+//!   through [`table::Table::from_json`] and the experiment service's job
+//!   specs.
 //!
 //! The crate is deliberately free of simulator dependencies so it can also be
 //! used to post-process traces captured elsewhere.
@@ -40,6 +43,7 @@
 
 pub mod edit_distance;
 pub mod histogram;
+pub mod json;
 pub mod stats;
 pub mod table;
 pub mod threshold;

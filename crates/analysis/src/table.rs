@@ -4,6 +4,7 @@
 //! rendered as Markdown (for reading), CSV (for plotting) or JSON
 //! (for machine comparison against the paper's numbers).
 
+use crate::json::Json;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -176,11 +177,50 @@ impl Table {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntax problem encountered. The
-    /// parser accepts any whitespace layout but requires exactly the
-    /// `title` / `headers` / `rows` object shape `to_json` emits.
+    /// Returns the JSON reader's message for a malformed document (see
+    /// [`Json::parse`]), or names the shape problem: the document must be an
+    /// object with exactly the keys `title` (a string), `headers` (an array
+    /// of strings) and `rows` (an array of arrays of strings), each once, in
+    /// any order.
     pub fn from_json(json: &str) -> Result<Table, String> {
-        JsonParser::new(json).parse_table()
+        let json = Json::parse(json)?;
+        let Json::Object(fields) = &json else {
+            return Err("a table must be a JSON object".to_owned());
+        };
+        // Three keys that include all three names: each once, nothing else.
+        let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        if keys.len() != 3
+            || ["title", "headers", "rows"]
+                .iter()
+                .any(|k| !keys.contains(k))
+        {
+            return Err(format!(
+                "a table has exactly the keys \"title\", \"headers\" and \"rows\", found {keys:?}"
+            ));
+        }
+        let strings = |value: &Json| -> Option<Vec<String>> {
+            value
+                .as_array()?
+                .iter()
+                .map(|v| v.as_str().map(str::to_owned))
+                .collect()
+        };
+        Ok(Table {
+            title: json
+                .get("title")
+                .and_then(Json::as_str)
+                .ok_or("\"title\" must be a string")?
+                .to_owned(),
+            headers: json
+                .get("headers")
+                .and_then(strings)
+                .ok_or("\"headers\" must be an array of strings")?,
+            rows: json
+                .get("rows")
+                .and_then(Json::as_array)
+                .and_then(|rows| rows.iter().map(strings).collect())
+                .ok_or("\"rows\" must be an array of arrays of strings")?,
+        })
     }
 
     /// Writes the Markdown, CSV and JSON renderings next to each other:
@@ -221,164 +261,6 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Recursive-descent parser for the exact object shape [`Table::to_json`]
-/// emits.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(json: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: json.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse_table(mut self) -> Result<Table, String> {
-        self.expect(b'{')?;
-        self.expect_key("title")?;
-        let title = self.parse_string()?;
-        self.expect(b',')?;
-        self.expect_key("headers")?;
-        let headers = self.parse_string_array()?;
-        self.expect(b',')?;
-        self.expect_key("rows")?;
-        let mut rows = Vec::new();
-        self.expect(b'[')?;
-        if !self.try_consume(b']') {
-            loop {
-                rows.push(self.parse_string_array()?);
-                if !self.try_consume(b',') {
-                    self.expect(b']')?;
-                    break;
-                }
-            }
-        }
-        self.expect(b'}')?;
-        self.skip_whitespace();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing data at byte {}", self.pos));
-        }
-        Ok(Table {
-            title,
-            headers,
-            rows,
-        })
-    }
-
-    fn skip_whitespace(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        self.skip_whitespace();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                char::from(byte),
-                self.pos
-            ))
-        }
-    }
-
-    fn try_consume(&mut self, byte: u8) -> bool {
-        self.skip_whitespace();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_key(&mut self, key: &str) -> Result<(), String> {
-        let found = self.parse_string()?;
-        if found != key {
-            return Err(format!("expected key \"{key}\", found \"{found}\""));
-        }
-        self.expect(b':')
-    }
-
-    fn parse_string_array(&mut self) -> Result<Vec<String>, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.try_consume(b']') {
-            return Ok(items);
-        }
-        loop {
-            items.push(self.parse_string()?);
-            if !self.try_consume(b',') {
-                self.expect(b']')?;
-                return Ok(items);
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".to_owned());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let escape = rest.get(1).copied().ok_or("unterminated escape")?;
-                    self.pos += 2;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape \"{hex}\""))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or(format!("invalid codepoint \\u{hex}"))?,
-                            );
-                        }
-                        other => {
-                            return Err(format!("unknown escape '\\{}'", char::from(other)));
-                        }
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty by construction");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Display for Table {
@@ -523,6 +405,75 @@ mod tests {
         assert!(Table::from_json("{\"title\": \"unterminated").is_err());
         let valid = sample_table().to_json();
         assert!(Table::from_json(&format!("{valid} trailing")).is_err());
+    }
+
+    #[test]
+    fn from_json_accepts_only_the_table_shape() {
+        let valid = "{\"title\": \"t\", \"headers\": [\"a\"], \"rows\": [[\"1\"]]}";
+        assert_eq!(Table::from_json(valid).unwrap().rows, [["1"]]);
+        // Key order and layout are free; `to_json` is only one layout.
+        let reordered = "{\"rows\":[],\"headers\":[],\"title\":\"\"}";
+        assert_eq!(Table::from_json(reordered).unwrap(), Table::new("", &[]));
+        let too_deep = format!(
+            "{{\"title\": \"t\", \"headers\": [], \"rows\": [{}{}]}}",
+            "[".repeat(40),
+            "]".repeat(40)
+        );
+        for (json, problem) in [
+            (
+                "{\"title\": \"t\", \"headers\": [\"a\"]}",
+                "found [\"title\", \"headers\"]",
+            ),
+            (
+                "{\"title\": \"t\", \"title\": \"u\", \"headers\": [], \"rows\": []}",
+                "found [\"title\", \"title\", \"headers\", \"rows\"]",
+            ),
+            (
+                "{\"title\": \"t\", \"headers\": [], \"rows\": [], \"notes\": \"\"}",
+                "found [\"title\", \"headers\", \"rows\", \"notes\"]",
+            ),
+            (
+                "{\"title\": 7, \"headers\": [], \"rows\": []}",
+                "\"title\" must be a string",
+            ),
+            (
+                "{\"title\": \"t\", \"headers\": [null], \"rows\": []}",
+                "\"headers\" must be an array of strings",
+            ),
+            (
+                "{\"title\": \"t\", \"headers\": [\"a\"], \"rows\": [[1]]}",
+                "\"rows\" must be an array of arrays of strings",
+            ),
+            (
+                "{\"title\": \"t\", \"headers\": [\"a\"], \"rows\": [\"1\"]}",
+                "\"rows\" must be an array of arrays of strings",
+            ),
+            ("[\"t\", [], []]", "JSON object"),
+            (&format!("{valid} {{}}"), "trailing data"),
+            (&too_deep, "nesting deeper than 32"),
+        ] {
+            let error = Table::from_json(json).unwrap_err();
+            assert!(error.contains(problem), "{json}: {error}");
+        }
+    }
+
+    #[test]
+    fn a_table_of_half_a_megabyte_round_trips() {
+        let mut t = Table::new(
+            "large \"quoted\" ünïcödé",
+            &["id", "seed", "cells", "status"],
+        );
+        for i in 0..4_500 {
+            t.push_row([
+                format!("scenario-{i}"),
+                format!("0x{:016x}", i * 7_919),
+                format!("a,b \\ \"c\"\t{}", "x".repeat(i % 100)),
+                "ok ✓".to_owned(),
+            ]);
+        }
+        let json = t.to_json();
+        assert!(json.len() >= 500 * 1024, "{} bytes", json.len());
+        assert_eq!(Table::from_json(&json).unwrap(), t);
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl ChannelConfigBuilder {
         self
     }
 
-    /// Sets the number of calibration samples per symbol level.
+    /// Sets the number of calibration samples per symbol level (at least 1).
     pub fn calibration_samples(&mut self, samples: usize) -> &mut Self {
         self.calibration_samples = samples;
         self
@@ -217,8 +217,8 @@ impl ChannelConfigBuilder {
     ///
     /// Returns [`Error::InvalidEncoding`] for an encoding that
     /// [`SymbolEncoding::validate`] rejects, and [`Error::InvalidConfig`] for
-    /// a zero period, an out-of-range target set or a replacement set smaller
-    /// than the associativity.
+    /// a zero period, an out-of-range target set, a replacement set smaller
+    /// than the associativity or zero calibration samples.
     pub fn build(&self) -> Result<ChannelConfig, Error> {
         self.encoding.validate()?;
         if self.period_cycles == 0 {
@@ -246,6 +246,12 @@ impl ChannelConfigBuilder {
                     "replacement sets A and B stay disjoint only up to {MAX_REPLACEMENT_SIZE} lines, got {}",
                     self.replacement_size
                 ),
+            });
+        }
+        if self.calibration_samples == 0 {
+            return Err(Error::InvalidConfig {
+                field: "calibration_samples",
+                reason: "each symbol level needs at least one calibration sample".into(),
             });
         }
         if let Some(hierarchy) = self.hierarchy {
@@ -370,6 +376,23 @@ mod tests {
         let config = ChannelConfig::default();
         assert_eq!(config.period_cycles, 5_500);
         assert_eq!(config.replacement_size, 10);
+    }
+
+    #[test]
+    fn builder_rejects_zero_calibration_samples() {
+        // A level without samples has no latency class to calibrate; the
+        // builder says so instead of the session failing in calibration.
+        assert!(matches!(
+            ChannelConfig::builder().calibration_samples(0).build(),
+            Err(Error::InvalidConfig {
+                field: "calibration_samples",
+                ..
+            })
+        ));
+        assert!(ChannelConfig::builder()
+            .calibration_samples(1)
+            .build()
+            .is_ok());
     }
 
     #[test]

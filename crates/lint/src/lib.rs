@@ -12,7 +12,7 @@
 //! | `telemetry-wall-clock` | everywhere, **including** the wall-clock-exempt crates | no `Instant::now` / `SystemTime` on a line that touches `telemetry`: trace events are timestamped in simulated cycles only, even in code that is otherwise allowed to read the wall clock |
 //! | `default-hasher` | `sim-cache`, `sim-core`, `core`, `baselines`, `defenses` | no std `HashMap`/`HashSet`: the default hasher is seeded per-process, so iteration order is not reproducible |
 //! | `println-in-lib` | every library file (anything not under a `bin/` directory) | no `println!`/`eprintln!`: libraries report through return values, binaries own the terminal |
-//! | `service-unwrap` | the service's request-handling modules (`server.rs`, `http.rs`, `json.rs`) | no `.unwrap()`/`.expect(`: a malformed request must produce a 4xx/5xx response, never a worker panic |
+//! | `service-unwrap` | the service's request-handling modules (`server.rs`, `http.rs`) and the JSON reader they parse request bodies with (`crates/analysis/src/json.rs`) | no `.unwrap()`/`.expect(`: a malformed request must produce a 4xx/5xx response, never a worker panic |
 //! | `unsafe-header` | every crate root (`src/lib.rs`) | the `#![forbid(unsafe_code)]` header must be present, making the workspace-level deny locally visible and unoverridable |
 //!
 //! ## Escapes
@@ -324,13 +324,14 @@ fn println_applies(path: &str) -> bool {
     !path.contains("/bin/")
 }
 
-/// `service-unwrap` applies to the request-handling modules only.
+/// `service-unwrap` applies only to the request-handling modules and the
+/// JSON reader that parses request bodies.
 fn service_unwrap_applies(path: &str) -> bool {
     matches!(
         path,
         "crates/service/src/server.rs"
             | "crates/service/src/http.rs"
-            | "crates/service/src/json.rs"
+            | "crates/analysis/src/json.rs"
     )
 }
 
@@ -551,9 +552,9 @@ mod tests {
                 "missing {rule}: {findings:?}"
             );
         }
-        // The same fixture placed in a service request module also trips the
-        // unwrap rule.
-        let findings = lint_source("crates/service/src/json.rs", VIOLATIONS);
+        // The same fixture placed in the request-body JSON reader also trips
+        // the unwrap rule.
+        let findings = lint_source("crates/analysis/src/json.rs", VIOLATIONS);
         assert!(findings.iter().any(|f| f.rule == "service-unwrap"));
     }
 
@@ -618,7 +619,7 @@ mod tests {
 }
 ";
         assert_eq!(
-            lint_source("crates/service/src/json.rs", source),
+            lint_source("crates/analysis/src/json.rs", source),
             Vec::new()
         );
         assert_eq!(lint_source("crates/sim-cache/src/x.rs", source), Vec::new());
@@ -756,7 +757,7 @@ fn f(p: &mut P) -> Result<(), String> {
 }
 ";
         assert_eq!(
-            lint_source("crates/service/src/json.rs", source),
+            lint_source("crates/analysis/src/json.rs", source),
             Vec::new()
         );
     }

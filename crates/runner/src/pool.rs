@@ -17,8 +17,9 @@
 //! Robustness: [`run_ordered_catch`] confines a panicking job to its own
 //! result slot (`Err(panic message)`) — the worker that ran it keeps pulling
 //! tasks, no lock is poisoned (jobs run outside every lock) and the rest of
-//! the queue drains normally. [`run_ordered`] keeps the original
-//! panic-propagating contract on top of it.
+//! the queue drains normally. It is the pool's one entry point; callers
+//! decide what a panicked slot means (the executor turns it into a
+//! per-scenario error).
 //!
 //! Instrumentation: the pool keeps cheap process-wide atomic counters (tasks
 //! queued/completed/panicked, steals, queue depth and its peak). [`stats`]
@@ -38,7 +39,7 @@ pub fn default_threads() -> usize {
     thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
-// Process-wide pool counters. Cumulative across every `run_ordered*` call in
+// Process-wide pool counters. Cumulative across every `run_ordered_catch` call in
 // the process (the service runs many executor invocations over one pool
 // module); readers take deltas when they want per-run numbers. Relaxed
 // ordering is enough: these are statistics, not synchronization.
@@ -215,38 +216,24 @@ where
         .collect()
 }
 
-/// Runs `jobs` on `threads` workers and returns their results in submission
-/// order.
-///
-/// With `threads <= 1` (or at most one job) everything runs inline on the
-/// calling thread.
-///
-/// # Panics
-///
-/// If any job panics, the panic is re-raised on the caller with the original
-/// message — but only after every other job has run to completion (see
-/// [`run_ordered_catch`] for the error-carrying variant).
-pub fn run_ordered<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    run_ordered_catch(threads, jobs)
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|message| panic!("pool job panicked: {message}")))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Runs jobs that must not panic and unwraps every slot.
+    fn run_all<T: Send>(threads: usize, jobs: Vec<impl FnOnce() -> T + Send>) -> Vec<T> {
+        run_ordered_catch(threads, jobs)
+            .into_iter()
+            .map(|slot| slot.unwrap())
+            .collect()
+    }
+
     #[test]
     fn results_come_back_in_submission_order() {
         for threads in [1, 2, 4, 8, 33] {
             let jobs: Vec<_> = (0..100).map(|i| move || i * i).collect();
-            let results = run_ordered(threads, jobs);
+            let results = run_all(threads, jobs);
             let expected: Vec<usize> = (0..100).map(|i| i * i).collect();
             assert_eq!(results, expected, "threads={threads}");
         }
@@ -261,14 +248,14 @@ mod tests {
                 move || counter.fetch_add(1, Ordering::SeqCst)
             })
             .collect();
-        run_ordered(8, jobs);
+        run_all(8, jobs);
         assert_eq!(counter.load(Ordering::SeqCst), 257);
     }
 
     #[test]
     fn more_threads_than_jobs_is_fine() {
-        assert_eq!(run_ordered(64, vec![|| 1, || 2]), vec![1, 2]);
-        assert_eq!(run_ordered(4, Vec::<fn() -> u8>::new()), Vec::<u8>::new());
+        assert_eq!(run_all(64, vec![|| 1, || 2]), vec![1, 2]);
+        assert_eq!(run_all(4, Vec::<fn() -> u8>::new()), Vec::<u8>::new());
     }
 
     #[test]
@@ -311,18 +298,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pool job panicked: boom")]
-    fn run_ordered_still_propagates_panics() {
-        let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> =
-            vec![Box::new(|| 1), Box::new(|| panic!("boom"))];
-        run_ordered(2, jobs);
-    }
-
-    #[test]
     fn stats_counters_advance_and_peak_tracks_depth() {
         let before = stats();
         let jobs: Vec<_> = (0..40).map(|i| move || i).collect();
-        run_ordered(4, jobs);
+        run_all(4, jobs);
         let delta = stats().since(&before);
         // Other tests may run pool jobs concurrently, so assert lower
         // bounds on the deltas, not exact equality.

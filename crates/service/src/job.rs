@@ -7,7 +7,7 @@
 //! serves each resolved scenario from the result cache when possible and
 //! runs the rest through `runner::execute`.
 
-use crate::json::Json;
+use analysis::json::Json;
 use analysis::table::json_string;
 use runner::{Scale, ScenarioRun};
 use std::sync::Arc;

@@ -28,6 +28,8 @@
 //!
 //! The crate is registry-generic like [`runner`] itself: `bench` hands its
 //! scenario registry to [`Server::bind`], tests hand in synthetic ones.
+//! Request bodies are read with [`analysis::json`], the workspace's one
+//! JSON reader.
 //!
 //! ```no_run
 //! use runner::Registry;
@@ -52,7 +54,6 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod metrics;
 pub mod server;
 

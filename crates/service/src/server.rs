@@ -21,8 +21,8 @@
 use crate::cache::{result_key, ResultCache};
 use crate::http::{read_request, write_response, Request, Response};
 use crate::job::{scenario_body, Job, JobSpec, JobState};
-use crate::json::Json;
 use crate::metrics::{Endpoint, Metrics};
+use analysis::json::Json;
 use analysis::table::json_string;
 use runner::pool;
 use runner::{execute, Registry, RunConfig, Scenario};
