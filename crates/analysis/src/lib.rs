@@ -8,9 +8,10 @@
 //!   for latency samples.
 //! * [`histogram`] — histograms and empirical CDFs, used to regenerate the
 //!   paper's Figure 4.
-//! * [`edit_distance`] — the Wagner–Fischer edit distance the paper uses to
-//!   score transmission error rates (Sec. V), covering bit flips, insertions
-//!   and losses.
+//! * [`edit_distance`] — the edit distance the paper uses to score
+//!   transmission error rates (Sec. V), covering bit flips, insertions and
+//!   losses: one bit-parallel (Myers/Hyyrö) scorer for the distance and its
+//!   per-type breakdown.
 //! * [`threshold`] — latency-threshold calibration: a binary threshold for
 //!   single-bit symbols and a k-level quantiser for multi-bit symbols.
 //! * [`table`] — small Markdown/CSV/JSON table renderer used by the `repro`

@@ -1,20 +1,19 @@
-//! Property-based tests for the analysis primitives (edit distance metric
-//! axioms, banded scoring against the full matrix, CDF monotonicity,
+//! Property-based tests for the analysis primitives (the bit scorer against
+//! the full-matrix oracle, edit-distance metric axioms, CDF monotonicity,
 //! threshold correctness).
 
 use analysis::edit_distance::{
-    bit_error_rate, bits_to_bytes, bytes_to_bits, edit_distance, error_breakdown, scored_breakdown,
-    ErrorBreakdown,
+    bit_error_rate, bits_to_bytes, bytes_to_bits, error_breakdown, scored_breakdown, ErrorBreakdown,
 };
 use analysis::histogram::Cdf;
 use analysis::stats::Summary;
 use analysis::threshold::BinaryThreshold;
 use proptest::prelude::*;
 
-/// The full-matrix scorer that the banded [`scored_breakdown`] replaced: it
-/// fills every cell of the `(n + 1) * (m + 1)` dynamic program and
-/// backtracks with the same tie-break (diagonal, then loss, then insertion).
-/// The banded scorer must return exactly what this does.
+/// The reference scorer: it fills every cell of the `(n + 1) * (m + 1)`
+/// Wagner–Fischer dynamic program and backtracks with the canonical
+/// tie-break (diagonal, then loss, then insertion). The bit-parallel
+/// [`scored_breakdown`] must return exactly what this does.
 fn full_matrix_breakdown(sent: &[bool], received: &[bool]) -> (usize, ErrorBreakdown) {
     let n = sent.len();
     let m = received.len();
@@ -75,8 +74,23 @@ fn apply_edits(sent: &[bool], edits: &[(u8, usize, bool)]) -> Vec<bool> {
     received
 }
 
+/// The scorer's distance, for the metric axioms.
+fn distance(a: &[bool], b: &[bool]) -> usize {
+    scored_breakdown(a, b).0
+}
+
+/// `len` pseudo-random bits drawn from `seed`.
+fn pseudo_random_bits(len: usize, seed: u64) -> Vec<bool> {
+    (0..len as u64)
+        .map(|i| {
+            let z = ((seed << 32) | i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (z ^ (z >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 63 == 1
+        })
+        .collect()
+}
+
 /// Frame-sized received streams shifted by `shift` bits against a random
-/// 128-bit frame: an alignment that leaves the first pass's band.
+/// 128-bit frame: an optimal alignment `shift` cells off the diagonal.
 fn shifted_pair(seed: u64, shift: usize) -> (Vec<bool>, Vec<bool>) {
     let bits: Vec<bool> = (0..128 + shift as u64)
         .map(|i| (seed ^ i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 1)
@@ -84,11 +98,13 @@ fn shifted_pair(seed: u64, shift: usize) -> (Vec<bool>, Vec<bool>) {
     (bits[..128].to_vec(), bits[shift..].to_vec())
 }
 
+// The two tests below keep the names they had when a banded scorer ran a
+// first pass of width 4 and widened it on demand; the inputs are the ones
+// that exercised the widening, now checked against the full matrix.
+
 #[test]
 fn banded_scoring_reruns_when_the_first_band_is_too_narrow() {
-    // Shifted frames: the optimal alignment runs `shift` cells off the
-    // diagonal, outside the first pass's band, so the first corner
-    // overestimates and the second pass must recover the exact breakdown.
+    // The optimal alignment runs `shift` cells off the diagonal.
     for seed in 0..16 {
         for shift in [5, 8, 17, 40] {
             let (sent, received) = shifted_pair(seed, shift);
@@ -101,11 +117,19 @@ fn banded_scoring_reruns_when_the_first_band_is_too_narrow() {
             );
         }
     }
+    // A 40-bit stream received 6 bits late.
+    let bits = pseudo_random_bits(46, 3);
+    let (sent, received) = (&bits[..40], &bits[6..]);
+    let (distance, breakdown) = scored_breakdown(sent, received);
+    assert!(distance > 4);
+    assert_eq!(breakdown.total(), distance);
+    assert_eq!((distance, breakdown), full_matrix_breakdown(sent, received));
 }
 
 #[test]
 fn banded_scoring_handles_lengths_far_apart() {
-    // |n - m| > 4 widens the first band to the length difference.
+    // |n - m| > 4: the alignment needs at least that many losses or
+    // insertions.
     for seed in 0..16 {
         let (sent, received) = shifted_pair(seed, 9);
         for cut in [5, 9, 30, 127] {
@@ -122,6 +146,56 @@ fn banded_scoring_handles_lengths_far_apart() {
             );
         }
     }
+    // A received prefix 10 bits short: exactly 10 losses, and read the
+    // other way round exactly 10 insertions.
+    let sent = pseudo_random_bits(40, 5);
+    let received = &sent[..30];
+    let lost = ErrorBreakdown {
+        flips: 0,
+        insertions: 0,
+        losses: 10,
+    };
+    assert_eq!(scored_breakdown(&sent, received), (10, lost));
+    assert_eq!(
+        scored_breakdown(&sent, received),
+        full_matrix_breakdown(&sent, received)
+    );
+    let (distance, breakdown) = scored_breakdown(received, &sent);
+    assert_eq!((distance, breakdown.insertions), (10, 10));
+    assert_eq!(
+        (distance, breakdown),
+        full_matrix_breakdown(received, &sent)
+    );
+}
+
+#[test]
+fn scoring_matches_the_full_matrix_at_word_boundary_lengths() {
+    // Lengths on either side of every 64-bit word boundary up to four
+    // words, on both sides: unrelated streams, and a received stream that
+    // is a noisy copy of the sent one.
+    const LENGTHS: [usize; 14] = [
+        0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257,
+    ];
+    for (a, &n) in LENGTHS.iter().enumerate() {
+        for (b, &m) in LENGTHS.iter().enumerate() {
+            let sent = pseudo_random_bits(n, (a * 16 + b) as u64);
+            let unrelated = pseudo_random_bits(m, (a * 16 + b + 256) as u64);
+            let mut copy: Vec<bool> = sent.iter().copied().cycle().take(m).collect();
+            if copy.len() < m {
+                copy = unrelated.clone();
+            }
+            for (k, bit) in copy.iter_mut().enumerate() {
+                *bit ^= k % 11 == 3;
+            }
+            for received in [&unrelated, &copy] {
+                assert_eq!(
+                    scored_breakdown(&sent, received),
+                    full_matrix_breakdown(&sent, received),
+                    "n {n} m {m}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -135,39 +209,41 @@ proptest! {
         b in proptest::collection::vec(any::<bool>(), 0..48),
         c in proptest::collection::vec(any::<bool>(), 0..48),
     ) {
-        prop_assert_eq!(edit_distance(&a, &a), 0);
-        prop_assert_eq!(edit_distance(&a, &b), edit_distance(&b, &a));
-        prop_assert!(edit_distance(&a, &c) <= edit_distance(&a, &b) + edit_distance(&b, &c));
+        prop_assert_eq!(distance(&a, &a), 0);
+        prop_assert_eq!(distance(&a, &b), distance(&b, &a));
+        prop_assert!(distance(&a, &c) <= distance(&a, &b) + distance(&b, &c));
         // Bounded by the longer length and at least the length difference.
-        let d = edit_distance(&a, &b);
+        let d = distance(&a, &b);
         prop_assert!(d <= a.len().max(b.len()));
         prop_assert!(d >= a.len().abs_diff(b.len()));
     }
 
-    /// The per-type breakdown always sums to the edit distance.
+    /// The per-type breakdown always sums to the edit distance, and every
+    /// bit outside a loss or an insertion lies on the alignment's diagonal.
     #[test]
     fn breakdown_total_equals_distance(
         a in proptest::collection::vec(any::<bool>(), 0..40),
         b in proptest::collection::vec(any::<bool>(), 0..40),
     ) {
         let breakdown = error_breakdown(&a, &b);
-        prop_assert_eq!(breakdown.total(), edit_distance(&a, &b));
+        prop_assert_eq!(breakdown.total(), distance(&a, &b));
+        prop_assert_eq!(a.len() - breakdown.losses, b.len() - breakdown.insertions);
     }
 
-    /// The banded scorer equals the full matrix on independent strings of
-    /// any lengths, empty sides and lengths far apart included.
+    /// The scorer equals the full matrix on independent strings of any
+    /// lengths up to three words, empty sides and lengths far apart included.
     #[test]
-    fn banded_scoring_matches_the_full_matrix(
+    fn scoring_matches_the_full_matrix(
         sent in proptest::collection::vec(any::<bool>(), 0..161),
         received in proptest::collection::vec(any::<bool>(), 0..161),
     ) {
         prop_assert_eq!(scored_breakdown(&sent, &received), full_matrix_breakdown(&sent, &received));
     }
 
-    /// The banded scorer equals the full matrix on frame-sized pairs with
-    /// up to 12 flips, insertions and losses — the channel's regimes.
+    /// The scorer equals the full matrix on 128-bit frames with up to 12
+    /// flips, insertions and losses.
     #[test]
-    fn banded_scoring_matches_the_full_matrix_on_noisy_frames(
+    fn scoring_matches_the_full_matrix_on_noisy_frames(
         sent in proptest::collection::vec(any::<bool>(), 128..129),
         edits in proptest::collection::vec((0u8..3, 0usize..256, any::<bool>()), 0..13),
     ) {
@@ -177,12 +253,33 @@ proptest! {
         prop_assert_eq!((distance, breakdown), full_matrix_breakdown(&sent, &received));
     }
 
-    /// The banded scorer equals the full matrix on near-random frame pairs,
-    /// where the second pass runs with a wide band.
+    /// The scorer equals the full matrix on near-random 128-bit pairs.
     #[test]
-    fn banded_scoring_matches_the_full_matrix_on_random_frames(
+    fn scoring_matches_the_full_matrix_on_random_frames(
         sent in proptest::collection::vec(any::<bool>(), 128..129),
         received in proptest::collection::vec(any::<bool>(), 120..137),
+    ) {
+        prop_assert_eq!(scored_breakdown(&sent, &received), full_matrix_breakdown(&sent, &received));
+    }
+
+    /// The scorer equals the full matrix on 256-bit frames (four words) with
+    /// up to 40 flips, insertions and losses.
+    #[test]
+    fn scoring_matches_the_full_matrix_on_noisy_256_bit_frames(
+        sent in proptest::collection::vec(any::<bool>(), 256..257),
+        edits in proptest::collection::vec((0u8..3, 0usize..512, any::<bool>()), 0..41),
+    ) {
+        let received = apply_edits(&sent, &edits);
+        let (distance, breakdown) = scored_breakdown(&sent, &received);
+        prop_assert!(distance <= edits.len());
+        prop_assert_eq!((distance, breakdown), full_matrix_breakdown(&sent, &received));
+    }
+
+    /// The scorer equals the full matrix on near-random 256-bit pairs.
+    #[test]
+    fn scoring_matches_the_full_matrix_on_random_256_bit_frames(
+        sent in proptest::collection::vec(any::<bool>(), 256..257),
+        received in proptest::collection::vec(any::<bool>(), 240..273),
     ) {
         prop_assert_eq!(scored_breakdown(&sent, &received), full_matrix_breakdown(&sent, &received));
     }

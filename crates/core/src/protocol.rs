@@ -6,7 +6,7 @@
 //! 7 show those 16 bits enlarged).  The decoder maps each measured
 //! replacement latency to a symbol via the calibrated thresholds, unpacks
 //! symbols into bits, finds the preamble and scores the remainder with the
-//! Wagner–Fischer edit distance.
+//! edit distance.
 
 use crate::encoding::SymbolEncoding;
 use crate::error::Error;
@@ -232,8 +232,6 @@ pub fn align_and_score(sent: &[bool], decoded: &[bool], max_shift: usize) -> Ali
     }
     let end = (best_offset + sent.len()).min(decoded.len());
     let aligned: Vec<bool> = decoded[best_offset..end].to_vec();
-    // One fused DP pass scores the window: the breakdown's matrix corner is
-    // the edit distance, so the former second pass was pure rework.
     let (distance, breakdown) = scored_breakdown(sent, &aligned);
     AlignmentResult {
         offset: best_offset,

@@ -2,9 +2,14 @@
 //! capacity invariants.
 
 use proptest::prelude::*;
-use sim_cache::config::{CacheConfig, CacheLevel};
-use sim_cache::hierarchy::{HierarchyConfig, HierarchyPreset};
+use sim_cache::addr::{CacheGeometry, PhysAddr};
+use sim_cache::config::{CacheConfig, CacheLevel, WriteMissPolicy, WritePolicy};
+use sim_cache::hierarchy::{
+    HierarchyConfig, HierarchyPreset, InclusionPolicy, RandomFillConfig, WritebackRouting,
+};
 use sim_cache::policy::PolicyKind;
+use sim_cache::trace::TraceOp;
+use sim_core::machine::{Machine, MachineConfig};
 use sim_core::sched::InterruptConfig;
 use wb_channel::capacity::{period_for_kbps, rate_kbps};
 use wb_channel::channel::{ChannelConfig, NoiseConfig};
@@ -12,6 +17,7 @@ use wb_channel::encoding::SymbolEncoding;
 use wb_channel::eviction::analytic_dirty_eviction_probability;
 use wb_channel::protocol::{align_and_score, preamble, Frame, PREAMBLE_BITS};
 use wb_channel::session::{compile_frame, ChannelSession};
+use wb_channel::side_channel::{run_scenario, Scenario, SideChannelConfig};
 
 fn arbitrary_encoding() -> impl Strategy<Value = SymbolEncoding> {
     prop_oneof![
@@ -147,6 +153,94 @@ fn hierarchy_override() -> impl Strategy<Value = Option<HierarchyConfig>> {
     })
 }
 
+/// One cache level to put in place of a preset's: `None` (five times in
+/// eight) keeps the preset's level, as does a drawn geometry the builder
+/// refuses; otherwise a builder-made level of up to 64 KiB and 16 ways, or a
+/// hand-built one whose public geometry fields need not agree.
+fn arbitrary_level(level: CacheLevel) -> impl Strategy<Value = Option<CacheConfig>> {
+    (
+        (0u32..17, 0usize..17, 0u32..8),
+        0usize..6,
+        any::<bool>(),
+        0u8..8,
+        0usize..9,
+    )
+        .prop_map(
+            move |((size_log, ways, line_log), policy, write_through, shape, sets)| {
+                let (size, line) = (1usize << size_log, 1usize << line_log);
+                let (write_policy, write_miss_policy) = if write_through {
+                    (WritePolicy::WriteThrough, WriteMissPolicy::NoWriteAllocate)
+                } else {
+                    (WritePolicy::WriteBack, WriteMissPolicy::WriteAllocate)
+                };
+                match shape {
+                    0..=4 => None,
+                    5 | 6 => CacheConfig::builder(level)
+                        .size_bytes(size)
+                        .associativity(ways)
+                        .line_size(line)
+                        .write_policy(write_policy)
+                        .write_miss_policy(write_miss_policy)
+                        .replacement(POLICIES[policy])
+                        .build()
+                        .ok(),
+                    _ => Some(CacheConfig {
+                        level,
+                        geometry: CacheGeometry {
+                            size_bytes: size,
+                            associativity: ways,
+                            line_size: line,
+                            num_sets: sets,
+                        },
+                        write_policy,
+                        write_miss_policy,
+                        replacement: POLICIES[policy],
+                    }),
+                }
+            },
+        )
+}
+
+/// Any hierarchy: a [`hierarchy_override`] shape (or the default) with each
+/// level possibly replaced by an [`arbitrary_level`], any inclusion and
+/// write-back routing, and an optional random-fill L1 (a window of any size
+/// in one case of four).
+fn arbitrary_hierarchy() -> impl Strategy<Value = HierarchyConfig> {
+    (
+        hierarchy_override(),
+        (
+            arbitrary_level(CacheLevel::L1D),
+            arbitrary_level(CacheLevel::L2),
+            arbitrary_level(CacheLevel::L3),
+        ),
+        (0usize..3, any::<bool>()),
+        (any::<bool>(), any::<u64>(), 0u64..64),
+        0u64..1_000,
+    )
+        .prop_map(
+            |(base, (l1d, l2, llc), (inclusion, poc), (random_fill, wide, narrow), seed)| {
+                let mut hierarchy = base.unwrap_or_default();
+                hierarchy.l1d = l1d.unwrap_or(hierarchy.l1d);
+                hierarchy.l2 = l2.unwrap_or(hierarchy.l2);
+                hierarchy.llc = llc.unwrap_or(hierarchy.llc);
+                hierarchy.inclusion = [
+                    InclusionPolicy::Inclusive,
+                    InclusionPolicy::NonInclusive,
+                    InclusionPolicy::Exclusive,
+                ][inclusion];
+                if poc {
+                    hierarchy.writeback = WritebackRouting::PointOfCoherency;
+                }
+                if random_fill {
+                    let window = if seed % 4 == 0 { wide } else { narrow };
+                    hierarchy.l1_random_fill = Some(RandomFillConfig { window });
+                }
+                hierarchy.seed = seed;
+                hierarchy
+            },
+        )
+}
+
 const POLICIES: [PolicyKind; 6] = [
     PolicyKind::TrueLru,
     PolicyKind::TreePlru,
@@ -199,6 +293,62 @@ proptest! {
                 let report = session.transmit_bits(&payload);
                 prop_assert!(report.is_ok(), "{:?}", report);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Bad hierarchies are errors, never panics: `Machine::new` returns
+    /// `Ok` or `Err` on any hierarchy, and a machine it builds runs loads,
+    /// stores and a timed chase.
+    #[test]
+    fn machine_new_never_panics_on_any_hierarchy(
+        hierarchy in arbitrary_hierarchy(),
+        addrs in proptest::collection::vec((any::<u64>(), any::<bool>()), 0..48),
+    ) {
+        let config = MachineConfig { hierarchy, ..MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, 5) };
+        if let Ok(mut machine) = Machine::new(config) {
+            let ops: Vec<TraceOp> = addrs
+                .iter()
+                .map(|&(addr, store)| {
+                    let addr = PhysAddr(addr);
+                    if store { TraceOp::write(addr) } else { TraceOp::read(addr) }
+                })
+                .collect();
+            machine.run_trace(1, &ops);
+            let chase: Vec<PhysAddr> = addrs.iter().map(|&(addr, _)| PhysAddr(addr)).collect();
+            machine.measured_chase(2, &chase);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Bad side-channel configurations are errors, never panics:
+    /// `run_scenario` returns `Ok` or `Err` on any sets, hierarchy and
+    /// trial counts, for every scenario.
+    #[test]
+    fn side_channel_never_panics_on_any_config(
+        hierarchy in arbitrary_hierarchy(),
+        (set_m, set_n) in (0usize..72, 0usize..72),
+        (trials, calibration_trials) in (0usize..16, 0usize..16),
+        scenario in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        let config = SideChannelConfig {
+            machine: MachineConfig { hierarchy, ..MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, seed) },
+            set_m,
+            set_n,
+            trials,
+            calibration_trials,
+            seed,
+        };
+        if let Ok(result) = run_scenario(&config, Scenario::ALL[scenario]) {
+            prop_assert_eq!(result.trials, trials);
+            prop_assert!((0.0..=1.0).contains(&result.accuracy));
         }
     }
 }

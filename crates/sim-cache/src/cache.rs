@@ -180,10 +180,26 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Propagates policy construction errors (e.g. Tree-PLRU with a
-    /// non-power-of-two associativity).
+    /// Returns [`crate::Error::InvalidGeometry`] for a geometry
+    /// [`CacheGeometry::new`] would not build, and propagates policy
+    /// construction errors (e.g. Tree-PLRU with a non-power-of-two
+    /// associativity).
     pub fn new(config: CacheConfig, seed: u64) -> crate::Result<Cache> {
         let geometry = config.geometry;
+        // The geometry's fields are public: a hand-built one must still be
+        // the one `CacheGeometry::new` derives from its dimensions.
+        let derived = CacheGeometry::new(
+            geometry.size_bytes,
+            geometry.associativity,
+            geometry.line_size,
+        )?;
+        if derived != geometry {
+            return Err(crate::Error::InvalidGeometry {
+                field: "num_sets",
+                value: geometry.num_sets,
+                requirement: "must be size_bytes / (associativity * line_size)",
+            });
+        }
         let policy = PolicyDispatch::build(
             config.replacement,
             geometry.num_sets,

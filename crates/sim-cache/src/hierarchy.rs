@@ -104,8 +104,29 @@ pub struct HierarchyConfig {
 /// Configuration of the random-fill L1 defense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandomFillConfig {
-    /// Half-width of the fill neighbourhood, in cache lines.
+    /// Half-width of the fill neighbourhood, in cache lines: at most
+    /// [`RandomFillConfig::MAX_WINDOW`].
     pub window: u64,
+}
+
+impl RandomFillConfig {
+    /// The widest neighbourhood a hierarchy accepts, so that the fill draw
+    /// over `2 * window + 1` lines cannot overflow.
+    pub const MAX_WINDOW: u64 = 1 << 32;
+
+    /// Rejects a window above [`RandomFillConfig::MAX_WINDOW`].
+    fn check(config: Option<RandomFillConfig>) -> crate::Result<()> {
+        match config {
+            Some(RandomFillConfig { window }) if window > Self::MAX_WINDOW => {
+                Err(crate::Error::InvalidGeometry {
+                    field: "l1_random_fill.window",
+                    value: usize::try_from(window).unwrap_or(usize::MAX),
+                    requirement: "must be at most 2^32 lines",
+                })
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 impl HierarchyConfig {
@@ -268,6 +289,7 @@ impl CacheHierarchy {
     ///
     /// Propagates configuration errors from the individual cache levels.
     pub fn new(config: HierarchyConfig) -> crate::Result<CacheHierarchy> {
+        RandomFillConfig::check(config.l1_random_fill)?;
         Ok(CacheHierarchy {
             l1d: Cache::new(config.l1d, stream_seed(config.seed, L1D_STREAM))?,
             l2: Cache::new(config.l2, stream_seed(config.seed, L2_STREAM))?,
@@ -301,6 +323,7 @@ impl CacheHierarchy {
     ///
     /// Propagates configuration errors from the individual cache levels.
     pub fn reset(&mut self, config: HierarchyConfig) -> crate::Result<()> {
+        RandomFillConfig::check(config.l1_random_fill)?;
         self.l1d
             .reset(config.l1d, stream_seed(config.seed, L1D_STREAM))?;
         self.l2
@@ -863,7 +886,7 @@ impl CacheHierarchy {
         let offset =
             (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % (2 * window + 1)) as i64 - window as i64;
         let line_size = self.l1d.geometry().line_size as i64;
-        let fill_target = addr.value() as i64 + offset * line_size;
+        let fill_target = (addr.value() as i64).saturating_add(offset.saturating_mul(line_size));
         let fill_addr = PhysAddr(fill_target.max(0) as u64);
 
         let mut cycles = cycles;
