@@ -106,22 +106,10 @@ pub fn noise_robustness_comparison(bits: usize, seed: u64) -> Result<Vec<NoiseRo
     });
 
     // WB channel, clean and with a noisy neighbour touching the target set.
-    let wb_config = |noisy: bool| -> Result<ChannelConfig, Error> {
-        let mut builder = ChannelConfig::builder();
-        builder
-            .encoding(SymbolEncoding::binary(1)?)
-            .period_cycles(5_500)
-            .calibration_samples(80)
-            .seed(seed);
-        if noisy {
-            builder.noise(NoiseConfig::single_clean_line(2_500));
-        }
-        builder.build()
-    };
-    let clean = ChannelSession::new(wb_config(false)?)?
+    let clean = ChannelSession::new(wb_comparison_config(false, seed)?)?
         .transmit_bits(&payload)?
         .bit_error_rate();
-    let noisy = ChannelSession::new(wb_config(true)?)?
+    let noisy = ChannelSession::new(wb_comparison_config(true, seed)?)?
         .transmit_bits(&payload)?
         .bit_error_rate();
     results.push(NoiseRobustness {
@@ -131,6 +119,26 @@ pub fn noise_robustness_comparison(bits: usize, seed: u64) -> Result<Vec<NoiseRo
     });
 
     Ok(results)
+}
+
+/// The WB channel's Figure 8 configuration: binary symbols with one dirty
+/// line at `Ts = 5500`, clean or beside a noisy neighbour that touches one
+/// clean line of the target set every 2500 cycles.
+///
+/// # Errors
+///
+/// Propagates configuration errors.
+pub fn wb_comparison_config(noisy: bool, seed: u64) -> Result<ChannelConfig, Error> {
+    let mut builder = ChannelConfig::builder();
+    builder
+        .encoding(SymbolEncoding::binary(1)?)
+        .period_cycles(5_500)
+        .calibration_samples(80)
+        .seed(seed);
+    if noisy {
+        builder.noise(NoiseConfig::single_clean_line(2_500));
+    }
+    builder.build()
 }
 
 /// Estimated sender cache loads per millisecond when one bit is sent every

@@ -74,13 +74,13 @@ const USAGE: &str = "usage:\n  repro list [--quick|--full]\n  repro run <id|glob
     \nscenario ids (see `repro list`): table1 table2 table4 table5 table6 table7\n\
     fig4 fig5-7 fig6 fig8 bandwidth defenses sidechannel hierarchy-matrix; globs\n\
     like 'table*' and the keyword `all` also work\n\
-    \ncheck statically verifies every selected scenario's compiled trace programs\n\
-    across all hierarchy presets without executing a simulated cycle; --verbose\n\
-    prints per-scenario program stats (steps, ops, chases, anchors) and phase\n\
-    span coverage. lint runs the workspace determinism linter (crates/lint)\n\
+    \ncheck statically verifies the compiled trace programs of every point of\n\
+    every selected scenario, as run --full builds them, without executing a\n\
+    simulated cycle; --verbose prints per-scenario program stats (steps, ops,\n\
+    chases, anchors) and phase span coverage. lint runs the workspace determinism linter (crates/lint)\n\
     over DIR (default: the workspace root), printing one JSON finding per\n\
     line; both exit non-zero on any finding\n\
-    \ntrace runs each selected scenario's operating point with cycle-domain\n\
+    \ntrace runs point 0 of each selected scenario with cycle-domain\n\
     telemetry enabled and writes, per scenario: a Perfetto-loadable\n\
     TRACE_<id>_trace.json, a TRACE_<id>_events.ndjson event stream, and\n\
     per-phase cycle, per-frame BER and chase-latency tables under --out\n\
@@ -508,13 +508,11 @@ fn check(options: Options) -> ExitCode {
     if options.verbose {
         for check in &report.scenarios {
             emit(&format_args!(
-                "check {:<16} {} config{} x hierarchies = {:>2} variants, {:>3} programs; \
-                 default machine: steps={} ops={} chases={} anchors={} \
-                 phase coverage={}/{}",
+                "check {:<16} {:>2} config{}, {:>3} programs; \
+                 steps={} ops={} chases={} anchors={} phase coverage={}/{}",
                 check.id,
                 check.configs,
                 if check.configs == 1 { " " } else { "s" },
-                check.variants,
                 check.programs,
                 check.stats.steps,
                 check.stats.ops,
@@ -527,10 +525,10 @@ fn check(options: Options) -> ExitCode {
     }
     let findings: Vec<&String> = report.findings().collect();
     emit(&format_args!(
-        "check: {} scenario{}, {} variants, {} programs verified, {} finding{}",
+        "check: {} scenario{}, {} configs, {} programs verified, {} finding{}",
         report.scenarios.len(),
         if report.scenarios.len() == 1 { "" } else { "s" },
-        report.variants(),
+        report.configs(),
         report.programs(),
         findings.len(),
         if findings.len() == 1 { "" } else { "s" },

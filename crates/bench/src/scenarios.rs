@@ -17,7 +17,7 @@
 
 use analysis::table::{fixed, percent, percent2, Table};
 use baselines::comparison::{
-    classification_table, loads_per_ms_estimate, noise_robustness_comparison,
+    classification_table, loads_per_ms_estimate, noise_robustness_comparison, wb_comparison_config,
 };
 use baselines::lru_channel::LruChannel;
 use defenses::{evaluate_defense_majority, Defense, EvaluationConfig};
@@ -34,6 +34,7 @@ use wb_channel::capacity::{rate_kbps, PAPER_PERIODS};
 use wb_channel::channel::ChannelConfig;
 use wb_channel::encoding::SymbolEncoding;
 use wb_channel::eviction::{table_ii, table_v};
+use wb_channel::protocol::PREAMBLE_BITS;
 use wb_channel::session::ChannelSession;
 use wb_channel::side_channel::{self, SideChannelConfig};
 use wb_channel::stealth::{sender_profile, table_vii_rows, SenderCompanion};
@@ -60,6 +61,20 @@ fn with_sim_usage(mut output: PointOutput, channel: &ChannelSession) -> PointOut
     }
     output.phase_cycles[Phase::Calibrate.index()] += channel.calibration_cycles();
     output
+}
+
+/// The default machine's channel config for `encoding` at `period` cycles.
+fn channel_config(
+    encoding: SymbolEncoding,
+    period: u64,
+    seed: u64,
+) -> Result<ChannelConfig, String> {
+    ChannelConfig::builder()
+        .encoding(encoding)
+        .period_cycles(period)
+        .seed(seed)
+        .build()
+        .map_err(err)
 }
 
 fn assemble_rows(title: &str, headers: &[&str], outputs: &[PointOutput]) -> Table {
@@ -287,46 +302,34 @@ fn traces_points(_: Scale) -> usize {
     4 // binary d = 1/4/8 plus the two-bit configuration
 }
 
-fn traces_point(ctx: &PointCtx) -> Result<PointOutput, String> {
-    let (label, encoding, period, payload_bits) = match ctx.index {
-        0 => (
-            "Figure 5, binary d=1 @ Ts=5500",
-            SymbolEncoding::binary(1).map_err(err)?,
-            5_500,
-            112,
-        ),
-        1 => (
-            "Figure 5, binary d=4 @ Ts=5500",
-            SymbolEncoding::binary(4).map_err(err)?,
-            5_500,
-            112,
-        ),
-        2 => (
-            "Figure 5, binary d=8 @ Ts=5500",
-            SymbolEncoding::binary(8).map_err(err)?,
-            5_500,
-            112,
-        ),
+/// Point `ctx.index` of Figures 5 & 7: its table label and channel config.
+fn traces_config(ctx: &PointCtx) -> Result<(String, ChannelConfig), String> {
+    let (label, encoding, period) = match ctx.index {
+        0..=2 => {
+            let d = [1, 4, 8][ctx.index];
+            let label = format!("Figure 5, binary d={d} @ Ts=5500");
+            (label, SymbolEncoding::binary(d).map_err(err)?, 5_500)
+        }
         _ => (
-            "Figure 7, two-bit symbols (d in {0,3,5,8}) @ Ts=4000",
+            "Figure 7, two-bit symbols (d in {0,3,5,8}) @ Ts=4000".to_owned(),
             SymbolEncoding::paper_two_bit(),
             4_000,
-            240,
         ),
     };
-    let config = ChannelConfig::builder()
-        .encoding(encoding)
-        .period_cycles(period)
-        .seed(ctx.seed)
-        .build()
-        .map_err(err)?;
+    Ok((label, channel_config(encoding, period, ctx.seed)?))
+}
+
+fn traces_point(ctx: &PointCtx) -> Result<PointOutput, String> {
+    let (label, config) = traces_config(ctx)?;
+    // One 128-symbol frame: the payload fills what the preamble leaves.
+    let payload_bits = 128 * config.encoding.bits_per_symbol() - PREAMBLE_BITS;
     let mut channel = ChannelSession::new(config).map_err(err)?;
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xbeef);
     let payload: Vec<bool> = (0..payload_bits).map(|_| rng.gen()).collect();
     let report = channel.transmit_bits(&payload).map_err(err)?;
     Ok(with_sim_usage(
         PointOutput::row([
-            label.to_owned(),
+            label,
             fixed(report.rate_kbps, 0),
             report.edit_distance.to_string(),
             percent2(report.bit_error_rate()),
@@ -369,38 +372,38 @@ fn fig6_points(scale: Scale) -> usize {
     (scale.sizes().error_rate_dirty_counts.len() + 1) * PAPER_PERIODS.len()
 }
 
-fn fig6_point(ctx: &PointCtx) -> Result<PointOutput, String> {
-    let sizes = ctx.scale.sizes();
-    let ds = sizes.error_rate_dirty_counts;
+/// Point `ctx.index` of Figure 6: its encoding label and channel config.
+fn fig6_config(ctx: &PointCtx) -> Result<(String, ChannelConfig), String> {
+    let ds = ctx.scale.sizes().error_rate_dirty_counts;
     // Periods are swept slowest-first, as in the paper's Figure 6.
     let period_of = |i: usize| PAPER_PERIODS[PAPER_PERIODS.len() - 1 - i];
     let binary_cells = ds.len() * PAPER_PERIODS.len();
-    let (encoding, label, period, frames, frame_bits) = if ctx.index < binary_cells {
+    let (label, encoding, period) = if ctx.index < binary_cells {
         let d = ds[ctx.index / PAPER_PERIODS.len()];
         (
-            SymbolEncoding::binary(d).map_err(err)?,
             format!("binary d={d}"),
+            SymbolEncoding::binary(d).map_err(err)?,
             period_of(ctx.index % PAPER_PERIODS.len()),
-            sizes.frames,
-            128,
         )
     } else {
         (
-            SymbolEncoding::paper_two_bit(),
             "two-bit {0,3,5,8}".to_owned(),
+            SymbolEncoding::paper_two_bit(),
             period_of(ctx.index - binary_cells),
-            sizes.frames.max(2) / 2,
-            256,
         )
     };
-    let config = ChannelConfig::builder()
-        .encoding(encoding)
-        .period_cycles(period)
-        .seed(ctx.seed)
-        .build()
-        .map_err(err)?;
+    Ok((label, channel_config(encoding, period, ctx.seed)?))
+}
+
+fn fig6_point(ctx: &PointCtx) -> Result<PointOutput, String> {
+    let (label, config) = fig6_config(ctx)?;
+    let period = config.period_cycles;
+    let bits = config.encoding.bits_per_symbol();
+    // The two-bit sweep sends half as many frames, each of twice the bits.
+    let frames = ctx.scale.sizes().frames;
+    let frames = if bits == 1 { frames } else { frames.max(2) / 2 };
     let mut channel = ChannelSession::new(config).map_err(err)?;
-    let report = channel.evaluate(frames, frame_bits).map_err(err)?;
+    let report = channel.evaluate(frames, 128 * bits).map_err(err)?;
     Ok(with_sim_usage(
         PointOutput::row([
             label,
@@ -482,7 +485,7 @@ pub const TABLE5: Scenario = Scenario {
 // ---------------------------------------------------------------- Table VI
 
 /// Transmission period of the stealth profiles (Tables VI and VII).
-pub(crate) const STEALTH_PERIOD: u64 = 11_000;
+const STEALTH_PERIOD: u64 = 11_000;
 /// Spin-loop footprint granted to the LRU-channel sender for parity.
 const LRU_SPIN_PER_BIT: f64 = 24.0;
 /// Clock frequency (GHz) used to convert cycles to milliseconds.
@@ -648,6 +651,16 @@ fn fig8_point(ctx: &PointCtx) -> Result<PointOutput, String> {
     })
 }
 
+/// The WB channel's two Figure 8 configs, clean and noisy, as
+/// [`noise_robustness_comparison`] transmits them.
+fn fig8_configs(ctx: &PointCtx) -> Result<Vec<(String, ChannelConfig)>, String> {
+    let config = |noisy| wb_comparison_config(noisy, ctx.seed).map_err(err);
+    Ok(vec![
+        ("WB clean".to_owned(), config(false)?),
+        ("WB noisy".to_owned(), config(true)?),
+    ])
+}
+
 fn fig8_assemble(_: Scale, outputs: &[PointOutput]) -> Vec<(String, Table)> {
     vec![(
         "fig8".to_owned(),
@@ -677,7 +690,7 @@ pub const FIG8: Scenario = Scenario {
 
 // ---------------------------------------------------------------- bandwidth
 
-pub(crate) const BANDWIDTH_POINTS: [(usize, u64); 3] = [
+const BANDWIDTH_POINTS: [(usize, u64); 3] = [
     // (binary dirty count, period); 0 encodes the two-bit configuration.
     (1, 1_600),
     (8, 800),
@@ -688,27 +701,30 @@ fn bandwidth_points(_: Scale) -> usize {
     BANDWIDTH_POINTS.len()
 }
 
-fn bandwidth_point(ctx: &PointCtx) -> Result<PointOutput, String> {
+/// Point `ctx.index` of the bandwidth summary: its encoding label and
+/// channel config.
+fn bandwidth_config(ctx: &PointCtx) -> Result<(String, ChannelConfig), String> {
     let (d, period) = BANDWIDTH_POINTS[ctx.index];
     let encoding = if d == 0 {
         SymbolEncoding::paper_two_bit()
     } else {
         SymbolEncoding::binary(d).map_err(err)?
     };
-    let bits = encoding.bits_per_symbol();
-    let config = ChannelConfig::builder()
-        .encoding(encoding.clone())
-        .period_cycles(period)
-        .seed(ctx.seed)
-        .build()
-        .map_err(err)?;
+    let label = encoding.to_string();
+    Ok((label, channel_config(encoding, period, ctx.seed)?))
+}
+
+fn bandwidth_point(ctx: &PointCtx) -> Result<PointOutput, String> {
+    let (label, config) = bandwidth_config(ctx)?;
+    let period = config.period_cycles;
+    let bits = config.encoding.bits_per_symbol();
     let mut channel = ChannelSession::new(config).map_err(err)?;
     let report = channel
         .evaluate(ctx.scale.sizes().frames, 128 * bits)
         .map_err(err)?;
     Ok(with_sim_usage(
         PointOutput::row([
-            encoding.to_string(),
+            label,
             period.to_string(),
             fixed(rate_kbps(bits, period, CLOCK_GHZ), 0),
             percent2(report.mean_bit_error_rate),
@@ -882,7 +898,9 @@ fn hierarchy_matrix_points(_: Scale) -> usize {
     HierarchyPreset::ALL.len() * MATRIX_LLC_ASSOC.len() * MATRIX_POLICIES.len()
 }
 
-fn hierarchy_matrix_point(ctx: &PointCtx) -> Result<PointOutput, String> {
+/// Point `ctx.index` of the hierarchy matrix: its `preset/llcN/policy`
+/// label and channel config.
+fn hierarchy_matrix_config(ctx: &PointCtx) -> Result<(String, ChannelConfig), String> {
     let (preset, llc_ways, policy) = matrix_axes(ctx.index);
     let hierarchy = preset
         .config(policy, llc_ways, ctx.seed)
@@ -899,6 +917,14 @@ fn hierarchy_matrix_point(ctx: &PointCtx) -> Result<PointOutput, String> {
         .seed(ctx.seed)
         .build()
         .map_err(err)?;
+    let label = format!("{}/llc{llc_ways}/{}", preset.label(), policy.label());
+    Ok((label, config))
+}
+
+fn hierarchy_matrix_point(ctx: &PointCtx) -> Result<PointOutput, String> {
+    let (preset, llc_ways, policy) = matrix_axes(ctx.index);
+    let (_, config) = hierarchy_matrix_config(ctx)?;
+    let rate = rate_kbps(1, config.period_cycles, CLOCK_GHZ);
     let mut channel = ChannelSession::new(config).map_err(err)?;
     let report = channel
         .evaluate(ctx.scale.sizes().frames, 128)
@@ -909,7 +935,7 @@ fn hierarchy_matrix_point(ctx: &PointCtx) -> Result<PointOutput, String> {
         format!("{:?}", preset.inclusion()).to_lowercase(),
         llc_ways.to_string(),
         policy.label().to_owned(),
-        fixed(rate_kbps(1, 5_500, CLOCK_GHZ), 0),
+        fixed(rate, 0),
         percent2(ber),
         if ber == 0.0 { "yes" } else { "no" }.to_owned(),
     ]);
@@ -949,6 +975,28 @@ pub const HIERARCHY_MATRIX: Scenario = Scenario {
 };
 
 // ---------------------------------------------------------------- registry
+
+/// The labelled channel configs point `ctx.index` of scenario `id` transmits
+/// with, or `None` for a scenario that never opens a [`ChannelSession`].
+///
+/// `repro check` and `repro trace` read scenario points through this one
+/// lookup, so they compile and trace exactly what `repro run` sends.
+pub(crate) fn channel_configs(
+    id: &str,
+    ctx: &PointCtx,
+) -> Option<Result<Vec<(String, ChannelConfig)>, String>> {
+    let one = |config: fn(&PointCtx) -> Result<(String, ChannelConfig), String>| {
+        config(ctx).map(|point| vec![point])
+    };
+    Some(match id {
+        "fig5-7" => one(traces_config),
+        "fig6" => one(fig6_config),
+        "fig8" => fig8_configs(ctx),
+        "bandwidth" => one(bandwidth_config),
+        "hierarchy-matrix" => one(hierarchy_matrix_config),
+        _ => return None,
+    })
+}
 
 /// All scenarios, in the paper's narrative order.
 pub const ALL_SCENARIOS: [Scenario; 14] = [

@@ -1,8 +1,9 @@
 //! `repro trace` — cycle-domain tracing of one scenario operating point.
 //!
-//! For every selected scenario this module builds the scenario's first
-//! representative channel configuration (the same table
-//! [`crate::check`] verifies statically), runs a short transmission with
+//! For every selected scenario this module builds the channel configuration
+//! of the scenario's point 0 as `repro run --full` does (the same lookup
+//! [`crate::check`] verifies statically; the paper-default stand-in for
+//! scenarios that never open a channel session), runs a short transmission with
 //! the [`sim_core::telemetry`] sink enabled, and folds the recorded events
 //! into the trace artifacts:
 //!
@@ -23,9 +24,10 @@
 //! bits are produced by exactly the same code path `repro run` uses with
 //! the sink disabled.
 
-use crate::check::scenario_configs;
+use crate::check::{payload, point_configs};
 use analysis::histogram::Histogram;
 use analysis::table::{fixed, percent2, Table};
+use runner::scenario::Scenario;
 use runner::Registry;
 use sim_core::telemetry::{export, EventKind, Phase, TraceEvent};
 use wb_channel::protocol::Frame;
@@ -44,7 +46,7 @@ const LATENCY_BINS: usize = 16;
 pub struct TraceArtifact {
     /// The traced scenario's registry id.
     pub id: &'static str,
-    /// Label of the representative configuration that was traced.
+    /// Label of the point configuration that was traced.
     pub config_label: String,
     /// Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`).
     pub chrome_json: String,
@@ -101,18 +103,18 @@ fn event_row(event: &TraceEvent) -> Vec<String> {
     ]
 }
 
-/// Traces one scenario's first representative configuration for `frames`
-/// frames and assembles the artifacts.
-fn trace_scenario(id: &'static str, frames: usize) -> Result<TraceArtifact, String> {
-    let configs = scenario_configs(id)?;
-    let (config_label, config) = configs
+/// Traces the first config of one scenario's point 0 for `frames` frames
+/// and assembles the artifacts.
+fn trace_scenario(scenario: &Scenario, frames: usize) -> Result<TraceArtifact, String> {
+    let id = scenario.id;
+    let (config_label, config) = point_configs(scenario, 1)?
         .into_iter()
         .next()
-        .ok_or_else(|| format!("{id}: no representative configuration"))?;
+        .ok_or_else(|| format!("{id}: no channel configuration"))?;
 
     let mut session = ChannelSession::new(config).map_err(|e| format!("{id}: {e}"))?;
     session.enable_tracing();
-    let payload: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
+    let payload = payload();
 
     let mut timeline = Table::new(
         format!("trace {id} [{config_label}]: per-frame BER timeline"),
@@ -208,7 +210,7 @@ pub fn run_trace(
     let selected = registry.select(patterns)?;
     selected
         .iter()
-        .map(|scenario| trace_scenario(scenario.id, frames))
+        .map(|scenario| trace_scenario(scenario, frames))
         .collect()
 }
 
@@ -272,9 +274,9 @@ mod tests {
     fn traced_decodes_match_untraced_runs_exactly() {
         // The determinism contract, end to end at the artifact level: the
         // BER timeline of a traced run equals the reports of an untraced one.
-        let configs = scenario_configs("fig6").unwrap();
+        let configs = point_configs(&crate::scenarios::FIG6, 1).unwrap();
         let (_, config) = configs.into_iter().next().unwrap();
-        let payload: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
+        let payload = payload();
         let mut traced = ChannelSession::new(config.clone()).unwrap();
         traced.enable_tracing();
         let mut plain = ChannelSession::new(config).unwrap();

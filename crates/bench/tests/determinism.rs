@@ -37,6 +37,10 @@ fn assert_thread_count_invariant(scale: Scale) {
 
     for run in serial.iter().chain(&parallel) {
         assert!(run.error.is_none(), "{} failed: {:?}", run.id, run.error);
+        // The session-backed scenarios must report their simulated work.
+        if run.id == "fig5-7" || run.id == "bandwidth" {
+            assert!(run.sim_accesses > 0, "{} reports no simulated work", run.id);
+        }
     }
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {

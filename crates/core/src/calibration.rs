@@ -12,6 +12,7 @@
 use crate::encoding::SymbolEncoding;
 use crate::error::Error;
 use crate::protocol::Decoder;
+use crate::{RECEIVER_DOMAIN, SENDER_DOMAIN};
 use analysis::histogram::Cdf;
 use analysis::stats::Summary;
 use rand::rngs::StdRng;
@@ -23,10 +24,6 @@ use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
 use sim_core::memlayout::{ChannelLayout, SetLines, MAX_REPLACEMENT_SIZE};
 use sim_core::process::{AddressSpace, ProcessId};
-
-/// Domain/process identifiers used by all calibration experiments.
-const RECEIVER_DOMAIN: u16 = 1;
-const SENDER_DOMAIN: u16 = 2;
 
 /// Configuration of the calibration runs.
 #[derive(Debug, Clone, Copy, PartialEq)]

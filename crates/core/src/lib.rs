@@ -78,6 +78,11 @@ pub use encoding::SymbolEncoding;
 pub use error::Error;
 pub use session::ChannelSession;
 
+/// Protection domain (and process id) of the receiver in every harness.
+pub const RECEIVER_DOMAIN: u16 = 1;
+/// Protection domain (and process id) of the sender in every harness.
+pub const SENDER_DOMAIN: u16 = 2;
+
 /// Convenient glob-import of the most frequently used types.
 pub mod prelude {
     pub use crate::calibration::CalibrationConfig;

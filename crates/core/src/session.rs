@@ -30,6 +30,7 @@ use crate::protocol::Decoder;
 use crate::protocol::{align_and_score, Frame};
 use crate::receiver::WbReceiver;
 use crate::sender::WbSender;
+use crate::{RECEIVER_DOMAIN, SENDER_DOMAIN};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_cache::addr::CacheGeometry;
@@ -41,9 +42,8 @@ use sim_core::process::{AddressSpace, ProcessId};
 use sim_core::session::TraceProgram;
 use sim_core::telemetry::{BitDecision, Phase, PhaseCycles, TraceEvent, TraceSink};
 
-/// Domains of the two covert-channel parties and the optional noise process.
-pub(crate) const RECEIVER_DOMAIN: u16 = 1;
-pub(crate) const SENDER_DOMAIN: u16 = 2;
+/// Domain of the optional noise process, beside the two parties'
+/// [`RECEIVER_DOMAIN`] and [`SENDER_DOMAIN`].
 pub(crate) const NOISE_DOMAIN: u16 = 3;
 
 /// The three parties of one frame, built identically by

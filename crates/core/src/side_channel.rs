@@ -60,6 +60,10 @@ impl Scenario {
     }
 }
 
+/// Fewest calibration trials [`run_scenario`] accepts: four known secrets
+/// of each value.
+pub const MIN_CALIBRATION_TRIALS: usize = 8;
+
 /// Configuration of a side-channel experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SideChannelConfig {
@@ -69,9 +73,10 @@ pub struct SideChannelConfig {
     pub set_m: usize,
     /// The cache set holding the victim's line 1 (the paper's set *n*).
     pub set_n: usize,
-    /// Number of secret bits recovered per experiment.
+    /// Number of secret bits recovered per experiment (at least one).
     pub trials: usize,
-    /// Trials used to calibrate the decision threshold before scoring.
+    /// Trials used to calibrate the decision threshold before scoring (at
+    /// least [`MIN_CALIBRATION_TRIALS`]).
     pub calibration_trials: usize,
     /// RNG seed (secrets and measurement order).
     pub seed: u64,
@@ -251,12 +256,29 @@ impl Setup {
 ///
 /// # Errors
 ///
-/// Returns configuration errors; the attack itself always produces a result
-/// (possibly with chance-level accuracy under a defense).
+/// Returns configuration errors, among them [`Error::InvalidConfig`] for
+/// zero `trials` or fewer than [`MIN_CALIBRATION_TRIALS`] calibration
+/// trials; the attack itself always produces a result (possibly with
+/// chance-level accuracy under a defense).
 pub fn run_scenario(
     config: &SideChannelConfig,
     scenario: Scenario,
 ) -> Result<SideChannelResult, Error> {
+    if config.trials == 0 {
+        return Err(Error::InvalidConfig {
+            field: "trials",
+            reason: "at least one scored trial is needed".to_owned(),
+        });
+    }
+    if config.calibration_trials < MIN_CALIBRATION_TRIALS {
+        return Err(Error::InvalidConfig {
+            field: "calibration_trials",
+            reason: format!(
+                "at least {MIN_CALIBRATION_TRIALS} calibration trials are needed, got {}",
+                config.calibration_trials
+            ),
+        });
+    }
     let mut setup = Setup::new(config)?;
     setup.warm();
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xfeed);
@@ -288,7 +310,7 @@ pub fn run_scenario(
     // Calibration with known secrets.
     let mut zeros = Vec::new();
     let mut ones = Vec::new();
-    for i in 0..config.calibration_trials.max(8) {
+    for i in 0..config.calibration_trials {
         let secret = i % 2 == 0;
         let observed = observe(&mut setup, secret) as f64;
         if secret {
@@ -313,7 +335,7 @@ pub fn run_scenario(
 
     Ok(SideChannelResult {
         scenario,
-        accuracy: correct as f64 / config.trials.max(1) as f64,
+        accuracy: correct as f64 / config.trials as f64,
         trials: config.trials,
         threshold: threshold.value(),
     })
@@ -392,5 +414,37 @@ mod tests {
         let mut config = quiet_config();
         config.set_m = 64;
         assert!(run_scenario(&config, Scenario::DirtyBranch).is_err());
+    }
+
+    #[test]
+    fn too_few_trials_are_rejected() {
+        let rejects = |config: SideChannelConfig, field: &str| {
+            let result = run_scenario(&config, Scenario::VictimTiming);
+            assert!(
+                matches!(result, Err(Error::InvalidConfig { field: f, .. }) if f == field),
+                "{config:?}: {result:?}"
+            );
+        };
+        rejects(
+            SideChannelConfig {
+                trials: 0,
+                ..quiet_config()
+            },
+            "trials",
+        );
+        for calibration_trials in [0, MIN_CALIBRATION_TRIALS - 1] {
+            rejects(
+                SideChannelConfig {
+                    calibration_trials,
+                    ..quiet_config()
+                },
+                "calibration_trials",
+            );
+        }
+        let floor = SideChannelConfig {
+            calibration_trials: MIN_CALIBRATION_TRIALS,
+            ..quiet_config()
+        };
+        assert!(run_scenario(&floor, Scenario::VictimTiming).is_ok());
     }
 }

@@ -17,6 +17,7 @@ use crate::encoding::SymbolEncoding;
 use crate::error::Error;
 use crate::receiver::WbReceiver;
 use crate::sender::WbSender;
+use crate::{RECEIVER_DOMAIN, SENDER_DOMAIN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::trace::TraceSummary;
@@ -25,8 +26,6 @@ use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::process::{AddressSpace, ProcessId};
 use sim_core::workload::CompilerWorkload;
 
-const RECEIVER_DOMAIN: u16 = 1;
-const SENDER_DOMAIN: u16 = 2;
 const COMPANION_DOMAIN: u16 = 4;
 /// The L1 set the sender modulates.
 const TARGET_SET: usize = 21;

@@ -127,15 +127,15 @@ fn hand_built_encoding() -> impl Strategy<Value = SymbolEncoding> {
     ]
 }
 
-/// An optional hierarchy override: one of the presets, or a 4-way L1 that
-/// the builder must refuse.
+/// An optional hierarchy override: one of the presets with a 16- or 8-way
+/// LLC, or a 4-way L1 that the builder must refuse.
 fn hierarchy_override() -> impl Strategy<Value = Option<HierarchyConfig>> {
-    (0usize..6, 0usize..6).prop_map(|(choice, policy)| {
+    (0usize..6, 0usize..6, 0usize..2).prop_map(|(choice, policy, llc)| {
         let policy = POLICIES[policy];
         match choice {
             0..=3 => Some(
                 HierarchyPreset::ALL[choice]
-                    .config(policy, 16, 0)
+                    .config(policy, [16, 8][llc], 0)
                     .expect("preset hierarchies build"),
             ),
             4 => {
@@ -289,6 +289,13 @@ proptest! {
         if let Ok(config) = builder.build() {
             let compiled = compile_frame(&config, &payload);
             prop_assert!(!compiled.programs.is_empty());
+            // The programs see the hierarchy only through the L1 geometry,
+            // which the builder keeps equal to the default machine's: an
+            // override compiles exactly what the default machine does.
+            let default_machine = ChannelConfig { hierarchy: None, ..config.clone() };
+            let plain = compile_frame(&default_machine, &payload);
+            prop_assert!(compiled.programs == plain.programs);
+            prop_assert_eq!(compiled.limit, plain.limit);
             if let Ok(mut session) = ChannelSession::new(config) {
                 let report = session.transmit_bits(&payload);
                 prop_assert!(report.is_ok(), "{:?}", report);

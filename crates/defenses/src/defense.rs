@@ -11,12 +11,7 @@ use sim_cache::policy::PolicyKind;
 use sim_cache::waymask::WayMask;
 use sim_core::machine::{Machine, MachineConfig};
 use sim_core::tsc::TscConfig;
-use wb_channel::Error;
-
-/// The protection domains the evaluation harness uses.
-pub const RECEIVER_DOMAIN: u16 = 1;
-/// The sender's (protected process's) domain.
-pub const SENDER_DOMAIN: u16 = 2;
+use wb_channel::{Error, RECEIVER_DOMAIN, SENDER_DOMAIN};
 
 /// A defense against the WB channel.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,7 +7,7 @@
 //! defense: not with full transmissions but with the latency separation the
 //! receiver has left to work with.
 
-use crate::defense::{Defense, RECEIVER_DOMAIN, SENDER_DOMAIN};
+use crate::defense::Defense;
 use analysis::threshold::BinaryThreshold;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,7 +18,7 @@ use sim_core::machine::{Machine, MachineConfig};
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::process::{AddressSpace, ProcessId};
 use wb_channel::calibration::check_layout;
-use wb_channel::Error;
+use wb_channel::{Error, RECEIVER_DOMAIN, SENDER_DOMAIN};
 
 /// Result of evaluating one defense.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,10 +46,15 @@ pub struct DefenseEvaluation {
 /// Classification accuracy below which a defense counts as mitigating.
 pub const MITIGATION_ACCURACY: f64 = 0.75;
 
+/// Fewest samples per class [`evaluate_defense`] accepts: half calibrate
+/// the threshold, half are scored.
+pub const MIN_SAMPLES: usize = 16;
+
 /// Configuration of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvaluationConfig {
-    /// Samples per class (half used for calibration, half for scoring).
+    /// Samples per class (half used for calibration, half for scoring; at
+    /// least [`MIN_SAMPLES`]).
     pub samples: usize,
     /// Number of dirty lines the sender encodes with.
     pub dirty_lines: usize,
@@ -78,12 +83,21 @@ impl Default for EvaluationConfig {
 /// # Errors
 ///
 /// Propagates machine-configuration errors, and returns
-/// [`Error::InvalidConfig`] when the attacker's layout does not fit the L1
-/// (see [`check_layout`]).
+/// [`Error::InvalidConfig`] for fewer than [`MIN_SAMPLES`] samples or when
+/// the attacker's layout does not fit the L1 (see [`check_layout`]).
 pub fn evaluate_defense(
     defense: Defense,
     config: &EvaluationConfig,
 ) -> Result<DefenseEvaluation, Error> {
+    if config.samples < MIN_SAMPLES {
+        return Err(Error::InvalidConfig {
+            field: "samples",
+            reason: format!(
+                "at least {MIN_SAMPLES} samples per class are needed, got {}",
+                config.samples
+            ),
+        });
+    }
     let mut machine_config = MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, config.seed);
     // Keep the evaluation deterministic apart from the defense itself.
     machine_config.interrupts = sim_core::sched::InterruptConfig::none();
@@ -188,7 +202,7 @@ pub fn evaluate_defense(
     };
 
     // Collect samples, interleaving the two classes.
-    let per_class = config.samples.max(16);
+    let per_class = config.samples;
     let mut clean = Vec::with_capacity(per_class);
     let mut dirty = Vec::with_capacity(per_class);
     for _ in 0..per_class {
@@ -208,7 +222,7 @@ pub fn evaluate_defense(
             .filter(|&&value| threshold.classify_directed(value))
             .count();
     let total = (per_class - half) * 2;
-    let accuracy = correct as f64 / total.max(1) as f64;
+    let accuracy = correct as f64 / total as f64;
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
 
     Ok(DefenseEvaluation {
@@ -317,6 +331,14 @@ mod tests {
             },
             EvaluationConfig {
                 dirty_lines: 9,
+                ..config()
+            },
+            EvaluationConfig {
+                samples: 0,
+                ..config()
+            },
+            EvaluationConfig {
+                samples: MIN_SAMPLES - 1,
                 ..config()
             },
         ];
