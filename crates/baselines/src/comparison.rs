@@ -6,6 +6,7 @@ use crate::lru_channel::LruChannel;
 use crate::prime_probe::PrimeProbe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sim_core::machine::CLOCK_GHZ;
 use wb_channel::channel::{ChannelConfig, NoiseConfig};
 use wb_channel::encoding::SymbolEncoding;
 use wb_channel::session::ChannelSession;
@@ -144,12 +145,12 @@ pub fn wb_comparison_config(noisy: bool, seed: u64) -> Result<ChannelConfig, Err
 /// Estimated sender cache loads per millisecond when one bit is sent every
 /// `period_cycles` cycles and each bit costs `accesses_per_bit` memory
 /// accesses (the Table VI metric for the baseline senders, whose period-based
-/// pacing is not simulated cycle-by-cycle).
-pub fn loads_per_ms_estimate(accesses_per_bit: f64, period_cycles: u64, clock_ghz: f64) -> f64 {
+/// pacing is not simulated cycle-by-cycle), at [`CLOCK_GHZ`].
+pub fn loads_per_ms_estimate(accesses_per_bit: f64, period_cycles: u64) -> f64 {
     if period_cycles == 0 {
         return 0.0;
     }
-    let bits_per_ms = clock_ghz * 1e6 / period_cycles as f64;
+    let bits_per_ms = CLOCK_GHZ * 1e6 / period_cycles as f64;
     accesses_per_bit * bits_per_ms
 }
 
@@ -187,11 +188,11 @@ mod tests {
 
     #[test]
     fn load_estimate_scales_with_period_and_accesses() {
-        let slow = loads_per_ms_estimate(1.0, 11_000, 2.2);
-        let fast = loads_per_ms_estimate(1.0, 5_500, 2.2);
+        let slow = loads_per_ms_estimate(1.0, 11_000);
+        let fast = loads_per_ms_estimate(1.0, 5_500);
         assert!((fast / slow - 2.0).abs() < 1e-9);
-        assert_eq!(loads_per_ms_estimate(1.0, 0, 2.2), 0.0);
+        assert_eq!(loads_per_ms_estimate(1.0, 0), 0.0);
         // WB sender: ~0.5 accesses per bit vs LRU sender: 4 accesses per bit.
-        assert!(loads_per_ms_estimate(0.5, 11_000, 2.2) < loads_per_ms_estimate(4.0, 11_000, 2.2));
+        assert!(loads_per_ms_estimate(0.5, 11_000) < loads_per_ms_estimate(4.0, 11_000));
     }
 }

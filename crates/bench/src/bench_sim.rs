@@ -10,8 +10,8 @@
 //! * **`pointer-chase`** — a shuffled pointer-chase across many sets, the
 //!   access pattern of the receiver's measured sweep;
 //! * **`wb-frame`** — one WB-channel frame period: the sender dirties `d`
-//!   lines of the target set, the receiver replaces the set with a 10-line
-//!   replacement sweep (alternating sets A/B);
+//!   lines of the target set, the receiver replaces the set with a sweep
+//!   of `wb_channel::REPLACEMENT_SIZE` lines (alternating sets A/B);
 //! * **`wb-frame-noninclusive`** — the same frame period on the AMD-shaped
 //!   non-inclusive preset, gating the inclusion-policy branches of the
 //!   spill chain;
@@ -38,6 +38,7 @@
 use analysis::table::{fixed, Table};
 use sim_cache::prelude::*;
 use std::time::Instant;
+use wb_channel::{REPLACEMENT_SIZE, TARGET_SET};
 
 /// One measured trace of the benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,29 +273,33 @@ fn pointer_chase(min_seconds: f64) -> TraceResult {
     measure("pointer-chase", &mut h, &[(ctx, ops)], min_seconds)
 }
 
-/// One WB-channel frame period: sender stores, then the receiver's 10-line
-/// replacement sweep, alternating the two replacement sets.
-fn wb_frame(min_seconds: f64) -> TraceResult {
-    let mut h = CacheHierarchy::xeon_e5_2650(PolicyKind::TreePlru, 2);
-    let g = h.l1_geometry();
+/// One WB-channel frame period on set [`TARGET_SET`]: sender stores, then
+/// the receiver's [`REPLACEMENT_SIZE`]-line replacement sweep, alternating
+/// the two replacement sets.
+fn frame_period(g: CacheGeometry) -> Vec<(AccessContext, Vec<TraceOp>)> {
     let sender = AccessContext::for_domain(2);
     let receiver = AccessContext::for_domain(1);
-    let set = 21usize;
     let d = 4u64;
     let stores: Vec<TraceOp> = (0..d)
-        .map(|t| TraceOp::write(PhysAddr::from_set_and_tag(set, t, g)))
+        .map(|t| TraceOp::write(PhysAddr::from_set_and_tag(TARGET_SET, t, g)))
         .collect();
     let sweep = |base: u64| -> Vec<TraceOp> {
-        (0..10u64)
-            .map(|t| TraceOp::read(PhysAddr::from_set_and_tag(set, base + t, g)))
+        (0..REPLACEMENT_SIZE as u64)
+            .map(|t| TraceOp::read(PhysAddr::from_set_and_tag(TARGET_SET, base + t, g)))
             .collect()
     };
-    let ops = vec![
+    vec![
         (sender, stores.clone()),
         (receiver, sweep(1_000)),
         (sender, stores),
         (receiver, sweep(2_000)),
-    ];
+    ]
+}
+
+/// The [`frame_period`] on the paper's machine.
+fn wb_frame(min_seconds: f64) -> TraceResult {
+    let mut h = CacheHierarchy::xeon_e5_2650(PolicyKind::TreePlru, 2);
+    let ops = frame_period(h.l1_geometry());
     measure("wb-frame", &mut h, &ops, min_seconds)
 }
 
@@ -307,25 +312,7 @@ fn wb_frame_noninclusive(min_seconds: f64) -> TraceResult {
         .config(PolicyKind::TreePlru, 16, 2)
         .expect("preset config is valid");
     let mut h = CacheHierarchy::new(config).expect("preset hierarchy builds");
-    let g = h.l1_geometry();
-    let sender = AccessContext::for_domain(2);
-    let receiver = AccessContext::for_domain(1);
-    let set = 21usize;
-    let d = 4u64;
-    let stores: Vec<TraceOp> = (0..d)
-        .map(|t| TraceOp::write(PhysAddr::from_set_and_tag(set, t, g)))
-        .collect();
-    let sweep = |base: u64| -> Vec<TraceOp> {
-        (0..10u64)
-            .map(|t| TraceOp::read(PhysAddr::from_set_and_tag(set, base + t, g)))
-            .collect()
-    };
-    let ops = vec![
-        (sender, stores.clone()),
-        (receiver, sweep(1_000)),
-        (sender, stores),
-        (receiver, sweep(2_000)),
-    ];
+    let ops = frame_period(h.l1_geometry());
     measure("wb-frame-noninclusive", &mut h, &ops, min_seconds)
 }
 

@@ -20,6 +20,7 @@ use baselines::comparison::{
     classification_table, loads_per_ms_estimate, noise_robustness_comparison, wb_comparison_config,
 };
 use baselines::lru_channel::LruChannel;
+use defenses::evaluate::DIRTY_LINES;
 use defenses::{evaluate_defense_majority, Defense, EvaluationConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -488,8 +489,6 @@ pub const TABLE5: Scenario = Scenario {
 const STEALTH_PERIOD: u64 = 11_000;
 /// Spin-loop footprint granted to the LRU-channel sender for parity.
 const LRU_SPIN_PER_BIT: f64 = 24.0;
-/// Clock frequency (GHz) used to convert cycles to milliseconds.
-const CLOCK_GHZ: f64 = 2.2;
 
 fn table6_points(_: Scale) -> usize {
     2 // point 0: WB sender profile; point 1: LRU-channel sender estimate
@@ -523,11 +522,7 @@ fn table6_point(ctx: &PointCtx) -> Result<PointOutput, String> {
             .transmit(&bits, None)
             .map_err(err)?;
         let accesses_per_bit = report.sender_accesses as f64 / bits.len() as f64;
-        let l1_per_ms = loads_per_ms_estimate(
-            accesses_per_bit + LRU_SPIN_PER_BIT,
-            STEALTH_PERIOD,
-            CLOCK_GHZ,
-        );
+        let l1_per_ms = loads_per_ms_estimate(accesses_per_bit + LRU_SPIN_PER_BIT, STEALTH_PERIOD);
         Ok(PointOutput {
             values: vec![l1_per_ms],
             ..PointOutput::default()
@@ -726,7 +721,7 @@ fn bandwidth_point(ctx: &PointCtx) -> Result<PointOutput, String> {
         PointOutput::row([
             label,
             period.to_string(),
-            fixed(rate_kbps(bits, period, CLOCK_GHZ), 0),
+            fixed(rate_kbps(bits, period), 0),
             percent2(report.mean_bit_error_rate),
             if report.mean_bit_error_rate < 0.05 {
                 "yes"
@@ -778,7 +773,6 @@ fn defenses_point(ctx: &PointCtx) -> Result<PointOutput, String> {
     let config = EvaluationConfig {
         samples: ctx.scale.sizes().defense_samples,
         seed: ctx.seed,
-        ..EvaluationConfig::default()
     };
     // Majority verdict over derived seeds: single-seed verdicts are
     // borderline for random replacement at L = 10 by design (Sec. VI-A),
@@ -798,7 +792,9 @@ fn defenses_assemble(_: Scale, outputs: &[PointOutput]) -> Vec<(String, Table)> 
     vec![(
         "defenses".to_owned(),
         assemble_rows(
-            "Section VIII: defense evaluation (receiver accuracy distinguishing d=0 from d=3)",
+            &format!(
+                "Section VIII: defense evaluation (receiver accuracy distinguishing d=0 from d={DIRTY_LINES})"
+            ),
             &[
                 "defense",
                 "mean clean (cy)",
@@ -924,7 +920,7 @@ fn hierarchy_matrix_config(ctx: &PointCtx) -> Result<(String, ChannelConfig), St
 fn hierarchy_matrix_point(ctx: &PointCtx) -> Result<PointOutput, String> {
     let (preset, llc_ways, policy) = matrix_axes(ctx.index);
     let (_, config) = hierarchy_matrix_config(ctx)?;
-    let rate = rate_kbps(1, config.period_cycles, CLOCK_GHZ);
+    let rate = rate_kbps(1, config.period_cycles);
     let mut channel = ChannelSession::new(config).map_err(err)?;
     let report = channel
         .evaluate(ctx.scale.sizes().frames, 128)

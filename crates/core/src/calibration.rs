@@ -12,7 +12,7 @@
 use crate::encoding::SymbolEncoding;
 use crate::error::Error;
 use crate::protocol::Decoder;
-use crate::{RECEIVER_DOMAIN, SENDER_DOMAIN};
+use crate::{RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
 use analysis::histogram::Cdf;
 use analysis::stats::Summary;
 use rand::rngs::StdRng;
@@ -22,21 +22,17 @@ use sim_cache::addr::{CacheGeometry, PhysAddr};
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
-use sim_core::memlayout::{ChannelLayout, SetLines, MAX_REPLACEMENT_SIZE};
+use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::process::{AddressSpace, ProcessId};
 
-/// Configuration of the calibration runs.
+/// Configuration of the calibration runs, which measure L1 set
+/// [`TARGET_SET`] with replacement sets of [`REPLACEMENT_SIZE`] lines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationConfig {
     /// The machine to calibrate on.
     pub machine: MachineConfig,
-    /// The L1 set used as the target set.
-    pub target_set: usize,
-    /// Replacement-set size (the paper determines 10 is sufficient on the
-    /// Xeon E5-2650, Table II).
-    pub replacement_size: usize,
-    /// Number of measurements per dirty-line count (the paper uses 1000 for
-    /// Figure 4).
+    /// Number of measurements per dirty-line count, at least one (the paper
+    /// uses 1000 for Figure 4).
     pub samples_per_level: usize,
     /// Seed for measurement-order randomisation.
     pub seed: u64,
@@ -47,8 +43,6 @@ impl CalibrationConfig {
     pub fn new(policy: PolicyKind, seed: u64) -> CalibrationConfig {
         CalibrationConfig {
             machine: MachineConfig::xeon_e5_2650(policy, seed),
-            target_set: 21,
-            replacement_size: 10,
             samples_per_level: 200,
             seed,
         }
@@ -61,52 +55,56 @@ impl Default for CalibrationConfig {
     }
 }
 
-/// Checks that a receiver on `geometry` can build its layout on
-/// `target_set` with two replacement sets of `replacement_size` lines, and
-/// that a sender can dirty `d` lines of the set.
+/// Checks that a receiver on `geometry` can build its layout on set
+/// [`TARGET_SET`] with two replacement sets of [`REPLACEMENT_SIZE`] lines,
+/// and that a sender can dirty `d` lines of the set.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] for a set outside the L1, a replacement
-/// set smaller than the associativity or larger than
-/// [`MAX_REPLACEMENT_SIZE`], or more dirty lines than the set has ways.
-pub fn check_layout(
-    geometry: CacheGeometry,
-    target_set: usize,
-    replacement_size: usize,
-    d: usize,
-) -> Result<(), Error> {
-    if target_set >= geometry.num_sets {
-        return Err(Error::InvalidConfig {
-            field: "target_set",
-            reason: format!(
-                "set {target_set} out of range (L1 has {} sets)",
-                geometry.num_sets
-            ),
-        });
-    }
-    if replacement_size < geometry.associativity {
-        return Err(Error::InvalidConfig {
-            field: "replacement_size",
-            reason: format!(
-                "replacement sets must contain at least W = {} lines",
-                geometry.associativity
-            ),
-        });
-    }
-    if replacement_size > MAX_REPLACEMENT_SIZE {
-        return Err(Error::InvalidConfig {
-            field: "replacement_size",
-            reason: format!(
-                "replacement sets A and B stay disjoint only up to {MAX_REPLACEMENT_SIZE} lines"
-            ),
-        });
-    }
+/// Returns [`Error::InvalidConfig`] for an L1 (field `hierarchy`) without
+/// set [`TARGET_SET`] or with more ways than [`REPLACEMENT_SIZE`], or for
+/// more dirty lines than the set has ways (field `d`).
+fn check_layout(geometry: CacheGeometry, d: usize) -> Result<(), Error> {
+    check_target_set(geometry)?;
     let associativity = geometry.associativity;
+    if REPLACEMENT_SIZE < associativity {
+        return Err(Error::InvalidConfig {
+            field: "hierarchy",
+            reason: format!(
+                "replacement sets of {REPLACEMENT_SIZE} lines cannot replace an L1 set of {associativity} ways"
+            ),
+        });
+    }
     if d > associativity {
         return Err(Error::InvalidConfig {
             field: "d",
             reason: format!("cannot dirty {d} lines: the L1 set has {associativity} ways"),
+        });
+    }
+    Ok(())
+}
+
+/// Rejects an L1 (field `hierarchy`) without set [`TARGET_SET`].
+fn check_target_set(geometry: CacheGeometry) -> Result<(), Error> {
+    if TARGET_SET >= geometry.num_sets {
+        return Err(Error::InvalidConfig {
+            field: "hierarchy",
+            reason: format!(
+                "set {TARGET_SET} out of range (L1 has {} sets)",
+                geometry.num_sets
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Rejects a calibration without samples: a level would have no latency
+/// class to measure.
+fn check_samples(config: &CalibrationConfig) -> Result<(), Error> {
+    if config.samples_per_level == 0 {
+        return Err(Error::InvalidConfig {
+            field: "samples_per_level",
+            reason: "each level needs at least one sample".into(),
         });
     }
     Ok(())
@@ -132,19 +130,20 @@ struct Bench<'a> {
 
 impl<'a> Bench<'a> {
     fn new(config: &'a CalibrationConfig) -> Result<Bench<'a>, Error> {
+        check_samples(config)?;
         let geometry = config.machine.hierarchy.l1d.geometry;
-        check_layout(geometry, config.target_set, config.replacement_size, 0)?;
+        check_layout(geometry, 0)?;
         let receiver_layout = ChannelLayout::build(
             AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
             geometry,
-            config.target_set,
+            TARGET_SET,
             geometry.associativity,
-            config.replacement_size,
+            REPLACEMENT_SIZE,
         );
         let sender_lines = SetLines::build(
             AddressSpace::new(ProcessId(SENDER_DOMAIN)),
             geometry,
-            config.target_set,
+            TARGET_SET,
             geometry.associativity,
             0,
         );
@@ -176,7 +175,7 @@ impl<'a> Bench<'a> {
             sender_stores,
             rng: StdRng::seed_from_u64(config.seed ^ 0xca1b),
             sweeps: 0,
-            order: Vec::with_capacity(config.replacement_size),
+            order: Vec::with_capacity(REPLACEMENT_SIZE),
         })
     }
 
@@ -185,13 +184,7 @@ impl<'a> Bench<'a> {
     /// fresh, or reset to the configured machine — and reports the machine's
     /// clock at the end: the simulated cycles the level took.
     fn level(&mut self, machine: &mut Machine, d: usize) -> Result<(Vec<u64>, u64), Error> {
-        let geometry = self.config.machine.hierarchy.l1d.geometry;
-        check_layout(
-            geometry,
-            self.config.target_set,
-            self.config.replacement_size,
-            d,
-        )?;
+        check_layout(self.config.machine.hierarchy.l1d.geometry, d)?;
         self.rng = StdRng::seed_from_u64(self.config.seed ^ 0xca1b);
         self.sweeps = 0;
         // Warm every line into the outer levels, then one throw-away sweep
@@ -311,25 +304,27 @@ pub struct AccessLatencyClasses {
     pub l2_hit_dirty_victim: Summary,
 }
 
-/// Measures Table IV's three access classes.
+/// Measures Table IV's three access classes, `samples_per_level` samples
+/// each.
 ///
 /// # Errors
 ///
-/// Propagates machine configuration errors.
+/// Returns [`Error::InvalidConfig`] for zero `samples_per_level` or an L1
+/// without set [`TARGET_SET`], and propagates machine configuration errors.
 pub fn access_latency_classes(config: &CalibrationConfig) -> Result<AccessLatencyClasses, Error> {
+    check_samples(config)?;
     let mut machine = Machine::new(config.machine)?;
     let geometry = machine.l1_geometry();
+    check_target_set(geometry)?;
     let space = AddressSpace::new(ProcessId(RECEIVER_DOMAIN));
-    let set = config.target_set % geometry.num_sets;
     // A sweep of `sweep_len` distinct lines is guaranteed to replace the
     // whole set on every supported policy (Table II: 10 lines suffice on the
     // least deterministic one), plus one clean-victim probe and one
     // dirty-victim probe.
-    let sweep_len = config.replacement_size.max(geometry.associativity + 2);
-    let lines = SetLines::build(space, geometry, set, sweep_len + 2, 0);
+    let sweep_len = REPLACEMENT_SIZE.max(geometry.associativity + 2);
+    let lines = SetLines::build(space, geometry, TARGET_SET, sweep_len + 2, 0);
     let clean_probe = lines.line(sweep_len);
     let dirty_probe = lines.line(sweep_len + 1);
-    let samples = config.samples_per_level.max(8);
 
     // Warm everything into the outer levels once (one batched trace).
     let warm: Vec<TraceOp> = lines.lines().iter().map(|&l| TraceOp::read(l)).collect();
@@ -355,7 +350,7 @@ pub fn access_latency_classes(config: &CalibrationConfig) -> Result<AccessLatenc
     let mut l2_clean = Vec::new();
     let mut l2_dirty = Vec::new();
 
-    for _ in 0..samples {
+    for _ in 0..config.samples_per_level {
         // Refill the set with clean sweep lines; this evicts both probes and
         // any dirty lines left over from the previous iteration.
         machine.run_trace(RECEIVER_DOMAIN, &clean_refill);
@@ -533,30 +528,37 @@ mod tests {
 
     #[test]
     fn invalid_configurations_are_rejected() {
-        let mut config = quiet_config();
-        config.target_set = 64;
-        assert!(replacement_latency_samples(&mut fresh(&config), &config, 0).is_err());
-        let mut config = quiet_config();
-        config.replacement_size = 4;
-        assert!(replacement_latency_samples(&mut fresh(&config), &config, 0).is_err());
-        config.replacement_size = MAX_REPLACEMENT_SIZE + 1;
+        let rejects = |config: &CalibrationConfig, d: usize, field: &str| {
+            let result = replacement_latency_samples(&mut fresh(config), config, d);
+            assert!(
+                matches!(result, Err(Error::InvalidConfig { field: f, .. }) if f == field),
+                "d = {d}: {result:?}"
+            );
+        };
+        let with_l1 = |size_bytes: usize, associativity: usize| {
+            let mut config = quiet_config();
+            config.machine.hierarchy.l1d = CacheConfig::builder(CacheLevel::L1D)
+                .size_bytes(size_bytes)
+                .associativity(associativity)
+                .replacement(PolicyKind::TreePlru)
+                .build()
+                .unwrap();
+            config
+        };
+        // An L1 of 16 sets has no set 21; one of 16 ways outgrows the
+        // replacement sets.
+        rejects(&with_l1(4 * 1024, 4), 0, "hierarchy");
+        rejects(&with_l1(64 * 1024, 16), 0, "hierarchy");
         assert!(matches!(
-            replacement_latency_samples(&mut fresh(&config), &config, 0),
+            access_latency_classes(&with_l1(4 * 1024, 4)),
             Err(Error::InvalidConfig {
-                field: "replacement_size",
+                field: "hierarchy",
                 ..
             })
         ));
-        let config = quiet_config();
-        assert!(replacement_latency_samples(&mut fresh(&config), &config, 9).is_err());
+        rejects(&quiet_config(), 9, "d");
         // The message names the L1's real associativity.
-        let mut config = quiet_config();
-        config.machine.hierarchy.l1d = CacheConfig::builder(CacheLevel::L1D)
-            .size_bytes(16 * 1024)
-            .associativity(4)
-            .replacement(PolicyKind::TreePlru)
-            .build()
-            .unwrap();
+        let config = with_l1(16 * 1024, 4);
         assert!(replacement_latency_samples(&mut fresh(&config), &config, 4).is_ok());
         let error = replacement_latency_samples(&mut fresh(&config), &config, 5).unwrap_err();
         assert!(
@@ -565,5 +567,31 @@ mod tests {
                 .contains("cannot dirty 5 lines: the L1 set has 4 ways"),
             "{error}"
         );
+        // Zero samples per level is an error in every measurement loop; any
+        // positive count is honoured.
+        let mut config = quiet_config();
+        config.samples_per_level = 0;
+        rejects(&config, 0, "samples_per_level");
+        let no_samples = |result: Result<(), Error>| {
+            assert!(
+                matches!(
+                    result,
+                    Err(Error::InvalidConfig {
+                        field: "samples_per_level",
+                        ..
+                    })
+                ),
+                "{result:?}"
+            );
+        };
+        no_samples(latency_cdfs(&config, &[0]).map(drop));
+        let encoding = SymbolEncoding::binary(1).unwrap();
+        no_samples(calibrate_decoder(&mut fresh(&config), &config, &encoding).map(drop));
+        no_samples(access_latency_classes(&config).map(drop));
+        config.samples_per_level = 1;
+        let (samples, _) = replacement_latency_samples(&mut fresh(&config), &config, 0).unwrap();
+        assert_eq!(samples.len(), 1);
+        let classes = access_latency_classes(&config).unwrap();
+        assert_eq!(classes.l1_hit.count, 1);
     }
 }

@@ -1,34 +1,25 @@
 //! Transmission-rate arithmetic.
 //!
-//! The paper quotes channel bandwidths in kbps at the 2.2 GHz clock of its
-//! Xeon E5-2650: the sender emits one symbol every `Ts` cycles, so
-//! `rate = bits_per_symbol * clock / Ts`.  For example `Ts = 1600` cycles and
-//! binary symbols give 1375 kbps, and `Ts = 1000` with two-bit symbols gives
-//! 4400 kbps — the numbers quoted in Section V.
+//! The paper quotes channel bandwidths in kbps at the clock of its Xeon
+//! E5-2650 ([`CLOCK_GHZ`]): the sender emits one symbol every `Ts` cycles,
+//! so `rate = bits_per_symbol * clock / Ts`.  For example `Ts = 1600` cycles
+//! and binary symbols give 1375 kbps, and `Ts = 1000` with two-bit symbols
+//! gives 4400 kbps — the numbers quoted in Section V.
+
+use sim_core::machine::CLOCK_GHZ;
 
 /// The sending/sampling periods evaluated by the paper (Sec. V), in cycles.
 pub const PAPER_PERIODS: [u64; 6] = [800, 1_000, 1_600, 2_200, 5_500, 11_000];
 
 /// Transmission rate in kilobits per second for one symbol every
-/// `period_cycles` cycles at `clock_ghz` GHz.
+/// `period_cycles` cycles at [`CLOCK_GHZ`].
 ///
 /// Returns 0 when `period_cycles` is zero.
-pub fn rate_kbps(bits_per_symbol: usize, period_cycles: u64, clock_ghz: f64) -> f64 {
+pub fn rate_kbps(bits_per_symbol: usize, period_cycles: u64) -> f64 {
     if period_cycles == 0 {
         return 0.0;
     }
-    bits_per_symbol as f64 * clock_ghz * 1e6 / period_cycles as f64
-}
-
-/// The period (in cycles) that achieves `kbps` with the given symbol width —
-/// the inverse of [`rate_kbps`], rounded to the nearest cycle.
-///
-/// Returns `None` for a non-positive target rate.
-pub fn period_for_kbps(bits_per_symbol: usize, kbps: f64, clock_ghz: f64) -> Option<u64> {
-    if kbps <= 0.0 || bits_per_symbol == 0 {
-        return None;
-    }
-    Some((bits_per_symbol as f64 * clock_ghz * 1e6 / kbps).round() as u64)
+    bits_per_symbol as f64 * CLOCK_GHZ * 1e6 / period_cycles as f64
 }
 
 /// One point of a rate/error sweep (the paper's Figure 6).
@@ -58,29 +49,16 @@ mod tests {
     #[test]
     fn paper_rate_examples_hold() {
         // Sec. V: Ts = 1600 cycles -> 1375 kbps with binary symbols.
-        assert!((rate_kbps(1, 1_600, 2.2) - 1_375.0).abs() < 1e-9);
+        assert!((rate_kbps(1, 1_600) - 1_375.0).abs() < 1e-9);
         // Ts = 800 -> 2750 kbps (the paper rounds to "2700 kbps").
-        assert!((rate_kbps(1, 800, 2.2) - 2_750.0).abs() < 1e-9);
+        assert!((rate_kbps(1, 800) - 2_750.0).abs() < 1e-9);
         // Ts = 5500 -> 400 kbps (Figure 5 caption).
-        assert!((rate_kbps(1, 5_500, 2.2) - 400.0).abs() < 1e-9);
+        assert!((rate_kbps(1, 5_500) - 400.0).abs() < 1e-9);
         // Two-bit symbols at Ts = 1000 -> 4400 kbps; at Ts = 4000 -> 1100 kbps
         // (Figure 7 caption).
-        assert!((rate_kbps(2, 1_000, 2.2) - 4_400.0).abs() < 1e-9);
-        assert!((rate_kbps(2, 4_000, 2.2) - 1_100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rate_and_period_are_inverse() {
-        for &period in &PAPER_PERIODS {
-            for bits in [1usize, 2] {
-                let kbps = rate_kbps(bits, period, 2.2);
-                let back = period_for_kbps(bits, kbps, 2.2).unwrap();
-                assert_eq!(back, period);
-            }
-        }
-        assert_eq!(period_for_kbps(1, 0.0, 2.2), None);
-        assert_eq!(period_for_kbps(0, 100.0, 2.2), None);
-        assert_eq!(rate_kbps(1, 0, 2.2), 0.0);
+        assert!((rate_kbps(2, 1_000) - 4_400.0).abs() < 1e-9);
+        assert!((rate_kbps(2, 4_000) - 1_100.0).abs() < 1e-9);
+        assert_eq!(rate_kbps(1, 0), 0.0);
     }
 
     #[test]

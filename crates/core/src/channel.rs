@@ -1,8 +1,10 @@
 //! Channel configuration and transmission reports.
 //!
 //! [`ChannelConfig`] describes one covert channel — symbol encoding, period,
-//! target set, machine noise and an optional noisy neighbour — and
-//! [`crate::session::ChannelSession`] runs it: every transmission is
+//! machine noise and an optional noisy neighbour — and
+//! [`crate::session::ChannelSession`] runs it on the fixed layout: L1 set
+//! [`crate::TARGET_SET`] and replacement sets of
+//! [`crate::REPLACEMENT_SIZE`] lines.  Every transmission is
 //! *compiled* onto the batched trace engine (sender, receiver and noise
 //! programs interleaved by [`sim_core::machine::Machine::run_session`]), then
 //! decoded with the calibrated thresholds and scored with the edit distance.
@@ -17,7 +19,6 @@ use analysis::edit_distance::ErrorBreakdown;
 use sim_cache::hierarchy::HierarchyConfig;
 use sim_cache::policy::PolicyKind;
 use sim_core::machine::MachineConfig;
-use sim_core::memlayout::MAX_REPLACEMENT_SIZE;
 use sim_core::sched::InterruptConfig;
 use sim_core::tsc::TscConfig;
 
@@ -52,10 +53,6 @@ pub struct ChannelConfig {
     pub encoding: SymbolEncoding,
     /// Sending period `Ts` = sampling period `Tr`, in cycles.
     pub period_cycles: u64,
-    /// The L1 set used as the target set.
-    pub target_set: usize,
-    /// Replacement-set size (10 on the paper's machine).
-    pub replacement_size: usize,
     /// L1 replacement policy of the simulated machine.
     pub policy: PolicyKind,
     /// OS interruption noise profile.
@@ -108,8 +105,6 @@ impl Default for ChannelConfig {
 pub struct ChannelConfigBuilder {
     encoding: SymbolEncoding,
     period_cycles: u64,
-    target_set: usize,
-    replacement_size: usize,
     policy: PolicyKind,
     interrupts: InterruptConfig,
     tsc: TscConfig,
@@ -121,14 +116,14 @@ pub struct ChannelConfigBuilder {
 
 impl ChannelConfigBuilder {
     /// Creates a builder with the paper's defaults: binary symbols with one
-    /// dirty line, `Ts = Tr = 5500` cycles (400 kbps), target set 21,
-    /// replacement sets of 10 lines, Tree-PLRU, quiet pinned-core noise.
+    /// dirty line, `Ts = Tr = 5500` cycles (400 kbps), Tree-PLRU, quiet
+    /// pinned-core noise.  Every channel runs on L1 set
+    /// [`crate::TARGET_SET`] with replacement sets of
+    /// [`crate::REPLACEMENT_SIZE`] lines.
     pub fn new() -> ChannelConfigBuilder {
         ChannelConfigBuilder {
             encoding: SymbolEncoding::Binary { dirty_lines: 1 },
             period_cycles: 5_500,
-            target_set: 21,
-            replacement_size: 10,
             policy: PolicyKind::TreePlru,
             interrupts: InterruptConfig::pinned_quiet(),
             tsc: TscConfig::xeon_e5_2650(),
@@ -148,19 +143,6 @@ impl ChannelConfigBuilder {
     /// Sets `Ts = Tr` in cycles.
     pub fn period_cycles(&mut self, period: u64) -> &mut Self {
         self.period_cycles = period;
-        self
-    }
-
-    /// Sets the target set index.
-    pub fn target_set(&mut self, set: usize) -> &mut Self {
-        self.target_set = set;
-        self
-    }
-
-    /// Sets the replacement-set size: at least `W` = 8 lines and at most
-    /// [`MAX_REPLACEMENT_SIZE`], beyond which sets A and B would share lines.
-    pub fn replacement_size(&mut self, size: usize) -> &mut Self {
-        self.replacement_size = size;
         self
     }
 
@@ -190,9 +172,9 @@ impl ChannelConfigBuilder {
 
     /// Overrides the simulated machine's cache hierarchy (the sweep axis of
     /// the hierarchy-matrix scenario).  The override's L1 must keep the
-    /// paper's 64-set, 8-way shape — the channel's eviction sets and the
-    /// `target_set`/`replacement_size` validation are built on it — and its
-    /// L1 replacement policy becomes the channel's `policy`.
+    /// paper's 64-set, 8-way shape — set [`crate::TARGET_SET`] and
+    /// replacement sets of [`crate::REPLACEMENT_SIZE`] lines are sized for
+    /// it — and its L1 replacement policy becomes the channel's `policy`.
     pub fn hierarchy(&mut self, hierarchy: HierarchyConfig) -> &mut Self {
         self.hierarchy = Some(hierarchy);
         self.policy = hierarchy.l1d.replacement;
@@ -217,35 +199,14 @@ impl ChannelConfigBuilder {
     ///
     /// Returns [`Error::InvalidEncoding`] for an encoding that
     /// [`SymbolEncoding::validate`] rejects, and [`Error::InvalidConfig`] for
-    /// a zero period, an out-of-range target set, a replacement set smaller
-    /// than the associativity or zero calibration samples.
+    /// a zero period, zero calibration samples or a hierarchy override whose
+    /// L1 is not the paper's 64-set, 8-way one.
     pub fn build(&self) -> Result<ChannelConfig, Error> {
         self.encoding.validate()?;
         if self.period_cycles == 0 {
             return Err(Error::InvalidConfig {
                 field: "period_cycles",
                 reason: "must be non-zero".into(),
-            });
-        }
-        if self.target_set >= 64 {
-            return Err(Error::InvalidConfig {
-                field: "target_set",
-                reason: format!("the 32 KiB L1 has 64 sets, got set {}", self.target_set),
-            });
-        }
-        if self.replacement_size < 8 {
-            return Err(Error::InvalidConfig {
-                field: "replacement_size",
-                reason: "replacement sets need at least W = 8 lines".into(),
-            });
-        }
-        if self.replacement_size > MAX_REPLACEMENT_SIZE {
-            return Err(Error::InvalidConfig {
-                field: "replacement_size",
-                reason: format!(
-                    "replacement sets A and B stay disjoint only up to {MAX_REPLACEMENT_SIZE} lines, got {}",
-                    self.replacement_size
-                ),
             });
         }
         if self.calibration_samples == 0 {
@@ -269,8 +230,6 @@ impl ChannelConfigBuilder {
         Ok(ChannelConfig {
             encoding: self.encoding.clone(),
             period_cycles: self.period_cycles,
-            target_set: self.target_set,
-            replacement_size: self.replacement_size,
             policy: self.policy,
             interrupts: self.interrupts,
             tsc: self.tsc,
@@ -352,30 +311,15 @@ mod tests {
 
     #[test]
     fn builder_validates_inputs() {
-        assert!(ChannelConfig::builder().period_cycles(0).build().is_err());
-        assert!(ChannelConfig::builder().target_set(64).build().is_err());
-        assert!(ChannelConfig::builder()
-            .replacement_size(4)
-            .build()
-            .is_err());
-        // Sets A and B stay disjoint up to the layout's bound, no further.
-        let largest = ChannelConfig::builder()
-            .replacement_size(MAX_REPLACEMENT_SIZE)
-            .build()
-            .unwrap();
-        assert_eq!(largest.replacement_size, 1_000);
         assert!(matches!(
-            ChannelConfig::builder()
-                .replacement_size(MAX_REPLACEMENT_SIZE + 1)
-                .build(),
+            ChannelConfig::builder().period_cycles(0).build(),
             Err(Error::InvalidConfig {
-                field: "replacement_size",
+                field: "period_cycles",
                 ..
             })
         ));
         let config = ChannelConfig::default();
         assert_eq!(config.period_cycles, 5_500);
-        assert_eq!(config.replacement_size, 10);
     }
 
     #[test]

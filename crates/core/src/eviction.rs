@@ -259,19 +259,31 @@ mod tests {
         assert_eq!(p9.probability, 1.0, "PLRU: 9 fills always evict (Table II)");
     }
 
+    /// Table II's Intel-like row fixes [`crate::REPLACEMENT_SIZE`]: the
+    /// smallest replacement set that always evicts line 0.
     #[test]
-    fn intel_like_reaches_certainty_at_ten_lines() {
-        let p8 = line0_eviction_probability(PolicyKind::IntelLike, 8, 400, 5).unwrap();
-        let p9 = line0_eviction_probability(PolicyKind::IntelLike, 9, 400, 5).unwrap();
-        let p10 = line0_eviction_probability(PolicyKind::IntelLike, 10, 400, 5).unwrap();
+    fn intel_like_reaches_certainty_at_the_replacement_size() {
+        use crate::REPLACEMENT_SIZE;
+
+        let p = |n| {
+            line0_eviction_probability(PolicyKind::IntelLike, n, 400, 5)
+                .unwrap()
+                .probability
+        };
+        let (p8, below) = (p(8), p(REPLACEMENT_SIZE - 1));
         assert!(
-            p8.probability < 0.95,
+            p8 < 0.95,
             "Intel-like at N=8 is unreliable (68.8% in the paper)"
         );
-        assert!(p9.probability > p8.probability);
+        assert!(
+            p8 < below && below < 1.0,
+            "Intel-like: {} fills usually but not always evict",
+            REPLACEMENT_SIZE - 1
+        );
         assert_eq!(
-            p10.probability, 1.0,
-            "Intel-like: 10 fills always evict (Table II)"
+            p(REPLACEMENT_SIZE),
+            1.0,
+            "Intel-like: {REPLACEMENT_SIZE} fills always evict (Table II)"
         );
     }
 

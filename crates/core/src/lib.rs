@@ -19,7 +19,7 @@
 //! | [`session`] | the compile→execute→decode transmit engine on the batched trace executor |
 //! | [`calibration`] | Table IV access-latency classes, Figure 4 CDFs, threshold training |
 //! | [`eviction`] | Table II replacement-set sizing, Table V random replacement |
-//! | [`capacity`] | cycle-period ↔ kbps conversions (2.2 GHz clock) |
+//! | [`capacity`] | cycle-period → kbps conversion at [`sim_core::machine::CLOCK_GHZ`] |
 //! | [`stealth`] | Tables VI and VII perf-counter profiles |
 //! | [`side_channel`] | Section IX / Figure 9 gadget attacks |
 //!
@@ -41,7 +41,7 @@
 //! // paper's noisy hyper-threaded environment instead.
 //! let config = ChannelConfig::builder()
 //!     .encoding(SymbolEncoding::binary(1)?)
-//!     .period_cycles(5_500) // 400 kbps at 2.2 GHz
+//!     .period_cycles(5_500) // 400 kbps at the paper's clock
 //!     .interrupts(InterruptConfig::none())
 //!     .tsc(TscConfig::ideal())
 //!     .calibration_samples(40)
@@ -77,6 +77,13 @@ pub use channel::{ChannelConfig, EvaluationReport, TransmissionReport};
 pub use encoding::SymbolEncoding;
 pub use error::Error;
 pub use session::ChannelSession;
+
+/// The L1 set the channel modulates, in every harness that runs it.
+pub const TARGET_SET: usize = 21;
+/// Lines in each of the receiver's two replacement sets: the size at which
+/// Table II's Intel-like policy always evicts the set (see
+/// [`eviction::line0_eviction_probability`]).
+pub const REPLACEMENT_SIZE: usize = 10;
 
 /// Protection domain (and process id) of the receiver in every harness.
 pub const RECEIVER_DOMAIN: u16 = 1;

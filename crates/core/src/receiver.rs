@@ -156,9 +156,9 @@ mod tests {
         ChannelLayout::build(
             AddressSpace::new(ProcessId(1)),
             CacheGeometry::xeon_l1d(),
-            21,
+            crate::TARGET_SET,
             8,
-            10,
+            crate::REPLACEMENT_SIZE,
         )
     }
 

@@ -198,7 +198,7 @@ mod tests {
         SetLines::build(
             AddressSpace::new(ProcessId(2)),
             CacheGeometry::xeon_l1d(),
-            21,
+            crate::TARGET_SET,
             8,
             0,
         )

@@ -30,7 +30,7 @@ use crate::protocol::Decoder;
 use crate::protocol::{align_and_score, Frame};
 use crate::receiver::WbReceiver;
 use crate::sender::WbSender;
-use crate::{RECEIVER_DOMAIN, SENDER_DOMAIN};
+use crate::{RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_cache::addr::CacheGeometry;
@@ -67,14 +67,14 @@ impl FrameParties {
         let receiver_layout = ChannelLayout::build(
             AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
             geometry,
-            config.target_set,
+            TARGET_SET,
             geometry.associativity,
-            config.replacement_size,
+            REPLACEMENT_SIZE,
         );
         let sender_lines = SetLines::build(
             AddressSpace::new(ProcessId(SENDER_DOMAIN)),
             geometry,
-            config.target_set,
+            TARGET_SET,
             geometry.associativity,
             0,
         );
@@ -108,7 +108,7 @@ impl FrameParties {
             NoisyNeighbor::new(
                 AddressSpace::new(ProcessId(NOISE_DOMAIN)),
                 geometry,
-                config.target_set,
+                TARGET_SET,
                 n.lines,
                 n.interval,
                 n.store_fraction,
@@ -176,13 +176,12 @@ pub struct CompiledFrame {
 /// # Panics
 ///
 /// Never on a config [`crate::channel::ChannelConfigBuilder::build`]
-/// accepted.  `compile_frame` does not validate the layout itself, so a
-/// hand-built [`ChannelConfig`] that skips the builder can make it panic —
-/// with `target_set` outside the L1 ("set 64 out of range") or a
-/// `replacement_size` above [`sim_core::memlayout::MAX_REPLACEMENT_SIZE`]
-/// ("replacement sets of 1001 lines would overlap") — or compile a
-/// replacement set smaller than the associativity without complaint.
-/// [`ChannelSession::new`] rejects all three with [`Error::InvalidConfig`].
+/// accepted.  `compile_frame` does not validate the layout itself, so only
+/// a hand-built [`ChannelConfig`] whose hierarchy override has an L1
+/// without set [`TARGET_SET`] can make it panic ("set 21 out of range"); an
+/// L1 with more than [`REPLACEMENT_SIZE`] ways compiles replacement sets
+/// smaller than the associativity without complaint.
+/// [`ChannelSession::new`] rejects both with [`Error::InvalidConfig`].
 pub fn compile_frame(config: &ChannelConfig, payload: &[bool]) -> CompiledFrame {
     let frame = Frame::from_payload(payload);
     // The first transmission of a session.
@@ -267,8 +266,6 @@ impl ChannelSession {
         config.encoding.validate()?;
         let calibration = CalibrationConfig {
             machine: config.machine_config(config.seed ^ 0xca11),
-            target_set: config.target_set,
-            replacement_size: config.replacement_size,
             samples_per_level: config.calibration_samples,
             seed: config.seed ^ 0xca11,
         };
@@ -389,7 +386,6 @@ impl ChannelSession {
         let rate = rate_kbps(
             self.config.encoding.bits_per_symbol(),
             self.config.period_cycles,
-            2.2,
         );
         Ok(EvaluationReport {
             frames,
@@ -469,7 +465,6 @@ impl ChannelSession {
             rate_kbps: rate_kbps(
                 self.config.encoding.bits_per_symbol(),
                 self.config.period_cycles,
-                2.2,
             ),
         })
     }
@@ -674,25 +669,38 @@ mod tests {
         assert!(traced.tracing_enabled());
     }
 
-    /// Hand-built configs that skip the builder's checks: a set outside the
-    /// L1, a replacement set too large to stay disjoint from its twin and
-    /// one smaller than the associativity.  `ChannelSession::new` returns
+    /// Hand-built configs that skip the builder's checks with an L1 the
+    /// fixed layout does not fit: too few sets for [`TARGET_SET`], or more
+    /// ways than [`REPLACEMENT_SIZE`].  `ChannelSession::new` returns
     /// `InvalidConfig` for each, before any frame is compiled.
     #[test]
     fn hand_built_configs_with_a_bad_layout_are_rejected() {
-        let cases = [
-            ("target_set", 64, 10),
-            ("replacement_size", 21, 1_001),
-            ("replacement_size", 21, 4),
-        ];
-        for (field, target_set, replacement_size) in cases {
-            let mut hand_built = config(5);
-            hand_built.target_set = target_set;
-            hand_built.replacement_size = replacement_size;
+        use sim_cache::config::{CacheConfig, CacheLevel};
+        use sim_cache::hierarchy::HierarchyConfig;
+        use sim_cache::policy::PolicyKind;
+
+        // 16 sets of 4 ways, and 64 sets of 16 ways.
+        for (size_bytes, associativity) in [(4 * 1024, 4), (64 * 1024, 16)] {
+            let mut hierarchy = HierarchyConfig::xeon_e5_2650(PolicyKind::TreePlru, 0);
+            hierarchy.l1d = CacheConfig::builder(CacheLevel::L1D)
+                .size_bytes(size_bytes)
+                .associativity(associativity)
+                .build()
+                .unwrap();
+            let hand_built = ChannelConfig {
+                hierarchy: Some(hierarchy),
+                ..config(5)
+            };
             let error = ChannelSession::new(hand_built).unwrap_err();
             assert!(
-                matches!(error, Error::InvalidConfig { field: f, .. } if f == field),
-                "{field}: {error}"
+                matches!(
+                    error,
+                    Error::InvalidConfig {
+                        field: "hierarchy",
+                        ..
+                    }
+                ),
+                "{size_bytes} B x {associativity} ways: {error}"
             );
         }
     }

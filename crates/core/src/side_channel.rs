@@ -19,6 +19,7 @@
 //!    two lines serially before the difference is observable.
 
 use crate::error::Error;
+use crate::REPLACEMENT_SIZE;
 use analysis::threshold::BinaryThreshold;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,6 +31,11 @@ use sim_core::process::{AddressSpace, ProcessId};
 
 const ATTACKER_DOMAIN: DomainId = 1;
 const VICTIM_DOMAIN: DomainId = 2;
+
+/// The L1 set holding the victim's line 0 (the paper's set *m*).
+pub const SET_M: usize = 12;
+/// The L1 set holding the victim's line 1 (the paper's set *n*).
+pub const SET_N: usize = 44;
 
 /// The three attack scenarios of Section IX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,15 +70,12 @@ impl Scenario {
 /// of each value.
 pub const MIN_CALIBRATION_TRIALS: usize = 8;
 
-/// Configuration of a side-channel experiment.
+/// Configuration of a side-channel experiment on sets [`SET_M`] and
+/// [`SET_N`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SideChannelConfig {
     /// Machine to attack.
     pub machine: MachineConfig,
-    /// The cache set holding the victim's line 0 (the paper's set *m*).
-    pub set_m: usize,
-    /// The cache set holding the victim's line 1 (the paper's set *n*).
-    pub set_n: usize,
     /// Number of secret bits recovered per experiment (at least one).
     pub trials: usize,
     /// Trials used to calibrate the decision threshold before scoring (at
@@ -86,8 +89,6 @@ impl Default for SideChannelConfig {
     fn default() -> Self {
         SideChannelConfig {
             machine: MachineConfig::xeon_e5_2650(sim_cache::policy::PolicyKind::TreePlru, 17),
-            set_m: 12,
-            set_n: 44,
             trials: 200,
             calibration_trials: 64,
             seed: 17,
@@ -130,46 +131,31 @@ struct Setup {
 
 impl Setup {
     fn new(config: &SideChannelConfig) -> Result<Setup, Error> {
-        if config.set_m == config.set_n {
-            return Err(Error::InvalidConfig {
-                field: "set_n",
-                reason: "set m and set n must differ".into(),
-            });
-        }
         let machine = Machine::new(config.machine)?;
         let geometry = machine.l1_geometry();
-        if config.set_m >= geometry.num_sets || config.set_n >= geometry.num_sets {
+        if SET_M.max(SET_N) >= geometry.num_sets {
             return Err(Error::InvalidConfig {
-                field: "set_m",
-                reason: format!("sets must be below {}", geometry.num_sets),
+                field: "hierarchy",
+                reason: format!(
+                    "the attack uses L1 sets {SET_M} and {SET_N}, but the L1 has {} sets",
+                    geometry.num_sets
+                ),
             });
         }
         let attacker = AddressSpace::new(ProcessId(ATTACKER_DOMAIN));
         let victim = AddressSpace::new(ProcessId(VICTIM_DOMAIN));
-        let prime_m = SetLines::build(
-            attacker,
-            geometry,
-            config.set_m,
-            geometry.associativity,
-            3_000,
-        );
-        let prime_n = SetLines::build(
-            attacker,
-            geometry,
-            config.set_n,
-            geometry.associativity,
-            3_000,
-        );
+        let prime_m = SetLines::build(attacker, geometry, SET_M, geometry.associativity, 3_000);
+        let prime_n = SetLines::build(attacker, geometry, SET_N, geometry.associativity, 3_000);
         Ok(Setup {
-            probe_m: ChannelLayout::build(attacker, geometry, config.set_m, 0, 10),
+            probe_m: ChannelLayout::build(attacker, geometry, SET_M, 0, REPLACEMENT_SIZE),
             dirty_prime_trace: prime_m.lines().iter().map(|&l| TraceOp::write(l)).collect(),
             clean_prime_trace: prime_n.lines().iter().map(|&l| TraceOp::read(l)).collect(),
             prime_m,
             prime_n,
             // Two victim lines per set so the timing variant can load two
             // lines serially per branch, as the paper requires.
-            victim_line0: SetLines::build(victim, geometry, config.set_m, 2, 0),
-            victim_line1: SetLines::build(victim, geometry, config.set_n, 2, 0),
+            victim_line0: SetLines::build(victim, geometry, SET_M, 2, 0),
+            victim_line1: SetLines::build(victim, geometry, SET_N, 2, 0),
             rng: StdRng::seed_from_u64(config.seed ^ 0x51de),
             sweeps: 0,
             machine,
@@ -364,7 +350,6 @@ mod tests {
             trials: 120,
             calibration_trials: 40,
             seed: 23,
-            ..SideChannelConfig::default()
         }
     }
 
@@ -406,14 +391,34 @@ mod tests {
         assert!(labels.iter().all(|l| !l.is_empty()));
     }
 
+    /// A hand-built L1 with too few sets for set m (16 sets), or for set n
+    /// alone (32 sets), is an error for every scenario.
     #[test]
     fn invalid_set_configuration_is_rejected() {
-        let mut config = quiet_config();
-        config.set_n = config.set_m;
-        assert!(run_scenario(&config, Scenario::DirtyBranch).is_err());
-        let mut config = quiet_config();
-        config.set_m = 64;
-        assert!(run_scenario(&config, Scenario::DirtyBranch).is_err());
+        use sim_cache::config::{CacheConfig, CacheLevel};
+
+        for size_bytes in [4 * 1024, 8 * 1024] {
+            let mut config = quiet_config();
+            config.machine.hierarchy.l1d = CacheConfig::builder(CacheLevel::L1D)
+                .size_bytes(size_bytes)
+                .associativity(4)
+                .replacement(PolicyKind::TreePlru)
+                .build()
+                .unwrap();
+            for scenario in Scenario::ALL {
+                let result = run_scenario(&config, scenario);
+                assert!(
+                    matches!(
+                        result,
+                        Err(Error::InvalidConfig {
+                            field: "hierarchy",
+                            ..
+                        })
+                    ),
+                    "{size_bytes} B, {scenario:?}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]

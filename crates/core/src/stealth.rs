@@ -17,18 +17,16 @@ use crate::encoding::SymbolEncoding;
 use crate::error::Error;
 use crate::receiver::WbReceiver;
 use crate::sender::WbSender;
-use crate::{RECEIVER_DOMAIN, SENDER_DOMAIN};
+use crate::{RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::trace::TraceSummary;
-use sim_core::machine::{Machine, MachineConfig};
+use sim_core::machine::{Machine, MachineConfig, CLOCK_GHZ};
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::process::{AddressSpace, ProcessId};
 use sim_core::workload::CompilerWorkload;
 
 const COMPANION_DOMAIN: u16 = 4;
-/// The L1 set the sender modulates.
-const TARGET_SET: usize = 21;
 /// The unrelated L1 set holding the sender's spin-loop footprint.
 const SPIN_SET: usize = (TARGET_SET + 17) % 64;
 
@@ -74,8 +72,6 @@ pub struct StealthRun {
     pub sender: TraceSummary,
     /// Wall-clock duration of the measurement window, in cycles.
     pub elapsed_cycles: u64,
-    /// Core clock in GHz (for per-millisecond conversions).
-    pub clock_ghz: f64,
 }
 
 impl StealthRun {
@@ -85,13 +81,14 @@ impl StealthRun {
     }
 
     /// The Table VI row for this run: L1 loads, L2 references (L1 misses)
-    /// and LLC references per millisecond of the measurement window.
+    /// and LLC references per millisecond of the measurement window at
+    /// [`CLOCK_GHZ`].
     pub fn load_profile(&self) -> LoadProfile {
         let per_ms = |loads: u64| {
             if self.elapsed_cycles == 0 {
                 return 0.0;
             }
-            loads as f64 / (self.elapsed_cycles as f64 / (self.clock_ghz * 1e6))
+            loads as f64 / (self.elapsed_cycles as f64 / (CLOCK_GHZ * 1e6))
         };
         let (l1, l2, llc) = (
             self.sender.reads,
@@ -207,7 +204,7 @@ pub fn sender_profile(
                 geometry,
                 TARGET_SET,
                 geometry.associativity,
-                10,
+                REPLACEMENT_SIZE,
             );
             let receiver = WbReceiver::with_default_phase(
                 RECEIVER_DOMAIN,
@@ -233,7 +230,6 @@ pub fn sender_profile(
     Ok(StealthRun {
         sender: report.programs[0].summary,
         elapsed_cycles: machine.now() - start,
-        clock_ghz: machine.clock_ghz(),
     })
 }
 
@@ -296,14 +292,15 @@ mod tests {
     const TS: u64 = 11_000;
     const WINDOW: u64 = 4_000_000;
 
+    /// One millisecond at the 2.2 GHz clock.
+    const MS: u64 = 2_200_000;
+
     /// The Table VI and VII numbers of a run over a hand-built sender
-    /// summary, at 2 GHz so that 2e6 cycles are exactly one millisecond:
-    /// `([l1, l2, llc, total] loads/ms, [l1d, l2, llc] miss rates)`.
+    /// summary: `([l1, l2, llc, total] loads/ms, [l1d, l2, llc] miss rates)`.
     fn profiles(sender: TraceSummary, elapsed_cycles: u64) -> ([f64; 4], [f64; 3]) {
         let run = StealthRun {
             sender,
             elapsed_cycles,
-            clock_ghz: 2.0,
         };
         let (l, m) = (run.load_profile(), run.miss_rates());
         (
@@ -320,10 +317,7 @@ mod tests {
             ..TraceSummary::default()
         };
         // No L2 or LLC references: those miss rates are 0.0, not NaN.
-        assert_eq!(
-            profiles(hits, 2_000_000),
-            ([10.0, 0.0, 0.0, 10.0], [0.0; 3])
-        );
+        assert_eq!(profiles(hits, MS), ([10.0, 0.0, 0.0, 10.0], [0.0; 3]));
     }
 
     #[test]
@@ -334,7 +328,7 @@ mod tests {
             memory_accesses: 1,
             ..TraceSummary::default()
         };
-        assert_eq!(profiles(miss, 2_000_000), ([1.0, 1.0, 1.0, 3.0], [1.0; 3]));
+        assert_eq!(profiles(miss, MS), ([1.0, 1.0, 1.0, 3.0], [1.0; 3]));
     }
 
     #[test]
@@ -349,7 +343,7 @@ mod tests {
             ..TraceSummary::default()
         };
         assert_eq!(
-            profiles(stores, 2_000_000),
+            profiles(stores, MS),
             ([0.0, 1.0, 0.0, 1.0], [0.5, 0.0, 0.0])
         );
     }
@@ -373,7 +367,7 @@ mod tests {
                 writebacks: 0,
             });
         }
-        assert_eq!(profiles(sender, 2_000_000), ([0.0; 4], [0.0; 3]));
+        assert_eq!(profiles(sender, MS), ([0.0; 4], [0.0; 3]));
     }
 
     #[test]
@@ -393,12 +387,12 @@ mod tests {
         };
         let rates = [40.0 / 1_100.0, 0.5, 0.25];
         assert_eq!(
-            profiles(sender, 2_000_000),
+            profiles(sender, MS),
             ([1_000.0, 40.0, 20.0, 1_060.0], rates)
         );
         // Half the window doubles every load rate; an empty one gives 0.
         assert_eq!(
-            profiles(sender, 1_000_000),
+            profiles(sender, MS / 2),
             ([2_000.0, 80.0, 40.0, 2_120.0], rates)
         );
         assert_eq!(profiles(sender, 0), ([0.0; 4], rates));

@@ -168,7 +168,8 @@ impl Defense {
     }
 
     /// The replacement-set size a realistic attacker uses against this
-    /// defense, given the evaluation's configured base size.
+    /// defense, given the base size (the evaluation passes
+    /// [`wb_channel::REPLACEMENT_SIZE`]).
     ///
     /// Section VI-A's answer to pseudo-random replacement is precisely to
     /// enlarge the receiver's replacement set: at `L = 10` a dirty line

@@ -17,8 +17,7 @@ use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::process::{AddressSpace, ProcessId};
-use wb_channel::calibration::check_layout;
-use wb_channel::{Error, RECEIVER_DOMAIN, SENDER_DOMAIN};
+use wb_channel::{Error, RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
 
 /// Result of evaluating one defense.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,10 +28,8 @@ pub struct DefenseEvaluation {
     pub label: String,
     /// Mean replacement latency with a clean target set.
     pub mean_clean: f64,
-    /// Mean replacement latency with `dirty_lines` dirty lines.
+    /// Mean replacement latency with [`DIRTY_LINES`] dirty lines.
     pub mean_dirty: f64,
-    /// How many dirty lines the sender used.
-    pub dirty_lines: usize,
     /// Accuracy of a calibrated binary classifier distinguishing the two
     /// cases on held-out samples (0.5 = chance, 1.0 = perfect).
     pub accuracy: f64,
@@ -46,6 +43,10 @@ pub struct DefenseEvaluation {
 /// Classification accuracy below which a defense counts as mitigating.
 pub const MITIGATION_ACCURACY: f64 = 0.75;
 
+/// Dirty lines the sender encodes with: the paper's `d = 3` operating point
+/// of Sec. VI-A.
+pub const DIRTY_LINES: usize = 3;
+
 /// Fewest samples per class [`evaluate_defense`] accepts: half calibrate
 /// the threshold, half are scored.
 pub const MIN_SAMPLES: usize = 16;
@@ -56,12 +57,6 @@ pub struct EvaluationConfig {
     /// Samples per class (half used for calibration, half for scoring; at
     /// least [`MIN_SAMPLES`]).
     pub samples: usize,
-    /// Number of dirty lines the sender encodes with.
-    pub dirty_lines: usize,
-    /// Target set.
-    pub target_set: usize,
-    /// Replacement-set size.
-    pub replacement_size: usize,
     /// Seed.
     pub seed: u64,
 }
@@ -70,9 +65,6 @@ impl Default for EvaluationConfig {
     fn default() -> Self {
         EvaluationConfig {
             samples: 160,
-            dirty_lines: 3,
-            target_set: 21,
-            replacement_size: 10,
             seed: 29,
         }
     }
@@ -83,8 +75,7 @@ impl Default for EvaluationConfig {
 /// # Errors
 ///
 /// Propagates machine-configuration errors, and returns
-/// [`Error::InvalidConfig`] for fewer than [`MIN_SAMPLES`] samples or when
-/// the attacker's layout does not fit the L1 (see [`check_layout`]).
+/// [`Error::InvalidConfig`] for fewer than [`MIN_SAMPLES`] samples.
 pub fn evaluate_defense(
     defense: Defense,
     config: &EvaluationConfig,
@@ -108,24 +99,18 @@ pub fn evaluate_defense(
     let geometry = machine.l1_geometry();
     // The attacker adapts the replacement-set size to the defense (the
     // paper's Sec. VI-A counter to pseudo-random replacement).
-    let replacement_size = defense.attacker_replacement_size(config.replacement_size);
-    check_layout(
-        geometry,
-        config.target_set,
-        replacement_size,
-        config.dirty_lines,
-    )?;
+    let replacement_size = defense.attacker_replacement_size(REPLACEMENT_SIZE);
     let receiver_layout = ChannelLayout::build(
         AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
         geometry,
-        config.target_set,
+        TARGET_SET,
         geometry.associativity,
         replacement_size,
     );
     let sender_lines = SetLines::build(
         AddressSpace::new(ProcessId(SENDER_DOMAIN)),
         geometry,
-        config.target_set,
+        TARGET_SET,
         geometry.associativity,
         0,
     );
@@ -133,7 +118,7 @@ pub fn evaluate_defense(
     let guard_lines = SetLines::build(
         AddressSpace::new(ProcessId(7)),
         geometry,
-        config.target_set,
+        TARGET_SET,
         8,
         7_000,
     );
@@ -207,7 +192,7 @@ pub fn evaluate_defense(
     let mut dirty = Vec::with_capacity(per_class);
     for _ in 0..per_class {
         clean.push(observe(&mut machine, &mut rng, 0) as f64);
-        dirty.push(observe(&mut machine, &mut rng, config.dirty_lines) as f64);
+        dirty.push(observe(&mut machine, &mut rng, DIRTY_LINES) as f64);
     }
 
     // Calibrate on the first half, score on the second half.
@@ -230,7 +215,6 @@ pub fn evaluate_defense(
         paper_expectation: defense.paper_expectation().to_owned(),
         mean_clean: mean(&clean),
         mean_dirty: mean(&dirty),
-        dirty_lines: config.dirty_lines,
         accuracy,
         mitigated: accuracy < MITIGATION_ACCURACY,
         defense,
@@ -317,22 +301,6 @@ mod tests {
     #[test]
     fn invalid_configurations_are_errors_not_panics() {
         let bad = [
-            EvaluationConfig {
-                target_set: 64,
-                ..config()
-            },
-            EvaluationConfig {
-                replacement_size: 1_001,
-                ..config()
-            },
-            EvaluationConfig {
-                replacement_size: 4,
-                ..config()
-            },
-            EvaluationConfig {
-                dirty_lines: 9,
-                ..config()
-            },
             EvaluationConfig {
                 samples: 0,
                 ..config()

@@ -10,8 +10,10 @@
 //! * write-through L1 caches.
 //!
 //! The harness reports, per defense, the residual latency separation between
-//! a clean and a dirty target set and the accuracy of a calibrated receiver,
-//! and compares the verdict against the paper's expectation.
+//! the channel's target set ([`wb_channel::TARGET_SET`]) when clean and when
+//! holding [`evaluate::DIRTY_LINES`] dirty lines, and the accuracy of a
+//! calibrated receiver, and compares the verdict against the paper's
+//! expectation.
 //!
 //! ## Example
 //!

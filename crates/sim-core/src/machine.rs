@@ -32,6 +32,10 @@ use sim_cache::line::DomainId;
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::{TraceKind, TraceOp, TraceSummary};
 
+/// Core clock of the paper's Xeon E5-2650 in GHz: the one conversion from
+/// simulated cycles to seconds, milliseconds and kbps.
+pub const CLOCK_GHZ: f64 = 2.2;
+
 /// Configuration of a [`Machine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
@@ -41,22 +45,18 @@ pub struct MachineConfig {
     pub tsc: TscConfig,
     /// OS interruption noise applied to every hardware thread.
     pub interrupts: InterruptConfig,
-    /// Core clock in GHz, used to convert cycles into seconds/kbps
-    /// (the paper's machine runs at 2.2 GHz).
-    pub clock_ghz: f64,
     /// Master seed for all machine-level randomness.
     pub seed: u64,
 }
 
 impl MachineConfig {
-    /// The paper's evaluation machine: Xeon E5-2650 caches, 2.2 GHz clock,
-    /// realistic rdtscp noise and a quiet pinned-core interrupt profile.
+    /// The paper's evaluation machine: Xeon E5-2650 caches, realistic
+    /// rdtscp noise and a quiet pinned-core interrupt profile.
     pub fn xeon_e5_2650(l1_policy: PolicyKind, seed: u64) -> MachineConfig {
         MachineConfig {
             hierarchy: HierarchyConfig::xeon_e5_2650(l1_policy, seed),
             tsc: TscConfig::xeon_e5_2650(),
             interrupts: InterruptConfig::pinned_quiet(),
-            clock_ghz: 2.2,
             seed,
         }
     }
@@ -67,7 +67,6 @@ impl MachineConfig {
             hierarchy: HierarchyConfig::xeon_e5_2650(l1_policy, seed),
             tsc: TscConfig::ideal(),
             interrupts: InterruptConfig::none(),
-            clock_ghz: 2.2,
             seed,
         }
     }
@@ -159,11 +158,6 @@ impl Machine {
     /// Current cycle (the simulated time-stamp counter).
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// Core clock in GHz.
-    pub fn clock_ghz(&self) -> f64 {
-        self.config.clock_ghz
     }
 
     /// The L1 data-cache geometry.

@@ -28,8 +28,9 @@ pub struct InterruptConfig {
 }
 
 impl InterruptConfig {
-    /// A quiet, pinned system: a timer tick roughly every 250 µs (at 2.2 GHz)
-    /// stalling the thread for a few microseconds.  This is the default noise
+    /// A quiet, pinned system: a timer tick roughly every 250 µs (at
+    /// [`crate::machine::CLOCK_GHZ`]) stalling the thread for a few
+    /// microseconds.  This is the default noise
     /// level for the channel-evaluation experiments.
     pub fn pinned_quiet() -> InterruptConfig {
         InterruptConfig {

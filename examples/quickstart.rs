@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One dirty line per '1' bit: the stealthiest configuration.
     let config = ChannelConfig::builder()
         .encoding(SymbolEncoding::binary(1)?)
-        .period_cycles(5_500) // 400 kbps at 2.2 GHz
+        .period_cycles(5_500) // 400 kbps at the paper's clock
         .seed(42)
         .build()?;
     let mut session = ChannelSession::new(config)?;
