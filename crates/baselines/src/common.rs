@@ -17,11 +17,12 @@ use sim_cache::trace::TraceOp;
 use sim_core::machine::Machine;
 use sim_core::memlayout::SetLines;
 use sim_core::process::{AddressSpace, ProcessId};
+use wb_channel::{RECEIVER_DOMAIN, SENDER_DOMAIN};
 
-/// The receiver's domain and process.
-pub(crate) const RECEIVER: u16 = 1;
-/// The sender's domain and process.
-pub(crate) const SENDER: u16 = 2;
+/// The receiver's domain and process: the WB channel's receiver domain.
+pub(crate) const RECEIVER: u16 = RECEIVER_DOMAIN;
+/// The sender's domain and process: the WB channel's sender domain.
+pub(crate) const SENDER: u16 = SENDER_DOMAIN;
 /// The noise process's domain and process.
 pub(crate) const NOISE: u16 = 3;
 
@@ -148,7 +149,7 @@ pub(crate) fn transmit_periods(
         }
         decode(&mut machine, &mut rng)
     };
-    let threshold = calibrate_threshold(CALIBRATION_ROUNDS, |bit| period(bit, None));
+    let threshold = calibrate_threshold(|bit| period(bit, None));
     let observations: Vec<u64> = bits.iter().map(|&bit| period(bit, noise)).collect();
     let received = observations
         .iter()
@@ -161,15 +162,13 @@ pub(crate) fn transmit_periods(
 
 /// Calibrates a binary threshold from alternating known-bit observations.
 ///
-/// `observe` is called `rounds` times with the training bit and must return
-/// the receiver's observable for that bit.
-pub fn calibrate_threshold<F: FnMut(bool) -> u64>(
-    rounds: usize,
-    mut observe: F,
-) -> BinaryThreshold {
+/// `observe` is called once per calibration round (`CALIBRATION_ROUNDS`)
+/// with that round's training bit, alternating from 0, and must return the
+/// receiver's observable for that bit.
+pub fn calibrate_threshold<F: FnMut(bool) -> u64>(mut observe: F) -> BinaryThreshold {
     let mut zeros = Vec::new();
     let mut ones = Vec::new();
-    for i in 0..rounds.max(8) {
+    for i in 0..CALIBRATION_ROUNDS {
         let bit = i % 2 == 1;
         let value = observe(bit) as f64;
         if bit {
@@ -197,7 +196,17 @@ mod tests {
 
     #[test]
     fn threshold_calibration_places_boundary_between_classes() {
-        let threshold = calibrate_threshold(20, |bit| if bit { 200 } else { 100 });
+        let mut bits = Vec::new();
+        let threshold = calibrate_threshold(|bit| {
+            bits.push(bit);
+            if bit {
+                200
+            } else {
+                100
+            }
+        });
+        let alternating: Vec<bool> = (0..CALIBRATION_ROUNDS).map(|i| i % 2 == 1).collect();
+        assert_eq!(bits, alternating, "every round, alternating from 0");
         assert!(threshold.value() > 100.0 && threshold.value() < 200.0);
         assert!(threshold.classify(180.0));
         assert!(!threshold.classify(120.0));

@@ -38,7 +38,7 @@
 use analysis::table::{fixed, Table};
 use sim_cache::prelude::*;
 use std::time::Instant;
-use wb_channel::{REPLACEMENT_SIZE, TARGET_SET};
+use wb_channel::{RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
 
 /// One measured trace of the benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,8 +277,8 @@ fn pointer_chase(min_seconds: f64) -> TraceResult {
 /// the receiver's [`REPLACEMENT_SIZE`]-line replacement sweep, alternating
 /// the two replacement sets.
 fn frame_period(g: CacheGeometry) -> Vec<(AccessContext, Vec<TraceOp>)> {
-    let sender = AccessContext::for_domain(2);
-    let receiver = AccessContext::for_domain(1);
+    let sender = AccessContext::for_domain(SENDER_DOMAIN);
+    let receiver = AccessContext::for_domain(RECEIVER_DOMAIN);
     let d = 4u64;
     let stores: Vec<TraceOp> = (0..d)
         .map(|t| TraceOp::write(PhysAddr::from_set_and_tag(TARGET_SET, t, g)))

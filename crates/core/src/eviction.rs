@@ -194,7 +194,7 @@ pub fn random_replacement_dirty_eviction(
                 break;
             }
             for &line in &missing {
-                cache.fill(line, sender, true, false);
+                cache.fill(line, sender, true);
             }
         }
         // The receiver accesses its replacement set of l lines.

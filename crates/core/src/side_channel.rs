@@ -19,7 +19,7 @@
 //!    two lines serially before the difference is observable.
 
 use crate::error::Error;
-use crate::REPLACEMENT_SIZE;
+use crate::{RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN};
 use analysis::threshold::BinaryThreshold;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,8 +29,10 @@ use sim_core::machine::{Machine, MachineConfig};
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::process::{AddressSpace, ProcessId};
 
-const ATTACKER_DOMAIN: DomainId = 1;
-const VICTIM_DOMAIN: DomainId = 2;
+/// The attacker plays the covert channel's receiver.
+const ATTACKER_DOMAIN: DomainId = RECEIVER_DOMAIN;
+/// The victim's stores take the covert channel sender's place.
+const VICTIM_DOMAIN: DomainId = SENDER_DOMAIN;
 
 /// The L1 set holding the victim's line 0 (the paper's set *m*).
 pub const SET_M: usize = 12;

@@ -11,7 +11,7 @@ use sim_cache::policy::PolicyKind;
 use sim_cache::waymask::WayMask;
 use sim_core::machine::{Machine, MachineConfig};
 use sim_core::tsc::TscConfig;
-use wb_channel::{Error, RECEIVER_DOMAIN, SENDER_DOMAIN};
+use wb_channel::{Error, RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN};
 
 /// A defense against the WB channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,19 +168,18 @@ impl Defense {
     }
 
     /// The replacement-set size a realistic attacker uses against this
-    /// defense, given the base size (the evaluation passes
-    /// [`wb_channel::REPLACEMENT_SIZE`]).
+    /// defense: [`REPLACEMENT_SIZE`] unless the defense calls for more.
     ///
     /// Section VI-A's answer to pseudo-random replacement is precisely to
     /// enlarge the receiver's replacement set: at `L = 10` a dirty line
     /// survives each sweep with probability `((W-d)/W)^L ≈ 26%` (Table V),
     /// which puts the verdict on the mitigation threshold, while `L = 12`
-    /// restores a stable channel.  Every other defense leaves the base size
-    /// unchanged.
-    pub fn attacker_replacement_size(&self, base: usize) -> usize {
+    /// restores a stable channel.  Every other defense leaves the size at
+    /// [`REPLACEMENT_SIZE`].
+    pub fn attacker_replacement_size(&self) -> usize {
         match self {
-            Defense::RandomReplacement => base.max(12),
-            _ => base,
+            Defense::RandomReplacement => 12,
+            _ => REPLACEMENT_SIZE,
         }
     }
 

@@ -17,7 +17,7 @@ use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::process::{AddressSpace, ProcessId};
-use wb_channel::{Error, RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
+use wb_channel::{Error, RECEIVER_DOMAIN, SENDER_DOMAIN, TARGET_SET};
 
 /// Result of evaluating one defense.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +99,7 @@ pub fn evaluate_defense(
     let geometry = machine.l1_geometry();
     // The attacker adapts the replacement-set size to the defense (the
     // paper's Sec. VI-A counter to pseudo-random replacement).
-    let replacement_size = defense.attacker_replacement_size(REPLACEMENT_SIZE);
+    let replacement_size = defense.attacker_replacement_size();
     let receiver_layout = ChannelLayout::build(
         AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
         geometry,
@@ -282,6 +282,7 @@ pub fn evaluate_all(config: &EvaluationConfig) -> Result<Vec<DefenseEvaluation>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wb_channel::REPLACEMENT_SIZE;
 
     fn config() -> EvaluationConfig {
         EvaluationConfig {
@@ -340,11 +341,14 @@ mod tests {
             result.accuracy
         );
         assert!(result.accuracy > 0.75, "accuracy {}", result.accuracy);
-        // Only the random-replacement defense triggers the adaptation, and a
-        // configured size beyond the Sec. VI-A operating point is respected.
-        assert_eq!(Defense::RandomReplacement.attacker_replacement_size(10), 12);
-        assert_eq!(Defense::RandomReplacement.attacker_replacement_size(14), 14);
-        assert_eq!(Defense::None.attacker_replacement_size(10), 10);
+        // Only the random-replacement defense triggers the adaptation.
+        for defense in Defense::ALL {
+            let expected = match defense {
+                Defense::RandomReplacement => 12,
+                _ => REPLACEMENT_SIZE,
+            };
+            assert_eq!(defense.attacker_replacement_size(), expected, "{defense:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A single cache level.
 //!
-//! [`Cache`] combines the tag-store arena, a replacement policy and
-//! per-level statistics.  It knows nothing about latency or about other
+//! [`Cache`] combines the tag-store arena, a replacement policy and the
+//! per-domain way partitions.  It knows nothing about latency or about other
 //! levels; [`crate::hierarchy::CacheHierarchy`] composes several `Cache`s
 //! and attributes cycles.
 //!
@@ -26,7 +26,6 @@ use crate::addr::{CacheGeometry, LineAddr, PhysAddr};
 use crate::config::{CacheConfig, WritePolicy};
 use crate::line::DomainId;
 use crate::policy::PolicyDispatch;
-use crate::stats::CacheStats;
 use crate::waymask::{PartitionTable, WayMask};
 use std::fmt;
 
@@ -156,7 +155,6 @@ pub struct Cache {
     policy: PolicyDispatch,
     /// The sets [`Cache::reset`] has to clear.
     touched: TouchedSets,
-    stats: CacheStats,
     /// Per-domain way restriction (NoMo / DAWG), dense by domain id.
     partitions: PartitionTable,
     /// Precomputed mask of every way of this cache.
@@ -169,7 +167,6 @@ impl fmt::Debug for Cache {
             .field("level", &self.config.level)
             .field("geometry", &self.config.geometry)
             .field("policy", &self.policy.name())
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -215,7 +212,6 @@ impl Cache {
             masks: vec![SetMasks::default(); geometry.num_sets].into_boxed_slice(),
             policy,
             touched: TouchedSets::new(geometry.num_sets),
-            stats: CacheStats::default(),
             partitions: PartitionTable::new(all_ways),
             all_ways,
         })
@@ -228,10 +224,10 @@ impl Cache {
     /// Behaviourally indistinguishable from a fresh construction: the masks
     /// of every set filled since the last reset are cleared (stale tags in
     /// invalid ways can never match or be observed), the replacement policy
-    /// returns to its state for the seed in those sets, and the statistics
-    /// and partitions are reset.  The cost is O(sets touched) (plus one tree
-    /// draw per set for Intel-like); a different geometry or policy kind
-    /// rebuilds the whole cache.
+    /// returns to its state for the seed in those sets, and the partitions
+    /// are cleared.  The cost is O(sets touched) (plus one tree draw per set
+    /// for Intel-like); a different geometry or policy kind rebuilds the
+    /// whole cache.
     ///
     /// # Errors
     ///
@@ -248,7 +244,6 @@ impl Cache {
         }
         self.touched.clear();
         self.config = config;
-        self.stats.reset();
         self.partitions.clear();
         Ok(())
     }
@@ -261,16 +256,6 @@ impl Cache {
     /// The cache geometry.
     pub fn geometry(&self) -> CacheGeometry {
         self.config.geometry
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Resets the statistics counters (not the cache contents).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Restricts `domain` to the given ways for fills and victim selection.
@@ -364,9 +349,9 @@ impl Cache {
             .count()
     }
 
-    /// Looks up `addr` for a load.  On a hit the policy is refreshed and the
-    /// hit is counted; on a miss only the miss is counted (the caller then
-    /// decides whether to [`Cache::fill`]).
+    /// Looks up `addr` for a load.  On a hit the policy is refreshed; on a
+    /// miss nothing changes (the caller then decides whether to
+    /// [`Cache::fill`]).
     pub fn lookup_read(&mut self, addr: PhysAddr, _ctx: AccessContext) -> Option<usize> {
         let (set, tag) = self.set_and_tag(addr);
         self.lookup_read_at(set, tag)
@@ -377,17 +362,9 @@ impl Cache {
     /// address once and reuses it for the fill.
     #[inline(always)]
     pub(crate) fn lookup_read_at(&mut self, set: usize, tag: u64) -> Option<usize> {
-        match self.find(set, tag) {
-            Some(way) => {
-                self.policy.on_hit(set, way);
-                self.stats.read_hits += 1;
-                Some(way)
-            }
-            None => {
-                self.stats.read_misses += 1;
-                None
-            }
-        }
+        let way = self.find(set, tag)?;
+        self.policy.on_hit(set, way);
+        Some(way)
     }
 
     /// Looks up `addr` for a store.  Under a write-back policy a hit marks
@@ -402,38 +379,23 @@ impl Cache {
     /// [`Cache::lookup_write`] with the `(set, tag)` pair precomputed.
     #[inline(always)]
     pub(crate) fn lookup_write_at(&mut self, set: usize, tag: u64) -> Option<usize> {
-        match self.find(set, tag) {
-            Some(way) => {
-                self.policy.on_hit(set, way);
-                if self.config.write_policy == WritePolicy::WriteBack {
-                    self.masks[set].dirty |= Self::bit(way);
-                }
-                self.stats.write_hits += 1;
-                Some(way)
-            }
-            None => {
-                self.stats.write_misses += 1;
-                None
-            }
+        let way = self.find(set, tag)?;
+        self.policy.on_hit(set, way);
+        if self.config.write_policy == WritePolicy::WriteBack {
+            self.masks[set].dirty |= Self::bit(way);
         }
+        Some(way)
     }
 
     /// Installs the line containing `addr`.
     ///
     /// `dirty` marks the freshly installed line as modified (write-allocate
-    /// store miss under write-back).  `prefetch` counts the fill as a
-    /// prefetch fill in the statistics.
+    /// store miss under write-back).
     ///
     /// Ways are chosen in this order: an invalid allowed way first, then the
     /// replacement policy restricted to the domain's partition minus locked
     /// ways.  If no way is permitted the fill is bypassed.
-    pub fn fill(
-        &mut self,
-        addr: PhysAddr,
-        ctx: AccessContext,
-        dirty: bool,
-        prefetch: bool,
-    ) -> FillOutcome {
+    pub fn fill(&mut self, addr: PhysAddr, ctx: AccessContext, dirty: bool) -> FillOutcome {
         let (set, tag) = self.set_and_tag(addr);
         // Already resident (can happen with racing prefetches): refresh only.
         if let Some(way) = self.find(set, tag) {
@@ -447,7 +409,7 @@ impl Cache {
                 evicted: None,
             };
         }
-        self.fill_missing_at(set, tag, ctx, dirty, prefetch)
+        self.fill_missing_at(set, tag, ctx, dirty)
     }
 
     /// [`Cache::fill`] for a line the caller knows is **not** resident (a
@@ -461,7 +423,6 @@ impl Cache {
         tag: u64,
         ctx: AccessContext,
         dirty: bool,
-        prefetch: bool,
     ) -> FillOutcome {
         debug_assert!(
             self.find(set, tag).is_none(),
@@ -504,16 +465,11 @@ impl Cache {
         let bit = Self::bit(way);
         let index = set * self.ways + way;
         let evicted = if state.valid & bit != 0 {
-            let line = EvictedLine {
+            Some(EvictedLine {
                 addr: self.config.geometry.line_addr(set, self.tags[index]),
                 dirty: state.dirty & bit != 0,
                 owner: self.owners[index],
-            };
-            self.stats.evictions += 1;
-            if line.dirty {
-                self.stats.writebacks += 1;
-            }
-            Some(line)
+            })
         } else {
             None
         };
@@ -531,10 +487,6 @@ impl Cache {
         // victim), mirroring the packed-flag overwrite this replaced.
         state.locked &= !bit;
         self.masks[set] = state;
-        self.stats.fills += 1;
-        if prefetch {
-            self.stats.prefetch_fills += 1;
-        }
 
         FillOutcome {
             filled: true,
@@ -548,7 +500,7 @@ impl Cache {
     /// eviction experiments' warm loops).
     pub fn fill_all(&mut self, addrs: &[PhysAddr], ctx: AccessContext, dirty: bool) {
         for &addr in addrs {
-            let _ = self.fill(addr, ctx, dirty, false);
+            let _ = self.fill(addr, ctx, dirty);
         }
     }
 
@@ -584,34 +536,17 @@ impl Cache {
             self.policy.on_hit(set, way);
             return None;
         }
-        let outcome = self.fill_missing_at(set, tag, ctx, dirty, false);
-        outcome.evicted
+        self.fill_missing_at(set, tag, ctx, dirty).evicted
     }
 
-    /// Removes the line containing `addr` without touching any counter,
-    /// returning `Some(was_dirty)` if it was resident.
+    /// Invalidates the line containing `addr`, returning `Some(was_dirty)`
+    /// if it was resident.
     ///
-    /// This is the residency-maintenance primitive behind inclusion
-    /// policies: inclusive back-invalidation (an LLC eviction forcing the
-    /// upper-level copies out) and exclusive promotion (an LLC hit moving
-    /// the line up) both *relocate* a line rather than flushing it, so the
-    /// hierarchy attributes the traffic in [`crate::stats::HierarchyStats`]
-    /// instead of this level's flush/write-back counters.
-    pub fn remove_line(&mut self, addr: PhysAddr) -> Option<bool> {
-        let (set, tag) = self.set_and_tag(addr);
-        let way = self.find(set, tag)?;
-        let bit = Self::bit(way);
-        let masks = &mut self.masks[set];
-        let was_dirty = masks.dirty & bit != 0;
-        masks.valid &= !bit;
-        masks.dirty &= !bit;
-        masks.locked &= !bit;
-        self.policy.on_invalidate(set, way);
-        Some(was_dirty)
-    }
-
-    /// Invalidates the line containing `addr` (`clflush`), returning
-    /// `Some(was_dirty)` if it was resident.
+    /// Both `clflush` and the residency moves of inclusion policies use it:
+    /// inclusive back-invalidation (an LLC eviction forcing the upper-level
+    /// copies out) and exclusive promotion (an LLC hit moving the line up).
+    /// Any write-back this implies is the caller's to count, in the
+    /// access's [`crate::outcome::AccessOutcome::writebacks`].
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<bool> {
         let (set, tag) = self.set_and_tag(addr);
         let way = self.find(set, tag)?;
@@ -622,10 +557,6 @@ impl Cache {
         masks.dirty &= !bit;
         masks.locked &= !bit;
         self.policy.on_invalidate(set, way);
-        self.stats.flushes += 1;
-        if was_dirty {
-            self.stats.writebacks += 1;
-        }
         Some(was_dirty)
     }
 
@@ -652,16 +583,6 @@ impl Cache {
             false
         }
     }
-
-    /// Invalidates the entire cache, returning the number of dirty lines
-    /// discarded (their write-backs are *not* propagated — use only in test
-    /// setup and defense resets).
-    pub fn clear(&mut self) -> usize {
-        let dirty: u32 = self.masks.iter().map(|m| m.dirty.count_ones()).sum();
-        self.masks.fill(SetMasks::default());
-        self.policy.reset();
-        dirty as usize
-    }
 }
 
 #[cfg(test)]
@@ -684,13 +605,12 @@ mod tests {
         let ctx = AccessContext::default();
         let a = addr(5, 1);
         assert!(cache.lookup_read(a, ctx).is_none());
-        let fill = cache.fill(a, ctx, false, false);
+        let fill = cache.fill(a, ctx, false);
         assert!(fill.filled);
         assert!(fill.evicted.is_none());
         assert!(cache.lookup_read(a, ctx).is_some());
-        assert_eq!(cache.stats().read_hits, 1);
-        assert_eq!(cache.stats().read_misses, 1);
-        assert_eq!(cache.stats().fills, 1);
+        assert_eq!(cache.valid_count_in_set(5), 1, "one fill, no other line");
+        assert_eq!(cache.dirty_count_in_set(5), 0);
     }
 
     #[test]
@@ -698,7 +618,7 @@ mod tests {
         let mut cache = l1(PolicyKind::TrueLru);
         let ctx = AccessContext::for_domain(1);
         let a = addr(0, 3);
-        cache.fill(a, ctx, false, false);
+        cache.fill(a, ctx, false);
         assert!(!cache.is_dirty(a));
         cache.lookup_write(a, ctx);
         assert!(cache.is_dirty(a), "store hit must set the dirty bit");
@@ -715,7 +635,7 @@ mod tests {
         let mut cache = Cache::new(config, 0).unwrap();
         let ctx = AccessContext::default();
         let a = addr(0, 3);
-        cache.fill(a, ctx, true, false);
+        cache.fill(a, ctx, true);
         assert!(
             !cache.is_dirty(a),
             "write-through caches never hold dirty lines"
@@ -731,14 +651,16 @@ mod tests {
         let set = 9;
         // Fill the set with 8 lines; make the first one dirty.
         for tag in 0..8u64 {
-            cache.fill(addr(set, tag), ctx, tag == 0, false);
+            cache.fill(addr(set, tag), ctx, tag == 0);
         }
         assert_eq!(cache.dirty_count_in_set(set), 1);
         // The 9th fill must evict the LRU line, which is the dirty tag 0.
-        let outcome = cache.fill(addr(set, 100), ctx, false, false);
+        let outcome = cache.fill(addr(set, 100), ctx, false);
         let evicted = outcome.evicted.expect("a line must be evicted");
         assert!(evicted.dirty);
-        assert_eq!(cache.stats().writebacks, 1);
+        assert_eq!(evicted.addr, cache.geometry().line_addr(set, 0));
+        assert!(!cache.contains(addr(set, 0)));
+        assert_eq!(cache.valid_count_in_set(set), 8);
         assert_eq!(cache.dirty_count_in_set(set), 0);
     }
 
@@ -750,9 +672,9 @@ mod tests {
         let addrs: Vec<PhysAddr> = (0..8).map(|t| addr(set, t)).collect();
         cache.fill_all(&addrs, ctx, true);
         assert_eq!(cache.dirty_count_in_set(set), 8);
-        assert_eq!(cache.stats().fills, 8);
+        assert_eq!(cache.valid_count_in_set(set), 8);
         // Identical to eight single fills: the LRU victim is tag 0.
-        let outcome = cache.fill(addr(set, 100), ctx, false, false);
+        let outcome = cache.fill(addr(set, 100), ctx, false);
         assert_eq!(
             outcome.evicted.expect("eviction").addr,
             cache.geometry().line_addr(set, 0)
@@ -765,17 +687,17 @@ mod tests {
         let ctx = AccessContext::default();
         let set = 2;
         let protected = addr(set, 0);
-        cache.fill(protected, ctx, true, false);
+        cache.fill(protected, ctx, true);
         assert!(cache.lock_line(protected));
         // Fill far more lines than the associativity.
         for tag in 1..32u64 {
-            cache.fill(addr(set, tag), ctx, false, false);
+            cache.fill(addr(set, tag), ctx, false);
         }
         assert!(cache.contains(protected), "locked line must survive");
         assert!(cache.is_dirty(protected));
         assert!(cache.unlock_line(protected));
         for tag in 32..64u64 {
-            cache.fill(addr(set, tag), ctx, false, false);
+            cache.fill(addr(set, tag), ctx, false);
         }
         assert!(
             !cache.contains(protected),
@@ -791,11 +713,11 @@ mod tests {
         cache.set_partition(2, WayMask::range(4, 8)).unwrap();
         let set = 11;
         for tag in 0..16u64 {
-            cache.fill(addr(set, tag), AccessContext::for_domain(1), false, false);
+            cache.fill(addr(set, tag), AccessContext::for_domain(1), false);
         }
         assert_eq!(cache.owned_count_in_set(set, 1), 4);
         for tag in 100..104u64 {
-            cache.fill(addr(set, tag), AccessContext::for_domain(2), false, false);
+            cache.fill(addr(set, tag), AccessContext::for_domain(2), false);
         }
         assert_eq!(
             cache.owned_count_in_set(set, 1),
@@ -817,7 +739,7 @@ mod tests {
         assert!(cache.is_dirty(a));
         // Resident clean line becomes dirty.
         let b = PhysAddr::from_set_and_tag(17, 5, g);
-        cache.fill(b, ctx, false, false);
+        cache.fill(b, ctx, false);
         assert!(!cache.is_dirty(b));
         cache.accept_writeback(b, ctx);
         assert!(cache.is_dirty(b));
@@ -829,22 +751,12 @@ mod tests {
         let ctx = AccessContext::default();
         let a = addr(30, 2);
         assert_eq!(cache.invalidate(a), None);
-        cache.fill(a, ctx, true, false);
+        cache.fill(a, ctx, true);
         assert_eq!(cache.invalidate(a), Some(true));
         assert!(!cache.contains(a));
-        assert_eq!(cache.stats().flushes, 1);
-        assert_eq!(cache.stats().writebacks, 1);
-    }
-
-    #[test]
-    fn clear_resets_contents_and_reports_dirty_lines() {
-        let mut cache = l1(PolicyKind::Random);
-        let ctx = AccessContext::default();
-        cache.fill(addr(1, 1), ctx, true, false);
-        cache.fill(addr(2, 1), ctx, true, false);
-        cache.fill(addr(3, 1), ctx, false, false);
-        assert_eq!(cache.clear(), 2);
-        assert_eq!(cache.valid_count_in_set(1), 0);
+        assert_eq!(cache.valid_count_in_set(30), 0);
+        assert_eq!(cache.dirty_count_in_set(30), 0);
+        assert_eq!(cache.invalidate(a), None, "the line is gone");
     }
 
     #[test]
@@ -852,21 +764,21 @@ mod tests {
         let mut cache = l1(PolicyKind::TreePlru);
         let ctx = AccessContext::default();
         let a = addr(4, 9);
-        cache.fill(a, ctx, false, false);
-        let again = cache.fill(a, ctx, true, false);
+        cache.fill(a, ctx, false);
+        let again = cache.fill(a, ctx, true);
         assert!(again.filled);
         assert!(again.evicted.is_none());
         assert!(cache.is_dirty(a), "dirty refill upgrades the line");
-        assert_eq!(cache.stats().fills, 1, "second fill is a no-op refresh");
+        assert_eq!(cache.valid_count_in_set(4), 1, "second fill is a refresh");
     }
 
     #[test]
     fn set_counts_read_the_arena_contents() {
         let mut cache = l1(PolicyKind::TrueLru);
         let ctx = AccessContext::for_domain(3);
-        cache.fill(addr(6, 40), ctx, true, false);
-        cache.fill(addr(6, 41), ctx, false, false);
-        cache.fill(addr(6, 42), AccessContext::for_domain(4), false, false);
+        cache.fill(addr(6, 40), ctx, true);
+        cache.fill(addr(6, 41), ctx, false);
+        cache.fill(addr(6, 42), AccessContext::for_domain(4), false);
         assert_eq!(cache.valid_count_in_set(6), 3);
         assert_eq!(cache.dirty_count_in_set(6), 1);
         assert_eq!(cache.owned_count_in_set(6, 3), 2);

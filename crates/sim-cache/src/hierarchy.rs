@@ -14,7 +14,6 @@ use crate::latency::LatencyModel;
 use crate::outcome::{AccessKind, AccessOutcome, HitLevel};
 use crate::policy::PolicyKind;
 use crate::seed::stream_seed;
-use crate::stats::HierarchyStats;
 use crate::trace::{TraceOp, TraceSummary};
 
 // The per-level RNG streams are derived with SplitMix64 (`crate::seed`) so
@@ -279,7 +278,6 @@ pub struct CacheHierarchy {
     latency: LatencyModel,
     random_fill: Option<RandomFillConfig>,
     fill_rng_state: u64,
-    stats: HierarchyStats,
 }
 
 impl CacheHierarchy {
@@ -299,7 +297,6 @@ impl CacheHierarchy {
             latency: config.latency,
             random_fill: config.l1_random_fill,
             fill_rng_state: fill_seed(config.seed),
-            stats: HierarchyStats::default(),
         })
     }
 
@@ -335,7 +332,6 @@ impl CacheHierarchy {
         self.latency = config.latency;
         self.random_fill = config.l1_random_fill;
         self.fill_rng_state = fill_seed(config.seed);
-        self.stats = HierarchyStats::default();
         Ok(())
     }
 
@@ -369,30 +365,6 @@ impl CacheHierarchy {
         &self.llc
     }
 
-    /// Accumulated hierarchy statistics.
-    pub fn stats(&self) -> HierarchyStats {
-        let mut stats = self.stats;
-        stats.l1d = self.l1d.stats();
-        stats.l2 = self.l2.stats();
-        stats.llc = self.llc.stats();
-        stats
-    }
-
-    /// Resets all statistics counters (cache contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
-        self.llc.reset_stats();
-    }
-
-    /// Invalidates every level (used between experiment repetitions).
-    pub fn clear(&mut self) {
-        self.l1d.clear();
-        self.l2.clear();
-        self.llc.clear();
-    }
-
     /// Performs a demand load.
     pub fn read(&mut self, addr: PhysAddr, ctx: AccessContext) -> AccessOutcome {
         self.demand_access(addr, ctx, AccessKind::Read)
@@ -408,7 +380,7 @@ impl CacheHierarchy {
     ///
     /// Per-op semantics are identical to calling [`CacheHierarchy::read`],
     /// [`CacheHierarchy::write`] and [`CacheHierarchy::flush`] in sequence —
-    /// same ordering, same latency attribution, same statistics — but the
+    /// same ordering, same latency attribution, same write-backs — but the
     /// bulk caller never receives (or collects) per-access
     /// [`AccessOutcome`]s.  This is the hot entry point of the sweep engine;
     /// see `repro bench-sim` for its throughput trajectory.
@@ -459,19 +431,14 @@ impl CacheHierarchy {
             was_present = true;
             if dirty {
                 writebacks += 1;
-                self.stats.l1_writebacks += 1;
                 cycles += self.latency.l1_dirty_writeback;
             }
         }
-        for (dirty, deep_writebacks) in [
-            (self.l2.invalidate(addr), &mut self.stats.l2_writebacks),
-            (self.llc.invalidate(addr), &mut self.stats.llc_writebacks),
-        ] {
+        for dirty in [self.l2.invalidate(addr), self.llc.invalidate(addr)] {
             let Some(dirty) = dirty else { continue };
             was_present = true;
             if dirty {
                 writebacks += 1;
-                *deep_writebacks += 1;
                 cycles += self.latency.deep_dirty_writeback;
             }
         }
@@ -482,7 +449,6 @@ impl CacheHierarchy {
         }
         // clflush is ordered like a store that must reach memory.
         cycles += self.latency.l2_hit;
-        self.stats.total_cycles += cycles;
         AccessOutcome {
             kind: AccessKind::Flush,
             hit: HitLevel::Memory,
@@ -498,7 +464,7 @@ impl CacheHierarchy {
     ///
     /// Used by the Prefetch-guard defense to inject noise lines.
     pub fn prefetch_into_l1(&mut self, addr: PhysAddr, ctx: AccessContext) -> AccessOutcome {
-        let fill = self.l1d.fill(addr, ctx, false, true);
+        let fill = self.l1d.fill(addr, ctx, false);
         let mut writebacks = 0;
         let mut victim_dirty = false;
         let mut evicted_addr = None;
@@ -528,15 +494,11 @@ impl CacheHierarchy {
     /// turns dirty there — is straight-line code; a spill is a cold call.
     #[inline(always)]
     fn push_writeback_to_l2(&mut self, evicted: EvictedLine) -> u32 {
-        self.stats.l1_writebacks += 1;
         let owner_ctx = AccessContext::for_domain(evicted.owner);
         let addr = PhysAddr(evicted.addr.value());
         // Under point-of-coherency routing the dirty data drains to memory;
         // the line stays cached below, but clean.
         let to_memory = self.writeback == WritebackRouting::PointOfCoherency;
-        if to_memory {
-            self.stats.memory_accesses += 1;
-        }
         match self.l2.accept_victim(addr, owner_ctx, !to_memory) {
             Some(spill) => self.spill_l2_victim(spill),
             None => 0,
@@ -558,29 +520,16 @@ impl CacheHierarchy {
             // the single-copy invariant (LLC ⟹ nowhere above) holds.
             let mut writebacks = 0u32;
             let mut dirty = spill.dirty;
-            if let Some(l1_dirty) = self.l1d.remove_line(addr) {
-                self.stats.back_invalidations += 1;
-                if l1_dirty {
-                    self.stats.l1_writebacks += 1;
-                    writebacks += 1;
-                    dirty = true;
-                }
-            }
-            let mut install_dirty = dirty;
-            if dirty {
-                self.stats.l2_writebacks += 1;
+            if self.l1d.invalidate(addr) == Some(true) {
                 writebacks += 1;
-                if self.writeback == WritebackRouting::PointOfCoherency {
-                    self.stats.memory_accesses += 1;
-                    install_dirty = false;
-                }
+                dirty = true;
             }
+            if dirty {
+                writebacks += 1;
+            }
+            let install_dirty = dirty && self.writeback != WritebackRouting::PointOfCoherency;
             return match self.llc.accept_victim(addr, spill_ctx, install_dirty) {
-                Some(displaced) if displaced.dirty => {
-                    self.stats.llc_writebacks += 1;
-                    self.stats.memory_accesses += 1;
-                    writebacks + 1
-                }
+                Some(displaced) if displaced.dirty => writebacks + 1,
                 _ => writebacks,
             };
         }
@@ -588,11 +537,9 @@ impl CacheHierarchy {
         if !spill.dirty {
             return 0;
         }
-        self.stats.l2_writebacks += 1;
         if self.writeback == WritebackRouting::PointOfCoherency {
             // The data goes to the point of coherency; LLC residency is
             // unchanged (a fill-inclusive copy may already sit there, clean).
-            self.stats.memory_accesses += 1;
             return 1;
         }
         let out = self.llc.accept_writeback(addr, spill_ctx);
@@ -603,8 +550,6 @@ impl CacheHierarchy {
                     // The dirty LLC victim leaves the hierarchy: it must
                     // reach memory (previously this line was silently
                     // dropped).
-                    self.stats.llc_writebacks += 1;
-                    self.stats.memory_accesses += 1;
                     writebacks += 1;
                 }
                 if self.inclusion == InclusionPolicy::Inclusive {
@@ -622,24 +567,9 @@ impl CacheHierarchy {
     #[cold]
     #[inline(never)]
     fn back_invalidate(&mut self, victim: PhysAddr) -> u32 {
-        let mut writebacks = 0;
-        if let Some(dirty) = self.l1d.remove_line(victim) {
-            self.stats.back_invalidations += 1;
-            if dirty {
-                writebacks += 1;
-                self.stats.l1_writebacks += 1;
-                self.stats.memory_accesses += 1;
-            }
-        }
-        if let Some(dirty) = self.l2.remove_line(victim) {
-            self.stats.back_invalidations += 1;
-            if dirty {
-                writebacks += 1;
-                self.stats.l2_writebacks += 1;
-                self.stats.memory_accesses += 1;
-            }
-        }
-        writebacks
+        let l1_dirty = self.l1d.invalidate(victim) == Some(true);
+        let l2_dirty = self.l2.invalidate(victim) == Some(true);
+        u32::from(l1_dirty) + u32::from(l2_dirty)
     }
 
     /// The demand path behind [`CacheHierarchy::read`],
@@ -675,7 +605,6 @@ impl CacheHierarchy {
             if is_write && self.l1d.config().write_policy == WritePolicy::WriteThrough {
                 self.write_through_hit(addr, ctx, &mut outcome);
             }
-            self.stats.total_cycles += outcome.cycles;
             return outcome;
         }
 
@@ -694,9 +623,7 @@ impl CacheHierarchy {
 
         // ---- Random-fill defense: read misses bypass the L1 fill ----------
         if !is_write && self.random_fill.is_some() {
-            let outcome = self.random_fill_read(addr, ctx, hit, cycles, writebacks);
-            self.stats.total_cycles += outcome.cycles;
-            return outcome;
+            return self.random_fill_read(addr, ctx, hit, cycles, writebacks);
         }
 
         // ---- Fill the L1 (write-allocate) or bypass -----------------------
@@ -711,9 +638,7 @@ impl CacheHierarchy {
             // The L1 lookup above missed and the outer walk never fills the
             // L1, so the residency re-scan can be skipped and the set/tag
             // pair from the lookup reused.
-            let fill = self
-                .l1d
-                .fill_missing_at(l1_set, l1_tag, ctx, make_dirty, false);
+            let fill = self.l1d.fill_missing_at(l1_set, l1_tag, ctx, make_dirty);
             l1_filled = fill.filled;
             if let Some(evicted) = fill.evicted {
                 l1_evicted = Some(evicted.addr);
@@ -729,8 +654,6 @@ impl CacheHierarchy {
                 cycles += self.latency.write_through_store;
             }
         }
-
-        self.stats.total_cycles += cycles;
 
         AccessOutcome {
             kind,
@@ -771,20 +694,15 @@ impl CacheHierarchy {
             }
             (HitLevel::L3, self.latency.l3_hit)
         } else {
-            self.stats.memory_accesses += 1;
             if self.inclusion != InclusionPolicy::Exclusive {
                 // Memory supplies the line; install it in the LLC (which
                 // just missed, so the residency re-scan can be skipped).
                 // An exclusive LLC is bypassed: it only ever holds victims.
-                let fill = self
-                    .llc
-                    .fill_missing_at(llc_set, llc_tag, ctx, false, false);
+                let fill = self.llc.fill_missing_at(llc_set, llc_tag, ctx, false);
                 if let Some(evicted) = fill.evicted {
                     if evicted.dirty {
                         // Write-back to memory; latency folded into the miss.
                         writebacks += 1;
-                        self.stats.llc_writebacks += 1;
-                        self.stats.memory_accesses += 1;
                     }
                     if self.inclusion == InclusionPolicy::Inclusive {
                         writebacks += self.back_invalidate(PhysAddr(evicted.addr.value()));
@@ -798,9 +716,7 @@ impl CacheHierarchy {
         // filled the L2 since; inclusive back-invalidation can only have
         // *removed* lines).
         let mut extra = 0;
-        let fill = self
-            .l2
-            .fill_missing_at(l2_set, l2_tag, ctx, promote_dirty, false);
+        let fill = self.l2.fill_missing_at(l2_set, l2_tag, ctx, promote_dirty);
         if let Some(evicted) = fill.evicted {
             if evicted.dirty {
                 extra += self.latency.deep_dirty_writeback;
@@ -816,7 +732,7 @@ impl CacheHierarchy {
     #[cold]
     #[inline(never)]
     fn promote_from_exclusive_llc(&mut self, addr: PhysAddr) -> bool {
-        self.llc.remove_line(addr).unwrap_or(false)
+        self.llc.invalidate(addr).unwrap_or(false)
     }
 
     /// A store hit in a write-through L1: the store must synchronously
@@ -832,7 +748,7 @@ impl CacheHierarchy {
     ) {
         outcome.cycles += self.latency.write_through_store;
         let _ = self.l2.lookup_write(addr, ctx);
-        let fill = self.l2.fill(addr, ctx, true, false);
+        let fill = self.l2.fill(addr, ctx, true);
         if let Some(evicted) = fill.evicted {
             // The outcome counts the spill chain like every other path (see
             // `AccessOutcome::writebacks`).
@@ -853,7 +769,7 @@ impl CacheHierarchy {
         mut cycles: u64,
         mut writebacks: u32,
     ) -> (u64, u32) {
-        let fill = self.l2.fill(addr, ctx, true, false);
+        let fill = self.l2.fill(addr, ctx, true);
         if let Some(evicted) = fill.evicted {
             if evicted.dirty {
                 cycles += self.latency.deep_dirty_writeback;
@@ -898,7 +814,7 @@ impl CacheHierarchy {
         // below (the RF cache fetches it in the background; a line that would
         // miss all the way to memory is skipped by this model).
         if self.l2.contains(fill_addr) || self.llc.contains(fill_addr) {
-            let fill = self.l1d.fill(fill_addr, ctx, false, true);
+            let fill = self.l1d.fill(fill_addr, ctx, false);
             filled = fill.filled;
             if let Some(evicted) = fill.evicted {
                 evicted_addr = Some(evicted.addr);
@@ -1090,23 +1006,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_accumulate_and_reset() {
-        let mut h = hierarchy(PolicyKind::TreePlru);
-        let ctx = AccessContext::default();
-        for t in 0..32u64 {
-            h.read(addr(1, t), ctx);
-        }
-        let stats = h.stats();
-        assert_eq!(stats.l1d.read_misses, 32);
-        assert!(stats.memory_accesses >= 32);
-        assert!(stats.total_cycles > 0);
-        h.reset_stats();
-        let stats = h.stats();
-        assert_eq!(stats.l1d.accesses(), 0);
-        assert_eq!(stats.total_cycles, 0);
-    }
-
     /// A 1-way, 1-set hierarchy at every level: eviction chains are exact.
     /// The spill-chain tests predate inclusion policies and pin the
     /// eviction-independent (non-inclusive) accounting.
@@ -1152,11 +1051,12 @@ mod tests {
         let outcome = h.read(b, ctx);
         assert!(!h.l1().contains(a) && !h.l2().contains(a) && !h.llc().contains(a));
         assert_eq!(outcome.writebacks, 1, "the dirty back-invalidated copy");
-        let stats = h.stats();
-        assert_eq!(stats.back_invalidations, 2, "one L1 copy, one L2 copy");
-        assert_eq!(stats.l1_writebacks, 1);
-        // A's fetch + B's fetch + A's dirty write-back on the way out.
-        assert_eq!(stats.memory_accesses, 3);
+        assert_eq!(outcome.hit, HitLevel::Memory);
+        // A's dirty data left the hierarchy: no level holds a dirty line.
+        for level in [h.l1(), h.l2(), h.llc()] {
+            assert_eq!(level.valid_count_in_set(0), 1, "B alone");
+            assert_eq!(level.dirty_count_in_set(0), 0);
+        }
     }
 
     #[test]
@@ -1200,12 +1100,14 @@ mod tests {
         assert!(h.llc().is_dirty(a), "the victim carries its dirty bit");
         // Promoting A back up re-creates a dirty upper copy; nothing was
         // written to memory along the way.
-        let before = h.stats().memory_accesses;
-        h.read(a, ctx);
+        let promoted = h.read(a, ctx);
         assert!(h.l2().is_dirty(a), "promotion must not lose dirtiness");
         assert!(!h.llc().contains(a));
-        // B's victim spill (clean) plus A's promotion touch no memory.
-        assert_eq!(h.stats().memory_accesses, before);
+        // A is served by the LLC and B's victim spill is clean: no memory
+        // traffic either way.
+        assert_eq!(promoted.hit, HitLevel::L3);
+        assert_eq!(promoted.writebacks, 0);
+        assert!(h.llc().contains(b) && !h.llc().is_dirty(b));
     }
 
     #[test]
@@ -1219,18 +1121,19 @@ mod tests {
         let a = PhysAddr::from_set_and_tag(0, 1, g);
         let b = PhysAddr::from_set_and_tag(0, 2, g);
         h.write(a, ctx);
-        let before = h.stats();
         // B evicts dirty A from the L1: the data goes straight to memory and
         // the L2 keeps only a *clean* copy — deep levels never turn dirty.
         let outcome = h.read(b, ctx);
         assert!(outcome.l1_victim_dirty);
-        let after = h.stats();
-        assert_eq!(after.l1_writebacks, before.l1_writebacks + 1);
+        assert_eq!(outcome.hit, HitLevel::Memory);
+        // A's dirty write-back is the only one: B's LLC and L2 fills evict
+        // clean copies of A.
+        assert_eq!(outcome.writebacks, 1);
         assert!(h.l2().contains(a));
         assert!(!h.l2().is_dirty(a), "PoC write-backs leave the L2 clean");
-        // B's fetch (1), its LLC eviction of A's clean copy (0) and A's
-        // dirty write-back (1).
-        assert_eq!(after.memory_accesses, before.memory_accesses + 2);
+        for level in [h.l1(), h.l2(), h.llc()] {
+            assert_eq!(level.dirty_count_in_set(0), 0);
+        }
     }
 
     #[test]
@@ -1277,13 +1180,15 @@ mod tests {
         // L1-dirty line (L2/LLC copies clean): one full L1 write-back.
         let mut h = hierarchy(PolicyKind::TrueLru);
         h.write(addr(set, 1), ctx);
+        assert!(h.l1().is_dirty(addr(set, 1)));
+        assert!(!h.l2().is_dirty(addr(set, 1)) && !h.llc().is_dirty(addr(set, 1)));
         let l1_dirty = h.flush(addr(set, 1), ctx);
         assert_eq!(l1_dirty.writebacks, 1);
         assert_eq!(
             l1_dirty.cycles,
             lat.l1_hit + lat.l1_dirty_writeback + lat.l1_hit + lat.l2_hit
         );
-        assert_eq!(h.stats().l1_writebacks, 1);
+        assert!(!h.l1().contains(addr(set, 1)));
 
         // L2-dirty line (evicted dirty from the L1 first): the deep copy
         // costs only the deep write-back penalty, not the L1 one.
@@ -1294,14 +1199,14 @@ mod tests {
         }
         assert!(!h.l1().contains(addr(set, 1)));
         assert!(h.l2().is_dirty(addr(set, 1)));
-        let before = h.stats();
+        assert!(!h.llc().is_dirty(addr(set, 1)));
         let deep_dirty = h.flush(addr(set, 1), ctx);
         assert_eq!(deep_dirty.writebacks, 1);
         assert_eq!(
             deep_dirty.cycles,
             lat.l1_hit + lat.deep_dirty_writeback + lat.l1_hit + lat.l2_hit
         );
-        assert_eq!(h.stats().l2_writebacks, before.l2_writebacks + 1);
+        assert!(!h.l2().contains(addr(set, 1)) && !h.llc().contains(addr(set, 1)));
         assert!(
             deep_dirty.cycles < l1_dirty.cycles,
             "a deep dirty copy must be cheaper to flush than an L1-dirty one"
@@ -1323,22 +1228,22 @@ mod tests {
         assert!(h.l1().is_dirty(line(3)));
         assert!(h.l2().is_dirty(line(2)));
         assert!(h.llc().is_dirty(line(1)));
-        let before = h.stats();
         let outcome = h.prefetch_into_l1(line(4), ctx);
         assert_eq!(
             outcome.writebacks, 3,
             "one write-back per level of the chain"
         );
-        let after = h.stats();
-        assert_eq!(after.l1_writebacks, before.l1_writebacks + 1);
-        assert_eq!(after.l2_writebacks, before.l2_writebacks + 1);
-        assert_eq!(after.llc_writebacks, before.llc_writebacks + 1);
-        assert_eq!(
-            after.memory_accesses,
-            before.memory_accesses + 1,
+        // Each dirty line moved down one level: D from the L1 into the L2,
+        // C from the L2 into the LLC, and B out of the LLC to memory.
+        assert!(h.l1().contains(line(4)) && !h.l1().is_dirty(line(4)));
+        assert!(h.l2().is_dirty(line(3)), "the L1 victim lands dirty");
+        assert!(h.llc().is_dirty(line(2)), "the spilled L2 line lands dirty");
+        assert!(
+            [h.l1(), h.l2(), h.llc()]
+                .iter()
+                .all(|c| !c.contains(line(1))),
             "the dirty LLC victim must reach memory, not vanish"
         );
-        assert!(h.llc().is_dirty(line(2)), "the spilled L2 line lands dirty");
     }
 
     #[test]
@@ -1444,20 +1349,15 @@ mod tests {
             expected.absorb(&outcome);
         }
         assert_eq!(summary, expected);
-        assert_eq!(batched.stats(), serial.stats());
         assert_eq!(summary.ops, 200);
-        assert_eq!(summary.cycles, batched.stats().total_cycles);
-    }
-
-    #[test]
-    fn clear_empties_all_levels() {
-        let mut h = hierarchy(PolicyKind::TreePlru);
-        let ctx = AccessContext::default();
-        let a = addr(6, 2);
-        h.write(a, ctx);
-        h.clear();
-        assert!(!h.l1().contains(a));
-        assert!(!h.l2().contains(a));
-        assert!(!h.llc().contains(a));
+        let levels = |h: &CacheHierarchy| -> Vec<(usize, usize)> {
+            [h.l1(), h.l2(), h.llc()]
+                .iter()
+                .flat_map(|c| {
+                    (0..16).map(|set| (c.valid_count_in_set(set), c.dirty_count_in_set(set)))
+                })
+                .collect()
+        };
+        assert_eq!(levels(&batched), levels(&serial));
     }
 }

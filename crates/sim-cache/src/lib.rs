@@ -66,7 +66,6 @@ pub mod line;
 pub mod outcome;
 pub mod policy;
 pub mod seed;
-pub mod stats;
 pub mod trace;
 pub mod waymask;
 
@@ -87,7 +86,6 @@ pub mod prelude {
     pub use crate::latency::LatencyModel;
     pub use crate::outcome::{AccessKind, AccessOutcome, HitLevel};
     pub use crate::policy::PolicyKind;
-    pub use crate::stats::{CacheStats, HierarchyStats};
     pub use crate::trace::{TraceKind, TraceOp, TraceSummary};
     pub use crate::waymask::WayMask;
 }

@@ -6,7 +6,6 @@
 //! value the receiver's pointer-chasing loop accumulates.
 
 use crate::addr::LineAddr;
-use crate::config::CacheLevel;
 use std::fmt;
 
 /// The kind of memory operation performed.
@@ -45,22 +44,6 @@ pub enum HitLevel {
     L3,
     /// Served by main memory.
     Memory,
-}
-
-impl HitLevel {
-    /// Converts a cache level into the corresponding hit level.
-    pub fn from_cache_level(level: CacheLevel) -> HitLevel {
-        match level {
-            CacheLevel::L1D => HitLevel::L1D,
-            CacheLevel::L2 => HitLevel::L2,
-            CacheLevel::L3 => HitLevel::L3,
-        }
-    }
-
-    /// Whether the access was served without leaving the cache hierarchy.
-    pub fn is_cache_hit(self) -> bool {
-        !matches!(self, HitLevel::Memory)
-    }
 }
 
 impl fmt::Display for HitLevel {
@@ -102,10 +85,11 @@ pub struct AccessOutcome {
     /// dirty copy removed by inclusive back-invalidation, a dirty L1 copy
     /// folded into an exclusive LLC victim, and a dirty victim routed to the
     /// point of coherency each count exactly one write-back at the level
-    /// that held the data.  The per-level split is available in
-    /// [`crate::stats::HierarchyStats`] (`l1_writebacks` / `l2_writebacks` /
-    /// `llc_writebacks`, plus `back_invalidations` for the inclusion
-    /// traffic).
+    /// that held the data.  This count is the one record of write-back
+    /// traffic: [`crate::trace::TraceSummary`] sums it per program, and the
+    /// per-level split is read off the levels' dirty state before and after
+    /// the access ([`crate::cache::Cache::is_dirty`],
+    /// [`crate::cache::Cache::dirty_count_in_set`]).
     pub writebacks: u32,
 }
 
@@ -121,11 +105,6 @@ impl AccessOutcome {
             l1_victim_dirty: false,
             writebacks: 0,
         }
-    }
-
-    /// Whether the access hit in the L1 data cache.
-    pub fn is_l1_hit(&self) -> bool {
-        self.hit == HitLevel::L1D
     }
 }
 
@@ -144,19 +123,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_level_conversion_and_classification() {
-        assert_eq!(HitLevel::from_cache_level(CacheLevel::L1D), HitLevel::L1D);
-        assert_eq!(HitLevel::from_cache_level(CacheLevel::L2), HitLevel::L2);
-        assert_eq!(HitLevel::from_cache_level(CacheLevel::L3), HitLevel::L3);
-        assert!(HitLevel::L1D.is_cache_hit());
-        assert!(HitLevel::L3.is_cache_hit());
-        assert!(!HitLevel::Memory.is_cache_hit());
-    }
-
-    #[test]
     fn l1_hit_constructor() {
         let outcome = AccessOutcome::l1_hit(AccessKind::Read, 4);
-        assert!(outcome.is_l1_hit());
+        assert_eq!(outcome.hit, HitLevel::L1D);
         assert_eq!(outcome.cycles, 4);
         assert!(!outcome.l1_victim_dirty);
         assert_eq!(outcome.writebacks, 0);

@@ -236,7 +236,9 @@ impl PolicyDispatch {
         Some(way)
     }
 
-    /// Resets all metadata to the post-power-on state.
+    /// Resets all metadata to the post-power-on state (the reference-model
+    /// tests' reset; caches use [`PolicyDispatch::reset_touched`]).
+    #[cfg(test)]
     pub(crate) fn reset(&mut self) {
         dispatch!(self, p => p.reset())
     }

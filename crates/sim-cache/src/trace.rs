@@ -12,7 +12,7 @@
 //! [`crate::hierarchy::CacheHierarchy::run_trace`] executes a slice of
 //! operations back-to-back and folds every outcome into one summary, so the
 //! bulk paths allocate nothing and touch no per-access state.  The per-op
-//! semantics (ordering, latency attribution, statistics) are identical to the
+//! semantics (ordering, latency attribution, write-backs) are identical to the
 //! per-access API — the batch is purely an execution-efficiency contract.
 
 use crate::addr::PhysAddr;
@@ -67,9 +67,10 @@ impl TraceOp {
 
 /// Aggregate outcome of one batched trace.
 ///
-/// Counters follow the same conventions as the per-access
-/// [`AccessOutcome`] / [`crate::stats::HierarchyStats`] pair: hit levels
-/// count *demand* accesses only (flushes are tallied separately), and
+/// The sum of the per-access [`AccessOutcome`]s, and the only aggregate
+/// record of them: the per-process counters of the stealth tables are read
+/// from it.  Hit levels count *demand* accesses only (flushes are tallied
+/// separately), and
 /// `writebacks` counts dirty write-backs performed at **all** levels, exactly
 /// like [`AccessOutcome::writebacks`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

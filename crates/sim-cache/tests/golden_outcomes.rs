@@ -6,14 +6,16 @@
 //! variants: plain, random fill and write-through. Each
 //! shape runs one fixed trace of colliding reads, writes, flushes and
 //! prefetches, then a batched chase and a batched mixed trace; every
-//! [`AccessOutcome`] field, every [`TraceSummary`] field and the final
-//! [`HierarchyStats`] are folded into the digest.
+//! [`AccessOutcome`] field, every [`TraceSummary`] field and the final level
+//! contents (valid and dirty line counts of every level in each colliding
+//! set) are folded into the digest.
 //!
 //! `run_trace` and the per-access calls share one demand path, so comparing
 //! the two cannot see a change inside it. These digests can: any change to a
-//! cycle count, a victim, a write-back count or a counter moves one. On a
-//! mismatch the test prints the whole actual file, so an intentional change
-//! can be pasted over `golden_outcomes.txt` (and explained).
+//! cycle count, a victim, a write-back count or a line left behind moves
+//! one. On a mismatch the test prints the whole actual file, so an
+//! intentional change can be pasted over `golden_outcomes.txt` (and
+//! explained).
 
 use sim_cache::hierarchy::RandomFillConfig;
 use sim_cache::prelude::*;
@@ -32,6 +34,9 @@ const POLICIES: [PolicyKind; 6] = [
 /// The L1 variants: the plain Table III L1 plus the two L1 mechanisms the
 /// defenses table turns on.
 const VARIANTS: [&str; 3] = ["plain", "random-fill", "write-through"];
+
+/// The colliding sets the trace spreads over (the same index at every level).
+const SETS: u64 = 6;
 
 /// FNV-1a over 64-bit words, byte by byte.
 struct Digest(u64);
@@ -94,35 +99,14 @@ impl Digest {
         }
     }
 
-    fn cache_stats(&mut self, s: &CacheStats) {
-        for value in [
-            s.read_hits,
-            s.read_misses,
-            s.write_hits,
-            s.write_misses,
-            s.fills,
-            s.evictions,
-            s.writebacks,
-            s.prefetch_fills,
-            s.flushes,
-        ] {
-            self.word(value);
-        }
-    }
-
-    fn stats(&mut self, s: &HierarchyStats) {
-        self.cache_stats(&s.l1d);
-        self.cache_stats(&s.l2);
-        self.cache_stats(&s.llc);
-        for value in [
-            s.memory_accesses,
-            s.total_cycles,
-            s.l1_writebacks,
-            s.l2_writebacks,
-            s.llc_writebacks,
-            s.back_invalidations,
-        ] {
-            self.word(value);
+    /// The end state: every level's valid and dirty line counts in each of
+    /// the colliding sets the trace touches.
+    fn levels(&mut self, h: &CacheHierarchy) {
+        for cache in [h.l1(), h.l2(), h.llc()] {
+            for set in 0..SETS as usize {
+                self.word(cache.valid_count_in_set(set) as u64);
+                self.word(cache.dirty_count_in_set(set) as u64);
+            }
         }
     }
 }
@@ -180,7 +164,7 @@ fn digest(config: HierarchyConfig) -> u64 {
     let mut d = Digest::new();
 
     for _ in 0..1200 {
-        let addr = colliding(stream.below(6), stream.below(40));
+        let addr = colliding(stream.below(SETS), stream.below(40));
         let ctx = AccessContext::for_domain(stream.below(3) as u16);
         let outcome = match stream.below(10) {
             0..=3 => h.read(addr, ctx),
@@ -199,7 +183,7 @@ fn digest(config: HierarchyConfig) -> u64 {
     }
     let ops: Vec<TraceOp> = (0..400)
         .map(|_| {
-            let addr = colliding(stream.below(6), stream.below(40));
+            let addr = colliding(stream.below(SETS), stream.below(40));
             match stream.below(5) {
                 0 | 1 => TraceOp::read(addr),
                 2 | 3 => TraceOp::write(addr),
@@ -209,7 +193,7 @@ fn digest(config: HierarchyConfig) -> u64 {
         .collect();
     d.summary(&h.run_trace(&ops, AccessContext::for_domain(1)));
 
-    d.stats(&h.stats());
+    d.levels(&h);
     d.0
 }
 

@@ -49,7 +49,7 @@ fn cache_step(
             } else {
                 cache.lookup_read(addr, ctx)
             };
-            let fill = hit.is_none().then(|| cache.fill(addr, ctx, dirty, false));
+            let fill = hit.is_none().then(|| cache.fill(addr, ctx, dirty));
             (hit, fill, None)
         }
         5 => (None, None, cache.invalidate(addr)),
@@ -96,11 +96,24 @@ fn arbitrary_preset() -> impl Strategy<Value = HierarchyPreset> {
 /// over a 16-way LLC set force LLC evictions — the traffic that exercises
 /// back-invalidation, exclusive victim installs and the spill chains.
 fn colliding_ops() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
-    proptest::collection::vec((0u8..3, 0u64..4, 0u64..40), 1..300)
+    proptest::collection::vec((0u8..3, 0u64..4, 0..COLLIDING_TAGS), 1..300)
 }
+
+/// The tags [`colliding_ops`] draws from: every line a trace can touch.
+const COLLIDING_TAGS: u64 = 40;
 
 fn colliding_addr(set: u64, tag: u64) -> PhysAddr {
     PhysAddr(set * 64 + tag * 131_072)
+}
+
+/// The colliding lines of `set` other than tag `skip` that each level
+/// (L1, L2, LLC) holds dirty, one bit per tag.
+fn dirty_tags(h: &CacheHierarchy, set: u64, skip: u64) -> [u64; 3] {
+    [h.l1(), h.l2(), h.llc()].map(|level| {
+        (0..COLLIDING_TAGS)
+            .filter(|&tag| tag != skip && level.is_dirty(colliding_addr(set, tag)))
+            .fold(0, |bits, tag| bits | 1 << tag)
+    })
 }
 
 fn hierarchy_for(
@@ -146,10 +159,10 @@ proptest! {
             let addr = PhysAddr::from_set_and_tag(set, tag, g);
             if kind == 0 {
                 if cache.lookup_read(addr, ctx).is_none() {
-                    cache.fill(addr, ctx, false, false);
+                    cache.fill(addr, ctx, false);
                 }
             } else if cache.lookup_write(addr, ctx).is_none() {
-                cache.fill(addr, ctx, true, false);
+                cache.fill(addr, ctx, true);
             }
             prop_assert!(cache.dirty_count_in_set(set) <= g.associativity);
             prop_assert!(cache.valid_count_in_set(set) <= g.associativity);
@@ -165,7 +178,7 @@ proptest! {
         for i in 0..10u64 {
             let addr = PhysAddr::from_set_and_tag(set, 10_000 + i, g);
             if cache.lookup_read(addr, receiver).is_none() {
-                cache.fill(addr, receiver, false, false);
+                cache.fill(addr, receiver, false);
             }
         }
         let sweep_guaranteed = matches!(policy, PolicyKind::TrueLru | PolicyKind::TreePlru);
@@ -197,22 +210,19 @@ proptest! {
                 prop_assert!(outcome.writebacks >= 1);
             }
         }
-        let stats = h.stats();
-        prop_assert_eq!(
-            stats.l1d.accesses() as usize,
-            addresses.len(),
-            "every access is counted exactly once at the L1"
-        );
     }
 
-    /// Write-back accounting is conserved across levels: for any trace and
-    /// any inclusion × routing combination, the sum of the per-access
-    /// [`AccessOutcome::writebacks`] counts equals the hierarchy's per-level
-    /// write-back counters.  This is the differential check that the
-    /// inclusion-policy flows (back-invalidation, exclusive victim folding,
-    /// point-of-coherency routing) never drop or double-count a dirty line.
+    /// Write-backs agree with the dirty state they drain: for any trace and
+    /// any inclusion × routing × policy combination, a flush performs one
+    /// write-back per level that held the line dirty just before it, and a
+    /// demand access counts at least one write-back per dirty line that left
+    /// a level (evicted, spilled or back-invalidated; the accessed line
+    /// itself only gains dirty bits or moves up), and at least the dirty L1
+    /// victim's.  This is the differential check that the inclusion-policy
+    /// flows (back-invalidation, exclusive victim folding, point-of-coherency
+    /// routing) never drop or double-count a dirty line.
     #[test]
-    fn writeback_accounting_is_conserved_across_levels(
+    fn writebacks_agree_with_the_dirty_state_across_levels(
         inclusion in arbitrary_inclusion(),
         routing in arbitrary_routing(),
         policy in arbitrary_policy(),
@@ -221,25 +231,51 @@ proptest! {
     ) {
         let mut h = hierarchy_for(inclusion, routing, policy, seed);
         let ctx = AccessContext::for_domain(2);
-        let mut outcome_total: u64 = 0;
-        for &(kind, set, tag) in &ops {
+        for (step, &(kind, set, tag)) in ops.iter().enumerate() {
             let addr = colliding_addr(set, tag);
-            let outcome = match kind {
-                0 => h.read(addr, ctx),
-                1 => h.write(addr, ctx),
-                _ => h.flush(addr, ctx),
-            };
-            outcome_total += u64::from(outcome.writebacks);
+            if kind == 2 {
+                let dirty_levels = [h.l1(), h.l2(), h.llc()]
+                    .iter()
+                    .filter(|level| level.is_dirty(addr))
+                    .count();
+                let outcome = h.flush(addr, ctx);
+                prop_assert_eq!(
+                    outcome.writebacks as usize,
+                    dirty_levels,
+                    "step {}: flush write-backs diverged from the dirty copies \
+                     (inclusion {:?}, routing {:?})",
+                    step,
+                    inclusion,
+                    routing
+                );
+            } else {
+                let before = dirty_tags(&h, set, tag);
+                let outcome = if kind == 0 { h.read(addr, ctx) } else { h.write(addr, ctx) };
+                let after = dirty_tags(&h, set, tag);
+                let drained: u32 = before
+                    .iter()
+                    .zip(&after)
+                    .map(|(was, is)| (was & !is).count_ones())
+                    .sum();
+                prop_assert!(
+                    outcome.writebacks >= drained,
+                    "step {}: {} dirty lines left a level, {:?} (inclusion {:?}, routing {:?})",
+                    step,
+                    drained,
+                    outcome,
+                    inclusion,
+                    routing
+                );
+                prop_assert!(
+                    outcome.writebacks >= u32::from(outcome.l1_victim_dirty),
+                    "step {}: {:?} (inclusion {:?}, routing {:?})",
+                    step,
+                    outcome,
+                    inclusion,
+                    routing
+                );
+            }
         }
-        let stats = h.stats();
-        prop_assert_eq!(
-            outcome_total,
-            stats.l1_writebacks + stats.l2_writebacks + stats.llc_writebacks,
-            "per-access write-backs diverged from the level counters \
-             (inclusion {:?}, routing {:?})",
-            inclusion,
-            routing
-        );
     }
 
     /// An exclusive LLC holds only victims: at no point during any trace may
@@ -260,7 +296,7 @@ proptest! {
                 1 => h.write(addr, ctx),
                 _ => h.flush(addr, ctx),
             };
-            for probe_tag in 0..40 {
+            for probe_tag in 0..COLLIDING_TAGS {
                 let probe = colliding_addr(set, probe_tag);
                 if h.llc().contains(probe) {
                     prop_assert!(
@@ -292,7 +328,7 @@ proptest! {
                 1 => h.write(addr, ctx),
                 _ => h.flush(addr, ctx),
             };
-            for probe_tag in 0..40 {
+            for probe_tag in 0..COLLIDING_TAGS {
                 let probe = colliding_addr(set, probe_tag);
                 if h.l1().contains(probe) || h.l2().contains(probe) {
                     prop_assert!(
@@ -307,7 +343,7 @@ proptest! {
 
     /// The batched trace fast path agrees with the per-access API on every
     /// hierarchy preset, not just the default Intel-inclusive machine: same
-    /// summary, same statistics, same final cache state.
+    /// summary, same final cache state.
     #[test]
     fn run_trace_matches_per_access_on_every_preset(
         preset in arbitrary_preset(),
@@ -344,7 +380,6 @@ proptest! {
         }
 
         prop_assert_eq!(summary, expected);
-        prop_assert_eq!(batched.stats(), serial.stats());
         for &(_, set, tag) in &ops {
             let addr = colliding_addr(set, tag);
             prop_assert_eq!(batched.l1().contains(addr), serial.l1().contains(addr));
@@ -360,8 +395,8 @@ proptest! {
     /// traffic from several domains spreads over the first 48 sets, locks
     /// lines and partitions ways; the replay after the reset spreads over
     /// all 64 sets, so some sets are first touched only then.  Every
-    /// operation's result, the statistics and every set's final contents
-    /// must match a fresh cache op for op.
+    /// operation's result and every set's final contents must match a fresh
+    /// cache op for op.
     #[test]
     fn cache_reset_matches_a_fresh_cache(
         warmup in proptest::collection::vec(cache_op(48), 0..300),
@@ -392,7 +427,6 @@ proptest! {
                         "{} after {}: step {} {:?}", policy, before, step, op
                     );
                 }
-                prop_assert_eq!(recycled.stats(), fresh.stats());
                 for set in 0..64 {
                     prop_assert_eq!(recycled.valid_count_in_set(set), fresh.valid_count_in_set(set));
                     prop_assert_eq!(recycled.dirty_count_in_set(set), fresh.dirty_count_in_set(set));
@@ -410,7 +444,7 @@ proptest! {
     /// `CacheHierarchy::reset` is indistinguishable from fresh construction
     /// on every preset: after arbitrary warm-up traffic (under a different
     /// seed), resetting and replaying a trace yields outcome-for-outcome
-    /// identical results and statistics.
+    /// identical results.
     #[test]
     fn hierarchy_reset_matches_a_fresh_hierarchy(
         preset in arbitrary_preset(),
@@ -442,7 +476,6 @@ proptest! {
             };
             prop_assert_eq!(replayed, reference);
         }
-        prop_assert_eq!(recycled.stats(), fresh.stats());
     }
 
     /// Way masks behave like sets of way indices.

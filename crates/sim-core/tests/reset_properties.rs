@@ -69,7 +69,7 @@ proptest! {
     /// After arbitrary warm-up traffic under one configuration, a reset
     /// machine replays any trace exactly like a fresh machine built with the
     /// target configuration: same trace summaries, same measured timestamps
-    /// (RNG stream position), same stats and clock.
+    /// (RNG stream position), same clock.
     #[test]
     fn reset_machine_replays_any_trace_like_a_fresh_one(
         warm_preset in arbitrary_preset(),
@@ -97,7 +97,6 @@ proptest! {
             prop_assert!(matched, "replay diverged at op {} ({:?})", i, (kind, line));
         }
 
-        prop_assert_eq!(recycled.hierarchy().stats(), fresh.hierarchy().stats());
         prop_assert_eq!(recycled.now(), fresh.now());
     }
 }

@@ -108,7 +108,6 @@ proptest! {
         // latency (the decoded bits downstream) and the phase attribution.
         prop_assert_eq!(&report, &baseline);
         prop_assert_eq!(traced.now(), plain.now());
-        prop_assert_eq!(traced.hierarchy().stats(), plain.hierarchy().stats());
         prop_assert_eq!(report.phase_cycles().total(), baseline.phase_cycles().total());
 
         // The null sink records nothing; the active one records a valid
