@@ -27,6 +27,9 @@ use sim_core::process::{AddressSpace, ProcessId};
 
 /// Configuration of the calibration runs, which measure L1 set
 /// [`TARGET_SET`] with replacement sets of [`REPLACEMENT_SIZE`] lines.
+///
+/// The measurement-order randomisation is seeded from the machine's own
+/// `seed`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationConfig {
     /// The machine to calibrate on.
@@ -34,17 +37,15 @@ pub struct CalibrationConfig {
     /// Number of measurements per dirty-line count, at least one (the paper
     /// uses 1000 for Figure 4).
     pub samples_per_level: usize,
-    /// Seed for measurement-order randomisation.
-    pub seed: u64,
 }
 
 impl CalibrationConfig {
-    /// Calibration on the paper's machine with the given L1 policy.
+    /// Calibration on the paper's machine with the given L1 policy and
+    /// seed.
     pub fn new(policy: PolicyKind, seed: u64) -> CalibrationConfig {
         CalibrationConfig {
             machine: MachineConfig::xeon_e5_2650(policy, seed),
             samples_per_level: 200,
-            seed,
         }
     }
 }
@@ -173,7 +174,7 @@ impl<'a> Bench<'a> {
             receiver_warm,
             sender_warm,
             sender_stores,
-            rng: StdRng::seed_from_u64(config.seed ^ 0xca1b),
+            rng: StdRng::seed_from_u64(config.machine.seed ^ 0xca1b),
             sweeps: 0,
             order: Vec::with_capacity(REPLACEMENT_SIZE),
         })
@@ -185,7 +186,7 @@ impl<'a> Bench<'a> {
     /// clock at the end: the simulated cycles the level took.
     fn level(&mut self, machine: &mut Machine, d: usize) -> Result<(Vec<u64>, u64), Error> {
         check_layout(self.config.machine.hierarchy.l1d.geometry, d)?;
-        self.rng = StdRng::seed_from_u64(self.config.seed ^ 0xca1b);
+        self.rng = StdRng::seed_from_u64(self.config.machine.seed ^ 0xca1b);
         self.sweeps = 0;
         // Warm every line into the outer levels, then one throw-away sweep
         // initialises the target set with clean lines.

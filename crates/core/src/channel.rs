@@ -26,11 +26,11 @@ use sim_core::tsc::TscConfig;
 /// (Sec. VI / Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseConfig {
-    /// Cycles between noise accesses to the target set.
+    /// Cycles between noise accesses to the target set (at least one).
     pub interval: u64,
-    /// Number of distinct noisy lines cycled through.
+    /// Number of distinct noisy lines cycled through (at least one).
     pub lines: usize,
-    /// Fraction of noise accesses that are stores.
+    /// Fraction of noise accesses that are stores, in `[0, 1]`.
     pub store_fraction: f64,
 }
 
@@ -43,6 +43,28 @@ impl NoiseConfig {
             lines: 1,
             store_fraction: 0.0,
         }
+    }
+
+    /// Rejects (field `noise`) a zero interval, zero lines or a store
+    /// fraction outside `[0, 1]` (NaN included): the preconditions of
+    /// [`sim_core::noise::NoisyNeighbor::new`].
+    pub(crate) fn check(&self) -> Result<(), Error> {
+        let reason = if self.interval == 0 {
+            "the interval must be non-zero".to_owned()
+        } else if self.lines == 0 {
+            "at least one noisy line is needed".to_owned()
+        } else if !(0.0..=1.0).contains(&self.store_fraction) {
+            format!(
+                "the store fraction must lie in [0, 1], got {}",
+                self.store_fraction
+            )
+        } else {
+            return Ok(());
+        };
+        Err(Error::InvalidConfig {
+            field: "noise",
+            reason,
+        })
     }
 }
 
@@ -199,10 +221,14 @@ impl ChannelConfigBuilder {
     ///
     /// Returns [`Error::InvalidEncoding`] for an encoding that
     /// [`SymbolEncoding::validate`] rejects, and [`Error::InvalidConfig`] for
-    /// a zero period, zero calibration samples or a hierarchy override whose
-    /// L1 is not the paper's 64-set, 8-way one.
+    /// a zero period, zero calibration samples, a noisy neighbour with a
+    /// zero interval, no lines or a store fraction outside `[0, 1]`, or a
+    /// hierarchy override whose L1 is not the paper's 64-set, 8-way one.
     pub fn build(&self) -> Result<ChannelConfig, Error> {
         self.encoding.validate()?;
+        if let Some(noise) = self.noise {
+            noise.check()?;
+        }
         if self.period_cycles == 0 {
             return Err(Error::InvalidConfig {
                 field: "period_cycles",
@@ -320,6 +346,58 @@ mod tests {
         ));
         let config = ChannelConfig::default();
         assert_eq!(config.period_cycles, 5_500);
+    }
+
+    #[test]
+    fn builder_rejects_noise_the_neighbour_cannot_run() {
+        let fig8 = NoiseConfig::single_clean_line(2_500);
+        let bad = [
+            NoiseConfig {
+                interval: 0,
+                ..fig8
+            },
+            NoiseConfig { lines: 0, ..fig8 },
+            NoiseConfig {
+                store_fraction: 1.5,
+                ..fig8
+            },
+            NoiseConfig {
+                store_fraction: -0.1,
+                ..fig8
+            },
+            NoiseConfig {
+                store_fraction: f64::NAN,
+                ..fig8
+            },
+        ];
+        for noise in bad {
+            let built = ChannelConfig::builder().noise(noise).build();
+            assert!(
+                matches!(built, Err(Error::InvalidConfig { field: "noise", .. })),
+                "{noise:?}: {built:?}"
+            );
+            // A struct-built configuration is rejected by the session.
+            let config = ChannelConfig {
+                noise: Some(noise),
+                ..ChannelConfig::default()
+            };
+            assert!(
+                matches!(
+                    ChannelSession::new(config),
+                    Err(Error::InvalidConfig { field: "noise", .. })
+                ),
+                "{noise:?}"
+            );
+        }
+        // Figure 8's neighbour and the benchmark's noisy one still build.
+        let noisy = NoiseConfig {
+            interval: 1_500,
+            lines: 2,
+            store_fraction: 0.4,
+        };
+        for noise in [fig8, noisy] {
+            assert!(ChannelConfig::builder().noise(noise).build().is_ok());
+        }
     }
 
     #[test]

@@ -24,43 +24,39 @@ pub struct WbReceiver {
     layout: ChannelLayout,
     /// Sampling period `Tr` in cycles.
     period: u64,
-    /// Offset of the sampling point within the period.  Sampling mid-period
-    /// keeps the measurement away from the sender's encoding burst at the
-    /// period start, which is what a careful attacker does.
-    phase: u64,
     max_samples: usize,
     /// The seed the per-sample shuffle stream derives from.
     seed: u64,
     /// Cycle at which the sender's first period starts; the first sample is
-    /// taken `phase` cycles after this rendezvous point.
+    /// taken half a period after this rendezvous point.
     start_at: u64,
 }
 
 impl WbReceiver {
     /// Creates a receiver that takes `max_samples` measurements, one per
-    /// `period` cycles, sampling `phase` cycles into each period.
+    /// `period` cycles (at least one), sampling `period / 2` cycles into
+    /// each period.  Sampling mid-period keeps the measurement away from
+    /// the sender's encoding burst at the period start, which is what a
+    /// careful attacker does.
     pub fn new(
         domain: DomainId,
         layout: ChannelLayout,
         period: u64,
-        phase: u64,
         max_samples: usize,
         seed: u64,
     ) -> WbReceiver {
-        let period = period.max(1);
         WbReceiver {
             name: "wb-receiver".to_owned(),
             domain,
             layout,
-            period,
-            phase: phase.min(period.saturating_sub(1)),
+            period: period.max(1),
             max_samples,
             seed,
             start_at: 0,
         }
     }
 
-    /// Aligns the first sample to `phase` cycles after the given absolute
+    /// Aligns the first sample to half a period after the given absolute
     /// cycle — the rendezvous time the sender and receiver agreed on.
     #[must_use]
     pub fn with_start_epoch(mut self, start_at: u64) -> WbReceiver {
@@ -68,24 +64,12 @@ impl WbReceiver {
         self
     }
 
-    /// A receiver sampling mid-period (the default attacker configuration).
-    pub fn with_default_phase(
-        domain: DomainId,
-        layout: ChannelLayout,
-        period: u64,
-        max_samples: usize,
-        seed: u64,
-    ) -> WbReceiver {
-        let phase = period / 2;
-        WbReceiver::new(domain, layout, period, phase, max_samples, seed)
-    }
-
     /// Compiles the receiver's full sampling schedule into a
     /// [`TraceProgram`] for [`sim_core::machine::Machine::run_session`]: the
     /// initialisation loads (warm both replacement sets into the outer cache
     /// levels, so the first decodes are L2-served, then fill the target set
     /// with the receiver's own clean lines — the paper's initialisation
-    /// phase), the first-sample alignment wait `phase` cycles into the first
+    /// phase), the first-sample alignment wait half a period into the first
     /// period, and per sample a measured pointer chase over the alternating
     /// shuffled replacement sets followed by the period wait anchored at the
     /// chase's issue time.  The shuffles are drawn from the constructor's
@@ -125,7 +109,7 @@ impl WbReceiver {
         );
         program
             .phase(Phase::Wait)
-            .wait_floor(self.start_at, self.phase);
+            .wait_floor(self.start_at, self.period / 2);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7265_6376);
         for sample in 0..self.max_samples {
             program.phase(Phase::Decode);
@@ -176,7 +160,7 @@ mod tests {
 
     #[test]
     fn init_phase_warms_replacement_sets_then_fills_the_target_set() {
-        let receiver = WbReceiver::with_default_phase(1, layout(), 5_000, 4, 9);
+        let receiver = WbReceiver::new(1, layout(), 5_000, 4, 9);
         let program = receiver.compile();
         // One batch of init loads comes first.
         let TraceStep::Ops { start, end } = program.steps()[0] else {
@@ -201,7 +185,7 @@ mod tests {
 
     #[test]
     fn collects_the_requested_number_of_samples_and_stops() {
-        let receiver = WbReceiver::with_default_phase(1, layout(), 5_000, 5, 9);
+        let receiver = WbReceiver::new(1, layout(), 5_000, 5, 9);
         let program = receiver.compile();
         assert_eq!(chases(&program).len(), 5);
         let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
@@ -214,13 +198,13 @@ mod tests {
         assert_eq!(receiver.measurements.len(), 5);
         assert_eq!(report.finished_at, receiver.measurements[4].at);
         // No samples: the program is empty.
-        let idle = WbReceiver::with_default_phase(1, layout(), 5_000, 0, 9).compile();
+        let idle = WbReceiver::new(1, layout(), 5_000, 0, 9).compile();
         assert!(idle.steps().is_empty());
     }
 
     #[test]
     fn replacement_sets_alternate_between_decodes() {
-        let receiver = WbReceiver::with_default_phase(1, layout(), 1_000, 4, 9);
+        let receiver = WbReceiver::new(1, layout(), 1_000, 4, 9);
         let program = receiver.compile();
         let chases = chases(&program);
         assert_eq!(chases.len(), 4);
@@ -245,7 +229,7 @@ mod tests {
 
     #[test]
     fn sampling_points_are_one_period_apart() {
-        let receiver = WbReceiver::new(1, layout(), 2_000, 700, 3, 9);
+        let receiver = WbReceiver::new(1, layout(), 2_000, 3, 9);
         let program = receiver.compile();
         let waits: Vec<TraceStep> = program
             .steps()
@@ -253,13 +237,13 @@ mod tests {
             .copied()
             .filter(|step| !matches!(step, TraceStep::Ops { .. } | TraceStep::Chase { .. }))
             .collect();
-        // The first sample lands 700 cycles after init (or the epoch, if
+        // The first sample lands half a period after init (or the epoch, if
         // later); each later one a period after the previous chase issued.
         let period = [TraceStep::WaitAnchor { offset: 2_000 }, TraceStep::Anchor];
         let mut expected = vec![
             TraceStep::WaitFloor {
                 floor: 0,
-                offset: 700,
+                offset: 1_000,
             },
             TraceStep::Anchor,
         ];
@@ -275,11 +259,5 @@ mod tests {
             .collect();
         assert_eq!(starts[1] - starts[0], 2_000);
         assert_eq!(starts[2] - starts[1], 2_000);
-    }
-
-    #[test]
-    fn phase_is_clamped_below_the_period() {
-        let receiver = WbReceiver::new(1, layout(), 100, 5_000, 1, 0);
-        assert!(receiver.phase < 100);
     }
 }

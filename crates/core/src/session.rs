@@ -94,7 +94,7 @@ impl FrameParties {
         .with_start_epoch(epoch);
         // A few extra samples so that losses at the end can still be seen.
         let max_samples = symbol_count + 4;
-        let receiver = WbReceiver::with_default_phase(
+        let receiver = WbReceiver::new(
             RECEIVER_DOMAIN,
             receiver_layout,
             config.period_cycles,
@@ -176,12 +176,13 @@ pub struct CompiledFrame {
 /// # Panics
 ///
 /// Never on a config [`crate::channel::ChannelConfigBuilder::build`]
-/// accepted.  `compile_frame` does not validate the layout itself, so only
-/// a hand-built [`ChannelConfig`] whose hierarchy override has an L1
-/// without set [`TARGET_SET`] can make it panic ("set 21 out of range"); an
-/// L1 with more than [`REPLACEMENT_SIZE`] ways compiles replacement sets
-/// smaller than the associativity without complaint.
-/// [`ChannelSession::new`] rejects both with [`Error::InvalidConfig`].
+/// accepted.  `compile_frame` does not validate the config itself, so only
+/// a hand-built [`ChannelConfig`] can make it panic: one whose hierarchy
+/// override has an L1 without set [`TARGET_SET`] ("set 21 out of range"),
+/// or whose noisy neighbour has a zero interval or no lines.  An L1 with
+/// more than [`REPLACEMENT_SIZE`] ways compiles replacement sets smaller
+/// than the associativity without complaint.  [`ChannelSession::new`]
+/// rejects all of these with [`Error::InvalidConfig`].
 pub fn compile_frame(config: &ChannelConfig, payload: &[bool]) -> CompiledFrame {
     let frame = Frame::from_payload(payload);
     // The first transmission of a session.
@@ -261,13 +262,17 @@ impl ChannelSession {
     ///
     /// Returns configuration or calibration errors, including
     /// [`Error::InvalidEncoding`] for a hand-built encoding that
-    /// [`crate::encoding::SymbolEncoding::validate`] rejects.
+    /// [`crate::encoding::SymbolEncoding::validate`] rejects and
+    /// [`Error::InvalidConfig`] for hand-built noise that
+    /// [`crate::channel::ChannelConfigBuilder::build`] would reject.
     pub fn new(config: ChannelConfig) -> Result<ChannelSession, Error> {
         config.encoding.validate()?;
+        if let Some(noise) = config.noise {
+            noise.check()?;
+        }
         let calibration = CalibrationConfig {
             machine: config.machine_config(config.seed ^ 0xca11),
             samples_per_level: config.calibration_samples,
-            seed: config.seed ^ 0xca11,
         };
         let mut machine = Machine::new(calibration.machine)?;
         let (decoder, calibration_cycles) =

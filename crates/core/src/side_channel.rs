@@ -68,9 +68,9 @@ impl Scenario {
     }
 }
 
-/// Fewest calibration trials [`run_scenario`] accepts: four known secrets
-/// of each value.
-pub const MIN_CALIBRATION_TRIALS: usize = 8;
+/// Trials with known secrets, alternating 1 and 0, that [`run_scenario`]
+/// runs to place the decision threshold before scoring.
+pub const CALIBRATION_TRIALS: usize = 64;
 
 /// Configuration of a side-channel experiment on sets [`SET_M`] and
 /// [`SET_N`].
@@ -80,9 +80,6 @@ pub struct SideChannelConfig {
     pub machine: MachineConfig,
     /// Number of secret bits recovered per experiment (at least one).
     pub trials: usize,
-    /// Trials used to calibrate the decision threshold before scoring (at
-    /// least [`MIN_CALIBRATION_TRIALS`]).
-    pub calibration_trials: usize,
     /// RNG seed (secrets and measurement order).
     pub seed: u64,
 }
@@ -92,7 +89,6 @@ impl Default for SideChannelConfig {
         SideChannelConfig {
             machine: MachineConfig::xeon_e5_2650(sim_cache::policy::PolicyKind::TreePlru, 17),
             trials: 200,
-            calibration_trials: 64,
             seed: 17,
         }
     }
@@ -238,15 +234,14 @@ impl Setup {
     }
 }
 
-/// Runs one scenario: first `calibration_trials` with known secrets to place
-/// the decision threshold, then `trials` scored recoveries of random secret
-/// bits.
+/// Runs one scenario: first [`CALIBRATION_TRIALS`] with known secrets to
+/// place the decision threshold, then `trials` scored recoveries of random
+/// secret bits.
 ///
 /// # Errors
 ///
 /// Returns configuration errors, among them [`Error::InvalidConfig`] for
-/// zero `trials` or fewer than [`MIN_CALIBRATION_TRIALS`] calibration
-/// trials; the attack itself always produces a result (possibly with
+/// zero `trials`; the attack itself always produces a result (possibly with
 /// chance-level accuracy under a defense).
 pub fn run_scenario(
     config: &SideChannelConfig,
@@ -256,15 +251,6 @@ pub fn run_scenario(
         return Err(Error::InvalidConfig {
             field: "trials",
             reason: "at least one scored trial is needed".to_owned(),
-        });
-    }
-    if config.calibration_trials < MIN_CALIBRATION_TRIALS {
-        return Err(Error::InvalidConfig {
-            field: "calibration_trials",
-            reason: format!(
-                "at least {MIN_CALIBRATION_TRIALS} calibration trials are needed, got {}",
-                config.calibration_trials
-            ),
         });
     }
     let mut setup = Setup::new(config)?;
@@ -298,7 +284,7 @@ pub fn run_scenario(
     // Calibration with known secrets.
     let mut zeros = Vec::new();
     let mut ones = Vec::new();
-    for i in 0..config.calibration_trials {
+    for i in 0..CALIBRATION_TRIALS {
         let secret = i % 2 == 0;
         let observed = observe(&mut setup, secret) as f64;
         if secret {
@@ -350,7 +336,6 @@ mod tests {
         SideChannelConfig {
             machine: MachineConfig::ideal(PolicyKind::TreePlru, 23),
             trials: 120,
-            calibration_trials: 40,
             seed: 23,
         }
     }
@@ -425,33 +410,25 @@ mod tests {
 
     #[test]
     fn too_few_trials_are_rejected() {
-        let rejects = |config: SideChannelConfig, field: &str| {
-            let result = run_scenario(&config, Scenario::VictimTiming);
-            assert!(
-                matches!(result, Err(Error::InvalidConfig { field: f, .. }) if f == field),
-                "{config:?}: {result:?}"
-            );
-        };
-        rejects(
-            SideChannelConfig {
-                trials: 0,
-                ..quiet_config()
-            },
-            "trials",
-        );
-        for calibration_trials in [0, MIN_CALIBRATION_TRIALS - 1] {
-            rejects(
-                SideChannelConfig {
-                    calibration_trials,
-                    ..quiet_config()
-                },
-                "calibration_trials",
-            );
-        }
-        let floor = SideChannelConfig {
-            calibration_trials: MIN_CALIBRATION_TRIALS,
+        let none = SideChannelConfig {
+            trials: 0,
             ..quiet_config()
         };
-        assert!(run_scenario(&floor, Scenario::VictimTiming).is_ok());
+        let result = run_scenario(&none, Scenario::VictimTiming);
+        assert!(
+            matches!(
+                result,
+                Err(Error::InvalidConfig {
+                    field: "trials",
+                    ..
+                })
+            ),
+            "{result:?}"
+        );
+        let one = SideChannelConfig {
+            trials: 1,
+            ..quiet_config()
+        };
+        assert!(run_scenario(&one, Scenario::VictimTiming).is_ok());
     }
 }

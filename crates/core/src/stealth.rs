@@ -206,7 +206,7 @@ pub fn sender_profile(
                 geometry.associativity,
                 REPLACEMENT_SIZE,
             );
-            let receiver = WbReceiver::with_default_phase(
+            let receiver = WbReceiver::new(
                 RECEIVER_DOMAIN,
                 layout,
                 period_cycles,

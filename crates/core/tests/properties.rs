@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sim_cache::addr::{CacheGeometry, PhysAddr};
-use sim_cache::config::{CacheConfig, CacheLevel, WriteMissPolicy, WritePolicy};
+use sim_cache::config::{CacheConfig, CacheLevel, WritePolicy};
 use sim_cache::hierarchy::{
     HierarchyConfig, HierarchyPreset, InclusionPolicy, RandomFillConfig, WritebackRouting,
 };
@@ -16,7 +16,7 @@ use wb_channel::encoding::SymbolEncoding;
 use wb_channel::eviction::analytic_dirty_eviction_probability;
 use wb_channel::protocol::{align_and_score, preamble, Frame, PREAMBLE_BITS};
 use wb_channel::session::{compile_frame, ChannelSession};
-use wb_channel::side_channel::{run_scenario, Scenario, SideChannelConfig, MIN_CALIBRATION_TRIALS};
+use wb_channel::side_channel::{run_scenario, Scenario, SideChannelConfig};
 
 fn arbitrary_encoding() -> impl Strategy<Value = SymbolEncoding> {
     prop_oneof![
@@ -157,10 +157,10 @@ fn arbitrary_level(level: CacheLevel) -> impl Strategy<Value = Option<CacheConfi
         .prop_map(
             move |((size_log, ways, line_log), policy, write_through, shape, sets)| {
                 let (size, line) = (1usize << size_log, 1usize << line_log);
-                let (write_policy, write_miss_policy) = if write_through {
-                    (WritePolicy::WriteThrough, WriteMissPolicy::NoWriteAllocate)
+                let write_policy = if write_through {
+                    WritePolicy::WriteThrough
                 } else {
-                    (WritePolicy::WriteBack, WriteMissPolicy::WriteAllocate)
+                    WritePolicy::WriteBack
                 };
                 match shape {
                     0..=4 => None,
@@ -169,7 +169,6 @@ fn arbitrary_level(level: CacheLevel) -> impl Strategy<Value = Option<CacheConfi
                         .associativity(ways)
                         .line_size(line)
                         .write_policy(write_policy)
-                        .write_miss_policy(write_miss_policy)
                         .replacement(POLICIES[policy])
                         .build()
                         .ok(),
@@ -182,7 +181,6 @@ fn arbitrary_level(level: CacheLevel) -> impl Strategy<Value = Option<CacheConfi
                             num_sets: sets,
                         },
                         write_policy,
-                        write_miss_policy,
                         replacement: POLICIES[policy],
                     }),
                 }
@@ -316,40 +314,28 @@ proptest! {
     }
 }
 
-/// `(trials, calibration_trials)` for the side channel: both valid in six
-/// cases of eight, so most cases reach the attack; zero scored trials in
-/// one, and calibration trials below [`MIN_CALIBRATION_TRIALS`] in the
-/// other, so a quarter are rejected on a trial count.
-fn trial_counts() -> impl Strategy<Value = (usize, usize)> {
-    (
-        0usize..8,
-        1usize..16,
-        MIN_CALIBRATION_TRIALS..MIN_CALIBRATION_TRIALS + 16,
-    )
-        .prop_map(|(choice, trials, calibration_trials)| match choice {
-            0 => (0, calibration_trials),
-            1 => (trials, calibration_trials % MIN_CALIBRATION_TRIALS),
-            _ => (trials, calibration_trials),
-        })
+/// Scored trials for the side channel: valid in seven cases of eight, so
+/// most cases reach the attack, and zero (rejected) in the eighth.
+fn trial_counts() -> impl Strategy<Value = usize> {
+    (0usize..8, 1usize..16).prop_map(|(choice, trials)| if choice == 0 { 0 } else { trials })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Bad side-channel configurations are errors, never panics:
-    /// `run_scenario` returns `Ok` or `Err` on any hierarchy and trial
-    /// counts, for every scenario.
+    /// `run_scenario` returns `Ok` or `Err` on any hierarchy and scored
+    /// trial count, for every scenario.
     #[test]
     fn side_channel_never_panics_on_any_config(
         hierarchy in arbitrary_hierarchy(),
-        (trials, calibration_trials) in trial_counts(),
+        trials in trial_counts(),
         scenario in 0usize..3,
         seed in 0u64..1_000,
     ) {
         let config = SideChannelConfig {
             machine: MachineConfig { hierarchy, ..MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, seed) },
             trials,
-            calibration_trials,
             seed,
         };
         if let Ok(result) = run_scenario(&config, Scenario::ALL[scenario]) {

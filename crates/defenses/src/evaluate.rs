@@ -178,9 +178,7 @@ pub fn evaluate_defense(
         if defense.locks_protected_lines() {
             for line in locked_lines.drain(..) {
                 machine.hierarchy_mut().l1_mut().unlock_line(line);
-                machine
-                    .hierarchy_mut()
-                    .flush(line, AccessContext::for_domain(SENDER_DOMAIN));
+                machine.hierarchy_mut().flush(line);
             }
         }
         measured

@@ -63,22 +63,11 @@ pub struct EvictedLine {
 /// Result of installing a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillOutcome {
-    /// Whether a line was actually installed (partitioning can forbid it).
-    pub filled: bool,
-    /// The way that received the line, when filled.
+    /// The way that holds the line, or `None` when the fill was bypassed
+    /// (partitioning and locks can leave no way to fill).
     pub way: Option<usize>,
     /// The valid line that had to be evicted, if any.
     pub evicted: Option<EvictedLine>,
-}
-
-impl FillOutcome {
-    fn bypassed() -> FillOutcome {
-        FillOutcome {
-            filled: false,
-            way: None,
-            evicted: None,
-        }
-    }
 }
 
 /// Packed per-set way-state masks (bit `i` describes way `i`).
@@ -349,17 +338,10 @@ impl Cache {
             .count()
     }
 
-    /// Looks up `addr` for a load.  On a hit the policy is refreshed; on a
-    /// miss nothing changes (the caller then decides whether to
-    /// [`Cache::fill`]).
-    pub fn lookup_read(&mut self, addr: PhysAddr, _ctx: AccessContext) -> Option<usize> {
-        let (set, tag) = self.set_and_tag(addr);
-        self.lookup_read_at(set, tag)
-    }
-
-    /// [`Cache::lookup_read`] with the `(set, tag)` pair precomputed by
-    /// [`Cache::set_and_tag`] — the hierarchy's demand path resolves the
-    /// address once and reuses it for the fill.
+    /// Looks up the line `(set, tag)` (precomputed by [`Cache::set_and_tag`])
+    /// for a load.  On a hit the policy is refreshed; on a miss nothing
+    /// changes.  The hierarchy's demand path resolves the address once and
+    /// reuses it for the fill.
     #[inline(always)]
     pub(crate) fn lookup_read_at(&mut self, set: usize, tag: u64) -> Option<usize> {
         let way = self.find(set, tag)?;
@@ -367,16 +349,10 @@ impl Cache {
         Some(way)
     }
 
-    /// Looks up `addr` for a store.  Under a write-back policy a hit marks
-    /// the line dirty — the state transition the WB channel is built on.
-    /// Under write-through the line stays clean (the hierarchy forwards the
-    /// store to the next level).
-    pub fn lookup_write(&mut self, addr: PhysAddr, _ctx: AccessContext) -> Option<usize> {
-        let (set, tag) = self.set_and_tag(addr);
-        self.lookup_write_at(set, tag)
-    }
-
-    /// [`Cache::lookup_write`] with the `(set, tag)` pair precomputed.
+    /// Looks up the line `(set, tag)` for a store.  Under a write-back
+    /// policy a hit marks the line dirty — the state transition the WB
+    /// channel is built on.  Under write-through the line stays clean (the
+    /// hierarchy forwards the store to the next level).
     #[inline(always)]
     pub(crate) fn lookup_write_at(&mut self, set: usize, tag: u64) -> Option<usize> {
         let way = self.find(set, tag)?;
@@ -387,24 +363,30 @@ impl Cache {
         Some(way)
     }
 
-    /// Installs the line containing `addr`.
+    /// Installs the line containing `addr`: a demand or prefetch fill, a
+    /// dirty write-back from the level above, or (into an exclusive LLC) a
+    /// clean or dirty victim from the level above.
     ///
-    /// `dirty` marks the freshly installed line as modified (write-allocate
-    /// store miss under write-back).
-    ///
+    /// A resident line is only refreshed, and marked dirty when `dirty` is
+    /// set under a write-back policy; nothing is evicted.  A missing line is
+    /// installed with the given dirty state (clean under write-through).
     /// Ways are chosen in this order: an invalid allowed way first, then the
     /// replacement policy restricted to the domain's partition minus locked
     /// ways.  If no way is permitted the fill is bypassed.
+    ///
+    /// Forced inline so the hierarchy's dirty-victim push into the L2 stays
+    /// straight-line code on the demand path.
+    #[inline(always)]
     pub fn fill(&mut self, addr: PhysAddr, ctx: AccessContext, dirty: bool) -> FillOutcome {
         let (set, tag) = self.set_and_tag(addr);
-        // Already resident (can happen with racing prefetches): refresh only.
         if let Some(way) = self.find(set, tag) {
-            self.policy.on_hit(set, way);
+            // Dirty bit before the policy touch, so the inlined write-back
+            // push shares `find`'s bounds check on `masks[set]`.
             if dirty && self.config.write_policy == WritePolicy::WriteBack {
                 self.masks[set].dirty |= Self::bit(way);
             }
+            self.policy.on_hit(set, way);
             return FillOutcome {
-                filled: true,
                 way: Some(way),
                 evicted: None,
             };
@@ -459,7 +441,10 @@ impl Cache {
             self.policy.choose_victim_and_fill(set, candidates)
         };
         let Some(way) = way else {
-            return FillOutcome::bypassed();
+            return FillOutcome {
+                way: None,
+                evicted: None,
+            };
         };
 
         let bit = Self::bit(way);
@@ -489,7 +474,6 @@ impl Cache {
         self.masks[set] = state;
 
         FillOutcome {
-            filled: true,
             way: Some(way),
             evicted,
         }
@@ -502,41 +486,6 @@ impl Cache {
         for &addr in addrs {
             let _ = self.fill(addr, ctx, dirty);
         }
-    }
-
-    /// Receives a dirty write-back from the level above.
-    ///
-    /// If the line is resident it is simply marked dirty; otherwise it is
-    /// installed dirty.  Returns any line evicted to make room.
-    #[inline]
-    pub fn accept_writeback(&mut self, addr: PhysAddr, ctx: AccessContext) -> Option<EvictedLine> {
-        self.accept_victim(addr, ctx, true)
-    }
-
-    /// Receives a victim from the level above, clean or dirty.
-    ///
-    /// The exclusive-LLC install path: an exclusive last level is a victim
-    /// cache, so *clean* upper-level victims are installed too (unlike
-    /// [`Cache::accept_writeback`], which only ever carries dirty data).  A
-    /// resident line is refreshed and, when `dirty`, marked dirty; a missing
-    /// line is installed with the given dirty state.  Returns any line
-    /// evicted to make room.
-    #[inline(always)]
-    pub fn accept_victim(
-        &mut self,
-        addr: PhysAddr,
-        ctx: AccessContext,
-        dirty: bool,
-    ) -> Option<EvictedLine> {
-        let (set, tag) = self.set_and_tag(addr);
-        if let Some(way) = self.find(set, tag) {
-            if dirty && self.config.write_policy == WritePolicy::WriteBack {
-                self.masks[set].dirty |= Self::bit(way);
-            }
-            self.policy.on_hit(set, way);
-            return None;
-        }
-        self.fill_missing_at(set, tag, ctx, dirty).evicted
     }
 
     /// Invalidates the line containing `addr`, returning `Some(was_dirty)`
@@ -588,7 +537,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheLevel, WriteMissPolicy};
+    use crate::config::CacheLevel;
     use crate::policy::PolicyKind;
 
     fn l1(policy: PolicyKind) -> Cache {
@@ -604,11 +553,12 @@ mod tests {
         let mut cache = l1(PolicyKind::TrueLru);
         let ctx = AccessContext::default();
         let a = addr(5, 1);
-        assert!(cache.lookup_read(a, ctx).is_none());
+        let (set, tag) = cache.set_and_tag(a);
+        assert!(cache.lookup_read_at(set, tag).is_none());
         let fill = cache.fill(a, ctx, false);
-        assert!(fill.filled);
+        assert!(fill.way.is_some());
         assert!(fill.evicted.is_none());
-        assert!(cache.lookup_read(a, ctx).is_some());
+        assert!(cache.lookup_read_at(set, tag).is_some());
         assert_eq!(cache.valid_count_in_set(5), 1, "one fill, no other line");
         assert_eq!(cache.dirty_count_in_set(5), 0);
     }
@@ -620,7 +570,7 @@ mod tests {
         let a = addr(0, 3);
         cache.fill(a, ctx, false);
         assert!(!cache.is_dirty(a));
-        cache.lookup_write(a, ctx);
+        cache.fill(a, ctx, true);
         assert!(cache.is_dirty(a), "store hit must set the dirty bit");
         assert_eq!(cache.dirty_count_in_set(0), 1);
     }
@@ -629,7 +579,6 @@ mod tests {
     fn write_hit_stays_clean_under_write_through() {
         let config = CacheConfig::builder(CacheLevel::L1D)
             .write_policy(WritePolicy::WriteThrough)
-            .write_miss_policy(WriteMissPolicy::NoWriteAllocate)
             .build()
             .unwrap();
         let mut cache = Cache::new(config, 0).unwrap();
@@ -640,7 +589,7 @@ mod tests {
             !cache.is_dirty(a),
             "write-through caches never hold dirty lines"
         );
-        cache.lookup_write(a, ctx);
+        cache.fill(a, ctx, true);
         assert!(!cache.is_dirty(a));
     }
 
@@ -729,19 +678,19 @@ mod tests {
     }
 
     #[test]
-    fn accept_writeback_marks_or_installs_dirty() {
+    fn dirty_fill_marks_or_installs_dirty() {
         let mut cache = Cache::new(CacheConfig::xeon_l2(), 3).unwrap();
         let ctx = AccessContext::default();
         let g = cache.geometry();
         let a = PhysAddr::from_set_and_tag(17, 4, g);
         // Not resident: installed dirty.
-        assert!(cache.accept_writeback(a, ctx).is_none());
+        assert!(cache.fill(a, ctx, true).evicted.is_none());
         assert!(cache.is_dirty(a));
         // Resident clean line becomes dirty.
         let b = PhysAddr::from_set_and_tag(17, 5, g);
         cache.fill(b, ctx, false);
         assert!(!cache.is_dirty(b));
-        cache.accept_writeback(b, ctx);
+        cache.fill(b, ctx, true);
         assert!(cache.is_dirty(b));
     }
 
@@ -766,7 +715,7 @@ mod tests {
         let a = addr(4, 9);
         cache.fill(a, ctx, false);
         let again = cache.fill(a, ctx, true);
-        assert!(again.filled);
+        assert!(again.way.is_some());
         assert!(again.evicted.is_none());
         assert!(cache.is_dirty(a), "dirty refill upgrades the line");
         assert_eq!(cache.valid_count_in_set(4), 1, "second fill is a refresh");

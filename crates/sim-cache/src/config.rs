@@ -2,9 +2,11 @@
 //!
 //! A [`CacheConfig`] fully describes one cache level: its geometry, its write
 //! policy (the crux of the paper — write-back caches carry dirty bits,
-//! write-through caches do not), its write-miss policy and its replacement
-//! policy.  Configurations are built through [`CacheConfigBuilder`] so that
-//! experiment code reads declaratively.
+//! write-through caches do not) and its replacement policy.  The write
+//! policy also fixes what a store miss does: a write-back level allocates
+//! the line, a write-through L1 forwards the store to the L2 without
+//! filling.  Configurations are built through [`CacheConfigBuilder`] so
+//! that experiment code reads declaratively.
 
 use crate::addr::CacheGeometry;
 use crate::policy::PolicyKind;
@@ -44,11 +46,14 @@ impl fmt::Display for CacheLevel {
 /// Write-hit policy.
 ///
 /// * `WriteBack` — stores only update the cache and set the dirty bit; the
-///   backing store is updated when the line is evicted.  This is the policy
-///   the WB channel requires and the one deployed in the paper's target CPUs.
+///   backing store is updated when the line is evicted.  A store miss
+///   allocates the line (write-allocate).  This is the policy the WB
+///   channel requires and the one deployed in the paper's target CPUs.
 /// * `WriteThrough` — stores update the cache *and* the next level
-///   synchronously, so no dirty bit is needed.  Section VIII of the paper
-///   discusses this as an (expensive) defense.
+///   synchronously, so no dirty bit is needed.  A store miss in a
+///   write-through L1 goes to the L2 without filling the L1
+///   (no-write-allocate).  Section VIII of the paper discusses this as an
+///   (expensive) defense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WritePolicy {
     /// Update the backing store lazily on eviction; keep a dirty bit.
@@ -58,17 +63,6 @@ pub enum WritePolicy {
     WriteThrough,
 }
 
-/// Write-miss policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WriteMissPolicy {
-    /// Fetch the line into the cache on a store miss (used with write-back).
-    #[default]
-    WriteAllocate,
-    /// Forward the store to the next level without filling (used with
-    /// write-through).
-    NoWriteAllocate,
-}
-
 /// Full configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
@@ -76,10 +70,8 @@ pub struct CacheConfig {
     pub level: CacheLevel,
     /// Geometry (capacity, associativity, line size, set count).
     pub geometry: CacheGeometry,
-    /// Write-hit policy.
+    /// Write policy (store hits and, in the L1, store misses).
     pub write_policy: WritePolicy,
-    /// Write-miss policy.
-    pub write_miss_policy: WriteMissPolicy,
     /// Replacement policy.
     pub replacement: PolicyKind,
 }
@@ -90,13 +82,12 @@ impl CacheConfig {
         CacheConfigBuilder::new(level)
     }
 
-    /// The paper's L1D: 32 KiB, 8-way, 64 B lines, write-back + write-allocate.
+    /// The paper's L1D: 32 KiB, 8-way, 64 B lines, write-back.
     pub fn xeon_l1d(replacement: PolicyKind) -> CacheConfig {
         CacheConfig {
             level: CacheLevel::L1D,
             geometry: CacheGeometry::xeon_l1d(),
             write_policy: WritePolicy::WriteBack,
-            write_miss_policy: WriteMissPolicy::WriteAllocate,
             replacement,
         }
     }
@@ -107,7 +98,6 @@ impl CacheConfig {
             level: CacheLevel::L2,
             geometry: CacheGeometry::xeon_l2(),
             write_policy: WritePolicy::WriteBack,
-            write_miss_policy: WriteMissPolicy::WriteAllocate,
             replacement: PolicyKind::TreePlru,
         }
     }
@@ -118,7 +108,6 @@ impl CacheConfig {
             level: CacheLevel::L3,
             geometry: CacheGeometry::scaled_llc(),
             write_policy: WritePolicy::WriteBack,
-            write_miss_policy: WriteMissPolicy::WriteAllocate,
             replacement: PolicyKind::TreePlru,
         }
     }
@@ -151,7 +140,6 @@ pub struct CacheConfigBuilder {
     associativity: usize,
     line_size: usize,
     write_policy: WritePolicy,
-    write_miss_policy: WriteMissPolicy,
     replacement: PolicyKind,
 }
 
@@ -164,7 +152,6 @@ impl CacheConfigBuilder {
             associativity: 8,
             line_size: 64,
             write_policy: WritePolicy::WriteBack,
-            write_miss_policy: WriteMissPolicy::WriteAllocate,
             replacement: PolicyKind::TreePlru,
         }
     }
@@ -187,15 +174,9 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Sets the write-hit policy.
+    /// Sets the write policy.
     pub fn write_policy(&mut self, policy: WritePolicy) -> &mut Self {
         self.write_policy = policy;
-        self
-    }
-
-    /// Sets the write-miss policy.
-    pub fn write_miss_policy(&mut self, policy: WriteMissPolicy) -> &mut Self {
-        self.write_miss_policy = policy;
         self
     }
 
@@ -217,7 +198,6 @@ impl CacheConfigBuilder {
             level: self.level,
             geometry,
             write_policy: self.write_policy,
-            write_miss_policy: self.write_miss_policy,
             replacement: self.replacement,
         })
     }
@@ -241,12 +221,10 @@ mod tests {
             .line_size(64)
             .replacement(PolicyKind::TrueLru)
             .write_policy(WritePolicy::WriteThrough)
-            .write_miss_policy(WriteMissPolicy::NoWriteAllocate)
             .build()
             .unwrap();
         assert_eq!(config.geometry.num_sets, 512);
         assert_eq!(config.write_policy, WritePolicy::WriteThrough);
-        assert_eq!(config.write_miss_policy, WriteMissPolicy::NoWriteAllocate);
     }
 
     #[test]
@@ -269,6 +247,5 @@ mod tests {
     #[test]
     fn defaults_are_write_back_allocate() {
         assert_eq!(WritePolicy::default(), WritePolicy::WriteBack);
-        assert_eq!(WriteMissPolicy::default(), WriteMissPolicy::WriteAllocate);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::addr::{CacheGeometry, PhysAddr};
 use crate::cache::{AccessContext, Cache, EvictedLine};
-use crate::config::{CacheConfig, WriteMissPolicy, WritePolicy};
+use crate::config::{CacheConfig, WritePolicy};
 use crate::latency::LatencyModel;
 use crate::outcome::{AccessKind, AccessOutcome, HitLevel};
 use crate::policy::PolicyKind;
@@ -144,11 +144,11 @@ impl HierarchyConfig {
         }
     }
 
-    /// Same machine but with a write-through L1 (the defense of Sec. VIII).
+    /// Same machine but with a write-through, no-write-allocate L1 (the
+    /// defense of Sec. VIII).
     pub fn write_through_l1(l1_policy: PolicyKind, seed: u64) -> HierarchyConfig {
         let mut config = Self::xeon_e5_2650(l1_policy, seed);
         config.l1d.write_policy = WritePolicy::WriteThrough;
-        config.l1d.write_miss_policy = WriteMissPolicy::NoWriteAllocate;
         config
     }
 }
@@ -191,13 +191,6 @@ impl HierarchyPreset {
             HierarchyPreset::AmdExclusive => "amd-exclusive",
             HierarchyPreset::ArmPoc => "arm-poc",
         }
-    }
-
-    /// Parses a [`HierarchyPreset::label`] back into a preset.
-    pub fn from_label(label: &str) -> Option<HierarchyPreset> {
-        HierarchyPreset::ALL
-            .into_iter()
-            .find(|p| p.label() == label)
     }
 
     /// The preset's inclusion policy.
@@ -392,7 +385,7 @@ impl CacheHierarchy {
                 crate::trace::TraceKind::Write => {
                     self.demand_access(op.addr, ctx, AccessKind::Write)
                 }
-                crate::trace::TraceKind::Flush => self.flush(op.addr, ctx),
+                crate::trace::TraceKind::Flush => self.flush(op.addr),
             };
             summary.absorb(&outcome);
         }
@@ -418,7 +411,7 @@ impl CacheHierarchy {
     /// dirty copy had to be written back — the timing asymmetry that the
     /// Flush+Flush channel (Gruss et al., compared against in Sec. VI)
     /// exploits.
-    pub fn flush(&mut self, addr: PhysAddr, _ctx: AccessContext) -> AccessOutcome {
+    pub fn flush(&mut self, addr: PhysAddr) -> AccessOutcome {
         let mut cycles = self.latency.l1_hit;
         let mut writebacks = 0u32;
         let mut was_present = false;
@@ -479,7 +472,7 @@ impl CacheHierarchy {
             kind: AccessKind::Prefetch,
             hit: HitLevel::L1D,
             cycles: 0,
-            l1_filled: fill.filled,
+            l1_filled: fill.way.is_some(),
             l1_evicted: evicted_addr,
             l1_victim_dirty: victim_dirty,
             writebacks,
@@ -499,7 +492,7 @@ impl CacheHierarchy {
         // Under point-of-coherency routing the dirty data drains to memory;
         // the line stays cached below, but clean.
         let to_memory = self.writeback == WritebackRouting::PointOfCoherency;
-        match self.l2.accept_victim(addr, owner_ctx, !to_memory) {
+        match self.l2.fill(addr, owner_ctx, !to_memory).evicted {
             Some(spill) => self.spill_l2_victim(spill),
             None => 0,
         }
@@ -528,7 +521,7 @@ impl CacheHierarchy {
                 writebacks += 1;
             }
             let install_dirty = dirty && self.writeback != WritebackRouting::PointOfCoherency;
-            return match self.llc.accept_victim(addr, spill_ctx, install_dirty) {
+            return match self.llc.fill(addr, spill_ctx, install_dirty).evicted {
                 Some(displaced) if displaced.dirty => writebacks + 1,
                 _ => writebacks,
             };
@@ -542,8 +535,7 @@ impl CacheHierarchy {
             // unchanged (a fill-inclusive copy may already sit there, clean).
             return 1;
         }
-        let out = self.llc.accept_writeback(addr, spill_ctx);
-        match out {
+        match self.llc.fill(addr, spill_ctx, true).evicted {
             Some(displaced) => {
                 let mut writebacks = 1;
                 if displaced.dirty {
@@ -580,9 +572,8 @@ impl CacheHierarchy {
     /// common cases compile to straight-line code there: an L1 hit, and an
     /// L1 miss served by the L2 that evicts a clean or dirty L1 victim into
     /// an L2-resident line.  Everything rarer is one out-of-line call: the
-    /// walk beyond the L2, random fill, write-through and
-    /// no-write-allocate stores, L2 spill chains, exclusive promotion and
-    /// inclusive back-invalidation.
+    /// walk beyond the L2, random fill, write-through stores, L2 spill
+    /// chains, exclusive promotion and inclusive back-invalidation.
     #[inline(always)]
     fn demand_access(
         &mut self,
@@ -626,20 +617,20 @@ impl CacheHierarchy {
             return self.random_fill_read(addr, ctx, hit, cycles, writebacks);
         }
 
-        // ---- Fill the L1 (write-allocate) or bypass -----------------------
+        // ---- Fill the L1, or store around a write-through one -------------
         let mut l1_filled = false;
         let mut l1_evicted = None;
         let mut l1_victim_dirty = false;
 
-        if is_write && self.l1d.config().write_miss_policy == WriteMissPolicy::NoWriteAllocate {
+        if is_write && self.l1d.config().write_policy == WritePolicy::WriteThrough {
             (cycles, writebacks) = self.store_around_l1(addr, ctx, cycles, writebacks);
         } else {
-            let make_dirty = is_write && self.l1d.config().write_policy == WritePolicy::WriteBack;
-            // The L1 lookup above missed and the outer walk never fills the
-            // L1, so the residency re-scan can be skipped and the set/tag
-            // pair from the lookup reused.
-            let fill = self.l1d.fill_missing_at(l1_set, l1_tag, ctx, make_dirty);
-            l1_filled = fill.filled;
+            // A write-back L1 allocates on a store miss and holds the line
+            // dirty.  The L1 lookup above missed and the outer walk never
+            // fills the L1, so the residency re-scan can be skipped and the
+            // set/tag pair from the lookup reused.
+            let fill = self.l1d.fill_missing_at(l1_set, l1_tag, ctx, is_write);
+            l1_filled = fill.way.is_some();
             if let Some(evicted) = fill.evicted {
                 l1_evicted = Some(evicted.addr);
                 if evicted.dirty {
@@ -649,9 +640,6 @@ impl CacheHierarchy {
                     cycles += self.latency.l1_dirty_writeback;
                     writebacks += 1 + self.push_writeback_to_l2(evicted);
                 }
-            }
-            if is_write && self.l1d.config().write_policy == WritePolicy::WriteThrough {
-                cycles += self.latency.write_through_store;
             }
         }
 
@@ -736,8 +724,8 @@ impl CacheHierarchy {
     }
 
     /// A store hit in a write-through L1: the store must synchronously
-    /// update the L2 as well.  Adds the through-write latency and the spill
-    /// chain's write-backs to `outcome`.
+    /// update the L2 as well, which then holds the line dirty.  Adds the
+    /// through-write latency and the spill chain's write-backs to `outcome`.
     #[cold]
     #[inline(never)]
     fn write_through_hit(
@@ -747,7 +735,6 @@ impl CacheHierarchy {
         outcome: &mut AccessOutcome,
     ) {
         outcome.cycles += self.latency.write_through_store;
-        let _ = self.l2.lookup_write(addr, ctx);
         let fill = self.l2.fill(addr, ctx, true);
         if let Some(evicted) = fill.evicted {
             // The outcome counts the spill chain like every other path (see
@@ -756,10 +743,10 @@ impl CacheHierarchy {
         }
     }
 
-    /// A no-write-allocate store miss: the store goes directly to the L2
-    /// (already looked up by the caller) and the L1 is untouched.  Makes
-    /// sure the L2 holds the line dirty and returns the updated
-    /// `(cycles, writebacks)`.
+    /// A store miss in a write-through L1, which does not allocate: the
+    /// store goes directly to the L2 (already looked up by the caller) and
+    /// the L1 is untouched.  Makes sure the L2 holds the line dirty and
+    /// returns the updated `(cycles, writebacks)`.
     #[cold]
     #[inline(never)]
     fn store_around_l1(
@@ -815,7 +802,7 @@ impl CacheHierarchy {
         // miss all the way to memory is skipped by this model).
         if self.l2.contains(fill_addr) || self.llc.contains(fill_addr) {
             let fill = self.l1d.fill(fill_addr, ctx, false);
-            filled = fill.filled;
+            filled = fill.way.is_some();
             if let Some(evicted) = fill.evicted {
                 evicted_addr = Some(evicted.addr);
                 if evicted.dirty {
@@ -928,20 +915,26 @@ mod tests {
     fn write_through_l1_never_holds_dirty_lines() {
         let config = HierarchyConfig::write_through_l1(PolicyKind::TreePlru, 1);
         let mut h = CacheHierarchy::new(config).unwrap();
+        let lat = h.latency_model();
         let ctx = AccessContext::default();
         let a = addr(3, 5);
         h.read(a, ctx);
         let store = h.write(a, ctx);
-        assert!(
-            store.cycles > h.latency_model().l1_hit,
-            "store pays the through-write"
+        assert_eq!(
+            store.cycles,
+            lat.l1_hit + lat.write_through_store,
+            "a store hit pays the L1 hit and the through-write"
         );
         assert!(!h.l1().is_dirty(a));
+        assert!(h.l2().is_dirty(a), "the through-write dirties the L2 copy");
         assert_eq!(h.l1().dirty_count_in_set(3), 0);
-        // A store miss does not allocate in the L1.
+        // A store miss does not allocate in the L1; the L2 takes the store.
         let b = addr(3, 9);
+        let valid = h.l1().valid_count_in_set(3);
         h.write(b, ctx);
         assert!(!h.l1().contains(b));
+        assert_eq!(h.l1().valid_count_in_set(3), valid);
+        assert!(h.l2().is_dirty(b), "the store miss dirties the L2 line");
     }
 
     #[test]
@@ -950,7 +943,7 @@ mod tests {
         let ctx = AccessContext::default();
         let a = addr(10, 4);
         h.write(a, ctx);
-        let flush = h.flush(a, ctx);
+        let flush = h.flush(a);
         assert!(
             flush.writebacks >= 1,
             "dirty line flush performs a write-back"
@@ -1137,11 +1130,10 @@ mod tests {
     }
 
     #[test]
-    fn presets_round_trip_labels_and_intel_matches_the_default() {
-        for preset in HierarchyPreset::ALL {
-            assert_eq!(HierarchyPreset::from_label(preset.label()), Some(preset));
-        }
-        assert_eq!(HierarchyPreset::from_label("verboten"), None);
+    fn preset_labels_are_distinct_and_intel_matches_the_default() {
+        let labels: std::collections::HashSet<&str> =
+            HierarchyPreset::ALL.iter().map(|p| p.label()).collect();
+        assert_eq!(labels.len(), HierarchyPreset::ALL.len());
         let intel = HierarchyPreset::IntelInclusive
             .config(PolicyKind::TreePlru, 16, 7)
             .expect("intel preset is valid");
@@ -1173,7 +1165,7 @@ mod tests {
         // Clean-resident line: no write-back at any level.
         let mut h = hierarchy(PolicyKind::TrueLru);
         h.read(addr(set, 1), ctx);
-        let clean = h.flush(addr(set, 1), ctx);
+        let clean = h.flush(addr(set, 1));
         assert_eq!(clean.writebacks, 0);
         assert_eq!(clean.cycles, lat.l1_hit + lat.l1_hit + lat.l2_hit);
 
@@ -1182,7 +1174,7 @@ mod tests {
         h.write(addr(set, 1), ctx);
         assert!(h.l1().is_dirty(addr(set, 1)));
         assert!(!h.l2().is_dirty(addr(set, 1)) && !h.llc().is_dirty(addr(set, 1)));
-        let l1_dirty = h.flush(addr(set, 1), ctx);
+        let l1_dirty = h.flush(addr(set, 1));
         assert_eq!(l1_dirty.writebacks, 1);
         assert_eq!(
             l1_dirty.cycles,
@@ -1200,7 +1192,7 @@ mod tests {
         assert!(!h.l1().contains(addr(set, 1)));
         assert!(h.l2().is_dirty(addr(set, 1)));
         assert!(!h.llc().is_dirty(addr(set, 1)));
-        let deep_dirty = h.flush(addr(set, 1), ctx);
+        let deep_dirty = h.flush(addr(set, 1));
         assert_eq!(deep_dirty.writebacks, 1);
         assert_eq!(
             deep_dirty.cycles,
@@ -1344,7 +1336,7 @@ mod tests {
             let outcome = match op.kind {
                 crate::trace::TraceKind::Read => serial.read(op.addr, ctx),
                 crate::trace::TraceKind::Write => serial.write(op.addr, ctx),
-                crate::trace::TraceKind::Flush => serial.flush(op.addr, ctx),
+                crate::trace::TraceKind::Flush => serial.flush(op.addr),
             };
             expected.absorb(&outcome);
         }

@@ -77,9 +77,7 @@ pub use error::Error;
 pub mod prelude {
     pub use crate::addr::{CacheGeometry, LineAddr, PhysAddr};
     pub use crate::cache::{AccessContext, Cache};
-    pub use crate::config::{
-        CacheConfig, CacheConfigBuilder, CacheLevel, WriteMissPolicy, WritePolicy,
-    };
+    pub use crate::config::{CacheConfig, CacheConfigBuilder, CacheLevel, WritePolicy};
     pub use crate::hierarchy::{
         CacheHierarchy, HierarchyConfig, HierarchyPreset, InclusionPolicy, WritebackRouting,
     };

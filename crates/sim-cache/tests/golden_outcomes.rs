@@ -142,10 +142,7 @@ fn config(preset: HierarchyPreset, policy: PolicyKind, variant: &str) -> Hierarc
     match variant {
         "plain" => {}
         "random-fill" => config.l1_random_fill = Some(RandomFillConfig { window: 4 }),
-        "write-through" => {
-            config.l1d.write_policy = WritePolicy::WriteThrough;
-            config.l1d.write_miss_policy = WriteMissPolicy::NoWriteAllocate;
-        }
+        "write-through" => config.l1d.write_policy = WritePolicy::WriteThrough,
         other => unreachable!("unknown variant {other}"),
     }
     config
@@ -169,7 +166,7 @@ fn digest(config: HierarchyConfig) -> u64 {
         let outcome = match stream.below(10) {
             0..=3 => h.read(addr, ctx),
             4..=6 => h.write(addr, ctx),
-            7 => h.flush(addr, ctx),
+            7 => h.flush(addr),
             _ => h.prefetch_into_l1(addr, ctx),
         };
         d.outcome(&outcome);

@@ -30,35 +30,30 @@ fn cache_op(sets: usize) -> impl Strategy<Value = (u8, usize, u64, u8)> {
     (0u8..8, 0..sets, 0u64..24, 0u8..4)
 }
 
-/// Applies a [`cache_op`] and returns everything it observes: the lookup,
-/// the fill outcome, and the result of an invalidation, lock or partition.
-/// Kinds 0–2 read, 3–4 write (filling on a miss, clean or dirty), 5
+/// Applies a [`cache_op`] and returns everything it observes: residency
+/// before the access, the fill outcome, and the result of an invalidation,
+/// lock or partition.  Kinds 0–2 read, 3–4 write (a fill that refreshes a
+/// resident line or installs a missing one, clean or dirty), 5
 /// invalidates, 6 locks the line and 7 confines the domain to a way range
 /// drawn from the tag.
 fn cache_step(
     cache: &mut Cache,
     (kind, set, tag, domain): (u8, usize, u64, u8),
-) -> (Option<usize>, Option<FillOutcome>, Option<bool>) {
+) -> (bool, Option<FillOutcome>, Option<bool>) {
     let addr = PhysAddr::from_set_and_tag(set, tag, cache.geometry());
     let ctx = AccessContext::for_domain(domain.into());
     match kind {
         0..=4 => {
-            let dirty = kind >= 3;
-            let hit = if dirty {
-                cache.lookup_write(addr, ctx)
-            } else {
-                cache.lookup_read(addr, ctx)
-            };
-            let fill = hit.is_none().then(|| cache.fill(addr, ctx, dirty));
-            (hit, fill, None)
+            let hit = cache.contains(addr);
+            (hit, Some(cache.fill(addr, ctx, kind >= 3)), None)
         }
-        5 => (None, None, cache.invalidate(addr)),
-        6 => (None, None, Some(cache.lock_line(addr))),
+        5 => (false, None, cache.invalidate(addr)),
+        6 => (false, None, Some(cache.lock_line(addr))),
         _ => {
             let first = tag as usize % 8;
             let mask = WayMask::range(first, first + 1 + (tag as usize / 8) % (8 - first));
             (
-                None,
+                false,
                 None,
                 Some(cache.set_partition(domain.into(), mask).is_ok()),
             )
@@ -157,13 +152,7 @@ proptest! {
         let ctx = AccessContext::for_domain(2);
         for (kind, tag) in ops {
             let addr = PhysAddr::from_set_and_tag(set, tag, g);
-            if kind == 0 {
-                if cache.lookup_read(addr, ctx).is_none() {
-                    cache.fill(addr, ctx, false);
-                }
-            } else if cache.lookup_write(addr, ctx).is_none() {
-                cache.fill(addr, ctx, true);
-            }
+            cache.fill(addr, ctx, kind != 0);
             prop_assert!(cache.dirty_count_in_set(set) <= g.associativity);
             prop_assert!(cache.valid_count_in_set(set) <= g.associativity);
         }
@@ -177,9 +166,8 @@ proptest! {
         let receiver = AccessContext::for_domain(1);
         for i in 0..10u64 {
             let addr = PhysAddr::from_set_and_tag(set, 10_000 + i, g);
-            if cache.lookup_read(addr, receiver).is_none() {
-                cache.fill(addr, receiver, false);
-            }
+            prop_assert!(!cache.contains(addr));
+            cache.fill(addr, receiver, false);
         }
         let sweep_guaranteed = matches!(policy, PolicyKind::TrueLru | PolicyKind::TreePlru);
         if sweep_guaranteed {
@@ -238,7 +226,7 @@ proptest! {
                     .iter()
                     .filter(|level| level.is_dirty(addr))
                     .count();
-                let outcome = h.flush(addr, ctx);
+                let outcome = h.flush(addr);
                 prop_assert_eq!(
                     outcome.writebacks as usize,
                     dirty_levels,
@@ -294,7 +282,7 @@ proptest! {
             match kind {
                 0 => h.read(addr, ctx),
                 1 => h.write(addr, ctx),
-                _ => h.flush(addr, ctx),
+                _ => h.flush(addr),
             };
             for probe_tag in 0..COLLIDING_TAGS {
                 let probe = colliding_addr(set, probe_tag);
@@ -326,7 +314,7 @@ proptest! {
             match kind {
                 0 => h.read(addr, ctx),
                 1 => h.write(addr, ctx),
-                _ => h.flush(addr, ctx),
+                _ => h.flush(addr),
             };
             for probe_tag in 0..COLLIDING_TAGS {
                 let probe = colliding_addr(set, probe_tag);
@@ -374,7 +362,7 @@ proptest! {
             let outcome = match op.kind {
                 TraceKind::Read => serial.read(op.addr, ctx),
                 TraceKind::Write => serial.write(op.addr, ctx),
-                TraceKind::Flush => serial.flush(op.addr, ctx),
+                TraceKind::Flush => serial.flush(op.addr),
             };
             expected.absorb(&outcome);
         }
@@ -461,7 +449,7 @@ proptest! {
             match kind {
                 0 => recycled.read(addr, ctx),
                 1 => recycled.write(addr, ctx),
-                _ => recycled.flush(addr, ctx),
+                _ => recycled.flush(addr),
             };
         }
         let next = preset.config(policy, 16, reseed).unwrap();
@@ -472,7 +460,7 @@ proptest! {
             let (replayed, reference) = match kind {
                 0 => (recycled.read(addr, ctx), fresh.read(addr, ctx)),
                 1 => (recycled.write(addr, ctx), fresh.write(addr, ctx)),
-                _ => (recycled.flush(addr, ctx), fresh.flush(addr, ctx)),
+                _ => (recycled.flush(addr), fresh.flush(addr)),
             };
             prop_assert_eq!(replayed, reference);
         }

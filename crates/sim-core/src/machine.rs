@@ -383,7 +383,7 @@ impl Machine {
                         let outcome = match op.kind {
                             TraceKind::Read => self.hierarchy.read(op.addr, ctx),
                             TraceKind::Write => self.hierarchy.write(op.addr, ctx),
-                            TraceKind::Flush => self.hierarchy.flush(op.addr, ctx),
+                            TraceKind::Flush => self.hierarchy.flush(op.addr),
                         };
                         reports[idx].summary.absorb(&outcome);
                         outcome.cycles
@@ -738,7 +738,7 @@ mod tests {
                 let outcome = match kind {
                     TraceKind::Read => m.hierarchy.read(addr, ctx),
                     TraceKind::Write => m.hierarchy.write(addr, ctx),
-                    TraceKind::Flush => m.hierarchy.flush(addr, ctx),
+                    TraceKind::Flush => m.hierarchy.flush(addr),
                 };
                 logs[idx].summary.absorb(&outcome);
                 outcome.cycles

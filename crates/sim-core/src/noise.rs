@@ -33,7 +33,11 @@ pub struct NoisyNeighbor {
 
 impl NoisyNeighbor {
     /// Creates a noise process touching `line_count` lines of `set` every
-    /// `interval` cycles.
+    /// `interval` cycles, a `store_fraction` of the touches being stores.
+    ///
+    /// The caller guarantees `line_count >= 1`, `interval >= 1` and a
+    /// `store_fraction` in `[0, 1]`; `wb_channel`'s channel configuration
+    /// builder rejects any other noise.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         space: AddressSpace,
@@ -48,9 +52,9 @@ impl NoisyNeighbor {
         NoisyNeighbor {
             name: format!("noise@set{set}"),
             domain,
-            lines: SetLines::build(space, geometry, set, line_count.max(1), 9_000),
-            interval: interval.max(1),
-            store_fraction: store_fraction.clamp(0.0, 1.0),
+            lines: SetLines::build(space, geometry, set, line_count, 9_000),
+            interval,
+            store_fraction,
             seed,
         }
     }

@@ -41,16 +41,6 @@ impl InterruptConfig {
         }
     }
 
-    /// A noisier multi-tenant system (shorter quiet intervals, longer stalls).
-    pub fn noisy() -> InterruptConfig {
-        InterruptConfig {
-            period: 220_000,
-            period_jitter: 110_000,
-            duration: 20_000,
-            duration_jitter: 10_000,
-        }
-    }
-
     /// No interruptions at all (idealised experiments and unit tests).
     pub fn none() -> InterruptConfig {
         InterruptConfig {
