@@ -14,6 +14,7 @@
 //! * [`LineAddr`] — an address truncated to cache-line granularity, used as
 //!   the tag-store key.
 
+use crate::waymask::WayMask;
 use std::fmt;
 
 /// A byte-granular physical address in the simulated machine.
@@ -129,8 +130,9 @@ impl CacheGeometry {
     /// # Errors
     ///
     /// Returns [`crate::Error::InvalidGeometry`] if any dimension is zero, the
-    /// line size or derived set count is not a power of two, or the capacity
-    /// is not divisible by `associativity * line_size`.
+    /// associativity exceeds [`WayMask::MAX_WAYS`] (a set's way state is one
+    /// `u64` mask), the line size or derived set count is not a power of
+    /// two, or the capacity is not divisible by `associativity * line_size`.
     pub fn new(
         size_bytes: usize,
         associativity: usize,
@@ -148,6 +150,13 @@ impl CacheGeometry {
                 field: "associativity",
                 value: associativity,
                 requirement: "must be non-zero",
+            });
+        }
+        if associativity > WayMask::MAX_WAYS {
+            return Err(crate::Error::InvalidGeometry {
+                field: "associativity",
+                value: associativity,
+                requirement: "must be at most 64 (one bit per way in a set's masks)",
             });
         }
         if line_size == 0 || !line_size.is_power_of_two() {

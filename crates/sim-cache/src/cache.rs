@@ -11,12 +11,15 @@
 //! `(set, way)` live in one contiguous `Box<[u64]>` at `set * ways + way`,
 //! owner domains in a parallel array, and each set's valid/dirty/locked
 //! way state is packed into one record (`SetMasks`) of three `u64` bit
-//! masks.  The tag-match loop of every lookup therefore scans a contiguous
-//! tag row and intersects with the valid mask; dirty counts, lock
-//! exclusion and empty-way selection are single mask operations, and
+//! masks.  Next to the tags, each set keeps a one-byte fingerprint of every
+//! way's tag, eight ways to a `u64` word.  A lookup compares all of a set's
+//! fingerprints at once with a few word operations, keeps the valid ways
+//! among the matches, and checks the full tag only there, so it has no
+//! per-way loop whose exit the branch predictor must guess.  Dirty counts,
+//! lock exclusion and empty-way selection are single mask operations, and
 //! per-domain way partitions resolve through a dense [`PartitionTable`]
-//! rather than a `HashMap`.  `repro bench-sim` tracks the resulting
-//! accesses/sec.
+//! rather than a `HashMap`.  perfbench's `sim-core.exec_ns_per_access` row
+//! tracks the cost per access inside a channel frame.
 //!
 //! The interface is deliberately attacker-visible: experiments can ask how
 //! many dirty lines a set currently holds, lock lines (PLcache defense) or
@@ -83,6 +86,33 @@ struct SetMasks {
     locked: u64,
 }
 
+/// Ways per fingerprint word: one byte per way.
+const WAYS_PER_WORD: usize = 8;
+
+/// The low 7 bits of every byte of a word.
+const LOW_SEVEN: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// The one-byte fingerprint of `tag`, in the low byte: the top byte of a
+/// Fibonacci hash, so tags that differ only in their high bits (address
+/// regions a power of two apart) still get different fingerprints.
+#[inline(always)]
+fn fingerprint(tag: u64) -> u64 {
+    tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56
+}
+
+/// The bytes of `word` that are zero, as bits 0..8 (byte `i` ↔ bit `i`).
+///
+/// The SWAR has-zero-byte test in its exact form: adding 0x7f to a byte's
+/// low seven bits sets its top bit unless they are all zero, and no carry
+/// crosses a byte.  A multiply then gathers the eight top bits into one
+/// byte (byte `i`'s bit lands on bit `56 + i`, every other product term
+/// below bit 56 or above bit 63).
+#[inline(always)]
+fn zero_bytes(word: u64) -> u64 {
+    let top_bits = !(((word & LOW_SEVEN) + LOW_SEVEN) | word | LOW_SEVEN);
+    (top_bits >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
 /// The sets filled since the last reset: one bit per set, so its size is
 /// bounded by the geometry however much traffic the cache sees.
 ///
@@ -134,8 +164,15 @@ pub struct Cache {
     ways: usize,
     /// The tag arena: the tag of line `(set, way)` at `set * ways + way`.
     /// Storing the tags contiguously (instead of packed 16-byte records)
-    /// keeps the tag-match scan on one dense row of the set.
+    /// keeps a set's candidate tags on one dense row.
     tags: Box<[u64]>,
+    /// [`fingerprint`] bytes of `tags`: byte `way % 8` of word
+    /// `set * fingerprint_words + way / 8` fingerprints line `(set, way)`.
+    /// Written with the tag and never cleared: an invalid way's stale byte
+    /// may match, but [`Cache::find`] keeps only the valid ways.
+    fingerprints: Box<[u64]>,
+    /// Fingerprint words per set, `ways.div_ceil(8)` (at most 8).
+    fingerprint_words: usize,
     /// Owner domain of line `(set, way)`, parallel to `tags`.
     owners: Box<[DomainId]>,
     /// Per-set packed way-state masks (valid/dirty/locked), one record per
@@ -193,10 +230,13 @@ impl Cache {
             seed,
         )?;
         let all_ways = WayMask::all(geometry.associativity);
+        let fingerprint_words = geometry.associativity.div_ceil(WAYS_PER_WORD);
         Ok(Cache {
             config,
             ways: geometry.associativity,
             tags: vec![0u64; geometry.num_sets * geometry.associativity].into_boxed_slice(),
+            fingerprints: vec![0u64; geometry.num_sets * fingerprint_words].into_boxed_slice(),
+            fingerprint_words,
             owners: vec![0; geometry.num_sets * geometry.associativity].into_boxed_slice(),
             masks: vec![SetMasks::default(); geometry.num_sets].into_boxed_slice(),
             policy,
@@ -211,10 +251,10 @@ impl Cache {
     /// unchanged.
     ///
     /// Behaviourally indistinguishable from a fresh construction: the masks
-    /// of every set filled since the last reset are cleared (stale tags in
-    /// invalid ways can never match or be observed), the replacement policy
-    /// returns to its state for the seed in those sets, and the partitions
-    /// are cleared.  The cost is O(sets touched) (plus one tree draw per set
+    /// of every set filled since the last reset are cleared (stale tags and
+    /// fingerprints in invalid ways can never match or be observed), the
+    /// replacement policy returns to its state for the seed in those sets,
+    /// and the partitions are cleared.  The cost is O(sets touched) (plus one tree draw per set
     /// for Intel-like); a different geometry or policy kind rebuilds the
     /// whole cache.
     ///
@@ -275,23 +315,36 @@ impl Cache {
         (g.set_index(addr), g.tag(addr))
     }
 
-    /// Finds the way of `set` holding `tag`, if resident — the tag-match
-    /// loop on the access hot path.
+    /// Finds the way of `set` holding `tag`, if resident — the tag match on
+    /// the access hot path, one path for every associativity.
     ///
-    /// An early-exit scan over the contiguous tag row, validity checked
-    /// against the set's packed mask.  Re-measured with `find` inlined into
-    /// the batch loops, against a branchless variant that ORs one match bit
-    /// per way and takes the lowest valid one: early exit ran the benchmark's
-    /// pointer-chase kernel at 6.8 ns per access against 10.8, and its
-    /// wb-frame kernel at 22.7 against 33.0 (best of 7, 2-CPU Xeon host).
+    /// XORs each of the set's fingerprint words with the tag's fingerprint
+    /// repeated in every byte, turns the zero bytes into a way mask and
+    /// keeps the valid ways; only those candidates' full tags are compared,
+    /// in ascending way order, so the result is the lowest valid way whose
+    /// tag matches.  There is no per-way loop exit to predict, which a
+    /// way scan mispredicts on the receiver's shuffled chase orders: a miss
+    /// usually has no candidate and a hit one, each a single test.
     #[inline(always)]
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let probe = fingerprint(tag) * 0x0101_0101_0101_0101;
+        let row = set * self.fingerprint_words;
+        // Word 0 exists in every cache; the loop runs only above 8 ways, so
+        // an 8-way lookup stays straight-line code.
+        let mut matches = zero_bytes(self.fingerprints[row] ^ probe);
+        for word in 1..self.fingerprint_words {
+            matches |= zero_bytes(self.fingerprints[row + word] ^ probe) << (word * WAYS_PER_WORD);
+        }
+        let mut candidates = matches & self.masks[set].valid;
         let base = set * self.ways;
-        let valid = self.masks[set].valid;
-        self.tags[base..base + self.ways]
-            .iter()
-            .enumerate()
-            .find_map(|(way, &t)| (t == tag && valid & Self::bit(way) != 0).then_some(way))
+        while candidates != 0 {
+            let way = candidates.trailing_zeros() as usize;
+            if self.tags[base + way] == tag {
+                return Some(way);
+            }
+            candidates &= candidates - 1;
+        }
+        None
     }
 
     /// The mask bit of one way.
@@ -461,6 +514,9 @@ impl Cache {
 
         let store_dirty = dirty && self.config.write_policy == WritePolicy::WriteBack;
         self.tags[index] = tag;
+        let slot = &mut self.fingerprints[set * self.fingerprint_words + way / WAYS_PER_WORD];
+        let shift = way % WAYS_PER_WORD * 8;
+        *slot = (*slot & !(0xff << shift)) | (fingerprint(tag) << shift);
         self.owners[index] = ctx.domain;
         state.valid |= bit;
         if store_dirty {
@@ -740,6 +796,98 @@ mod tests {
         cache.invalidate(addr(6, 41));
         assert_eq!(cache.valid_count_in_set(6), 2);
         assert_eq!(cache.owned_count_in_set(6, 3), 1);
+    }
+
+    /// The plain way scan: the first valid way whose tag matches.
+    fn scan(cache: &Cache, set: usize, tag: u64) -> Option<usize> {
+        let valid = cache.masks[set].valid;
+        (0..cache.ways)
+            .find(|&way| valid & Cache::bit(way) != 0 && cache.tags[set * cache.ways + way] == tag)
+    }
+
+    #[test]
+    fn zero_bytes_flags_exactly_the_zero_bytes() {
+        for word in [0, u64::MAX, 0x0100_ff80_0001_7f00, 0x8080_8080_8080_8080] {
+            let expected = (0..8)
+                .filter(|byte| (word >> (byte * 8)) as u8 == 0)
+                .fold(0, |mask, byte| mask | 1 << byte);
+            assert_eq!(zero_bytes(word), expected, "{word:#x}");
+        }
+    }
+
+    #[test]
+    fn the_full_tag_decides_between_equal_fingerprints() {
+        let mut cache = l1(PolicyKind::TrueLru);
+        let ctx = AccessContext::default();
+        // Three tags with one fingerprint byte.
+        let shared = fingerprint(1);
+        let twins: Vec<u64> = (1..)
+            .filter(|&tag| fingerprint(tag) == shared)
+            .take(3)
+            .collect();
+        let set = 12;
+        cache.fill(addr(set, 500), ctx, false);
+        let first = cache.fill(addr(set, twins[0]), ctx, false).way;
+        let second = cache.fill(addr(set, twins[1]), ctx, true).way;
+        assert_eq!((first, second), (Some(1), Some(2)));
+        assert_eq!(cache.find(set, twins[0]), Some(1));
+        assert_eq!(cache.find(set, twins[1]), Some(2));
+        assert_eq!(cache.find(set, twins[2]), None, "same byte, other tag");
+        assert!(cache.is_dirty(addr(set, twins[1])));
+        assert!(!cache.is_dirty(addr(set, twins[0])));
+        // The lower candidate gone, the higher one is still found.
+        assert_eq!(cache.invalidate(addr(set, twins[0])), Some(false));
+        assert_eq!(cache.find(set, twins[0]), None);
+        assert_eq!(cache.find(set, twins[1]), Some(2));
+    }
+
+    proptest::proptest! {
+        /// Under random fills, stores, invalidations and resets, `find`
+        /// returns exactly what the plain way scan returns, for every tag of
+        /// the stream's universe in the set each operation touched.  Small tag universes collide
+        /// in fingerprint bytes, and invalidated ways keep stale bytes.
+        #[test]
+        fn find_matches_a_plain_scan(
+            ways_index in 0usize..6,
+            policy_index in 0usize..3,
+            ops in proptest::collection::vec((0u8..8, 0usize..2, 0u64..160, 0u16..3), 1..300),
+        ) {
+            let ways = [1usize, 2, 4, 8, 16, 64][ways_index];
+            let policy = [PolicyKind::TrueLru, PolicyKind::Random, PolicyKind::Srrip][policy_index];
+            let config = CacheConfig::builder(CacheLevel::L1D)
+                .size_bytes(2 * ways * 64)
+                .associativity(ways)
+                .replacement(policy)
+                .build()
+                .unwrap();
+            let mut cache = Cache::new(config, 9).unwrap();
+            let g = cache.geometry();
+            // Tags that differ only in high bits as well as low ones.
+            let tag_of = |n: u64| ((n % 3) << 40) | (n / 3);
+            for (op, set, n, domain) in ops {
+                let tag = tag_of(n);
+                let a = PhysAddr::from_set_and_tag(set, tag, g);
+                let ctx = AccessContext::for_domain(domain);
+                match op {
+                    0..=2 => {
+                        let _ = cache.fill(a, ctx, false);
+                    }
+                    3..=4 => {
+                        if cache.lookup_write_at(set, tag).is_none() {
+                            let _ = cache.fill_missing_at(set, tag, ctx, true);
+                        }
+                    }
+                    5..=6 => {
+                        let _ = cache.invalidate(a);
+                    }
+                    _ => cache.reset(config, 9).unwrap(),
+                }
+                for n in 0..160 {
+                    let tag = tag_of(n);
+                    proptest::prop_assert_eq!(cache.find(set, tag), scan(&cache, set, tag));
+                }
+            }
+        }
     }
 
     #[test]

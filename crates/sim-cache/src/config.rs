@@ -237,6 +237,40 @@ mod tests {
     }
 
     #[test]
+    fn more_ways_than_a_mask_holds_are_rejected() {
+        let wide = |ways| {
+            CacheConfig::builder(CacheLevel::L1D)
+                .size_bytes(16384)
+                .associativity(ways)
+                .replacement(PolicyKind::Srrip)
+                .build()
+        };
+        let err = wide(128).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::Error::InvalidGeometry {
+                    field: "associativity",
+                    value: 128,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // The same way count through a hierarchy preset's LLC.
+        let preset = crate::hierarchy::HierarchyPreset::IntelInclusive;
+        assert!(matches!(
+            preset.config(PolicyKind::TreePlru, 128, 0),
+            Err(crate::Error::InvalidGeometry {
+                field: "associativity",
+                ..
+            })
+        ));
+        // 64 ways is the widest cache that builds.
+        crate::cache::Cache::new(wide(64).unwrap(), 0).unwrap();
+    }
+
+    #[test]
     fn level_labels() {
         assert_eq!(CacheLevel::L1D.to_string(), "L1D");
         assert_eq!(CacheLevel::L2.to_string(), "L2");

@@ -376,7 +376,7 @@ impl CacheHierarchy {
     /// same ordering, same latency attribution, same write-backs — but the
     /// bulk caller never receives (or collects) per-access
     /// [`AccessOutcome`]s.  This is the hot entry point of the sweep engine;
-    /// see `repro bench-sim` for its throughput trajectory.
+    /// perfbench's `sim-cache.*` kernels time it on fixed traces.
     pub fn run_trace(&mut self, ops: &[TraceOp], ctx: AccessContext) -> TraceSummary {
         let mut summary = TraceSummary::default();
         for op in ops {

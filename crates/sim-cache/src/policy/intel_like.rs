@@ -1,6 +1,6 @@
 //! Approximation of the measured Intel Xeon E5-2650 L1D replacement policy.
 
-use super::{PolicyRng, ReplacementPolicy, TreePlru};
+use super::{Chance, PolicyRng, ReplacementPolicy, TreePlru};
 use crate::waymask::WayMask;
 
 /// An imperfect Tree-PLRU that reproduces the *shape* of the paper's Table II
@@ -31,6 +31,8 @@ pub struct IntelLike {
     rng: PolicyRng,
     ways: usize,
     mispredict: f64,
+    /// The mispredict draw, resolved once from `mispredict`.
+    deviate: Chance,
     max_staleness: u32,
     /// Fills to each set since the last reset.
     fills: Vec<u64>,
@@ -74,11 +76,13 @@ impl IntelLike {
         mispredict: f64,
         max_staleness: u32,
     ) -> crate::Result<IntelLike> {
+        let mispredict = mispredict.clamp(0.0, 1.0);
         let mut policy = IntelLike {
             plru: TreePlru::new(num_sets, ways)?,
             rng: PolicyRng::new(seed),
             ways,
-            mispredict: mispredict.clamp(0.0, 1.0),
+            mispredict,
+            deviate: Chance::new(mispredict),
             max_staleness: max_staleness.max(1),
             fills: vec![0; num_sets],
             stamp: vec![0; num_sets * ways],
@@ -160,19 +164,23 @@ impl ReplacementPolicy for IntelLike {
         // Anti-starvation: a way that survived `max_staleness` fills is
         // evicted unconditionally (this is what makes a 10-line replacement
         // set reliable in the paper's measurements).  Among several stale
-        // ways the most stale one goes first, the highest on a tie
-        // (`max_by_key` keeps the last of equal keys).
-        let staleness = |w: usize| self.fills[set] - self.stamp[self.idx(set, w)];
-        let most_stale = mask
-            .iter()
-            .max_by_key(|&w| staleness(w))
-            .filter(|&w| staleness(w) >= u64::from(self.max_staleness));
-        if let Some(stale) = most_stale {
-            return Some(stale);
+        // ways the most stale one goes first, the highest on a tie: one
+        // pass over the set's stamp row, `>=` keeping the later way.
+        let fills = self.fills[set];
+        let stamps = &self.stamp[set * self.ways..(set + 1) * self.ways];
+        let (mut stalest, mut staleness) = (0, 0);
+        for way in mask.iter() {
+            let age = fills - stamps[way];
+            if age >= staleness {
+                (stalest, staleness) = (way, age);
+            }
+        }
+        if staleness >= u64::from(self.max_staleness) {
+            return Some(stalest);
         }
         let plru_choice = self.plru.choose_victim(set, mask)?;
         let count = mask.count();
-        if count > 1 && self.rng.chance(self.mispredict) {
+        if count > 1 && self.rng.chance(self.deviate) {
             // Deviate: pick uniformly among the other candidates, in
             // ascending way order.
             return mask.without(plru_choice).nth(self.rng.below(count - 1));

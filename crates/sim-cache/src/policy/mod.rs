@@ -24,10 +24,13 @@
 //! updates O(1) words, and a victim choice scans at most the set's ways.
 //! SRRIP ages its candidates in one step, NRU keeps one reference word per
 //! set, and Intel-like derives each way's staleness from a per-set fill
-//! count instead of ageing every way on a fill.  The test module checks
+//! count instead of ageing every way on a fill.  No draw divides: Random
+//! and Intel-like reduce a draw by a way count with a table of Lemire
+//! magics (`PolicyRng::below`), and a fixed-probability draw compares the
+//! raw value with a threshold found once (`Chance`).  The test module checks
 //! SRRIP, NRU and Intel-like victim for victim against reference models
-//! written the plain way (`reference.rs`), under random operation mixes and
-//! candidate masks.
+//! written the plain way (`reference.rs`, its draws by `%` and a float
+//! compare), under random operation mixes and candidate masks.
 
 mod intel_like;
 mod lru;
@@ -281,21 +284,94 @@ impl PolicyRng {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    /// Uniform value in `[0, bound)`; `bound` must be non-zero.
+    /// Uniform value in `[0, bound)`: exactly `next_u64() % bound`, without
+    /// a divide.  `bound` is a way count, in `1..=64`.
+    #[inline]
     pub(crate) fn below(&mut self, bound: usize) -> usize {
-        debug_assert!(bound > 0);
-        (self.next_u64() % bound as u64) as usize
+        fastmod(self.next_u64(), bound)
     }
 
-    /// Bernoulli draw with probability `p`.
-    pub(crate) fn chance(&mut self, p: f64) -> bool {
+    /// Bernoulli draw: `true` with the probability `chance` was built for.
+    /// Probability 0 or 1 draws nothing from the stream.
+    #[inline]
+    pub(crate) fn chance(&mut self, chance: Chance) -> bool {
+        match chance {
+            Chance::Never => false,
+            Chance::Always => true,
+            Chance::Below(threshold) => self.next_u64() < threshold,
+        }
+    }
+}
+
+/// `ceil(2^128 / d)` for every divisor `d` in `1..=64`, wrapped to `u128`
+/// (`d = 1` wraps to 0, which [`fastmod`] turns into the right remainder,
+/// 0).  Index 0 is unused.
+const FASTMOD_MAGIC: [u128; 65] = {
+    let mut magic = [0; 65];
+    let mut d = 1;
+    while d <= 64 {
+        magic[d] = (u128::MAX / d as u128).wrapping_add(1);
+        d += 1;
+    }
+    magic
+};
+
+/// `x % d` for `d` in `1..=64`, as multiplies: Lemire's direct remainder
+/// (Lemire, Kaser and Kurz, "Faster remainder by direct computation",
+/// 2019).  With `c = ceil(2^128 / d)`, the low 128 bits of `c * x` are the
+/// fractional part of `x / d` scaled by 2^128; times `d` and shifted down
+/// by 128 bits, it is the remainder.  It is exact for every 64-bit `x`
+/// because 128 fraction bits are at least the 64 + log2(64) bits that
+/// their theorem asks for.
+#[inline(always)]
+fn fastmod(x: u64, d: usize) -> usize {
+    debug_assert!((1..=64).contains(&d));
+    let fraction = FASTMOD_MAGIC[d].wrapping_mul(u128::from(x));
+    let d = d as u128;
+    // `fraction * d >> 128`, from the two 64-bit halves of `fraction`.
+    let high = (fraction >> 64) * d;
+    let low = ((fraction & u128::from(u64::MAX)) * d) >> 64;
+    ((high + low) >> 64) as usize
+}
+
+/// A Bernoulli draw of fixed probability, resolved once into an integer
+/// threshold on the raw stream value.
+///
+/// The float test `x as f64 / u64::MAX as f64 < p` is monotone in `x`, so
+/// it holds exactly for the `x` below the first one that fails it;
+/// [`Chance::new`] finds that `x` by binary search and every draw becomes
+/// one integer compare, with the same outcomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Chance {
+    /// Probability 0 or less: no draw.
+    Never,
+    /// Probability 1 or more: no draw.
+    Always,
+    /// One draw `x`, a success when `x < threshold`.
+    Below(u64),
+}
+
+impl Chance {
+    /// The draw of probability `p`.
+    pub(crate) fn new(p: f64) -> Chance {
         if p <= 0.0 {
-            return false;
+            return Chance::Never;
         }
         if p >= 1.0 {
-            return true;
+            return Chance::Always;
         }
-        (self.next_u64() as f64 / u64::MAX as f64) < p
+        let hit = |x: u64| (x as f64 / u64::MAX as f64) < p;
+        // `hit(u64::MAX)` is `1.0 < p`, false here: the first miss exists.
+        let (mut lo, mut hi) = (0u64, u64::MAX);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if hit(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Chance::Below(lo)
     }
 }
 
@@ -505,8 +581,63 @@ mod tests {
         for _ in 0..1000 {
             assert!(a.below(8) < 8);
         }
-        assert!(!a.chance(0.0));
-        assert!(a.chance(1.0));
+        assert!(!a.chance(Chance::new(0.0)));
+        assert!(a.chance(Chance::new(1.0)));
+    }
+
+    #[test]
+    fn draw_below_is_the_remainder_for_every_way_count() {
+        let mut stream = PolicyRng::new(2022);
+        let samples: Vec<u64> = (0..4096).map(|_| stream.next_u64()).collect();
+        for d in 1..=64usize {
+            let divisor = d as u64;
+            let top = u64::MAX / divisor * divisor;
+            let edges = [
+                0,
+                1,
+                divisor - 1,
+                divisor,
+                divisor + 1,
+                (1 << 63) - 1,
+                1 << 63,
+                top - 1,
+                top,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            for &x in edges.iter().chain(&samples) {
+                assert_eq!(fastmod(x, d) as u64, x % divisor, "{x} % {d}");
+            }
+            let (mut rng, mut plain) = (PolicyRng::new(divisor), PolicyRng::new(divisor));
+            for _ in 0..256 {
+                assert_eq!(rng.below(d) as u64, plain.next_u64() % divisor);
+            }
+        }
+    }
+
+    #[test]
+    fn draw_chance_is_the_float_test() {
+        let float = |x: u64, p: f64| (x as f64 / u64::MAX as f64) < p;
+        assert_eq!(Chance::new(0.0), Chance::Never);
+        assert_eq!(Chance::new(1.0), Chance::Always);
+        for p in [0.0, 0.222, 0.42, 1.0] {
+            let chance = Chance::new(p);
+            let (mut rng, mut plain) = (PolicyRng::new(5), PolicyRng::new(5));
+            if let Chance::Below(threshold) = chance {
+                // The stream values on either side of the threshold.
+                for x in (threshold - 3..=threshold + 3).chain([0, u64::MAX]) {
+                    assert_eq!(x < threshold, float(x, p), "p = {p}, x = {x}");
+                }
+                for _ in 0..4096 {
+                    assert_eq!(rng.chance(chance), float(plain.next_u64(), p), "p = {p}");
+                }
+            } else {
+                for _ in 0..64 {
+                    assert_eq!(rng.chance(chance), p >= 1.0);
+                }
+                assert_eq!(rng, plain, "p = {p} draws nothing");
+            }
+        }
     }
 
     #[test]

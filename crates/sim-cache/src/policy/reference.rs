@@ -186,9 +186,12 @@ impl ReplacementPolicy for IntelLikeModel {
             return Some(stale);
         }
         let plru_choice = self.plru.choose_victim(set, mask)?;
-        if mask.count() > 1 && self.rng.chance(IntelLike::DEFAULT_MISPREDICT) {
+        // The draws in their plain forms: a float compare and a `%`.
+        if mask.count() > 1
+            && (self.rng.next_u64() as f64 / u64::MAX as f64) < IntelLike::DEFAULT_MISPREDICT
+        {
             let others: Vec<usize> = mask.iter().filter(|&w| w != plru_choice).collect();
-            return Some(others[self.rng.below(others.len())]);
+            return Some(others[(self.rng.next_u64() % others.len() as u64) as usize]);
         }
         Some(plru_choice)
     }

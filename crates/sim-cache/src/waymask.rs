@@ -27,14 +27,17 @@ impl WayMask {
     /// A mask with no ways enabled.
     pub const EMPTY: WayMask = WayMask(0);
 
+    /// The most ways a mask covers: one bit of a `u64` each.
+    pub const MAX_WAYS: usize = 64;
+
     /// Creates a mask enabling all `ways` ways.
     ///
     /// # Panics
     ///
     /// Panics if `ways` exceeds 64.
     pub fn all(ways: usize) -> WayMask {
-        assert!(ways <= 64, "way masks support at most 64 ways");
-        if ways == 64 {
+        assert!(ways <= Self::MAX_WAYS, "way masks support at most 64 ways");
+        if ways == Self::MAX_WAYS {
             WayMask(u64::MAX)
         } else {
             WayMask((1u64 << ways) - 1)
