@@ -8,21 +8,23 @@
 //!   target set holds `d = 0..=8` dirty lines;
 //! * the **threshold calibration** the receiver performs before decoding a
 //!   live transmission (the per-`d` latency classes double as training data).
+//!
+//! The parties' lines are [`PartyLines`], laid out as in every frame, and
+//! each measured sweep is the next [`Sweeps`] order over the receiver's two
+//! alternating replacement sets, drawn from `machine.seed ^ 0xca1b` anew at
+//! every level.
 
 use crate::encoding::SymbolEncoding;
 use crate::error::Error;
 use crate::protocol::Decoder;
-use crate::{RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
+use crate::{PartyLines, RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
 use analysis::histogram::Cdf;
 use analysis::stats::Summary;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use sim_cache::addr::{CacheGeometry, PhysAddr};
+use sim_cache::addr::CacheGeometry;
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
-use sim_core::memlayout::{ChannelLayout, SetLines};
+use sim_core::memlayout::{ChannelLayout, SetLines, Sweeps};
 use sim_core::process::{AddressSpace, ProcessId};
 
 /// Configuration of the calibration runs, which measure L1 set
@@ -111,22 +113,20 @@ fn check_samples(config: &CalibrationConfig) -> Result<(), Error> {
     Ok(())
 }
 
-/// The experimental setting shared by the calibration loops: the layouts and
-/// traces of one configuration, built once and measured on a borrowed
-/// machine level after level.
+/// The experimental setting shared by the calibration loops: the parties'
+/// lines and traces of one configuration, built once and measured on a
+/// borrowed machine level after level.
 struct Bench<'a> {
     config: &'a CalibrationConfig,
-    receiver_layout: ChannelLayout,
-    /// The warm-up loads of each party's lines (receiver lines first).
+    receiver: ChannelLayout,
+    /// The warm-up loads of each party's lines (receiver lines first, in
+    /// prime order).
     receiver_warm: Vec<TraceOp>,
     sender_warm: Vec<TraceOp>,
     /// A store to each sender line; a level's encoding burst for `d` dirty
     /// lines is its first `d` (Algorithm 1).
     sender_stores: Vec<TraceOp>,
-    rng: StdRng,
-    sweeps: u64,
-    /// The sweep order, shuffled in place for every sweep.
-    order: Vec<PhysAddr>,
+    sweeps: Sweeps,
 }
 
 impl<'a> Bench<'a> {
@@ -134,49 +134,24 @@ impl<'a> Bench<'a> {
         check_samples(config)?;
         let geometry = config.machine.hierarchy.l1d.geometry;
         check_layout(geometry, 0)?;
-        let receiver_layout = ChannelLayout::build(
-            AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
-            geometry,
-            TARGET_SET,
-            geometry.associativity,
-            REPLACEMENT_SIZE,
-        );
-        let sender_lines = SetLines::build(
-            AddressSpace::new(ProcessId(SENDER_DOMAIN)),
-            geometry,
-            TARGET_SET,
-            geometry.associativity,
-            0,
-        );
+        let PartyLines { receiver, sender } = PartyLines::build(geometry, REPLACEMENT_SIZE);
         // The two parties' address spaces are disjoint, so the warm-up is
         // two batched traces.
-        let receiver_warm = receiver_layout
-            .replacement_a
-            .lines()
-            .iter()
-            .chain(receiver_layout.replacement_b.lines())
-            .chain(receiver_layout.target_lines.lines())
-            .map(|&addr| TraceOp::read(addr))
-            .collect();
-        let sender_warm = sender_lines
-            .lines()
-            .iter()
-            .map(|&addr| TraceOp::read(addr))
-            .collect();
-        let sender_stores = sender_lines
-            .lines()
-            .iter()
-            .map(|&addr| TraceOp::write(addr))
-            .collect();
         Ok(Bench {
             config,
-            receiver_layout,
-            receiver_warm,
-            sender_warm,
-            sender_stores,
-            rng: StdRng::seed_from_u64(config.machine.seed ^ 0xca1b),
-            sweeps: 0,
-            order: Vec::with_capacity(REPLACEMENT_SIZE),
+            receiver_warm: receiver.prime_lines().map(TraceOp::read).collect(),
+            sender_warm: sender
+                .lines()
+                .iter()
+                .map(|&addr| TraceOp::read(addr))
+                .collect(),
+            sender_stores: sender
+                .lines()
+                .iter()
+                .map(|&addr| TraceOp::write(addr))
+                .collect(),
+            receiver,
+            sweeps: Sweeps::new(config.machine.seed ^ 0xca1b),
         })
     }
 
@@ -186,8 +161,7 @@ impl<'a> Bench<'a> {
     /// clock at the end: the simulated cycles the level took.
     fn level(&mut self, machine: &mut Machine, d: usize) -> Result<(Vec<u64>, u64), Error> {
         check_layout(self.config.machine.hierarchy.l1d.geometry, d)?;
-        self.rng = StdRng::seed_from_u64(self.config.machine.seed ^ 0xca1b);
-        self.sweeps = 0;
+        self.sweeps = Sweeps::new(self.config.machine.seed ^ 0xca1b);
         // Warm every line into the outer levels, then one throw-away sweep
         // initialises the target set with clean lines.
         machine.run_trace(RECEIVER_DOMAIN, &self.receiver_warm);
@@ -204,14 +178,8 @@ impl<'a> Bench<'a> {
     /// One measured replacement-set sweep (Algorithm 2's decoding phase),
     /// alternating the two replacement sets.
     fn sweep(&mut self, machine: &mut Machine) -> u64 {
-        let replacement = self.receiver_layout.replacement_for(self.sweeps);
-        self.sweeps += 1;
-        // The same draws as `SetLines::shuffled`, into the reused buffer.
-        self.order.clear();
-        self.order.extend_from_slice(replacement.lines());
-        self.order.shuffle(&mut self.rng);
-        let (measured, _) = machine.measured_chase(RECEIVER_DOMAIN, &self.order);
-        measured
+        let order = self.sweeps.next_order(&self.receiver);
+        machine.measured_chase(RECEIVER_DOMAIN, order).0
     }
 }
 

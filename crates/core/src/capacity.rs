@@ -22,26 +22,6 @@ pub fn rate_kbps(bits_per_symbol: usize, period_cycles: u64) -> f64 {
     bits_per_symbol as f64 * CLOCK_GHZ * 1e6 / period_cycles as f64
 }
 
-/// One point of a rate/error sweep (the paper's Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RatePoint {
-    /// Sender period `Ts` (= receiver period `Tr`) in cycles.
-    pub period_cycles: u64,
-    /// Achieved transmission rate in kbps.
-    pub rate_kbps: f64,
-    /// Measured bit error rate in `[0, 1]`.
-    pub bit_error_rate: f64,
-}
-
-impl RatePoint {
-    /// Effective goodput in kbps after discounting errors
-    /// (`rate * (1 - BER)`), a coarse capacity proxy used by the defense
-    /// evaluation to compare channels.
-    pub fn goodput_kbps(&self) -> f64 {
-        self.rate_kbps * (1.0 - self.bit_error_rate).max(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,22 +39,6 @@ mod tests {
         assert!((rate_kbps(2, 1_000) - 4_400.0).abs() < 1e-9);
         assert!((rate_kbps(2, 4_000) - 1_100.0).abs() < 1e-9);
         assert_eq!(rate_kbps(1, 0), 0.0);
-    }
-
-    #[test]
-    fn goodput_discounts_errors() {
-        let p = RatePoint {
-            period_cycles: 1_600,
-            rate_kbps: 1_375.0,
-            bit_error_rate: 0.05,
-        };
-        assert!((p.goodput_kbps() - 1_306.25).abs() < 1e-9);
-        let broken = RatePoint {
-            period_cycles: 800,
-            rate_kbps: 2_750.0,
-            bit_error_rate: 1.5,
-        };
-        assert_eq!(broken.goodput_kbps(), 0.0);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! [`EvaluationReport`] per multi-frame point — the pipeline behind the
 //! paper's Figures 5–7 and the bandwidth/error-rate numbers of Section V.
 
-use crate::capacity::RatePoint;
 use crate::encoding::SymbolEncoding;
 use crate::error::Error;
 use analysis::edit_distance::ErrorBreakdown;
@@ -314,8 +313,6 @@ pub struct EvaluationReport {
     pub max_bit_error_rate: f64,
     /// Transmission rate in kbps.
     pub rate_kbps: f64,
-    /// The corresponding rate/error point.
-    pub rate_point: RatePoint,
 }
 
 #[cfg(test)]
@@ -569,7 +566,7 @@ mod tests {
             report.mean_bit_error_rate
         );
         assert_eq!(report.frames, 6);
-        assert!(report.rate_point.goodput_kbps() > 300.0);
+        assert!((report.rate_kbps - 400.0).abs() < 1e-9);
     }
 
     #[test]

@@ -73,6 +73,10 @@ pub mod stealth;
 
 mod error;
 
+use sim_cache::addr::CacheGeometry;
+use sim_core::memlayout::{ChannelLayout, SetLines};
+use sim_core::process::{AddressSpace, ProcessId};
+
 pub use channel::{ChannelConfig, EvaluationReport, TransmissionReport};
 pub use encoding::SymbolEncoding;
 pub use error::Error;
@@ -89,6 +93,48 @@ pub const REPLACEMENT_SIZE: usize = 10;
 pub const RECEIVER_DOMAIN: u16 = 1;
 /// Protection domain (and process id) of the sender in every harness.
 pub const SENDER_DOMAIN: u16 = 2;
+
+/// The two parties' lines in set [`TARGET_SET`], laid out the same way by
+/// every harness that runs the channel: the session's frames, calibration,
+/// the stealth runs and the defense evaluation.
+#[derive(Debug)]
+pub struct PartyLines {
+    /// The receiver's layout in [`RECEIVER_DOMAIN`]'s address space: one
+    /// target line per way and two replacement sets.
+    pub receiver: ChannelLayout,
+    /// The sender's lines 0..N in [`SENDER_DOMAIN`]'s address space, one
+    /// per way.
+    pub sender: SetLines,
+}
+
+impl PartyLines {
+    /// Lays out both parties on an L1 of `geometry`, with receiver
+    /// replacement sets of `replacement_size` lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the L1 has no set [`TARGET_SET`] or `replacement_size`
+    /// exceeds [`sim_core::memlayout::MAX_REPLACEMENT_SIZE`].
+    pub fn build(geometry: CacheGeometry, replacement_size: usize) -> PartyLines {
+        let ways = geometry.associativity;
+        PartyLines {
+            receiver: ChannelLayout::build(
+                AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
+                geometry,
+                TARGET_SET,
+                ways,
+                replacement_size,
+            ),
+            sender: SetLines::build(
+                AddressSpace::new(ProcessId(SENDER_DOMAIN)),
+                geometry,
+                TARGET_SET,
+                ways,
+                0,
+            ),
+        }
+    }
+}
 
 /// Convenient glob-import of the most frequently used types.
 pub mod prelude {

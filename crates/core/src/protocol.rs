@@ -150,15 +150,6 @@ impl Decoder {
         Ok(Decoder { encoding, kind })
     }
 
-    /// Builds a binary decoder from an explicit threshold (used when the
-    /// threshold is known from a previous calibration).
-    pub fn binary_with_threshold(encoding: SymbolEncoding, threshold: f64) -> Decoder {
-        Decoder {
-            encoding,
-            kind: DecoderKind::Binary(BinaryThreshold::at(threshold)),
-        }
-    }
-
     /// The encoding this decoder expects.
     pub fn encoding(&self) -> &SymbolEncoding {
         &self.encoding
@@ -341,13 +332,6 @@ mod tests {
         assert!((result.bit_error_rate - 6.0 / 64.0).abs() < 1e-12);
         assert_eq!(result.breakdown.total(), 6);
         assert!(result.breakdown.losses >= 4);
-    }
-
-    #[test]
-    fn explicit_threshold_decoder() {
-        let decoder = Decoder::binary_with_threshold(SymbolEncoding::binary(4).unwrap(), 150.0);
-        assert_eq!(decoder.classify(149), 0);
-        assert_eq!(decoder.classify(151), 1);
     }
 
     #[test]

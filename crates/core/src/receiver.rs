@@ -98,15 +98,9 @@ impl WbReceiver {
             2 * replacement + self.layout.target_lines.len(),
             self.max_samples * replacement,
         );
-        program.phase(Phase::Prime).ops(
-            self.layout
-                .replacement_a
-                .lines()
-                .iter()
-                .chain(self.layout.replacement_b.lines())
-                .chain(self.layout.target_lines.lines())
-                .map(|&addr| TraceOp::read(addr)),
-        );
+        program
+            .phase(Phase::Prime)
+            .ops(self.layout.prime_lines().map(TraceOp::read));
         program
             .phase(Phase::Wait)
             .wait_floor(self.start_at, self.period / 2);
@@ -133,17 +127,10 @@ mod tests {
     use sim_cache::policy::PolicyKind;
     use sim_cache::trace::TraceKind;
     use sim_core::machine::{Machine, MachineConfig};
-    use sim_core::process::{AddressSpace, ProcessId};
     use sim_core::session::TraceStep;
 
     fn layout() -> ChannelLayout {
-        ChannelLayout::build(
-            AddressSpace::new(ProcessId(1)),
-            CacheGeometry::xeon_l1d(),
-            crate::TARGET_SET,
-            8,
-            crate::REPLACEMENT_SIZE,
-        )
+        crate::PartyLines::build(CacheGeometry::xeon_l1d(), crate::REPLACEMENT_SIZE).receiver
     }
 
     /// The chase orders of the compiled program, one per sample.

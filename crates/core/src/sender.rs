@@ -195,13 +195,7 @@ mod tests {
     use sim_core::session::TraceStep;
 
     fn lines() -> SetLines {
-        SetLines::build(
-            AddressSpace::new(ProcessId(2)),
-            CacheGeometry::xeon_l1d(),
-            crate::TARGET_SET,
-            8,
-            0,
-        )
+        crate::PartyLines::build(CacheGeometry::xeon_l1d(), crate::REPLACEMENT_SIZE).sender
     }
 
     /// `(stores, loads)` the compiled program issues in each period, split
@@ -271,7 +265,7 @@ mod tests {
         // 15 100.
         let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
         let mut start = TraceProgram::new("start", 2);
-        start.wait_until(100);
+        start.wait_epoch(100);
         machine.run_session(std::slice::from_ref(&start), &mut [], 1_000);
         let report = machine.run_session(std::slice::from_ref(&program), &mut [], 1_000_000);
         assert_eq!(report.finished_at, 15_100);

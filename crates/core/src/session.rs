@@ -23,20 +23,19 @@
 //! ```
 
 use crate::calibration::{calibrate_decoder, CalibrationConfig};
-use crate::capacity::{rate_kbps, RatePoint};
+use crate::capacity::rate_kbps;
 use crate::channel::{ChannelConfig, EvaluationReport, TransmissionReport};
 use crate::error::Error;
 use crate::protocol::Decoder;
 use crate::protocol::{align_and_score, Frame};
 use crate::receiver::WbReceiver;
 use crate::sender::WbSender;
-use crate::{RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
+use crate::{PartyLines, RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_cache::addr::CacheGeometry;
 use sim_cache::trace::TraceSummary;
 use sim_core::machine::Machine;
-use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::noise::NoisyNeighbor;
 use sim_core::process::{AddressSpace, ProcessId};
 use sim_core::session::TraceProgram;
@@ -64,21 +63,7 @@ impl FrameParties {
         frame: &Frame,
         seed: u64,
     ) -> FrameParties {
-        let receiver_layout = ChannelLayout::build(
-            AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
-            geometry,
-            TARGET_SET,
-            geometry.associativity,
-            REPLACEMENT_SIZE,
-        );
-        let sender_lines = SetLines::build(
-            AddressSpace::new(ProcessId(SENDER_DOMAIN)),
-            geometry,
-            TARGET_SET,
-            geometry.associativity,
-            0,
-        );
-
+        let parties = PartyLines::build(geometry, REPLACEMENT_SIZE);
         let symbols = config.encoding.bits_to_symbols(frame.bits());
         let symbol_count = symbols.len();
         // Rendezvous time agreed by both parties: generously after the
@@ -86,7 +71,7 @@ impl FrameParties {
         let epoch = 50_000u64;
         let sender = WbSender::new(
             SENDER_DOMAIN,
-            sender_lines,
+            parties.sender,
             config.encoding.clone(),
             symbols,
             config.period_cycles,
@@ -96,7 +81,7 @@ impl FrameParties {
         let max_samples = symbol_count + 4;
         let receiver = WbReceiver::new(
             RECEIVER_DOMAIN,
-            receiver_layout,
+            parties.receiver,
             config.period_cycles,
             max_samples,
             seed,
@@ -388,21 +373,15 @@ impl ChannelSession {
         } else {
             total_ber / frames as f64
         };
-        let rate = rate_kbps(
-            self.config.encoding.bits_per_symbol(),
-            self.config.period_cycles,
-        );
         Ok(EvaluationReport {
             frames,
             bits_per_frame,
             mean_bit_error_rate: mean,
             max_bit_error_rate: max_ber,
-            rate_kbps: rate,
-            rate_point: RatePoint {
-                period_cycles: self.config.period_cycles,
-                rate_kbps: rate,
-                bit_error_rate: mean,
-            },
+            rate_kbps: rate_kbps(
+                self.config.encoding.bits_per_symbol(),
+                self.config.period_cycles,
+            ),
         })
     }
 

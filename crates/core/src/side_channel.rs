@@ -17,6 +17,11 @@
 //!    lines and set *n* with clean lines and measures the *victim's*
 //!    execution time; the paper notes this variant needs each branch to load
 //!    two lines serially before the difference is observable.
+//!
+//! The attacker's probe of set *m* is the covert channel's measured sweep: a
+//! [`ChannelLayout`] of two replacement sets, warmed in prime order and
+//! walked in the shuffled, alternating [`Sweeps`] order (drawn from
+//! `seed ^ 0x51de`).
 
 use crate::error::Error;
 use crate::{RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN};
@@ -26,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use sim_cache::line::DomainId;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
-use sim_core::memlayout::{ChannelLayout, SetLines};
+use sim_core::memlayout::{ChannelLayout, SetLines, Sweeps};
 use sim_core::process::{AddressSpace, ProcessId};
 
 /// The attacker plays the covert channel's receiver.
@@ -123,8 +128,7 @@ struct Setup {
     prime_n: SetLines,
     victim_line0: SetLines,
     victim_line1: SetLines,
-    rng: StdRng,
-    sweeps: u64,
+    sweeps: Sweeps,
 }
 
 impl Setup {
@@ -154,8 +158,7 @@ impl Setup {
             // lines serially per branch, as the paper requires.
             victim_line0: SetLines::build(victim, geometry, SET_M, 2, 0),
             victim_line1: SetLines::build(victim, geometry, SET_N, 2, 0),
-            rng: StdRng::seed_from_u64(config.seed ^ 0x51de),
-            sweeps: 0,
+            sweeps: Sweeps::new(config.seed ^ 0x51de),
             machine,
         })
     }
@@ -165,13 +168,10 @@ impl Setup {
         // per domain, same access order as the per-access loops had.
         let attacker_warm: Vec<TraceOp> = self
             .probe_m
-            .replacement_a
-            .lines()
-            .iter()
-            .chain(self.probe_m.replacement_b.lines())
-            .chain(self.prime_m.lines())
-            .chain(self.prime_n.lines())
-            .map(|&l| TraceOp::read(l))
+            .prime_lines()
+            .chain(self.prime_m.lines().iter().copied())
+            .chain(self.prime_n.lines().iter().copied())
+            .map(TraceOp::read)
             .collect();
         let victim_warm: Vec<TraceOp> = self
             .victim_line0
@@ -187,11 +187,8 @@ impl Setup {
     /// Attacker sweep of set *m* (measured), alternating the two disjoint
     /// probe sets.
     fn probe_m(&mut self) -> u64 {
-        let replacement = self.probe_m.replacement_for(self.sweeps);
-        self.sweeps += 1;
-        let order = replacement.shuffled(&mut self.rng);
-        let (measured, _) = self.machine.measured_chase(ATTACKER_DOMAIN, &order);
-        measured
+        let order = self.sweeps.next_order(&self.probe_m);
+        self.machine.measured_chase(ATTACKER_DOMAIN, order).0
     }
 
     /// Attacker fills set *m* with `W` dirty lines (Prime-with-stores).
@@ -315,18 +312,6 @@ pub fn run_scenario(
     })
 }
 
-/// Runs all three scenarios.
-///
-/// # Errors
-///
-/// Propagates errors from [`run_scenario`].
-pub fn run_all(config: &SideChannelConfig) -> Result<Vec<SideChannelResult>, Error> {
-    Scenario::ALL
-        .iter()
-        .map(|&s| run_scenario(config, s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,10 +357,11 @@ mod tests {
 
     #[test]
     fn run_all_covers_every_scenario() {
-        let results = run_all(&quiet_config()).unwrap();
-        assert_eq!(results.len(), 3);
-        let labels: Vec<_> = results.iter().map(|r| r.scenario.label()).collect();
-        assert!(labels.iter().all(|l| !l.is_empty()));
+        for scenario in Scenario::ALL {
+            let result = run_scenario(&quiet_config(), scenario).unwrap();
+            assert_eq!(result.scenario, scenario);
+            assert!(!scenario.label().is_empty());
+        }
     }
 
     /// A hand-built L1 with too few sets for set m (16 sets), or for set n

@@ -17,12 +17,12 @@ use crate::encoding::SymbolEncoding;
 use crate::error::Error;
 use crate::receiver::WbReceiver;
 use crate::sender::WbSender;
-use crate::{RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
+use crate::{PartyLines, RECEIVER_DOMAIN, REPLACEMENT_SIZE, SENDER_DOMAIN, TARGET_SET};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::trace::TraceSummary;
 use sim_core::machine::{Machine, MachineConfig, CLOCK_GHZ};
-use sim_core::memlayout::{ChannelLayout, SetLines};
+use sim_core::memlayout::SetLines;
 use sim_core::process::{AddressSpace, ProcessId};
 use sim_core::workload::CompilerWorkload;
 
@@ -170,21 +170,20 @@ pub fn sender_profile(
     let symbols: Vec<usize> = (0..symbol_count)
         .map(|_| rng.gen_range(0..encoding.num_symbols()))
         .collect();
-    let sender_space = AddressSpace::new(ProcessId(SENDER_DOMAIN));
-    let sender_lines = SetLines::build(
-        sender_space,
-        geometry,
-        TARGET_SET,
-        geometry.associativity,
-        0,
-    );
+    let parties = PartyLines::build(geometry, REPLACEMENT_SIZE);
     // The real sender process keeps touching its loop variables and stack
     // while busy-waiting; model that as a small hot footprint in an unrelated
     // set so the perf-counter denominators (Table VII) are meaningful.
-    let spin_lines = SetLines::build(sender_space, geometry, SPIN_SET, 4, 5_000);
+    let spin_lines = SetLines::build(
+        AddressSpace::new(ProcessId(SENDER_DOMAIN)),
+        geometry,
+        SPIN_SET,
+        4,
+        5_000,
+    );
     let sender = WbSender::new(
         SENDER_DOMAIN,
-        sender_lines,
+        parties.sender,
         encoding.clone(),
         symbols,
         period_cycles,
@@ -199,16 +198,9 @@ pub fn sender_profile(
     let mut programs = vec![sender.compile()];
     let report = match companion {
         SenderCompanion::WbReceiver => {
-            let layout = ChannelLayout::build(
-                AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
-                geometry,
-                TARGET_SET,
-                geometry.associativity,
-                REPLACEMENT_SIZE,
-            );
             let receiver = WbReceiver::new(
                 RECEIVER_DOMAIN,
-                layout,
+                parties.receiver,
                 period_cycles,
                 symbol_count,
                 seed ^ 0xaaaa,

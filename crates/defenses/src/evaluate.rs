@@ -6,18 +6,20 @@
 //! distinguishability.  This mirrors how Section VIII argues about each
 //! defense: not with full transmissions but with the latency separation the
 //! receiver has left to work with.
+//!
+//! The parties are the channel's own: [`PartyLines`] with the defense's
+//! replacement-set size, primed in the receiver's prime order, and every
+//! measured sweep the next [`Sweeps`] order (drawn from `seed ^ 0xdef`).
 
 use crate::defense::Defense;
 use analysis::threshold::BinaryThreshold;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sim_cache::cache::AccessContext;
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
-use sim_core::memlayout::{ChannelLayout, SetLines};
+use sim_core::memlayout::{SetLines, Sweeps};
 use sim_core::process::{AddressSpace, ProcessId};
-use wb_channel::{Error, RECEIVER_DOMAIN, SENDER_DOMAIN, TARGET_SET};
+use wb_channel::{Error, PartyLines, RECEIVER_DOMAIN, SENDER_DOMAIN, TARGET_SET};
 
 /// Result of evaluating one defense.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,20 +102,10 @@ pub fn evaluate_defense(
     // The attacker adapts the replacement-set size to the defense (the
     // paper's Sec. VI-A counter to pseudo-random replacement).
     let replacement_size = defense.attacker_replacement_size();
-    let receiver_layout = ChannelLayout::build(
-        AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
-        geometry,
-        TARGET_SET,
-        geometry.associativity,
-        replacement_size,
-    );
-    let sender_lines = SetLines::build(
-        AddressSpace::new(ProcessId(SENDER_DOMAIN)),
-        geometry,
-        TARGET_SET,
-        geometry.associativity,
-        0,
-    );
+    let PartyLines {
+        receiver,
+        sender: sender_lines,
+    } = PartyLines::build(geometry, replacement_size);
     // Guard lines used by Prefetch-guard (a separate "defense" domain).
     let guard_lines = SetLines::build(
         AddressSpace::new(ProcessId(7)),
@@ -122,17 +114,10 @@ pub fn evaluate_defense(
         8,
         7_000,
     );
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xdef);
+    let mut sweeps = Sweeps::new(config.seed ^ 0xdef);
 
     // Warm everything (two batched traces, one per domain).
-    let receiver_warm: Vec<TraceOp> = receiver_layout
-        .replacement_a
-        .lines()
-        .iter()
-        .chain(receiver_layout.replacement_b.lines())
-        .chain(receiver_layout.target_lines.lines())
-        .map(|&addr| TraceOp::read(addr))
-        .collect();
+    let receiver_warm: Vec<TraceOp> = receiver.prime_lines().map(TraceOp::read).collect();
     let sender_warm: Vec<TraceOp> = sender_lines
         .lines()
         .iter()
@@ -142,9 +127,8 @@ pub fn evaluate_defense(
     machine.run_trace(RECEIVER_DOMAIN, &receiver_warm);
     machine.run_trace(SENDER_DOMAIN, &sender_warm);
 
-    let mut sweeps = 0u64;
     let mut locked_lines: Vec<sim_cache::addr::PhysAddr> = Vec::new();
-    let mut observe = |machine: &mut Machine, rng: &mut StdRng, d: usize| -> u64 {
+    let mut observe = |machine: &mut Machine, d: usize| -> u64 {
         // Sender encodes d dirty lines (the protected process's stores).
         // Unless the defense interleaves per-store lock operations, the
         // burst runs as one batched trace.
@@ -169,10 +153,8 @@ pub fn evaluate_defense(
                 .prefetch_into_l1(line, AccessContext::for_domain(7));
         }
         // Receiver decodes: a measured sweep with alternating replacement sets.
-        let replacement = receiver_layout.replacement_for(sweeps);
-        sweeps += 1;
-        let order = replacement.shuffled(rng);
-        let (measured, _) = machine.measured_chase(RECEIVER_DOMAIN, &order);
+        let order = sweeps.next_order(&receiver);
+        let (measured, _) = machine.measured_chase(RECEIVER_DOMAIN, order);
         // PLcache: the protected process unlocks (and cleans up) its lines at
         // the end of its critical section so the next iteration starts fresh.
         if defense.locks_protected_lines() {
@@ -189,8 +171,8 @@ pub fn evaluate_defense(
     let mut clean = Vec::with_capacity(per_class);
     let mut dirty = Vec::with_capacity(per_class);
     for _ in 0..per_class {
-        clean.push(observe(&mut machine, &mut rng, 0) as f64);
-        dirty.push(observe(&mut machine, &mut rng, DIRTY_LINES) as f64);
+        clean.push(observe(&mut machine, 0) as f64);
+        dirty.push(observe(&mut machine, DIRTY_LINES) as f64);
     }
 
     // Calibrate on the first half, score on the second half.

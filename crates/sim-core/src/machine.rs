@@ -397,10 +397,6 @@ impl Machine {
                         measured = Some(self.tsc.measure(summary.cycles, &mut self.rng));
                         summary.cycles
                     }
-                    TraceStep::WaitUntil { target } => {
-                        thread.step += 1;
-                        target.saturating_sub(started)
-                    }
                     TraceStep::WaitEpoch { target } => {
                         thread.step += 1;
                         thread.anchor = target;
@@ -623,16 +619,16 @@ mod tests {
     }
 
     #[test]
-    fn wait_until_lands_on_the_requested_cycle() {
+    fn wait_epoch_lands_on_the_requested_cycle() {
         let mut m = ideal_machine();
         let mut program = TraceProgram::new("w", 1);
-        program.wait_until(5_000).wait_rel(1);
+        program.wait_epoch(5_000).wait_rel(1);
         let report = m.run_session(std::slice::from_ref(&program), &mut [], 100_000);
         // The wait ends exactly at 5 000; the one-cycle step right after.
         assert_eq!(report.finished_at, 5_001);
         // A wait for a cycle already passed still costs one cycle.
         let mut late = TraceProgram::new("late", 1);
-        late.wait_until(100);
+        late.wait_epoch(100);
         let report = m.run_session(std::slice::from_ref(&late), &mut [], 100_000);
         assert_eq!(report.finished_at, 5_002);
     }
@@ -676,15 +672,21 @@ mod tests {
     /// Done; an interrupt poll before every turn; earliest-ready-first with
     /// lowest-index tie-breaking; every access absorbed into its program's
     /// summary as it happens and every chase walked access by access. It
-    /// covers the `Ops`, `Chase`, `WaitUntil` and `WaitRel` steps. Returns
-    /// the session's end cycle, whether the limit ended it, and one log per
-    /// program.
+    /// covers every step: `Ops`, `Chase`, the relative `WaitRel`, and the
+    /// anchored vocabulary — an `Anchor` marker takes no turn and latches
+    /// the issue time of the program's next turn, after that turn's
+    /// interrupt poll; `WaitEpoch` latches its target, `WaitFloor` the
+    /// later of its issue time and its floor, and `WaitAnchor` waits past
+    /// the latched value (the session start until something is latched).
+    /// Returns the session's end cycle, whether the limit ended it, and one
+    /// log per program.
     fn run(m: &mut Machine, programs: &[TraceProgram], limit: u64) -> (u64, bool, Vec<TurnLog>) {
         struct Thread {
             ready_at: u64,
             interrupts: InterruptModel,
             step: usize,
             op: usize,
+            anchor: u64,
         }
         let mut threads: Vec<Thread> = programs
             .iter()
@@ -693,6 +695,7 @@ mod tests {
                 interrupts: InterruptModel::new(&m.config.interrupts, &mut m.rng),
                 step: 0,
                 op: 0,
+                anchor: m.now,
             })
             .collect();
         let mut logs: Vec<TurnLog> = programs
@@ -728,6 +731,10 @@ mod tests {
             }
             logs[idx].actions += 1;
             let program = &programs[idx];
+            while let Some(TraceStep::Anchor) = program.steps().get(thread.step) {
+                thread.anchor = m.now;
+                thread.step += 1;
+            }
             let domain = program.domain();
             let ctx = AccessContext::for_domain(domain);
             let Some(&step) = program.steps().get(thread.step) else {
@@ -762,15 +769,25 @@ mod tests {
                     measured = Some(m.tsc.measure(cycles, &mut m.rng));
                     cycles
                 }
-                TraceStep::WaitUntil { target } => {
+                TraceStep::WaitEpoch { target } => {
                     thread.step += 1;
+                    thread.anchor = target;
                     target.saturating_sub(m.now)
+                }
+                TraceStep::WaitAnchor { offset } => {
+                    thread.step += 1;
+                    (thread.anchor + offset).saturating_sub(m.now)
+                }
+                TraceStep::WaitFloor { floor, offset } => {
+                    thread.step += 1;
+                    thread.anchor = m.now.max(floor);
+                    (thread.anchor + offset).saturating_sub(m.now)
                 }
                 TraceStep::WaitRel { offset } => {
                     thread.step += 1;
                     offset
                 }
-                other => unreachable!("the reference does not model {other:?}"),
+                TraceStep::Anchor => unreachable!("markers are latched above"),
             };
             thread.ready_at = m.now + latency.max(1);
             if let Some(measured) = measured {
@@ -831,8 +848,11 @@ mod tests {
     enum GenStep {
         Ops(Vec<(u8, usize, u64)>),
         Chase(Vec<(usize, u64)>),
-        WaitUntil(u64),
         WaitRel(u64),
+        Anchor,
+        WaitEpoch(u64),
+        WaitAnchor(u64),
+        WaitFloor(u64, u64),
     }
 
     fn gen_step() -> impl Strategy<Value = GenStep> {
@@ -841,10 +861,14 @@ mod tests {
         prop_oneof![
             proptest::collection::vec((0u8..3, 0usize..3, 0u64..12), 1..5).prop_map(GenStep::Ops),
             proptest::collection::vec(line, 1..10).prop_map(GenStep::Chase),
-            // On a 500-cycle grid, so threads often become ready on the same
-            // cycle as each other and as a periodic interrupt.
-            (0u64..24).prop_map(|k| GenStep::WaitUntil(500 * k)),
             (0u64..3_000).prop_map(GenStep::WaitRel),
+            Just(GenStep::Anchor),
+            // Targets and offsets on a 250-cycle grid, so threads often
+            // become ready on the same cycle as each other and as a
+            // periodic interrupt.
+            (0u64..48).prop_map(|k| GenStep::WaitEpoch(250 * k)),
+            (0u64..12).prop_map(|k| GenStep::WaitAnchor(250 * k)),
+            ((0u64..48), (0u64..12)).prop_map(|(k, j)| GenStep::WaitFloor(250 * k, 250 * j)),
         ]
     }
 
@@ -873,11 +897,20 @@ mod tests {
                                 lines.iter().map(|&(set, tag)| line(set, tag)).collect();
                             program.chase(&addrs);
                         }
-                        GenStep::WaitUntil(target) => {
-                            program.wait_until(*target);
-                        }
                         GenStep::WaitRel(offset) => {
                             program.wait_rel(*offset);
+                        }
+                        GenStep::Anchor => {
+                            program.anchor();
+                        }
+                        GenStep::WaitEpoch(target) => {
+                            program.wait_epoch(*target);
+                        }
+                        GenStep::WaitAnchor(offset) => {
+                            program.wait_anchor(*offset);
+                        }
+                        GenStep::WaitFloor(floor, offset) => {
+                            program.wait_floor(*floor, *offset);
                         }
                     }
                 }
@@ -966,7 +999,7 @@ mod tests {
         let mix = vec![
             vec![
                 GenStep::Ops(vec![(0, 0, 1), (1, 0, 2), (0, 1, 3)]),
-                GenStep::WaitUntil(40_000),
+                GenStep::WaitEpoch(40_000),
                 GenStep::Chase((0..10).map(|t| (0, t)).collect()),
                 GenStep::WaitRel(2_000),
                 GenStep::Chase((0..10).map(|t| (1, t)).collect()),
@@ -974,7 +1007,7 @@ mod tests {
             vec![
                 GenStep::WaitRel(1_500),
                 GenStep::Ops(vec![(1, 0, 4), (1, 1, 5)]),
-                GenStep::WaitUntil(300_000),
+                GenStep::WaitEpoch(300_000),
                 GenStep::Ops(vec![(0, 0, 4), (2, 1, 5)]),
             ],
         ];
@@ -1032,7 +1065,7 @@ mod tests {
                 .load(PhysAddr(0x4000))
                 .store(PhysAddr(0x4040))
                 .phase(Phase::Wait)
-                .wait_until(2_000)
+                .wait_epoch(2_000)
                 .phase(Phase::Decode)
                 .anchor()
                 .chase(&chase)

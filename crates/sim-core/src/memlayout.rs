@@ -6,10 +6,13 @@
 //! target set (and whose tags differ).  [`SetLines`] captures exactly that: a
 //! collection of same-set, different-tag lines inside one process's address
 //! space, from which replacement sets and the sender's "lines 0..N" are drawn.
+//! [`ChannelLayout`] is the receiver's whole layout, and [`Sweeps`] walks its
+//! alternating replacement sets in Algorithm 2's shuffled order.
 
 use crate::process::AddressSpace;
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use sim_cache::addr::{CacheGeometry, PhysAddr};
 
 /// A family of cache lines that all map to one target set of the L1.
@@ -138,14 +141,59 @@ impl ChannelLayout {
             &self.replacement_b
         }
     }
+
+    /// The lines in prime order: set A, then set B, then the target-set
+    /// lines — the receiver's initialisation loads (Algorithm 2), which warm
+    /// both replacement sets into the outer levels and leave the target set
+    /// filled with its own clean lines.
+    pub fn prime_lines(&self) -> impl Iterator<Item = PhysAddr> + '_ {
+        self.replacement_a
+            .lines()
+            .iter()
+            .chain(self.replacement_b.lines())
+            .chain(self.target_lines.lines())
+            .copied()
+    }
+}
+
+/// The measured sweeps of one receiver: the orders of its pointer-chase
+/// walks over the alternating replacement sets, drawn from one seeded
+/// stream.
+#[derive(Debug)]
+pub struct Sweeps {
+    rng: StdRng,
+    count: u64,
+    /// The order of the latest sweep, reshuffled in place every sweep.
+    order: Vec<PhysAddr>,
+}
+
+impl Sweeps {
+    /// Sweeps whose shuffles are drawn from a stream seeded with `seed`.
+    pub fn new(seed: u64) -> Sweeps {
+        Sweeps {
+            rng: StdRng::seed_from_u64(seed),
+            count: 0,
+            order: Vec::new(),
+        }
+    }
+
+    /// The order of the next sweep over `layout`: the `n`-th call returns
+    /// [`ChannelLayout::replacement_for`]`(n)` shuffled with exactly the
+    /// draws [`SetLines::shuffled`] makes, into one reused buffer.
+    pub fn next_order(&mut self, layout: &ChannelLayout) -> &[PhysAddr] {
+        let replacement = layout.replacement_for(self.count);
+        self.count += 1;
+        self.order.clear();
+        self.order.extend_from_slice(replacement.lines());
+        self.order.shuffle(&mut self.rng);
+        &self.order
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::process::ProcessId;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn geometry() -> CacheGeometry {
         CacheGeometry::xeon_l1d()
@@ -241,6 +289,28 @@ mod tests {
         assert_eq!(layout.replacement_for(0), &layout.replacement_a);
         assert_eq!(layout.replacement_for(1), &layout.replacement_b);
         assert_eq!(layout.replacement_for(2), &layout.replacement_a);
+    }
+
+    #[test]
+    fn sweeps_alternate_a_and_b_in_the_orders_of_shuffled() {
+        let layout = ChannelLayout::build(AddressSpace::new(ProcessId(1)), geometry(), 21, 8, 10);
+        let mut sweeps = Sweeps::new(0xca1b);
+        let mut reference = StdRng::seed_from_u64(0xca1b);
+        for n in 0..6 {
+            let set = [&layout.replacement_a, &layout.replacement_b][n % 2];
+            let expected = set.shuffled(&mut reference);
+            assert_eq!(sweeps.next_order(&layout), &expected[..], "sweep {n}");
+        }
+    }
+
+    #[test]
+    fn prime_lines_run_a_then_b_then_the_target_lines() {
+        let layout = ChannelLayout::build(AddressSpace::new(ProcessId(1)), geometry(), 21, 8, 10);
+        let primed: Vec<PhysAddr> = layout.prime_lines().collect();
+        assert_eq!(primed.len(), 28);
+        assert_eq!(&primed[..10], layout.replacement_a.lines());
+        assert_eq!(&primed[10..20], layout.replacement_b.lines());
+        assert_eq!(&primed[20..], layout.target_lines.lines());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!
 //! Programs reference times three ways:
 //!
-//! * **absolute** — [`TraceStep::WaitUntil`] / [`TraceStep::WaitEpoch`]
-//!   target a fixed cycle (the agreed rendezvous epoch);
+//! * **absolute** — [`TraceStep::WaitEpoch`] targets a fixed cycle (the
+//!   agreed rendezvous epoch) and latches it as the anchor;
 //! * **anchored** — [`TraceStep::Anchor`] latches the issue time of the next
 //!   operation into the program's anchor register, and
 //!   [`TraceStep::WaitAnchor`] waits until `anchor + offset`.  This is the
@@ -54,11 +54,6 @@ pub enum TraceStep {
         start: usize,
         /// One past the last address.
         end: usize,
-    },
-    /// Spin until the absolute cycle `target`.
-    WaitUntil {
-        /// Absolute target cycle.
-        target: u64,
     },
     /// Spin until the absolute cycle `target` **and** latch `target` as the
     /// program's anchor — the rendezvous-epoch wait of the WB sender, whose
@@ -249,12 +244,6 @@ impl TraceProgram {
         self
     }
 
-    /// Appends an absolute wait.
-    pub fn wait_until(&mut self, target: u64) -> &mut Self {
-        self.push_step(TraceStep::WaitUntil { target });
-        self
-    }
-
     /// Appends the rendezvous-epoch wait (absolute wait that also anchors).
     pub fn wait_epoch(&mut self, target: u64) -> &mut Self {
         self.push_step(TraceStep::WaitEpoch { target });
@@ -406,7 +395,7 @@ mod tests {
             .wait_anchor(500)
             .wait_rel(10)
             .wait_floor(2_000, 250)
-            .wait_until(9_000);
+            .wait_epoch(9_000);
         assert_eq!(program.name(), "p");
         assert_eq!(program.domain(), 3);
         assert_eq!(program.steps().len(), 9);

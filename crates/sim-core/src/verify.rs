@@ -19,7 +19,7 @@
 //! | `chase-empty` | error | a measured chase must walk at least one line |
 //! | `chase-alias` | error | the lines of one measured chase must be distinct (an aliased walk re-measures an L1 hit and corrupts the sweep latency) |
 //! | `anchor-before-wait` | error | `WaitAnchor` needs an earlier `Anchor`, `WaitEpoch` or `WaitFloor`; relying on the implicit session-start anchor is a compiler bug |
-//! | `wait-monotone` | error | an absolute wait (`WaitUntil`/`WaitEpoch`) whose target is below the program's lower-bound clock is provably dead for every execution |
+//! | `wait-monotone` | error | an absolute wait (`WaitEpoch`) whose target is below the program's lower-bound clock is provably dead for every execution |
 //! | `address-space` | error | every op and chase address must carry one owning address space (ASID bits, [`crate::process::ASID_SHIFT`]) that fits a [`crate::process::ProcessId`] |
 //! | `domain-valid` | error | the program's [`DomainId`] must be nonzero — domain 0 is the unowned-line sentinel of the cache model |
 //! | `empty-program` | warning | a program with no steps still consumes its Done turn |
@@ -337,11 +337,20 @@ impl<'a> Verifier<'a> {
                     self.t_min = self.t_min.saturating_add((end - start) as u64);
                 }
             }
-            TraceStep::WaitUntil { target } => {
-                self.check_absolute(index, target, "WaitUntil");
-            }
             TraceStep::WaitEpoch { target } => {
-                self.check_absolute(index, target, "WaitEpoch");
+                // The target must not be provably in the past.
+                if target < self.t_min {
+                    self.push(
+                        Severity::Error,
+                        Some(index),
+                        "wait-monotone",
+                        format!(
+                            "WaitEpoch({target}) is dead: the program clock is already ≥ {} on every execution",
+                            self.t_min
+                        ),
+                    );
+                }
+                self.t_min = self.t_min.max(target);
                 self.anchor_lb = target;
                 self.anchored = true;
             }
@@ -385,22 +394,6 @@ impl<'a> Verifier<'a> {
                 self.anchored = true;
             }
         }
-    }
-
-    /// `WaitUntil` / `WaitEpoch` targets must not be provably in the past.
-    fn check_absolute(&mut self, index: usize, target: u64, kind: &str) {
-        if target < self.t_min {
-            self.push(
-                Severity::Error,
-                Some(index),
-                "wait-monotone",
-                format!(
-                    "{kind}({target}) is dead: the program clock is already ≥ {} on every execution",
-                    self.t_min
-                ),
-            );
-        }
-        self.t_min = self.t_min.max(target);
     }
 
     /// A trailing `Anchor` (only anchors after it) latches a value nothing
@@ -537,7 +530,7 @@ mod tests {
     #[test]
     fn non_monotone_absolute_wait_is_rejected() {
         let mut program = TraceProgram::new("corrupt", 1);
-        program.wait_until(1_000).wait_until(400);
+        program.wait_epoch(1_000).wait_epoch(400);
         let diags = program.verify();
         assert_eq!(errors(&diags), vec!["wait-monotone"]);
         assert_eq!(diags[0].step_index, Some(1));
@@ -636,7 +629,7 @@ mod tests {
     #[test]
     fn diagnostics_render_with_rule_and_step() {
         let mut program = TraceProgram::new("corrupt", 1);
-        program.wait_until(1_000).wait_until(400);
+        program.wait_epoch(1_000).wait_epoch(400);
         let diags = program.verify();
         let rendered = diags[0].to_string();
         assert!(
