@@ -47,15 +47,6 @@ impl BinaryThreshold {
         }
     }
 
-    /// Creates a threshold at an explicit latency value.
-    pub fn at(threshold: f64) -> BinaryThreshold {
-        BinaryThreshold {
-            threshold,
-            mean_zero: f64::NAN,
-            mean_one: f64::NAN,
-        }
-    }
-
     /// The decision boundary.
     pub fn value(&self) -> f64 {
         self.threshold
@@ -70,8 +61,7 @@ impl BinaryThreshold {
     /// were at least as slow as zeros (WB, Prime+Probe, the LRU channel) a
     /// value strictly above the threshold is a 1; otherwise (a dirty prime
     /// the victim cleaned, a defense that inverts the classes) a value at or
-    /// below it is.  [`BinaryThreshold::at`] has no class means and always
-    /// takes the second branch; use [`BinaryThreshold::classify`] there.
+    /// below it is.
     pub fn classify_directed(&self, value: f64) -> bool {
         if self.mean_one >= self.mean_zero {
             value > self.threshold
@@ -162,14 +152,6 @@ mod tests {
         assert!((t.separation() - 20.0).abs() < 1e-12);
         assert!(!t.classify(110.0));
         assert!(t.classify(113.0));
-    }
-
-    #[test]
-    fn explicit_threshold() {
-        let t = BinaryThreshold::at(150.0);
-        assert!(t.classify(151.0));
-        assert!(!t.classify(150.0));
-        assert_eq!(t.value(), 150.0);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 
 use crate::common::{transmit_periods, BaselineReport, NoiseSpec, Periods, RECEIVER, SENDER};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use sim_cache::addr::PhysAddr;
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
@@ -98,21 +100,26 @@ impl PrimeProbe {
                 .map(|i| TraceOp::read(sender_lines.line(i)))
                 .collect(),
         };
+        // The prime's reads and the probe's order are shuffled in buffers
+        // reused across periods, from the lines in tag order each time, so
+        // the draws and orders are those of a shuffled copy of the lines.
+        let mut prime: Vec<TraceOp> = Vec::with_capacity(prime_lines.len());
+        let mut probe: Vec<PhysAddr> = Vec::with_capacity(prime_lines.len());
         Ok(transmit_periods(
             periods,
             bits,
             noise,
             |machine, rng| {
-                let ops: Vec<TraceOp> = prime_lines
-                    .shuffled(rng)
-                    .into_iter()
-                    .map(TraceOp::read)
-                    .collect();
-                machine.run_trace(RECEIVER, &ops);
+                prime.clear();
+                prime.extend(prime_lines.lines().iter().map(|&line| TraceOp::read(line)));
+                prime.shuffle(rng);
+                machine.run_trace(RECEIVER, &prime);
             },
             |machine, rng| {
-                let order = prime_lines.shuffled(rng);
-                machine.measured_chase(RECEIVER, &order).0
+                probe.clear();
+                probe.extend_from_slice(prime_lines.lines());
+                probe.shuffle(rng);
+                machine.measured_chase(RECEIVER, &probe).0
             },
         ))
     }

@@ -127,6 +127,13 @@ pub fn evaluate_defense(
     machine.run_trace(RECEIVER_DOMAIN, &receiver_warm);
     machine.run_trace(SENDER_DOMAIN, &sender_warm);
 
+    // The sender's stores, built once: a sample of `d` dirty lines runs the
+    // first `d`.
+    let sender_stores: Vec<TraceOp> = sender_lines
+        .lines()
+        .iter()
+        .map(|&line| TraceOp::write(line))
+        .collect();
     let mut locked_lines: Vec<sim_cache::addr::PhysAddr> = Vec::new();
     let mut observe = |machine: &mut Machine, d: usize| -> u64 {
         // Sender encodes d dirty lines (the protected process's stores).
@@ -140,10 +147,7 @@ pub fn evaluate_defense(
                 locked_lines.push(line);
             }
         } else {
-            let encode: Vec<TraceOp> = (0..d)
-                .map(|i| TraceOp::write(sender_lines.line(i)))
-                .collect();
-            machine.run_trace(SENDER_DOMAIN, &encode);
+            machine.run_trace(SENDER_DOMAIN, &sender_stores[..d]);
         }
         // Prefetch-guard injects guard lines into the suspicious set.
         for g in 0..defense.guard_prefetch_degree() {

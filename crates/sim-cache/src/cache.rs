@@ -18,8 +18,18 @@
 //! per-way loop whose exit the branch predictor must guess.  Dirty counts,
 //! lock exclusion and empty-way selection are single mask operations, and
 //! per-domain way partitions resolve through a dense [`PartitionTable`]
-//! rather than a `HashMap`.  perfbench's `sim-core.exec_ns_per_access` row
-//! tracks the cost per access inside a channel frame.
+//! rather than a `HashMap`.
+//!
+//! An access works on a **set view** (`SetView`): the set's masks, its
+//! first fingerprint word and the replacement policy's word for the set
+//! (Tree-PLRU's direction word) held in locals.  The L1 demand path keeps
+//! one view across a stretch of consecutive accesses to one set, so the
+//! WB receiver's chase over one eviction set loads that state once and
+//! stores it once instead of on every access; tags and owners are written
+//! in place.  The L2 and LLC installs load and store a view around each
+//! fill, and their lookups and the invalidations read the arrays in place.
+//! perfbench's `sim-core.exec_ns_per_access` row tracks the cost per access
+//! inside a channel frame.
 //!
 //! The interface is deliberately attacker-visible: experiments can ask how
 //! many dirty lines a set currently holds, lock lines (PLcache defense) or
@@ -84,6 +94,33 @@ struct SetMasks {
     dirty: u64,
     /// Ways holding a locked line (PLcache).
     locked: u64,
+}
+
+/// One set's way state held in locals: a **set view**.
+///
+/// It holds the set's [`SetMasks`], its first fingerprint word (ways 0–7;
+/// the words of ways 8 and up stay in place) and the replacement policy's
+/// view word (Tree-PLRU's direction word; see
+/// [`PolicyDispatch::view_word`]).  [`Cache::load_view`] reads them,
+/// [`Cache::lookup_in`] and [`Cache::fill_missing_in`] update them, and
+/// [`Cache::store_view`] writes them back.  Tags and owners are written in
+/// place.  While a view is held, nothing else may read or write its set's
+/// state: the hierarchy stores the view before any step that can reach the
+/// L1 another way and loads it again after.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SetView {
+    set: usize,
+    masks: SetMasks,
+    fingerprint: u64,
+    policy_word: u64,
+}
+
+impl SetView {
+    /// The set this view holds.
+    #[inline(always)]
+    pub(crate) fn set(&self) -> usize {
+        self.set
+    }
 }
 
 /// Ways per fingerprint word: one byte per way.
@@ -162,6 +199,12 @@ pub struct Cache {
     config: CacheConfig,
     /// Ways per set, denormalised from the geometry for the hot path.
     ways: usize,
+    /// The geometry's address shifts and set mask, resolved once for the
+    /// hot path: the set index is `addr >> line_shift & set_mask`, the tag
+    /// `addr >> tag_shift`.
+    line_shift: u32,
+    tag_shift: u32,
+    set_mask: u64,
     /// The tag arena: the tag of line `(set, way)` at `set * ways + way`.
     /// Storing the tags contiguously (instead of packed 16-byte records)
     /// keeps a set's candidate tags on one dense row.
@@ -234,6 +277,9 @@ impl Cache {
         Ok(Cache {
             config,
             ways: geometry.associativity,
+            line_shift: geometry.line_offset_bits(),
+            tag_shift: geometry.line_offset_bits() + geometry.index_bits(),
+            set_mask: geometry.num_sets as u64 - 1,
             tags: vec![0u64; geometry.num_sets * geometry.associativity].into_boxed_slice(),
             fingerprints: vec![0u64; geometry.num_sets * fingerprint_words].into_boxed_slice(),
             fingerprint_words,
@@ -311,12 +357,14 @@ impl Cache {
     /// so the lookup and the subsequent fill never redo the address math.
     #[inline(always)]
     pub(crate) fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
-        let g = self.config.geometry;
-        (g.set_index(addr), g.tag(addr))
+        let set = ((addr.value() >> self.line_shift) & self.set_mask) as usize;
+        (set, addr.value() >> self.tag_shift)
     }
 
     /// Finds the way of `set` holding `tag`, if resident — the tag match on
-    /// the access hot path, one path for every associativity.
+    /// the access hot path, one path for every associativity.  The caller
+    /// passes the set's first fingerprint word and valid mask, read from
+    /// memory or from a held [`SetView`].
     ///
     /// XORs each of the set's fingerprint words with the tag's fingerprint
     /// repeated in every byte, turns the zero bytes into a way mask and
@@ -326,16 +374,13 @@ impl Cache {
     /// way scan mispredicts on the receiver's shuffled chase orders: a miss
     /// usually has no candidate and a hit one, each a single test.
     #[inline(always)]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+    fn find_with(&self, set: usize, tag: u64, first_word: u64, valid: u64) -> Option<usize> {
         let probe = fingerprint(tag) * 0x0101_0101_0101_0101;
-        let row = set * self.fingerprint_words;
-        // Word 0 exists in every cache; the loop runs only above 8 ways, so
-        // an 8-way lookup stays straight-line code.
-        let mut matches = zero_bytes(self.fingerprints[row] ^ probe);
-        for word in 1..self.fingerprint_words {
-            matches |= zero_bytes(self.fingerprints[row + word] ^ probe) << (word * WAYS_PER_WORD);
+        let mut matches = zero_bytes(first_word ^ probe);
+        if self.fingerprint_words > 1 {
+            matches |= self.matches_above_eight_ways(set, probe);
         }
-        let mut candidates = matches & self.masks[set].valid;
+        let mut candidates = matches & valid;
         let base = set * self.ways;
         while candidates != 0 {
             let way = candidates.trailing_zeros() as usize;
@@ -345,6 +390,48 @@ impl Cache {
             candidates &= candidates - 1;
         }
         None
+    }
+
+    /// The ways above 8 of `set` whose fingerprint bytes equal `probe`'s:
+    /// one out-of-line call, so an 8-way lookup stays straight-line code.
+    #[inline(never)]
+    fn matches_above_eight_ways(&self, set: usize, probe: u64) -> u64 {
+        let row = set * self.fingerprint_words;
+        (1..self.fingerprint_words).fold(0, |matches, word| {
+            matches | zero_bytes(self.fingerprints[row + word] ^ probe) << (word * WAYS_PER_WORD)
+        })
+    }
+
+    /// [`Cache::find_with`] on the set's state in memory.
+    #[inline(always)]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let first_word = self.fingerprints[set * self.fingerprint_words];
+        self.find_with(set, tag, first_word, self.masks[set].valid)
+    }
+
+    /// [`Cache::find_with`] on a held view.
+    #[inline(always)]
+    fn find_in(&self, view: &SetView, tag: u64) -> Option<usize> {
+        self.find_with(view.set, tag, view.fingerprint, view.masks.valid)
+    }
+
+    /// Loads the [`SetView`] of `set`.
+    #[inline(always)]
+    pub(crate) fn load_view(&self, set: usize) -> SetView {
+        SetView {
+            set,
+            masks: self.masks[set],
+            fingerprint: self.fingerprints[set * self.fingerprint_words],
+            policy_word: self.policy.view_word(set),
+        }
+    }
+
+    /// Writes a view loaded by [`Cache::load_view`] back to its set.
+    #[inline(always)]
+    pub(crate) fn store_view(&mut self, view: &SetView) {
+        self.masks[view.set] = view.masks;
+        self.fingerprints[view.set * self.fingerprint_words] = view.fingerprint;
+        self.policy.store_view_word(view.set, view.policy_word);
     }
 
     /// The mask bit of one way.
@@ -391,26 +478,32 @@ impl Cache {
             .count()
     }
 
-    /// Looks up the line `(set, tag)` (precomputed by [`Cache::set_and_tag`])
-    /// for a load.  On a hit the policy is refreshed; on a miss nothing
-    /// changes.  The hierarchy's demand path resolves the address once and
-    /// reuses it for the fill.
+    /// Looks up the line of `tag` in a held view's set, for a load or, with
+    /// `write`, a store.  A hit refreshes the policy; under a write-back
+    /// policy a store hit also marks the line dirty — the state transition
+    /// the WB channel is built on.  Under write-through the line stays clean
+    /// (the hierarchy forwards the store to the next level).  A miss changes
+    /// nothing.
     #[inline(always)]
-    pub(crate) fn lookup_read_at(&mut self, set: usize, tag: u64) -> Option<usize> {
-        let way = self.find(set, tag)?;
-        self.policy.on_hit(set, way);
+    pub(crate) fn lookup_in(&mut self, view: &mut SetView, tag: u64, write: bool) -> Option<usize> {
+        let way = self.find_in(view, tag)?;
+        self.policy.on_hit_in(view.set, way, &mut view.policy_word);
+        if write && self.config.write_policy == WritePolicy::WriteBack {
+            view.masks.dirty |= Self::bit(way);
+        }
         Some(way)
     }
 
-    /// Looks up the line `(set, tag)` for a store.  Under a write-back
-    /// policy a hit marks the line dirty — the state transition the WB
-    /// channel is built on.  Under write-through the line stays clean (the
-    /// hierarchy forwards the store to the next level).
+    /// [`Cache::lookup_in`] on the line `(set, tag)` (precomputed by
+    /// [`Cache::set_and_tag`]), in place: the L2 and LLC lookups of the
+    /// demand path and the resident case of [`Cache::fill`].  A lone
+    /// lookup has no stretch to hold a view across; loading and storing
+    /// one around it made channel frames about 5% slower.
     #[inline(always)]
-    pub(crate) fn lookup_write_at(&mut self, set: usize, tag: u64) -> Option<usize> {
+    pub(crate) fn lookup_at(&mut self, set: usize, tag: u64, write: bool) -> Option<usize> {
         let way = self.find(set, tag)?;
         self.policy.on_hit(set, way);
-        if self.config.write_policy == WritePolicy::WriteBack {
+        if write && self.config.write_policy == WritePolicy::WriteBack {
             self.masks[set].dirty |= Self::bit(way);
         }
         Some(way)
@@ -432,25 +525,18 @@ impl Cache {
     #[inline(always)]
     pub fn fill(&mut self, addr: PhysAddr, ctx: AccessContext, dirty: bool) -> FillOutcome {
         let (set, tag) = self.set_and_tag(addr);
-        if let Some(way) = self.find(set, tag) {
-            // Dirty bit before the policy touch, so the inlined write-back
-            // push shares `find`'s bounds check on `masks[set]`.
-            if dirty && self.config.write_policy == WritePolicy::WriteBack {
-                self.masks[set].dirty |= Self::bit(way);
-            }
-            self.policy.on_hit(set, way);
-            return FillOutcome {
+        match self.lookup_at(set, tag, dirty) {
+            Some(way) => FillOutcome {
                 way: Some(way),
                 evicted: None,
-            };
+            },
+            None => self.fill_missing_at(set, tag, ctx, dirty),
         }
-        self.fill_missing_at(set, tag, ctx, dirty)
     }
 
-    /// [`Cache::fill`] for a line the caller knows is **not** resident (a
-    /// lookup on this level just missed and nothing filled it since), with
-    /// the `(set, tag)` pair precomputed — skips the residency re-scan and
-    /// the address math on the demand-miss path.
+    /// [`Cache::fill_missing_in`] on the line `(set, tag)` through a view
+    /// of its own: the L2 and LLC installs of the demand path, whose lookup
+    /// just missed.
     #[inline(always)]
     pub(crate) fn fill_missing_at(
         &mut self,
@@ -459,39 +545,53 @@ impl Cache {
         ctx: AccessContext,
         dirty: bool,
     ) -> FillOutcome {
+        let mut view = self.load_view(set);
+        let outcome = self.fill_missing_in(&mut view, tag, ctx, dirty);
+        self.store_view(&view);
+        outcome
+    }
+
+    /// Installs the line of `tag` in a held view's set, which the caller
+    /// knows does **not** hold it (a lookup on this view just missed) —
+    /// no residency re-scan.  Ways are chosen as [`Cache::fill`] describes.
+    #[inline(always)]
+    pub(crate) fn fill_missing_in(
+        &mut self,
+        view: &mut SetView,
+        tag: u64,
+        ctx: AccessContext,
+        dirty: bool,
+    ) -> FillOutcome {
         debug_assert!(
-            self.find(set, tag).is_none(),
+            self.find_in(view, tag).is_none(),
             "fill_missing caller must have observed a miss"
         );
-
-        // The set's state record is loaded once up front and written back
-        // once after the install — the whole fill is one load/store pair on
-        // the masks array.
-        let mut state = self.masks[set];
+        let set = view.set;
 
         // The domain's allotment is a dense-array load; locked ways (always
         // a subset of the valid ways) are excluded with one mask operation.
         let allowed = self.partitions.resolve(ctx.domain);
-        let candidates = allowed.and(WayMask::from_bits(!state.locked));
+        let candidates = allowed.and(WayMask::from_bits(!view.masks.locked));
 
         // An invalid allowed way, if any, is preferred over the policy's
         // victim; the per-set valid mask answers that in one mask operation
         // (fills prefer empty ways before running the policy, as real tag
         // pipelines do).  `trailing_zeros` yields the lowest such way,
         // matching the way-order scan this replaced.
-        let invalid = !state.valid & allowed.bits();
+        let invalid = !view.masks.valid & allowed.bits();
         // The fill touch (`on_fill`) is issued together with the victim
         // choice: nothing reads policy state between the two, and Tree-PLRU
         // fuses them into one direction-word update.
         let way = if invalid != 0 {
-            if state.valid == 0 {
+            if view.masks.valid == 0 {
                 self.touched.insert(set);
             }
             let way = invalid.trailing_zeros() as usize;
-            self.policy.on_fill(set, way);
+            self.policy.on_fill_in(set, way, &mut view.policy_word);
             Some(way)
         } else {
-            self.policy.choose_victim_and_fill(set, candidates)
+            self.policy
+                .choose_victim_and_fill_in(set, candidates, &mut view.policy_word)
         };
         let Some(way) = way else {
             return FillOutcome {
@@ -502,10 +602,12 @@ impl Cache {
 
         let bit = Self::bit(way);
         let index = set * self.ways + way;
-        let evicted = if state.valid & bit != 0 {
+        let evicted = if view.masks.valid & bit != 0 {
             Some(EvictedLine {
-                addr: self.config.geometry.line_addr(set, self.tags[index]),
-                dirty: state.dirty & bit != 0,
+                addr: LineAddr(
+                    (self.tags[index] << self.tag_shift) | ((set as u64) << self.line_shift),
+                ),
+                dirty: view.masks.dirty & bit != 0,
                 owner: self.owners[index],
             })
         } else {
@@ -514,20 +616,24 @@ impl Cache {
 
         let store_dirty = dirty && self.config.write_policy == WritePolicy::WriteBack;
         self.tags[index] = tag;
-        let slot = &mut self.fingerprints[set * self.fingerprint_words + way / WAYS_PER_WORD];
         let shift = way % WAYS_PER_WORD * 8;
-        *slot = (*slot & !(0xff << shift)) | (fingerprint(tag) << shift);
-        self.owners[index] = ctx.domain;
-        state.valid |= bit;
-        if store_dirty {
-            state.dirty |= bit;
+        let byte = fingerprint(tag) << shift;
+        if way < WAYS_PER_WORD {
+            view.fingerprint = (view.fingerprint & !(0xff << shift)) | byte;
         } else {
-            state.dirty &= !bit;
+            let slot = &mut self.fingerprints[set * self.fingerprint_words + way / WAYS_PER_WORD];
+            *slot = (*slot & !(0xff << shift)) | byte;
+        }
+        self.owners[index] = ctx.domain;
+        view.masks.valid |= bit;
+        if store_dirty {
+            view.masks.dirty |= bit;
+        } else {
+            view.masks.dirty &= !bit;
         }
         // A refill always installs an unlocked line (locks die with the
         // victim), mirroring the packed-flag overwrite this replaced.
-        state.locked &= !bit;
-        self.masks[set] = state;
+        view.masks.locked &= !bit;
 
         FillOutcome {
             way: Some(way),
@@ -610,11 +716,11 @@ mod tests {
         let ctx = AccessContext::default();
         let a = addr(5, 1);
         let (set, tag) = cache.set_and_tag(a);
-        assert!(cache.lookup_read_at(set, tag).is_none());
+        assert!(cache.lookup_at(set, tag, false).is_none());
         let fill = cache.fill(a, ctx, false);
         assert!(fill.way.is_some());
         assert!(fill.evicted.is_none());
-        assert!(cache.lookup_read_at(set, tag).is_some());
+        assert!(cache.lookup_at(set, tag, false).is_some());
         assert_eq!(cache.valid_count_in_set(5), 1, "one fill, no other line");
         assert_eq!(cache.dirty_count_in_set(5), 0);
     }
@@ -873,7 +979,7 @@ mod tests {
                         let _ = cache.fill(a, ctx, false);
                     }
                     3..=4 => {
-                        if cache.lookup_write_at(set, tag).is_none() {
+                        if cache.lookup_at(set, tag, true).is_none() {
                             let _ = cache.fill_missing_at(set, tag, ctx, true);
                         }
                     }

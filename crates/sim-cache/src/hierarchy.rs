@@ -8,13 +8,13 @@
 //! as slow as one that evicts a clean line — that asymmetry is the WB channel.
 
 use crate::addr::{CacheGeometry, PhysAddr};
-use crate::cache::{AccessContext, Cache, EvictedLine};
+use crate::cache::{AccessContext, Cache, EvictedLine, SetView};
 use crate::config::{CacheConfig, WritePolicy};
 use crate::latency::LatencyModel;
 use crate::outcome::{AccessKind, AccessOutcome, HitLevel};
 use crate::policy::PolicyKind;
 use crate::seed::stream_seed;
-use crate::trace::{TraceOp, TraceSummary};
+use crate::trace::{TraceKind, TraceOp, TraceSummary};
 
 // The per-level RNG streams are derived with SplitMix64 (`crate::seed`) so
 // that textually close seeds (`2k` vs `2k + 1`, or seeds differing only in
@@ -358,12 +358,12 @@ impl CacheHierarchy {
         &self.llc
     }
 
-    /// Performs a demand load.
+    /// Performs a demand load: a run of one access.
     pub fn read(&mut self, addr: PhysAddr, ctx: AccessContext) -> AccessOutcome {
         self.demand_access(addr, ctx, AccessKind::Read)
     }
 
-    /// Performs a demand store.
+    /// Performs a demand store: a run of one access.
     pub fn write(&mut self, addr: PhysAddr, ctx: AccessContext) -> AccessOutcome {
         self.demand_access(addr, ctx, AccessKind::Write)
     }
@@ -375,34 +375,85 @@ impl CacheHierarchy {
     /// [`CacheHierarchy::write`] and [`CacheHierarchy::flush`] in sequence —
     /// same ordering, same latency attribution, same write-backs — but the
     /// bulk caller never receives (or collects) per-access
-    /// [`AccessOutcome`]s.  This is the hot entry point of the sweep engine;
-    /// perfbench's `sim-cache.*` kernels time it on fixed traces.
+    /// [`AccessOutcome`]s, and consecutive accesses to one L1 set share one
+    /// set view (see [`CacheHierarchy::run_read_trace`]).  This is the hot
+    /// entry point of the sweep engine; perfbench's `sim-cache.*` kernels
+    /// time it on fixed traces.
     pub fn run_trace(&mut self, ops: &[TraceOp], ctx: AccessContext) -> TraceSummary {
-        let mut summary = TraceSummary::default();
-        for op in ops {
-            let outcome = match op.kind {
-                crate::trace::TraceKind::Read => self.demand_access(op.addr, ctx, AccessKind::Read),
-                crate::trace::TraceKind::Write => {
-                    self.demand_access(op.addr, ctx, AccessKind::Write)
-                }
-                crate::trace::TraceKind::Flush => self.flush(op.addr),
-            };
-            summary.absorb(&outcome);
-        }
-        summary
+        self.run_views(ops, ctx, |op| (op.addr, op.kind))
     }
 
     /// Batched all-reads trace over a plain address slice — the receiver's
     /// pointer-chase shape.  Identical to [`CacheHierarchy::run_trace`] with
     /// every op a read, but consumes the addresses directly so chase callers
     /// (which already hold `&[PhysAddr]`) never build a `TraceOp` vector.
+    ///
+    /// Each stretch of consecutive reads to one L1 set runs on one set view:
+    /// that set's way masks, first fingerprint word and Tree-PLRU direction
+    /// word stay in locals from the stretch's first access to its last,
+    /// instead of going back to memory between accesses.  A pointer chase
+    /// over one eviction set — the WB receiver's whole measurement — is a
+    /// single stretch.
     pub fn run_read_trace(&mut self, addrs: &[PhysAddr], ctx: AccessContext) -> TraceSummary {
+        self.run_views(addrs, ctx, |addr| (addr, TraceKind::Read))
+    }
+
+    /// The loop behind [`CacheHierarchy::run_trace`] and
+    /// [`CacheHierarchy::run_read_trace`]: each item becomes an access
+    /// through `op`, and the L1 set view moves only when the set changes.
+    #[inline(always)]
+    fn run_views<T: Copy>(
+        &mut self,
+        items: &[T],
+        ctx: AccessContext,
+        op: impl Fn(T) -> (PhysAddr, TraceKind),
+    ) -> TraceSummary {
         let mut summary = TraceSummary::default();
-        for &addr in addrs {
-            let outcome = self.demand_access(addr, ctx, AccessKind::Read);
+        let Some(&first) = items.first() else {
+            return summary;
+        };
+        let mut view = self.l1d.load_view(self.l1d.set_and_tag(op(first).0).0);
+        for &item in items {
+            let (addr, kind) = op(item);
+            let outcome = match kind {
+                TraceKind::Read => self.access_held(&mut view, addr, ctx, AccessKind::Read),
+                TraceKind::Write => self.access_held(&mut view, addr, ctx, AccessKind::Write),
+                TraceKind::Flush => self.outside_view(&mut view, |h| h.flush(addr)),
+            };
             summary.absorb(&outcome);
         }
+        self.l1d.store_view(&view);
         summary
+    }
+
+    /// One demand access of a run on the held `view`, moved to `addr`'s L1
+    /// set first when it holds another one.
+    #[inline(always)]
+    fn access_held(
+        &mut self,
+        view: &mut SetView,
+        addr: PhysAddr,
+        ctx: AccessContext,
+        kind: AccessKind,
+    ) -> AccessOutcome {
+        let (set, tag) = self.l1d.set_and_tag(addr);
+        if view.set() != set {
+            self.l1d.store_view(view);
+            *view = self.l1d.load_view(set);
+        }
+        self.access_in(view, addr, tag, ctx, kind)
+    }
+
+    /// Runs `step` on the hierarchy with `view` stored, and reloads the view
+    /// after it: the way around a held view for every step that can reach
+    /// the L1 other than through it (the walk beyond the L2, an L2 spill
+    /// chain, random fill, the write-through store paths and flushes).
+    #[inline(always)]
+    fn outside_view<R>(&mut self, view: &mut SetView, step: impl FnOnce(&mut Self) -> R) -> R {
+        self.l1d.store_view(view);
+        let result = step(self);
+        *view = self.l1d.load_view(view.set());
+        result
     }
 
     /// Flushes the line containing `addr` from every level (`clflush`).
@@ -465,7 +516,9 @@ impl CacheHierarchy {
             evicted_addr = Some(evicted.addr);
             if evicted.dirty {
                 victim_dirty = true;
-                writebacks += 1 + self.push_writeback_to_l2(evicted);
+                writebacks += 1 + self
+                    .push_writeback_to_l2(evicted)
+                    .map_or(0, |spill| self.spill_l2_victim(spill));
             }
         }
         AccessOutcome {
@@ -479,23 +532,20 @@ impl CacheHierarchy {
         }
     }
 
-    /// Writes a dirty L1 victim back into the L2, propagating any spill chain
-    /// (L2 → LLC → memory).  Returns the number of *additional* write-backs
-    /// the chain performed beyond the L1 one the caller already counted.
+    /// Writes a dirty L1 victim back into the L2 and returns the line the
+    /// L2 evicted for it, if any, for [`CacheHierarchy::spill_l2_victim`].
     ///
     /// The common case — the victim's line is still in the L2 and only
-    /// turns dirty there — is straight-line code; a spill is a cold call.
+    /// turns dirty there — touches no L1 state, so a held L1 view stays
+    /// held across it.
     #[inline(always)]
-    fn push_writeback_to_l2(&mut self, evicted: EvictedLine) -> u32 {
+    fn push_writeback_to_l2(&mut self, evicted: EvictedLine) -> Option<EvictedLine> {
         let owner_ctx = AccessContext::for_domain(evicted.owner);
         let addr = PhysAddr(evicted.addr.value());
         // Under point-of-coherency routing the dirty data drains to memory;
         // the line stays cached below, but clean.
         let to_memory = self.writeback == WritebackRouting::PointOfCoherency;
-        match self.l2.fill(addr, owner_ctx, !to_memory).evicted {
-            Some(spill) => self.spill_l2_victim(spill),
-            None => 0,
-        }
+        self.l2.fill(addr, owner_ctx, !to_memory).evicted
     }
 
     /// Propagates a line evicted from the L2 according to the inclusion
@@ -564,16 +614,9 @@ impl CacheHierarchy {
         u32::from(l1_dirty) + u32::from(l2_dirty)
     }
 
-    /// The demand path behind [`CacheHierarchy::read`],
-    /// [`CacheHierarchy::write`], [`CacheHierarchy::run_trace`] and
-    /// [`CacheHierarchy::run_read_trace`].
-    ///
-    /// Forced inline into each of those loops with `kind` a constant, so the
-    /// common cases compile to straight-line code there: an L1 hit, and an
-    /// L1 miss served by the L2 that evicts a clean or dirty L1 victim into
-    /// an L2-resident line.  Everything rarer is one out-of-line call: the
-    /// walk beyond the L2, random fill, write-through stores, L2 spill
-    /// chains, exclusive promotion and inclusive back-invalidation.
+    /// The demand path behind [`CacheHierarchy::read`] and
+    /// [`CacheHierarchy::write`]: a run of one access, on a view of the L1
+    /// set loaded before it and stored after it.
     #[inline(always)]
     fn demand_access(
         &mut self,
@@ -581,40 +624,60 @@ impl CacheHierarchy {
         ctx: AccessContext,
         kind: AccessKind,
     ) -> AccessOutcome {
+        let (set, tag) = self.l1d.set_and_tag(addr);
+        let mut view = self.l1d.load_view(set);
+        let outcome = self.access_in(&mut view, addr, tag, ctx, kind);
+        self.l1d.store_view(&view);
+        outcome
+    }
+
+    /// One demand access to `addr`, whose L1 tag is `l1_tag`, on the held
+    /// view of its L1 set — the one L1 lookup/fill/evict path.
+    ///
+    /// Forced inline into each run loop with `kind` a constant, so the
+    /// common cases compile to straight-line code there: an L1 hit, and an
+    /// L1 miss served by the L2 that evicts a clean or dirty L1 victim into
+    /// an L2-resident line.  These stay inside the view.  Everything rarer
+    /// is one out-of-line call, run [outside the view](Self::outside_view):
+    /// the walk beyond the L2, random fill, write-through stores, L2 spill
+    /// chains, exclusive promotion and inclusive back-invalidation.
+    #[inline(always)]
+    fn access_in(
+        &mut self,
+        view: &mut SetView,
+        addr: PhysAddr,
+        l1_tag: u64,
+        ctx: AccessContext,
+        kind: AccessKind,
+    ) -> AccessOutcome {
         let is_write = kind == AccessKind::Write;
+        let write_through = self.l1d.config().write_policy == WritePolicy::WriteThrough;
 
         // ---- L1 lookup --------------------------------------------------
-        // The L1 set/tag pair is computed once and reused by the fill below.
-        let (l1_set, l1_tag) = self.l1d.set_and_tag(addr);
-        let l1_hit = if is_write {
-            self.l1d.lookup_write_at(l1_set, l1_tag).is_some()
-        } else {
-            self.l1d.lookup_read_at(l1_set, l1_tag).is_some()
-        };
-        if l1_hit {
+        if self.l1d.lookup_in(view, l1_tag, is_write).is_some() {
             let mut outcome = AccessOutcome::l1_hit(kind, self.latency.l1_hit);
-            if is_write && self.l1d.config().write_policy == WritePolicy::WriteThrough {
-                self.write_through_hit(addr, ctx, &mut outcome);
+            if is_write && write_through {
+                self.outside_view(view, |h| h.write_through_hit(addr, ctx, &mut outcome));
             }
             return outcome;
         }
 
         // ---- L1 miss: the L2, then the outer walk ------------------------
         let (l2_set, l2_tag) = self.l2.set_and_tag(addr);
-        let l2_hit = if is_write {
-            self.l2.lookup_write_at(l2_set, l2_tag).is_some()
-        } else {
-            self.l2.lookup_read_at(l2_set, l2_tag).is_some()
-        };
-        let (hit, mut cycles, mut writebacks) = if l2_hit {
-            (HitLevel::L2, self.latency.l2_hit, 0)
-        } else {
-            self.fetch_beyond_l2(addr, ctx, is_write, l2_set, l2_tag)
-        };
+        let (hit, mut cycles, mut writebacks) =
+            if self.l2.lookup_at(l2_set, l2_tag, is_write).is_some() {
+                (HitLevel::L2, self.latency.l2_hit, 0)
+            } else {
+                self.outside_view(view, |h| {
+                    h.fetch_beyond_l2(addr, ctx, is_write, l2_set, l2_tag)
+                })
+            };
 
         // ---- Random-fill defense: read misses bypass the L1 fill ----------
         if !is_write && self.random_fill.is_some() {
-            return self.random_fill_read(addr, ctx, hit, cycles, writebacks);
+            return self.outside_view(view, |h| {
+                h.random_fill_read(addr, ctx, hit, cycles, writebacks)
+            });
         }
 
         // ---- Fill the L1, or store around a write-through one -------------
@@ -622,14 +685,14 @@ impl CacheHierarchy {
         let mut l1_evicted = None;
         let mut l1_victim_dirty = false;
 
-        if is_write && self.l1d.config().write_policy == WritePolicy::WriteThrough {
-            (cycles, writebacks) = self.store_around_l1(addr, ctx, cycles, writebacks);
+        if is_write && write_through {
+            (cycles, writebacks) =
+                self.outside_view(view, |h| h.store_around_l1(addr, ctx, cycles, writebacks));
         } else {
             // A write-back L1 allocates on a store miss and holds the line
             // dirty.  The L1 lookup above missed and the outer walk never
-            // fills the L1, so the residency re-scan can be skipped and the
-            // set/tag pair from the lookup reused.
-            let fill = self.l1d.fill_missing_at(l1_set, l1_tag, ctx, is_write);
+            // fills the L1, so the residency re-scan is skipped.
+            let fill = self.l1d.fill_missing_in(view, l1_tag, ctx, is_write);
             l1_filled = fill.way.is_some();
             if let Some(evicted) = fill.evicted {
                 l1_evicted = Some(evicted.addr);
@@ -638,7 +701,10 @@ impl CacheHierarchy {
                     // stalls the fill for the write-back.
                     l1_victim_dirty = true;
                     cycles += self.latency.l1_dirty_writeback;
-                    writebacks += 1 + self.push_writeback_to_l2(evicted);
+                    writebacks += 1;
+                    if let Some(spill) = self.push_writeback_to_l2(evicted) {
+                        writebacks += self.outside_view(view, |h| h.spill_l2_victim(spill));
+                    }
                 }
             }
         }
@@ -670,11 +736,7 @@ impl CacheHierarchy {
     ) -> (HitLevel, u64, u32) {
         let mut writebacks = 0u32;
         let (llc_set, llc_tag) = self.llc.set_and_tag(addr);
-        let llc_hit = if is_write {
-            self.llc.lookup_write_at(llc_set, llc_tag).is_some()
-        } else {
-            self.llc.lookup_read_at(llc_set, llc_tag).is_some()
-        };
+        let llc_hit = self.llc.lookup_at(llc_set, llc_tag, is_write).is_some();
         let mut promote_dirty = false;
         let (level, base) = if llc_hit {
             if self.inclusion == InclusionPolicy::Exclusive {
@@ -811,7 +873,9 @@ impl CacheHierarchy {
                     // window does not defeat the WB channel (Sec. VIII).
                     victim_dirty = true;
                     cycles += self.latency.l1_dirty_writeback;
-                    writebacks += 1 + self.push_writeback_to_l2(evicted);
+                    writebacks += 1 + self
+                        .push_writeback_to_l2(evicted)
+                        .map_or(0, |spill| self.spill_l2_victim(spill));
                 }
             }
         }
@@ -1334,9 +1398,9 @@ mod tests {
         let mut expected = TraceSummary::default();
         for op in &ops {
             let outcome = match op.kind {
-                crate::trace::TraceKind::Read => serial.read(op.addr, ctx),
-                crate::trace::TraceKind::Write => serial.write(op.addr, ctx),
-                crate::trace::TraceKind::Flush => serial.flush(op.addr),
+                TraceKind::Read => serial.read(op.addr, ctx),
+                TraceKind::Write => serial.write(op.addr, ctx),
+                TraceKind::Flush => serial.flush(op.addr),
             };
             expected.absorb(&outcome);
         }

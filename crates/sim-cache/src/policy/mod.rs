@@ -128,11 +128,14 @@ impl fmt::Display for PolicyKind {
 /// The replacement policy a [`crate::cache::Cache`] holds: one variant per
 /// [`PolicyKind`], every call statically dispatched.
 ///
-/// `on_hit`, `on_fill` and `choose_victim_and_fill` are forced inline into
-/// the cache's lookup and fill, so a Tree-PLRU hit or eviction is
-/// straight-line code inside the hierarchy's batch loops; victim choice for
-/// the other policies is one out-of-line call that allocates nothing and
-/// touches only the set's own metadata.
+/// A cache's set view holds one word of a set's policy state: Tree-PLRU's
+/// direction word ([`PolicyDispatch::view_word`]).  The `*_in` calls update
+/// that word under Tree-PLRU and the state in place under every other
+/// policy.  They are forced inline into the cache's lookup and fill, so a
+/// Tree-PLRU hit or eviction is straight-line code on a local inside the
+/// hierarchy's batch loops; victim choice for the other policies is one
+/// out-of-line call that allocates nothing and touches only the set's own
+/// metadata.
 #[derive(Debug)]
 pub(crate) enum PolicyDispatch {
     TreePlru(TreePlru),
@@ -189,15 +192,35 @@ impl PolicyDispatch {
         dispatch!(self, p => p.name())
     }
 
-    /// Records a hit on `way` of `set`.
+    /// Records a hit on `way` of `set`, in place.  Tree-PLRU's touch is
+    /// inlined; every other policy's is one out-of-line call.
     #[inline(always)]
     pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
+        match self {
+            PolicyDispatch::TreePlru(p) => p.on_hit(set, way),
+            _ => self.on_hit_elsewhere(set, way),
+        }
+    }
+
+    /// Records that a new line has just been installed in `way` of `set`,
+    /// in place, inlined like [`PolicyDispatch::on_hit`].
+    #[inline(always)]
+    pub(crate) fn on_fill(&mut self, set: usize, way: usize) {
+        match self {
+            PolicyDispatch::TreePlru(p) => p.on_fill(set, way),
+            _ => self.on_fill_elsewhere(set, way),
+        }
+    }
+
+    /// [`PolicyDispatch::on_hit`] for every policy but Tree-PLRU.
+    #[inline(never)]
+    fn on_hit_elsewhere(&mut self, set: usize, way: usize) {
         dispatch!(self, p => p.on_hit(set, way))
     }
 
-    /// Records that a new line has just been installed in `way` of `set`.
-    #[inline(always)]
-    pub(crate) fn on_fill(&mut self, set: usize, way: usize) {
+    /// [`PolicyDispatch::on_fill`] for every policy but Tree-PLRU.
+    #[inline(never)]
+    fn on_fill_elsewhere(&mut self, set: usize, way: usize) {
         dispatch!(self, p => p.on_fill(set, way))
     }
 
@@ -213,30 +236,82 @@ impl PolicyDispatch {
         dispatch!(self, p => p.choose_victim(set, candidates))
     }
 
-    /// `choose_victim` immediately followed by `on_fill` of the chosen way —
-    /// the eviction hot path.  Tree-PLRU fuses the two updates of its
-    /// per-set direction word into one read-modify-write; every other policy
-    /// runs the two calls back-to-back, so the behaviour is identical for
-    /// all variants.
+    /// The word of `set`'s state a set view holds: Tree-PLRU's direction
+    /// word, and 0 (unused) under every other policy.
     #[inline(always)]
-    pub(crate) fn choose_victim_and_fill(
+    pub(crate) fn view_word(&self, set: usize) -> u64 {
+        match self {
+            PolicyDispatch::TreePlru(p) => p.word(set),
+            _ => 0,
+        }
+    }
+
+    /// Writes back a word read by [`PolicyDispatch::view_word`] and updated
+    /// by the `*_in` calls since.
+    #[inline(always)]
+    pub(crate) fn store_view_word(&mut self, set: usize, word: u64) {
+        if let PolicyDispatch::TreePlru(p) = self {
+            p.set_word(set, word);
+        }
+    }
+
+    /// Records a hit on `way` of `set`, whose view word is `word`.
+    #[inline(always)]
+    pub(crate) fn on_hit_in(&mut self, set: usize, way: usize, word: &mut u64) {
+        match self {
+            PolicyDispatch::TreePlru(p) => *word = p.touched(*word, way),
+            _ => self.on_hit(set, way),
+        }
+    }
+
+    /// Records a fill of `way` of `set`, whose view word is `word`.
+    #[inline(always)]
+    pub(crate) fn on_fill_in(&mut self, set: usize, way: usize, word: &mut u64) {
+        match self {
+            PolicyDispatch::TreePlru(p) => *word = p.touched(*word, way),
+            _ => self.on_fill(set, way),
+        }
+    }
+
+    /// `choose_victim` immediately followed by `on_fill` of the chosen way,
+    /// in `set` whose view word is `word` — the eviction hot path.
+    /// Tree-PLRU walks and touches its direction word in one step; every
+    /// other policy runs the two calls back-to-back, so the behaviour is
+    /// identical for all variants.
+    #[inline(always)]
+    pub(crate) fn choose_victim_and_fill_in(
         &mut self,
         set: usize,
         candidates: WayMask,
+        word: &mut u64,
     ) -> Option<usize> {
         match self {
-            PolicyDispatch::TreePlru(p) => p.choose_and_touch(set, candidates),
+            PolicyDispatch::TreePlru(p) => p.choose_and_touch(word, candidates),
             _ => self.choose_victim_then_fill(set, candidates),
         }
     }
 
-    /// [`PolicyDispatch::choose_victim_and_fill`] for every policy but
+    /// [`PolicyDispatch::choose_victim_and_fill_in`] for every policy but
     /// Tree-PLRU, kept out of line so the inlined fill stays small.
     #[inline(never)]
     fn choose_victim_then_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
         let way = self.choose_victim(set, candidates)?;
         self.on_fill(set, way);
         Some(way)
+    }
+
+    /// [`PolicyDispatch::choose_victim_and_fill_in`] on `set`'s own view
+    /// word (the policy tests' entry point).
+    #[cfg(test)]
+    pub(crate) fn choose_victim_and_fill(
+        &mut self,
+        set: usize,
+        candidates: WayMask,
+    ) -> Option<usize> {
+        let mut word = self.view_word(set);
+        let way = self.choose_victim_and_fill_in(set, candidates, &mut word);
+        self.store_view_word(set, word);
+        way
     }
 
     /// Resets all metadata to the post-power-on state (the reference-model

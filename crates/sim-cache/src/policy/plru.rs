@@ -15,9 +15,11 @@ use crate::waymask::WayMask;
 /// word (node `i` ↔ bit `i`; node 0 = root, children of node `i` are
 /// `2i+1` / `2i+2`), and because the tree path of way `w` is fixed, the
 /// whole touch operation collapses to `word = (word & clear[w]) | point[w]`
-/// with masks precomputed at construction — one load and one store on the
-/// access hot path, where the previous per-node `Vec<bool>` walk paid a
-/// dependent read-modify-write per tree level.
+/// with masks precomputed at construction, where the previous per-node
+/// `Vec<bool>` walk paid a dependent read-modify-write per tree level.  A
+/// cache's set view holds the word in a local (`TreePlru::touched` and
+/// `TreePlru::choose_and_touch` work on it), so a stretch of accesses to
+/// one set loads and stores it once.
 ///
 /// Victim selection honours the candidate mask by deviating from the
 /// indicated direction whenever the preferred subtree contains no candidate
@@ -76,22 +78,42 @@ impl TreePlru {
         })
     }
 
-    /// Flips the path bits so they point away from `way` (way becomes MRU).
+    /// The direction word of `set`.
     #[inline(always)]
-    fn touch(&mut self, set: usize, way: usize) {
-        let (clear, point) = self.touch_masks[way];
-        let word = &mut self.words[set];
-        *word = (*word & clear) | point;
+    pub(crate) fn word(&self, set: usize) -> u64 {
+        self.words[set]
     }
 
-    /// Follows the direction bits from the root, deviating only when the
-    /// preferred subtree has no candidate ways.  Returns `None` when the
-    /// candidate mask is empty.
+    /// Overwrites the direction word of `set` with one read by
+    /// [`TreePlru::word`] and updated since.
+    #[inline(always)]
+    pub(crate) fn set_word(&mut self, set: usize, word: u64) {
+        self.words[set] = word;
+    }
+
+    /// `word` with the path bits of `way` flipped to point away from it
+    /// (way becomes MRU).
+    #[inline(always)]
+    pub(crate) fn touched(&self, word: u64, way: usize) -> u64 {
+        let (clear, point) = self.touch_masks[way];
+        (word & clear) | point
+    }
+
+    /// Touches `way` of `set` in place.
+    #[inline(always)]
+    fn touch(&mut self, set: usize, way: usize) {
+        self.words[set] = self.touched(self.words[set], way);
+    }
+
+    /// Follows the direction bits of `word` from the root, deviating only
+    /// when the preferred subtree has no candidate ways.  Returns `None`
+    /// when the candidate mask is empty.
     ///
     /// Subtree occupancy is answered with one mask intersection per side
     /// (the ways below a node form a contiguous bit range), so the walk is
     /// pure bit arithmetic on the victim-selection hot path.
-    fn walk(&self, set: usize, candidates: WayMask) -> Option<usize> {
+    #[inline(never)]
+    fn walk(&self, word: u64, candidates: WayMask) -> Option<usize> {
         // Mask of the contiguous way range `lo..hi` (`hi` can be 64).
         #[inline]
         fn range_bits(lo: usize, hi: usize) -> u64 {
@@ -109,7 +131,6 @@ impl TreePlru {
         if cand == 0 {
             return None;
         }
-        let word = self.words[set];
         // Unrestricted selection (no partitions, no locks) — the common case
         // — follows the direction bits root-to-leaf with pure arithmetic:
         // the directions are data, not control flow, so the walk never
@@ -153,43 +174,36 @@ impl TreePlru {
         Some(lo)
     }
 
-    /// Chooses a victim and immediately marks it most-recently-used (the
-    /// fill touch), with the set's direction word loaded and stored once.
+    /// Chooses a victim in the set whose direction word is `word` and
+    /// immediately marks it most-recently-used (the fill touch), updating
+    /// `word`.
     ///
     /// Exactly equivalent to `choose_victim` followed by `on_fill` on the
     /// returned way — the walk only reads the word, so fusing the two
-    /// read-modify-write sequences is unobservable — but it halves the
-    /// dependent word traffic on the eviction hot path.  The unrestricted
-    /// walk (no partitions, no locks) inlines into the fill; a restricted
-    /// candidate mask takes one out-of-line call.
+    /// read-modify-write sequences is unobservable.  The word is the one a
+    /// cache's set view holds, so the eviction hot path never goes through
+    /// memory.  The unrestricted walk (no partitions, no locks) inlines into
+    /// the fill; a restricted candidate mask takes one out-of-line call,
+    /// which receives the word by value so the view stays in registers.
     #[inline(always)]
-    pub(crate) fn choose_and_touch(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+    pub(crate) fn choose_and_touch(&self, word: &mut u64, candidates: WayMask) -> Option<usize> {
         // `ways` is a power of two in 2..=64, so the shift is in range.
         let all = u64::MAX >> (64 - self.ways);
-        if candidates.bits() & all != all {
-            return self.choose_and_touch_restricted(set, candidates);
-        }
-        // Walk and touch on one load/store of the direction word, with
-        // branch-free directions.
-        let word = self.words[set];
-        let levels = self.ways.trailing_zeros();
-        let mut way = 0usize;
-        let mut node = 0usize;
-        for _ in 0..levels {
-            let dir = ((word >> node) & 1) as usize;
-            way = (way << 1) | dir;
-            node = 2 * node + 1 + dir;
-        }
-        let (clear, point) = self.touch_masks[way];
-        self.words[set] = (word & clear) | point;
-        Some(way)
-    }
-
-    /// [`TreePlru::choose_and_touch`] under a partition or lock mask.
-    #[inline(never)]
-    fn choose_and_touch_restricted(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let way = self.walk(set, candidates.and(WayMask::all(self.ways)))?;
-        self.touch(set, way);
+        let way = if candidates.bits() & all != all {
+            self.walk(*word, candidates.and(WayMask::all(self.ways)))?
+        } else {
+            // Branch-free directions.
+            let levels = self.ways.trailing_zeros();
+            let mut way = 0usize;
+            let mut node = 0usize;
+            for _ in 0..levels {
+                let dir = ((*word >> node) & 1) as usize;
+                way = (way << 1) | dir;
+                node = 2 * node + 1 + dir;
+            }
+            way
+        };
+        *word = self.touched(*word, way);
         Some(way)
     }
 
@@ -200,7 +214,7 @@ impl TreePlru {
     /// policy perturbs the masked [`ReplacementPolicy::choose_victim`]
     /// walk, not this.)
     pub fn plru_victim(&self, set: usize) -> usize {
-        self.walk(set, WayMask::all(self.ways))
+        self.walk(self.words[set], WayMask::all(self.ways))
             .expect("full mask is never empty")
     }
 
@@ -247,7 +261,7 @@ impl ReplacementPolicy for TreePlru {
 
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
         let mask = candidates.and(WayMask::all(self.ways));
-        self.walk(set, mask)
+        self.walk(self.words[set], mask)
     }
 
     fn reset(&mut self) {

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use sim_cache::cache::FillOutcome;
+use sim_cache::hierarchy::RandomFillConfig;
 use sim_cache::prelude::*;
 
 fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
@@ -109,6 +110,69 @@ fn dirty_tags(h: &CacheHierarchy, set: u64, skip: u64) -> [u64; 3] {
             .filter(|&tag| tag != skip && level.is_dirty(colliding_addr(set, tag)))
             .fold(0, |bits, tag| bits | 1 << tag)
     })
+}
+
+/// The L1 mechanisms a batched run must honour besides the plain L1: a
+/// partitioned tracing domain, locked lines, random fill and a
+/// write-through L1.
+const L1_VARIANTS: usize = 5;
+
+/// The domain the batched-versus-serial properties trace for.
+const TRACE_DOMAIN: u16 = 3;
+
+/// A `preset` hierarchy with L1 variant `variant` (0 plain, 1 the tracing
+/// domain partitioned to ways 2..6, 2 locked lines, 3 random fill, 4
+/// write-through), after `warmup` ran access by access for another domain
+/// (which then, under variant 2, locks every third line it left in the
+/// L1).  Deterministic: two calls build the same hierarchy.
+fn variant_hierarchy(
+    preset: HierarchyPreset,
+    policy: PolicyKind,
+    variant: usize,
+    seed: u64,
+    warmup: &[(u8, u64, u64)],
+) -> CacheHierarchy {
+    let mut config = preset.config(policy, 16, seed).unwrap();
+    match variant {
+        3 => config.l1_random_fill = Some(RandomFillConfig { window: 4 }),
+        4 => config.l1d.write_policy = WritePolicy::WriteThrough,
+        _ => {}
+    }
+    let mut h = CacheHierarchy::new(config).unwrap();
+    if variant == 1 {
+        h.l1_mut()
+            .set_partition(TRACE_DOMAIN, WayMask::range(2, 6))
+            .unwrap();
+    }
+    let other = AccessContext::for_domain(1);
+    for &(kind, set, tag) in warmup {
+        let addr = colliding_addr(set, tag);
+        match kind {
+            0 => h.read(addr, other),
+            1 => h.write(addr, other),
+            _ => h.flush(addr),
+        };
+    }
+    if variant == 2 {
+        for &(_, set, tag) in warmup.iter().filter(|&&(_, _, tag)| tag % 3 == 0) {
+            h.l1_mut().lock_line(colliding_addr(set, tag));
+        }
+    }
+    h
+}
+
+/// Whether each level holds, and holds dirty, each line `ops` and
+/// `warmup` touch: the end state the batched-versus-serial properties
+/// compare.
+fn residency(h: &CacheHierarchy, ops: &[(u8, u64, u64)], warmup: &[(u8, u64, u64)]) -> Vec<bool> {
+    ops.iter()
+        .chain(warmup)
+        .flat_map(|&(_, set, tag)| {
+            let addr = colliding_addr(set, tag);
+            [h.l1(), h.l2(), h.llc()].map(|level| [level.contains(addr), level.is_dirty(addr)])
+        })
+        .flatten()
+        .collect()
 }
 
 fn hierarchy_for(
@@ -330,16 +394,20 @@ proptest! {
     }
 
     /// The batched trace fast path agrees with the per-access API on every
-    /// hierarchy preset, not just the default Intel-inclusive machine: same
-    /// summary, same final cache state.
+    /// hierarchy preset, policy and L1 variant, not just the default
+    /// Intel-inclusive machine: same summary, same final residency and
+    /// dirty state at every level.  Four L1 sets make same-set stretches
+    /// common, so a batched run holds one set view across many accesses,
+    /// flushes and spill chains.
     #[test]
     fn run_trace_matches_per_access_on_every_preset(
         preset in arbitrary_preset(),
         policy in arbitrary_policy(),
+        variant in 0..L1_VARIANTS,
+        warmup in colliding_ops(),
         ops in colliding_ops(),
         seed in 0u64..1000,
     ) {
-        let config = preset.config(policy, 16, seed).unwrap();
         let trace: Vec<TraceOp> = ops
             .iter()
             .map(|&(kind, set, tag)| {
@@ -351,12 +419,12 @@ proptest! {
                 }
             })
             .collect();
-        let ctx = AccessContext::for_domain(3);
+        let ctx = AccessContext::for_domain(TRACE_DOMAIN);
 
-        let mut batched = CacheHierarchy::new(config).unwrap();
+        let mut batched = variant_hierarchy(preset, policy, variant, seed, &warmup);
         let summary = batched.run_trace(&trace, ctx);
 
-        let mut serial = CacheHierarchy::new(config).unwrap();
+        let mut serial = variant_hierarchy(preset, policy, variant, seed, &warmup);
         let mut expected = TraceSummary::default();
         for op in &trace {
             let outcome = match op.kind {
@@ -367,13 +435,36 @@ proptest! {
             expected.absorb(&outcome);
         }
 
-        prop_assert_eq!(summary, expected);
-        for &(_, set, tag) in &ops {
-            let addr = colliding_addr(set, tag);
-            prop_assert_eq!(batched.l1().contains(addr), serial.l1().contains(addr));
-            prop_assert_eq!(batched.l1().is_dirty(addr), serial.l1().is_dirty(addr));
-            prop_assert_eq!(batched.llc().contains(addr), serial.llc().contains(addr));
+        prop_assert_eq!(summary, expected, "variant {}", variant);
+        prop_assert_eq!(residency(&batched, &ops, &warmup), residency(&serial, &ops, &warmup));
+    }
+
+    /// The batched read trace (the receiver's pointer chase) agrees with
+    /// one `read` at a time, on every preset, policy and L1 variant: same
+    /// summary, same final residency and dirty state at every level.
+    #[test]
+    fn run_read_trace_matches_per_access_on_every_preset(
+        preset in arbitrary_preset(),
+        policy in arbitrary_policy(),
+        variant in 0..L1_VARIANTS,
+        warmup in colliding_ops(),
+        ops in colliding_ops(),
+        seed in 0u64..1000,
+    ) {
+        let addrs: Vec<PhysAddr> = ops.iter().map(|&(_, set, tag)| colliding_addr(set, tag)).collect();
+        let ctx = AccessContext::for_domain(TRACE_DOMAIN);
+
+        let mut batched = variant_hierarchy(preset, policy, variant, seed, &warmup);
+        let summary = batched.run_read_trace(&addrs, ctx);
+
+        let mut serial = variant_hierarchy(preset, policy, variant, seed, &warmup);
+        let mut expected = TraceSummary::default();
+        for &addr in &addrs {
+            expected.absorb(&serial.read(addr, ctx));
         }
+
+        prop_assert_eq!(summary, expected, "variant {}", variant);
+        prop_assert_eq!(residency(&batched, &ops, &warmup), residency(&serial, &ops, &warmup));
     }
 
     /// `Cache::reset` is indistinguishable from constructing a fresh cache,

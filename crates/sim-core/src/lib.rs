@@ -20,7 +20,7 @@
 //! * [`process`] / [`memlayout`] — separate address spaces (no shared memory)
 //!   and the construction of target-set lines and replacement sets from
 //!   virtual addresses.
-//! * [`memlayout::SetLines::shuffled`],
+//! * [`memlayout::Sweeps`],
 //!   [`session::TraceProgram::chase_shuffled`] and
 //!   [`machine::Machine::measured_chase`] — the randomly permuted,
 //!   serialised pointer-chasing measurement walk of the paper's Figure 3.

@@ -12,7 +12,7 @@
 use crate::process::AddressSpace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sim_cache::addr::{CacheGeometry, PhysAddr};
 
 /// A family of cache lines that all map to one target set of the L1.
@@ -72,8 +72,12 @@ impl SetLines {
     }
 
     /// A copy of the lines in a random order — the pointer-chasing layout the
-    /// receiver uses to defeat hardware prefetching (Sec. IV-B).
-    pub fn shuffled<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<PhysAddr> {
+    /// receiver uses to defeat hardware prefetching (Sec. IV-B).  The
+    /// harnesses shuffle into reused buffers instead ([`Sweeps`],
+    /// [`crate::session::TraceProgram::chase_shuffled`]); this copy is the
+    /// tests' reference draw for them.
+    #[cfg(test)]
+    pub fn shuffled<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Vec<PhysAddr> {
         let mut order = self.lines.clone();
         order.shuffle(rng);
         order
@@ -178,8 +182,9 @@ impl Sweeps {
     }
 
     /// The order of the next sweep over `layout`: the `n`-th call returns
-    /// [`ChannelLayout::replacement_for`]`(n)` shuffled with exactly the
-    /// draws [`SetLines::shuffled`] makes, into one reused buffer.
+    /// [`ChannelLayout::replacement_for`]`(n)` shuffled into one reused
+    /// buffer: its lines in tag order, then one `SliceRandom::shuffle` on
+    /// the stream, so the draws are those of shuffling a fresh copy.
     pub fn next_order(&mut self, layout: &ChannelLayout) -> &[PhysAddr] {
         let replacement = layout.replacement_for(self.count);
         self.count += 1;

@@ -231,8 +231,7 @@ impl TraceProgram {
     /// Appends a measured pointer chase over `lines` in a random order: the
     /// lines are copied into the chase arena and the appended slice is
     /// shuffled in place with `rng`.  The draws and the resulting order are
-    /// those of [`crate::memlayout::SetLines::shuffled`] over the same lines,
-    /// without the intermediate copy.
+    /// those of shuffling a copy of `lines`, without the intermediate copy.
     pub fn chase_shuffled<R: Rng + ?Sized>(
         &mut self,
         lines: &[PhysAddr],
