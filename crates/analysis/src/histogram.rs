@@ -11,10 +11,7 @@ pub struct Histogram {
     hi: f64,
     bin_width: f64,
     counts: Vec<u64>,
-    /// Samples below `lo`.
-    underflow: u64,
-    /// Samples at or above `hi`.
-    overflow: u64,
+    /// Every recorded sample, those outside `[lo, hi)` included.
     total: u64,
 }
 
@@ -32,30 +29,18 @@ impl Histogram {
             hi,
             bin_width: (hi - lo) / bins as f64,
             counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
             total: 0,
         }
     }
 
-    /// Adds one observation.
+    /// Adds one observation; one outside `[lo, hi)` counts toward
+    /// [`Histogram::total`] but lands in no bin.
     pub fn record(&mut self, value: f64) {
         self.total += 1;
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
+        if (self.lo..self.hi).contains(&value) {
             let bin = ((value - self.lo) / self.bin_width) as usize;
             let bin = bin.min(self.counts.len() - 1);
             self.counts[bin] += 1;
-        }
-    }
-
-    /// Adds many observations.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.record(v);
         }
     }
 
@@ -72,33 +57,6 @@ impl Histogram {
     /// The lower edge of bin `i`.
     pub fn bin_lo(&self, i: usize) -> f64 {
         self.lo + i as f64 * self.bin_width
-    }
-
-    /// `(bin centre, count)` pairs for plotting.
-    pub fn bins(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.bin_lo(i) + self.bin_width / 2.0, c))
-            .collect()
-    }
-
-    /// Converts the histogram into an empirical CDF evaluated at bin edges.
-    pub fn cdf(&self) -> Cdf {
-        let mut points = Vec::with_capacity(self.counts.len() + 1);
-        let mut cumulative = self.underflow;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cumulative += c;
-            points.push(CdfPoint {
-                value: self.bin_lo(i) + self.bin_width,
-                fraction: if self.total == 0 {
-                    0.0
-                } else {
-                    cumulative as f64 / self.total as f64
-                },
-            });
-        }
-        Cdf { points }
     }
 }
 
@@ -178,23 +136,30 @@ mod tests {
     #[test]
     fn histogram_counts_land_in_the_right_bins() {
         let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record_all([0.5, 1.5, 2.5, 9.9, -1.0, 10.0, 11.0]);
+        for value in [0.5, 1.5, 2.5, 9.9, -1.0, 10.0, 11.0] {
+            h.record(value);
+        }
         assert_eq!(h.total(), 7);
         assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.bins().len(), 5);
         assert_eq!(h.bin_lo(0), 0.0);
-        assert!((h.bins()[0].0 - 1.0).abs() < 1e-12);
+        assert!((h.bin_lo(1) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn histogram_cdf_is_monotonic_and_reaches_one_without_overflow() {
         let mut h = Histogram::new(0.0, 100.0, 10);
-        h.record_all((0..100).map(|i| i as f64));
-        let cdf = h.cdf();
+        for i in 0..100 {
+            h.record(i as f64);
+        }
+        // The bins' cumulative fraction never falls and, with no sample out
+        // of range, reaches one at the last bin.
+        let mut cumulative = 0;
         let mut prev = 0.0;
-        for p in &cdf.points {
-            assert!(p.fraction >= prev);
-            prev = p.fraction;
+        for &count in h.counts() {
+            cumulative += count;
+            let fraction = cumulative as f64 / h.total() as f64;
+            assert!(fraction >= prev);
+            prev = fraction;
         }
         assert!((prev - 1.0).abs() < 1e-12);
     }

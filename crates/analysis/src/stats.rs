@@ -47,14 +47,6 @@ impl Summary {
             p95: percentile_of_sorted(&sorted, 95.0),
         })
     }
-
-    /// Computes summary statistics over integer cycle counts.
-    ///
-    /// Returns `None` for an empty sample.
-    pub fn of_cycles(samples: &[u64]) -> Option<Summary> {
-        let as_f64: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
-        Summary::of(&as_f64)
-    }
 }
 
 impl fmt::Display for Summary {
@@ -128,7 +120,6 @@ mod tests {
     #[test]
     fn empty_sample_has_no_summary() {
         assert!(Summary::of(&[]).is_none());
-        assert!(Summary::of_cycles(&[]).is_none());
         assert!(mean(&[]).is_none());
     }
 
@@ -159,13 +150,6 @@ mod tests {
         assert_eq!(percentile_of_sorted(&sorted, 100.0), 40.0);
         assert_eq!(percentile_of_sorted(&sorted, 50.0), 25.0);
         assert_eq!(percentile(&[40.0, 10.0, 30.0, 20.0], 50.0), 25.0);
-    }
-
-    #[test]
-    fn of_cycles_matches_float_path() {
-        let a = Summary::of_cycles(&[100, 110, 120]).unwrap();
-        let b = Summary::of(&[100.0, 110.0, 120.0]).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

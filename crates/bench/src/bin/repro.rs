@@ -5,7 +5,6 @@
 //!   repro list [--quick|--full]
 //!   repro run <id|glob>... [--quick|--full] [--threads N] [--out DIR]
 //!                          [--seed SEED] [--no-progress] [--verbose]
-//!                          [--allow-empty]
 //!   repro serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR]
 //!               [--workers K] [--seed SEED]
 //! ```
@@ -64,7 +63,7 @@ fn emit(text: &dyn std::fmt::Display) {
 
 const USAGE: &str = "usage:\n  repro list [--quick|--full]\n  repro run <id|glob>... \
     [--quick|--full] [--threads N] [--out DIR] [--seed SEED] [--no-progress]\n           \
-    [--verbose] [--allow-empty]\n  \
+    [--verbose]\n  \
     repro check [<id|glob>...] [--verbose]\n  \
     repro trace <id|glob>... [--quick|--full] [--out DIR]\n  \
     repro lint [DIR]\n  \
@@ -146,7 +145,6 @@ const SUBCOMMANDS: [Subcommand; 7] = [
             "--seed",
             "--no-progress",
             "--verbose",
-            "--allow-empty",
         ],
         positionals: Positionals::AtLeastOne,
         main: run,
@@ -194,7 +192,6 @@ struct Options {
     root_seed: u64,
     progress: bool,
     verbose: bool,
-    allow_empty: bool,
     baseline: Option<PathBuf>,
     max_regress: f64,
     addr: String,
@@ -212,7 +209,6 @@ impl Default for Options {
             root_seed: bench::SEED,
             progress: true,
             verbose: false,
-            allow_empty: false,
             baseline: None,
             max_regress: 0.30,
             addr: "127.0.0.1:7878".to_owned(),
@@ -261,7 +257,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
             "--full" => options.scale = Scale::Full,
             "--no-progress" => options.progress = false,
             "--verbose" => options.verbose = true,
-            "--allow-empty" => options.allow_empty = true,
             "--threads" => options.threads = at_least_one(arg, value()?)?,
             "--workers" => options.workers = at_least_one(arg, value()?)?,
             "--seed" => {
@@ -415,27 +410,13 @@ fn list(options: Options) -> ExitCode {
 /// `repro run`: the selected scenarios, their tables and the manifest.
 fn run(options: Options) -> ExitCode {
     let registry = bench::registry();
-    // A selection that matches nothing is an error by default — a
-    // typo must not "succeed" by writing an empty manifest. Scripts
-    // sweeping speculative globs opt back in with --allow-empty.
-    let selected = if options.allow_empty {
-        let selected = registry.select_lenient(&options.positionals);
-        if selected.is_empty() {
-            eprintln!(
-                "[repro] no scenario matches {:?}; --allow-empty set, \
-                 writing an empty manifest",
-                options.positionals
-            );
-        }
-        selected
-    } else {
-        match registry.select(&options.positionals) {
-            Ok(selected) => selected,
-            Err(error) => {
-                eprintln!("error: {error}");
-                eprintln!("hint: --allow-empty treats an empty selection as success");
-                return ExitCode::FAILURE;
-            }
+    // A pattern that matches nothing is an error — a typo must not
+    // "succeed" by writing an empty manifest.
+    let selected = match registry.select(&options.positionals) {
+        Ok(selected) => selected,
+        Err(error) => {
+            eprintln!("error: {error}");
+            return ExitCode::FAILURE;
         }
     };
     let config = RunConfig {
@@ -478,13 +459,8 @@ fn run(options: Options) -> ExitCode {
     if options.verbose {
         let pool = runner::pool::stats().since(&pool_before);
         emit(&format_args!(
-            "pool: tasks queued={} completed={} panicked={} steals={} \
-             peak queue depth={}",
-            pool.tasks_queued,
-            pool.tasks_completed,
-            pool.tasks_panicked,
-            pool.steals,
-            pool.peak_queue_depth,
+            "pool: tasks queued={} completed={} panicked={} peak queue depth={}",
+            pool.tasks_queued, pool.tasks_completed, pool.tasks_panicked, pool.peak_queue_depth,
         ));
     }
     if failed {

@@ -19,7 +19,6 @@ fn flags(scratch: &Path) -> Vec<(&'static str, Option<String>)> {
         ("--full", None),
         ("--no-progress", None),
         ("--verbose", None),
-        ("--allow-empty", None),
         ("--threads", Some("1".to_owned())),
         ("--seed", Some("7".to_owned())),
         ("--out", path("out")),
@@ -43,7 +42,6 @@ const SUBCOMMANDS: [(&str, &[&str], &[&str]); 7] = [
             "--full",
             "--no-progress",
             "--verbose",
-            "--allow-empty",
             "--threads",
             "--seed",
             "--out",
@@ -125,7 +123,7 @@ fn every_flag_a_subcommand_does_not_take_is_a_usage_error() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 67);
+    assert_eq!(checked, 61);
     let _ = std::fs::remove_dir_all(&scratch);
 }
 

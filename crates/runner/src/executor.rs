@@ -1,4 +1,4 @@
-//! Runs selected scenarios on the work-stealing pool.
+//! Runs selected scenarios on the one-queue pool.
 //!
 //! All sweep points of all selected scenarios are flattened into one task
 //! list (seeds pre-derived), fanned out across the pool, then grouped back

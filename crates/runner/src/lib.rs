@@ -3,7 +3,7 @@
 //! The scenario-sweep engine behind the `repro` binary: a registry of every
 //! experiment in the reproduction of *Abusing Cache Line Dirty States to Leak
 //! Information in Commercial Processors* (HPCA 2022) plus a hand-rolled
-//! work-stealing thread pool that fans sweep points out across cores.
+//! one-queue thread pool that fans sweep points out across cores.
 //!
 //! The crate is deliberately domain-free — it knows about experiment *shape*
 //! (scenarios made of independently runnable sweep points that produce
@@ -21,11 +21,12 @@
 //!   deterministic assembly step.
 //! * [`registry`] — the [`Registry`]: ordered scenario
 //!   collection with glob-pattern selection (`repro run 'table*'`).
-//! * [`pool`] — the work-stealing executor over `std::thread` (the build is
-//!   offline, so no rayon); results come back in submission order regardless
-//!   of thread count, panics are confined to the job that raised them, and
-//!   cheap atomic counters ([`PoolStats`]) feed the experiment service's
-//!   `/metrics` endpoint and `repro run --verbose`.
+//! * [`pool`] — scoped `std::thread` workers draining one shared queue (the
+//!   build is offline, so no rayon; every point is queued up front and none
+//!   queues another, so nothing needs stealing); results come back in
+//!   submission order regardless of thread count, panics are confined to the
+//!   job that raised them, and cheap atomic counters ([`PoolStats`]) feed the
+//!   experiment service's `/metrics` endpoint and `repro run --verbose`.
 //! * [`executor`] — runs selected scenarios on the pool and collects
 //!   per-scenario wall times and output tables.
 //! * [`manifest`] — renders a run into the `results/manifest.json` table.

@@ -1,32 +1,28 @@
-//! A hand-rolled work-stealing thread pool over `std::thread`.
+//! A hand-rolled thread pool over `std::thread`: one queue, scoped workers.
 //!
 //! The build environment is offline (no rayon/crossbeam), so the executor
-//! brings its own pool: each worker owns a deque seeded round-robin with
-//! tasks; a worker pops from the *front* of its own deque and steals from
-//! the *back* of a victim's. (Classic Blumofe–Leiserson pools pop LIFO for
-//! cache locality between parent and spawned child tasks; here every task
-//! is submitted up front and tasks never spawn tasks, so FIFO own-pop keeps
-//! execution in rough submission order — progress lines follow the paper's
-//! narrative — at no cost.) A worker that finds every deque empty can simply
-//! retire.
+//! brings its own pool. Every task is submitted up front and no task spawns
+//! another, so there is nothing for per-worker deques or work stealing to
+//! balance that one shared queue does not: each idle worker takes the next
+//! task in submission order — progress lines follow the paper's narrative —
+//! and a worker that finds the queue empty retires.
 //!
 //! Determinism: results are returned **in submission order** no matter which
 //! worker ran what, and seeds are derived before submission — scheduling can
 //! affect only wall time, never values.
 //!
 //! Robustness: [`run_ordered_catch`] confines a panicking job to its own
-//! result slot (`Err(panic message)`) — the worker that ran it keeps pulling
-//! tasks, no lock is poisoned (jobs run outside every lock) and the rest of
-//! the queue drains normally. It is the pool's one entry point; callers
-//! decide what a panicked slot means (the executor turns it into a
+//! result (`Err(panic message)`) — the worker that ran it keeps pulling
+//! tasks, the queue lock is never poisoned (jobs run outside it) and the rest
+//! of the queue drains normally. It is the pool's one entry point; callers
+//! decide what a panicked result means (the executor turns it into a
 //! per-scenario error).
 //!
 //! Instrumentation: the pool keeps cheap process-wide atomic counters (tasks
-//! queued/completed/panicked, steals, queue depth and its peak). [`stats`]
+//! queued/completed/panicked, queue depth and its peak). [`stats`]
 //! snapshots them as a [`PoolStats`]; the experiment service's `/metrics`
 //! endpoint and `repro run --verbose` both read from here.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +42,6 @@ pub fn default_threads() -> usize {
 static TASKS_QUEUED: AtomicU64 = AtomicU64::new(0);
 static TASKS_COMPLETED: AtomicU64 = AtomicU64::new(0);
 static TASKS_PANICKED: AtomicU64 = AtomicU64::new(0);
-static STEALS: AtomicU64 = AtomicU64::new(0);
 static QUEUE_DEPTH: AtomicU64 = AtomicU64::new(0);
 static PEAK_QUEUE_DEPTH: AtomicU64 = AtomicU64::new(0);
 
@@ -62,10 +57,8 @@ pub struct PoolStats {
     /// Tasks that ran to completion (including ones that returned an error
     /// value — the pool only counts panics separately).
     pub tasks_completed: u64,
-    /// Tasks that panicked (caught and reported per-slot).
+    /// Tasks that panicked (caught and reported in their own result).
     pub tasks_panicked: u64,
-    /// Successful steals of a task from another worker's deque.
-    pub steals: u64,
     /// Tasks currently queued or running (a gauge, not a counter).
     pub queue_depth: u64,
     /// The highest `queue_depth` ever observed.
@@ -82,7 +75,6 @@ impl PoolStats {
                 .tasks_completed
                 .saturating_sub(baseline.tasks_completed),
             tasks_panicked: self.tasks_panicked.saturating_sub(baseline.tasks_panicked),
-            steals: self.steals.saturating_sub(baseline.steals),
             queue_depth: self.queue_depth,
             peak_queue_depth: self.peak_queue_depth,
         }
@@ -95,7 +87,6 @@ pub fn stats() -> PoolStats {
         tasks_queued: TASKS_QUEUED.load(Ordering::Relaxed),
         tasks_completed: TASKS_COMPLETED.load(Ordering::Relaxed),
         tasks_panicked: TASKS_PANICKED.load(Ordering::Relaxed),
-        steals: STEALS.load(Ordering::Relaxed),
         queue_depth: QUEUE_DEPTH.load(Ordering::Relaxed),
         peak_queue_depth: PEAK_QUEUE_DEPTH.load(Ordering::Relaxed),
     }
@@ -116,8 +107,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Records the counter updates around one task execution and runs it with a
-/// panic guard. Must be called outside every pool lock so a panic can never
-/// poison a deque or slot mutex.
+/// panic guard. Must be called outside the queue lock so a panic can never
+/// poison it.
 fn run_one<T>(job: impl FnOnce() -> T) -> Result<T, String> {
     let result = catch_unwind(AssertUnwindSafe(job));
     QUEUE_DEPTH.fetch_sub(1, Ordering::Relaxed);
@@ -144,13 +135,18 @@ fn record_queued(count: usize) {
 /// Runs `jobs` on `threads` workers and returns their results in submission
 /// order, confining panics to the job that raised them.
 ///
-/// A slot holds `Err(message)` when its job panicked; every other job still
+/// A result is `Err(message)` when its job panicked; every other job still
 /// runs (the catching worker keeps draining the queue, and jobs execute
-/// outside all pool locks so no mutex is ever poisoned).
+/// outside the queue lock so it is never poisoned).
 ///
 /// With `threads <= 1` (or at most one job) everything runs inline on the
 /// calling thread — handy both as the baseline in determinism tests and to
-/// keep single-point runs allocation-free.
+/// keep single-point runs allocation-free. Otherwise `threads.min(jobs)`
+/// scoped workers take jobs from one queue in submission order; each keeps
+/// its own `(index, result)` list, and the lists are put back in submission
+/// order once the workers join. Every job is queued before any runs and no
+/// job queues another, so one queue keeps every worker busy until it is
+/// empty: there is nothing for work stealing to rebalance.
 pub fn run_ordered_catch<T, F>(threads: usize, jobs: Vec<F>) -> Vec<Result<T, String>>
 where
     F: FnOnce() -> T + Send,
@@ -163,57 +159,31 @@ where
     }
     let workers = threads.min(job_count);
 
-    // Per-worker deques, seeded round-robin so the initial split is even.
-    let deques: Vec<Mutex<VecDeque<(usize, F)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        deques[index % workers]
-            .lock()
-            .expect("deque poisoned")
-            .push_back((index, job));
-    }
-
-    // One slot per job; each job writes exactly its own slot, so the only
-    // contention is the brief per-slot lock.
-    let slots: Vec<Mutex<Option<Result<T, String>>>> =
-        (0..job_count).map(|_| Mutex::new(None)).collect();
-
-    thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                let mut task = deques[me].lock().expect("deque poisoned").pop_front();
-                if task.is_none() {
-                    for offset in 1..workers {
-                        let victim = (me + offset) % workers;
-                        task = deques[victim].lock().expect("deque poisoned").pop_back();
-                        if task.is_some() {
-                            STEALS.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
+    // One queue in submission order. `next` drops the guard before it
+    // returns, so a worker holds the lock only to take a job, never while
+    // running it (a `while let` on the lock itself would keep the guard
+    // alive for the whole loop body).
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let next = || queue.lock().expect("queue poisoned").next();
+    let mut done: Vec<(usize, Result<T, String>)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut ran = Vec::new();
+                    while let Some((index, job)) = next() {
+                        ran.push((index, run_one(job)));
                     }
-                }
-                match task {
-                    Some((index, job)) => {
-                        let value = run_one(job);
-                        *slots[index].lock().expect("slot poisoned") = Some(value);
-                    }
-                    // Every deque is empty and no task spawns tasks: retire.
-                    None => break,
-                }
-            });
-        }
+                    ran
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("pool worker panicked"))
+            .collect()
     });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot poisoned")
-                .expect("every submitted job ran")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -221,11 +191,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Runs jobs that must not panic and unwraps every slot.
+    /// Runs jobs that must not panic and unwraps every result.
     fn run_all<T: Send>(threads: usize, jobs: Vec<impl FnOnce() -> T + Send>) -> Vec<T> {
         run_ordered_catch(threads, jobs)
             .into_iter()
-            .map(|slot| slot.unwrap())
+            .map(|result| result.unwrap())
             .collect()
     }
 
@@ -265,7 +235,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_is_an_error_and_the_queue_still_drains() {
-        // One poisoned pill among 64 jobs: its slot carries the panic
+        // One poisoned pill among 64 jobs: its result carries the panic
         // message, all 63 other jobs still run exactly once, and the call
         // returns (no hung worker, no poisoned lock).
         for threads in [1, 2, 8] {

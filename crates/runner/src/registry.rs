@@ -53,51 +53,25 @@ impl Registry {
     pub fn select(&self, patterns: &[String]) -> Result<Vec<&Scenario>, String> {
         let mut picked = vec![false; self.scenarios.len()];
         for pattern in patterns {
-            if !self.mark_matches(pattern, &mut picked) {
+            let mut hit = false;
+            for (i, scenario) in self.scenarios.iter().enumerate() {
+                if pattern == "all" || glob_match(pattern, scenario.id) {
+                    picked[i] = true;
+                    hit = true;
+                }
+            }
+            if !hit {
                 return Err(format!(
                     "no scenario matches {pattern:?} (try `repro list`)"
                 ));
             }
         }
-        Ok(self.collect_picked(&picked))
-    }
-
-    /// Like [`Registry::select`] but a pattern that matches nothing is
-    /// silently skipped, so the selection may come back empty.
-    ///
-    /// This is the `repro run --allow-empty` behavior for scripts that sweep
-    /// speculative globs and want a successful no-op (plus an empty
-    /// manifest) instead of a hard error when nothing matches.
-    pub fn select_lenient(&self, patterns: &[String]) -> Vec<&Scenario> {
-        let mut picked = vec![false; self.scenarios.len()];
-        for pattern in patterns {
-            self.mark_matches(pattern, &mut picked);
-        }
-        self.collect_picked(&picked)
-    }
-
-    /// Marks every scenario matching `pattern` (exact id, glob, or the
-    /// keyword `all`) in `picked`; returns whether anything matched. The one
-    /// matching core both `select` flavors share, so they cannot drift.
-    fn mark_matches(&self, pattern: &str, picked: &mut [bool]) -> bool {
-        let mut hit = false;
-        for (i, scenario) in self.scenarios.iter().enumerate() {
-            if pattern == "all" || glob_match(pattern, scenario.id) {
-                picked[i] = true;
-                hit = true;
-            }
-        }
-        hit
-    }
-
-    /// The marked scenarios, deduplicated, in registration order.
-    fn collect_picked(&self, picked: &[bool]) -> Vec<&Scenario> {
-        self.scenarios
+        Ok(self
+            .scenarios
             .iter()
             .zip(picked)
-            .filter(|(_, &p)| p)
-            .map(|(s, _)| s)
-            .collect()
+            .filter_map(|(scenario, p)| p.then_some(scenario))
+            .collect())
     }
 }
 
@@ -222,22 +196,6 @@ mod tests {
         let all = registry.select(&["all".to_owned()]).unwrap();
         assert_eq!(all.len(), 3);
         assert!(registry.select(&["nope".to_owned()]).is_err());
-    }
-
-    #[test]
-    fn lenient_selection_skips_unmatched_patterns() {
-        let mut registry = Registry::new();
-        registry.register(dummy("table2"));
-        registry.register(dummy("fig4"));
-        // A dud pattern is skipped, matched ones still select (dedup +
-        // registration order as in `select`).
-        let picked =
-            registry.select_lenient(&["nope*".to_owned(), "fig4".to_owned(), "fig?".to_owned()]);
-        let ids: Vec<&str> = picked.iter().map(|s| s.id).collect();
-        assert_eq!(ids, ["fig4"]);
-        // All duds: the selection is empty rather than an error.
-        assert!(registry.select_lenient(&["zzz".to_owned()]).is_empty());
-        assert!(registry.select_lenient(&[]).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # service
 //!
 //! The long-running experiment service (`repro serve`): the scenario
-//! registry and work-stealing runner of this reproduction, resident behind
+//! registry and parallel runner of this reproduction, resident behind
 //! a hand-rolled HTTP/1.1 server with a job queue, a content-addressed
 //! result cache and a `/metrics` endpoint.
 //!

@@ -333,7 +333,6 @@ impl Metrics {
         out.push_str(&gauge("pool_tasks_queued_total", pool.tasks_queued));
         out.push_str(&gauge("pool_tasks_completed_total", pool.tasks_completed));
         out.push_str(&gauge("pool_tasks_panicked_total", pool.tasks_panicked));
-        out.push_str(&gauge("pool_steals_total", pool.steals));
         out.push_str(&gauge("pool_queue_peak_depth", pool.peak_queue_depth));
         out
     }
@@ -509,14 +508,12 @@ mod tests {
             tasks_queued: 10,
             tasks_completed: 9,
             tasks_panicked: 1,
-            steals: 4,
             queue_depth: 0,
             peak_queue_depth: 8,
         };
         let text = metrics.render(0, &pool);
         assert!(text.contains("pool_tasks_queued_total 10"));
         assert!(text.contains("pool_tasks_panicked_total 1"));
-        assert!(text.contains("pool_steals_total 4"));
         assert!(text.contains("pool_queue_peak_depth 8"));
     }
 }

@@ -202,8 +202,10 @@ proptest! {
     }
 
     /// After any access sequence the number of dirty lines in a set can never
-    /// exceed the associativity, and a sweep of 10 distinct new lines always
-    /// clears every dirty line (the invariant the WB receiver relies on).
+    /// exceed the associativity, and a sweep of 10 distinct new lines clears
+    /// every dirty line (the invariant the WB receiver relies on): always
+    /// under true LRU, and under Tree-PLRU when the set is full before the
+    /// sweep, which the receiver's prime provides.
     #[test]
     fn dirty_lines_are_bounded_and_sweepable(
         policy in arbitrary_policy(),
@@ -220,20 +222,28 @@ proptest! {
             prop_assert!(cache.dirty_count_in_set(set) <= g.associativity);
             prop_assert!(cache.valid_count_in_set(set) <= g.associativity);
         }
-        // Receiver sweep: 10 distinct fresh lines always leave the set clean
-        // on the strictly recency-ordered policies.  The guarantee is only
-        // probabilistic for pseudo-random replacement (Table V), SRRIP can
-        // protect recently hit lines beyond 10 fills, and the Intel-like
-        // approximation guarantees it only for the specific access pattern of
-        // the Table II experiment (covered by its unit tests), not for
-        // arbitrary histories.
+        // Receiver sweep: 10 distinct fresh lines leave the set clean under
+        // true LRU from any state.  Tree-PLRU evicts every way in as many
+        // consecutive misses only once no invalid way is left to fill first;
+        // from a partly filled set it can keep a dirty way (pinned by
+        // `a_half_filled_tree_plru_set_keeps_a_dirty_way_after_ten_fresh_fills`).
+        // The guarantee is only probabilistic for pseudo-random replacement
+        // (Table V), SRRIP can protect recently hit lines beyond 10 fills, and
+        // the Intel-like approximation guarantees it only for the specific
+        // access pattern of the Table II experiment (covered by its unit
+        // tests), not for arbitrary histories.
+        let full_before_sweep = cache.valid_count_in_set(set) == g.associativity;
         let receiver = AccessContext::for_domain(1);
         for i in 0..10u64 {
             let addr = PhysAddr::from_set_and_tag(set, 10_000 + i, g);
             prop_assert!(!cache.contains(addr));
             cache.fill(addr, receiver, false);
         }
-        let sweep_guaranteed = matches!(policy, PolicyKind::TrueLru | PolicyKind::TreePlru);
+        let sweep_guaranteed = match policy {
+            PolicyKind::TrueLru => true,
+            PolicyKind::TreePlru => full_before_sweep,
+            _ => false,
+        };
         if sweep_guaranteed {
             prop_assert_eq!(cache.dirty_count_in_set(set), 0);
         }
@@ -567,4 +577,31 @@ proptest! {
         let collected: WayMask = a.iter().collect();
         prop_assert_eq!(collected.bits(), a.bits());
     }
+}
+
+/// Tree-PLRU sweeps every old line only from a full set.  With four valid
+/// lines (the last three dirty) in ways 0–3, the first four of ten fresh
+/// fills take the invalid ways 4–7; the tree then names ways 0, 4, 2, 6, 1
+/// and 5 as the next six victims, so the dirty line in way 3 survives.
+#[test]
+fn a_half_filled_tree_plru_set_keeps_a_dirty_way_after_ten_fresh_fills() {
+    let mut cache = Cache::new(CacheConfig::xeon_l1d(PolicyKind::TreePlru), 501).unwrap();
+    let g = cache.geometry();
+    let set = 13usize;
+    let sender = AccessContext::for_domain(2);
+    for (dirty, tag) in [(false, 4), (true, 9), (true, 7), (true, 2)] {
+        cache.fill(PhysAddr::from_set_and_tag(set, tag, g), sender, dirty);
+    }
+    assert_eq!(cache.valid_count_in_set(set), 4);
+    let receiver = AccessContext::for_domain(1);
+    for i in 0..10u64 {
+        cache.fill(
+            PhysAddr::from_set_and_tag(set, 10_000 + i, g),
+            receiver,
+            false,
+        );
+    }
+    let survivor = PhysAddr::from_set_and_tag(set, 2, g);
+    assert!(cache.contains(survivor) && cache.is_dirty(survivor));
+    assert_eq!(cache.dirty_count_in_set(set), 1);
 }

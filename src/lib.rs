@@ -14,7 +14,7 @@
 //! * [`baselines`] — Prime+Probe and the LRU channel, Table I's classification.
 //! * [`defenses`] — random-fill, partitioning, PLcache, DAWG, prefetch-guard,
 //!   write-through and fuzzy-time defenses, with an evaluation harness.
-//! * [`runner`] — the scenario registry and work-stealing parallel executor
+//! * [`runner`] — the scenario registry and one-queue parallel executor
 //!   behind the `repro` binary (see `docs/ARCHITECTURE.md`).
 //! * [`service`] — the resident experiment service behind `repro serve`:
 //!   HTTP job queue, content-addressed result cache, `/metrics`.
