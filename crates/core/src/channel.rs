@@ -221,12 +221,37 @@ impl ChannelConfigBuilder {
     /// Returns [`Error::InvalidEncoding`] for an encoding that
     /// [`SymbolEncoding::validate`] rejects, and [`Error::InvalidConfig`] for
     /// a zero period, zero calibration samples, a noisy neighbour with a
-    /// zero interval, no lines or a store fraction outside `[0, 1]`, or a
-    /// hierarchy override whose L1 is not the paper's 64-set, 8-way one.
+    /// zero interval, no lines or a store fraction outside `[0, 1]`, a
+    /// hierarchy override whose L1 is not the paper's 64-set, 8-way one, a
+    /// TSC jitter or overhead above `i64::MAX` (the measurement adds them
+    /// as signed cycles), or an interrupt period or duration whose mean
+    /// plus jitter overflows `u64` (the largest value a draw can take).
     pub fn build(&self) -> Result<ChannelConfig, Error> {
         self.encoding.validate()?;
         if let Some(noise) = self.noise {
             noise.check()?;
+        }
+        let signed = |value: u64| i64::try_from(value).is_ok();
+        if !signed(self.tsc.jitter) || !signed(self.tsc.overhead) {
+            return Err(Error::InvalidConfig {
+                field: "tsc",
+                reason: format!(
+                    "jitter {} and overhead {} must each be at most i64::MAX",
+                    self.tsc.jitter, self.tsc.overhead
+                ),
+            });
+        }
+        let interrupts = self.interrupts;
+        for (mean, jitter, what) in [
+            (interrupts.period, interrupts.period_jitter, "period"),
+            (interrupts.duration, interrupts.duration_jitter, "duration"),
+        ] {
+            if mean.checked_add(jitter).is_none() {
+                return Err(Error::InvalidConfig {
+                    field: "interrupts",
+                    reason: format!("{what} {mean} plus its jitter {jitter} overflows u64"),
+                });
+            }
         }
         if self.period_cycles == 0 {
             return Err(Error::InvalidConfig {
@@ -412,6 +437,81 @@ mod tests {
             .calibration_samples(1)
             .build()
             .is_ok());
+    }
+
+    /// `field`'s `InvalidConfig`, or a panic naming what was built.
+    fn rejected_field(built: Result<ChannelConfig, Error>) -> &'static str {
+        match built {
+            Err(Error::InvalidConfig { field, .. }) => field,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn builder_rejects_tsc_jitter_above_i64_max() {
+        let tsc = |jitter| TscConfig {
+            jitter,
+            ..TscConfig::xeon_e5_2650()
+        };
+        let over = i64::MAX as u64 + 1;
+        assert_eq!(
+            rejected_field(ChannelConfig::builder().tsc(tsc(over)).build()),
+            "tsc"
+        );
+        assert_eq!(
+            rejected_field(ChannelConfig::builder().tsc(tsc(u64::MAX)).build()),
+            "tsc"
+        );
+        assert!(ChannelConfig::builder()
+            .tsc(tsc(i64::MAX as u64))
+            .build()
+            .is_ok());
+    }
+
+    #[test]
+    fn builder_rejects_tsc_overhead_above_i64_max() {
+        let tsc = TscConfig {
+            overhead: i64::MAX as u64 + 1,
+            ..TscConfig::xeon_e5_2650()
+        };
+        assert_eq!(
+            rejected_field(ChannelConfig::builder().tsc(tsc).build()),
+            "tsc"
+        );
+    }
+
+    #[test]
+    fn builder_rejects_an_interrupt_period_that_overflows_with_its_jitter() {
+        let interrupts = InterruptConfig {
+            period: u64::MAX,
+            period_jitter: 1,
+            ..InterruptConfig::pinned_quiet()
+        };
+        assert_eq!(
+            rejected_field(ChannelConfig::builder().interrupts(interrupts).build()),
+            "interrupts"
+        );
+        let at_the_limit = InterruptConfig {
+            period: u64::MAX - 1,
+            ..interrupts
+        };
+        assert!(ChannelConfig::builder()
+            .interrupts(at_the_limit)
+            .build()
+            .is_ok());
+    }
+
+    #[test]
+    fn builder_rejects_an_interrupt_duration_that_overflows_with_its_jitter() {
+        let interrupts = InterruptConfig {
+            duration: 3,
+            duration_jitter: u64::MAX - 2,
+            ..InterruptConfig::pinned_quiet()
+        };
+        assert_eq!(
+            rejected_field(ChannelConfig::builder().interrupts(interrupts).build()),
+            "interrupts"
+        );
     }
 
     #[test]
