@@ -30,6 +30,8 @@ pub struct IntelLike {
     plru: TreePlru,
     rng: PolicyRng,
     ways: usize,
+    /// Every way of the cache: the unrestricted candidate mask.
+    all: WayMask,
     mispredict: f64,
     /// The mispredict draw, resolved once from `mispredict`.
     deviate: Chance,
@@ -81,6 +83,7 @@ impl IntelLike {
             plru: TreePlru::new(num_sets, ways)?,
             rng: PolicyRng::new(seed),
             ways,
+            all: WayMask::all(ways),
             mispredict,
             deviate: Chance::new(mispredict),
             max_staleness: max_staleness.max(1),
@@ -128,9 +131,56 @@ impl IntelLike {
     }
 
     /// Marks `way` of `set` as touched now: its staleness becomes zero.
+    #[inline(always)]
     fn touch(&mut self, set: usize, way: usize) {
         let idx = self.idx(set, way);
         self.stamp[idx] = self.fills[set];
+    }
+
+    /// [`ReplacementPolicy::choose_and_fill`] with every way a candidate
+    /// (no partition and no lock): the victim choice of
+    /// [`ReplacementPolicy::choose_victim`] and the fill touch, without a
+    /// data-dependent branch.
+    ///
+    /// The stalest way is a select loop over the set's stamp row, the PLRU
+    /// way the branch-free walk of the direction word, and the deviated
+    /// way the draw among the other ways, skipping the PLRU way.  All three
+    /// are computed and one is selected.  The draws are made on a copy of
+    /// the stream, and the stream moves on by exactly the draws the
+    /// branching form makes: none for a stale victim, the mispredict draw
+    /// otherwise, and the way draw after a deviation.
+    #[inline(always)]
+    fn choose_all_and_fill(&mut self, set: usize) -> usize {
+        let fills = self.fills[set];
+        let row = set * self.ways;
+        let (mut stalest, mut staleness) = (0, 0);
+        for (way, &stamp) in self.stamp[row..row + self.ways].iter().enumerate() {
+            let age = fills - stamp;
+            // `>=` keeps the later way on a tie, as the masked scan does.
+            let later = age >= staleness;
+            stalest = if later { way } else { stalest };
+            staleness = if later { age } else { staleness };
+        }
+        let forced = staleness >= u64::from(self.max_staleness);
+
+        let word = self.plru.word(set);
+        let plru_way = self.plru.unrestricted_victim(word);
+        let mut drawn = self.rng;
+        let deviate = drawn.chance(self.deviate);
+        let undeviated = drawn;
+        // `ways >= 2`, so the other ways are never empty.
+        let other = drawn.below(self.ways - 1);
+        let deviated_way = other + usize::from(other >= plru_way);
+
+        let way = if deviate { deviated_way } else { plru_way };
+        let way = if forced { stalest } else { way };
+        let stream = if deviate { drawn } else { undeviated };
+        self.rng = if forced { self.rng } else { stream };
+
+        self.plru.set_word(set, self.plru.touched(word, way));
+        self.fills[set] = fills + 1;
+        self.stamp[row + way] = fills + 1;
+        way
     }
 }
 
@@ -144,6 +194,7 @@ impl ReplacementPolicy for IntelLike {
         self.touch(set, way);
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize) {
         self.plru.on_fill(set, way);
         // Every other way in the set ages by one fill; the filled way resets.
@@ -157,7 +208,7 @@ impl ReplacementPolicy for IntelLike {
     }
 
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let mask = candidates.and(WayMask::all(self.ways));
+        let mask = candidates.and(self.all);
         if mask.is_empty() {
             return None;
         }
@@ -186,6 +237,16 @@ impl ReplacementPolicy for IntelLike {
             return mask.without(plru_choice).nth(self.rng.below(count - 1));
         }
         Some(plru_choice)
+    }
+
+    #[inline(always)]
+    fn choose_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        if candidates.bits() & self.all.bits() == self.all.bits() {
+            return Some(self.choose_all_and_fill(set));
+        }
+        let way = self.choose_victim(set, candidates)?;
+        self.on_fill(set, way);
+        Some(way)
     }
 
     fn reset(&mut self) {

@@ -76,6 +76,17 @@ pub trait ReplacementPolicy {
     /// "no fill possible" (it happens only under extreme partitioning).
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize>;
 
+    /// [`ReplacementPolicy::choose_victim`] immediately followed by
+    /// [`ReplacementPolicy::on_fill`] of the chosen way: a fill that evicts.
+    /// A policy overrides it where doing both in one step is cheaper; the
+    /// result and the state after it are the two calls'.
+    #[inline(always)]
+    fn choose_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        let way = self.choose_victim(set, candidates)?;
+        self.on_fill(set, way);
+        Some(way)
+    }
+
     /// Resets all metadata to the post-power-on state.
     fn reset(&mut self);
 }
@@ -230,8 +241,9 @@ impl PolicyDispatch {
         dispatch!(self, p => p.on_invalidate(set, way))
     }
 
-    /// Chooses a victim way within `set`, restricted to `candidates`.
-    #[inline]
+    /// Chooses a victim way within `set`, restricted to `candidates` (the
+    /// policy tests' entry point; caches choose and fill in one call).
+    #[cfg(test)]
     pub(crate) fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
         dispatch!(self, p => p.choose_victim(set, candidates))
     }
@@ -292,12 +304,13 @@ impl PolicyDispatch {
     }
 
     /// [`PolicyDispatch::choose_victim_and_fill_in`] for every policy but
-    /// Tree-PLRU, kept out of line so the inlined fill stays small.
+    /// Tree-PLRU: one out-of-line call that chooses the victim and does the
+    /// fill touch under one match (each policy's
+    /// [`ReplacementPolicy::choose_and_fill`] inlines here), so the inlined
+    /// fill stays small.
     #[inline(never)]
     fn choose_victim_then_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let way = self.choose_victim(set, candidates)?;
-        self.on_fill(set, way);
-        Some(way)
+        dispatch!(self, p => p.choose_and_fill(set, candidates))
     }
 
     /// [`PolicyDispatch::choose_victim_and_fill_in`] on `set`'s own view
@@ -337,7 +350,7 @@ impl PolicyDispatch {
 /// Policies cannot use thread-local entropy: experiments must be exactly
 /// reproducible from the configured seed, and pulling a heavyweight RNG into
 /// the victim-selection hot path would dominate simulator profiles.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PolicyRng {
     state: u64,
 }
@@ -522,7 +535,7 @@ mod tests {
         }
     }
 
-    /// The plain reference model of `kind` (SRRIP, NRU or Intel-like).
+    /// The plain reference model of `kind` (every policy but Tree-PLRU).
     fn reference_model(
         kind: PolicyKind,
         num_sets: usize,
@@ -530,6 +543,8 @@ mod tests {
         seed: u64,
     ) -> Box<dyn ReplacementPolicy> {
         match kind {
+            PolicyKind::TrueLru => Box::new(reference::LruModel::new(num_sets, ways)),
+            PolicyKind::Random => Box::new(reference::RandomModel::new(ways, seed)),
             PolicyKind::Srrip => Box::new(reference::SrripModel::new(num_sets, ways)),
             PolicyKind::Nru => Box::new(reference::NruModel::new(num_sets, ways)),
             PolicyKind::IntelLike => Box::new(reference::IntelLikeModel::new(num_sets, ways, seed)),
@@ -537,23 +552,38 @@ mod tests {
         }
     }
 
+    /// The policies with a reference model.
+    const MODELLED: [PolicyKind; 5] = [
+        PolicyKind::TrueLru,
+        PolicyKind::Random,
+        PolicyKind::Srrip,
+        PolicyKind::Nru,
+        PolicyKind::IntelLike,
+    ];
+
     proptest! {
-        /// SRRIP, NRU and Intel-like choose the same victim as their
-        /// reference models at every step of a random mix of hits, fills,
-        /// invalidations, victim choices and resets, under candidate masks
-        /// that include locked ways, way partitions and arbitrary subsets.
+        /// LRU, Random, SRRIP, NRU and Intel-like choose the same victim as
+        /// their reference models at every step of a random mix of hits,
+        /// fills, invalidations, victim choices and resets, under candidate
+        /// masks that include locked ways, way partitions and arbitrary
+        /// subsets, on 4- to 64-way sets (Intel-like, a tree, on the power
+        /// of two at or below the drawn count).
         #[test]
         fn victims_match_reference_models(
-            kind in 0usize..3,
-            ways_log2 in 2u32..5,
+            kind in 0..MODELLED.len(),
+            ways in 4usize..=64,
             seed in 0u64..1000,
             ops in proptest::collection::vec(
-                (0u8..16, 0usize..4, 0usize..16, 0u64..u64::MAX, 0u8..4),
+                (0u8..16, 0usize..4, 0usize..64, 0u64..u64::MAX, 0u8..4),
                 1..400,
             ),
         ) {
-            let kind = [PolicyKind::Srrip, PolicyKind::Nru, PolicyKind::IntelLike][kind];
-            let ways = 1usize << ways_log2;
+            let kind = MODELLED[kind];
+            let ways = if kind == PolicyKind::IntelLike {
+                1 << ways.ilog2()
+            } else {
+                ways
+            };
             let mut policy = PolicyDispatch::build(kind, 4, ways, seed).unwrap();
             let mut model = reference_model(kind, 4, ways, seed);
             for (step, (op, set, way, bits, mask_kind)) in ops.into_iter().enumerate() {

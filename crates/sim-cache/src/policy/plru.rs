@@ -131,25 +131,15 @@ impl TreePlru {
         if cand == 0 {
             return None;
         }
-        // Unrestricted selection (no partitions, no locks) — the common case
-        // — follows the direction bits root-to-leaf with pure arithmetic:
-        // the directions are data, not control flow, so the walk never
-        // mispredicts.
+        // Unrestricted selection (no partitions, no locks), the common
+        // case, is the branch-free walk.
         let all = if self.ways >= 64 {
             u64::MAX
         } else {
             (1u64 << self.ways) - 1
         };
         if cand == all {
-            let levels = self.ways.trailing_zeros();
-            let mut way = 0usize;
-            let mut node = 0usize;
-            for _ in 0..levels {
-                let dir = ((word >> node) & 1) as usize;
-                way = (way << 1) | dir;
-                node = 2 * node + 1 + dir;
-            }
-            return Some(way);
+            return Some(self.unrestricted_victim(word));
         }
         let mut node = 0usize;
         let mut lo = 0usize;
@@ -174,6 +164,22 @@ impl TreePlru {
         Some(lo)
     }
 
+    /// The way the direction bits of `word` lead to from the root, every
+    /// way a candidate: the walk with its directions as data, not control
+    /// flow, so it never mispredicts.
+    #[inline(always)]
+    pub(crate) fn unrestricted_victim(&self, word: u64) -> usize {
+        let levels = self.ways.trailing_zeros();
+        let mut way = 0usize;
+        let mut node = 0usize;
+        for _ in 0..levels {
+            let dir = ((word >> node) & 1) as usize;
+            way = (way << 1) | dir;
+            node = 2 * node + 1 + dir;
+        }
+        way
+    }
+
     /// Chooses a victim in the set whose direction word is `word` and
     /// immediately marks it most-recently-used (the fill touch), updating
     /// `word`.
@@ -192,16 +198,7 @@ impl TreePlru {
         let way = if candidates.bits() & all != all {
             self.walk(*word, candidates.and(WayMask::all(self.ways)))?
         } else {
-            // Branch-free directions.
-            let levels = self.ways.trailing_zeros();
-            let mut way = 0usize;
-            let mut node = 0usize;
-            for _ in 0..levels {
-                let dir = ((*word >> node) & 1) as usize;
-                way = (way << 1) | dir;
-                node = 2 * node + 1 + dir;
-            }
-            way
+            self.unrestricted_victim(*word)
         };
         *word = self.touched(*word, way);
         Some(way)
@@ -262,6 +259,14 @@ impl ReplacementPolicy for TreePlru {
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
         let mask = candidates.and(WayMask::all(self.ways));
         self.walk(self.words[set], mask)
+    }
+
+    /// [`TreePlru::choose_and_touch`] on the set's word in place.
+    fn choose_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        let mut word = self.words[set];
+        let way = self.choose_and_touch(&mut word, candidates)?;
+        self.words[set] = word;
+        Some(way)
     }
 
     fn reset(&mut self) {

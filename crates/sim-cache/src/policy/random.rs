@@ -14,7 +14,8 @@ use crate::waymask::WayMask;
 /// so experiments remain reproducible.
 #[derive(Debug, Clone)]
 pub struct PseudoRandom {
-    ways: usize,
+    /// Every way of the cache.
+    all: WayMask,
     rng: PolicyRng,
 }
 
@@ -22,7 +23,7 @@ impl PseudoRandom {
     /// Creates the policy; `num_sets` is accepted for interface symmetry.
     pub fn new(_num_sets: usize, ways: usize, seed: u64) -> PseudoRandom {
         PseudoRandom {
-            ways,
+            all: WayMask::all(ways),
             rng: PolicyRng::new(seed),
         }
     }
@@ -46,13 +47,21 @@ impl ReplacementPolicy for PseudoRandom {
 
     fn on_invalidate(&mut self, _set: usize, _way: usize) {}
 
+    #[inline(always)]
     fn choose_victim(&mut self, _set: usize, candidates: WayMask) -> Option<usize> {
-        let mask = candidates.and(WayMask::all(self.ways));
+        let mask = candidates.and(self.all);
         let count = mask.count();
         if count == 0 {
             return None;
         }
+        // A full mask's `nth` is the draw itself.
         mask.nth(self.rng.below(count))
+    }
+
+    /// [`ReplacementPolicy::choose_victim`]: a fill changes no state.
+    #[inline(always)]
+    fn choose_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        self.choose_victim(set, candidates)
     }
 
     fn reset(&mut self) {

@@ -1,10 +1,104 @@
-//! Reference models for the property test in `policy/mod.rs`: SRRIP, NRU
-//! and Intel-like written the plain way, ageing one step at a time, with a
-//! `bool` per reference bit and a saturating staleness counter per way.
-//! The real policies must choose the same victim at every step.
+//! Reference models for the property test in `policy/mod.rs`: LRU,
+//! Random, SRRIP, NRU and Intel-like written the plain way — a min-stamp
+//! scan, the bit iterator's `nth` and a `%` draw, ageing one step at a
+//! time, a `bool` per reference bit and a saturating staleness counter per
+//! way.  The real policies must choose the same victim at every step.
 
 use super::{IntelLike, PolicyRng, ReplacementPolicy, TreePlru};
 use crate::waymask::WayMask;
+
+/// LRU that scans the candidates for the smallest stamp.
+pub(super) struct LruModel {
+    ways: usize,
+    stamps: Vec<u64>,
+    clock: u64,
+}
+
+impl LruModel {
+    pub(super) fn new(num_sets: usize, ways: usize) -> LruModel {
+        LruModel {
+            ways,
+            stamps: vec![0; num_sets * ways],
+            clock: 0,
+        }
+    }
+}
+
+impl ReplacementPolicy for LruModel {
+    fn name(&self) -> &'static str {
+        "LRU"
+    }
+
+    fn on_hit(&mut self, set: usize, way: usize) {
+        self.clock += 1;
+        self.stamps[set * self.ways + way] = self.clock;
+    }
+
+    fn on_fill(&mut self, set: usize, way: usize) {
+        self.on_hit(set, way);
+    }
+
+    fn on_invalidate(&mut self, set: usize, way: usize) {
+        self.stamps[set * self.ways + way] = 0;
+    }
+
+    fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        let mut victim = None;
+        for way in candidates.iter().filter(|&w| w < self.ways) {
+            let stamp = self.stamps[set * self.ways + way];
+            match victim {
+                Some((_, oldest)) if oldest <= stamp => {}
+                _ => victim = Some((way, stamp)),
+            }
+        }
+        victim.map(|(way, _)| way)
+    }
+
+    fn reset(&mut self) {
+        self.stamps.fill(0);
+        self.clock = 0;
+    }
+}
+
+/// Random that draws an index by `%` and walks the bit iterator to it.
+pub(super) struct RandomModel {
+    ways: usize,
+    rng: PolicyRng,
+}
+
+impl RandomModel {
+    pub(super) fn new(ways: usize, seed: u64) -> RandomModel {
+        RandomModel {
+            ways,
+            rng: PolicyRng::new(seed),
+        }
+    }
+}
+
+impl ReplacementPolicy for RandomModel {
+    fn name(&self) -> &'static str {
+        "Random"
+    }
+
+    fn on_hit(&mut self, _set: usize, _way: usize) {}
+
+    fn on_fill(&mut self, _set: usize, _way: usize) {}
+
+    fn on_invalidate(&mut self, _set: usize, _way: usize) {}
+
+    fn choose_victim(&mut self, _set: usize, candidates: WayMask) -> Option<usize> {
+        let ways: Vec<usize> = candidates.iter().filter(|&w| w < self.ways).collect();
+        if ways.is_empty() {
+            return None;
+        }
+        let index = self.rng.next_u64() % ways.len() as u64;
+        ways.iter().copied().nth(index as usize)
+    }
+
+    fn reset(&mut self) {
+        // The stream keeps running across resets, as in the policy.
+    }
+}
 
 /// SRRIP that ages every candidate by one until one reaches `MAX_RRPV`.
 pub(super) struct SrripModel {

@@ -11,38 +11,98 @@ use crate::waymask::WayMask;
 /// style of policy used in recent Intel LLCs; it is included as an ablation
 /// point showing the WB channel also works when insertion is not MRU.
 ///
-/// Victim choice ages the candidates in one step by however much the oldest
-/// one lacks, so it allocates nothing and never loops over ageing rounds.
+/// A set's RRPVs are two bit planes, one word each: bit `w` of `high` and
+/// of `low` are the two bits of way `w`'s RRPV.  Victim choice is word
+/// operations on the planes: the candidates' highest RRPV, ageing every
+/// candidate in one step by however much the oldest one lacks, and the
+/// lowest candidate at 3.  It allocates nothing and has no per-way loop.
 #[derive(Debug, Clone)]
 pub struct Srrip {
-    ways: usize,
-    rrpv: Vec<u8>,
+    ways: WayMask,
+    rrpv: Vec<Planes>,
 }
 
-/// Maximum RRPV for the 2-bit implementation.
+/// The RRPVs of one set as bit planes (bit `w` ↔ way `w`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Planes {
+    high: u64,
+    low: u64,
+}
+
+/// Maximum RRPV for the 2-bit implementation: both planes set.
 const MAX_RRPV: u8 = 3;
 /// Insertion RRPV (the "long re-reference interval" of the SRRIP paper).
 const INSERT_RRPV: u8 = 2;
+
+/// All ones when `bit` is set, zero otherwise.
+#[inline(always)]
+fn spread(bit: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(bit))
+}
+
+impl Planes {
+    /// Every way at `MAX_RRPV`.
+    const FRESH: Planes = Planes {
+        high: u64::MAX,
+        low: u64::MAX,
+    };
+
+    /// `self` with way `way`'s RRPV set to `rrpv`.
+    #[inline(always)]
+    fn with(self, way: usize, rrpv: u8) -> Planes {
+        let bit = 1u64 << way;
+        Planes {
+            high: (self.high & !bit) | (spread(rrpv & 2 != 0) & bit),
+            low: (self.low & !bit) | (spread(rrpv & 1 != 0) & bit),
+        }
+    }
+}
 
 impl Srrip {
     /// Creates SRRIP metadata for `num_sets` sets of `ways` ways.
     pub fn new(num_sets: usize, ways: usize) -> Srrip {
         Srrip {
-            ways,
-            rrpv: vec![MAX_RRPV; num_sets * ways],
+            ways: WayMask::all(ways),
+            rrpv: vec![Planes::FRESH; num_sets],
         }
-    }
-
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
     }
 
     /// Returns the policy to its state at construction, given that only the
     /// RRPVs of `touched` changed since then.
     pub(crate) fn reset_touched(&mut self, _seed: u64, touched: impl Iterator<Item = usize>) {
         for set in touched {
-            self.rrpv[set * self.ways..(set + 1) * self.ways].fill(MAX_RRPV);
+            self.rrpv[set] = Planes::FRESH;
         }
+    }
+
+    /// The victim among `candidates` of `set`, after ageing them: the
+    /// stepwise loop (age every candidate by one until one reaches
+    /// `MAX_RRPV`) in one step.
+    #[inline(always)]
+    fn age_and_choose(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        let c = candidates.and(self.ways).bits();
+        if c == 0 {
+            return None;
+        }
+        let Planes { high, low } = self.rrpv[set];
+        // The candidates' highest RRPV, bit by bit: its high bit is set when
+        // any candidate's is, and its low bit when a candidate with that
+        // high bit has its low bit set.
+        let top_high = high & c != 0;
+        let top = (high | !spread(top_high)) & c;
+        let top_low = low & top != 0;
+        // Ageing every candidate one step at a time until one reaches
+        // MAX_RRPV is one step of `MAX_RRPV - max`: no candidate saturates
+        // before the oldest gets there, so the 2-bit add never carries out.
+        let (add_high, add_low) = (spread(!top_high) & c, spread(!top_low) & c);
+        let low_aged = low ^ add_low;
+        let high_aged = high ^ add_high ^ (low & add_low);
+        self.rrpv[set] = Planes {
+            high: high_aged,
+            low: low_aged,
+        };
+        // The lowest candidate at MAX_RRPV, exactly as in the stepwise loop.
+        Some((high_aged & low_aged & c).trailing_zeros() as usize)
     }
 }
 
@@ -52,44 +112,30 @@ impl ReplacementPolicy for Srrip {
     }
 
     fn on_hit(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.rrpv[idx] = 0;
+        self.rrpv[set] = self.rrpv[set].with(way, 0);
     }
 
     fn on_fill(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.rrpv[idx] = INSERT_RRPV;
+        self.rrpv[set] = self.rrpv[set].with(way, INSERT_RRPV);
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.rrpv[idx] = MAX_RRPV;
+        self.rrpv[set] = self.rrpv[set].with(way, MAX_RRPV);
     }
 
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let candidates = candidates.and(WayMask::all(self.ways));
-        let rrpv = &mut self.rrpv[set * self.ways..(set + 1) * self.ways];
-        // The candidates' highest RRPV, found without a data-dependent
-        // branch.
-        let mut max = 0;
-        for w in candidates.iter() {
-            max = max.max(rrpv[w]);
-        }
-        // Ageing every candidate one step at a time until one reaches
-        // MAX_RRPV is one step of `MAX_RRPV - max`: no candidate saturates
-        // before the oldest gets there.  The victim is then the lowest
-        // candidate at MAX_RRPV, exactly as in the stepwise loop.
-        let age = MAX_RRPV - max;
-        if age > 0 {
-            for w in candidates.iter() {
-                rrpv[w] += age;
-            }
-        }
-        candidates.iter().find(|&w| rrpv[w] == MAX_RRPV)
+        self.age_and_choose(set, candidates)
+    }
+
+    #[inline(always)]
+    fn choose_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        let way = self.age_and_choose(set, candidates)?;
+        self.on_fill(set, way);
+        Some(way)
     }
 
     fn reset(&mut self) {
-        self.rrpv.fill(MAX_RRPV);
+        self.rrpv.fill(Planes::FRESH);
     }
 }
 

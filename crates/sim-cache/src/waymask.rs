@@ -129,9 +129,22 @@ impl WayMask {
     /// Returns the `n`-th enabled way (0-based), if any.
     ///
     /// Used by random-replacement policies to pick a victim uniformly among
-    /// the candidate ways.
+    /// the candidate ways.  A full mask (ways `0..count`, every victim
+    /// choice without partitions or locks) answers `n` itself; any other
+    /// mask clears its `n` lowest ways first.
+    #[inline]
     pub fn nth(self, n: usize) -> Option<usize> {
-        self.iter().nth(n)
+        if n >= self.count() {
+            return None;
+        }
+        if self.0 & self.0.wrapping_add(1) == 0 {
+            return Some(n);
+        }
+        let mut bits = self.0;
+        for _ in 0..n {
+            bits &= bits - 1;
+        }
+        Some(bits.trailing_zeros() as usize)
     }
 }
 
@@ -258,6 +271,7 @@ impl ExactSizeIterator for WayMaskIter {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn all_enables_exactly_n_ways() {
@@ -297,6 +311,33 @@ mod tests {
         assert_eq!(mask.first(), Some(1));
         assert_eq!(mask.nth(2), Some(5));
         assert_eq!(mask.nth(4), None);
+    }
+
+    #[test]
+    fn nth_of_full_and_sparse_masks() {
+        assert_eq!(WayMask::all(8).nth(0), Some(0));
+        assert_eq!(WayMask::all(8).nth(7), Some(7));
+        assert_eq!(WayMask::all(8).nth(8), None);
+        assert_eq!(WayMask::all(64).nth(63), Some(63));
+        assert_eq!(WayMask::all(64).nth(64), None);
+        assert_eq!(WayMask::EMPTY.nth(0), None);
+        assert_eq!(WayMask::from_bits(1 << 63).nth(0), Some(63));
+    }
+
+    proptest! {
+        /// `nth` is the bit iterator's `nth` on every mask, full or not,
+        /// for indices inside and past the enabled ways.
+        #[test]
+        fn nth_matches_the_bit_iterator(
+            bits in prop_oneof![
+                any::<u64>(),
+                (0usize..=64).prop_map(|ways| WayMask::all(ways).bits()),
+            ],
+            n in 0usize..70,
+        ) {
+            let mask = WayMask::from_bits(bits);
+            prop_assert_eq!(mask.nth(n), mask.iter().nth(n));
+        }
     }
 
     #[test]
