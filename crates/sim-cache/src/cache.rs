@@ -26,8 +26,14 @@
 //! one view across a stretch of consecutive accesses to one set, so the
 //! WB receiver's chase over one eviction set loads that state once and
 //! stores it once instead of on every access; tags and owners are written
-//! in place.  The L2 and LLC installs load and store a view around each
-//! fill, and their lookups and the invalidations read the arrays in place.
+//! in place.  A lone install — the L2 and LLC installs and
+//! [`Cache::fill`], which the eviction experiments call directly — loads
+//! and stores a view around its one fill; lookups outside a stretch and
+//! the invalidations read the arrays in place.  Under every policy but
+//! Tree-PLRU the view holds no policy word, so a lone install costs the
+//! masks and the first fingerprint word, which the fill reads and writes
+//! anyway: updating them in place instead measured no faster.  Its victim
+//! choice and fill touch are one out-of-line policy call.
 //! perfbench's `sim-core.exec_ns_per_access` row tracks the cost per access
 //! inside a channel frame.
 //!

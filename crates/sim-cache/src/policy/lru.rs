@@ -34,33 +34,6 @@ impl TrueLru {
         self.stamps[set * self.ways + way] = self.clock;
     }
 
-    /// The candidate of `set` with the smallest stamp, the lowest such way
-    /// on a tie (never-used and invalidated ways all stamp 0).
-    ///
-    /// A select loop over the whole stamp row: a way that is not a
-    /// candidate reads as `u64::MAX`, and a strictly smaller stamp replaces
-    /// the running minimum, so the loop has a fixed trip count and no
-    /// data-dependent branch.  Starting from the lowest candidate keeps it
-    /// the answer when every candidate's stamp is `u64::MAX`.
-    #[inline(always)]
-    fn least_recent(&self, set: usize, candidates: WayMask) -> Option<usize> {
-        let candidates = candidates.bits();
-        let stamps = &self.stamps[set * self.ways..(set + 1) * self.ways];
-        let mut victim = candidates.trailing_zeros() as usize;
-        if victim >= self.ways {
-            return None;
-        }
-        let mut oldest = u64::MAX;
-        for (way, &stamp) in stamps.iter().enumerate() {
-            let excluded = (!candidates >> way & 1).wrapping_neg();
-            let stamp = stamp | excluded;
-            if stamp < oldest {
-                (victim, oldest) = (way, stamp);
-            }
-        }
-        Some(victim)
-    }
-
     /// Returns the ways of `set` ordered from least to most recently used.
     ///
     /// Exposed for tests and for the LRU-channel baseline, which needs to
@@ -99,15 +72,31 @@ impl ReplacementPolicy for TrueLru {
         self.stamps[set * self.ways + way] = 0;
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        self.least_recent(set, candidates)
-    }
-
+    /// The candidate of `set` with the smallest stamp, the lowest such way
+    /// on a tie (never-used and invalidated ways all stamp 0).
+    ///
+    /// A select loop over the whole stamp row: a way that is not a
+    /// candidate reads as `u64::MAX`, and a strictly smaller stamp replaces
+    /// the running minimum, so the loop has a fixed trip count and no
+    /// data-dependent branch.  Starting from the lowest candidate keeps it
+    /// the answer when every candidate's stamp is `u64::MAX`.
     #[inline(always)]
-    fn choose_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let way = self.least_recent(set, candidates)?;
-        self.touch(set, way);
-        Some(way)
+    fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        let candidates = candidates.bits();
+        let stamps = &self.stamps[set * self.ways..(set + 1) * self.ways];
+        let mut victim = candidates.trailing_zeros() as usize;
+        if victim >= self.ways {
+            return None;
+        }
+        let mut oldest = u64::MAX;
+        for (way, &stamp) in stamps.iter().enumerate() {
+            let excluded = (!candidates >> way & 1).wrapping_neg();
+            let stamp = stamp | excluded;
+            if stamp < oldest {
+                (victim, oldest) = (way, stamp);
+            }
+        }
+        Some(victim)
     }
 
     fn reset(&mut self) {

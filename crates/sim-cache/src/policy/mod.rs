@@ -22,15 +22,23 @@
 //!
 //! No policy allocates on the access path: a hit, fill or invalidation
 //! updates O(1) words, and a victim choice scans at most the set's ways.
-//! SRRIP ages its candidates in one step, NRU keeps one reference word per
-//! set, and Intel-like derives each way's staleness from a per-set fill
-//! count instead of ageing every way on a fill.  No draw divides: Random
-//! and Intel-like reduce a draw by a way count with a table of Lemire
-//! magics (`PolicyRng::below`), and a fixed-probability draw compares the
-//! raw value with a threshold found once (`Chance`).  The test module checks
-//! SRRIP, NRU and Intel-like victim for victim against reference models
-//! written the plain way (`reference.rs`, its draws by `%` and a float
-//! compare), under random operation mixes and candidate masks.
+//! A fill that evicts is one call, [`ReplacementPolicy::choose_and_fill`]:
+//! the victim choice and the fill touch together.  The victim scans have
+//! no data-dependent branch.  SRRIP keeps a set's RRPVs as two bit-plane
+//! words and ages its candidates in one step with word operations, LRU
+//! finds the smallest stamp with a select loop, NRU keeps one reference
+//! word per set, Random's draw on a full mask is the victim itself
+//! ([`WayMask::nth`]), and Intel-like, with no partition and no lock,
+//! computes its stalest, PLRU and deviated ways and selects one.
+//! Intel-like derives each way's staleness from a per-set fill count
+//! instead of ageing every way on a fill.  No draw divides: Random and
+//! Intel-like reduce a draw by a way count with a table of Lemire magics
+//! (`PolicyRng::below`), and a fixed-probability draw compares the raw
+//! value with a threshold found once (`Chance`).  The test module checks
+//! LRU, Random, SRRIP, NRU and Intel-like victim for victim against
+//! reference models written the plain way (`reference.rs`, its draws by
+//! `%` and a float compare), under random operation mixes and candidate
+//! masks on 4- to 64-way sets.
 
 mod intel_like;
 mod lru;
@@ -144,9 +152,13 @@ impl fmt::Display for PolicyKind {
 /// that word under Tree-PLRU and the state in place under every other
 /// policy.  They are forced inline into the cache's lookup and fill, so a
 /// Tree-PLRU hit or eviction is straight-line code on a local inside the
-/// hierarchy's batch loops; victim choice for the other policies is one
-/// out-of-line call that allocates nothing and touches only the set's own
-/// metadata.
+/// hierarchy's batch loops.  Under every other policy a hit or a fill into
+/// an empty way is one out-of-line call, and a fill that evicts is one
+/// out-of-line call too (`choose_victim_then_fill`): one match, then the
+/// policy's victim choice and fill touch inlined together.  It allocates
+/// nothing and touches only the set's own metadata.  Inlining these arms
+/// into the Tree-PLRU fill measured as noise and grows the hot loop, so
+/// they stay out of line.
 #[derive(Debug)]
 pub(crate) enum PolicyDispatch {
     TreePlru(TreePlru),
@@ -288,8 +300,8 @@ impl PolicyDispatch {
     /// `choose_victim` immediately followed by `on_fill` of the chosen way,
     /// in `set` whose view word is `word` — the eviction hot path.
     /// Tree-PLRU walks and touches its direction word in one step; every
-    /// other policy runs the two calls back-to-back, so the behaviour is
-    /// identical for all variants.
+    /// other policy runs its [`ReplacementPolicy::choose_and_fill`], whose
+    /// result and state are the two calls' back to back.
     #[inline(always)]
     pub(crate) fn choose_victim_and_fill_in(
         &mut self,

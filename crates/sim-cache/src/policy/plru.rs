@@ -261,14 +261,6 @@ impl ReplacementPolicy for TreePlru {
         self.walk(self.words[set], mask)
     }
 
-    /// [`TreePlru::choose_and_touch`] on the set's word in place.
-    fn choose_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let mut word = self.words[set];
-        let way = self.choose_and_touch(&mut word, candidates)?;
-        self.words[set] = word;
-        Some(way)
-    }
-
     fn reset(&mut self) {
         self.words.fill(0);
     }

@@ -58,12 +58,6 @@ impl ReplacementPolicy for PseudoRandom {
         mask.nth(self.rng.below(count))
     }
 
-    /// [`ReplacementPolicy::choose_victim`]: a fill changes no state.
-    #[inline(always)]
-    fn choose_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        self.choose_victim(set, candidates)
-    }
-
     fn reset(&mut self) {
         // The LFSR keeps running across resets on real hardware; keep state.
     }

@@ -74,12 +74,30 @@ impl Srrip {
             self.rrpv[set] = Planes::FRESH;
         }
     }
+}
 
-    /// The victim among `candidates` of `set`, after ageing them: the
-    /// stepwise loop (age every candidate by one until one reaches
-    /// `MAX_RRPV`) in one step.
+impl ReplacementPolicy for Srrip {
+    fn name(&self) -> &'static str {
+        "SRRIP"
+    }
+
+    fn on_hit(&mut self, set: usize, way: usize) {
+        self.rrpv[set] = self.rrpv[set].with(way, 0);
+    }
+
+    fn on_fill(&mut self, set: usize, way: usize) {
+        self.rrpv[set] = self.rrpv[set].with(way, INSERT_RRPV);
+    }
+
+    fn on_invalidate(&mut self, set: usize, way: usize) {
+        self.rrpv[set] = self.rrpv[set].with(way, MAX_RRPV);
+    }
+
+    /// Ages the candidates and returns the lowest one at `MAX_RRPV`: the
+    /// stepwise loop (age every candidate by one until one reaches it) in
+    /// one step.
     #[inline(always)]
-    fn age_and_choose(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+    fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
         let c = candidates.and(self.ways).bits();
         if c == 0 {
             return None;
@@ -103,35 +121,6 @@ impl Srrip {
         };
         // The lowest candidate at MAX_RRPV, exactly as in the stepwise loop.
         Some((high_aged & low_aged & c).trailing_zeros() as usize)
-    }
-}
-
-impl ReplacementPolicy for Srrip {
-    fn name(&self) -> &'static str {
-        "SRRIP"
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.rrpv[set] = self.rrpv[set].with(way, 0);
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.rrpv[set] = self.rrpv[set].with(way, INSERT_RRPV);
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.rrpv[set] = self.rrpv[set].with(way, MAX_RRPV);
-    }
-
-    fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        self.age_and_choose(set, candidates)
-    }
-
-    #[inline(always)]
-    fn choose_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let way = self.age_and_choose(set, candidates)?;
-        self.on_fill(set, way);
-        Some(way)
     }
 
     fn reset(&mut self) {
