@@ -313,17 +313,6 @@ mod tests {
         assert_eq!(mask.nth(4), None);
     }
 
-    #[test]
-    fn nth_of_full_and_sparse_masks() {
-        assert_eq!(WayMask::all(8).nth(0), Some(0));
-        assert_eq!(WayMask::all(8).nth(7), Some(7));
-        assert_eq!(WayMask::all(8).nth(8), None);
-        assert_eq!(WayMask::all(64).nth(63), Some(63));
-        assert_eq!(WayMask::all(64).nth(64), None);
-        assert_eq!(WayMask::EMPTY.nth(0), None);
-        assert_eq!(WayMask::from_bits(1 << 63).nth(0), Some(63));
-    }
-
     proptest! {
         /// `nth` is the bit iterator's `nth` on every mask, full or not,
         /// for indices inside and past the enabled ways.
