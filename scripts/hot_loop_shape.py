@@ -15,8 +15,10 @@ file next to this script and any difference is printed as a unified diff.
 
 A change that moves a line of the expectation (a new out-of-line call in a
 hot loop, an inlined callee, more bounds checks) updates the file and says
-why in CHANGES.md.  The first line records the rustc version, so a
-toolchain upgrade shows as its own diff line.
+why in CHANGES.md.  The first line records the rustc version the file was
+written with; CI builds with that version (`rust-toolchain.toml` names
+only `stable`), and a toolchain upgrade rewrites the file as its own change.
+An optional argument names another binary to check.
 """
 
 import collections
