@@ -183,27 +183,6 @@ impl<'a> Bench<'a> {
     }
 }
 
-/// Measures `samples_per_level` replacement latencies with `d` dirty lines in
-/// the target set before every sweep, on `machine` after a
-/// [`Machine::reset`] to `config.machine`, so the result is the same
-/// whatever state the machine was in.  Also reports the simulated cycles the
-/// measurement consumed (warm-up, encoding bursts and sweeps combined) — the
-/// cycle-attribution source for calibrate-phase telemetry.
-///
-/// # Errors
-///
-/// Returns an error if the configuration is invalid or `d` exceeds the
-/// associativity.
-pub fn replacement_latency_samples(
-    machine: &mut Machine,
-    config: &CalibrationConfig,
-    d: usize,
-) -> Result<(Vec<u64>, u64), Error> {
-    let mut bench = Bench::new(config)?;
-    machine.reset(config.machine)?;
-    bench.level(machine, d)
-}
-
 /// The data behind the paper's Figure 4: one latency CDF per dirty-line
 /// count, all measured on one machine reset between counts.
 ///
@@ -363,6 +342,12 @@ mod tests {
         Machine::new(config.machine).unwrap()
     }
 
+    /// One level's replacement latencies with `d` dirty lines, measured on a
+    /// fresh machine.
+    fn level_samples(config: &CalibrationConfig, d: usize) -> Result<Vec<u64>, Error> {
+        Ok(Bench::new(config)?.level(&mut fresh(config), d)?.0)
+    }
+
     /// The reference for [`calibrate_decoder`]: every level measured on a
     /// freshly built machine, never a reset one.
     fn calibrate_on_fresh_machines(
@@ -417,8 +402,8 @@ mod tests {
     #[test]
     fn clean_and_dirty_sweeps_are_separable() {
         let config = quiet_config();
-        let (clean, _) = replacement_latency_samples(&mut fresh(&config), &config, 0).unwrap();
-        let (dirty, _) = replacement_latency_samples(&mut fresh(&config), &config, 8).unwrap();
+        let clean = level_samples(&config, 0).unwrap();
+        let dirty = level_samples(&config, 8).unwrap();
         let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
         let gap = mean(&dirty) - mean(&clean);
         // Eight dirty lines at ~11 cycles each.
@@ -435,8 +420,7 @@ mod tests {
         let config = quiet_config();
         let mut means = Vec::new();
         for d in [0usize, 2, 4, 6, 8] {
-            let (samples, _) =
-                replacement_latency_samples(&mut fresh(&config), &config, d).unwrap();
+            let samples = level_samples(&config, d).unwrap();
             means.push(samples.iter().sum::<u64>() as f64 / samples.len() as f64);
         }
         for pair in means.windows(2) {
@@ -462,8 +446,8 @@ mod tests {
         let config = quiet_config();
         let encoding = SymbolEncoding::binary(1).unwrap();
         let (decoder, _) = calibrate_decoder(&mut fresh(&config), &config, &encoding).unwrap();
-        let (clean, _) = replacement_latency_samples(&mut fresh(&config), &config, 0).unwrap();
-        let (dirty, _) = replacement_latency_samples(&mut fresh(&config), &config, 1).unwrap();
+        let clean = level_samples(&config, 0).unwrap();
+        let dirty = level_samples(&config, 1).unwrap();
         let errors = clean.iter().filter(|&&l| decoder.classify(l) != 0).count()
             + dirty.iter().filter(|&&l| decoder.classify(l) != 1).count();
         let total = clean.len() + dirty.len();
@@ -498,7 +482,7 @@ mod tests {
     #[test]
     fn invalid_configurations_are_rejected() {
         let rejects = |config: &CalibrationConfig, d: usize, field: &str| {
-            let result = replacement_latency_samples(&mut fresh(config), config, d);
+            let result = level_samples(config, d);
             assert!(
                 matches!(result, Err(Error::InvalidConfig { field: f, .. }) if f == field),
                 "d = {d}: {result:?}"
@@ -528,8 +512,8 @@ mod tests {
         rejects(&quiet_config(), 9, "d");
         // The message names the L1's real associativity.
         let config = with_l1(16 * 1024, 4);
-        assert!(replacement_latency_samples(&mut fresh(&config), &config, 4).is_ok());
-        let error = replacement_latency_samples(&mut fresh(&config), &config, 5).unwrap_err();
+        assert!(level_samples(&config, 4).is_ok());
+        let error = level_samples(&config, 5).unwrap_err();
         assert!(
             error
                 .to_string()
@@ -558,7 +542,7 @@ mod tests {
         no_samples(calibrate_decoder(&mut fresh(&config), &config, &encoding).map(drop));
         no_samples(access_latency_classes(&config).map(drop));
         config.samples_per_level = 1;
-        let (samples, _) = replacement_latency_samples(&mut fresh(&config), &config, 0).unwrap();
+        let samples = level_samples(&config, 0).unwrap();
         assert_eq!(samples.len(), 1);
         let classes = access_latency_classes(&config).unwrap();
         assert_eq!(classes.l1_hit.count, 1);

@@ -67,7 +67,10 @@ impl NoiseConfig {
     }
 }
 
-/// Channel configuration (builder-constructed).
+/// Channel configuration, checked by [`ChannelConfig::check`]: the builder
+/// runs it in `build`, and since the fields are public,
+/// [`crate::session::ChannelSession::new`] checks a hand-built
+/// configuration by the same rules.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelConfig {
     /// Symbol encoding.
@@ -95,10 +98,104 @@ pub struct ChannelConfig {
     pub seed: u64,
 }
 
+/// The longest period [`ChannelConfig::check`] accepts, about 2 s per symbol
+/// at [`sim_core::machine::CLOCK_GHZ`].  A frame's cycle budget is its
+/// symbol count times the period plus a constant, and the parties anchor
+/// every symbol at the rendezvous epoch plus a multiple of the period; with
+/// at most `u32::MAX` cycles per symbol, both stay within `u64` for any
+/// frame shorter than `u32::MAX` symbols.
+const MAX_PERIOD_CYCLES: u64 = u32::MAX as u64;
+
 impl ChannelConfig {
     /// Starts building a configuration with the paper's defaults.
     pub fn builder() -> ChannelConfigBuilder {
         ChannelConfigBuilder::new()
+    }
+
+    /// Checks every rule a session relies on; the builder and
+    /// [`crate::session::ChannelSession::new`] both run it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidEncoding`] for an encoding that
+    /// [`SymbolEncoding::validate`] rejects, and [`Error::InvalidConfig`],
+    /// naming the field, for:
+    /// - a noisy neighbour with a zero interval, no lines or a store
+    ///   fraction outside `[0, 1]`;
+    /// - a TSC jitter or overhead above `i64::MAX` (the measurement adds
+    ///   them as signed cycles);
+    /// - an interrupt period or duration whose mean plus jitter overflows
+    ///   `u64` (the largest value a draw can take);
+    /// - a zero period, or one above `u32::MAX` cycles, which keeps a
+    ///   frame's cycle budget and the parties' anchors within `u64`;
+    /// - zero calibration samples;
+    /// - a hierarchy override whose L1 is not the paper's 64-set, 8-way one,
+    ///   or whose L1 replacement policy is not `policy`.
+    pub fn check(&self) -> Result<(), Error> {
+        self.encoding.validate()?;
+        if let Some(noise) = self.noise {
+            noise.check()?;
+        }
+        let invalid = |field, reason| Err(Error::InvalidConfig { field, reason });
+        let signed = |value: u64| i64::try_from(value).is_ok();
+        if !signed(self.tsc.jitter) || !signed(self.tsc.overhead) {
+            return invalid(
+                "tsc",
+                format!(
+                    "jitter {} and overhead {} must each be at most i64::MAX",
+                    self.tsc.jitter, self.tsc.overhead
+                ),
+            );
+        }
+        let interrupts = self.interrupts;
+        for (mean, jitter, what) in [
+            (interrupts.period, interrupts.period_jitter, "period"),
+            (interrupts.duration, interrupts.duration_jitter, "duration"),
+        ] {
+            if mean.checked_add(jitter).is_none() {
+                return invalid(
+                    "interrupts",
+                    format!("{what} {mean} plus its jitter {jitter} overflows u64"),
+                );
+            }
+        }
+        if !(1..=MAX_PERIOD_CYCLES).contains(&self.period_cycles) {
+            return invalid(
+                "period_cycles",
+                format!(
+                    "must lie in 1..={MAX_PERIOD_CYCLES}, got {}",
+                    self.period_cycles
+                ),
+            );
+        }
+        if self.calibration_samples == 0 {
+            return invalid(
+                "calibration_samples",
+                "each symbol level needs at least one calibration sample".into(),
+            );
+        }
+        if let Some(hierarchy) = self.hierarchy {
+            let l1 = hierarchy.l1d;
+            if l1.geometry.num_sets != 64 || l1.geometry.associativity != 8 {
+                return invalid(
+                    "hierarchy",
+                    format!(
+                        "the channel needs the paper's 64-set, 8-way L1, got {} sets x {} ways",
+                        l1.geometry.num_sets, l1.geometry.associativity
+                    ),
+                );
+            }
+            if l1.replacement != self.policy {
+                return invalid(
+                    "policy",
+                    format!(
+                        "the hierarchy override's L1 runs {}, not {}",
+                        l1.replacement, self.policy
+                    ),
+                );
+            }
+        }
+        Ok(())
     }
 
     pub(crate) fn machine_config(&self, seed: u64) -> MachineConfig {
@@ -114,35 +211,12 @@ impl ChannelConfig {
 }
 
 impl Default for ChannelConfig {
+    /// The paper's defaults: binary symbols with one dirty line,
+    /// `Ts = Tr = 5500` cycles (400 kbps), Tree-PLRU, quiet pinned-core
+    /// noise.  Every channel runs on L1 set [`crate::TARGET_SET`] with
+    /// replacement sets of [`crate::REPLACEMENT_SIZE`] lines.
     fn default() -> Self {
-        ChannelConfig::builder()
-            .build()
-            .expect("defaults are valid")
-    }
-}
-
-/// Builder for [`ChannelConfig`].
-#[derive(Debug, Clone)]
-pub struct ChannelConfigBuilder {
-    encoding: SymbolEncoding,
-    period_cycles: u64,
-    policy: PolicyKind,
-    interrupts: InterruptConfig,
-    tsc: TscConfig,
-    noise: Option<NoiseConfig>,
-    hierarchy: Option<HierarchyConfig>,
-    calibration_samples: usize,
-    seed: u64,
-}
-
-impl ChannelConfigBuilder {
-    /// Creates a builder with the paper's defaults: binary symbols with one
-    /// dirty line, `Ts = Tr = 5500` cycles (400 kbps), Tree-PLRU, quiet
-    /// pinned-core noise.  Every channel runs on L1 set
-    /// [`crate::TARGET_SET`] with replacement sets of
-    /// [`crate::REPLACEMENT_SIZE`] lines.
-    pub fn new() -> ChannelConfigBuilder {
-        ChannelConfigBuilder {
+        ChannelConfig {
             encoding: SymbolEncoding::Binary { dirty_lines: 1 },
             period_cycles: 5_500,
             policy: PolicyKind::TreePlru,
@@ -154,40 +228,55 @@ impl ChannelConfigBuilder {
             seed: 1,
         }
     }
+}
+
+/// Builder for [`ChannelConfig`]: each setter writes into the configuration
+/// it holds, and [`ChannelConfigBuilder::build`] checks it.
+#[derive(Debug, Clone, Default)]
+pub struct ChannelConfigBuilder {
+    config: ChannelConfig,
+}
+
+impl ChannelConfigBuilder {
+    /// Creates a builder holding [`ChannelConfig::default`], the paper's
+    /// defaults.
+    pub fn new() -> ChannelConfigBuilder {
+        ChannelConfigBuilder::default()
+    }
 
     /// Sets the symbol encoding.
     pub fn encoding(&mut self, encoding: SymbolEncoding) -> &mut Self {
-        self.encoding = encoding;
+        self.config.encoding = encoding;
         self
     }
 
     /// Sets `Ts = Tr` in cycles.
     pub fn period_cycles(&mut self, period: u64) -> &mut Self {
-        self.period_cycles = period;
+        self.config.period_cycles = period;
         self
     }
 
     /// Sets the L1 replacement policy.
     pub fn policy(&mut self, policy: PolicyKind) -> &mut Self {
-        self.policy = policy;
+        self.config.policy = policy;
         self
     }
 
     /// Sets the OS interruption profile.
     pub fn interrupts(&mut self, interrupts: InterruptConfig) -> &mut Self {
-        self.interrupts = interrupts;
+        self.config.interrupts = interrupts;
         self
     }
 
     /// Sets the measurement-noise profile.
     pub fn tsc(&mut self, tsc: TscConfig) -> &mut Self {
-        self.tsc = tsc;
+        self.config.tsc = tsc;
         self
     }
 
     /// Adds a noisy-neighbour process.
     pub fn noise(&mut self, noise: NoiseConfig) -> &mut Self {
-        self.noise = Some(noise);
+        self.config.noise = Some(noise);
         self
     }
 
@@ -195,105 +284,35 @@ impl ChannelConfigBuilder {
     /// the hierarchy-matrix scenario).  The override's L1 must keep the
     /// paper's 64-set, 8-way shape — set [`crate::TARGET_SET`] and
     /// replacement sets of [`crate::REPLACEMENT_SIZE`] lines are sized for
-    /// it — and its L1 replacement policy becomes the channel's `policy`.
+    /// it — and its L1 replacement policy becomes the channel's `policy`;
+    /// a later [`ChannelConfigBuilder::policy`] must name the same one.
     pub fn hierarchy(&mut self, hierarchy: HierarchyConfig) -> &mut Self {
-        self.hierarchy = Some(hierarchy);
-        self.policy = hierarchy.l1d.replacement;
+        self.config.hierarchy = Some(hierarchy);
+        self.config.policy = hierarchy.l1d.replacement;
         self
     }
 
     /// Sets the number of calibration samples per symbol level (at least 1).
     pub fn calibration_samples(&mut self, samples: usize) -> &mut Self {
-        self.calibration_samples = samples;
+        self.config.calibration_samples = samples;
         self
     }
 
     /// Sets the master seed.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
-    /// Validates and builds the configuration.
+    /// Checks the configuration with [`ChannelConfig::check`] and returns a
+    /// copy of it.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidEncoding`] for an encoding that
-    /// [`SymbolEncoding::validate`] rejects, and [`Error::InvalidConfig`] for
-    /// a zero period, zero calibration samples, a noisy neighbour with a
-    /// zero interval, no lines or a store fraction outside `[0, 1]`, a
-    /// hierarchy override whose L1 is not the paper's 64-set, 8-way one, a
-    /// TSC jitter or overhead above `i64::MAX` (the measurement adds them
-    /// as signed cycles), or an interrupt period or duration whose mean
-    /// plus jitter overflows `u64` (the largest value a draw can take).
+    /// Returns the first rule [`ChannelConfig::check`] finds broken.
     pub fn build(&self) -> Result<ChannelConfig, Error> {
-        self.encoding.validate()?;
-        if let Some(noise) = self.noise {
-            noise.check()?;
-        }
-        let signed = |value: u64| i64::try_from(value).is_ok();
-        if !signed(self.tsc.jitter) || !signed(self.tsc.overhead) {
-            return Err(Error::InvalidConfig {
-                field: "tsc",
-                reason: format!(
-                    "jitter {} and overhead {} must each be at most i64::MAX",
-                    self.tsc.jitter, self.tsc.overhead
-                ),
-            });
-        }
-        let interrupts = self.interrupts;
-        for (mean, jitter, what) in [
-            (interrupts.period, interrupts.period_jitter, "period"),
-            (interrupts.duration, interrupts.duration_jitter, "duration"),
-        ] {
-            if mean.checked_add(jitter).is_none() {
-                return Err(Error::InvalidConfig {
-                    field: "interrupts",
-                    reason: format!("{what} {mean} plus its jitter {jitter} overflows u64"),
-                });
-            }
-        }
-        if self.period_cycles == 0 {
-            return Err(Error::InvalidConfig {
-                field: "period_cycles",
-                reason: "must be non-zero".into(),
-            });
-        }
-        if self.calibration_samples == 0 {
-            return Err(Error::InvalidConfig {
-                field: "calibration_samples",
-                reason: "each symbol level needs at least one calibration sample".into(),
-            });
-        }
-        if let Some(hierarchy) = self.hierarchy {
-            let l1 = hierarchy.l1d.geometry;
-            if l1.num_sets != 64 || l1.associativity != 8 {
-                return Err(Error::InvalidConfig {
-                    field: "hierarchy",
-                    reason: format!(
-                        "the channel needs the paper's 64-set, 8-way L1, got {} sets x {} ways",
-                        l1.num_sets, l1.associativity
-                    ),
-                });
-            }
-        }
-        Ok(ChannelConfig {
-            encoding: self.encoding.clone(),
-            period_cycles: self.period_cycles,
-            policy: self.policy,
-            interrupts: self.interrupts,
-            tsc: self.tsc,
-            noise: self.noise,
-            hierarchy: self.hierarchy,
-            calibration_samples: self.calibration_samples,
-            seed: self.seed,
-        })
-    }
-}
-
-impl Default for ChannelConfigBuilder {
-    fn default() -> Self {
-        ChannelConfigBuilder::new()
+        self.config.check()?;
+        Ok(self.config.clone())
     }
 }
 
@@ -343,7 +362,7 @@ pub struct EvaluationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::ChannelSession;
+    use crate::session::{compile_frame, ChannelSession};
 
     fn quiet_config(encoding: SymbolEncoding, period: u64) -> ChannelConfig {
         ChannelConfig::builder()
@@ -549,6 +568,39 @@ mod tests {
                 "{encoding}"
             );
         }
+    }
+
+    #[test]
+    fn builder_rejects_a_period_whose_frame_budget_overflows() {
+        // A frame's budget is `(max_samples + 8) * period_cycles` plus a
+        // constant; the bound keeps it within `u64`.
+        let period = |cycles| ChannelConfig::builder().period_cycles(cycles).build();
+        assert_eq!(rejected_field(period(u64::MAX)), "period_cycles");
+        assert_eq!(
+            rejected_field(period(u64::from(u32::MAX) + 1)),
+            "period_cycles"
+        );
+        let at_the_limit = period(u64::from(u32::MAX)).unwrap();
+        assert!(compile_frame(&at_the_limit, &[true; 8]).limit > u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn builder_rejects_a_policy_the_hierarchy_override_does_not_run() {
+        use sim_cache::hierarchy::HierarchyPreset;
+        // The override's L1 would run SRRIP while the config reported LRU.
+        let arm = HierarchyPreset::ArmPoc
+            .config(PolicyKind::Srrip, 8, 0)
+            .unwrap();
+        let built = ChannelConfig::builder()
+            .hierarchy(arm)
+            .policy(PolicyKind::TrueLru)
+            .build();
+        assert_eq!(rejected_field(built), "policy");
+        assert!(ChannelConfig::builder()
+            .hierarchy(arm)
+            .policy(PolicyKind::Srrip)
+            .build()
+            .is_ok());
     }
 
     #[test]

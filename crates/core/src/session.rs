@@ -160,14 +160,7 @@ pub struct CompiledFrame {
 ///
 /// # Panics
 ///
-/// Never on a config [`crate::channel::ChannelConfigBuilder::build`]
-/// accepted.  `compile_frame` does not validate the config itself, so only
-/// a hand-built [`ChannelConfig`] can make it panic: one whose hierarchy
-/// override has an L1 without set [`TARGET_SET`] ("set 21 out of range"),
-/// or whose noisy neighbour has a zero interval or no lines.  An L1 with
-/// more than [`REPLACEMENT_SIZE`] ways compiles replacement sets smaller
-/// than the associativity without complaint.  [`ChannelSession::new`]
-/// rejects all of these with [`Error::InvalidConfig`].
+/// Only on a config that [`ChannelConfig::check`] rejects.
 pub fn compile_frame(config: &ChannelConfig, payload: &[bool]) -> CompiledFrame {
     let frame = Frame::from_payload(payload);
     // The first transmission of a session.
@@ -245,16 +238,10 @@ impl ChannelSession {
     ///
     /// # Errors
     ///
-    /// Returns configuration or calibration errors, including
-    /// [`Error::InvalidEncoding`] for a hand-built encoding that
-    /// [`crate::encoding::SymbolEncoding::validate`] rejects and
-    /// [`Error::InvalidConfig`] for hand-built noise that
-    /// [`crate::channel::ChannelConfigBuilder::build`] would reject.
+    /// Returns the error [`ChannelConfig::check`] finds in a hand-built
+    /// `config`, then calibration errors.
     pub fn new(config: ChannelConfig) -> Result<ChannelSession, Error> {
-        config.encoding.validate()?;
-        if let Some(noise) = config.noise {
-            noise.check()?;
-        }
+        config.check()?;
         let calibration = CalibrationConfig {
             machine: config.machine_config(config.seed ^ 0xca11),
             samples_per_level: config.calibration_samples,
@@ -683,6 +670,82 @@ mod tests {
                 "{size_bytes} B x {associativity} ways: {error}"
             );
         }
+    }
+
+    /// A hand-built config's `InvalidConfig` field from
+    /// `ChannelSession::new`, or a panic naming what it returned.
+    fn session_rejects(config: ChannelConfig) -> &'static str {
+        match ChannelSession::new(config) {
+            Err(Error::InvalidConfig { field, .. }) => field,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_hand_built_zero_period_is_rejected() {
+        // The receiver would take every sample at the same instant.
+        let config = ChannelConfig {
+            period_cycles: 0,
+            ..config(5)
+        };
+        assert_eq!(session_rejects(config), "period_cycles");
+    }
+
+    #[test]
+    fn a_hand_built_tsc_jitter_above_i64_max_is_rejected() {
+        // Cast to `i64`, such a jitter makes an empty range to draw from.
+        let mut config = config(5);
+        config.tsc.jitter = u64::MAX;
+        assert_eq!(session_rejects(config), "tsc");
+    }
+
+    #[test]
+    fn hand_built_zero_calibration_samples_are_rejected_under_their_own_name() {
+        // Named by the config's field, not by calibration's
+        // `samples_per_level`.
+        let config = ChannelConfig {
+            calibration_samples: 0,
+            ..config(5)
+        };
+        assert_eq!(session_rejects(config), "calibration_samples");
+    }
+
+    #[test]
+    fn a_tsc_overhead_of_i64_max_saturates_every_reading() {
+        // Every reading `true_cycles + overhead + jitter` is past `i64::MAX`.
+        let config = ChannelConfig::builder()
+            .tsc(TscConfig {
+                overhead: i64::MAX as u64,
+                ..TscConfig::xeon_e5_2650()
+            })
+            .calibration_samples(40)
+            .build()
+            .unwrap();
+        let mut session = ChannelSession::new(config).unwrap();
+        let report = session.transmit_bits(&[true; 8]).unwrap();
+        assert!(!report.latencies.is_empty());
+        assert!(report.latencies.iter().all(|&l| l == i64::MAX as u64));
+    }
+
+    #[test]
+    fn an_interrupt_that_never_ends_stalls_the_frame_without_a_panic() {
+        // The first interrupt stalls each party for about `u64::MAX` cycles:
+        // `now + stall + gap` saturates, and the frame ends at its cycle
+        // budget before the rendezvous epoch.
+        let config = ChannelConfig::builder()
+            .interrupts(InterruptConfig {
+                period: 10_000,
+                period_jitter: 0,
+                duration: u64::MAX - 1,
+                duration_jitter: 1,
+            })
+            .calibration_samples(40)
+            .build()
+            .unwrap();
+        let mut session = ChannelSession::new(config).unwrap();
+        let report = session.transmit_bits(&[true; 8]).unwrap();
+        assert!(report.latencies.is_empty());
+        assert_eq!(report.bit_error_rate(), 1.0);
     }
 
     #[test]

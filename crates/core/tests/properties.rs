@@ -11,6 +11,7 @@ use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
 use sim_core::sched::InterruptConfig;
+use sim_core::tsc::TscConfig;
 use wb_channel::channel::{ChannelConfig, NoiseConfig};
 use wb_channel::encoding::SymbolEncoding;
 use wb_channel::eviction::analytic_dirty_eviction_probability;
@@ -237,51 +238,121 @@ const POLICIES: [PolicyKind; 6] = [
     PolicyKind::Srrip,
 ];
 
+/// A cycle count: in one case of three an edge value (0, 1, `paper`,
+/// `i64::MAX`, `u64::MAX - 1` or `u64::MAX`), otherwise one from `ordinary`.
+fn edge_or(paper: u64, ordinary: std::ops::Range<u64>) -> impl Strategy<Value = u64> {
+    let edges = [0, 1, paper, i64::MAX as u64, u64::MAX - 1, u64::MAX];
+    prop_oneof![
+        (0usize..6).prop_map(move |i| edges[i]),
+        ordinary.clone(),
+        ordinary
+    ]
+}
+
+/// A measurement-noise profile with each field from [`edge_or`] around the
+/// paper's.
+fn edge_tsc() -> impl Strategy<Value = TscConfig> {
+    (edge_or(24, 0..64), edge_or(1, 0..4), edge_or(3, 0..8)).prop_map(
+        |(overhead, granularity, jitter)| TscConfig {
+            overhead,
+            granularity,
+            jitter,
+        },
+    )
+}
+
+/// An interruption profile with each field from [`edge_or`] around the
+/// quiet pinned core's, its ordinary values short enough to fire in a
+/// frame.
+fn edge_interrupts() -> impl Strategy<Value = InterruptConfig> {
+    (
+        edge_or(550_000, 1_000..600_000),
+        edge_or(150_000, 0..150_000),
+        edge_or(6_000, 0..6_000),
+        edge_or(3_000, 0..3_000),
+    )
+        .prop_map(
+            |(period, period_jitter, duration, duration_jitter)| InterruptConfig {
+                period,
+                period_jitter,
+                duration,
+                duration_jitter,
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Bad channel configurations are errors, never panics: every config
-    /// `ChannelConfigBuilder::build` accepts compiles, and then either
-    /// builds a session that transmits a frame or returns `Err`.
+    /// Bad channel configurations are errors, never panics.  Every draw is
+    /// made twice, through the builder and as a hand-built struct:
+    /// `ChannelConfig::check` agrees with `build`, a config they accept
+    /// compiles and transmits a frame, and `ChannelSession::new` returns
+    /// the error they report on one they reject.
     #[test]
     fn builder_accepted_configs_compile_and_never_panic(
         encoding in hand_built_encoding(),
-        period in 0u64..6_000,
-        policy in 0usize..6,
+        (period, policy, tsc, interrupts) in (edge_or(5_500, 1..6_000), 0usize..8, edge_tsc(), edge_interrupts()),
         noise in (any::<bool>(), 0u64..3_000, 0usize..5, -0.5f64..1.5),
         hierarchy in hierarchy_override(),
         calibration_samples in 0usize..8,
         seed in 0u64..1_000,
         payload in proptest::collection::vec(any::<bool>(), 0..48),
     ) {
+        let (with_noise, interval, lines, store_fraction) = noise;
+        // Policies 6 and 7 follow the override, if there is one.
+        let policy = match hierarchy {
+            Some(hierarchy) if policy >= 6 => hierarchy.l1d.replacement,
+            _ => POLICIES[policy % 6],
+        };
+        let hand_built = ChannelConfig {
+            encoding,
+            period_cycles: period,
+            policy,
+            interrupts,
+            tsc,
+            noise: with_noise.then_some(NoiseConfig { interval, lines, store_fraction }),
+            hierarchy,
+            calibration_samples,
+            seed,
+        };
         let mut builder = ChannelConfig::builder();
         builder
-            .encoding(encoding)
+            .encoding(hand_built.encoding.clone())
             .period_cycles(period)
-            .policy(POLICIES[policy])
-            .interrupts(InterruptConfig::none())
+            .interrupts(interrupts)
+            .tsc(tsc)
             .calibration_samples(calibration_samples)
             .seed(seed);
-        let (with_noise, interval, lines, store_fraction) = noise;
-        if with_noise {
-            builder.noise(NoiseConfig { interval, lines, store_fraction });
+        if let Some(noise) = hand_built.noise {
+            builder.noise(noise);
         }
         if let Some(hierarchy) = hierarchy {
             builder.hierarchy(hierarchy);
         }
-        if let Ok(config) = builder.build() {
-            let compiled = compile_frame(&config, &payload);
-            prop_assert!(!compiled.programs.is_empty());
-            // The programs see the hierarchy only through the L1 geometry,
-            // which the builder keeps equal to the default machine's: an
-            // override compiles exactly what the default machine does.
-            let default_machine = ChannelConfig { hierarchy: None, ..config.clone() };
-            let plain = compile_frame(&default_machine, &payload);
-            prop_assert!(compiled.programs == plain.programs);
-            prop_assert_eq!(compiled.limit, plain.limit);
-            if let Ok(mut session) = ChannelSession::new(config) {
-                let report = session.transmit_bits(&payload);
-                prop_assert!(report.is_ok(), "{:?}", report);
+        // Last, so the builder holds exactly the hand-built config.
+        builder.policy(policy);
+        let built = builder.build();
+        prop_assert_eq!(&built, &hand_built.check().map(|()| hand_built.clone()));
+        match built {
+            Ok(config) => {
+                let compiled = compile_frame(&config, &payload);
+                prop_assert!(!compiled.programs.is_empty());
+                // The programs see the hierarchy only through the L1
+                // geometry, which `check` keeps equal to the default
+                // machine's: an override compiles exactly what the default
+                // machine does.
+                let default_machine = ChannelConfig { hierarchy: None, ..config.clone() };
+                let plain = compile_frame(&default_machine, &payload);
+                prop_assert!(compiled.programs == plain.programs);
+                prop_assert_eq!(compiled.limit, plain.limit);
+                if let Ok(mut session) = ChannelSession::new(config) {
+                    let report = session.transmit_bits(&payload);
+                    prop_assert!(report.is_ok(), "{:?}", report);
+                }
+            }
+            Err(error) => {
+                prop_assert_eq!(ChannelSession::new(hand_built).unwrap_err(), error);
             }
         }
     }

@@ -320,8 +320,8 @@ impl Machine {
                     .interrupts
                     .poll(self.now, &self.config.interrupts, &mut self.rng)
             {
-                threads[idx].ready_at = self.now + stall;
-                threads[idx].stalled += stall;
+                threads[idx].ready_at = self.now.saturating_add(stall);
+                threads[idx].stalled = threads[idx].stalled.saturating_add(stall);
                 continue;
             }
 

@@ -98,7 +98,7 @@ impl InterruptModel {
         }
         let stall = sample(config.duration, config.duration_jitter, rng);
         let gap = sample(config.period, config.period_jitter, rng).max(1);
-        self.next_at = now + stall + gap;
+        self.next_at = now.saturating_add(stall).saturating_add(gap);
         Some(stall)
     }
 }

@@ -92,7 +92,10 @@ impl TscModel {
         } else {
             rng.gen_range(-(self.config.jitter as i64)..=(self.config.jitter as i64))
         };
-        let raw = true_cycles as i64 + self.config.overhead as i64 + jitter;
+        // Saturating, overhead and jitter first: the sum is exact wherever
+        // it fits in an `i64`.
+        let raw = (true_cycles as i64)
+            .saturating_add((self.config.overhead as i64).saturating_add(jitter));
         let raw = raw.max(0) as u64;
         if self.config.granularity <= 1 {
             raw

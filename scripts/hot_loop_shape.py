@@ -15,7 +15,14 @@ file next to this script and any difference is printed as a unified diff.
 
 A change that moves a line of the expectation (a new out-of-line call in a
 hot loop, an inlined callee, more bounds checks) updates the file and says
-why in CHANGES.md.  The first line records the rustc version the file was
+why in CHANGES.md.  Panic-site counts can move with code generation alone:
+an `#[inline(never)]` call added to one loop once took `run_trace` from 50
+bounds-check sites to 41 without adding or removing an index: the optimiser
+duplicated or merged the checks around it differently.  So a diff that
+changes only counts, with the same call targets, is traced to its sites'
+`Location` arguments (the `lea ...(%rip),%rdx` before each panic call
+points at the file, line and column in `.data.rel.ro`) before `--write`
+is run.  The first line records the rustc version the file was
 written with; CI builds with that version (`rust-toolchain.toml` names
 only `stable`), and a toolchain upgrade rewrites the file as its own change.
 An optional argument names another binary to check.
