@@ -1,11 +1,13 @@
 //! Latency-threshold calibration.
 //!
-//! The WB receiver turns a measured replacement latency into a symbol:
-//!
-//! * binary encoding — one threshold separates "no dirty line" from "at least
-//!   one dirty line" (the dotted line in the paper's Figures 5 and 7);
-//! * multi-bit encoding — the latency is quantised into one of `k` levels,
-//!   each corresponding to a different dirty-line count `d`.
+//! The WB receiver turns a measured replacement latency into a symbol with a
+//! [`MultiLevelThreshold`]: the latency is quantised into one of `k` levels,
+//! each corresponding to a different dirty-line count `d`.  A binary encoding
+//! has two levels, and its one boundary separates "no dirty line" from "at
+//! least one dirty line" (the dotted line in the paper's Figures 5 and 7).
+//! A [`BinaryThreshold`] decides one bit in whichever direction calibration
+//! found, for the attacks whose classes may be inverted (a defense, a victim
+//! that cleans a dirty prime).
 //!
 //! Calibration is supervised: the receiver first observes training latencies
 //! for each symbol (the paper's fixed 16-bit preamble plays this role during
@@ -93,8 +95,10 @@ pub struct MultiLevelThreshold {
 impl MultiLevelThreshold {
     /// Calibrates from one latency sample set per symbol level.
     ///
-    /// Returns `None` if fewer than two classes are provided or any class is
-    /// empty.
+    /// Returns `None` if fewer than two classes are provided, any class is
+    /// empty, or the class means do not strictly increase: the boundaries
+    /// are meaningful only between classes in increasing-latency order, and
+    /// two classes with one mean cannot be told apart.
     pub fn calibrate(classes: &[Vec<f64>]) -> Option<MultiLevelThreshold> {
         if classes.len() < 2 || classes.iter().any(|c| c.is_empty()) {
             return None;
@@ -103,11 +107,7 @@ impl MultiLevelThreshold {
             .iter()
             .map(|c| c.iter().sum::<f64>() / c.len() as f64)
             .collect();
-        // Classes are expected in increasing-latency order; enforce it so the
-        // boundaries are meaningful even if the caller shuffled them.
-        let mut sorted = means.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("means must not be NaN"));
-        if sorted != means {
+        if !means.windows(2).all(|pair| pair[0] < pair[1]) {
             return None;
         }
         let boundaries = means
@@ -203,6 +203,9 @@ mod tests {
         assert!(MultiLevelThreshold::calibrate(&[vec![1.0], vec![]]).is_none());
         // Out-of-order class means are rejected rather than silently reordered.
         assert!(MultiLevelThreshold::calibrate(&[vec![10.0], vec![5.0]]).is_none());
+        // So are classes with one mean, and a NaN sample.
+        assert!(MultiLevelThreshold::calibrate(&[vec![4.0, 6.0], vec![5.0]]).is_none());
+        assert!(MultiLevelThreshold::calibrate(&[vec![f64::NAN], vec![5.0]]).is_none());
     }
 
     #[test]

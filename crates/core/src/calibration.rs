@@ -547,4 +547,34 @@ mod tests {
         let classes = access_latency_classes(&config).unwrap();
         assert_eq!(classes.l1_hit.count, 1);
     }
+
+    /// Runs `harness` on a machine with a TSC jitter, then one with an
+    /// interrupt duration, that the models cannot compute with, and
+    /// requires `InvalidConfig` naming the field.
+    fn rejects_unusable_machines<T: std::fmt::Debug>(
+        harness: impl Fn(&CalibrationConfig) -> Result<T, Error>,
+    ) {
+        let mut tsc = quiet_config();
+        tsc.machine.tsc.jitter = u64::MAX;
+        let mut interrupts = quiet_config();
+        interrupts.machine.interrupts.duration = u64::MAX;
+        interrupts.machine.interrupts.duration_jitter = 1;
+        for (config, field) in [(tsc, "tsc"), (interrupts, "interrupts")] {
+            match harness(&config) {
+                Err(Error::InvalidConfig { field: named, .. }) => assert_eq!(named, field),
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn figure_4_rejects_an_unusable_tsc_or_interrupt_model() {
+        rejects_unusable_machines(|config| latency_cdfs(config, &[0, 1]));
+    }
+
+    #[test]
+    fn table_iv_rejects_an_unusable_tsc_or_interrupt_model() {
+        // Table IV never reads the counter, yet gets the machine's rules.
+        rejects_unusable_machines(access_latency_classes);
+    }
 }

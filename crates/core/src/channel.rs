@@ -122,10 +122,9 @@ impl ChannelConfig {
     /// naming the field, for:
     /// - a noisy neighbour with a zero interval, no lines or a store
     ///   fraction outside `[0, 1]`;
-    /// - a TSC jitter or overhead above `i64::MAX` (the measurement adds
-    ///   them as signed cycles);
-    /// - an interrupt period or duration whose mean plus jitter overflows
-    ///   `u64` (the largest value a draw can take);
+    /// - a TSC or interrupt value [`MachineConfig::check`] rejects: a jitter
+    ///   or overhead above `i64::MAX`, or a mean plus jitter that overflows
+    ///   `u64` (fields `tsc` and `interrupts`);
     /// - a zero period, or one above `u32::MAX` cycles, which keeps a
     ///   frame's cycle budget and the parties' anchors within `u64`;
     /// - zero calibration samples;
@@ -136,29 +135,8 @@ impl ChannelConfig {
         if let Some(noise) = self.noise {
             noise.check()?;
         }
+        self.machine_config(self.seed).check()?;
         let invalid = |field, reason| Err(Error::InvalidConfig { field, reason });
-        let signed = |value: u64| i64::try_from(value).is_ok();
-        if !signed(self.tsc.jitter) || !signed(self.tsc.overhead) {
-            return invalid(
-                "tsc",
-                format!(
-                    "jitter {} and overhead {} must each be at most i64::MAX",
-                    self.tsc.jitter, self.tsc.overhead
-                ),
-            );
-        }
-        let interrupts = self.interrupts;
-        for (mean, jitter, what) in [
-            (interrupts.period, interrupts.period_jitter, "period"),
-            (interrupts.duration, interrupts.duration_jitter, "duration"),
-        ] {
-            if mean.checked_add(jitter).is_none() {
-                return invalid(
-                    "interrupts",
-                    format!("{what} {mean} plus its jitter {jitter} overflows u64"),
-                );
-            }
-        }
         if !(1..=MAX_PERIOD_CYCLES).contains(&self.period_cycles) {
             return invalid(
                 "period_cycles",

@@ -22,8 +22,8 @@ pub enum Error {
     },
     /// The underlying cache simulator rejected its configuration.
     Cache(sim_cache::Error),
-    /// The receiver could not calibrate its decision thresholds (e.g. the
-    /// calibration classes overlapped completely under a defense).
+    /// The receiver could not calibrate its decision thresholds: a class was
+    /// empty, or the means did not strictly increase with the dirty lines.
     CalibrationFailed {
         /// Explanation of what went wrong.
         reason: String,
@@ -52,9 +52,15 @@ impl std::error::Error for Error {
     }
 }
 
+/// A machine's `InvalidConfig` keeps its field; other simulator errors wrap.
 impl From<sim_cache::Error> for Error {
     fn from(value: sim_cache::Error) -> Self {
-        Error::Cache(value)
+        match value {
+            sim_cache::Error::InvalidConfig { field, reason } => {
+                Self::InvalidConfig { field, reason }
+            }
+            other => Error::Cache(other),
+        }
     }
 }
 
@@ -89,6 +95,22 @@ mod tests {
         let e: Error = sim_cache::Error::EmptyWayMask.into();
         assert!(matches!(e, Error::Cache(_)));
         assert!(std::error::Error::source(&e).is_some());
+    }
+
+    #[test]
+    fn machine_config_errors_keep_their_field() {
+        let e: Error = sim_cache::Error::InvalidConfig {
+            field: "tsc",
+            reason: "jitter too large".into(),
+        }
+        .into();
+        assert_eq!(
+            e,
+            Error::InvalidConfig {
+                field: "tsc",
+                reason: "jitter too large".into()
+            }
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::encoding::SymbolEncoding;
 use crate::error::Error;
 use analysis::edit_distance::{scored_breakdown, ErrorBreakdown};
-use analysis::threshold::{BinaryThreshold, MultiLevelThreshold};
+use analysis::threshold::MultiLevelThreshold;
 use rand::Rng;
 
 /// Number of fixed alignment bits at the start of every frame.
@@ -94,17 +94,12 @@ impl Frame {
     }
 }
 
-/// The calibrated latency-to-symbol decoder.
+/// The calibrated latency-to-symbol decoder: one quantiser for every
+/// encoding, a binary one having two levels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decoder {
     encoding: SymbolEncoding,
-    kind: DecoderKind,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum DecoderKind {
-    Binary(BinaryThreshold),
-    MultiLevel(MultiLevelThreshold),
+    quantiser: MultiLevelThreshold,
 }
 
 impl Decoder {
@@ -115,7 +110,8 @@ impl Decoder {
     /// # Errors
     ///
     /// Returns [`Error::CalibrationFailed`] if the classes cannot be
-    /// separated (wrong count, empty class, non-monotonic means).
+    /// separated (wrong count, empty class, class means that do not
+    /// strictly increase).
     pub fn from_calibration(
         encoding: SymbolEncoding,
         classes: &[Vec<f64>],
@@ -129,25 +125,15 @@ impl Decoder {
                 ),
             });
         }
-        let kind = match &encoding {
-            SymbolEncoding::Binary { .. } => {
-                if classes[0].is_empty() || classes[1].is_empty() {
-                    return Err(Error::CalibrationFailed {
-                        reason: "empty calibration class".into(),
-                    });
-                }
-                DecoderKind::Binary(BinaryThreshold::calibrate(&classes[0], &classes[1]))
-            }
-            SymbolEncoding::MultiBit { .. } => {
-                let quantiser = MultiLevelThreshold::calibrate(classes).ok_or_else(|| {
-                    Error::CalibrationFailed {
-                        reason: "multi-level calibration classes are empty or not separable".into(),
-                    }
-                })?;
-                DecoderKind::MultiLevel(quantiser)
-            }
-        };
-        Ok(Decoder { encoding, kind })
+        let quantiser =
+            MultiLevelThreshold::calibrate(classes).ok_or_else(|| Error::CalibrationFailed {
+                reason: "calibration classes are empty or their means do not strictly increase"
+                    .into(),
+            })?;
+        Ok(Decoder {
+            encoding,
+            quantiser,
+        })
     }
 
     /// The encoding this decoder expects.
@@ -157,18 +143,15 @@ impl Decoder {
 
     /// The binary decision threshold, when this is a binary decoder.
     pub fn binary_threshold(&self) -> Option<f64> {
-        match &self.kind {
-            DecoderKind::Binary(t) => Some(t.value()),
-            DecoderKind::MultiLevel(_) => None,
+        match (&self.encoding, self.quantiser.boundaries()) {
+            (SymbolEncoding::Binary { .. }, &[threshold]) => Some(threshold),
+            _ => None,
         }
     }
 
     /// Classifies one measured latency into a symbol value.
     pub fn classify(&self, latency: u64) -> usize {
-        match &self.kind {
-            DecoderKind::Binary(t) => usize::from(t.classify(latency as f64)),
-            DecoderKind::MultiLevel(q) => q.classify(latency as f64),
-        }
+        self.quantiser.classify(latency as f64)
     }
 
     /// Decodes a latency series into symbols.
@@ -272,7 +255,10 @@ mod tests {
         assert_eq!(decoder.classify(146), 1);
         assert_eq!(decoder.symbols(&[131, 146, 130]), vec![0, 1, 0]);
         assert_eq!(decoder.bits(&[131, 146]), vec![false, true]);
-        assert!(decoder.binary_threshold().unwrap() > 130.0);
+        // Halfway between the class means, 132 and 145.
+        assert_eq!(decoder.binary_threshold(), Some(138.5));
+        assert_eq!(decoder.classify(138), 0);
+        assert_eq!(decoder.classify(139), 1);
         assert_eq!(decoder.encoding().bits_per_symbol(), 1);
     }
 
@@ -298,7 +284,12 @@ mod tests {
     fn calibration_errors_are_reported() {
         let encoding = SymbolEncoding::binary(1).unwrap();
         assert!(Decoder::from_calibration(encoding.clone(), &[vec![1.0]]).is_err());
-        assert!(Decoder::from_calibration(encoding, &[vec![], vec![1.0]]).is_err());
+        assert!(Decoder::from_calibration(encoding.clone(), &[vec![], vec![1.0]]).is_err());
+        // Identical or inverted binary classes cannot be told apart.
+        for classes in [[vec![7.0], vec![7.0]], [vec![9.0], vec![8.0]]] {
+            let error = Decoder::from_calibration(encoding.clone(), &classes).unwrap_err();
+            assert!(matches!(error, Error::CalibrationFailed { .. }), "{error}");
+        }
         let multibit = SymbolEncoding::paper_two_bit();
         // Non-monotonic class means are rejected.
         let classes = vec![vec![10.0], vec![5.0], vec![20.0], vec![30.0]];

@@ -417,4 +417,19 @@ mod tests {
         };
         assert!(run_scenario(&one, Scenario::VictimTiming).is_ok());
     }
+
+    #[test]
+    fn an_unusable_tsc_or_interrupt_model_is_rejected() {
+        let mut tsc = quiet_config();
+        tsc.machine.tsc.jitter = u64::MAX;
+        let mut interrupts = quiet_config();
+        interrupts.machine.interrupts.duration = u64::MAX;
+        interrupts.machine.interrupts.duration_jitter = 1;
+        for (config, field) in [(tsc, "tsc"), (interrupts, "interrupts")] {
+            match run_scenario(&config, Scenario::DirtyBranch) {
+                Err(Error::InvalidConfig { field: named, .. }) => assert_eq!(named, field),
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
 }

@@ -276,6 +276,7 @@ pub fn table_vii_rows(
 mod tests {
     use super::*;
     use sim_cache::policy::PolicyKind;
+    use sim_core::sched::InterruptConfig;
 
     fn machine_config() -> MachineConfig {
         MachineConfig::ideal(PolicyKind::TreePlru, 9)
@@ -535,5 +536,42 @@ mod tests {
             ),
             "{error}"
         );
+    }
+
+    /// Requires `InvalidConfig` naming `field` from a run on `config`, whose
+    /// `field` the models cannot compute with; the window is long enough
+    /// for the first interrupt to fire.
+    fn rejects_unusable(config: MachineConfig, field: &str) {
+        let encoding = SymbolEncoding::binary(1).unwrap();
+        let result = sender_profile(
+            config,
+            &encoding,
+            TS,
+            WINDOW,
+            SenderCompanion::WbReceiver,
+            1,
+        );
+        match result {
+            Err(Error::InvalidConfig { field: named, .. }) => assert_eq!(named, field),
+            other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_tsc_jitter_above_i64_max() {
+        let mut config = machine_config();
+        config.tsc.jitter = u64::MAX;
+        rejects_unusable(config, "tsc");
+    }
+
+    #[test]
+    fn rejects_an_interrupt_duration_past_u64_max() {
+        let mut config = machine_config();
+        config.interrupts = InterruptConfig {
+            duration: u64::MAX,
+            duration_jitter: 1,
+            ..InterruptConfig::pinned_quiet()
+        };
+        rejects_unusable(config, "interrupts");
     }
 }

@@ -5,12 +5,14 @@ use proptest::prelude::*;
 use sim_cache::addr::{CacheGeometry, PhysAddr};
 use sim_cache::config::{CacheConfig, CacheLevel, WritePolicy};
 use sim_cache::hierarchy::{
-    HierarchyConfig, HierarchyPreset, InclusionPolicy, RandomFillConfig, WritebackRouting,
+    CacheHierarchy, HierarchyConfig, HierarchyPreset, InclusionPolicy, RandomFillConfig,
+    WritebackRouting,
 };
 use sim_cache::policy::PolicyKind;
 use sim_cache::trace::TraceOp;
 use sim_core::machine::{Machine, MachineConfig};
 use sim_core::sched::InterruptConfig;
+use sim_core::session::TraceProgram;
 use sim_core::tsc::TscConfig;
 use wb_channel::channel::{ChannelConfig, NoiseConfig};
 use wb_channel::encoding::SymbolEncoding;
@@ -104,17 +106,45 @@ proptest! {
     }
 }
 
-/// An encoding: a valid binary one, the paper's two-bit code, or a
-/// hand-built one, valid or not (binary with any `d`, or up to five
-/// multi-bit levels in any order).
-fn hand_built_encoding() -> impl Strategy<Value = SymbolEncoding> {
-    prop_oneof![
-        (1usize..=8).prop_map(|d| SymbolEncoding::binary(d).unwrap()),
-        Just(SymbolEncoding::paper_two_bit()),
-        (0usize..12).prop_map(|dirty_lines| SymbolEncoding::Binary { dirty_lines }),
+/// An encoding: in one case of four a hand-built one, mostly invalid
+/// (binary with `d` of 0 or 9 to 11, or up to five multi-bit levels in any
+/// order), otherwise a valid one from [`arbitrary_encoding`].
+fn channel_encoding() -> impl Strategy<Value = SymbolEncoding> {
+    let hand_built = prop_oneof![
+        (0usize..4).prop_map(|i| SymbolEncoding::Binary {
+            dirty_lines: [0, 9, 10, 11][i]
+        }),
         proptest::collection::vec(0usize..12, 0..5)
             .prop_map(|levels| SymbolEncoding::MultiBit { levels }),
+    ];
+    prop_oneof![
+        hand_built,
+        arbitrary_encoding(),
+        arbitrary_encoding(),
+        arbitrary_encoding()
     ]
+}
+
+/// A noisy neighbour: in one case of four one that `check` rejects (a zero
+/// interval, no lines, or a store fraction of -0.5, 1.5 or NaN), in one of
+/// three none, otherwise a valid one.
+fn channel_noise() -> impl Strategy<Value = Option<NoiseConfig>> {
+    (0usize..12, 1u64..3_000, 1usize..5, 0.0f64..1.0).prop_map(
+        |(shape, interval, lines, store_fraction)| {
+            let (interval, lines, store_fraction) = match shape {
+                0 => (0, lines, store_fraction),
+                1 => (interval, 0, store_fraction),
+                2 => (interval, lines, [-0.5, 1.5, f64::NAN][lines % 3]),
+                3..=6 => return None,
+                _ => (interval, lines, store_fraction),
+            };
+            Some(NoiseConfig {
+                interval,
+                lines,
+                store_fraction,
+            })
+        },
+    )
 }
 
 /// An optional hierarchy override: one of the presets with a 16- or 8-way
@@ -291,16 +321,16 @@ proptest! {
     /// the error they report on one they reject.
     #[test]
     fn builder_accepted_configs_compile_and_never_panic(
-        encoding in hand_built_encoding(),
-        (period, policy, tsc, interrupts) in (edge_or(5_500, 1..6_000), 0usize..8, edge_tsc(), edge_interrupts()),
-        noise in (any::<bool>(), 0u64..3_000, 0usize..5, -0.5f64..1.5),
+        encoding in channel_encoding(),
+        (period, policy, tsc, interrupts) in (edge_or(5_500, 1..6_000), 0usize..24, edge_tsc(), edge_interrupts()),
+        noise in channel_noise(),
         hierarchy in hierarchy_override(),
         calibration_samples in 0usize..8,
         seed in 0u64..1_000,
         payload in proptest::collection::vec(any::<bool>(), 0..48),
     ) {
-        let (with_noise, interval, lines, store_fraction) = noise;
-        // Policies 6 and 7 follow the override, if there is one.
+        // Policies 6 and up (three cases of four) follow the override, if
+        // there is one.
         let policy = match hierarchy {
             Some(hierarchy) if policy >= 6 => hierarchy.l1d.replacement,
             _ => POLICIES[policy % 6],
@@ -311,7 +341,7 @@ proptest! {
             policy,
             interrupts,
             tsc,
-            noise: with_noise.then_some(NoiseConfig { interval, lines, store_fraction }),
+            noise,
             hierarchy,
             calibration_samples,
             seed,
@@ -361,15 +391,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Bad hierarchies are errors, never panics: `Machine::new` returns
-    /// `Ok` or `Err` on any hierarchy, and a machine it builds runs loads,
-    /// stores and a timed chase.
+    /// Bad machines are errors, never panics.  On any hierarchy and TSC and
+    /// interrupt edge values, `Machine::new` fails exactly when
+    /// `MachineConfig::check` or the hierarchy does, with `check`'s error
+    /// first; a machine it builds runs loads, stores, a timed chase and a
+    /// one-program session, whose turns poll the interrupt model.
     #[test]
     fn machine_new_never_panics_on_any_hierarchy(
         hierarchy in arbitrary_hierarchy(),
+        (tsc, interrupts) in (edge_tsc(), edge_interrupts()),
         addrs in proptest::collection::vec((any::<u64>(), any::<bool>()), 0..48),
+        wait in 0u64..1_000_000,
     ) {
-        let config = MachineConfig { hierarchy, ..MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, 5) };
+        let config = MachineConfig { hierarchy, tsc, interrupts, seed: 5 };
+        let built = Machine::new(config);
+        match config.check() {
+            Err(error) => prop_assert_eq!(built.err(), Some(error)),
+            Ok(()) => prop_assert_eq!(built.is_ok(), CacheHierarchy::new(hierarchy).is_ok()),
+        }
         if let Ok(mut machine) = Machine::new(config) {
             let ops: Vec<TraceOp> = addrs
                 .iter()
@@ -381,6 +420,10 @@ proptest! {
             machine.run_trace(1, &ops);
             let chase: Vec<PhysAddr> = addrs.iter().map(|&(addr, _)| PhysAddr(addr)).collect();
             machine.measured_chase(2, &chase);
+            let mut program = TraceProgram::new("probe", 3);
+            program.ops(ops).chase(&chase).wait_rel(wait).chase(&chase);
+            let report = machine.run_session(&[program], &mut [], 2 * wait + 100_000);
+            prop_assert_eq!(report.programs.len(), 1);
         }
     }
 }

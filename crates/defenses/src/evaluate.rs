@@ -307,6 +307,18 @@ mod tests {
     }
 
     #[test]
+    fn fuzzy_time_with_an_unusable_jitter_is_an_error() {
+        let defense = Defense::FuzzyTime {
+            granularity: 1,
+            jitter: u64::MAX,
+        };
+        match evaluate_defense(defense, &config()) {
+            Err(Error::InvalidConfig { field, .. }) => assert_eq!(field, "tsc"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn write_through_l1_kills_the_channel() {
         let result = evaluate_defense(Defense::WriteThroughL1, &config()).unwrap();
         assert!(result.mitigated, "accuracy {}", result.accuracy);

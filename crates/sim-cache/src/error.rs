@@ -1,6 +1,7 @@
 use std::fmt;
 
-/// Errors produced while building or operating a simulated cache.
+/// Errors produced while building or operating a simulated cache, or the
+/// machine around it.
 ///
 /// The variants are deliberately specific: configuration mistakes are the
 /// dominant failure mode when scripting experiments, and a precise message
@@ -36,6 +37,13 @@ pub enum Error {
         /// The numeric domain identifier.
         domain: u16,
     },
+    /// A machine value (the TSC, the interrupts) the models cannot compute with.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+        /// Explanation of the constraint that was violated.
+        reason: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -58,6 +66,9 @@ impl fmt::Display for Error {
             }
             Error::UnknownDomain { domain } => {
                 write!(f, "partition domain {domain} has not been configured")
+            }
+            Error::InvalidConfig { field, reason } => {
+                write!(f, "invalid machine configuration ({field}): {reason}")
             }
         }
     }
@@ -84,6 +95,10 @@ mod tests {
             Error::EmptyWayMask,
             Error::AddressOutOfRange { addr: 0xdead },
             Error::UnknownDomain { domain: 9 },
+            Error::InvalidConfig {
+                field: "tsc",
+                reason: "jitter must be at most i64::MAX".into(),
+            },
         ];
         for e in errors {
             let text = e.to_string();

@@ -70,6 +70,36 @@ impl MachineConfig {
             seed,
         }
     }
+
+    /// Checks the rules the measurement and interrupt models rely on;
+    /// [`Machine::new`] and [`Machine::reset`] run it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`sim_cache::Error::InvalidConfig`] for `tsc` when its jitter
+    /// or overhead exceeds `i64::MAX` (the measurement adds them as signed
+    /// cycles), and for `interrupts` when a period's or duration's mean plus
+    /// jitter, the largest value a draw can take, overflows `u64`.
+    pub fn check(&self) -> Result<(), sim_cache::Error> {
+        let (tsc, irq) = (self.tsc, self.interrupts);
+        let overflow = [
+            ("period", irq.period, irq.period_jitter),
+            ("duration", irq.duration, irq.duration_jitter),
+        ]
+        .into_iter()
+        .find(|&(_, mean, jitter)| mean.checked_add(jitter).is_none());
+        let (field, reason) = if tsc.jitter.max(tsc.overhead) > i64::MAX as u64 {
+            let (jitter, overhead) = (tsc.jitter, tsc.overhead);
+            let reason = format!("jitter {jitter} and overhead {overhead} must be <= i64::MAX");
+            ("tsc", reason)
+        } else if let Some((what, mean, jitter)) = overflow {
+            let reason = format!("{what} {mean} plus its jitter {jitter} overflows u64");
+            ("interrupts", reason)
+        } else {
+            return Ok(());
+        };
+        Err(sim_cache::Error::InvalidConfig { field, reason })
+    }
 }
 
 impl Default for MachineConfig {
@@ -117,8 +147,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates cache-configuration errors.
+    /// Returns [`MachineConfig::check`]'s error, then cache-configuration ones.
     pub fn new(config: MachineConfig) -> Result<Machine, sim_cache::Error> {
+        config.check()?;
         Ok(Machine {
             hierarchy: CacheHierarchy::new(config.hierarchy)?,
             tsc: TscModel::new(config.tsc),
@@ -140,8 +171,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates cache-configuration errors.
+    /// Returns [`MachineConfig::check`]'s error, then cache-configuration ones.
     pub fn reset(&mut self, config: MachineConfig) -> Result<(), sim_cache::Error> {
+        config.check()?;
         self.hierarchy.reset(config.hierarchy)?;
         self.tsc = TscModel::new(config.tsc);
         self.rng = StdRng::seed_from_u64(config.seed ^ 0x6d61_6368);
@@ -1149,5 +1181,66 @@ mod tests {
             assert_eq!(measured.0, measured.1, "measurement diverged at access {i}");
         }
         assert_eq!(reused.now(), fresh.now());
+    }
+
+    /// Configs the measurement or the interrupt model cannot compute with,
+    /// each with the field `check` names: a TSC jitter or overhead above
+    /// `i64::MAX`, and an interrupt mean plus jitter past `u64::MAX`.
+    fn unusable_configs() -> Vec<(MachineConfig, &'static str)> {
+        let base = MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, 3);
+        let mut configs = Vec::new();
+        for value in [i64::MAX as u64 + 1, u64::MAX] {
+            let mut config = base;
+            config.tsc.jitter = value;
+            configs.push((config, "tsc"));
+            config = base;
+            config.tsc.overhead = value;
+            configs.push((config, "tsc"));
+        }
+        let mut config = base;
+        config.interrupts.period = u64::MAX;
+        configs.push((config, "interrupts"));
+        config = base;
+        config.interrupts.duration = u64::MAX;
+        config.interrupts.duration_jitter = 1;
+        configs.push((config, "interrupts"));
+        configs
+    }
+
+    #[test]
+    fn new_rejects_what_the_models_cannot_compute_with() {
+        for (config, field) in unusable_configs() {
+            match Machine::new(config) {
+                Err(sim_cache::Error::InvalidConfig { field: named, .. }) => {
+                    assert_eq!(named, field, "{config:?}")
+                }
+                other => panic!("{config:?}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        // The limits themselves are accepted.
+        let mut config = MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, 3);
+        config.tsc.jitter = i64::MAX as u64;
+        config.tsc.overhead = i64::MAX as u64;
+        config.interrupts.duration = u64::MAX - 1;
+        config.interrupts.duration_jitter = 1;
+        assert!(Machine::new(config).is_ok());
+    }
+
+    #[test]
+    fn reset_rejects_the_same_configs_and_keeps_the_machine() {
+        let config = MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, 3);
+        let mut machine = Machine::new(config).unwrap();
+        machine.run_trace(1, &[TraceOp::write(PhysAddr(0x40))]);
+        let now = machine.now();
+        for (bad, field) in unusable_configs() {
+            match machine.reset(bad) {
+                Err(sim_cache::Error::InvalidConfig { field: named, .. }) => {
+                    assert_eq!(named, field, "{bad:?}")
+                }
+                other => panic!("{bad:?}: expected InvalidConfig, got {other:?}"),
+            }
+            assert_eq!(machine.config(), &config);
+            assert_eq!(machine.now(), now);
+        }
     }
 }

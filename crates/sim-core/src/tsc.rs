@@ -175,4 +175,20 @@ mod tests {
             let _ = model.measure(0, &mut rng);
         }
     }
+
+    #[test]
+    fn an_overhead_of_i64_max_saturates_every_reading() {
+        // `true_cycles + overhead + jitter` is past `i64::MAX` for any true
+        // latency of at least the jitter, and clamps there.
+        let model = TscModel::new(TscConfig {
+            overhead: i64::MAX as u64,
+            ..TscConfig::xeon_e5_2650()
+        });
+        let mut rng = StdRng::seed_from_u64(6);
+        for cycles in [3u64, 110, 1 << 40] {
+            for _ in 0..50 {
+                assert_eq!(model.measure(cycles, &mut rng), i64::MAX as u64);
+            }
+        }
+    }
 }
